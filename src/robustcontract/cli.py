@@ -744,7 +744,8 @@ def cmd_verify(run: RunConfig, out_dir: str,
     if not mismatched:
         command = manifest.get("command")
         if command == "solve-principal":
-            checks.update(_principal_checks(_load_principal(art_dir), v))
+            with sim._shared_increments():
+                checks.update(_principal_checks(_load_principal(art_dir), v))
         elif command == "solve-agent":
             checks.update(_agent_checks(art_dir, manifest))
         else:

@@ -12,9 +12,9 @@ timings go to a sidecar that is excluded from the checksum table.
 from __future__ import annotations
 
 import hashlib
-import io
 import os
 import platform
+import warnings
 
 import numpy as np
 import yaml
@@ -59,15 +59,20 @@ def write_table(path: str, names, columns) -> None:
 
 
 def read_table(path: str) -> dict[str, np.ndarray]:
-    """Read a columnar file back into name -> float array."""
+    """Read a columnar file back into name -> float array.
+
+    The body is parsed straight from the open file, never held as text.
+    """
     with open(path, "r", encoding="ascii") as fh:
         names = fh.readline().split()
-        body = fh.read()
-    if not names:
-        raise ValueError(f"{path}: missing header line")
-    if body.strip():
-        data = np.loadtxt(io.StringIO(body), ndmin=2)
-    else:
+        if not names:
+            raise ValueError(f"{path}: missing header line")
+        with warnings.catch_warnings():
+            # a header-only table is legal: its body reads as zero rows
+            warnings.filterwarnings(
+                "ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(fh, ndmin=2)
+    if data.shape[0] == 0:
         data = np.zeros((0, len(names)))
     if data.shape[1] != len(names):
         raise ValueError(

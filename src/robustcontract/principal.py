@@ -581,8 +581,13 @@ class ContractPolicy:
         dt = self.t_grid[1] - self.t_grid[0]
         return int(np.clip(math.floor((t - self.t_grid[0]) / dt), 0, nt - 1))
 
-    def gather(self, t: float, x, y) -> dict:
-        """Nearest-node control arrays for a batch of (x, y) states."""
+    def gather(self, t: float, x, y, *,
+               fields=("z", "gamma", "effort", "nature", "k_rate", "fstar"),
+               ) -> dict:
+        """Nearest-node control arrays for a batch of (x, y) states.
+
+        ``fields`` names the policy arrays looked up (all six by default).
+        """
         step = self.slice_index(t)
         xi = np.clip(np.searchsorted(self.x_grid,
                                      np.asarray(x) - 0.5 * (self.x_grid[1] - self.x_grid[0])),
@@ -590,9 +595,8 @@ class ContractPolicy:
         yi = np.clip(np.searchsorted(self.y_grid,
                                      np.asarray(y) - 0.5 * (self.y_grid[1] - self.y_grid[0])),
                      0, len(self.y_grid) - 1)
-        return {name: getattr(self, name)[step][xi, yi]
-                for name in ("z", "gamma", "effort", "nature", "k_rate",
-                             "fstar")}
+        node = xi * len(self.y_grid) + yi
+        return {name: getattr(self, name)[step].take(node) for name in fields}
 
 
 def extract_contract(solution: PrincipalSolution) -> ContractPolicy:
@@ -643,7 +647,9 @@ def optimize_y0(solution: PrincipalSolution, x0: float,
     best = float(np.max(sub))
     idx_local = int(np.argmax(sub >= best - TIE_TOL))
     idx = np.flatnonzero(admissible)[idx_local]
-    assert row[idx] >= best - TIE_TOL
+    if not row[idx] >= best - TIE_TOL:
+        raise RuntimeError(
+            f"initial value row has no maximizer (row maximum {best})")
     at_edge = bool(idx == len(yg) - 1)
     return Y0Result(float(yg[idx]), float(row[idx]), at_edge)
 

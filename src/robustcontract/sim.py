@@ -17,11 +17,17 @@ Randomness is reproducible by construction: one root seed feeds a
 ``numpy.random.SeedSequence`` whose ``spawn`` children seed one PCG64
 stream per path (path index order), and normal increments come from
 ``Generator.standard_normal``.  Identical configurations therefore give
-bit-identical results.
+bit-identical results.  The checks built on common random numbers (the
+scenario search, the incentive probes, the martingale report, and the
+whole of ``verify``) draw the increment matrix once for consecutive
+batches that share (seed, paths, steps) and hand every batch that same
+read-only matrix, so their results stay bit-identical to fresh draws.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -163,7 +169,7 @@ class SimResult:
 # randomness
 # ---------------------------------------------------------------------------
 
-def _path_increments(seed: int, paths: int, steps: int) -> np.ndarray:
+def _draw_increments(seed: int, paths: int, steps: int) -> np.ndarray:
     """Standard-normal increment matrix, one independently seeded row per path.
 
     Splitting rule (fixed for reproducibility): SeedSequence(seed).spawn(paths)
@@ -174,6 +180,47 @@ def _path_increments(seed: int, paths: int, steps: int) -> np.ndarray:
     out = np.empty((paths, steps))
     for i, child in enumerate(children):
         out[i] = np.random.Generator(np.random.PCG64(child)).standard_normal(steps)
+    return out
+
+
+# The open reuse scope's memo, a [key, matrix] pair, or None outside any
+# scope.  A context variable keeps concurrent threads and tasks apart.
+_increment_memo: contextvars.ContextVar[list | None] = contextvars.ContextVar(
+    "robustcontract_sim_increments", default=None)
+
+
+@contextlib.contextmanager
+def _shared_increments():
+    """Reuse the last increment matrix while its (seed, paths, steps) repeats.
+
+    Common-random-number checks run many batches on one key; inside this
+    scope they share a single draw.  A nested scope joins the outer one, and
+    nothing is kept once the outermost scope exits.  Also usable as a
+    function decorator.
+    """
+    if _increment_memo.get() is not None:
+        yield
+        return
+    token = _increment_memo.set([None, None])
+    try:
+        yield
+    finally:
+        _increment_memo.reset(token)
+
+
+def _path_increments(seed: int, paths: int, steps: int) -> np.ndarray:
+    """Read-only increment matrix, drawn afresh unless the open scope holds it."""
+    memo = _increment_memo.get()
+    key = (seed, paths, steps)
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    if memo is not None:
+        # release the previous matrix before the new one is allocated
+        memo[:] = [None, None]
+    out = _draw_increments(seed, paths, steps)
+    out.flags.writeable = False
+    if memo is not None:
+        memo[:] = [key, out]
     return out
 
 
@@ -273,6 +320,7 @@ def simulate_system(model: ModelSpec, policy: ContractPolicy,
 
     incr = _path_increments(cfg.seed, cfg.paths, steps)
     sqdt = math.sqrt(cfg.dt)
+    fields = ("z", "k_rate") if nature is not None else ("z", "k_rate", "nature")
 
     X = np.full(cfg.paths, float(cfg.x0))
     Y = np.full(cfg.paths, float(cfg.y0))
@@ -286,7 +334,7 @@ def simulate_system(model: ModelSpec, policy: ContractPolicy,
             t = k * cfg.dt
             if observer is not None:
                 observer(k, t, X, Y)
-            ctl = policy.gather(t, X, Y)
+            ctl = policy.gather(t, X, Y, fields=fields)
             z, k_rate = ctl["z"], ctl["k_rate"]
             n_now = nature.value_at(t) if nature is not None else ctl["nature"]
 
@@ -458,6 +506,7 @@ def constant_policy(model: ModelSpec, horizon: float, *, z: float = 0.0,
 # adversarial scenario search
 # ---------------------------------------------------------------------------
 
+@_shared_increments()
 def adversarial_nature_search(model: ModelSpec, policy: ContractPolicy,
                               cfg: SimConfig, intervals: int, *,
                               sweeps: int = 2,
@@ -521,6 +570,7 @@ def _worst_constant_agent_value(model: ModelSpec, policy: ContractPolicy,
     return best, best_n
 
 
+@_shared_increments()
 def incentive_compatibility_check(model: ModelSpec, policy: ContractPolicy,
                                   cfg: SimConfig, perturbations: int, *,
                                   deformations: Sequence[Callable] | None = None,
@@ -597,6 +647,7 @@ def _value_batch(solution, t: float, X: np.ndarray, Y: np.ndarray) -> np.ndarray
     return (1 - wt) * bilinear(solution.values[k]) + wt * bilinear(solution.values[k + 1])
 
 
+@_shared_increments()
 def martingale_sandwich_check(model: ModelSpec, solution, policy: ContractPolicy,
                               cfg: SimConfig, *, probes: int = 9,
                               suboptimal_nature: NatureStrategy | None = None,

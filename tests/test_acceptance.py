@@ -17,6 +17,7 @@ import yaml
 import robustcontract as rc
 from robustcontract.agent import ContractFunction, inf_of_bsdes, solve_agent
 from robustcontract.cli import main as cli_main
+from robustcontract.export import TIMINGS_NAME
 from robustcontract.presets import PRESETS, make_model
 from robustcontract.principal import GridSpec, extract_contract, optimize_y0, solve_hjbi
 from robustcontract.sim import (
@@ -278,7 +279,11 @@ def test_10_determinism_and_reweighting(tmp_path):
         dir_a, dir_b = run_twice(command, mapping, stem)
         names = sorted(p.name for p in dir_a.iterdir())
         assert names == sorted(p.name for p in dir_b.iterdir())
+        # the wall-clock sidecar is written every run but promised no bytes
+        assert TIMINGS_NAME in names
         for name in names:
+            if name == TIMINGS_NAME:
+                continue
             blob_a = (dir_a / name).read_bytes()
             assert blob_a == (dir_b / name).read_bytes(), f"{stem}/{name}"
             identical += 1

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from robustcontract import export
+from robustcontract import export, sim
 from robustcontract.cli import (
     EXIT_CONFIG,
     EXIT_MISSING,
@@ -19,6 +19,7 @@ from robustcontract.cli import (
     RunConfig,
     main,
 )
+from robustcontract.presets import make_model
 
 
 def write_config(tmp_path, name: str, mapping: dict) -> str:
@@ -230,6 +231,30 @@ class TestVerify:
         for name in ("checksums", "incentive_fields", "girsanov_agreement",
                      "martingale_drift", "incentive_probes"):
             assert report["checks"][name]["passed"] is True, name
+
+    def test_shared_increments_keep_the_report_bytes(self, principal_run,
+                                                     tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, "v.yaml", {"verify": {
+            "artifacts": str(principal_run), "paths": 300, "seed": 9,
+            "perturbations": 2}})
+        drawn = []
+        draw = sim._draw_increments
+
+        def counting(seed, paths, steps):
+            drawn.append(seed)
+            return draw(seed, paths, steps)
+
+        monkeypatch.setattr(sim, "_draw_increments", counting)
+        assert run_cli("verify", cfg, tmp_path / "shared") == EXIT_OK
+        # direct and reweighted cross-check runs, then the common batches
+        assert drawn == [9, 10, 9]
+        monkeypatch.setattr(sim, "_path_increments", counting)
+        assert run_cli("verify", cfg, tmp_path / "fresh") == EXIT_OK
+        batches = 4 + 3 * len(make_model("risk_neutral").n_grid())
+        assert len(drawn) == 3 + batches
+        for name in ("report.yaml", export.MANIFEST_NAME):
+            assert (tmp_path / "shared" / name).read_bytes() == \
+                (tmp_path / "fresh" / name).read_bytes()
 
     def test_tampered_surface_fails_checksums(self, principal_run, tmp_path,
                                               capsys):

@@ -1,6 +1,7 @@
 """Columnar file round-trips and manifest checksumming."""
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -37,8 +38,25 @@ class TestTables:
     def test_header_only_table(self, tmp_path):
         path = str(tmp_path / "empty.txt")
         export.write_table(path, ("a", "b"), ((), ()))
-        back = export.read_table(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = export.read_table(path)
         assert back["a"].shape == (0,) and back["b"].shape == (0,)
+
+    @pytest.mark.parametrize("body", ["\n", "  \n\n"])
+    def test_blank_body_reads_as_empty(self, tmp_path, body):
+        path = tmp_path / "blank.txt"
+        path.write_text("a b\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = export.read_table(str(path))
+        assert back["a"].shape == (0,) and back["b"].shape == (0,)
+
+    def test_missing_header_detected(self, tmp_path):
+        path = tmp_path / "h.txt"
+        path.write_text("\n1 2\n")
+        with pytest.raises(ValueError, match="missing header"):
+            export.read_table(str(path))
 
     def test_bad_inputs_rejected(self, tmp_path):
         path = str(tmp_path / "bad.txt")

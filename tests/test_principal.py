@@ -1,5 +1,7 @@
 """Tests for the principal-side HJBI solver, policy extraction and checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,13 @@ class TestOptimizeY0:
         with pytest.raises(ValueError, match="admissible"):
             optimize_y0(solution, 0.0, reservation=100.0)
 
+    def test_nan_value_row_raises(self, solution):
+        values = solution.values.copy()
+        values[0] = np.nan
+        broken = dataclasses.replace(solution, values=values)
+        with pytest.raises(RuntimeError, match="maximizer"):
+            optimize_y0(broken, 0.0)
+
     def test_exact_grid_reservation(self, solution):
         res = optimize_y0(solution, 0.0, reservation=-0.4)
         assert res.y0 == pytest.approx(-0.4)
@@ -196,6 +205,37 @@ class TestContractPolicy:
         pol = extract_contract(sol)
         out = pol.gather(0.0, np.array([0.19]), np.array([0.0]))
         assert out["z"].shape == (1,)
+
+    def test_field_subset_matches_full_gather(self):
+        rng = np.random.default_rng(3)
+        names = ("z", "gamma", "effort", "nature", "k_rate", "fstar")
+        pol = ContractPolicy(
+            t_grid=np.linspace(0.0, 0.5, 3), x_grid=np.linspace(-2.0, 2.0, 9),
+            y_grid=np.linspace(-1.0, 2.0, 7),
+            **{name: rng.standard_normal((3, 9, 7)) for name in names})
+
+        def probes(g):
+            # nodes, exact cell midpoints, outside the box, +-inf and NaN
+            return np.concatenate([g, 0.5 * (g[1:] + g[:-1]),
+                                   [g[0] - 1.0, g[-1] + 1.0,
+                                    -np.inf, np.inf, np.nan]])
+
+        X, Y = (a.ravel() for a in np.meshgrid(
+            probes(pol.x_grid), probes(pol.y_grid), indexing="ij"))
+        subset = ("z", "k_rate", "nature")
+        for t in (0.0, 0.3, 0.5):
+            full = pol.gather(t, X, Y)
+            sub = pol.gather(t, X, Y, fields=subset)
+            assert list(sub) == list(subset)
+            for name in subset:
+                assert np.array_equal(sub[name], full[name], equal_nan=True)
+            # the nearest-node rule written out with 2-D indexing
+            step = pol.slice_index(t)
+            xi = np.clip(np.searchsorted(pol.x_grid, X - 0.25), 0, 8)
+            yi = np.clip(np.searchsorted(pol.y_grid, Y - 0.25), 0, 6)
+            for name in names:
+                assert np.array_equal(full[name],
+                                      getattr(pol, name)[step][xi, yi])
 
 
 class TestPerronSandwich:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from robustcontract import presets
+from robustcontract import presets, sim
 from robustcontract.agent import ContractFunction, solve_agent
 from robustcontract.hamiltonians import eval_F_star
 from robustcontract.principal import GridSpec, extract_contract, solve_hjbi
@@ -183,6 +183,62 @@ class TestQuarantineAndDeterminism:
         cfg = SimConfig(paths=100, dt=1 / 16, seed=2)
         with pytest.raises(RuntimeError, match="quarantined"):
             simulate_system(rn_model, policy, None, cfg)
+
+
+class TestSharedIncrements:
+    @staticmethod
+    def count_draws(monkeypatch):
+        drawn = []
+        draw = sim._draw_increments
+
+        def counting(seed, paths, steps):
+            memo = sim._increment_memo.get()
+            # a scope releases its previous matrix before drawing a new one
+            assert memo is None or memo[1] is None
+            drawn.append((seed, paths, steps))
+            return draw(seed, paths, steps)
+
+        monkeypatch.setattr(sim, "_draw_increments", counting)
+        return drawn
+
+    def test_scope_reuses_one_read_only_draw(self, monkeypatch):
+        fresh = sim._draw_increments(5, 40, 8)
+        drawn = self.count_draws(monkeypatch)
+        with sim._shared_increments():
+            a = sim._path_increments(5, 40, 8)
+            with sim._shared_increments():
+                b = sim._path_increments(5, 40, 8)
+            c = sim._path_increments(5, 40, 8)
+        assert a is b is c
+        assert a.tobytes() == fresh.tobytes()
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
+        assert drawn == [(5, 40, 8)]
+        assert sim._increment_memo.get() is None
+
+    def test_key_change_redraws_and_nothing_outlives_the_scope(self, monkeypatch):
+        drawn = self.count_draws(monkeypatch)
+        keys = [(5, 40, 8), (6, 40, 8), (5, 40, 8), (5, 41, 8), (5, 41, 8)]
+        with sim._shared_increments():
+            for key in keys:
+                sim._path_increments(*key)
+        assert drawn == keys[:4]
+        sim._path_increments(5, 41, 8)
+        sim._path_increments(5, 41, 8)
+        assert drawn == keys[:4] + [(5, 41, 8)] * 2
+
+    def test_common_random_number_checks_repeat_fresh_draws(
+            self, rn_model, rn_policy, monkeypatch):
+        cfg = SimConfig(paths=200, dt=1 / 16, seed=4)
+        shared = incentive_compatibility_check(rn_model, rn_policy, cfg, 2)
+        drawn = self.count_draws(monkeypatch)
+        monkeypatch.setattr(sim, "_path_increments", sim._draw_increments)
+        fresh = incentive_compatibility_check(rn_model, rn_policy, cfg, 2)
+        assert len(drawn) == 3 * len(rn_model.n_grid())
+        assert shared["baseline"] == fresh["baseline"]
+        assert [e["value"] for e in shared["entries"]] == \
+            [e["value"] for e in fresh["entries"]]
 
 
 class TestResponseEquivalence:
