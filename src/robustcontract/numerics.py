@@ -116,3 +116,31 @@ def take_rows(stack, idx):
     """Gather ``stack[idx[j], j]`` for each column j."""
     stack = np.asarray(stack)
     return stack[idx, np.arange(stack.shape[-1])]
+
+
+def surface_value(t_grid, x_grid, y_grid, values, t, x, y):
+    """Trilinear lookup of a ``values[t, x, y]`` node surface.
+
+    ``t`` is a scalar; ``x`` and ``y`` are scalars or arrays that broadcast
+    together.  Every coordinate is clamped to the grid box first, so points
+    outside it (including +-inf) read the boundary value; NaN gives NaN.
+    A single-slice surface is read at every ``t``.
+    """
+    def bilinear(plane):
+        xc = np.clip(x, x_grid[0], x_grid[-1])
+        yc = np.clip(y, y_grid[0], y_grid[-1])
+        i = np.clip(np.searchsorted(x_grid, xc) - 1, 0, len(x_grid) - 2)
+        j = np.clip(np.searchsorted(y_grid, yc) - 1, 0, len(y_grid) - 2)
+        wx = (xc - x_grid[i]) / (x_grid[i + 1] - x_grid[i])
+        wy = (yc - y_grid[j]) / (y_grid[j + 1] - y_grid[j])
+        return ((1 - wx) * (1 - wy) * plane[i, j]
+                + wx * (1 - wy) * plane[i + 1, j]
+                + (1 - wx) * wy * plane[i, j + 1]
+                + wx * wy * plane[i + 1, j + 1])
+
+    if len(t_grid) == 1:
+        return bilinear(values[0])
+    tc = min(max(t, t_grid[0]), t_grid[-1])
+    k = int(np.clip(np.searchsorted(t_grid, tc) - 1, 0, len(t_grid) - 2))
+    wt = (tc - t_grid[k]) / (t_grid[k + 1] - t_grid[k])
+    return (1 - wt) * bilinear(values[k]) + wt * bilinear(values[k + 1])

@@ -38,6 +38,10 @@ import numpy as np
 from .hamiltonians import ModelSpec, TIE_TOL, uniform_grid
 from . import numerics
 
+# default smallest and largest (z, gamma) box radius of the saddle search
+_R_MIN = 1e-3
+_RADIUS_CAP = 1024.0
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -123,31 +127,14 @@ class PrincipalSolution:
     fstar: np.ndarray
     diagnostics: dict = dc_field(default_factory=dict)
 
-    def value(self, t: float, x: float, y: float) -> float:
-        """Trilinear interpolation of the value surface."""
-        tg = self.t_grid
-        ti = int(np.clip(np.searchsorted(tg, t) - 1, 0, max(len(tg) - 2, 0)))
-        if len(tg) == 1:
-            wt = 0.0
-            ti = 0
-            hi = 0
-        else:
-            wt = float(np.clip((t - tg[ti]) / (tg[ti + 1] - tg[ti]), 0.0, 1.0))
-            hi = ti + 1
-        lo_plane = self._plane(self.values[ti], x, y)
-        hi_plane = self._plane(self.values[hi], x, y)
-        return (1.0 - wt) * lo_plane + wt * hi_plane
+    def value(self, t: float, x, y):
+        """Trilinear interpolation of the value surface, clamped to the box.
 
-    def _plane(self, plane: np.ndarray, x: float, y: float) -> float:
-        xg, yg = self.x_grid, self.y_grid
-        i = int(np.clip(np.searchsorted(xg, x) - 1, 0, len(xg) - 2))
-        j = int(np.clip(np.searchsorted(yg, y) - 1, 0, len(yg) - 2))
-        wx = float(np.clip((x - xg[i]) / (xg[i + 1] - xg[i]), 0.0, 1.0))
-        wy = float(np.clip((y - yg[j]) / (yg[j + 1] - yg[j]), 0.0, 1.0))
-        return float((1 - wx) * (1 - wy) * plane[i, j]
-                     + wx * (1 - wy) * plane[i + 1, j]
-                     + (1 - wx) * wy * plane[i, j + 1]
-                     + wx * wy * plane[i + 1, j + 1])
+        ``x`` and ``y`` may be arrays; scalar inputs return a float.
+        """
+        v = numerics.surface_value(self.t_grid, self.x_grid, self.y_grid,
+                                   self.values, t, x, y)
+        return float(v) if np.ndim(v) == 0 else v
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +171,9 @@ def _entry_eval(model, t, X, Y, tables, z_spec, gam_rows, p, pt, q, qt, r,
     ``z_spec`` is a float (grid layer) or per-node array (candidate layer);
     ``gam_rows`` has shape (G,) for grid gammas or (G, N) for per-node ones.
     With ``exact_only`` the effort enumeration trusts the closed-form
-    candidate alone.  Returns the inf-over-nature payoff rows plus
-    everything needed to reconstruct the winning controls.
+    candidate alone.  Returns (G, N) rows keyed by field: the
+    inf-over-nature payoff ``value``, the nature index ``n_idx`` attaining
+    it, and the controls and stencil inputs realized with that nature.
     """
     n_grid, a_grid, sig, sig2, b_na, base_na = tables
     N = X.size
@@ -234,7 +222,11 @@ def _entry_eval(model, t, X, Y, tables, z_spec, gam_rows, p, pt, q, qt, r,
               - (pt * hval)[None, :, :])
     best = gstack.min(axis=0)                               # (G, N)
     n_idx = np.argmin(gstack - best[None, :, :] > TIE_TOL, axis=0)
-    return best, n_idx, hval, fmax, astar, bstar, sig2, gam2
+    nodes = np.arange(N)
+    return {"value": best, "z": np.broadcast_to(zB, best.shape),
+            "gamma": np.broadcast_to(gam2, best.shape), "n_idx": n_idx,
+            "effort": astar[n_idx, nodes], "hval": hval,
+            "fstar": fmax[n_idx, nodes], "bdrift": bstar[n_idx, nodes]}
 
 
 def _enumerate_entries(model: ModelSpec, t, X, Y, p, q, radius,
@@ -284,7 +276,11 @@ def _enumerate_entries(model: ModelSpec, t, X, Y, p, q, radius,
 
 
 def _select_slice(model, t, X, Y, p, pt, q, qt, r, radius) -> _Selection:
-    """Nodewise two-pass saddle selection over the full enumeration.
+    """Nodewise saddle selection over the full enumeration.
+
+    Each enumeration entry is evaluated once; the winning (entry, gamma)
+    row per node is the earliest within ``TIE_TOL`` of the best, and every
+    selected control is gathered from that row.
 
     Models flagged risk-neutral declare their closed-form candidates exact
     optimizers, so the box grid can never improve on them and ties resolve
@@ -297,50 +293,22 @@ def _select_slice(model, t, X, Y, p, pt, q, qt, r, radius) -> _Selection:
     tables = _static_tables(model, t, X, Y, exact_only)
     entries = _enumerate_entries(model, t, X, Y, p, q, radius,
                                  include_grid=not exact_only)
-    rows = []
-    meta = []
-    for e_idx, (z_spec, gam_rows) in enumerate(entries):
-        best, *_ = _entry_eval(model, t, X, Y, tables, z_spec, gam_rows,
-                               p, pt, q, qt, r, exact_only)
-        for gk in range(best.shape[0]):
-            rows.append(best[gk])
-            meta.append((e_idx, gk))
-    stack = np.stack(rows)
-    top = stack.max(axis=0)
-    win = np.argmax(stack >= top - TIE_TOL, axis=0)
-
-    N = X.size
-    out = _Selection(
-        value=top, z=np.empty(N), gamma=np.empty(N), nature=np.empty(N),
-        effort=np.empty(N), sig2=np.empty(N), hval=np.empty(N),
-        fstar=np.empty(N), bdrift=np.empty(N), radius=radius,
-        sat_mask=np.zeros(N, dtype=bool), saturated=0, qt_nonneg_saturated=0)
-    n_grid = np.asarray(model.n_grid())
-    node_ids = np.arange(N)
-    for row_id in np.unique(win):
-        e_idx, gk = meta[row_id]
-        z_spec, gam_rows = entries[e_idx]
-        best, n_idx, hval, fmax, astar, bstar, sig2, gam2 = _entry_eval(
-            model, t, X, Y, tables, z_spec, gam_rows, p, pt, q, qt, r,
-            exact_only)
-        mask = win == row_id
-        nsel = n_idx[gk][mask]
-        nodes = node_ids[mask]
-        out.z[mask] = np.broadcast_to(np.asarray(z_spec, dtype=float), (N,))[mask]
-        out.gamma[mask] = np.broadcast_to(gam2[gk], (N,))[mask]
-        out.nature[mask] = n_grid[nsel]
-        out.effort[mask] = astar[nsel, nodes]
-        out.sig2[mask] = sig2[nsel, nodes]
-        out.hval[mask] = hval[gk][mask]
-        out.fstar[mask] = fmax[nsel, nodes]
-        out.bdrift[mask] = bstar[nsel, nodes]
-
+    blocks = [_entry_eval(model, t, X, Y, tables, z_spec, gam_rows,
+                          p, pt, q, qt, r, exact_only)
+              for z_spec, gam_rows in entries]
+    win, top = numerics.first_argmax(
+        np.concatenate([b["value"] for b in blocks]), TIE_TOL)
+    pick = {name: numerics.take_rows(
+                np.concatenate([b[name] for b in blocks]), win)
+            for name in blocks[0] if name != "value"}
+    n_sel = pick.pop("n_idx")
     edge = radius * (1.0 - 1e-9)
-    sat = (np.abs(out.z) >= edge) | (np.abs(out.gamma) >= edge)
-    out.sat_mask = sat
-    out.saturated = int(np.count_nonzero(sat))
-    out.qt_nonneg_saturated = int(np.count_nonzero(sat & (qt >= 0.0)))
-    return out
+    sat = (np.abs(pick["z"]) >= edge) | (np.abs(pick["gamma"]) >= edge)
+    return _Selection(
+        value=top, nature=np.asarray(tables[0])[n_sel],
+        sig2=tables[3][n_sel, np.arange(X.size)], radius=radius,
+        sat_mask=sat, saturated=int(np.count_nonzero(sat)),
+        qt_nonneg_saturated=int(np.count_nonzero(sat & (qt >= 0.0))), **pick)
 
 
 def _derivatives(u: np.ndarray, dx: float, dy: float):
@@ -354,25 +322,33 @@ def _derivatives(u: np.ndarray, dx: float, dy: float):
     return p, pt, q, qt, r
 
 
+def _diffusion_coefficients(sel: _Selection, dx, dy, shape):
+    """Own-diffusion weights and the monotone-clipped cross coefficient.
+
+    Returns (a2, c2, rho_used, clipped_cross_mass): three arrays of
+    ``shape`` and the largest cross mass the clip removed.
+    """
+    sig2 = sel.sig2.reshape(shape)
+    z = sel.z.reshape(shape)
+    a2 = 0.5 * sig2
+    c2 = 0.5 * z * z * sig2
+    rho = z * sig2
+    cap = np.minimum(2.0 * a2 * dy / dx, 2.0 * c2 * dx / dy)
+    rho_used = np.sign(rho) * np.minimum(np.abs(rho), cap)
+    defect = float(np.max(np.abs(rho) - np.abs(rho_used), initial=0.0))
+    return a2, c2, rho_used, defect
+
+
 def _monotone_rhs(u, sel: _Selection, dx, dy, shape):
     """Realize the selected operator with monotone stencils.
 
     Returns (rhs, erosion, clipped_cross_mass); erosion is the nodewise
     decay rate of the center weight that bounds the stable step size.
     """
-    nx, ny = shape
-    a2 = (0.5 * sel.sig2).reshape(nx, ny)
-    z = sel.z.reshape(nx, ny)
-    c2 = 0.5 * z * z * sel.sig2.reshape(nx, ny)
-    rho = z * sel.sig2.reshape(nx, ny)
-    bx = sel.bdrift.reshape(nx, ny)
-    hv = sel.hval.reshape(nx, ny)
-    gm = sel.gamma.reshape(nx, ny)
-    by = 0.5 * sel.sig2.reshape(nx, ny) * gm - hv + bx * z
-
-    cap = np.minimum(2.0 * a2 * dy / dx, 2.0 * c2 * dx / dy)
-    rho_used = np.sign(rho) * np.minimum(np.abs(rho), cap)
-    defect = float(np.max(np.abs(rho) - np.abs(rho_used), initial=0.0))
+    a2, c2, rho_used, defect = _diffusion_coefficients(sel, dx, dy, shape)
+    bx = sel.bdrift.reshape(shape)
+    by = (a2 * sel.gamma.reshape(shape) - sel.hval.reshape(shape)
+          + bx * sel.z.reshape(shape))
 
     up = numerics.ghost_pad2(u)
     ctr = up[1:-1, 1:-1]
@@ -399,9 +375,63 @@ def _monotone_rhs(u, sel: _Selection, dx, dy, shape):
     return rhs, erosion, defect
 
 
+def _terminal_reward(model: ModelSpec, xg, yg) -> np.ndarray:
+    """Liquidation reward U_P(L(x) - U_A^{-1}(y)) on the (x, y) grid."""
+    pay = numerics.apply1(model.liquidation_L, xg)
+    wage = numerics.apply1(model.utility_agent_inv, yg)
+    return numerics.apply1(model.utility_principal,
+                           pay[:, None] - wage[None, :])
+
+
+def _new_diagnostics() -> dict:
+    return {"radius_max": 0.0, "substeps_max": 0,
+            "monotonicity_defect": 0.0, "saturated_nodes": 0,
+            "coercivity_unverified_nodes": 0}
+
+
+def _select_with_radius(model, t, X, Y, p, pt, q, qt, r, diags, *,
+                        r_min=_R_MIN, radius_cap=_RADIUS_CAP) -> _Selection:
+    """Select a slice's saddle controls under the box radius policy.
+
+    Risk-neutral models carry exact candidates, so the envelope radius
+    already contains the optimum.  Otherwise the box doubles while a
+    coercive node (negative second y-derivative) sits on the boundary
+    AND doubling still moves the sup; a boundary optimum on a value
+    plateau accepts the smaller box.  Non-coercive nodes never drive
+    expansion; they are counted instead, since their semi-relaxed sup
+    may be infinite and a box value is the honest truncation.  The
+    radius and saturation counts accumulate into ``diags``.
+    """
+    radius = max(r_min, float(np.max(np.abs(p))), float(np.max(np.abs(q))))
+    sel = _select_slice(model, t, X, Y, p, pt, q, qt, r, radius)
+    if not model.risk_neutral:
+        while radius < radius_cap:
+            expandable = sel.sat_mask & (qt < 0.0)
+            if not expandable.any():
+                break
+            wider = _select_slice(model, t, X, Y, p, pt, q, qt, r,
+                                  2.0 * radius)
+            moved = np.abs(wider.value - sel.value)[expandable]
+            scale = 1.0 + float(np.max(np.abs(sel.value[expandable])))
+            if float(moved.max()) <= 1e-9 * scale:
+                break
+            radius *= 2.0
+            sel = wider
+        diags["saturated_nodes"] += int(
+            np.count_nonzero(sel.sat_mask & (qt < 0.0)))
+        diags["coercivity_unverified_nodes"] += sel.qt_nonneg_saturated
+    diags["radius_max"] = max(diags["radius_max"], sel.radius)
+    return sel
+
+
+def _flat_derivatives(u, grid: GridSpec):
+    """Flat (p, pt, q, qt, r) of one slice, ordered like the raveled nodes."""
+    return tuple(arr.ravel() for arr in _derivatives(u, grid.dx, grid.dy))
+
+
 def solve_hjbi(model: ModelSpec, grid: GridSpec, *,
-               cfl_safety: float = 0.9, r_min: float = 1e-3,
-               radius_cap: float = 1024.0,
+               cfl_safety: float = 0.9, r_min: float = _R_MIN,
+               radius_cap: float = _RADIUS_CAP,
                max_substeps: int = 10000) -> PrincipalSolution:
     """March the principal equation backward from the liquidation reward."""
     if not 0.0 < cfl_safety <= 1.0:
@@ -411,52 +441,18 @@ def solve_hjbi(model: ModelSpec, grid: GridSpec, *,
     X2, Y2 = np.meshgrid(xg, yg, indexing="ij")
     Xf, Yf = X2.ravel(), Y2.ravel()
 
-    pay = numerics.apply1(model.liquidation_L, xg)
-    wage = numerics.apply1(model.utility_agent_inv, yg)
-    terminal = numerics.apply1(model.utility_principal,
-                               pay[:, None] - wage[None, :])
-
+    terminal = _terminal_reward(model, xg, yg)
     values = np.empty((nt + 1, nx, ny))
     values[nt] = terminal
     pol_shape = (nt + 1, nx, ny)
     pol = {name: np.zeros(pol_shape) for name in
            ("z", "gamma", "effort", "nature", "k_rate", "fstar")}
+    diags = _new_diagnostics()
 
-    diags = {"radius_max": 0.0, "substeps_max": 0,
-             "monotonicity_defect": 0.0, "saturated_nodes": 0,
-             "coercivity_unverified_nodes": 0}
-
-    def select_with_radius(t, p, pt, q, qt, r):
-        """Box radius policy.
-
-        Risk-neutral models carry exact candidates, so the envelope radius
-        already contains the optimum.  Otherwise the box doubles while a
-        coercive node (negative second y-derivative) sits on the boundary
-        AND doubling still moves the sup; a boundary optimum on a value
-        plateau accepts the smaller box.  Non-coercive nodes never drive
-        expansion; they are counted instead, since their semi-relaxed sup
-        may be infinite and a box value is the honest truncation.
-        """
-        radius = max(r_min, float(np.max(np.abs(p))), float(np.max(np.abs(q))))
-        sel = _select_slice(model, t, Xf, Yf, p, pt, q, qt, r, radius)
-        if not model.risk_neutral:
-            while radius < radius_cap:
-                expandable = sel.sat_mask & (qt < 0.0)
-                if not expandable.any():
-                    break
-                wider = _select_slice(model, t, Xf, Yf, p, pt, q, qt, r,
-                                      2.0 * radius)
-                moved = np.abs(wider.value - sel.value)[expandable]
-                scale = 1.0 + float(np.max(np.abs(sel.value[expandable])))
-                if float(moved.max()) <= 1e-9 * scale:
-                    break
-                radius *= 2.0
-                sel = wider
-            diags["saturated_nodes"] += int(
-                np.count_nonzero(sel.sat_mask & (qt < 0.0)))
-            diags["coercivity_unverified_nodes"] += sel.qt_nonneg_saturated
-        diags["radius_max"] = max(diags["radius_max"], sel.radius)
-        return sel
+    def select(t, u):
+        return _select_with_radius(model, t, Xf, Yf,
+                                   *_flat_derivatives(u, grid), diags,
+                                   r_min=r_min, radius_cap=radius_cap)
 
     def fill_policy(step, sel):
         kr = np.maximum(sel.fstar + 0.5 * sel.sig2 * sel.gamma - sel.hval, 0.0)
@@ -467,25 +463,13 @@ def solve_hjbi(model: ModelSpec, grid: GridSpec, *,
         pol["k_rate"][step] = kr.reshape(nx, ny)
         pol["fstar"][step] = sel.fstar.reshape(nx, ny)
 
-    if nt == 0:
-        p, pt, q, qt, r = (arr.ravel() for arr in
-                           _derivatives(terminal, grid.dx, grid.dy))
-        sel = select_with_radius(tg[0], p, pt, q, qt, r)
-        fill_policy(0, sel)
-        return PrincipalSolution(model, grid, tg, xg, yg, values,
-                                 pol["z"], pol["gamma"], pol["effort"],
-                                 pol["nature"], pol["k_rate"], pol["fstar"],
-                                 diags)
-
     for step in range(nt - 1, -1, -1):
         cur = values[step + 1].copy()
         dt_rem = grid.dt
         substeps = 0
         sel = None
         while dt_rem > 0.0:
-            p, pt, q, qt, r = (arr.ravel() for arr in
-                               _derivatives(cur, grid.dx, grid.dy))
-            sel = select_with_radius(float(tg[step]), p, pt, q, qt, r)
+            sel = select(float(tg[step]), cur)
             rhs, erosion, defect = _monotone_rhs(cur, sel, grid.dx, grid.dy,
                                                  (nx, ny))
             diags["monotonicity_defect"] = max(
@@ -506,8 +490,11 @@ def solve_hjbi(model: ModelSpec, grid: GridSpec, *,
         fill_policy(step, sel)
         diags["substeps_max"] = max(diags["substeps_max"], substeps)
 
-    for name in pol:
-        pol[name][nt] = pol[name][nt - 1]
+    if nt:
+        for name in pol:
+            pol[name][nt] = pol[name][nt - 1]
+    else:
+        fill_policy(0, select(tg[0], terminal))
     return PrincipalSolution(model, grid, tg, xg, yg, values,
                              pol["z"], pol["gamma"], pol["effort"],
                              pol["nature"], pol["k_rate"], pol["fstar"],
@@ -519,36 +506,26 @@ def solve_hjbi(model: ModelSpec, grid: GridSpec, *,
 # ---------------------------------------------------------------------------
 
 def probe_monotonicity(model: ModelSpec, grid: GridSpec) -> dict:
-    """One backward step's stencil weights, reported as minima.
+    """The first backward step's stencil weights, reported as minima.
 
+    The step selects its controls under the solver's own radius policy.
     A nonnegative ``min_neighbor_weight`` together with a nonnegative
     ``min_center_weight`` certifies the first update is a convex
     combination of slice values.
     """
     xg, yg = grid.x_grid(), grid.y_grid()
     X2, Y2 = np.meshgrid(xg, yg, indexing="ij")
-    pay = numerics.apply1(model.liquidation_L, xg)
-    wage = numerics.apply1(model.utility_agent_inv, yg)
-    terminal = numerics.apply1(model.utility_principal,
-                               pay[:, None] - wage[None, :])
-    p, pt, q, qt, r = (arr.ravel() for arr in
-                       _derivatives(terminal, grid.dx, grid.dy))
-    radius = max(1e-3, float(np.max(np.abs(p))), float(np.max(np.abs(q))))
-    sel = _select_slice(model, 0.0, X2.ravel(), Y2.ravel(),
-                        p, pt, q, qt, r, radius)
-    nx, ny = grid.x_nodes, grid.y_nodes
-    a2 = (0.5 * sel.sig2).reshape(nx, ny)
-    z = sel.z.reshape(nx, ny)
-    c2 = 0.5 * z * z * sel.sig2.reshape(nx, ny)
-    rho = z * sel.sig2.reshape(nx, ny)
-    cap = np.minimum(2.0 * a2 * grid.dy / grid.dx,
-                     2.0 * c2 * grid.dx / grid.dy)
-    rho_used = np.sign(rho) * np.minimum(np.abs(rho), cap)
+    terminal = _terminal_reward(model, xg, yg)
+    sel = _select_with_radius(model, 0.0, X2.ravel(), Y2.ravel(),
+                              *_flat_derivatives(terminal, grid),
+                              _new_diagnostics())
+    shape = (grid.x_nodes, grid.y_nodes)
+    a2, c2, rho_used, _ = _diffusion_coefficients(sel, grid.dx, grid.dy,
+                                                  shape)
     w_x = a2 / grid.dx ** 2 - np.abs(rho_used) / (2.0 * grid.dx * grid.dy)
     w_y = c2 / grid.dy ** 2 - np.abs(rho_used) / (2.0 * grid.dx * grid.dy)
-    _, erosion, defect = _monotone_rhs(terminal, sel, grid.dx, grid.dy,
-                                       (nx, ny))
-    dt = grid.dt if grid.t_steps else 0.0
+    _, erosion, defect = _monotone_rhs(terminal, sel, grid.dx, grid.dy, shape)
+    dt = grid.dt
     return {
         "min_neighbor_weight": float(min(w_x.min(), w_y.min())),
         "min_center_weight": float(1.0 - dt * erosion.max()) if dt else 1.0,
@@ -638,7 +615,7 @@ def optimize_y0(solution: PrincipalSolution, x0: float,
     checked against the raw row maximum before returning.
     """
     yg = solution.y_grid
-    row = np.array([solution.value(solution.t_grid[0], x0, y) for y in yg])
+    row = solution.value(solution.t_grid[0], x0, yg)
     admissible = np.ones(len(yg), dtype=bool) if reservation is None \
         else yg >= reservation - 1e-12
     if not np.any(admissible):

@@ -623,30 +623,6 @@ def incentive_compatibility_check(model: ModelSpec, policy: ContractPolicy,
 # martingale flatness along optimal paths
 # ---------------------------------------------------------------------------
 
-def _value_batch(solution, t: float, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Trilinear surface lookup vectorized across paths, clamped to the box."""
-    tg, xg, yg = solution.t_grid, solution.x_grid, solution.y_grid
-
-    def bilinear(slice2d: np.ndarray) -> np.ndarray:
-        xc = np.clip(X, xg[0], xg[-1])
-        yc = np.clip(Y, yg[0], yg[-1])
-        i = np.clip(np.searchsorted(xg, xc) - 1, 0, len(xg) - 2)
-        j = np.clip(np.searchsorted(yg, yc) - 1, 0, len(yg) - 2)
-        wx = (xc - xg[i]) / (xg[i + 1] - xg[i])
-        wy = (yc - yg[j]) / (yg[j + 1] - yg[j])
-        return ((1 - wx) * (1 - wy) * slice2d[i, j]
-                + wx * (1 - wy) * slice2d[i + 1, j]
-                + (1 - wx) * wy * slice2d[i, j + 1]
-                + wx * wy * slice2d[i + 1, j + 1])
-
-    if len(tg) == 1:
-        return bilinear(solution.values[0])
-    tc = min(max(t, tg[0]), tg[-1])
-    k = int(np.clip(np.searchsorted(tg, tc) - 1, 0, len(tg) - 2))
-    wt = (tc - tg[k]) / (tg[k + 1] - tg[k])
-    return (1 - wt) * bilinear(solution.values[k]) + wt * bilinear(solution.values[k + 1])
-
-
 @_shared_increments()
 def martingale_sandwich_check(model: ModelSpec, solution, policy: ContractPolicy,
                               cfg: SimConfig, *, probes: int = 9,
@@ -670,7 +646,9 @@ def martingale_sandwich_check(model: ModelSpec, solution, policy: ContractPolicy
 
         def observe(k: int, t: float, X: np.ndarray, Y: np.ndarray) -> None:
             if k in probe_set:
-                u = _value_batch(solution, t, X, Y)
+                u = numerics.surface_value(solution.t_grid, solution.x_grid,
+                                           solution.y_grid, solution.values,
+                                           t, X, Y)
                 fin = np.isfinite(u)
                 times.append(t)
                 means.append(float(np.mean(u[fin])) if fin.any() else math.nan)

@@ -1,0 +1,66 @@
+"""Tests for the shared grid utilities."""
+
+import numpy as np
+import pytest
+
+from robustcontract import numerics
+
+
+T_GRID = np.linspace(0.0, 0.5, 5)
+X_GRID = np.linspace(-1.0, 2.0, 7)
+Y_GRID = np.linspace(-3.0, 1.0, 9)
+
+
+def affine(t, x, y):
+    return 0.25 + 1.5 * t - 0.75 * x + 2.0 * y
+
+
+def affine_surface(t_grid=T_GRID):
+    tt, xx, yy = np.meshgrid(t_grid, X_GRID, Y_GRID, indexing="ij")
+    return affine(tt, xx, yy)
+
+
+def lookup(t, x, y, t_grid=T_GRID):
+    return numerics.surface_value(t_grid, X_GRID, Y_GRID,
+                                  affine_surface(t_grid), t, x, y)
+
+
+class TestSurfaceValue:
+    def test_affine_surface_is_exact_inside_the_box(self):
+        rng = np.random.default_rng(3)
+        for t in (0.0, 0.07, 0.125, 0.31, 0.5):
+            x = rng.uniform(X_GRID[0], X_GRID[-1], 40)
+            y = rng.uniform(Y_GRID[0], Y_GRID[-1], 40)
+            np.testing.assert_allclose(lookup(t, x, y), affine(t, x, y),
+                                       rtol=0, atol=1e-12)
+
+    def test_outside_points_read_the_clamped_point(self):
+        x = np.array([-7.0, 2.5, 0.3, -np.inf, np.inf, 0.3])
+        y = np.array([0.4, -9.0, 5.0, 0.4, -0.2, -np.inf])
+        clamped = lookup(0.2, np.clip(x, X_GRID[0], X_GRID[-1]),
+                         np.clip(y, Y_GRID[0], Y_GRID[-1]))
+        assert lookup(0.2, x, y).tobytes() == clamped.tobytes()
+
+    def test_nan_gives_nan(self):
+        got = lookup(0.2, np.array([np.nan, 0.5]), np.array([0.0, np.nan]))
+        assert np.isnan(got).all()
+        assert np.isnan(lookup(np.nan, 0.5, 0.0))
+
+    def test_time_clamps_to_the_horizon(self):
+        assert lookup(-0.3, 0.5, 0.1) == lookup(0.0, 0.5, 0.1)
+        assert lookup(0.9, 0.5, 0.1) == lookup(0.5, 0.5, 0.1)
+        assert lookup(0.9, 0.5, 0.1) == pytest.approx(affine(0.5, 0.5, 0.1),
+                                                      abs=1e-12)
+
+    def test_single_slice_grid(self):
+        t_grid = np.array([0.0])
+        for t in (-1.0, 0.0, 3.0):
+            assert lookup(t, 0.5, 0.1, t_grid) == pytest.approx(
+                affine(0.0, 0.5, 0.1), abs=1e-12)
+
+    def test_array_call_matches_scalar_calls(self):
+        x = np.array([0.33, -5.0, np.nan, 1.7, 2.0, -np.inf])
+        y = np.array([-0.47, 0.2, 0.0, np.inf, -3.0, 0.9])
+        for t in (0.0, 0.21, 0.5, 0.8):
+            want = np.array([lookup(t, a, b) for a, b in zip(x, y)])
+            assert lookup(t, x, y).tobytes() == want.tobytes()

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import robustcontract as rc
+from robustcontract import principal
+from robustcontract.hamiltonians import eval_G
 from robustcontract.principal import (
     CandidateFunction,
     ContractPolicy,
@@ -126,6 +128,41 @@ class TestSolveHjbi:
                      y_nodes=9, t_steps=4, horizon=0.25)
         sol = solve_hjbi(m, g)
         assert float(sol.k_rate.min()) >= 0.0
+
+    def test_slice_selection_matches_pointwise_evaluator(self):
+        m = rc.make_model("quadratic_bounded", n_grid_points=3,
+                          z_grid_points=5, gamma_grid_points=5,
+                          a_grid_points=5)
+        g = GridSpec(x_lo=-2, x_hi=2, x_nodes=9, y_lo=-0.4, y_hi=0.4,
+                     y_nodes=9, t_steps=4, horizon=0.25)
+        sol = solve_hjbi(m, g)
+        X2, Y2 = np.meshgrid(sol.x_grid, sol.y_grid, indexing="ij")
+        X, Y = X2.ravel(), Y2.ravel()
+        checked = 0
+        for k, t in enumerate(sol.t_grid):
+            derivs = [a.ravel() for a in
+                      principal._derivatives(sol.values[k], g.dx, g.dy)]
+            radius = max(1e-3, float(np.max(np.abs(derivs[0]))),
+                         float(np.max(np.abs(derivs[2]))))
+            sel = principal._select_slice(m, float(t), X, Y, *derivs, radius)
+            for i in range(X.size):
+                ref = eval_G(m, float(t), float(X[i]), float(Y[i]),
+                             *(float(d[i]) for d in derivs), radius)
+                assert abs(sel.value[i] - ref.value) <= 1e-12
+                assert (sel.z[i], sel.gamma[i], sel.nature[i]) == (
+                    ref.z_star, ref.gamma_star, ref.n_star)
+                checked += 1
+        assert checked == 405
+
+    def test_value_accepts_arrays(self):
+        m = rc.make_model("risk_neutral")
+        sol = solve_hjbi(m, small_grid())
+        xs = np.array([0.33, -5.0, np.nan, 1.7])
+        ys = np.array([-0.47, 0.2, 0.0, np.inf])
+        got = sol.value(0.21, xs, ys)
+        want = [sol.value(0.21, x, y) for x, y in zip(xs, ys)]
+        assert all(type(w) is float for w in want)
+        assert got.tobytes() == np.array(want).tobytes()
 
 
 class TestMonotonicityProbe:
