@@ -97,50 +97,38 @@ class AgentSolution:
         return float(self.effort[ti, xi]), float(self.nature[ti, xi])
 
 
-def _effort_stack(model: ModelSpec, t, x_arr, y_arr, z_arr, n, sig_arr):
-    """Per-node effort enumeration: closed-form candidate first, then grid."""
-    cands = []
-    if model.candidate_effort is not None:
-        a_c = numerics.field(model.candidate_effort, t, x_arr, z_arr, sig_arr)
-        cands.append(np.clip(a_c, model.effort_set_A[0], model.effort_set_A[1]))
-    for a in model.a_grid():
-        cands.append(np.full(x_arr.shape, a))
-    return cands
-
-
 def _saddle_step(model: ModelSpec, t, x_arr, v, z, gam):
     """Vectorized one-slice saddle: returns (a_star, n_star, sig2, b, k, c).
 
-    Mirrors the scalar evaluator selection rule: for each nature control the
-    effort response maximizes the running reward (candidate first, earliest
-    within tolerance wins), then the nature control minimizing the realized
-    second-order Hamiltonian is chosen the same way.
+    Each coefficient is evaluated once on a (nature, effort, node) tensor
+    whose effort axis lists the clamped closed-form candidate first and
+    then the effort grid.  Mirrors the scalar evaluator selection rule:
+    for each nature control the effort maximizing the running reward wins
+    (earliest within tolerance), then the nature control minimizing the
+    realized second-order Hamiltonian is chosen the same way.  The
+    returned drift, discount and running cost are gathered from the same
+    tensors at the selected controls.
     """
-    n_grid = model.n_grid()
-    h_rows, a_rows, s_rows = [], [], []
-    for n in n_grid:
-        sig = numerics.field(model.vol_sigma, t, x_arr, n)
-        sig2 = sig * sig
-        efforts = _effort_stack(model, t, x_arr, v, z, n, sig)
-        f_rows = []
-        for a_arr in efforts:
-            b = numerics.field(model.drift_b, t, x_arr, a_arr, n)
-            k = numerics.field(model.discount_k, t, x_arr, a_arr, n)
-            c = numerics.field(model.cost_c, t, x_arr, a_arr)
-            f_rows.append(-k * v - c + b * z)
-        idx, f_best = numerics.first_argmax(np.stack(f_rows), TIE_TOL)
-        a_best = numerics.take_rows(np.stack(efforts), idx)
-        h_rows.append(0.5 * sig2 * gam + f_best)
-        a_rows.append(a_best)
-        s_rows.append(sig2)
-    n_idx, _ = numerics.first_argmin(np.stack(h_rows), TIE_TOL)
-    a_star = numerics.take_rows(np.stack(a_rows), n_idx)
-    n_star = np.asarray(n_grid)[n_idx]
-    sig2 = numerics.take_rows(np.stack(s_rows), n_idx)
-    b = numerics.field(model.drift_b, t, x_arr, a_star, n_star)
-    k = numerics.field(model.discount_k, t, x_arr, a_star, n_star)
-    c = numerics.field(model.cost_c, t, x_arr, a_star)
-    return a_star, n_star, sig2, b, k, c
+    n_col = np.asarray(model.n_grid())[:, None]                  # (Nn, 1)
+    a_grid = model.a_grid()
+    sig = numerics.field(model.vol_sigma, t, x_arr, n_col)         # (Nn, X)
+    sig2 = sig * sig
+    A = np.broadcast_to(a_grid[None, :, None],
+                        (len(n_col), len(a_grid), x_arr.size))
+    if model.candidate_effort is not None:
+        a_c = numerics.field(model.candidate_effort, t, x_arr, z, sig)
+        a_c = np.clip(a_c, model.effort_set_A[0], model.effort_set_A[1])
+        A = np.concatenate([a_c[:, None, :], A], axis=1)
+    n_row = n_col[:, :, None]
+    b = numerics.field(model.drift_b, t, x_arr, A, n_row)
+    k = numerics.field(model.discount_k, t, x_arr, A, n_row)
+    c = numerics.field(model.cost_c, t, x_arr, A)
+    f = -k * v - c + b * z                                          # (Nn, E, X)
+    a_idx, f_best = numerics.first_argmax(f, TIE_TOL, axis=1)
+    n_idx, _ = numerics.first_argmin(0.5 * sig2 * gam + f_best, TIE_TOL)
+    nodes = np.arange(x_arr.size)
+    at = (n_idx, a_idx[n_idx, nodes], nodes)
+    return (A[at], n_col[n_idx, 0], sig2[n_idx, nodes], b[at], k[at], c[at])
 
 
 def solve_agent(model: ModelSpec, contract: ContractFunction, *,
@@ -222,33 +210,33 @@ def _hermite_rule(points: int):
 
 
 def _require_linear_family(model: ModelSpec):
-    probes_x = np.linspace(-model.truncation_M, model.truncation_M, 5)
-    for x in probes_x:
-        for a in model.a_grid()[:: max(1, len(model.a_grid()) // 3)]:
-            for n in model.n_grid():
-                if abs(model.drift_b(0.0, x, a, n)) > 1e-12 \
-                        or abs(model.cost_c(0.0, x, a)) > 1e-12 \
-                        or abs(model.discount_k(0.0, x, a, n)) > 1e-12:
-                    raise ValueError(
-                        "quadrature cross-check needs zero drift, cost and "
-                        "discount")
+    x = np.linspace(-model.truncation_M, model.truncation_M, 5)
+    a = model.a_grid()[:: max(1, len(model.a_grid()) // 3), None, None]
+    n = model.n_grid()[:, None]
+    for coeff in (numerics.field(model.drift_b, 0.0, x, a, n),
+                  numerics.field(model.cost_c, 0.0, x, a),
+                  numerics.field(model.discount_k, 0.0, x, a, n)):
+        if np.any(np.abs(coeff) > 1e-12):
+            raise ValueError(
+                "quadrature cross-check needs zero drift, cost and discount")
 
 
 def linear_bsde_value(model: ModelSpec, contract: ContractFunction,
-                      n: float, t: float, x, horizon: float,
+                      n, t: float, x, horizon: float,
                       quad_points: int = 96):
     """Value under a frozen nature control: Gaussian convolution by
-    Gauss-Hermite quadrature.  Only valid in the linear family."""
+    Gauss-Hermite quadrature.  Only valid in the linear family.  ``n`` is a
+    float or an array of frozen controls broadcasting with ``x``."""
     _require_linear_family(model)
-    sig = numerics.field(model.vol_sigma, t, np.asarray(x, dtype=float), n)
+    x = np.asarray(x, dtype=float)
+    sig = numerics.field(model.vol_sigma, t, x, n)
     tau = horizon - t
     if tau < 0:
         raise ValueError("evaluation time past the horizon")
     nodes, weights = _hermite_rule(quad_points)
-    x = np.asarray(x, dtype=float)
-    shifts = np.sqrt(2.0 * tau) * np.multiply.outer(np.asarray(sig), nodes)
-    pts = x[..., None] + shifts
-    vals = np.vectorize(lambda p: float(model.utility_agent(contract.payment(p))))(pts)
+    pts = x[..., None] + np.sqrt(2.0 * tau) * (sig[..., None] * nodes)
+    vals = numerics.apply1(
+        lambda p: model.utility_agent(contract.payment(p)), pts)
     out = vals @ weights
     return out if out.ndim else float(out)
 
@@ -259,16 +247,17 @@ def inf_of_bsdes(model: ModelSpec, contract: ContractFunction,
     """Robust value as the infimum over frozen nature controls.
 
     This is the dual route to ``solve_agent`` for the linear family: no
-    finite differences, no saddle search, just convolutions.
+    finite differences, no saddle search, just convolutions, evaluated for
+    every nature point at once.
     """
     lo, hi = model.nature_set_N
     n_grid = np.linspace(lo, hi, n_points) if n_points > 1 else np.array([lo])
-    stack = np.stack([
-        np.atleast_1d(linear_bsde_value(model, contract, float(n), t, x,
-                                        horizon, quad_points))
-        for n in n_grid])
-    out = np.min(stack, axis=0)
-    return out if np.ndim(x) else float(out[0])
+    x = np.asarray(x, dtype=float)
+    vals = linear_bsde_value(model, contract,
+                             n_grid.reshape((-1,) + (1,) * x.ndim), t, x,
+                             horizon, quad_points)
+    out = np.min(vals, axis=0)
+    return out if x.ndim else float(out)
 
 
 def participation_check(solution: AgentSolution, x0: float,

@@ -1,12 +1,12 @@
 """Shared grid utilities for the finite-difference solvers.
 
-Model coefficient callables are scalar functions of scalar arguments.  The
-solvers want them evaluated on whole node arrays, so :func:`field` first
-attempts a broadcast call and silently falls back to an explicit loop when
-the callable is not vectorized.  Selection helpers reproduce the evaluator
-tie-break rule (earliest enumerated index within ``TIE_TOL``) on stacked
-arrays so vectorized kernels and scalar evaluators agree about which control
-wins.
+The solvers evaluate each model coefficient ``fn(t, x, *controls)`` once
+per step on a tensor: nodes last, control grids (nature, effort) on leading
+axes.  :func:`field` returns it on the broadcast shape of its arguments and
+loops element by element only for a callable written for scalars.
+Selection helpers reproduce the evaluator tie-break rule (earliest
+enumerated index within ``TIE_TOL``) along one axis of such a tensor, so
+vectorized kernels and scalar evaluators agree about which control wins.
 """
 
 from __future__ import annotations
@@ -17,36 +17,35 @@ from .hamiltonians import TIE_TOL
 
 
 def field(fn, t, x, *args):
-    """Evaluate ``fn(t, x, *args)`` on an array of nodes ``x``.
+    """Evaluate ``fn(t, x, *args)`` on the broadcast shape of ``x`` and ``args``.
 
-    Extra ``args`` may be scalars or arrays of the same shape as ``x``.
-    Returns a float array shaped like ``x``.
+    Returns a float array of that shape; a result that merely broadcasts to
+    it (a constant, or one free of some argument) comes back as a read-only
+    broadcast view.
     """
     x = np.asarray(x, dtype=float)
+    shape = np.broadcast(x, *args).shape
     try:
         out = np.asarray(fn(t, x, *args), dtype=float)
-        if out.shape == x.shape:
+        if out.shape == shape:
             return out
-        if out.ndim == 0:
-            return np.full(x.shape, float(out))
+        return np.broadcast_to(out, shape)
     except Exception:
         pass
-    arrs = [np.broadcast_to(np.asarray(a, dtype=float), x.shape) for a in args]
-    flat_x = x.ravel()
-    flat_args = [a.ravel() for a in arrs]
-    out = np.empty(flat_x.shape, dtype=float)
-    for i in range(flat_x.size):
-        out[i] = fn(t, flat_x[i], *(a[i] for a in flat_args))
-    return out.reshape(x.shape)
+    args = [np.asarray(a, dtype=float) for a in args]
+    out = np.empty(shape)
+    for i, point in enumerate(np.broadcast(x, *args)):
+        out.flat[i] = fn(t, *point)
+    return out
 
 
 def max_sigma_sq(model, t_grid, x_grid):
     """Largest squared volatility over the space-time grid and nature set."""
+    n_col = np.asarray(model.n_grid())[:, None]
     worst = 0.0
-    for n in model.n_grid():
-        for t in t_grid:
-            sig = field(model.vol_sigma, float(t), x_grid, n)
-            worst = max(worst, float(np.max(sig * sig)))
+    for t in t_grid:
+        sig = field(model.vol_sigma, float(t), x_grid, n_col)
+        worst = max(worst, float(np.max(sig * sig)))
     return worst
 
 
@@ -98,11 +97,12 @@ def ghost_pad2(u):
     return up
 
 
-def first_argmax(stack, tol=TIE_TOL):
-    """Row index of the earliest entry within ``tol`` of the columnwise max."""
+def first_argmax(stack, tol=TIE_TOL, axis=0):
+    """Index along ``axis`` of the earliest entry within ``tol`` of the max."""
     stack = np.asarray(stack, dtype=float)
-    best = np.max(stack, axis=0)
-    return np.argmax(stack >= best - tol, axis=0), best
+    best = np.max(stack, axis=axis)
+    return (np.argmax(stack >= np.expand_dims(best, axis) - tol, axis=axis),
+            best)
 
 
 def first_argmin(stack, tol=TIE_TOL):

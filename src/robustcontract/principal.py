@@ -143,25 +143,22 @@ class PrincipalSolution:
 
 def _static_tables(model: ModelSpec, t: float, X: np.ndarray, Y: np.ndarray,
                    exact_only: bool = False):
-    """Per-slice caches: volatilities per nature control and the
-    z-independent reward parts for every grid effort."""
+    """Per-slice caches: volatilities per nature control, (nature, node),
+    and unless ``exact_only`` the z-independent reward parts of every grid
+    effort, drift ``B`` and ``BASE = -k y - c`` on (nature, effort, node)."""
     n_grid = model.n_grid()
     a_grid = model.a_grid()
-    sig = np.stack([numerics.field(model.vol_sigma, t, X, n) for n in n_grid])
+    n_col = np.asarray(n_grid)[:, None]
+    sig = numerics.field(model.vol_sigma, t, X, n_col)
     sig2 = sig * sig
-    b_na, base_na = [], []
+    B = BASE = None
     if not exact_only:
-        for n in n_grid:
-            b_row, base_row = [], []
-            for a in a_grid:
-                b = numerics.field(model.drift_b, t, X, a, n)
-                k = numerics.field(model.discount_k, t, X, a, n)
-                c = numerics.field(model.cost_c, t, X, a)
-                b_row.append(b)
-                base_row.append(-k * Y - c)
-            b_na.append(b_row)
-            base_na.append(base_row)
-    return n_grid, a_grid, sig, sig2, b_na, base_na
+        a_col = a_grid[:, None]
+        B = numerics.field(model.drift_b, t, X, a_col, n_col[:, :, None])
+        K = numerics.field(model.discount_k, t, X, a_col, n_col[:, :, None])
+        C = numerics.field(model.cost_c, t, X, a_col)
+        BASE = -K * Y - C
+    return n_grid, a_grid, sig, sig2, B, BASE
 
 
 def _entry_eval(model, t, X, Y, tables, z_spec, gam_rows, p, pt, q, qt, r,
@@ -170,43 +167,40 @@ def _entry_eval(model, t, X, Y, tables, z_spec, gam_rows, p, pt, q, qt, r,
 
     ``z_spec`` is a float (grid layer) or per-node array (candidate layer);
     ``gam_rows`` has shape (G,) for grid gammas or (G, N) for per-node ones.
-    With ``exact_only`` the effort enumeration trusts the closed-form
-    candidate alone.  Returns (G, N) rows keyed by field: the
-    inf-over-nature payoff ``value``, the nature index ``n_idx`` attaining
-    it, and the controls and stencil inputs realized with that nature.
+    The effort enumeration is one (nature, effort, node) tensor: the
+    clamped closed-form candidate row, evaluated for every nature in one
+    call per coefficient, ahead of the grid rows ``BASE + B z`` (with
+    ``exact_only`` the candidate row alone).  The best effort per (nature,
+    node) is the earliest within ``TIE_TOL`` of the maximum.  Returns
+    (G, N) rows keyed by field: the inf-over-nature payoff ``value``, the
+    nature index ``n_idx`` attaining it, and the controls and stencil
+    inputs realized with that nature.
     """
-    n_grid, a_grid, sig, sig2, b_na, base_na = tables
+    n_grid, a_grid, sig, sig2, B, BASE = tables
     N = X.size
-    n_n = len(n_grid)
     zB = np.asarray(z_spec, dtype=float)
 
-    fmax = np.empty((n_n, N))
-    astar = np.empty((n_n, N))
-    bstar = np.empty((n_n, N))
-    lo, hi = model.effort_set_A
-    for i, n in enumerate(n_grid):
-        rows_f, rows_a, rows_b = [], [], []
-        if model.candidate_effort is not None:
-            ac = numerics.field(model.candidate_effort, t, X, zB, sig[i])
-            ac = np.clip(ac, lo, hi)
-            bc = numerics.field(model.drift_b, t, X, ac, n)
-            kc = numerics.field(model.discount_k, t, X, ac, n)
-            cc = numerics.field(model.cost_c, t, X, ac)
-            rows_f.append(-kc * Y - cc + bc * zB)
-            rows_a.append(ac)
-            rows_b.append(bc)
-        if not (exact_only and rows_f):
-            for j, a in enumerate(a_grid):
-                rows_f.append(base_na[i][j] + b_na[i][j] * zB)
-                rows_a.append(np.full(N, a))
-                rows_b.append(b_na[i][j])
-        if len(rows_f) == 1:
-            fmax[i], astar[i], bstar[i] = rows_f[0], rows_a[0], rows_b[0]
-        else:
-            idx, fbest = numerics.first_argmax(np.stack(rows_f), TIE_TOL)
-            fmax[i] = fbest
-            astar[i] = numerics.take_rows(np.stack(rows_a), idx)
-            bstar[i] = numerics.take_rows(np.stack(rows_b), idx)
+    rows_f, rows_a, rows_b = [], [], []
+    if model.candidate_effort is not None:
+        n_col = np.asarray(n_grid)[:, None]
+        ac = numerics.field(model.candidate_effort, t, X, zB, sig)
+        ac = np.clip(ac, *model.effort_set_A)
+        bc = numerics.field(model.drift_b, t, X, ac, n_col)
+        kc = numerics.field(model.discount_k, t, X, ac, n_col)
+        cc = numerics.field(model.cost_c, t, X, ac)
+        rows_f.append((-kc * Y - cc + bc * zB)[:, None, :])
+        rows_a.append(ac[:, None, :])
+        rows_b.append(bc[:, None, :])
+    if not (exact_only and rows_f):
+        rows_f.append(BASE + B * zB)
+        rows_a.append(np.broadcast_to(a_grid[:, None], B.shape))
+        rows_b.append(B)
+    idx, fmax = numerics.first_argmax(np.concatenate(rows_f, axis=1),
+                                      TIE_TOL, axis=1)
+    nodes = np.arange(N)
+    at = (np.arange(len(n_grid))[:, None], idx, nodes)
+    astar = np.concatenate(rows_a, axis=1)[at]
+    bstar = np.concatenate(rows_b, axis=1)[at]
 
     gam = np.asarray(gam_rows, dtype=float)
     gam2 = gam[:, None] if gam.ndim == 1 else gam          # (G, 1|N)
@@ -222,7 +216,6 @@ def _entry_eval(model, t, X, Y, tables, z_spec, gam_rows, p, pt, q, qt, r,
               - (pt * hval)[None, :, :])
     best = gstack.min(axis=0)                               # (G, N)
     n_idx = np.argmin(gstack - best[None, :, :] > TIE_TOL, axis=0)
-    nodes = np.arange(N)
     return {"value": best, "z": np.broadcast_to(zB, best.shape),
             "gamma": np.broadcast_to(gam2, best.shape), "n_idx": n_idx,
             "effort": astar[n_idx, nodes], "hval": hval,

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import robustcontract as rc
+from robustcontract import agent, numerics
+from robustcontract.hamiltonians import eval_H
 from robustcontract.agent import (
     AgentSolution,
     ContractFunction,
@@ -12,6 +14,7 @@ from robustcontract.agent import (
     participation_check,
     solve_agent,
 )
+from helpers import random_polynomial_model
 
 
 def square_contract():
@@ -116,6 +119,27 @@ class TestSolveAgent:
                           t_steps=50, horizon=1.0)
         assert sol.max_abs_value >= 4.0
         assert sol.cfl_number <= 1.0
+
+
+class TestSaddleStep:
+    @pytest.mark.parametrize("kind", ["quadratic_bounded", "random_polynomial"])
+    def test_matches_pointwise_evaluator(self, kind):
+        if kind == "quadratic_bounded":
+            m = rc.make_model("quadratic_bounded")
+            xs = np.linspace(-3.5, 3.5, 29)
+        else:
+            m = random_polynomial_model(np.random.default_rng(3))
+            xs = np.linspace(-2.0, 2.0, 29)
+        t = 0.3
+        v = np.sin(xs) + 0.3 * xs ** 2
+        z, gam = numerics.central_differences(v, xs[1] - xs[0])
+        a_star, n_star, sig2, b, k, c = agent._saddle_step(m, t, xs, v, z, gam)
+        for i, x in enumerate(xs):
+            ref = eval_H(m, t, float(x), float(v[i]), float(z[i]),
+                         float(gam[i]))
+            assert (a_star[i], n_star[i]) == (ref.arg_a, ref.arg_n)
+            got = 0.5 * sig2[i] * gam[i] - k[i] * v[i] - c[i] + b[i] * z[i]
+            assert abs(got - ref.value) <= 1e-12
 
 
 class TestQuadratureRoute:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from robustcontract import numerics
+from robustcontract import agent, numerics, principal
+from helpers import build_model
 
 
 T_GRID = np.linspace(0.0, 0.5, 5)
@@ -23,6 +24,59 @@ def affine_surface(t_grid=T_GRID):
 def lookup(t, x, y, t_grid=T_GRID):
     return numerics.surface_value(t_grid, X_GRID, Y_GRID,
                                   affine_surface(t_grid), t, x, y)
+
+
+def scalar_drift(t, x, a, n):
+    return a if n > 1.5 else 0.5 * a
+
+
+def where_drift(t, x, a, n):
+    return np.where(n > 1.5, a, 0.5 * a)
+
+
+class TestField:
+    X = np.linspace(-1.0, 1.0, 7)
+    A = np.linspace(0.0, 1.0, 4)[None, :, None]
+    N = np.array([1.0, 1.25, 2.0])[:, None, None]
+
+    def test_output_takes_the_broadcast_shape(self):
+        X, A, N = self.X, self.A, self.N
+        full = numerics.field(lambda t, x, a, n: a * n + x, 0.0, X, A, N)
+        assert full.shape == (3, 4, 7)
+        assert full.tobytes() == (A * N + X).tobytes()
+        free_of_x = numerics.field(lambda t, x, a, n: a * n, 0.0, X, A, N)
+        assert free_of_x.tobytes() == np.broadcast_to(A * N, (3, 4, 7)).tobytes()
+        const = numerics.field(lambda t, x, a, n: 0.25, 0.0, X, A, N)
+        assert const.shape == (3, 4, 7) and np.all(const == 0.25)
+        assert numerics.field(lambda t, x: 2.0, 0.0, 0.5).shape == ()
+
+    def test_scalar_only_coefficient_goes_through_the_loop(self):
+        X, A, N = self.X, self.A, self.N
+        with pytest.raises(ValueError):
+            scalar_drift(0.0, X, A, N)
+        looped = numerics.field(scalar_drift, 0.0, X, A, N)
+        assert looped.shape == (3, 4, 7)
+        assert looped.tobytes() == numerics.field(where_drift, 0.0, X, A,
+                                                  N).tobytes()
+
+        kw = dict(a_points=3, n_points=3, z_points=5, gamma_points=5)
+        loop_model = build_model(b=scalar_drift, **kw)
+        twin = build_model(b=where_drift, **kw)
+        agent_grid = dict(x_lo=-2.0, x_hi=2.0, x_nodes=21, t_steps=30,
+                          horizon=0.25)
+        contract = agent.ContractFunction.from_preset("linear:1,0")
+        got = agent.solve_agent(loop_model, contract, **agent_grid)
+        want = agent.solve_agent(twin, contract, **agent_grid)
+        for name in ("values", "effort", "nature"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        grid = principal.GridSpec(x_lo=-1.0, x_hi=1.0, x_nodes=7, y_lo=-1.0,
+                                  y_hi=1.0, y_nodes=7, t_steps=2, horizon=0.05)
+        got = principal.solve_hjbi(loop_model, grid)
+        want = principal.solve_hjbi(twin, grid)
+        for name in ("values", "z", "gamma", "effort", "nature", "k_rate",
+                     "fstar"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got.diagnostics == want.diagnostics
 
 
 class TestSurfaceValue:
