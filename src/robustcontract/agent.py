@@ -97,7 +97,15 @@ class AgentSolution:
         return float(self.effort[ti, xi]), float(self.nature[ti, xi])
 
 
-def _saddle_step(model: ModelSpec, t, x_arr, v, z, gam):
+def _control_grids(model: ModelSpec, nodes: int):
+    """Nature column (Nn, 1) and the effort-grid tensor (Nn, Na, nodes)."""
+    n_col = np.asarray(model.n_grid())[:, None]
+    a_grid = model.a_grid()
+    return n_col, np.broadcast_to(a_grid[None, :, None],
+                                  (len(n_col), len(a_grid), nodes))
+
+
+def _saddle_step(model: ModelSpec, t, x_arr, v, z, gam, grids=None):
     """Vectorized one-slice saddle: returns (a_star, n_star, sig2, b, k, c).
 
     Each coefficient is evaluated once on a (nature, effort, node) tensor
@@ -107,14 +115,12 @@ def _saddle_step(model: ModelSpec, t, x_arr, v, z, gam):
     (earliest within tolerance), then the nature control minimizing the
     realized second-order Hamiltonian is chosen the same way.  The
     returned drift, discount and running cost are gathered from the same
-    tensors at the selected controls.
+    tensors at the selected controls.  ``grids`` is ``_control_grids``'
+    result, which a caller stepping many slices builds once.
     """
-    n_col = np.asarray(model.n_grid())[:, None]                  # (Nn, 1)
-    a_grid = model.a_grid()
+    n_col, A = grids if grids is not None else _control_grids(model, x_arr.size)
     sig = numerics.field(model.vol_sigma, t, x_arr, n_col)         # (Nn, X)
     sig2 = sig * sig
-    A = np.broadcast_to(a_grid[None, :, None],
-                        (len(n_col), len(a_grid), x_arr.size))
     if model.candidate_effort is not None:
         a_c = numerics.field(model.candidate_effort, t, x_arr, z, sig)
         a_c = np.clip(a_c, model.effort_set_A[0], model.effort_set_A[1])
@@ -166,18 +172,19 @@ def solve_agent(model: ModelSpec, contract: ContractFunction, *,
     nature = np.full((t_steps + 1, x_nodes), model.nature_set_N[0], dtype=float)
     values[t_steps] = np.array([float(model.utility_agent(p)) for p in pay])
 
+    grids = _control_grids(model, x_nodes)
     max_grad = 0.0
     for step in range(t_steps - 1, -1, -1):
         t = float(t_grid[step])
         v = values[step + 1]
         z, gam = numerics.central_differences(v, dx)
-        a_star, n_star, sig2, b, k, c = _saddle_step(model, t, x_grid, v, z, gam)
+        a_star, n_star, sig2, b, k, c = _saddle_step(model, t, x_grid, v, z,
+                                                     gam, grids)
 
-        up = (np.roll(v, -1) - v) / dx
-        dn = (v - np.roll(v, 1)) / dx
-        # ghost-consistent one-sided slopes at the walls
-        up[-1] = dn[-1]
-        dn[0] = up[0]
+        # forward and backward slopes; the walls reuse the one-sided slope
+        slope = np.diff(v) / dx
+        up = np.concatenate((slope, slope[-1:]))
+        dn = np.concatenate((slope[:1], slope))
         b_pos = np.maximum(b, 0.0)
         b_neg = np.maximum(-b, 0.0)
         values[step] = v + dt * (0.5 * sig2 * gam - k * v - c

@@ -426,18 +426,32 @@ def _zgamma_enumeration(model: ModelSpec, t: float, x: float, y: float,
 def eval_G(model: ModelSpec, t: float, x: float, y: float, p: float,
            p_tilde: float, q: float, q_tilde: float, r: float,
            radius: float) -> GameResult:
-    """sup over the (z, gamma) box of inf over the n-grid of the integrand."""
+    """sup over the (z, gamma) box of inf over the n-grid of the integrand.
+
+    The effort maxima inside H and the agent response do not depend on
+    gamma, so both are memoized by z.  H(z, gamma) is formed from those
+    maxima in ``eval_H``'s expression order and equals ``eval_H(...).value``
+    bit for bit; ``eval_H`` stays the reference the test oracles go through.
+    """
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     pairs = _zgamma_enumeration(model, t, x, y, p, q, radius)
     n_grid = [float(n) for n in model.n_grid()]
+    sigs = [model.vol_sigma(t, x, n) for n in n_grid]
+    sig2s = [sig * sig for sig in sigs]
 
-    sig2s = []
-    for n in n_grid:
-        sig = model.vol_sigma(t, x, n)
-        sig2s.append(sig * sig)
+    # max over effort of F at each nature point, per z
+    fmax_cache: dict[float, list[float]] = {}
 
-    # the agent response depends on (z, sigma) only; cache across gamma
+    def h_at(z: float, gam: float) -> float:
+        fmax = fmax_cache.get(z)
+        if fmax is None:
+            fmax = [max(eval_F(model, t, x, y, z, a, n)
+                        for a in _effort_enumeration(model, t, x, z, sig))
+                    for n, sig in zip(n_grid, sigs)]
+            fmax_cache[z] = fmax
+        return min(0.5 * sig * sig * gam + fm for sig, fm in zip(sigs, fmax))
+
     a_cache: dict[tuple[float, float], float] = {}
 
     def bval_at(z: float, j: int) -> float:
@@ -450,13 +464,8 @@ def eval_G(model: ModelSpec, t: float, x: float, y: float, p: float,
 
     outer_vals: list[float] = []
     inner_rows: list[list[float]] = []
-    h_cache: dict[tuple[float, float], float] = {}
     for (z, gam) in pairs:
-        hkey = (z, gam)
-        hval = h_cache.get(hkey)
-        if hval is None:
-            hval = eval_H(model, t, x, y, z, gam).value
-            h_cache[hkey] = hval
+        hval = h_at(z, gam)
         row = [_g_from_parts(p, p_tilde, q, q_tilde, r, z, gam,
                              sig2s[j], bval_at(z, j), hval)
                for j in range(len(n_grid))]

@@ -238,31 +238,38 @@ def _response(model: ModelSpec, t: float, X: np.ndarray, Y: np.ndarray,
     the realized level within the model tolerance, with the driving
     control itself appended last (it always realizes its own level).
     Ties resolve to the earliest enumerated entry.
+
+    Each coefficient is evaluated on one (effort, path) tensor: the cost
+    once, drift and discount once at the driving control and once per
+    n-grid point.  The infimum over the level set is a sequential fold in
+    n-grid order rather than a masked ``np.min``, which would resolve NaN
+    and signed zeros differently from the pointwise evaluator.
     """
     a_lo, a_hi = model.effort_set_A
     sig = numerics.field(model.vol_sigma, t, X, n_now)
 
-    efforts: list[np.ndarray] = []
+    cand = None
     if model.candidate_effort is not None:
-        cand = numerics.field(model.candidate_effort, t, X, Z, sig)
-        efforts.append(np.clip(cand, a_lo, a_hi))
+        cand = np.clip(numerics.field(model.candidate_effort, t, X, Z, sig),
+                       a_lo, a_hi)
 
-    if model.risk_neutral and model.candidate_effort is not None:
+    if model.risk_neutral and cand is not None:
         # the candidate is the exact maximizer and F does not depend on the
         # volatility control beyond sigma itself, so the grid and the level
         # enumeration are redundant here (validated bit-for-bit in tests)
-        a = efforts[0]
+        a = cand
         fstar = (-numerics.field(model.discount_k, t, X, a, n_now) * Y
                  - numerics.field(model.cost_c, t, X, a)
                  + numerics.field(model.drift_b, t, X, a, n_now) * Z)
         return a, fstar, sig
 
-    for a_pt in model.a_grid():
-        efforts.append(np.broadcast_to(float(a_pt), X.shape))
+    a_grid = model.a_grid()
+    A = np.broadcast_to(a_grid[:, None], (len(a_grid),) + X.shape)
+    if cand is not None:
+        A = np.concatenate([cand[None], A])
 
     n_pts = model.n_grid()
-    sig2_grid = np.stack([numerics.field(model.vol_sigma, t, X, float(n)) ** 2
-                          for n in n_pts])
+    sig2_grid = numerics.field(model.vol_sigma, t, X, n_pts[:, None]) ** 2
     sig2 = sig * sig
     if len(n_pts) > 1:
         dn = float(n_pts[1] - n_pts[0])
@@ -272,22 +279,16 @@ def _response(model: ModelSpec, t: float, X: np.ndarray, Y: np.ndarray,
         tol = np.full(X.shape, 1e-9)
     member = np.abs(sig2_grid - sig2[None, :]) <= tol[None, :]
 
-    inner = np.empty((len(efforts),) + X.shape)
-    for i, a in enumerate(efforts):
-        base = (-numerics.field(model.discount_k, t, X, a, n_now) * Y
-                - numerics.field(model.cost_c, t, X, a)
-                + numerics.field(model.drift_b, t, X, a, n_now) * Z)
-        row = base
-        for j, n in enumerate(n_pts):
-            fj = (-numerics.field(model.discount_k, t, X, a, float(n)) * Y
-                  - numerics.field(model.cost_c, t, X, a)
-                  + numerics.field(model.drift_b, t, X, a, float(n)) * Z)
-            row = np.where(member[j] & (fj < row), fj, row)
-        inner[i] = row
+    cost = numerics.field(model.cost_c, t, X, A)
+    inner = (-numerics.field(model.discount_k, t, X, A, n_now) * Y
+             - cost + numerics.field(model.drift_b, t, X, A, n_now) * Z)
+    for j, n in enumerate(n_pts):
+        fj = (-numerics.field(model.discount_k, t, X, A, float(n)) * Y
+              - cost + numerics.field(model.drift_b, t, X, A, float(n)) * Z)
+        inner = np.where(member[j] & (fj < inner), fj, inner)
 
     win, fstar = numerics.first_argmax(inner, TIE_TOL)
-    stacked = np.stack([np.broadcast_to(a, X.shape) for a in efforts])
-    return numerics.take_rows(stacked, win), fstar, sig
+    return numerics.take_rows(A, win), fstar, sig
 
 
 # ---------------------------------------------------------------------------

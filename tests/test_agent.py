@@ -1,5 +1,7 @@
 """Tests for the agent-side backward solver and its quadrature cross-check."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,11 @@ from robustcontract.agent import (
     solve_agent,
 )
 from helpers import random_polynomial_model
+
+
+# observed refinement order of the agent scheme on the call-payoff heat
+# problem; the explicit scheme is second order in dx at fixed cfl
+MIN_AGENT_ORDER = 1.8
 
 
 def square_contract():
@@ -119,6 +126,28 @@ class TestSolveAgent:
                           t_steps=50, horizon=1.0)
         assert sol.max_abs_value >= 4.0
         assert sol.cfl_number <= 1.0
+
+
+class TestConvergence:
+    def test_call_payoff_refinement_order(self):
+        # call payoff is convex, so the adversary pins sigma to the bottom of
+        # the band and V(0, x) is the Bachelier price with s = 0.2 sqrt(T);
+        # halving dx and quartering dt (fixed cfl) must cut the error about 4x
+        m = rc.make_model("heat_band", band=(0.2, 0.4))
+        contract = ContractFunction.from_preset("call:0")
+        s = 0.2
+        errors = []
+        for x_nodes, t_steps in ((101, 50), (201, 200), (401, 800)):
+            sol = solve_agent(m, contract, x_lo=-4.0, x_hi=4.0,
+                              x_nodes=x_nodes, t_steps=t_steps, horizon=1.0)
+            inside = np.abs(sol.x_grid) <= 2.0
+            xs = sol.x_grid[inside]
+            exact = np.array([x * 0.5 * (1.0 + math.erf(x / s / math.sqrt(2.0)))
+                              + s * math.exp(-0.5 * (x / s) ** 2)
+                              / math.sqrt(2.0 * math.pi) for x in xs])
+            errors.append(float(np.max(np.abs(sol.values[0][inside] - exact))))
+        orders = [math.log2(e1 / e2) for e1, e2 in zip(errors, errors[1:])]
+        assert min(orders) >= MIN_AGENT_ORDER, f"errors {errors}, orders {orders}"
 
 
 class TestSaddleStep:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import robustcontract as rc
+from robustcontract import hamiltonians
 from robustcontract.hamiltonians import uniform_grid
 
 from helpers import (
@@ -256,6 +257,61 @@ class TestEvalG:
         m = build_model()
         with pytest.raises(ValueError):
             rc.eval_G(m, 0, 0, 0, 1, -1, 0, 0, 0, radius=0.0)
+
+
+class TestEvalGMemo:
+    """eval_G reuses each z's effort maxima across gamma; eval_H, reached
+    through the oracle's eval_g, stays the reference."""
+
+    COARSE = dict(n_grid_points=3, z_grid_points=5, gamma_grid_points=5,
+                  a_grid_points=5)
+
+    def test_random_nodes_match_oracle(self):
+        m = rc.make_model("quadratic_bounded", **self.COARSE)
+        rng = np.random.default_rng(61)
+        for _ in range(10):
+            t = float(rng.uniform(0.0, 1.0))
+            x, y = float(rng.uniform(-3.5, 3.5)), float(rng.uniform(-1.0, 1.0))
+            p, q, r = (float(v) for v in rng.uniform(-2.0, 2.0, size=3))
+            pt, qt = (float(v) for v in rng.uniform(-2.0, -0.1, size=2))
+            radius = float(rng.uniform(0.2, 3.0))
+            args = (t, x, y, p, pt, q, qt, r)
+            assert tuple(rc.eval_G(m, *args, radius)) == oracle_G(m, *args, radius)
+
+    def test_every_doubling_radius_matches_oracle(self, monkeypatch):
+        m = rc.make_model("quadratic_bounded", **self.COARSE)
+        visited = []
+        real = hamiltonians.eval_G
+
+        def recording(*args):
+            res = real(*args)
+            visited.append((args, res))
+            return res
+
+        monkeypatch.setattr(hamiltonians, "eval_G", recording)
+        rc.compute_radius(m, 0.2, 0.5, 0.1, 0.05, 0.02, -0.5, -0.1, 0.3)
+        assert len(visited) >= 3
+        for (_, *args), res in visited:
+            assert tuple(res) == oracle_G(m, *args)
+
+    def test_effort_scan_once_per_z(self, monkeypatch):
+        calls = {"F": 0, "H": 0}
+        real_F, real_H = hamiltonians.eval_F, hamiltonians.eval_H
+
+        def counting_F(*args):
+            calls["F"] += 1
+            return real_F(*args)
+
+        def counting_H(*args):
+            calls["H"] += 1
+            return real_H(*args)
+
+        m = rc.make_model("quadratic_bounded")
+        assert (m.z_grid_points, m.gamma_grid_points) == (21, 21)
+        monkeypatch.setattr(hamiltonians, "eval_F", counting_F)
+        monkeypatch.setattr(hamiltonians, "eval_H", counting_H)
+        rc.eval_G(m, 0.1, 0.4, 0.2, 0.7, -0.8, -0.3, -0.5, 0.1, radius=1.0)
+        assert calls["H"] == 0 and 0 < calls["F"] <= 5000, calls
 
 
 # ---------------------------------------------------------------------------

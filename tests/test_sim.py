@@ -26,6 +26,8 @@ from robustcontract.sim import (
     _response,
 )
 
+from helpers import random_polynomial_model
+
 
 @pytest.fixture(scope="module")
 def rn_model():
@@ -257,6 +259,29 @@ class TestResponseEquivalence:
                 assert f_vec[i] == res.value
                 assert a_vec[i] == res.arg_a
                 assert sig_vec[i] == sig
+
+    @pytest.mark.parametrize("kind", ["quadratic_bounded", "random_polynomial"])
+    def test_per_path_driving_control_matches_pointwise_saddle(self, kind):
+        # the engine's feedback nature: one n-grid point per path, as the
+        # policy's nearest-node lookup hands it over
+        rng = np.random.default_rng(42)
+        if kind == "quadratic_bounded":
+            model = presets.quadratic_bounded(a_grid_points=9, n_grid_points=5)
+        else:
+            model = random_polynomial_model(np.random.default_rng(8))
+            assert model.candidate_effort is None
+        X = rng.uniform(-1.5, 1.5, size=40)
+        Y = rng.uniform(-0.8, 0.8, size=40)
+        Z = rng.uniform(-2.0, 2.0, size=40)
+        n_now = rng.choice(model.n_grid(), size=40)
+        a_vec, f_vec, sig_vec = _response(model, 0.25, X, Y, Z, n_now)
+        for i in range(len(X)):
+            sig = model.vol_sigma(0.25, X[i], float(n_now[i]))
+            res = eval_F_star(model, 0.25, float(X[i]), float(Y[i]),
+                              float(Z[i]), sig * sig)
+            assert f_vec[i] == res.value
+            assert a_vec[i] == res.arg_a
+            assert sig_vec[i] == sig
 
     def test_fast_path_matches_general_enumeration(self, rn_model):
         import dataclasses
