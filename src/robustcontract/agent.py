@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hamiltonians import ModelSpec, TIE_TOL
+from .hamiltonians import PROBE_W, ModelSpec, TIE_TOL, vectorized
 from . import numerics
 
 
@@ -36,10 +36,16 @@ _CFL_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class ContractFunction:
-    """Terminal payment ``xi(x)`` handed to the agent at the horizon."""
+    """Terminal payment ``xi(x)`` handed to the agent at the horizon.
+
+    ``payment`` broadcasts over arrays, or construction wraps it once in
+    ``hamiltonians.elementwise`` (the ``ModelSpec`` coefficient contract)."""
 
     payment: Callable[[float], float]
     label: str = "custom"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "payment", vectorized(self.payment, PROBE_W))
 
     @classmethod
     def from_preset(cls, text: str) -> "ContractFunction":
@@ -105,7 +111,7 @@ def _control_grids(model: ModelSpec, nodes: int):
                                   (len(n_col), len(a_grid), nodes))
 
 
-def _saddle_step(model: ModelSpec, t, x_arr, v, z, gam, grids=None):
+def _saddle_step(model: ModelSpec, t, x_arr, v, z, gam, grids):
     """Vectorized one-slice saddle: returns (a_star, n_star, sig2, b, k, c).
 
     Each coefficient is evaluated once on a (nature, effort, node) tensor
@@ -118,7 +124,7 @@ def _saddle_step(model: ModelSpec, t, x_arr, v, z, gam, grids=None):
     tensors at the selected controls.  ``grids`` is ``_control_grids``'
     result, which a caller stepping many slices builds once.
     """
-    n_col, A = grids if grids is not None else _control_grids(model, x_arr.size)
+    n_col, A = grids
     sig = numerics.field(model.vol_sigma, t, x_arr, n_col)         # (Nn, X)
     sig2 = sig * sig
     if model.candidate_effort is not None:
@@ -166,11 +172,11 @@ def solve_agent(model: ModelSpec, contract: ContractFunction, *,
             f"stability bound violated: dt*max(sigma^2)/dx^2 = {cfl:.6g} > 1; "
             "refine the time grid")
 
-    pay = np.array([float(contract.payment(xi)) for xi in x_grid])
     values = np.empty((t_steps + 1, x_nodes))
     effort = np.zeros((t_steps + 1, x_nodes))
     nature = np.full((t_steps + 1, x_nodes), model.nature_set_N[0], dtype=float)
-    values[t_steps] = np.array([float(model.utility_agent(p)) for p in pay])
+    values[t_steps] = numerics.apply1(
+        model.utility_agent, numerics.apply1(contract.payment, x_grid))
 
     grids = _control_grids(model, x_nodes)
     max_grad = 0.0

@@ -16,6 +16,8 @@ with the brute-force test oracles:
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Sequence
@@ -27,6 +29,12 @@ TIE_TOL = 1e-12
 # domain-membership slack for rejecting effort / volatility-control inputs
 _DOMAIN_EPS = 1e-12
 
+# broadcast probe: relative tolerance (a scalar ``x ** 2`` goes through C
+# ``pow`` and can differ in the last bit from NumPy's array ``x * x``), and
+# the points of one-argument primitives and payments
+_PROBE_RTOL = 1e-12
+PROBE_W = np.linspace(-3.0, 3.0, 13)
+
 
 def uniform_grid(lo: float, hi: float, count: int) -> np.ndarray:
     """Inclusive uniform grid; a single point collapses to the left endpoint."""
@@ -35,6 +43,41 @@ def uniform_grid(lo: float, hi: float, count: int) -> np.ndarray:
     if count == 1:
         return np.array([lo], dtype=float)
     return np.linspace(lo, hi, count)
+
+
+def _scalar_table(fn, *axes) -> np.ndarray:
+    """``fn`` at each point of the outer product of ``axes``, one call each."""
+    vals = np.array([fn(*point) for point in itertools.product(*axes)], dtype=float)
+    return vals.reshape(tuple(len(ax) for ax in axes) + vals.shape[1:])
+
+
+def elementwise(fn):
+    """Adapter calling a scalar-only primitive once per element of its
+    broadcast arguments; all-scalar calls go straight to ``fn``."""
+    @functools.wraps(fn)
+    def adapter(*args):
+        if all(np.ndim(a) == 0 for a in args):
+            return fn(*args)
+        points = np.broadcast(*(np.asarray(a, dtype=float) for a in args))
+        return np.array([fn(*p) for p in points], dtype=float).reshape(points.shape)
+    return adapter
+
+
+def vectorized(fn, *axes, want=None):
+    """``fn`` if its call on the open mesh of ``axes`` broadcasts to ``want``,
+    its scalar calls there (made here unless given), and agrees within
+    ``_PROBE_RTOL``, NaN matching NaN; else ``elementwise(fn)``.  A
+    ``TypeError`` or ``ValueError`` on the probe also means scalar-only."""
+    try:
+        got = np.asarray(fn(*np.ix_(*axes)), dtype=float)
+        want = _scalar_table(fn, *axes) if want is None else want
+        got = np.broadcast_to(got, want.shape)
+    except (TypeError, ValueError):
+        return elementwise(fn)
+    with np.errstate(invalid="ignore"):
+        close = np.abs(got - want) <= _PROBE_RTOL * np.abs(want)
+    same = close | (got == want) | (np.isnan(got) & np.isnan(want))
+    return fn if np.all(same) else elementwise(fn)
 
 
 @dataclass(frozen=True)
@@ -88,6 +131,12 @@ class ModelSpec:
     :param nature_set_N: closed interval [n_lo, n_hi] of volatility controls
     :param truncation_M: level of the smooth spatial cutoff; the canonical
         state domain is [-M-2, M+2]
+
+    Coefficient contract: the solvers call primitives on broadcast arrays.
+    Each callable primitive above and ``candidate_effort`` either broadcasts
+    (checked once at construction against scalar calls on probe points) or
+    is wrapped there, once, in ``elementwise``.  ``candidate_zgamma`` must
+    broadcast, else ``ValueError``.  Errors inside primitives propagate.
     """
 
     drift_b: Callable[[float, float, float, float], float]
@@ -135,47 +184,67 @@ class ModelSpec:
                       self.z_grid_points, self.gamma_grid_points):
             if count < 1:
                 raise ValueError("control grids need at least one point")
-        self._validate_on_probes()
+        self._probe_primitives()
 
-    # -- construction-time probe checks ------------------------------------
-
-    def _probe_points(self) -> tuple[np.ndarray, np.ndarray]:
+    def _probe_primitives(self) -> None:
+        """Check the model's conditions with scalar calls at probe points;
+        each primitive is wrapped unless it broadcasts against them.  Those
+        the checks do not need are probed on a thinner mesh."""
         ts = uniform_grid(0.0, self.probe_horizon, 3)
         # stay inside the active region of the spatial cutoff, where the
         # volatility is required to be positive
         half = self.truncation_M + 0.95
         xs = uniform_grid(-half, half, 9)
-        return ts, xs
+        a_probe, n_probe = self.a_grid(), self.n_grid()
+        a_sub = a_probe[:: max(1, len(a_probe) // 4)]
+        n_sub = n_probe[:: max(1, len(n_probe) // 4)]
+        sig = self._adopt("vol_sigma", ts, xs, n_probe)
+        if not self.allow_degenerate_vol and not np.all(sig > 0.0):
+            i, j, k = np.argwhere(~(sig > 0.0))[0]
+            raise ValueError(
+                f"vol_sigma must be positive on the grid, got {sig[i, j, k]} "
+                f"at (t={ts[i]}, x={xs[j]}, n={n_probe[k]})")
+        costs = self._adopt("cost_c", ts, xs, a_probe)
+        if np.any(costs < -1e-12):
+            raise ValueError("cost_c must be nonnegative on the effort grid")
+        if len(a_probe) >= 2 and np.any(np.diff(costs) < -1e-12):
+            raise ValueError("cost_c must be increasing in effort")
+        if len(a_probe) >= 3 and np.any(np.diff(costs, n=2) < -1e-12):
+            raise ValueError("cost_c must be convex in effort")
+        disc = self._adopt("discount_k", ts, xs, a_sub, n_sub)
+        if np.any(np.abs(disc) > self.growth_params.kappa + 1e-12):
+            raise ValueError("discount_k exceeds the kappa bound")
+        target = self._adopt("utility_agent", PROBE_W)
+        inv = self._adopt("utility_agent_inv", target)
+        if np.any(np.abs(_scalar_table(self.utility_agent, inv) - target) > 1e-12):
+            raise ValueError("utility_agent inverse is not exact on probes")
 
-    def _validate_on_probes(self) -> None:
-        ts, xs = self._probe_points()
-        a_probe = self.a_grid()
-        n_probe = self.n_grid()
-        kappa = self.growth_params.kappa
-        for t in ts:
-            for x in xs:
-                if not self.allow_degenerate_vol:
-                    for n in n_probe:
-                        if not self.vol_sigma(t, x, n) > 0.0:
-                            raise ValueError(
-                                f"vol_sigma must be positive on the grid, got "
-                                f"{self.vol_sigma(t, x, n)} at (t={t}, x={x}, n={n})")
-                costs = np.array([self.cost_c(t, x, a) for a in a_probe])
-                if np.any(costs < -1e-12):
-                    raise ValueError("cost_c must be nonnegative on the effort grid")
-                if len(costs) >= 2 and np.any(np.diff(costs) < -1e-12):
-                    raise ValueError("cost_c must be increasing in effort")
-                if len(costs) >= 3 and np.any(np.diff(costs, n=2) < -1e-12):
-                    raise ValueError("cost_c must be convex in effort")
-                for a in a_probe[:: max(1, len(a_probe) // 4)]:
-                    for n in n_probe[:: max(1, len(n_probe) // 4)]:
-                        if abs(self.discount_k(t, x, a, n)) > kappa + 1e-12:
-                            raise ValueError("discount_k exceeds the kappa bound")
-        for w in np.linspace(-3.0, 3.0, 13):
-            target = self.utility_agent(w)
-            back = self.utility_agent(self.utility_agent_inv(target))
-            if abs(back - target) > 1e-12:
-                raise ValueError("utility_agent inverse is not exact on probes")
+        xs, a_sub, n_sub = xs[::4], a_sub[::2], n_sub[::2]
+        # two w points (-1.5, 1.5) probe z, y, p and q; nature values stand in
+        # for the candidate effort's volatility argument
+        for name, axes in (("drift_b", (ts, xs, a_sub, n_sub)),
+                           ("utility_principal", (PROBE_W,)),
+                           ("liquidation_L", (PROBE_W,)),
+                           ("candidate_effort", (ts, xs, PROBE_W[3::6], n_sub))):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, vectorized(getattr(self, name), *axes))
+        if self.candidate_zgamma is not None:
+            def flat(*args):
+                return [v for pair in self.candidate_zgamma(*args) for v in pair]
+
+            def stacked(*args):
+                return np.stack(np.broadcast_arrays(*flat(*args)), axis=-1)
+
+            axes = (ts, xs) + (PROBE_W[3::6],) * 3
+            if vectorized(stacked, *axes, want=_scalar_table(flat, *axes)) is not stacked:
+                raise ValueError("candidate_zgamma must broadcast over array "
+                                 "arguments and match its scalar calls")
+
+    def _adopt(self, name: str, *axes) -> np.ndarray:
+        """Scalar values of primitive ``name`` on ``axes``; it is made ``vectorized``."""
+        want = _scalar_table(getattr(self, name), *axes)
+        object.__setattr__(self, name, vectorized(getattr(self, name), *axes, want=want))
+        return want
 
     # -- control grids ------------------------------------------------------
 
@@ -268,16 +337,19 @@ def eval_F(model: ModelSpec, t: float, x: float, y: float, z: float,
             + model.drift_b(t, x, a, n) * z)
 
 
-def level_set_tolerance(model: ModelSpec, t: float, x: float) -> float:
-    """Default membership tolerance: grid step squared times the local
-    Lipschitz estimate of sigma^2 along the n-grid."""
-    grid = model.n_grid()
-    if len(grid) < 2:
-        return 1e-9
-    sig2 = np.array([model.vol_sigma(t, x, n) ** 2 for n in grid])
-    dn = float(grid[1] - grid[0])
-    lip = float(np.max(np.abs(np.diff(sig2)))) / dn if dn > 0 else 0.0
-    return max(dn * dn * lip, 1e-12)
+def level_set_tolerance(n_grid, sig2):
+    """Default level-set membership tolerance: grid step squared times the
+    Lipschitz estimate of sigma^2 along the n-grid.
+
+    ``sig2`` holds the squared volatilities ``sig * sig`` on the n-grid, n
+    axis first and any trailing shape; the result has the trailing shape.
+    """
+    if len(n_grid) < 2:
+        return np.full(sig2.shape[1:], 1e-9)
+    dn = float(n_grid[1] - n_grid[0])
+    lip = np.max(np.abs(np.diff(sig2, axis=0)), axis=0) / dn if dn > 0 \
+        else np.zeros(sig2.shape[1:])
+    return np.maximum(dn * dn * lip, 1e-12)
 
 
 def level_set_V(model: ModelSpec, t: float, x: float, Sigma: float,
@@ -289,16 +361,14 @@ def level_set_V(model: ModelSpec, t: float, x: float, Sigma: float,
     """
     if Sigma < 0.0:
         raise ValueError("Sigma must be nonnegative")
-    if tol is None:
-        tol = level_set_tolerance(model, t, x)
-    elif tol <= 0.0:
+    if tol is not None and tol <= 0.0:
         raise ValueError("tol must be positive")
-    out = []
-    for n in model.n_grid():
-        sig = model.vol_sigma(t, x, float(n))
-        if abs(sig * sig - Sigma) <= tol:
-            out.append(float(n))
-    return out
+    grid = model.n_grid()
+    sig = np.array([model.vol_sigma(t, x, float(n)) for n in grid], dtype=float)
+    sig2 = sig * sig
+    if tol is None:
+        tol = level_set_tolerance(grid, sig2)
+    return [float(n) for n, s2 in zip(grid, sig2) if abs(s2 - Sigma) <= tol]
 
 
 def eval_F_star(model: ModelSpec, t: float, x: float, y: float, z: float,
@@ -316,9 +386,7 @@ def eval_F_star(model: ModelSpec, t: float, x: float, y: float, z: float,
     inn = _first_within(table[ia], inner_min[ia])
 
     # reversed ordering for the gap diagnostic
-    outer_max = [max(table[ia2][j] for ia2 in range(len(efforts)))
-                 for j in range(len(level))]
-    inf_sup = min(outer_max)
+    inf_sup = min(max(col) for col in zip(*table))
     return SaddleResult(value=value, arg_a=efforts[ia], arg_n=level[inn],
                         isaacs_gap=inf_sup - value)
 
@@ -337,10 +405,10 @@ def eval_H(model: ModelSpec, t: float, x: float, y: float, z: float,
     scan in one dimension. The reported pair is (inner effort, outer n).
     """
     grid = [float(n) for n in model.n_grid()]
+    sigs = [model.vol_sigma(t, x, n) for n in grid]
     pair_vals: list[float] = []
     inner: list[tuple[list[float], list[float]]] = []
-    for n in grid:
-        sig = model.vol_sigma(t, x, n)
+    for n, sig in zip(grid, sigs):
         efforts = _effort_enumeration(model, t, x, z, sig)
         fs = [eval_F(model, t, x, y, z, a, n) for a in efforts]
         fmax = max(fs)
@@ -354,14 +422,11 @@ def eval_H(model: ModelSpec, t: float, x: float, y: float, z: float,
     # reversed ordering: max over effort of min over n of the same pair table
     # (effort grids can differ per n through candidates; restrict to the
     # common uniform grid for the diagnostic)
-    base = [float(a) for a in model.a_grid()]
     sup_inf = -math.inf
-    for a in base:
-        col = []
-        for n in grid:
-            sig = model.vol_sigma(t, x, n)
-            col.append(0.5 * sig * sig * gamma + eval_F(model, t, x, y, z, a, n))
-        sup_inf = max(sup_inf, min(col))
+    for a in model.a_grid():
+        sup_inf = max(sup_inf, min(
+            0.5 * sig * sig * gamma + eval_F(model, t, x, y, z, float(a), n)
+            for n, sig in zip(grid, sigs)))
     gap = value - sup_inf
     return SaddleResult(value=value, arg_a=efforts[ia], arg_n=grid[jn],
                         isaacs_gap=max(gap, 0.0))

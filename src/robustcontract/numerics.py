@@ -2,8 +2,9 @@
 
 The solvers evaluate each model coefficient ``fn(t, x, *controls)`` once
 per step on a tensor: nodes last, control grids (nature, effort) on leading
-axes.  :func:`field` returns it on the broadcast shape of its arguments and
-loops element by element only for a callable written for scalars.
+axes.  :func:`field` returns it on the broadcast shape of its arguments;
+``ModelSpec`` has already wrapped any primitive written for scalars, so
+every call here is one array call.
 Selection helpers reproduce the evaluator tie-break rule (earliest
 enumerated index within ``TIE_TOL``) along one axis of such a tensor, so
 vectorized kernels and scalar evaluators agree about which control wins.
@@ -25,18 +26,8 @@ def field(fn, t, x, *args):
     """
     x = np.asarray(x, dtype=float)
     shape = np.broadcast(x, *args).shape
-    try:
-        out = np.asarray(fn(t, x, *args), dtype=float)
-        if out.shape == shape:
-            return out
-        return np.broadcast_to(out, shape)
-    except Exception:
-        pass
-    args = [np.asarray(a, dtype=float) for a in args]
-    out = np.empty(shape)
-    for i, point in enumerate(np.broadcast(x, *args)):
-        out.flat[i] = fn(t, *point)
-    return out
+    out = np.asarray(fn(t, x, *args), dtype=float)
+    return out if out.shape == shape else np.broadcast_to(out, shape)
 
 
 def max_sigma_sq(model, t_grid, x_grid):
@@ -69,19 +60,10 @@ def central_differences(v, dx):
 
 
 def apply1(fn, arr):
-    """Evaluate a single-argument callable on an array, loop fallback."""
+    """Evaluate a one-argument primitive on an array, broadcasting a constant."""
     arr = np.asarray(arr, dtype=float)
-    try:
-        out = np.asarray(fn(arr), dtype=float)
-        if out.shape == arr.shape:
-            return out
-        if out.ndim == 0:
-            return np.full(arr.shape, float(out))
-    except Exception:
-        pass
-    flat = arr.ravel()
-    out = np.array([float(fn(v)) for v in flat])
-    return out.reshape(arr.shape)
+    out = np.asarray(fn(arr), dtype=float)
+    return out if out.shape == arr.shape else np.full(arr.shape, out)
 
 
 def ghost_pad2(u):

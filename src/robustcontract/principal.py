@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -228,35 +228,11 @@ def _enumerate_entries(model: ModelSpec, t, X, Y, p, q, radius,
     first, then the uniform box grid in z-major order."""
     entries = []
     if model.candidate_zgamma is not None:
-        N = X.size
-        zc = gc = None
-        try:
-            pairs = model.candidate_zgamma(t, X, Y, p, q)
-            zc = np.stack([np.broadcast_to(np.asarray(zv, dtype=float), (N,))
-                           for zv, gv in pairs])
-            gc = np.stack([np.broadcast_to(np.asarray(gv, dtype=float), (N,))
-                           for zv, gv in pairs])
-        except Exception:
-            zc = gc = None
-        if zc is None:
-            probe = model.candidate_zgamma(t, float(X[0]), float(Y[0]),
-                                           float(p[0]), float(q[0]))
-            k = len(probe)
-            zc = np.empty((k, N))
-            gc = np.empty((k, N))
-            for idx in range(N):
-                pairs = model.candidate_zgamma(t, float(X[idx]), float(Y[idx]),
-                                               float(p[idx]), float(q[idx]))
-                if len(pairs) != k:
-                    raise ValueError(
-                        "candidate list length must not vary by node")
-                for s, (zv, gv) in enumerate(pairs):
-                    zc[s, idx] = zv
-                    gc[s, idx] = gv
-        zc = np.clip(zc, -radius, radius)
-        gc = np.clip(gc, -radius, radius)
-        for s in range(zc.shape[0]):
-            entries.append((zc[s], gc[s][None, :]))
+        cand = np.clip([np.broadcast_to(np.asarray(v, dtype=float), X.shape)
+                        for pair in model.candidate_zgamma(t, X, Y, p, q)
+                        for v in pair], -radius, radius)
+        entries.extend((zc, gc[None, :])
+                       for zc, gc in zip(cand[0::2], cand[1::2]))
     if include_grid:
         z_vals = uniform_grid(-radius, radius, model.z_grid_points)
         gam_vals = np.asarray(uniform_grid(-radius, radius,
@@ -577,25 +553,13 @@ def extract_contract(solution: PrincipalSolution) -> ContractPolicy:
         k_rate=solution.k_rate, fstar=solution.fstar)
 
 
-class Y0Result(tuple):
-    """(y0, value, at_upper_edge) with named access."""
+class Y0Result(NamedTuple):
+    """Chosen promised value, the initial value there, and whether it sits
+    on the upper edge of the y grid."""
 
-    __slots__ = ()
-
-    def __new__(cls, y0, value, at_upper_edge):
-        return super().__new__(cls, (y0, value, at_upper_edge))
-
-    @property
-    def y0(self):
-        return self[0]
-
-    @property
-    def value(self):
-        return self[1]
-
-    @property
-    def at_upper_edge(self):
-        return self[2]
+    y0: float
+    value: float
+    at_upper_edge: bool
 
 
 def optimize_y0(solution: PrincipalSolution, x0: float,

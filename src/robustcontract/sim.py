@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import numerics
-from .hamiltonians import ModelSpec, TIE_TOL
+from .hamiltonians import ModelSpec, TIE_TOL, level_set_tolerance
 from .principal import ContractPolicy
 
 __all__ = [
@@ -56,6 +56,13 @@ class Estimate(NamedTuple):
 
     mean: float
     ci_halfwidth: float
+
+
+def _estimate(vals: np.ndarray) -> Estimate:
+    """Sample mean with its normal-approximation 95% CI half-width."""
+    n = len(vals)
+    half = CI_QUANTILE * float(np.std(vals, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+    return Estimate(float(np.mean(vals)), half)
 
 
 @dataclass(frozen=True)
@@ -269,15 +276,10 @@ def _response(model: ModelSpec, t: float, X: np.ndarray, Y: np.ndarray,
         A = np.concatenate([cand[None], A])
 
     n_pts = model.n_grid()
-    sig2_grid = numerics.field(model.vol_sigma, t, X, n_pts[:, None]) ** 2
-    sig2 = sig * sig
-    if len(n_pts) > 1:
-        dn = float(n_pts[1] - n_pts[0])
-        lip = np.max(np.abs(np.diff(sig2_grid, axis=0)), axis=0) / dn
-        tol = np.maximum(dn * dn * lip, 1e-12)
-    else:
-        tol = np.full(X.shape, 1e-9)
-    member = np.abs(sig2_grid - sig2[None, :]) <= tol[None, :]
+    sig_grid = numerics.field(model.vol_sigma, t, X, n_pts[:, None])
+    sig2_grid = sig_grid * sig_grid
+    tol = level_set_tolerance(n_pts, sig2_grid)
+    member = np.abs(sig2_grid - (sig * sig)[None, :]) <= tol[None, :]
 
     cost = numerics.field(model.cost_c, t, X, A)
     inner = (-numerics.field(model.discount_k, t, X, A, n_now) * Y
@@ -384,19 +386,10 @@ def simulate_system(model: ModelSpec, policy: ContractPolicy,
 
     def estimate(samples: np.ndarray) -> Estimate:
         vals = samples[good]
-        if weights is not None:
-            vals = vals * weights[good]
-        mean = float(np.mean(vals))
-        if used > 1:
-            half = CI_QUANTILE * float(np.std(vals, ddof=1)) / math.sqrt(used)
-        else:
-            half = 0.0
-        return Estimate(mean, half)
+        return _estimate(vals if weights is None else vals * weights[good])
 
-    if used:
-        dmin, dmax = float(np.min(disc[good])), float(np.max(disc[good]))
-    else:  # pragma: no cover - unreachable past the quarantine gate
-        dmin = dmax = math.nan
+    # the quarantine gate leaves at least one path
+    dmin, dmax = float(np.min(disc[good])), float(np.max(disc[good]))
     return SimResult(
         principal_estimate=estimate(principal_samples),
         agent_estimate=estimate(agent_samples),
@@ -460,14 +453,10 @@ def girsanov_cross_check(model: ModelSpec, policy: ContractPolicy,
     def terminal_estimate(res: SimResult) -> Estimate:
         lx = numerics.apply1(model.liquidation_L, res.terminal_x)
         good = np.isfinite(lx)
-        if res.weights is not None:
-            good &= np.isfinite(res.weights)
-            vals = lx[good] * res.weights[good]
-        else:
-            vals = lx[good]
-        n = len(vals)
-        half = CI_QUANTILE * float(np.std(vals, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
-        return Estimate(float(np.mean(vals)), half)
+        if res.weights is None:
+            return _estimate(lx[good])
+        good &= np.isfinite(res.weights)
+        return _estimate(lx[good] * res.weights[good])
 
     d_est = terminal_estimate(direct)
     w_est = terminal_estimate(ref)
@@ -737,14 +726,7 @@ def disjoint_beliefs_demo(model: ModelSpec, M_salary: float, cfg: SimConfig, *,
     used = int(np.count_nonzero(good))
     if cfg.paths - used > 0.01 * cfg.paths:
         raise RuntimeError("quarantined fraction above 1%")
-    vals = samples[good]
-    if np.all(vals == vals[0]):
-        # the mean of identical samples is that sample, with no averaging
-        # roundoff and zero spread
-        mean, half = float(vals[0]), 0.0
-    else:  # pragma: no cover - integrand is constant by construction
-        mean = float(np.mean(vals))
-        half = (CI_QUANTILE * float(np.std(vals, ddof=1)) / math.sqrt(used)
-                if used > 1 else 0.0)
+    # every kept sample is the same U_P(M_salary), so the mean is that
+    # sample, with no averaging roundoff, and the spread is zero
     target = float(model.utility_principal(float(M_salary)))
-    return Estimate(mean, half), target
+    return Estimate(float(samples[good][0]), 0.0), target

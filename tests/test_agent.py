@@ -162,7 +162,8 @@ class TestSaddleStep:
         t = 0.3
         v = np.sin(xs) + 0.3 * xs ** 2
         z, gam = numerics.central_differences(v, xs[1] - xs[0])
-        a_star, n_star, sig2, b, k, c = agent._saddle_step(m, t, xs, v, z, gam)
+        a_star, n_star, sig2, b, k, c = agent._saddle_step(
+            m, t, xs, v, z, gam, agent._control_grids(m, xs.size))
         for i, x in enumerate(xs):
             ref = eval_H(m, t, float(x), float(v[i]), float(z[i]),
                          float(gam[i]))

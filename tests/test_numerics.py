@@ -54,14 +54,14 @@ class TestField:
         X, A, N = self.X, self.A, self.N
         with pytest.raises(ValueError):
             scalar_drift(0.0, X, A, N)
-        looped = numerics.field(scalar_drift, 0.0, X, A, N)
+        kw = dict(a_points=3, n_points=3, z_points=5, gamma_points=5)
+        loop_model = build_model(b=scalar_drift, **kw)
+        twin = build_model(b=where_drift, **kw)
+        looped = numerics.field(loop_model.drift_b, 0.0, X, A, N)
         assert looped.shape == (3, 4, 7)
         assert looped.tobytes() == numerics.field(where_drift, 0.0, X, A,
                                                   N).tobytes()
 
-        kw = dict(a_points=3, n_points=3, z_points=5, gamma_points=5)
-        loop_model = build_model(b=scalar_drift, **kw)
-        twin = build_model(b=where_drift, **kw)
         agent_grid = dict(x_lo=-2.0, x_hi=2.0, x_nodes=21, t_steps=30,
                           horizon=0.25)
         contract = agent.ContractFunction.from_preset("linear:1,0")
