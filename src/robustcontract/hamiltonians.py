@@ -16,10 +16,11 @@ with the brute-force test oracles:
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -116,6 +117,11 @@ class GrowthParams:
         return (self.ell + self.m) / (self.m_lower + 1.0 - self.ell)
 
 
+def _check_grid_counts(*counts: int) -> None:
+    if any(count < 1 for count in counts):
+        raise ValueError("control grids need at least one point")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Primitive tuple (b, sigma, c, k, U_A, U_P, L) with control sets and grids.
@@ -180,10 +186,8 @@ class ModelSpec:
             raise ValueError("nature set bounds out of order")
         if self.truncation_M <= 0.0:
             raise ValueError("truncation_M must be positive")
-        for count in (self.a_grid_points, self.n_grid_points,
-                      self.z_grid_points, self.gamma_grid_points):
-            if count < 1:
-                raise ValueError("control grids need at least one point")
+        _check_grid_counts(self.a_grid_points, self.n_grid_points,
+                           self.z_grid_points, self.gamma_grid_points)
         self._probe_primitives()
 
     def _probe_primitives(self) -> None:
@@ -256,14 +260,20 @@ class ModelSpec:
 
     def with_control_grids(self, a: int | None = None, n: int | None = None,
                            z: int | None = None, gamma: int | None = None) -> "ModelSpec":
-        """Copy of the model with control-grid counts replaced."""
-        return replace(
-            self,
-            a_grid_points=a if a is not None else self.a_grid_points,
-            n_grid_points=n if n is not None else self.n_grid_points,
-            z_grid_points=z if z is not None else self.z_grid_points,
-            gamma_grid_points=gamma if gamma is not None else self.gamma_grid_points,
-        )
+        """Copy of the model with control-grid counts replaced.
+
+        The copy shares this model's primitives, already probed and adopted
+        at construction, so it calls none of them.
+        """
+        counts = {name: count for name, count in (
+            ("a_grid_points", a), ("n_grid_points", n),
+            ("z_grid_points", z), ("gamma_grid_points", gamma))
+            if count is not None}
+        _check_grid_counts(*counts.values())
+        twin = copy.copy(self)
+        for name, count in counts.items():
+            object.__setattr__(twin, name, count)
+        return twin
 
     def contains_effort(self, a: float) -> bool:
         return self.effort_set_A[0] - _DOMAIN_EPS <= a <= self.effort_set_A[1] + _DOMAIN_EPS

@@ -100,6 +100,35 @@ def take_rows(stack, idx):
     return stack[idx, np.arange(stack.shape[-1])]
 
 
+def grid_searchsorted(grid, q):
+    """``np.searchsorted(grid, q)`` (side left) for a strictly increasing grid.
+
+    The index is estimated from ``grid[0]`` and the first spacing as
+    ``ceil((q - grid[0]) / h)``, clipped to ``[0, len(grid)]``, then moved
+    one node at a time against the grid values until no index moves: one
+    correcting pass on a uniform grid, and exact on any increasing grid of
+    at least two nodes.  NaN goes past the end and +-inf to the ends, as
+    ``np.searchsorted`` sends them.
+    """
+    grid = np.asarray(grid, dtype=float)
+    q = np.asarray(q, dtype=float)
+    n = len(grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        est = np.ceil((q - grid[0]) / (grid[1] - grid[0]))
+    # fmin sends NaN to the end
+    i = np.maximum(np.fmin(est, n), 0).astype(np.intp)
+    # below[i] is grid[i - 1] and above[i] is grid[i]; the NaN ends compare
+    # false, so no index leaves [0, n]
+    below = np.concatenate(([np.nan], grid))
+    above = np.concatenate((grid, [np.nan]))
+    while True:
+        down = below[i] >= q
+        up = above[i] < q
+        if not (down.any() or up.any()):
+            return i
+        i = i + up - down
+
+
 def surface_value(t_grid, x_grid, y_grid, values, t, x, y):
     """Trilinear lookup of a ``values[t, x, y]`` node surface.
 
@@ -111,8 +140,8 @@ def surface_value(t_grid, x_grid, y_grid, values, t, x, y):
     def bilinear(plane):
         xc = np.clip(x, x_grid[0], x_grid[-1])
         yc = np.clip(y, y_grid[0], y_grid[-1])
-        i = np.clip(np.searchsorted(x_grid, xc) - 1, 0, len(x_grid) - 2)
-        j = np.clip(np.searchsorted(y_grid, yc) - 1, 0, len(y_grid) - 2)
+        i = np.clip(grid_searchsorted(x_grid, xc) - 1, 0, len(x_grid) - 2)
+        j = np.clip(grid_searchsorted(y_grid, yc) - 1, 0, len(y_grid) - 2)
         wx = (xc - x_grid[i]) / (x_grid[i + 1] - x_grid[i])
         wy = (yc - y_grid[j]) / (y_grid[j + 1] - y_grid[j])
         return ((1 - wx) * (1 - wy) * plane[i, j]
@@ -123,6 +152,6 @@ def surface_value(t_grid, x_grid, y_grid, values, t, x, y):
     if len(t_grid) == 1:
         return bilinear(values[0])
     tc = min(max(t, t_grid[0]), t_grid[-1])
-    k = int(np.clip(np.searchsorted(t_grid, tc) - 1, 0, len(t_grid) - 2))
+    k = int(np.clip(grid_searchsorted(t_grid, tc) - 1, 0, len(t_grid) - 2))
     wt = (tc - t_grid[k]) / (t_grid[k + 1] - t_grid[k])
     return (1 - wt) * bilinear(values[k]) + wt * bilinear(values[k + 1])

@@ -535,12 +535,12 @@ class ContractPolicy:
         ``fields`` names the policy arrays looked up (all six by default).
         """
         step = self.slice_index(t)
-        xi = np.clip(np.searchsorted(self.x_grid,
-                                     np.asarray(x) - 0.5 * (self.x_grid[1] - self.x_grid[0])),
-                     0, len(self.x_grid) - 1)
-        yi = np.clip(np.searchsorted(self.y_grid,
-                                     np.asarray(y) - 0.5 * (self.y_grid[1] - self.y_grid[0])),
-                     0, len(self.y_grid) - 1)
+        xi = np.clip(numerics.grid_searchsorted(
+            self.x_grid, np.asarray(x) - 0.5 * (self.x_grid[1] - self.x_grid[0])),
+            0, len(self.x_grid) - 1)
+        yi = np.clip(numerics.grid_searchsorted(
+            self.y_grid, np.asarray(y) - 0.5 * (self.y_grid[1] - self.y_grid[0])),
+            0, len(self.y_grid) - 1)
         node = xi * len(self.y_grid) + yi
         return {name: getattr(self, name)[step].take(node) for name in fields}
 

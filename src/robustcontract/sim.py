@@ -13,19 +13,26 @@ driftless and the drifted dynamics, coordinate-descent scenario search,
 incentive-compatibility probes, martingale flatness reports, and the
 separated-beliefs degeneracy demonstration.
 
-Randomness is reproducible by construction: one root seed feeds a
-``numpy.random.SeedSequence`` whose ``spawn`` children seed one PCG64
-stream per path (path index order), and normal increments come from
-``Generator.standard_normal``.  Identical configurations therefore give
-bit-identical results.  The checks built on common random numbers (the
-scenario search, the incentive probes, the martingale report, and the
-whole of ``verify``) draw the increment matrix once for consecutive
-batches that share (seed, paths, steps) and hand every batch that same
-read-only matrix, so their results stay bit-identical to fresh draws.
+Randomness is reproducible by construction.  The splitting rule is the
+contract: child i of ``numpy.random.SeedSequence(seed).spawn(paths)``,
+which is ``SeedSequence(seed, spawn_key=(i,))``, seeds the PCG64 stream of
+path i, and ``Generator.standard_normal`` fills that path's increments.
+``_draw_increments`` derives every child's PCG64 state at once in
+vectorized integer arithmetic instead of building one ``SeedSequence`` and
+one ``PCG64`` per path; a guard compares the derived state of the first
+and the last path with NumPy's own and raises ``RuntimeError`` if they
+differ, so every path keeps NumPy's stream.  Identical configurations
+therefore give bit-identical results.  The checks built on common random
+numbers (the scenario search, the incentive probes, the martingale report,
+and the whole of ``verify``) draw the increment matrix once for
+consecutive batches that share (seed, paths, steps) and hand every batch
+that same read-only matrix, so their results stay bit-identical to fresh
+draws.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import contextvars
 import dataclasses
@@ -138,7 +145,7 @@ class NatureStrategy:
         return cls(breakpoints=bp, values=tuple(values))
 
     def value_at(self, t: float) -> float:
-        idx = int(np.searchsorted(self.breakpoints, t, side="left"))
+        idx = bisect.bisect_left(self.breakpoints, t)
         return self.values[min(idx, len(self.values) - 1)]
 
     def validate_for(self, model: ModelSpec, horizon: float) -> None:
@@ -176,17 +183,109 @@ class SimResult:
 # randomness
 # ---------------------------------------------------------------------------
 
+# SeedSequence's hash constants and PCG64's 128-bit LCG multiplier, as in
+# NumPy's bit_generator.pyx and pcg64.h
+_MASK32 = 0xFFFF_FFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
+_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
+_PCG64_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
+# paths whose states are held as Python ints at one time
+_SEED_CHUNK = 4096
+
+
+def _hasher(const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
+    """SeedSequence's hashmix: each call advances the shared multiplier."""
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return out ^ (out >> np.uint32(16))
+
+
+def _child_states(seed: int, first: int, stop: int) -> list[tuple[int, int]]:
+    """(state, inc) of ``PCG64(SeedSequence(seed, spawn_key=(i,)))`` for
+    ``first <= i < stop``.
+
+    SeedSequence's entropy mixing and ``generate_state(4, uint64)`` run in
+    uint32 arithmetic with one lane per child.  The hash multipliers do not
+    depend on the data, so every lane shares the mixing of the root entropy
+    (zero-padded to the pool size, as a spawned sequence pads it) and
+    differs only from the spawn-key word, mixed in last.  PCG64's seeding
+    step then runs in Python ints.
+    """
+    words, rest = [], int(seed)
+    while True:
+        words.append(rest & _MASK32)
+        rest >>= 32
+        if not rest:
+            break
+    words += [0] * (_POOL_SIZE - len(words))
+    entropy = [np.full(1, w, dtype=np.uint32) for w in words]
+    entropy.append(np.arange(first, stop, dtype=np.uint32))
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    half = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+    # uint64 word j joins uint32 words 2j (low) and 2j + 1 (high)
+    state_words = np.stack([half[2 * j] | half[2 * j + 1] << np.uint64(32)
+                            for j in range(4)], axis=-1)
+    states = []
+    for w0, w1, w2, w3 in state_words.tolist():
+        # pcg64_srandom_r: state 0, step, add initstate, step
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        states.append((((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128,
+                       inc))
+    return states
+
+
 def _draw_increments(seed: int, paths: int, steps: int) -> np.ndarray:
     """Standard-normal increment matrix, one independently seeded row per path.
 
     Splitting rule (fixed for reproducibility): SeedSequence(seed).spawn(paths)
     gives child sequences in path order; child i seeds a PCG64 bit generator
     whose Generator.standard_normal(steps) fills row i.
+
+    The rule is reproduced, not executed: ``_child_states`` derives the
+    children's PCG64 states a chunk of paths at a time, and one reused
+    PCG64/Generator pair takes each state in turn and fills its row.  A
+    guard builds NumPy's own bit generator for the first and the last path
+    and raises ``RuntimeError`` if the derived state differs from it.
     """
-    children = np.random.SeedSequence(seed).spawn(paths)
+    for i in sorted({0, paths - 1}):
+        bit_gen = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,)))
+        want = bit_gen.state["state"]
+        if _child_states(seed, i, i + 1) != [(want["state"], want["inc"])]:
+            raise RuntimeError(
+                f"derived PCG64 state of path {i} for seed {seed} differs from "
+                "NumPy's SeedSequence spawn")
+    gen = np.random.Generator(bit_gen)
     out = np.empty((paths, steps))
-    for i, child in enumerate(children):
-        out[i] = np.random.Generator(np.random.PCG64(child)).standard_normal(steps)
+    for first in range(0, paths, _SEED_CHUNK):
+        chunk = _child_states(seed, first, min(first + _SEED_CHUNK, paths))
+        for i, (state, inc) in enumerate(chunk, first):
+            bit_gen.state = {"bit_generator": "PCG64",
+                             "state": {"state": state, "inc": inc},
+                             "has_uint32": 0, "uinteger": 0}
+            gen.standard_normal(out=out[i])
     return out
 
 

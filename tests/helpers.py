@@ -42,6 +42,16 @@ def build_model(b=None, sigma=None, c=None, k=None, A=(0.0, 1.0), N=(1.0, 2.0),
     )
 
 
+def reference_draw(seed, paths, steps):
+    """The increment splitting rule executed directly: one spawned
+    SeedSequence child and one PCG64 stream per path."""
+    children = np.random.SeedSequence(seed).spawn(paths)
+    out = np.empty((paths, steps))
+    for i, child in enumerate(children):
+        out[i] = np.random.Generator(np.random.PCG64(child)).standard_normal(steps)
+    return out
+
+
 def first_within(values, target):
     for i, v in enumerate(values):
         if abs(v - target) <= TIE:

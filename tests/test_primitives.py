@@ -4,6 +4,8 @@ Primitives broadcast over array arguments, or construction wraps them once
 in ``hamiltonians.elementwise``; ``candidate_zgamma`` must broadcast.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -188,3 +190,35 @@ def test_broadcasting_candidate_zgamma_is_kept():
         return [(p, q), (0.5 * p, 0.25)]
 
     assert build_model(candidate_zgamma=hook, **GRIDS).candidate_zgamma is hook
+
+
+def test_coarse_copy_calls_no_primitive_and_solves_like_a_rebuilt_model():
+    calls = []
+
+    def spied(fn):
+        def call(*args):
+            calls.append(fn)
+            return fn(*args)
+        return call
+
+    # the scalar-only drift is wrapped, every other primitive broadcasts
+    model = build_model(b=spied(SCALAR_AND_TWIN["drift_b"][1]),
+                        sigma=spied(lambda t, x, n: n),
+                        c=spied(lambda t, x, a: 0.5 * a * a),
+                        k=spied(lambda t, x, a, n: 0.1 * n),
+                        candidate_effort=spied(lambda t, x, z, sigma: z),
+                        u_a=spied(lambda w: w), u_a_inv=spied(lambda y: y),
+                        u_p=spied(lambda w: w), L=spied(lambda x: x), **GRIDS)
+    calls.clear()
+    coarse = model.with_control_grids(a=2, n=2, gamma=3)
+    assert calls == []
+    assert (coarse.a_grid_points, coarse.n_grid_points, coarse.z_grid_points,
+            coarse.gamma_grid_points) == (2, 2, 5, 3)
+    for prim in PRIMITIVES:
+        assert getattr(coarse, prim) is getattr(model, prim), prim
+    rebuilt = dataclasses.replace(model, a_grid_points=2, n_grid_points=2,
+                                  gamma_grid_points=3)
+    assert calls, "a rebuilt model probes its primitives"
+    assert outputs(coarse) == outputs(rebuilt)
+    with pytest.raises(ValueError, match="at least one point"):
+        model.with_control_grids(z=0)

@@ -26,7 +26,7 @@ from robustcontract.sim import (
     _response,
 )
 
-from helpers import random_polynomial_model
+from helpers import random_polynomial_model, reference_draw
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +185,47 @@ class TestQuarantineAndDeterminism:
         cfg = SimConfig(paths=100, dt=1 / 16, seed=2)
         with pytest.raises(RuntimeError, match="quarantined"):
             simulate_system(rn_model, policy, None, cfg)
+
+
+class TestDrawIncrements:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1, 2**32 - 1, 2**32 + 5,
+                                      2**64 + 3, 2**130 + 1, 1013446243])
+    def test_rows_are_the_spawned_streams(self, seed):
+        for paths in (1, 2, 257, 3000):
+            for steps in (0, 1, 64):
+                got = sim._draw_increments(seed, paths, steps)
+                want = reference_draw(seed, paths, steps)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (paths, steps)
+
+    @pytest.mark.parametrize("bad_path", [0, 4])
+    def test_guard_rejects_a_wrong_derived_state(self, monkeypatch, bad_path):
+        derive = sim._child_states
+
+        def corrupted(seed, first, stop):
+            states = derive(seed, first, stop)
+            if first <= bad_path < stop:
+                state, inc = states[bad_path - first]
+                states[bad_path - first] = (state ^ 1, inc)
+            return states
+
+        monkeypatch.setattr(sim, "_child_states", corrupted)
+        with pytest.raises(RuntimeError, match=f"path {bad_path}"):
+            sim._draw_increments(3, 5, 4)
+
+    def test_only_the_guard_builds_seed_sequences(self, monkeypatch):
+        built = []
+
+        class Counting(np.random.SeedSequence):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("spawn_key"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", Counting)
+        got = sim._draw_increments(11, 5000, 3)
+        assert built == [(0,), (4999,)]
+        monkeypatch.undo()
+        assert got.tobytes() == reference_draw(11, 5000, 3).tobytes()
 
 
 class TestSharedIncrements:
