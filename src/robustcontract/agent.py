@@ -114,29 +114,23 @@ def _control_grids(model: ModelSpec, nodes: int):
 def _saddle_step(model: ModelSpec, t, x_arr, v, z, gam, grids):
     """Vectorized one-slice saddle: returns (a_star, n_star, sig2, b, k, c).
 
-    Each coefficient is evaluated once on a (nature, effort, node) tensor
-    whose effort axis lists the clamped closed-form candidate first and
-    then the effort grid.  Mirrors the scalar evaluator selection rule:
-    for each nature control the effort maximizing the running reward wins
-    (earliest within tolerance), then the nature control minimizing the
-    realized second-order Hamiltonian is chosen the same way.  The
-    returned drift, discount and running cost are gathered from the same
-    tensors at the selected controls.  ``grids`` is ``_control_grids``'
-    result, which a caller stepping many slices builds once.
+    The ``numerics`` effort kernel gives the efforts and the running payoff
+    on one (nature, effort, node) tensor.  Mirrors the scalar evaluator
+    selection rule: for each nature control the effort maximizing the
+    running reward wins (earliest within tolerance), then the nature
+    control minimizing the realized second-order Hamiltonian is chosen the
+    same way; b, k and c are gathered at the selected controls only.
+    ``grids`` is ``_control_grids``' result, built once per solve.
     """
     n_col, A = grids
     sig = numerics.field(model.vol_sigma, t, x_arr, n_col)         # (Nn, X)
     sig2 = sig * sig
-    if model.candidate_effort is not None:
-        a_c = numerics.field(model.candidate_effort, t, x_arr, z, sig)
-        a_c = np.clip(a_c, model.effort_set_A[0], model.effort_set_A[1])
+    a_c = numerics.clamped_candidate(model, t, x_arr, z, sig)
+    if a_c is not None:
         A = np.concatenate([a_c[:, None, :], A], axis=1)
-    n_row = n_col[:, :, None]
-    b = numerics.field(model.drift_b, t, x_arr, A, n_row)
-    k = numerics.field(model.discount_k, t, x_arr, A, n_row)
-    c = numerics.field(model.cost_c, t, x_arr, A)
-    f = -k * v - c + b * z                                          # (Nn, E, X)
-    a_idx, f_best = numerics.first_argmax(f, TIE_TOL, axis=1)
+    base, b, k, c = numerics.effort_payoff(model, t, x_arr, v, A,
+                                           n_col[:, :, None])
+    a_idx, f_best = numerics.first_argmax(base + b * z, TIE_TOL, axis=1)
     n_idx, _ = numerics.first_argmin(0.5 * sig2 * gam + f_best, TIE_TOL)
     nodes = np.arange(x_arr.size)
     at = (n_idx, a_idx[n_idx, nodes], nodes)
@@ -226,9 +220,7 @@ def _require_linear_family(model: ModelSpec):
     x = np.linspace(-model.truncation_M, model.truncation_M, 5)
     a = model.a_grid()[:: max(1, len(model.a_grid()) // 3), None, None]
     n = model.n_grid()[:, None]
-    for coeff in (numerics.field(model.drift_b, 0.0, x, a, n),
-                  numerics.field(model.cost_c, 0.0, x, a),
-                  numerics.field(model.discount_k, 0.0, x, a, n)):
+    for coeff in numerics.effort_payoff(model, 0.0, x, 0.0, a, n)[1:]:
         if np.any(np.abs(coeff) > 1e-12):
             raise ValueError(
                 "quadrature cross-check needs zero drift, cost and discount")

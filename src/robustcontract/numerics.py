@@ -5,6 +5,11 @@ per step on a tensor: nodes last, control grids (nature, effort) on leading
 axes.  :func:`field` returns it on the broadcast shape of its arguments;
 ``ModelSpec`` has already wrapped any primitive written for scalars, so
 every call here is one array call.
+The effort kernel owns the agent's response rule for the agent and
+principal solvers and the engine: :func:`clamped_candidate` is the effort
+enumeration's first entry, ahead of the a-grid, and :func:`effort_payoff`
+keeps ``eval_F``'s expression order, so ``base + b*z`` is ``-k*y - c + b*z``
+bit for bit.  Each caller keeps its own reduction.
 Selection helpers reproduce the evaluator tie-break rule (earliest
 enumerated index within ``TIE_TOL``) along one axis of such a tensor, so
 vectorized kernels and scalar evaluators agree about which control wins.
@@ -28,6 +33,24 @@ def field(fn, t, x, *args):
     shape = np.broadcast(x, *args).shape
     out = np.asarray(fn(t, x, *args), dtype=float)
     return out if out.shape == shape else np.broadcast_to(out, shape)
+
+
+def clamped_candidate(model, t, x, z, sig):
+    """The closed-form effort candidate clipped into the effort set; None
+    when the model has no candidate hook."""
+    if model.candidate_effort is not None:
+        return np.clip(field(model.candidate_effort, t, x, z, sig),
+                       *model.effort_set_A)
+
+
+def effort_payoff(model, t, x, y, a, n, c=None):
+    """Running-payoff parts ``(base, b, k, c)`` with ``base = -k*y - c``; a
+    given cost ``c``, which is free of ``n``, is reused."""
+    b = field(model.drift_b, t, x, a, n)
+    k = field(model.discount_k, t, x, a, n)
+    if c is None:
+        c = field(model.cost_c, t, x, a)
+    return -k * y - c, b, k, c
 
 
 def max_sigma_sq(model, t_grid, x_grid):

@@ -145,7 +145,8 @@ def _static_tables(model: ModelSpec, t: float, X: np.ndarray, Y: np.ndarray,
                    exact_only: bool = False):
     """Per-slice caches: volatilities per nature control, (nature, node),
     and unless ``exact_only`` the z-independent reward parts of every grid
-    effort, drift ``B`` and ``BASE = -k y - c`` on (nature, effort, node)."""
+    effort, drift ``B`` and ``BASE = -k y - c`` on (nature, effort, node)
+    from the ``numerics`` effort kernel."""
     n_grid = model.n_grid()
     a_grid = model.a_grid()
     n_col = np.asarray(n_grid)[:, None]
@@ -153,51 +154,43 @@ def _static_tables(model: ModelSpec, t: float, X: np.ndarray, Y: np.ndarray,
     sig2 = sig * sig
     B = BASE = None
     if not exact_only:
-        a_col = a_grid[:, None]
-        B = numerics.field(model.drift_b, t, X, a_col, n_col[:, :, None])
-        K = numerics.field(model.discount_k, t, X, a_col, n_col[:, :, None])
-        C = numerics.field(model.cost_c, t, X, a_col)
-        BASE = -K * Y - C
+        BASE, B = numerics.effort_payoff(model, t, X, Y, a_grid[:, None],
+                                         n_col[:, :, None])[:2]
     return n_grid, a_grid, sig, sig2, B, BASE
 
 
-def _entry_eval(model, t, X, Y, tables, z_spec, gam_rows, p, pt, q, qt, r,
-                exact_only=False):
+def _entry_eval(model, t, X, Y, tables, z_spec, gam_rows, p, pt, q, qt, r):
     """Evaluate one enumeration layer: a z choice against a batch of gammas.
 
     ``z_spec`` is a float (grid layer) or per-node array (candidate layer);
     ``gam_rows`` has shape (G,) for grid gammas or (G, N) for per-node ones.
-    The effort enumeration is one (nature, effort, node) tensor: the
-    clamped closed-form candidate row, evaluated for every nature in one
-    call per coefficient, ahead of the grid rows ``BASE + B z`` (with
-    ``exact_only`` the candidate row alone).  The best effort per (nature,
-    node) is the earliest within ``TIE_TOL`` of the maximum.  Returns
-    (G, N) rows keyed by field: the inf-over-nature payoff ``value``, the
-    nature index ``n_idx`` attaining it, and the controls and stencil
-    inputs realized with that nature.
+    The effort enumeration is the ``numerics`` effort kernel's on one
+    (nature, effort, node) tensor: the candidate row, evaluated for every
+    nature in one call, ahead of the grid rows ``BASE + B z`` (the
+    candidate row alone when the tables skipped the grid, ``B is None``).
+    The best effort per (nature, node) is the earliest within ``TIE_TOL``
+    of the maximum.  Returns (G, N) rows keyed by field: the
+    inf-over-nature payoff ``value``, the nature index ``n_idx`` attaining
+    it, and the controls and stencil inputs realized with that nature.
     """
     n_grid, a_grid, sig, sig2, B, BASE = tables
-    N = X.size
     zB = np.asarray(z_spec, dtype=float)
 
     rows_f, rows_a, rows_b = [], [], []
-    if model.candidate_effort is not None:
-        n_col = np.asarray(n_grid)[:, None]
-        ac = numerics.field(model.candidate_effort, t, X, zB, sig)
-        ac = np.clip(ac, *model.effort_set_A)
-        bc = numerics.field(model.drift_b, t, X, ac, n_col)
-        kc = numerics.field(model.discount_k, t, X, ac, n_col)
-        cc = numerics.field(model.cost_c, t, X, ac)
-        rows_f.append((-kc * Y - cc + bc * zB)[:, None, :])
+    ac = numerics.clamped_candidate(model, t, X, zB, sig)
+    if ac is not None:
+        base, bc, _, _ = numerics.effort_payoff(model, t, X, Y, ac,
+                                                np.asarray(n_grid)[:, None])
+        rows_f.append((base + bc * zB)[:, None, :])
         rows_a.append(ac[:, None, :])
         rows_b.append(bc[:, None, :])
-    if not (exact_only and rows_f):
+    if B is not None:
         rows_f.append(BASE + B * zB)
         rows_a.append(np.broadcast_to(a_grid[:, None], B.shape))
         rows_b.append(B)
     idx, fmax = numerics.first_argmax(np.concatenate(rows_f, axis=1),
                                       TIE_TOL, axis=1)
-    nodes = np.arange(N)
+    nodes = np.arange(X.size)
     at = (np.arange(len(n_grid))[:, None], idx, nodes)
     astar = np.concatenate(rows_a, axis=1)[at]
     bstar = np.concatenate(rows_b, axis=1)[at]
@@ -263,7 +256,7 @@ def _select_slice(model, t, X, Y, p, pt, q, qt, r, radius) -> _Selection:
     entries = _enumerate_entries(model, t, X, Y, p, q, radius,
                                  include_grid=not exact_only)
     blocks = [_entry_eval(model, t, X, Y, tables, z_spec, gam_rows,
-                          p, pt, q, qt, r, exact_only)
+                          p, pt, q, qt, r)
               for z_spec, gam_rows in entries]
     win, top = numerics.first_argmax(
         np.concatenate([b["value"] for b in blocks]), TIE_TOL)
@@ -525,7 +518,7 @@ class ContractPolicy:
         if nt == 0:
             return 0
         dt = self.t_grid[1] - self.t_grid[0]
-        return int(np.clip(math.floor((t - self.t_grid[0]) / dt), 0, nt - 1))
+        return min(max(math.floor((t - self.t_grid[0]) / dt), 0), nt - 1)
 
     def gather(self, t: float, x, y, *,
                fields=("z", "gamma", "effort", "nature", "k_rate", "fstar"),
@@ -535,12 +528,10 @@ class ContractPolicy:
         ``fields`` names the policy arrays looked up (all six by default).
         """
         step = self.slice_index(t)
-        xi = np.clip(numerics.grid_searchsorted(
-            self.x_grid, np.asarray(x) - 0.5 * (self.x_grid[1] - self.x_grid[0])),
-            0, len(self.x_grid) - 1)
-        yi = np.clip(numerics.grid_searchsorted(
-            self.y_grid, np.asarray(y) - 0.5 * (self.y_grid[1] - self.y_grid[0])),
-            0, len(self.y_grid) - 1)
+        # grid_searchsorted returns indices in [0, n]: only the top clamps
+        xi, yi = (np.minimum(numerics.grid_searchsorted(
+                      g, np.asarray(v) - 0.5 * (g[1] - g[0])), len(g) - 1)
+                  for g, v in ((self.x_grid, x), (self.y_grid, y)))
         node = xi * len(self.y_grid) + yi
         return {name: getattr(self, name)[step].take(node) for name in fields}
 

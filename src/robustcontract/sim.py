@@ -338,36 +338,28 @@ def _response(model: ModelSpec, t: float, X: np.ndarray, Y: np.ndarray,
               Z: np.ndarray, n_now) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized (effort, F*, sigma) across paths at the driving control.
 
-    Mirrors the pointwise saddle evaluation: efforts enumerate the clamped
-    closed-form candidate first and then the uniform grid; the inner
-    infimum runs over the grid controls whose squared volatility matches
-    the realized level within the model tolerance, with the driving
-    control itself appended last (it always realizes its own level).
-    Ties resolve to the earliest enumerated entry.
+    Mirrors the pointwise saddle evaluation with the ``numerics`` effort
+    kernel's enumeration and payoff on one (effort, path) tensor; the
+    inner infimum runs over the grid controls whose squared volatility
+    matches the realized level within the model tolerance, with the
+    driving control itself appended last (it always realizes its own
+    level).  Ties resolve to the earliest enumerated entry.
 
-    Each coefficient is evaluated on one (effort, path) tensor: the cost
-    once, drift and discount once at the driving control and once per
-    n-grid point.  The infimum over the level set is a sequential fold in
-    n-grid order rather than a masked ``np.min``, which would resolve NaN
-    and signed zeros differently from the pointwise evaluator.
+    The cost is evaluated once, and only the payoff outlives each kernel
+    call, which keeps the fold's peak memory down.  The infimum over the
+    level set is a sequential fold in n-grid order rather than a masked
+    ``np.min``, which would resolve NaN and signed zeros differently from
+    the pointwise evaluator.
     """
-    a_lo, a_hi = model.effort_set_A
     sig = numerics.field(model.vol_sigma, t, X, n_now)
-
-    cand = None
-    if model.candidate_effort is not None:
-        cand = np.clip(numerics.field(model.candidate_effort, t, X, Z, sig),
-                       a_lo, a_hi)
+    cand = numerics.clamped_candidate(model, t, X, Z, sig)
 
     if model.risk_neutral and cand is not None:
         # the candidate is the exact maximizer and F does not depend on the
         # volatility control beyond sigma itself, so the grid and the level
         # enumeration are redundant here (validated bit-for-bit in tests)
-        a = cand
-        fstar = (-numerics.field(model.discount_k, t, X, a, n_now) * Y
-                 - numerics.field(model.cost_c, t, X, a)
-                 + numerics.field(model.drift_b, t, X, a, n_now) * Z)
-        return a, fstar, sig
+        base, b, _, _ = numerics.effort_payoff(model, t, X, Y, cand, n_now)
+        return cand, base + b * Z, sig
 
     a_grid = model.a_grid()
     A = np.broadcast_to(a_grid[:, None], (len(a_grid),) + X.shape)
@@ -380,12 +372,13 @@ def _response(model: ModelSpec, t: float, X: np.ndarray, Y: np.ndarray,
     tol = level_set_tolerance(n_pts, sig2_grid)
     member = np.abs(sig2_grid - (sig * sig)[None, :]) <= tol[None, :]
 
-    cost = numerics.field(model.cost_c, t, X, A)
-    inner = (-numerics.field(model.discount_k, t, X, A, n_now) * Y
-             - cost + numerics.field(model.drift_b, t, X, A, n_now) * Z)
+    def payoff(n, cost):
+        base, b, _, cost = numerics.effort_payoff(model, t, X, Y, A, n, cost)
+        return base + b * Z, cost
+
+    inner, cost = payoff(n_now, None)
     for j, n in enumerate(n_pts):
-        fj = (-numerics.field(model.discount_k, t, X, A, float(n)) * Y
-              - cost + numerics.field(model.drift_b, t, X, A, float(n)) * Z)
+        fj, _ = payoff(float(n), cost)
         inner = np.where(member[j] & (fj < inner), fj, inner)
 
     win, fstar = numerics.first_argmax(inner, TIE_TOL)
@@ -418,7 +411,6 @@ def simulate_system(model: ModelSpec, policy: ContractPolicy,
     steps = cfg.steps_for(horizon)
     if nature is not None:
         nature.validate_for(model, horizon)
-    a_lo, a_hi = model.effort_set_A
 
     incr = _path_increments(cfg.seed, cfg.paths, steps)
     sqdt = math.sqrt(cfg.dt)
@@ -442,8 +434,12 @@ def simulate_system(model: ModelSpec, policy: ContractPolicy,
 
             a, fstar, sig = _response(model, t, X, Y, z, n_now)
             if effort_transform is not None:
-                a = np.clip(effort_transform(t, X, a), a_lo, a_hi)
-            b = numerics.field(model.drift_b, t, X, a, n_now)
+                a = np.clip(effort_transform(t, X, a), *model.effort_set_A)
+            b, k_a, c_a = numerics.effort_payoff(model, t, X, Y, a, n_now)[1:]
+            cost_acc = cost_acc + disc * c_a * cfg.dt
+            disc = disc * np.exp(-k_a * cfg.dt)
+            # alive into the next step's _response they would raise peak RSS
+            del k_a, c_a
 
             dw = sqdt * incr[:, k]
             if cfg.girsanov_mode:
@@ -454,9 +450,6 @@ def simulate_system(model: ModelSpec, policy: ContractPolicy,
                 dX = b * cfg.dt + sig * dw
 
             Y = Y + z * dX - fstar * cfg.dt + k_rate * cfg.dt
-            krate_disc = numerics.field(model.discount_k, t, X, a, n_now)
-            cost_acc = cost_acc + disc * numerics.field(model.cost_c, t, X, a) * cfg.dt
-            disc = disc * np.exp(-krate_disc * cfg.dt)
 
             sq = dX * dX
             fin = np.isfinite(sq)
@@ -810,7 +803,7 @@ def disjoint_beliefs_demo(model: ModelSpec, M_salary: float, cfg: SimConfig, *,
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
             t = k * cfg.dt
-            b = numerics.field(model.drift_b, t, X, 0.0, n_mid)
+            b = numerics.effort_payoff(model, t, X, 0.0, 0.0, n_mid)[1]
             sig = numerics.field(model.vol_sigma, t, X, n_mid)
             X = X + b * cfg.dt + sig * sqdt * incr[:, k]
         lx = numerics.apply1(model.liquidation_L, X)

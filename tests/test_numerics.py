@@ -1,10 +1,13 @@
 """Tests for the shared grid utilities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from robustcontract import agent, numerics, principal
-from helpers import build_model
+from robustcontract import (agent, eval_F, hamiltonians, numerics, presets,
+                            principal)
+from helpers import build_model, random_polynomial_model
 
 
 T_GRID = np.linspace(0.0, 0.5, 5)
@@ -77,6 +80,65 @@ class TestField:
                      "fstar"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
         assert got.diagnostics == want.diagnostics
+
+
+def polynomial_with_candidate():
+    model = random_polynomial_model(np.random.default_rng(5))
+    return dataclasses.replace(
+        model, candidate_effort=lambda t, x, z, sig: 0.8 * z - 0.3 * sig)
+
+
+KERNEL_MODELS = {
+    "quadratic_bounded": lambda: presets.quadratic_bounded(
+        a_grid_points=9, n_grid_points=5),
+    "risk_neutral": lambda: presets.risk_neutral(a_grid_points=9,
+                                                 n_grid_points=5),
+    # the only preset with a nonzero discount
+    "custom_tabulated": lambda: presets.custom_tabulated(
+        [0.5, 0.75, 1.0], [0.5, 0.9, 1.0], discount=0.3),
+    # discount k0 + k1*a*n depends on both controls
+    "polynomial": lambda: random_polynomial_model(np.random.default_rng(8)),
+    "polynomial_candidate": polynomial_with_candidate,
+    "scalar_drift": lambda: build_model(b=scalar_drift, a_points=5,
+                                        n_points=4),
+}
+
+
+class TestEffortKernel:
+    T = 0.25
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+    def test_enumeration_and_payoff_match_the_pointwise_evaluator(self, name):
+        model = KERNEL_MODELS[name]()
+        if name == "scalar_drift":
+            assert model.drift_b is not scalar_drift
+        rng = np.random.default_rng(12)
+        X = rng.uniform(-2.5, 2.5, size=16)
+        Y = rng.uniform(-1.0, 1.0, size=16)
+        Z = rng.uniform(-2.0, 2.0, size=16)
+        n_grid, a_grid = model.n_grid(), model.a_grid()
+        sig = numerics.field(model.vol_sigma, self.T, X, n_grid[:, None])
+        cand = numerics.clamped_candidate(model, self.T, X, Z, sig)
+        assert (cand is None) == (model.candidate_effort is None)
+        A = np.broadcast_to(a_grid[None, :, None],
+                            (len(n_grid), len(a_grid), len(X)))
+        if cand is not None:
+            A = np.concatenate([cand[:, None, :], A], axis=1)
+        base, b, k, c = numerics.effort_payoff(model, self.T, X, Y, A,
+                                               n_grid[:, None, None])
+        F = base + b * Z
+        again = numerics.effort_payoff(model, self.T, X, Y, A,
+                                       n_grid[:, None, None], c)
+        assert again[0].tobytes() == base.tobytes()
+        for j, n in enumerate(n_grid):
+            for i in range(len(X)):
+                efforts = hamiltonians._effort_enumeration(
+                    model, self.T, float(X[i]), float(Z[i]), float(sig[j, i]))
+                assert A[j, :, i].tolist() == efforts
+                for e, a in enumerate(efforts):
+                    assert F[j, e, i] == eval_F(model, self.T, float(X[i]),
+                                                float(Y[i]), float(Z[i]), a,
+                                                float(n))
 
 
 class TestGridSearchsorted:
