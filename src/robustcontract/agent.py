@@ -22,16 +22,22 @@ quadrature and is used to cross-check the PDE solver.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .hamiltonians import PROBE_W, ModelSpec, TIE_TOL, vectorized
+from .hamiltonians import PROBE_W, ModelSpec, vectorized
 from . import numerics
 
 
 _CFL_SLACK = 1e-12
+# slack of the participation test against the reservation utility
+_PARTICIPATION_TOL = 1e-9
+# frozen nature controls of the quadrature route, and its Gauss-Hermite nodes
+_FROZEN_NATURE_POINTS = 41
+_QUAD_POINTS = 96
 
 
 @dataclass(frozen=True)
@@ -98,7 +104,7 @@ class AgentSolution:
 
     def policy(self, t: float, x: float) -> tuple[float, float]:
         """Nearest-node saddle controls (effort, nature)."""
-        ti = int(np.clip(np.searchsorted(self.t_grid, t), 0, len(self.t_grid) - 1))
+        ti = int(np.argmin(np.abs(self.t_grid - t)))
         xi = int(np.argmin(np.abs(self.x_grid - x)))
         return float(self.effort[ti, xi]), float(self.nature[ti, xi])
 
@@ -130,8 +136,8 @@ def _saddle_step(model: ModelSpec, t, x_arr, v, z, gam, grids):
         A = np.concatenate([a_c[:, None, :], A], axis=1)
     base, b, k, c = numerics.effort_payoff(model, t, x_arr, v, A,
                                            n_col[:, :, None])
-    a_idx, f_best = numerics.first_argmax(base + b * z, TIE_TOL, axis=1)
-    n_idx, _ = numerics.first_argmin(0.5 * sig2 * gam + f_best, TIE_TOL)
+    a_idx, f_best = numerics.first_argmax(base + b * z, axis=1)
+    n_idx, _ = numerics.first_argmin(0.5 * sig2 * gam + f_best)
     nodes = np.arange(x_arr.size)
     at = (n_idx, a_idx[n_idx, nodes], nodes)
     return (A[at], n_col[n_idx, 0], sig2[n_idx, nodes], b[at], k[at], c[at])
@@ -206,14 +212,10 @@ def solve_agent(model: ModelSpec, contract: ContractFunction, *,
 # independent cross-check for driftless, costless, undiscounted models
 # ---------------------------------------------------------------------------
 
-_HERMITE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _hermite_rule(points: int):
-    if points not in _HERMITE_CACHE:
-        nodes, weights = np.polynomial.hermite.hermgauss(points)
-        _HERMITE_CACHE[points] = (nodes, weights / np.sqrt(np.pi))
-    return _HERMITE_CACHE[points]
+@functools.cache
+def _hermite_rule():
+    nodes, weights = np.polynomial.hermite.hermgauss(_QUAD_POINTS)
+    return nodes, weights / np.sqrt(np.pi)
 
 
 def _require_linear_family(model: ModelSpec):
@@ -227,8 +229,7 @@ def _require_linear_family(model: ModelSpec):
 
 
 def linear_bsde_value(model: ModelSpec, contract: ContractFunction,
-                      n, t: float, x, horizon: float,
-                      quad_points: int = 96):
+                      n, t: float, x, horizon: float):
     """Value under a frozen nature control: Gaussian convolution by
     Gauss-Hermite quadrature.  Only valid in the linear family.  ``n`` is a
     float or an array of frozen controls broadcasting with ``x``."""
@@ -238,7 +239,7 @@ def linear_bsde_value(model: ModelSpec, contract: ContractFunction,
     tau = horizon - t
     if tau < 0:
         raise ValueError("evaluation time past the horizon")
-    nodes, weights = _hermite_rule(quad_points)
+    nodes, weights = _hermite_rule()
     pts = x[..., None] + np.sqrt(2.0 * tau) * (sig[..., None] * nodes)
     vals = numerics.apply1(
         lambda p: model.utility_agent(contract.payment(p)), pts)
@@ -247,26 +248,24 @@ def linear_bsde_value(model: ModelSpec, contract: ContractFunction,
 
 
 def inf_of_bsdes(model: ModelSpec, contract: ContractFunction,
-                 t: float, x, horizon: float, n_points: int = 41,
-                 quad_points: int = 96):
+                 t: float, x, horizon: float):
     """Robust value as the infimum over frozen nature controls.
 
     This is the dual route to ``solve_agent`` for the linear family: no
     finite differences, no saddle search, just convolutions, evaluated for
     every nature point at once.
     """
-    lo, hi = model.nature_set_N
-    n_grid = np.linspace(lo, hi, n_points) if n_points > 1 else np.array([lo])
+    n_grid = np.linspace(*model.nature_set_N, _FROZEN_NATURE_POINTS)
     x = np.asarray(x, dtype=float)
     vals = linear_bsde_value(model, contract,
                              n_grid.reshape((-1,) + (1,) * x.ndim), t, x,
-                             horizon, quad_points)
+                             horizon)
     out = np.min(vals, axis=0)
     return out if x.ndim else float(out)
 
 
 def participation_check(solution: AgentSolution, x0: float,
-                        reservation: float, tol: float = 1e-9):
+                        reservation: float):
     """Does the agent weakly prefer the contract to the outside option?"""
     v0 = solution.value(solution.t_grid[0], x0)
-    return v0 >= reservation - tol, v0 - reservation
+    return v0 >= reservation - _PARTICIPATION_TOL, v0 - reservation

@@ -14,9 +14,7 @@ columnar artifacts plus a checksummed manifest into the output directory
 ``out`` key), and exits 0 on success, 2 on a config error, 3 on a missing
 artifact and 4 on a verification failure.  Identical configs produce
 byte-identical numeric artifacts; wall-clock timings live in a sidecar
-that is excluded from the checksums.  ``--threads`` is recorded in the
-manifest for bookkeeping; execution is sequential and results never
-depend on it.
+that is excluded from the checksums.
 
 Config schema (unknown keys are rejected, never defaulted)
 ----------------------------------------------------------
@@ -374,10 +372,6 @@ def _build_simconfig(section: dict, **defaults) -> SimConfig:
 # artifact writing
 # ---------------------------------------------------------------------------
 
-def _prepare(out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-
-
 def _tx_columns(t_grid: np.ndarray, x_grid: np.ndarray):
     return (np.repeat(t_grid, len(x_grid)),
             np.tile(x_grid, len(t_grid)))
@@ -490,7 +484,7 @@ def _load_principal(art_dir: str) -> SimpleNamespace:
 # ---------------------------------------------------------------------------
 
 def cmd_solve_agent(run: RunConfig, out_dir: str,
-                    seed_override: int | None, threads: int | None) -> int:
+                    seed_override: int | None) -> int:
     conf = run.effective(seed_override)
     model = _build_model(conf["model"])
     contract = _build_contract(conf["contract"])
@@ -505,11 +499,10 @@ def cmd_solve_agent(run: RunConfig, out_dir: str,
         raise ConfigError(f"grid: {exc}")
     elapsed = time.perf_counter() - started
 
-    _prepare(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     files = _write_agent_surfaces(out_dir, sol)
     export.write_manifest(
-        out_dir, "solve-agent", conf, files=files,
-        seed_override=seed_override, threads=threads,
+        out_dir, "solve-agent", conf, files=files, seed_override=seed_override,
         extras={"cfl_number": sol.cfl_number,
                 "max_abs_value": sol.max_abs_value,
                 "max_abs_gradient": sol.max_abs_gradient})
@@ -518,8 +511,7 @@ def cmd_solve_agent(run: RunConfig, out_dir: str,
 
 
 def cmd_solve_principal(run: RunConfig, out_dir: str,
-                        seed_override: int | None,
-                        threads: int | None) -> int:
+                        seed_override: int | None) -> int:
     conf = run.effective(seed_override)
     model = _build_model(conf["model"])
     grid = _build_gridspec(conf["grid"])
@@ -532,7 +524,7 @@ def cmd_solve_principal(run: RunConfig, out_dir: str,
         raise ConfigError(f"grid: {exc}")
     elapsed = time.perf_counter() - started
 
-    _prepare(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     files = _write_principal_surfaces(out_dir, sol)
     extras = dict(sol.diagnostics)
     if "reservation" in opts:
@@ -548,14 +540,13 @@ def cmd_solve_principal(run: RunConfig, out_dir: str,
         files.append("y0.txt")
         extras.update(y0_star=y0res.y0, value_at_y0=y0res.value)
     export.write_manifest(out_dir, "solve-principal", conf, files=files,
-                          seed_override=seed_override, threads=threads,
-                          extras=extras)
+                          seed_override=seed_override, extras=extras)
     export.write_timings(out_dir, {"solve": elapsed})
     return EXIT_OK
 
 
 def cmd_simulate(run: RunConfig, out_dir: str,
-                 seed_override: int | None, threads: int | None) -> int:
+                 seed_override: int | None) -> int:
     conf = run.effective(seed_override)
     upstream = None
     if "artifacts" in conf:
@@ -596,7 +587,7 @@ def cmd_simulate(run: RunConfig, out_dir: str,
         raise VerificationFailure(str(exc))
     elapsed = time.perf_counter() - started
 
-    _prepare(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     files = _write_estimates(out_dir, res)
     steps = len(res.realized_qv)
     export.write_table(os.path.join(out_dir, "qv.txt"),
@@ -609,8 +600,7 @@ def cmd_simulate(run: RunConfig, out_dir: str,
     if upstream is not None:
         extras["upstream"] = upstream
     export.write_manifest(out_dir, "simulate", conf, files=files,
-                          seed_override=seed_override, threads=threads,
-                          extras=extras)
+                          seed_override=seed_override, extras=extras)
     export.write_timings(out_dir, {"simulate": elapsed})
     return EXIT_OK
 
@@ -695,8 +685,7 @@ def _agent_checks(art_dir: str, manifest: dict) -> dict:
     tabs = {name: _artifact_table(art_dir, f"agent_{name}.txt")
             for name in ("value", "effort", "worst_vol")}
     for name, tab in tabs.items():
-        col = "worst_vol" if name == "worst_vol" else name
-        if len(tab[col]) != rows:
+        if len(tab[name]) != rows:
             raise MissingArtifact(
                 f"agent_{name}.txt rows do not match the manifest grid")
 
@@ -727,7 +716,7 @@ def _agent_checks(art_dir: str, manifest: dict) -> dict:
 
 
 def cmd_verify(run: RunConfig, out_dir: str,
-               seed_override: int | None, threads: int | None) -> int:
+               seed_override: int | None) -> int:
     conf = run.effective(seed_override)
     v = conf["verify"]
     art_dir = v["artifacts"]
@@ -755,13 +744,13 @@ def cmd_verify(run: RunConfig, out_dir: str,
     elapsed = time.perf_counter() - started
 
     passed = all(c["passed"] for c in checks.values())
-    _prepare(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     report = {"artifacts": art_dir, "checks": checks, "passed": passed}
     with open(os.path.join(out_dir, "report.yaml"), "w",
               encoding="ascii", newline="\n") as fh:
         fh.write(export.canonical_yaml(report))
     export.write_manifest(out_dir, "verify", conf, files=["report.yaml"],
-                          seed_override=seed_override, threads=threads)
+                          seed_override=seed_override)
     export.write_timings(out_dir, {"verify": elapsed})
     if not passed:
         failed = sorted(name for name, c in checks.items()
@@ -791,7 +780,7 @@ def _sweep_m_salary(conf: dict, out_dir: str) -> tuple[list[str], dict]:
         except ValueError as exc:
             raise ConfigError(f"sweep.values[{i}]: {exc}")
         sub = os.path.join(out_dir, f"pt_{i:03d}")
-        _prepare(sub)
+        os.makedirs(sub, exist_ok=True)
         export.write_table(os.path.join(sub, "estimate.txt"),
                            ("m_salary", "mean", "ci", "target"),
                            ([m], [est.mean], [est.ci_halfwidth], [target]))
@@ -832,7 +821,7 @@ def _sweep_band_width(conf: dict, out_dir: str) -> tuple[list[str], dict]:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"sweep.values[{i}]: {exc}")
         sub = os.path.join(out_dir, f"pt_{i:03d}")
-        _prepare(sub)
+        os.makedirs(sub, exist_ok=True)
         for name in _write_agent_surfaces(sub, sol):
             files.append(f"pt_{i:03d}/{name}")
         rows.append((float(width), sol.value(0.0, x0)))
@@ -844,9 +833,9 @@ def _sweep_band_width(conf: dict, out_dir: str) -> tuple[list[str], dict]:
 
 
 def cmd_sweep(run: RunConfig, out_dir: str,
-              seed_override: int | None, threads: int | None) -> int:
+              seed_override: int | None) -> int:
     conf = run.effective(seed_override)
-    _prepare(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     started = time.perf_counter()
     if conf["sweep"]["axis"] == "m_salary":
         files, extras = _sweep_m_salary(conf, out_dir)
@@ -854,8 +843,7 @@ def cmd_sweep(run: RunConfig, out_dir: str,
         files, extras = _sweep_band_width(conf, out_dir)
     elapsed = time.perf_counter() - started
     export.write_manifest(out_dir, "sweep", conf, files=files,
-                          seed_override=seed_override, threads=threads,
-                          extras=extras)
+                          seed_override=seed_override, extras=extras)
     export.write_timings(out_dir, {"sweep": elapsed})
     return EXIT_OK
 
@@ -895,10 +883,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "or the config's 'out' key)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config's random seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker hint recorded in the manifest; "
-                            "execution is sequential and results do not "
-                            "depend on it")
     return parser
 
 
@@ -917,7 +901,7 @@ def main(argv=None) -> int:
             raise ConfigError(
                 "no output directory: pass --out, set ROBUSTCONTRACT_OUT "
                 "or add an 'out' key to the config")
-        return _HANDLERS[args.command](run, out_dir, args.seed, args.threads)
+        return _HANDLERS[args.command](run, out_dir, args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

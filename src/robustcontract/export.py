@@ -115,34 +115,17 @@ def sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
-def _artifact_files(out_dir: str) -> list[str]:
-    """Relative posix paths of every checksummed file, sorted."""
-    found = []
-    for root, _dirs, files in os.walk(out_dir):
-        for name in files:
-            rel = os.path.relpath(os.path.join(root, name), out_dir)
-            rel = rel.replace(os.sep, "/")
-            if rel not in (MANIFEST_NAME, TIMINGS_NAME):
-                found.append(rel)
-    return sorted(found)
-
-
 def write_manifest(out_dir: str, command: str, config: dict, *,
-                   files: list[str] | None = None,
-                   seed_override: int | None = None,
-                   threads: int | None = None,
+                   files: list[str], seed_override: int | None = None,
                    extras: dict | None = None) -> dict:
     """Checksum the run's artifacts and write the manifest.
 
-    ``files`` lists the relative paths this run produced; None checksums
-    everything found in the directory.  The embedded config is the
-    effective one (overrides already applied), so the directory documents
-    its own run; the manifest and the timings sidecar are never part of
-    the checksum table.
+    ``files`` lists the relative paths this run produced.  The embedded
+    config is the effective one (overrides already applied), so the
+    directory documents its own run; the manifest and the timings sidecar
+    are never part of the checksum table.
     """
     config = _plain(config)
-    if files is None:
-        files = _artifact_files(out_dir)
     doc = {
         "command": command,
         "config": config,
@@ -152,7 +135,7 @@ def write_manifest(out_dir: str, command: str, config: dict, *,
             "numpy": np.__version__,
             "python": platform.python_version(),
         },
-        "cli": {"seed_override": seed_override, "threads": threads},
+        "cli": {"seed_override": seed_override},
         "artifacts": {rel.replace(os.sep, "/"):
                       sha256_file(os.path.join(out_dir, rel))
                       for rel in sorted(files)},

@@ -35,6 +35,13 @@ _DOMAIN_EPS = 1e-12
 # the points of one-argument primitives and payments
 _PROBE_RTOL = 1e-12
 PROBE_W = np.linspace(-3.0, 3.0, 13)
+# primitives are probed at three times spanning [0, _PROBE_HORIZON]
+_PROBE_HORIZON = 1.0
+
+#: smallest (z, gamma) box radius of the saddle search
+R_MIN = 1e-3
+# box doublings the expanding radius search tries before it gives up
+_MAX_DOUBLINGS = 40
 
 
 def uniform_grid(lo: float, hi: float, count: int) -> np.ndarray:
@@ -174,8 +181,6 @@ class ModelSpec:
 
     allow_degenerate_vol: bool = False
     growth_C: float = 10.0
-    probe_horizon: float = 1.0
-    tag: str = "custom"
 
     def __post_init__(self) -> None:
         a_lo, a_hi = self.effort_set_A
@@ -194,7 +199,7 @@ class ModelSpec:
         """Check the model's conditions with scalar calls at probe points;
         each primitive is wrapped unless it broadcasts against them.  Those
         the checks do not need are probed on a thinner mesh."""
-        ts = uniform_grid(0.0, self.probe_horizon, 3)
+        ts = uniform_grid(0.0, _PROBE_HORIZON, 3)
         # stay inside the active region of the spatial cutoff, where the
         # volatility is required to be positive
         half = self.truncation_M + 0.95
@@ -382,9 +387,9 @@ def level_set_V(model: ModelSpec, t: float, x: float, Sigma: float,
 
 
 def eval_F_star(model: ModelSpec, t: float, x: float, y: float, z: float,
-                Sigma: float, tol: float | None = None) -> SaddleResult:
+                Sigma: float) -> SaddleResult:
     """sup over effort of inf over the Sigma level set of the running payoff."""
-    level = level_set_V(model, t, x, Sigma, tol)
+    level = level_set_V(model, t, x, Sigma)
     if not level:
         raise ValueError(f"Sigma={Sigma} unattainable at (t={t}, x={x})")
     efforts = _effort_enumeration(model, t, x, z, math.sqrt(Sigma))
@@ -402,9 +407,9 @@ def eval_F_star(model: ModelSpec, t: float, x: float, y: float, z: float,
 
 
 def check_isaacs(model: ModelSpec, t: float, x: float, y: float, z: float,
-                 Sigma: float, tol: float | None = None) -> float:
+                 Sigma: float) -> float:
     """Gap between inf-sup and sup-inf of the payoff over the configured grids."""
-    return eval_F_star(model, t, x, y, z, Sigma, tol).isaacs_gap
+    return eval_F_star(model, t, x, y, z, Sigma).isaacs_gap
 
 
 def eval_H(model: ModelSpec, t: float, x: float, y: float, z: float,
@@ -443,13 +448,13 @@ def eval_H(model: ModelSpec, t: float, x: float, y: float, z: float,
 
 
 def optimal_effort(model: ModelSpec, t: float, x: float, y: float, z: float,
-                   Sigma: float, tol: float | None = None) -> tuple[float, bool]:
+                   Sigma: float) -> tuple[float, bool]:
     """Maximizing effort of the sup-inf at volatility-square Sigma.
 
     The boolean flag certifies the calibrated growth envelope
     |a*| <= C (1 + |z|^(1/(m_lower+1-ell))).
     """
-    res = eval_F_star(model, t, x, y, z, Sigma, tol)
+    res = eval_F_star(model, t, x, y, z, Sigma)
     gp = model.growth_params
     bound = model.growth_C * (1.0 + abs(z) ** gp.effort_exponent)
     return res.arg_a, abs(res.arg_a) <= bound
@@ -556,8 +561,8 @@ def eval_G(model: ModelSpec, t: float, x: float, y: float, p: float,
 
 
 def compute_radius(model: ModelSpec, t: float, x: float, y: float, p: float,
-                   q: float, p_tilde: float, q_tilde: float, r: float,
-                   r_min: float = 1e-3, max_doublings: int = 40) -> float:
+                   q: float, p_tilde: float, q_tilde: float,
+                   r: float) -> float:
     """Search-box radius for the (z, gamma) optimization.
 
     Risk-neutral models admit the closed form max(|p|, |q|); otherwise an
@@ -566,12 +571,12 @@ def compute_radius(model: ModelSpec, t: float, x: float, y: float, p: float,
     coercivity q_tilde < 0.
     """
     if model.risk_neutral:
-        return max(abs(p), abs(q), r_min)
+        return max(abs(p), abs(q), R_MIN)
     if q_tilde >= 0.0:
         raise ValueError("coercivity not guaranteed: q_tilde must be negative")
-    radius = max(abs(p), abs(q), r_min)
+    radius = max(abs(p), abs(q), R_MIN)
     first_interior: float | None = None
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         res = eval_G(model, t, x, y, p, p_tilde, q, q_tilde, r, radius)
         interior = max(abs(res.z_star), abs(res.gamma_star)) < radius * (1.0 - 1e-9)
         if interior:

@@ -102,19 +102,19 @@ def ghost_pad2(u):
     return up
 
 
-def first_argmax(stack, tol=TIE_TOL, axis=0):
-    """Index along ``axis`` of the earliest entry within ``tol`` of the max."""
+def first_argmax(stack, axis=0):
+    """Earliest index along ``axis`` within ``TIE_TOL`` of the max."""
     stack = np.asarray(stack, dtype=float)
     best = np.max(stack, axis=axis)
-    return (np.argmax(stack >= np.expand_dims(best, axis) - tol, axis=axis),
-            best)
+    within = stack >= np.expand_dims(best, axis) - TIE_TOL
+    return np.argmax(within, axis=axis), best
 
 
-def first_argmin(stack, tol=TIE_TOL):
-    """Row index of the earliest entry within ``tol`` of the columnwise min."""
+def first_argmin(stack):
+    """Earliest row index within ``TIE_TOL`` of the columnwise min."""
     stack = np.asarray(stack, dtype=float)
     best = np.min(stack, axis=0)
-    return np.argmin(stack - best > tol, axis=0), best
+    return np.argmin(stack - best > TIE_TOL, axis=0), best
 
 
 def take_rows(stack, idx):

@@ -56,7 +56,6 @@ def risk_neutral(n_band: tuple[float, float] = (0.5, 1.0), a_bar: float = 1.0,
         candidate_effort=candidate_effort,
         candidate_zgamma=candidate_zgamma,
         growth_C=2.0,
-        tag="risk_neutral",
         **grid_counts,
     )
 
@@ -115,7 +114,6 @@ def quadratic_bounded(M: float = 2.0, a_bar: float = 1.0,
         truncation_M=M,
         candidate_effort=candidate_effort,
         growth_C=2.0,
-        tag="quadratic_bounded",
         **grid_counts,
     )
 
@@ -141,7 +139,6 @@ def heat_band(band: tuple[float, float] = (0.2, 0.4), truncation_M: float = 2.0,
         growth_params=GrowthParams(ell=1.0, m=2.0, m_lower=1.0, kappa=1.0),
         truncation_M=truncation_M,
         growth_C=2.0,
-        tag="heat_band",
         **grid_counts,
     )
 
@@ -172,7 +169,6 @@ def disjoint_beliefs(agent_band: tuple[float, float] = (0.1, 0.2),
         truncation_M=truncation_M,
         agent_nature_set=agent_band,
         growth_C=2.0,
-        tag="disjoint_beliefs",
         **grid_counts,
     )
 
@@ -196,7 +192,6 @@ def zero_vol(truncation_M: float = 2.0, **grid_counts) -> ModelSpec:
         truncation_M=truncation_M,
         allow_degenerate_vol=True,
         growth_C=2.0,
-        tag="zero_vol",
         **grid_counts,
     )
 
@@ -243,7 +238,6 @@ def custom_tabulated(n_values, sigma_values, a_bar: float = 1.0,
         truncation_M=truncation_M,
         candidate_effort=candidate_effort,
         growth_C=2.0,
-        tag="custom_tabulated",
         **grid_counts,
     )
 

@@ -35,12 +35,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .hamiltonians import ModelSpec, TIE_TOL, uniform_grid
+from .hamiltonians import R_MIN, ModelSpec, TIE_TOL, uniform_grid
 from . import numerics
 
-# default smallest and largest (z, gamma) box radius of the saddle search
-_R_MIN = 1e-3
+# largest (z, gamma) box radius of the saddle search
 _RADIUS_CAP = 1024.0
+# stable substeps one time slice may take before the solve gives up
+_MAX_SUBSTEPS = 10000
 
 
 @dataclass(frozen=True)
@@ -188,8 +189,7 @@ def _entry_eval(model, t, X, Y, tables, z_spec, gam_rows, p, pt, q, qt, r):
         rows_f.append(BASE + B * zB)
         rows_a.append(np.broadcast_to(a_grid[:, None], B.shape))
         rows_b.append(B)
-    idx, fmax = numerics.first_argmax(np.concatenate(rows_f, axis=1),
-                                      TIE_TOL, axis=1)
+    idx, fmax = numerics.first_argmax(np.concatenate(rows_f, axis=1), axis=1)
     nodes = np.arange(X.size)
     at = (np.arange(len(n_grid))[:, None], idx, nodes)
     astar = np.concatenate(rows_a, axis=1)[at]
@@ -259,7 +259,7 @@ def _select_slice(model, t, X, Y, p, pt, q, qt, r, radius) -> _Selection:
                           p, pt, q, qt, r)
               for z_spec, gam_rows in entries]
     win, top = numerics.first_argmax(
-        np.concatenate([b["value"] for b in blocks]), TIE_TOL)
+        np.concatenate([b["value"] for b in blocks]))
     pick = {name: numerics.take_rows(
                 np.concatenate([b[name] for b in blocks]), win)
             for name in blocks[0] if name != "value"}
@@ -351,8 +351,7 @@ def _new_diagnostics() -> dict:
             "coercivity_unverified_nodes": 0}
 
 
-def _select_with_radius(model, t, X, Y, p, pt, q, qt, r, diags, *,
-                        r_min=_R_MIN, radius_cap=_RADIUS_CAP) -> _Selection:
+def _select_with_radius(model, t, X, Y, p, pt, q, qt, r, diags) -> _Selection:
     """Select a slice's saddle controls under the box radius policy.
 
     Risk-neutral models carry exact candidates, so the envelope radius
@@ -364,10 +363,10 @@ def _select_with_radius(model, t, X, Y, p, pt, q, qt, r, diags, *,
     may be infinite and a box value is the honest truncation.  The
     radius and saturation counts accumulate into ``diags``.
     """
-    radius = max(r_min, float(np.max(np.abs(p))), float(np.max(np.abs(q))))
+    radius = max(R_MIN, float(np.max(np.abs(p))), float(np.max(np.abs(q))))
     sel = _select_slice(model, t, X, Y, p, pt, q, qt, r, radius)
     if not model.risk_neutral:
-        while radius < radius_cap:
+        while radius < _RADIUS_CAP:
             expandable = sel.sat_mask & (qt < 0.0)
             if not expandable.any():
                 break
@@ -392,9 +391,7 @@ def _flat_derivatives(u, grid: GridSpec):
 
 
 def solve_hjbi(model: ModelSpec, grid: GridSpec, *,
-               cfl_safety: float = 0.9, r_min: float = _R_MIN,
-               radius_cap: float = _RADIUS_CAP,
-               max_substeps: int = 10000) -> PrincipalSolution:
+               cfl_safety: float = 0.9) -> PrincipalSolution:
     """March the principal equation backward from the liquidation reward."""
     if not 0.0 < cfl_safety <= 1.0:
         raise ValueError("cfl_safety must lie in (0, 1]")
@@ -413,8 +410,7 @@ def solve_hjbi(model: ModelSpec, grid: GridSpec, *,
 
     def select(t, u):
         return _select_with_radius(model, t, Xf, Yf,
-                                   *_flat_derivatives(u, grid), diags,
-                                   r_min=r_min, radius_cap=radius_cap)
+                                   *_flat_derivatives(u, grid), diags)
 
     def fill_policy(step, sel):
         kr = np.maximum(sel.fstar + 0.5 * sel.sig2 * sel.gamma - sel.hval, 0.0)
@@ -442,10 +438,10 @@ def solve_hjbi(model: ModelSpec, grid: GridSpec, *,
             else:
                 dt_n = cfl_safety / emax
             substeps += 1
-            if substeps + dt_rem / dt_n - 1.0 > max_substeps:
+            if substeps + dt_rem / dt_n - 1.0 > _MAX_SUBSTEPS:
                 raise RuntimeError(
-                    "slice needs more than max_substeps stable substeps; "
-                    "refine the grid or raise the cap")
+                    f"slice needs more than {_MAX_SUBSTEPS} stable "
+                    "substeps; refine the grid")
             cur = cur + dt_n * rhs
             dt_rem -= dt_n
         values[step] = cur
@@ -599,8 +595,7 @@ class CandidateFunction:
 def perron_sandwich_check(model: ModelSpec, candidate: CandidateFunction, *,
                           horizon: float, x_range: tuple[float, float],
                           y_range: tuple[float, float], t_samples: int = 5,
-                          x_samples: int = 7, y_samples: int = 7,
-                          r_min: float = 1e-3) -> dict:
+                          x_samples: int = 7, y_samples: int = 7) -> dict:
     """Pointwise residual of a smooth candidate in the interior equation.
 
     Returns the worst one-sided defects: ``sub_defect`` must vanish for a
@@ -620,8 +615,7 @@ def perron_sandwich_check(model: ModelSpec, candidate: CandidateFunction, *,
                 q = candidate.dxx(t, x, y)
                 qt = candidate.dyy(t, x, y)
                 rr = candidate.dxy(t, x, y)
-                radius = compute_radius(model, t, x, y, p, q, pt, qt, rr,
-                                        r_min=r_min)
+                radius = compute_radius(model, t, x, y, p, q, pt, qt, rr)
                 gval = eval_G(model, t, x, y, p, pt, q, qt, rr, radius).value
                 residual = -candidate.dt(t, x, y) - gval
                 sub_defect = max(sub_defect, residual)

@@ -43,7 +43,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import numerics
-from .hamiltonians import ModelSpec, TIE_TOL, level_set_tolerance
+from .hamiltonians import ModelSpec, level_set_tolerance
 from .principal import ContractPolicy
 
 __all__ = [
@@ -56,6 +56,12 @@ __all__ = [
 
 #: two-sided 95% normal quantile used for every confidence halfwidth
 CI_QUANTILE = 1.959963984540054
+# x and y interval of the two-node grids of a constant policy
+_CONSTANT_POLICY_BOX = (-8.0, 8.0)
+# coordinate-descent sweeps of the adversarial scenario search
+_SEARCH_SWEEPS = 2
+# discretization budget an incentive probe may exceed the baseline by
+_BIAS_BUDGET = 0.02
 
 
 class Estimate(NamedTuple):
@@ -381,7 +387,7 @@ def _response(model: ModelSpec, t: float, X: np.ndarray, Y: np.ndarray,
         fj, _ = payoff(float(n), cost)
         inner = np.where(member[j] & (fj < inner), fj, inner)
 
-    win, fstar = numerics.first_argmax(inner, TIE_TOL)
+    win, fstar = numerics.first_argmax(inner)
     return numerics.take_rows(A, win), fstar, sig
 
 
@@ -496,7 +502,7 @@ def simulate_system(model: ModelSpec, policy: ContractPolicy,
 
 def girsanov_weight(model: ModelSpec, path: np.ndarray,
                     effort_path: np.ndarray, nature_path: np.ndarray, *,
-                    dt: float, t0: float = 0.0) -> float:
+                    dt: float) -> float:
     """Discrete stochastic exponential of the drift/volatility ratio.
 
     ``path`` must be simulated under the driftless dynamics; the returned
@@ -514,7 +520,7 @@ def girsanov_weight(model: ModelSpec, path: np.ndarray,
 
     log_weight = 0.0
     for k in range(len(a)):
-        t = t0 + k * dt
+        t = k * dt
         b = model.drift_b(t, float(x[k]), float(a[k]), float(nu[k]))
         if b == 0.0:
             continue
@@ -529,18 +535,18 @@ def girsanov_weight(model: ModelSpec, path: np.ndarray,
 
 
 def girsanov_cross_check(model: ModelSpec, policy: ContractPolicy,
-                         cfg: SimConfig,
-                         nature: NatureStrategy | None = None) -> dict:
+                         cfg: SimConfig) -> dict:
     """Two-estimator consistency check on E[L(X_T)].
 
     Runs the drifted simulation and an independently seeded driftless one
-    reweighted by the likelihood ratio; reports both estimates, their gap
-    and the 3x combined confidence tolerance.
+    reweighted by the likelihood ratio, both under the policy's worst-case
+    volatility feedback; reports both estimates, their gap and the 3x
+    combined confidence tolerance.
     """
     direct_cfg = dataclasses.replace(cfg, girsanov_mode=False)
     ref_cfg = dataclasses.replace(cfg, girsanov_mode=True, seed=cfg.seed + 1)
-    direct = simulate_system(model, policy, nature, direct_cfg)
-    ref = simulate_system(model, policy, nature, ref_cfg)
+    direct = simulate_system(model, policy, None, direct_cfg)
+    ref = simulate_system(model, policy, None, ref_cfg)
 
     def terminal_estimate(res: SimResult) -> Estimate:
         lx = numerics.apply1(model.liquidation_L, res.terminal_x)
@@ -564,8 +570,6 @@ def girsanov_cross_check(model: ModelSpec, policy: ContractPolicy,
 
 def constant_policy(model: ModelSpec, horizon: float, *, z: float = 0.0,
                     k_rate: float = 0.0, nature: float | None = None,
-                    x_range: tuple[float, float] = (-8.0, 8.0),
-                    y_range: tuple[float, float] = (-8.0, 8.0),
                     ) -> ContractPolicy:
     """Contract with constant sensitivity and compensator rate.
 
@@ -577,8 +581,8 @@ def constant_policy(model: ModelSpec, horizon: float, *, z: float = 0.0,
     shape = (2, 2, 2)
     t_grid = np.array([0.0, horizon])
     return ContractPolicy(
-        t_grid=t_grid,
-        x_grid=np.linspace(*x_range, 2), y_grid=np.linspace(*y_range, 2),
+        t_grid=t_grid, x_grid=np.linspace(*_CONSTANT_POLICY_BOX, 2),
+        y_grid=np.linspace(*_CONSTANT_POLICY_BOX, 2),
         z=np.full(shape, float(z)), gamma=np.zeros(shape),
         effort=np.zeros(shape), nature=np.full(shape, float(nature)),
         k_rate=np.full(shape, float(k_rate)), fstar=np.zeros(shape))
@@ -591,7 +595,6 @@ def constant_policy(model: ModelSpec, horizon: float, *, z: float = 0.0,
 @_shared_increments()
 def adversarial_nature_search(model: ModelSpec, policy: ContractPolicy,
                               cfg: SimConfig, intervals: int, *,
-                              sweeps: int = 2,
                               candidates: Sequence[float] | None = None,
                               ) -> tuple[NatureStrategy, float]:
     """Coordinate descent for the worst piecewise-constant volatility scenario.
@@ -620,7 +623,7 @@ def adversarial_nature_search(model: ModelSpec, policy: ContractPolicy,
     best_vals = min(((value_of((n,) * intervals), (n,) * intervals)
                      for n in cand), key=lambda p: p[0])[1]
 
-    for _ in range(sweeps):
+    for _ in range(_SEARCH_SWEEPS):
         changed = False
         for i in range(intervals):
             current = value_of(best_vals)
@@ -657,7 +660,7 @@ def incentive_compatibility_check(model: ModelSpec, policy: ContractPolicy,
                                   cfg: SimConfig, perturbations: int, *,
                                   deformations: Sequence[Callable] | None = None,
                                   damping_range: tuple[float, float] = (0.2, 0.45),
-                                  bias_budget: float = 0.02) -> dict:
+                                  ) -> dict:
     """Deformed-effort probes of the extracted contract.
 
     Each perturbation damps the best-response effort by a random factor
@@ -688,7 +691,7 @@ def incentive_compatibility_check(model: ModelSpec, policy: ContractPolicy,
         est, n_star = _worst_constant_agent_value(model, policy, cfg, deform)
         combined = base.ci_halfwidth + est.ci_halfwidth
         drop = base.mean - est.mean
-        ok = est.mean <= base.mean + 3.0 * combined + bias_budget
+        ok = est.mean <= base.mean + 3.0 * combined + _BIAS_BUDGET
         if drop > combined:
             strict += 1
         entry = {"label": label, "value": est.mean, "ci": est.ci_halfwidth,
@@ -708,7 +711,6 @@ def incentive_compatibility_check(model: ModelSpec, policy: ContractPolicy,
 @_shared_increments()
 def martingale_sandwich_check(model: ModelSpec, solution, policy: ContractPolicy,
                               cfg: SimConfig, *, probes: int = 9,
-                              suboptimal_nature: NatureStrategy | None = None,
                               tolerance: float = 0.05) -> dict:
     """Flatness report for E[u(t, X_t, Y_t)] along simulated paths.
 
@@ -747,9 +749,10 @@ def martingale_sandwich_check(model: ModelSpec, solution, policy: ContractPolicy
         slopes = np.array([])
         worst = 0.0
 
-    if suboptimal_nature is None and horizon > 0.0:
-        # freeze the scenario at the band edge farthest from the policy's
-        # time-zero midpoint choice
+    # freeze the scenario at the band edge farthest from the policy's
+    # time-zero midpoint choice; a zero horizon has no scenario to freeze
+    suboptimal_nature = None
+    if horizon > 0.0:
         n_lo, n_hi = model.nature_set_N
         mid_used = float(np.median(policy.nature[0]))
         far = n_lo if abs(mid_used - n_lo) >= abs(mid_used - n_hi) else n_hi

@@ -120,6 +120,19 @@ class TestSolveAgent:
         a, n = sol.policy(0.0, 1.0)
         assert n == 0.2
 
+    def test_policy_reads_the_nearest_time_node(self):
+        # each row names its own time node, so a lookup shows which it read
+        rows = np.array([[0.0, 1.0], [10.0, 11.0], [20.0, 21.0]])
+        sol = AgentSolution(t_grid=np.array([0.0, 0.5, 1.0]),
+                            x_grid=np.array([0.0, 1.0]),
+                            values=np.zeros((3, 2)), effort=rows,
+                            nature=rows + 100.0, cfl_number=0.5)
+        assert sol.policy(0.1, 0.0) == (0.0, 100.0)
+        assert sol.policy(0.3, 0.9) == (11.0, 111.0)
+        assert sol.policy(0.8, 0.2) == (20.0, 120.0)
+        assert sol.policy(-1.0, 5.0) == (1.0, 101.0)
+        assert sol.policy(2.0, -5.0) == (20.0, 120.0)
+
     def test_metadata_envelope(self):
         m = rc.make_model("heat_band")
         sol = solve_agent(m, square_contract(), x_lo=-2, x_hi=2, x_nodes=41,

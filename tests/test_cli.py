@@ -395,14 +395,14 @@ class TestDeterminism:
         assert doc3["cli"]["seed_override"] == 5
         assert doc3["config"]["sim"]["seed"] == 5
 
-    def test_threads_flag_is_recorded_not_acted_on(self, principal_run,
-                                                   tmp_path):
+    def test_threads_flag_is_rejected(self, principal_run, tmp_path):
         doc = {"sim": {"paths": 200, "dt": 0.0625, "seed": 8},
                "artifacts": str(principal_run)}
         cfg = write_config(tmp_path, "t.yaml", doc)
         out1, out2 = tmp_path / "t1", tmp_path / "t2"
-        assert run_cli("simulate", cfg, out1, "--threads", "1") == EXIT_OK
-        assert run_cli("simulate", cfg, out2, "--threads", "8") == EXIT_OK
-        assert (out1 / "estimates.txt").read_bytes() == \
-            (out2 / "estimates.txt").read_bytes()
-        assert export.read_manifest(str(out2))["cli"]["threads"] == 8
+        with pytest.raises(SystemExit) as exc:
+            run_cli("simulate", cfg, out1, "--threads", "1")
+        assert exc.value.code == 2
+        assert not out1.exists()
+        assert run_cli("simulate", cfg, out2, "--seed", "3") == EXIT_OK
+        assert export.read_manifest(str(out2))["cli"] == {"seed_override": 3}

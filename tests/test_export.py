@@ -94,7 +94,7 @@ class TestManifests:
         export.write_table(os.path.join(out, "a.txt"), ("v",), ([1.0, 2.0],))
         export.write_table(os.path.join(out, "b.txt"), ("v",), ([3.0],))
         export.write_manifest(out, "solve-agent", {"grid": {"x_nodes": 3}},
-                              files=["a.txt", "b.txt"], threads=2)
+                              files=["a.txt", "b.txt"])
         export.write_timings(out, {"solve": 0.12})
         return out
 
@@ -102,7 +102,6 @@ class TestManifests:
         out = self._make_run(tmp_path)
         doc = export.read_manifest(out)
         assert sorted(doc["artifacts"]) == ["a.txt", "b.txt"]
-        assert doc["cli"]["threads"] == 2
         assert doc["command"] == "solve-agent"
 
     def test_clean_directory_passes(self, tmp_path):

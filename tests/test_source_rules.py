@@ -1,11 +1,15 @@
 """Source rules for the package: no ``assert`` statements (``python -O``
-strips them), no handler that swallows every error, and no effort-payoff
-coefficient evaluated outside the ``numerics`` effort kernel."""
+strips them), no handler that swallows every error, no effort-payoff
+coefficient evaluated outside the ``numerics`` effort kernel, and no
+defaulted parameter that no call site sets."""
 
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "robustcontract"
+REPO = pathlib.Path(__file__).resolve().parents[1]
+SRC = REPO / "src" / "robustcontract"
+# where the call sites of the package's functions live
+CALLERS = (REPO / "src", REPO / "tests", REPO / "perfbench")
 BROAD = {"Exception", "BaseException"}
 # the coefficients of the agent's response rule, which only the effort
 # kernel in numerics.py passes to ``field``
@@ -62,6 +66,60 @@ def kernel_bypasses(root=SRC):
     return found
 
 
+def _defaulted(fn, method):
+    """(position or None for keyword-only, name) of each defaulted
+    parameter; a method's ``self`` or ``cls`` takes no position."""
+    args = fn.args
+    pos = args.posonlyargs + args.args
+    if method and pos and pos[0].arg in ("self", "cls"):
+        pos = pos[1:]
+    out = list(enumerate(a.arg for a in pos))[len(pos) - len(args.defaults):]
+    return out + [(None, a.arg) for a, d in zip(args.kwonlyargs,
+                                                args.kw_defaults)
+                  if d is not None]
+
+
+def _sets(call, index, name):
+    """Does ``call`` set the parameter by keyword, by position or through
+    a ``*`` or ``**`` splat?"""
+    if any(kw.arg in (None, name) for kw in call.keywords):
+        return True
+    return index is not None and (
+        len(call.args) > index
+        or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def unset_defaults(root=SRC, callers=CALLERS):
+    """``file:line name(param)`` of every defaulted parameter of a function
+    in ``root`` (presets excepted: their parameters are config keys) that
+    no call of that name under ``callers`` sets."""
+    calls = {}
+    for base in callers:
+        for path in sorted(base.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(),
+                                           filename=str(path))):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) \
+                        else getattr(func, "id", None)
+                    calls.setdefault(name, []).append(node)
+    found = []
+    for path in sorted(root.glob("*.py")):
+        if path.name == "presets.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        methods = {id(fn) for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) for fn in cls.body}
+        defs = [node for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for fn in sorted(defs, key=lambda node: node.lineno):
+            for index, name in _defaulted(fn, id(fn) in methods):
+                if not any(_sets(call, index, name)
+                           for call in calls.get(fn.name, [])):
+                    found.append(f"{path.name}:{fn.lineno} {fn.name}({name})")
+    return found
+
+
 def test_sources_are_found():
     assert len(list(SRC.glob("*.py"))) >= 9
 
@@ -101,3 +159,26 @@ def test_kernel_rule_catches_each_form(tmp_path):
     assert kernel_bypasses(tmp_path) == [
         "bad.py:1 field drift_b", "bad.py:2 field discount_k",
         "bad.py:3 field candidate_effort", "bad.py:7 field cost_c"]
+
+
+def test_every_default_is_set_by_some_caller():
+    assert unset_defaults() == []
+
+
+def test_default_rule_catches_each_form(tmp_path):
+    pkg, use = tmp_path / "pkg", tmp_path / "use"
+    pkg.mkdir()
+    use.mkdir()
+    (pkg / "mod.py").write_text(
+        "def f(a, b=1, *, c=2, d=3):\n    pass\n"
+        "class K:\n    def m(self, x=0, y=1):\n        pass\n"
+        "def g(u=0, *, k=0):\n    pass\n"
+        "def h(q=0):\n    pass\n"
+        "def lone(r=0):\n    pass\n")
+    (pkg / "presets.py").write_text("def preset(w=0):\n    pass\n")
+    (use / "use.py").write_text(
+        "f(0, 5)\nmod.f(0, c=1)\nother(d=1)\nK().m(4)\n"
+        "g(*xs)\nh(**kw)\nlone\n")
+    assert unset_defaults(pkg, (tmp_path,)) == [
+        "mod.py:1 f(d)", "mod.py:4 m(y)", "mod.py:6 g(k)",
+        "mod.py:10 lone(r)"]
