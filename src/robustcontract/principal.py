@@ -30,7 +30,7 @@ weight, never assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -126,7 +126,7 @@ class PrincipalSolution:
     nature: np.ndarray
     k_rate: np.ndarray
     fstar: np.ndarray
-    diagnostics: dict = dc_field(default_factory=dict)
+    diagnostics: dict
 
     def value(self, t: float, x, y):
         """Trilinear interpolation of the value surface, clamped to the box.
@@ -143,7 +143,7 @@ class PrincipalSolution:
 # ---------------------------------------------------------------------------
 
 def _static_tables(model: ModelSpec, t: float, X: np.ndarray, Y: np.ndarray,
-                   exact_only: bool = False):
+                   exact_only: bool):
     """Per-slice caches: volatilities per nature control, (nature, node),
     and unless ``exact_only`` the z-independent reward parts of every grid
     effort, drift ``B`` and ``BASE = -k y - c`` on (nature, effort, node)
@@ -216,7 +216,7 @@ def _entry_eval(model, t, X, Y, tables, z_spec, gam_rows, p, pt, q, qt, r):
 
 
 def _enumerate_entries(model: ModelSpec, t, X, Y, p, q, radius,
-                       include_grid=True):
+                       include_grid):
     """Canonical (z, gamma-batch) layers: clamped closed-form candidates
     first, then the uniform box grid in z-major order."""
     entries = []
@@ -362,22 +362,28 @@ def _select_with_radius(model, t, X, Y, p, pt, q, qt, r, diags) -> _Selection:
     expansion; they are counted instead, since their semi-relaxed sup
     may be infinite and a box value is the honest truncation.  The
     radius and saturation counts accumulate into ``diags``.
+
+    The doubled box is probed on the expandable nodes alone, and only an
+    accepted doubling re-selects the whole slice.  This relies on the
+    selection being node-wise: a node's result depends on its own inputs
+    and the shared radius, never on other nodes (pinned by
+    ``tests/test_principal.py::TestNodeLocality``).
     """
     radius = max(R_MIN, float(np.max(np.abs(p))), float(np.max(np.abs(q))))
     sel = _select_slice(model, t, X, Y, p, pt, q, qt, r, radius)
     if not model.risk_neutral:
         while radius < _RADIUS_CAP:
-            expandable = sel.sat_mask & (qt < 0.0)
-            if not expandable.any():
+            idx = np.flatnonzero(sel.sat_mask & (qt < 0.0))
+            if not idx.size:
                 break
-            wider = _select_slice(model, t, X, Y, p, pt, q, qt, r,
-                                  2.0 * radius)
-            moved = np.abs(wider.value - sel.value)[expandable]
-            scale = 1.0 + float(np.max(np.abs(sel.value[expandable])))
+            probe = _select_slice(model, t, X[idx], Y[idx], p[idx], pt[idx],
+                                  q[idx], qt[idx], r[idx], 2.0 * radius)
+            moved = np.abs(probe.value - sel.value[idx])
+            scale = 1.0 + float(np.max(np.abs(sel.value[idx])))
             if float(moved.max()) <= 1e-9 * scale:
                 break
             radius *= 2.0
-            sel = wider
+            sel = _select_slice(model, t, X, Y, p, pt, q, qt, r, radius)
         diags["saturated_nodes"] += int(
             np.count_nonzero(sel.sat_mask & (qt < 0.0)))
         diags["coercivity_unverified_nodes"] += sel.qt_nonneg_saturated

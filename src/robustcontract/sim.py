@@ -182,7 +182,7 @@ class SimResult:
     paths_used: int
     quarantined: int
     discount_bounds: tuple[float, float]
-    weights: np.ndarray | None = None
+    weights: np.ndarray | None
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from robustcontract import ModelSpec, GrowthParams
-from robustcontract import eval_F, eval_g, level_set_V
-from robustcontract.hamiltonians import uniform_grid
+from robustcontract import eval_F, eval_g, level_set_V, principal
+from robustcontract.hamiltonians import R_MIN, uniform_grid
 
 TIE = 1e-12
 
@@ -124,6 +124,34 @@ def oracle_G(model, t, x, y, p, p_tilde, q, q_tilde, r, radius):
     k = first_within(outer, value)
     jn = first_within(rows[k], outer[k])
     return value, pairs[k][0], pairs[k][1], n_grid[jn]
+
+
+def oracle_select_with_radius(model, t, X, Y, p, pt, q, qt, r, diags):
+    """The box radius policy with every probe a whole-slice selection.
+
+    The doubled box is selected on all nodes, its sup compared on the
+    expandable ones (saturated with ``qt < 0``), and kept when it moved.
+    """
+    radius = max(R_MIN, float(np.max(np.abs(p))), float(np.max(np.abs(q))))
+    sel = principal._select_slice(model, t, X, Y, p, pt, q, qt, r, radius)
+    if not model.risk_neutral:
+        while radius < principal._RADIUS_CAP:
+            expandable = sel.sat_mask & (qt < 0.0)
+            if not expandable.any():
+                break
+            wider = principal._select_slice(model, t, X, Y, p, pt, q, qt, r,
+                                            2.0 * radius)
+            moved = np.abs(wider.value - sel.value)[expandable]
+            scale = 1.0 + float(np.max(np.abs(sel.value[expandable])))
+            if float(moved.max()) <= 1e-9 * scale:
+                break
+            radius *= 2.0
+            sel = wider
+        diags["saturated_nodes"] += int(
+            np.count_nonzero(sel.sat_mask & (qt < 0.0)))
+        diags["coercivity_unverified_nodes"] += sel.qt_nonneg_saturated
+    diags["radius_max"] = max(diags["radius_max"], sel.radius)
+    return sel
 
 
 def random_polynomial_model(rng: np.random.Generator, max_points=7):

@@ -8,6 +8,11 @@ import pytest
 import robustcontract as rc
 from robustcontract import principal
 from robustcontract.hamiltonians import eval_G
+from helpers import (
+    build_model,
+    oracle_select_with_radius,
+    random_polynomial_model,
+)
 from robustcontract.principal import (
     CandidateFunction,
     ContractPolicy,
@@ -163,6 +168,153 @@ class TestSolveHjbi:
         want = [sol.value(0.21, x, y) for x, y in zip(xs, ys)]
         assert all(type(w) is float for w in want)
         assert got.tobytes() == np.array(want).tobytes()
+
+
+ROBUST_GRID = GridSpec(x_lo=-3.0, x_hi=3.0, x_nodes=13, y_lo=-0.5, y_hi=0.5,
+                       y_nodes=13, t_steps=8, horizon=0.5)
+# a kinked principal utility whose boundary optima move with the box: the
+# solve on KINK_GRID accepts three doublings in all
+KINK_GRID = GridSpec(x_lo=-1.0, x_hi=1.0, x_nodes=7, y_lo=-1.0, y_hi=1.0,
+                     y_nodes=7, t_steps=2, horizon=0.05)
+
+
+def robust_model():
+    return rc.make_model("quadratic_bounded", n_band=(0.45, 0.87), w0=2.65)
+
+
+def kinked_model():
+    return build_model(u_p=lambda w: np.minimum(w, 1.9), a_points=3,
+                       n_points=3, z_points=5, gamma_points=5)
+
+
+def assert_same_selection(got, want):
+    """Every field of two selections equal, arrays bit for bit."""
+    for f in dataclasses.fields(principal._Selection):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+            assert a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name
+
+
+class TestNodeLocality:
+    """A node's selection depends on its own inputs and the shared radius
+    alone, so selecting a subset of nodes gives the subset of the full
+    selection.  The radius policy probes the doubled box on the
+    expandable nodes only, which relies on this."""
+
+    @pytest.mark.parametrize("make, grid", [
+        (robust_model, ROBUST_GRID), (kinked_model, KINK_GRID),
+        (lambda: random_polynomial_model(np.random.default_rng(3)),
+         KINK_GRID),
+        (lambda: random_polynomial_model(np.random.default_rng(4)),
+         KINK_GRID),
+        (lambda: rc.make_model("risk_neutral"), ROBUST_GRID)],
+        ids=["robust", "kinked", "poly3", "poly4", "risk_neutral"])
+    def test_subset_selection_is_the_subset_of_the_full_one(self, make,
+                                                             grid):
+        model = make()
+        rng = np.random.default_rng(11)
+        X2, Y2 = np.meshgrid(grid.x_grid(), grid.y_grid(), indexing="ij")
+        X, Y = X2.ravel(), Y2.ravel()
+        n = X.size
+        derivs = [rng.uniform(-2.0, 2.0, n), rng.uniform(-2.0, 0.5, n),
+                  rng.uniform(-3.0, 3.0, n), rng.uniform(-3.0, 3.0, n),
+                  rng.uniform(-1.0, 1.0, n)]
+        # a scattered third of the slice, out of order and neither end,
+        # then every node in small scattered groups: a reduction over nodes
+        # shows as soon as some group lacks what the whole slice has
+        cuts = np.cumsum(rng.integers(1, 6, n))
+        groups = [rng.permutation(np.arange(1, n - 1))[:n // 3],
+                  *np.split(rng.permutation(n), cuts[cuts < n])]
+        assert not np.all(np.diff(groups[0]) == 1)
+        for radius in (0.75, 1.5):
+            full = principal._select_slice(model, 0.1, X, Y, *derivs, radius)
+            if not model.risk_neutral:
+                assert 0 < full.saturated < n
+            for idx in groups:
+                sub = principal._select_slice(model, 0.1, X[idx], Y[idx],
+                                              *(d[idx] for d in derivs),
+                                              radius)
+                sat = full.sat_mask[idx]
+                want = dataclasses.replace(
+                    full, saturated=int(np.count_nonzero(sat)),
+                    qt_nonneg_saturated=int(np.count_nonzero(
+                        sat & (derivs[3][idx] >= 0.0))),
+                    **{f.name: getattr(full, f.name)[idx]
+                       for f in dataclasses.fields(full)
+                       if isinstance(getattr(full, f.name), np.ndarray)})
+                assert_same_selection(sub, want)
+
+
+class TestRadiusPolicy:
+    @pytest.mark.parametrize("model, grid, doublings", [
+        (robust_model, ROBUST_GRID, 0), (kinked_model, KINK_GRID, 3)])
+    def test_matches_whole_slice_oracle(self, monkeypatch, model, grid,
+                                        doublings):
+        m = model()
+        seen, policy = [], principal._select_with_radius
+
+        def recorded(model, t, X, Y, p, pt, q, qt, r, diags):
+            seen.append((t, X, Y, p, pt, q, qt, r))
+            return policy(model, t, X, Y, p, pt, q, qt, r, diags)
+
+        monkeypatch.setattr(principal, "_select_with_radius", recorded)
+        sol = solve_hjbi(m, grid)
+        monkeypatch.undo()
+        diags, ref_diags = (principal._new_diagnostics() for _ in range(2))
+        accepted = 0
+        for args in seen:
+            got = principal._select_with_radius(m, *args, diags)
+            want = oracle_select_with_radius(m, *args, ref_diags)
+            assert_same_selection(got, want)
+            assert diags == ref_diags
+            start = max(1e-3, float(np.max(np.abs(args[3]))),
+                        float(np.max(np.abs(args[5]))))
+            accepted += round(np.log2(got.radius / start))
+        assert accepted == doublings
+        # the recorded selections are the solve's own
+        for key in ("radius_max", "saturated_nodes",
+                    "coercivity_unverified_nodes"):
+            assert diags[key] == sol.diagnostics[key]
+
+    def test_probes_only_the_expandable_nodes(self, monkeypatch):
+        """Counts the nodes each selection evaluates, with no timing."""
+        m = robust_model()
+        nodes = ROBUST_GRID.x_nodes * ROBUST_GRID.y_nodes
+        runs = []
+        policy, select = principal._select_with_radius, principal._select_slice
+
+        def per_selection(model, t, X, Y, p, pt, q, qt, r, diags):
+            runs.append([])
+            return policy(model, t, X, Y, p, pt, q, qt, r, diags)
+
+        def counted(model, t, X, Y, p, pt, q, qt, r, radius):
+            sel = select(model, t, X, Y, p, pt, q, qt, r, radius)
+            runs[-1].append((X.size, radius,
+                             int(np.count_nonzero(sel.sat_mask & (qt < 0.0)))))
+            return sel
+
+        monkeypatch.setattr(principal, "_select_with_radius", per_selection)
+        monkeypatch.setattr(principal, "_select_slice", counted)
+        solve_hjbi(m, ROBUST_GRID)
+        probes = 0
+        for calls in runs:
+            size, radius, expandable = calls[0]
+            assert size == nodes
+            for prev, cur in zip(calls, calls[1:]):
+                if cur[0] == nodes:
+                    # an accepted doubling re-selects at the probed radius
+                    assert prev[0] < nodes and cur[1] == prev[1]
+                    radius, expandable = cur[1], cur[2]
+                else:
+                    assert prev[0] == nodes
+                    assert (cur[0], cur[1]) == (expandable, 2.0 * radius)
+                    probes += 1
+        assert probes > 0
+        evaluated = sum(size for calls in runs for size, _, _ in calls)
+        assert evaluated < 1.5 * len(runs) * nodes
 
 
 class TestMonotonicityProbe:

@@ -1,7 +1,8 @@
 """Source rules for the package: no ``assert`` statements (``python -O``
 strips them), no handler that swallows every error, no effort-payoff
-coefficient evaluated outside the ``numerics`` effort kernel, and no
-defaulted parameter that no call site sets."""
+coefficient evaluated outside the ``numerics`` effort kernel, no
+defaulted parameter that no call site sets, and no dataclass field
+default that every constructor call overrides."""
 
 import ast
 import pathlib
@@ -89,25 +90,55 @@ def _sets(call, index, name):
         or any(isinstance(a, ast.Starred) for a in call.args))
 
 
-def unset_defaults(root=SRC, callers=CALLERS):
-    """``file:line name(param)`` of every defaulted parameter of a function
-    in ``root`` (presets excepted: their parameters are config keys) that
-    no call of that name under ``callers`` sets."""
+def _calls(callers):
+    """Every call under ``callers``, keyed by the called name."""
     calls = {}
     for base in callers:
         for path in sorted(base.rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(),
                                            filename=str(path))):
                 if isinstance(node, ast.Call):
-                    func = node.func
-                    name = func.attr if isinstance(func, ast.Attribute) \
-                        else getattr(func, "id", None)
-                    calls.setdefault(name, []).append(node)
-    found = []
+                    calls.setdefault(_called(node.func), []).append(node)
+                # a default_factory is called with no arguments
+                if isinstance(node, ast.keyword) \
+                        and node.arg == "default_factory":
+                    calls.setdefault(_called(node.value), []).append(
+                        ast.Call(func=node.value, args=[], keywords=[]))
+    return calls
+
+
+def _called(func):
+    """The name a call or decorator expression refers to."""
+    if isinstance(func, ast.Call):
+        func = func.func
+    return func.attr if isinstance(func, ast.Attribute) \
+        else getattr(func, "id", None)
+
+
+def _modules(root):
+    """(path, tree) of each module in ``root``, presets excepted: their
+    parameters are config keys."""
     for path in sorted(root.glob("*.py")):
-        if path.name == "presets.py":
-            continue
-        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.name != "presets.py":
+            yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def _surely_sets(call, index, name):
+    """Does ``call`` set the parameter by keyword or by a position ahead
+    of any ``*`` splat?  A splat may leave it to the default."""
+    if any(kw.arg == name for kw in call.keywords):
+        return True
+    plain = next((i for i, a in enumerate(call.args)
+                  if isinstance(a, ast.Starred)), len(call.args))
+    return index is not None and plain > index
+
+
+def unset_defaults(root=SRC, callers=CALLERS):
+    """``file:line name(param)`` of every defaulted parameter of a function
+    in ``root`` that no call of that name under ``callers`` sets."""
+    calls = _calls(callers)
+    found = []
+    for path, tree in _modules(root):
         methods = {id(fn) for cls in ast.walk(tree)
                    if isinstance(cls, ast.ClassDef) for fn in cls.body}
         defs = [node for node in ast.walk(tree)
@@ -117,6 +148,46 @@ def unset_defaults(root=SRC, callers=CALLERS):
                 if not any(_sets(call, index, name)
                            for call in calls.get(fn.name, [])):
                     found.append(f"{path.name}:{fn.lineno} {fn.name}({name})")
+    return found
+
+
+def _init_fields(cls):
+    """(position, name, defaulted) of each ``__init__`` field of a
+    dataclass body, in declaration order."""
+    fields = []
+    for stmt in cls.body:
+        if not (isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)) \
+                or "ClassVar" in ast.unparse(stmt.annotation):
+            continue
+        value, defaulted = stmt.value, stmt.value is not None
+        if isinstance(value, ast.Call) and _called(value) in (
+                "field", "dc_field"):
+            kw = {k.arg: k.value for k in value.keywords}
+            init = kw.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            defaulted = "default" in kw or "default_factory" in kw
+        fields.append((len(fields), stmt.target.id, defaulted))
+    return fields
+
+
+def unrelied_field_defaults(root=SRC, callers=CALLERS):
+    """``file:line Class.field`` of every defaulted field of a dataclass in
+    ``root`` that every constructor call of that class under ``callers``
+    sets, so that no call relies on the default."""
+    calls = _calls(callers)
+    found = []
+    for path, tree in _modules(root):
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef) and any(
+                    _called(d) == "dataclass" for d in cls.decorator_list)):
+                continue
+            for index, name, defaulted in _init_fields(cls):
+                if defaulted and all(_surely_sets(call, index, name)
+                                     for call in calls.get(cls.name, [])):
+                    found.append(f"{path.name}:{cls.lineno} "
+                                 f"{cls.name}.{name}")
     return found
 
 
@@ -182,3 +253,31 @@ def test_default_rule_catches_each_form(tmp_path):
     assert unset_defaults(pkg, (tmp_path,)) == [
         "mod.py:1 f(d)", "mod.py:4 m(y)", "mod.py:6 g(k)",
         "mod.py:10 lone(r)"]
+
+
+def test_every_field_default_is_relied_on():
+    assert unrelied_field_defaults() == []
+
+
+def test_field_rule_catches_each_form(tmp_path):
+    pkg, use = tmp_path / "pkg", tmp_path / "use"
+    pkg.mkdir()
+    use.mkdir()
+    (pkg / "mod.py").write_text(
+        "@dataclass\nclass A:\n    x: int\n    y: int = 0\n"
+        "    z: list = field(default_factory=list)\n"
+        "    w: int = field(init=False, default=0)\n"
+        "    c: ClassVar[int] = 0\n    v: int = field()\n"
+        "@dataclasses.dataclass(frozen=True)\nclass B:\n"
+        "    p: int = 0\n    q: int = 1\n"
+        "@dataclass\nclass C:\n    s: int = 0\n"
+        "@dataclass\nclass D:\n    u: int = 0\n"
+        "class Plain:\n    k: int = 0\n")
+    (pkg / "presets.py").write_text(
+        "@dataclass\nclass P:\n    g: int = 0\n")
+    (use / "use.py").write_text(
+        "A(1, 2, [], v=0)\nA(0, z=[], v=1, y=3)\n"
+        "B(5, q=1)\nB(1, *xs)\nB(p=1, **kw)\n"
+        "m = field(default_factory=C)\nP(g=1)\nPlain(k=1)\n")
+    assert unrelied_field_defaults(pkg, (tmp_path,)) == [
+        "mod.py:2 A.y", "mod.py:2 A.z", "mod.py:10 B.p", "mod.py:17 D.u"]
