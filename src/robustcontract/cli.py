@@ -16,31 +16,47 @@ artifact and 4 on a verification failure.  Identical configs produce
 byte-identical numeric artifacts; wall-clock timings live in a sidecar
 that is excluded from the checksums.
 
-Config schema (unknown keys are rejected, never defaulted)
-----------------------------------------------------------
-model:      ``preset`` (one of the named model constructors) and an
-            optional ``params`` map handed to it.  Lists become tuples;
-            ``utility_principal`` accepts the tokens ``identity`` and
-            ``bounded_exp`` (1 - exp(-x)).
-grid:       solve-principal and band_width sweeps take ``x_lo x_hi
-            x_nodes y_lo y_hi y_nodes t_steps horizon``; solve-agent
-            takes the same without the y axis.
-contract:   ``payment``: "linear:slope,intercept" | "call:strike" |
-            "tabulated:path".
-sim:        ``paths dt seed`` and optional ``x0 y0``.
-policy:     constant contract for simulate: ``horizon`` plus optional
-            ``z k_rate nature``.
-artifacts:  path to a prior solve-principal output directory
-            (simulate source).
-nature:     optional volatility scenario for simulate: ``values`` on
-            equal subintervals of the horizon.
-options:    solve-principal: optional ``x0 reservation cfl_safety``;
-            m_salary sweeps: optional ``horizon``; band_width sweeps:
-            optional ``x0``.
-verify:     ``artifacts`` plus optional ``paths dt seed perturbations
-            probes martingale_tolerance``.
-sweep:      ``axis`` (m_salary | band_width) and ``values``.
-out:        default output directory (string).
+Config schema
+-------------
+Unknown sections and keys are rejected with their dotted path.  Below, a
+bracketed section or key is optional and ``[key=value]`` names the
+default the run reads; defaults are never written into the config that
+the manifest embeds and hashes.  Every command also takes ``[out]``::
+
+    solve-agent             model contract grid/x
+    solve-principal         model grid/xy [options/principal]
+    simulate (artifacts)    sim artifacts [nature]
+    simulate (policy)       sim policy model [nature]
+    verify                  verify
+    sweep (m_salary)        sweep model sim [options/m_salary]
+    sweep (band_width)      sweep model contract grid/x [options/band_width]
+
+    model                   preset [params={}]
+    contract                payment
+    grid/x                  x_lo x_hi x_nodes t_steps horizon
+    grid/xy                 x_lo x_hi x_nodes t_steps horizon y_lo y_hi
+                            y_nodes
+    sim                     paths dt seed [x0] [y0]
+    policy                  horizon [z=0.0] [k_rate=0.0] [nature]
+    nature                  values
+    options/principal       [x0=0.0] [reservation] [cfl_safety=0.9]
+    options/m_salary        [horizon=1.0]
+    options/band_width      [x0=0.0]
+    verify                  artifacts [paths=4000] [dt] [seed=0]
+                            [perturbations=5] [probes=9]
+                            [martingale_tolerance=0.05]
+    sweep                   axis values
+    artifacts, out          strings
+
+``params`` go to the preset's constructor; lists become tuples, and
+``utility_principal`` takes "identity" or "bounded_exp" (1 - exp(-x)).
+``payment`` is "linear:slope,intercept", "call:strike" or "tabulated:path".
+simulate takes its contract and model from a solve-principal directory
+(``artifacts``) or runs a constant ``policy`` (``nature`` defaults to the
+band's middle); ``sim.x0``/``y0`` default to that solve's ``options.x0``
+and chosen promise, else 0.  ``nature.values`` is a volatility scenario on
+equal subintervals of the horizon.  ``verify.dt`` defaults to 1/64 of the
+solve's horizon; ``reservation`` makes solve-principal pick the promise.
 """
 
 from __future__ import annotations
@@ -59,7 +75,8 @@ from . import export, sim
 from .agent import ContractFunction, solve_agent
 from .hamiltonians import ModelSpec
 from .presets import PRESETS, make_model
-from .principal import ContractPolicy, GridSpec, optimize_y0, solve_hjbi
+from .principal import (CFL_SAFETY, ContractPolicy, GridSpec, optimize_y0,
+                        solve_hjbi)
 from .sim import NatureStrategy, SimConfig
 
 __all__ = [
@@ -87,173 +104,163 @@ class VerificationFailure(Exception):
 
 
 # ---------------------------------------------------------------------------
-# schema validation
+# config schema: one entry per command, checked by one walker
 # ---------------------------------------------------------------------------
 
 def _is_num(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
+# kind: (type check, its label, then None or (value check, message) once
+# every key of the section has its type)
 _KINDS = {
-    "num": (_is_num, "a number"),
-    "int": (_is_int, "an integer"),
-    "str": (lambda v: isinstance(v, str), "a string"),
-    "map": (lambda v: isinstance(v, dict), "a mapping"),
-    "list": (lambda v: isinstance(v, list), "a list"),
+    "num": (_is_num, "a number", None),
+    "int": (lambda v: _is_num(v) and isinstance(v, int), "an integer", None),
+    "str": (lambda v: isinstance(v, str), "a string", None),
+    "map": (lambda v: isinstance(v, dict), "a mapping", None),
+    "nums": (lambda v: isinstance(v, list), "a list",
+             (lambda v: all(_is_num(x) for x in v),
+              "'{path}' must be a list of numbers")),
+    "preset": (lambda v: isinstance(v, str), "a string",
+               (lambda v: v in PRESETS, "unknown model preset '{value}'; "
+                f"known: {sorted(PRESETS)}")),
+}
+# A section maps each key to (kind, default): _REQUIRED marks a required
+# key, None an optional one whose absence the run handles itself.
+_REQUIRED = object()
+
+
+def _required(**kinds: str) -> dict:
+    return {key: (kind, _REQUIRED) for key, kind in kinds.items()}
+
+
+def _present(doc: dict, names: tuple) -> str:
+    """The one of ``names`` that ``doc`` holds as a top-level key."""
+    found = [name for name in names if name in doc]
+    if len(found) != 1:
+        either = " or ".join(f"'{name}'" for name in names)
+        raise ConfigError(f"give either {either}, not both" if found
+                          else f"missing required key {either}")
+    return found[0]
+
+
+def _sweep_axis(doc: dict, names: tuple) -> str:
+    axis = doc["sweep"]["axis"]
+    if axis not in names:
+        raise ConfigError(f"unknown sweep axis '{axis}'; known: "
+                          f"{', '.join(sorted(names))}")
+    return axis
+
+
+_MODEL = {"preset": ("preset", _REQUIRED), "params": ("map", {})}
+_CONTRACT = _required(payment="str")
+_AGENT_GRID = _required(x_lo="num", x_hi="num", x_nodes="int",
+                        t_steps="int", horizon="num")
+_SIM = dict(_required(paths="int", dt="num", seed="int"),
+            x0=("num", None), y0=("num", None))
+_NATURE = _required(values="nums")
+
+# The variants of simulate (by contract source) and of sweep (by axis).
+_SOURCES = {
+    "artifacts": {"required": ("artifacts",), "forbidden": {
+        "model": "the model is read from the artifact manifest; remove the "
+                 "'model' section"},
+        "sections": {"artifacts": "str", "nature": _NATURE}},
+    "policy": {"required": ("policy", "model"), "sections": {
+        "model": _MODEL, "nature": _NATURE,
+        "policy": {"horizon": ("num", _REQUIRED), "z": ("num", 0.0),
+                   "k_rate": ("num", 0.0), "nature": ("num", None)}}},
+}
+_AXES = {
+    "m_salary": {"required": ("model", "sim"), "forbidden": {
+        key: f"unknown key '{key}' for an m_salary sweep"
+        for key in ("contract", "grid")},
+        "sections": {"model": _MODEL, "sim": _SIM,
+                     "options": {"horizon": ("num", 1.0)}}},
+    "band_width": {"required": ("model", "contract", "grid"), "forbidden": {
+        "sim": "unknown key 'sim' for a band_width sweep"},
+        "sections": {"model": _MODEL, "contract": _CONTRACT,
+                     "grid": _AGENT_GRID, "options": {"x0": ("num", 0.0)}}},
+}
+# One entry per command: its required sections, in the order a missing one
+# is named; forbidden sections with their messages; each section's key map
+# (a kind for a top-level scalar); and optionally a ``pick`` of (picker,
+# variants) naming the variant entry that the config must also meet.
+_SCHEMA = {
+    "solve-agent": {"required": ("model", "contract", "grid"), "sections": {
+        "model": _MODEL, "contract": _CONTRACT, "grid": _AGENT_GRID}},
+    "solve-principal": {"required": ("model", "grid"), "sections": {
+        "model": _MODEL,
+        "grid": dict(_AGENT_GRID,
+                     **_required(y_lo="num", y_hi="num", y_nodes="int")),
+        "options": {"x0": ("num", 0.0), "reservation": ("num", None),
+                    "cfl_safety": ("num", CFL_SAFETY)}}},
+    "simulate": {"required": ("sim",), "sections": {"sim": _SIM},
+                 "pick": (_present, _SOURCES)},
+    "verify": {"required": ("verify",), "sections": {"verify": {
+        "artifacts": ("str", _REQUIRED), "paths": ("int", 4000),
+        "dt": ("num", None), "seed": ("int", 0), "perturbations": ("int", 5),
+        "probes": ("int", 9), "martingale_tolerance": ("num", 0.05)}}},
+    "sweep": {"required": ("sweep",),
+              "sections": {"sweep": _required(axis="str", values="nums")},
+              "pick": (_sweep_axis, _AXES)},
 }
 
 
-def _check_keys(section: dict, path: str, spec: dict[str, str],
-                required: tuple[str, ...] = ()) -> None:
-    """Reject unknown keys, demand required ones, check scalar kinds."""
-    if not isinstance(section, dict):
-        raise ConfigError(f"'{path}' must be a mapping")
+def _entries(command: str, doc: dict):
+    """The command's entry, then the variant entry that ``doc`` picks."""
+    entry = _SCHEMA[command]
+    yield entry
+    if "pick" in entry:
+        picker, variants = entry["pick"]
+        yield variants[picker(doc, tuple(variants))]
+
+
+def _check_section(section: dict, path: str, spec: dict) -> None:
+    """Reject unknown keys, demand required ones, check types, then values."""
     for key in section:
         if key not in spec:
             raise ConfigError(f"unknown key '{path}.{key}'")
-    for key in required:
-        if key not in section:
+    for key, (_, default) in spec.items():
+        if default is _REQUIRED and key not in section:
             raise ConfigError(f"missing required key '{path}.{key}'")
     for key, value in section.items():
-        check, label = _KINDS[spec[key]]
+        check, label, _ = _KINDS[spec[key][0]]
         if not check(value):
             raise ConfigError(f"'{path}.{key}' must be {label}")
-
-
-_MODEL_SPEC = {"preset": "str", "params": "map"}
-_AGENT_GRID_SPEC = {"x_lo": "num", "x_hi": "num", "x_nodes": "int",
-                    "t_steps": "int", "horizon": "num"}
-_FULL_GRID_SPEC = dict(_AGENT_GRID_SPEC,
-                       y_lo="num", y_hi="num", y_nodes="int")
-_SIM_SPEC = {"paths": "int", "dt": "num", "seed": "int",
-             "x0": "num", "y0": "num"}
-_POLICY_SPEC = {"horizon": "num", "z": "num", "k_rate": "num",
-                "nature": "num"}
-_VERIFY_SPEC = {"artifacts": "str", "paths": "int", "dt": "num",
-                "seed": "int", "perturbations": "int", "probes": "int",
-                "martingale_tolerance": "num"}
-
-_TOP_SPECS = {
-    "solve-agent": {"model": "map", "contract": "map", "grid": "map",
-                    "out": "str"},
-    "solve-principal": {"model": "map", "grid": "map", "options": "map",
-                        "out": "str"},
-    "simulate": {"model": "map", "sim": "map", "policy": "map",
-                 "artifacts": "str", "nature": "map", "out": "str"},
-    "verify": {"verify": "map", "out": "str"},
-    "sweep": {"sweep": "map", "model": "map", "sim": "map",
-              "contract": "map", "grid": "map", "options": "map",
-              "out": "str"},
-}
-
-
-def _validate_model(section: dict) -> None:
-    _check_keys(section, "model", _MODEL_SPEC, required=("preset",))
-    if section["preset"] not in PRESETS:
-        raise ConfigError(
-            f"unknown model preset '{section['preset']}'; "
-            f"known: {sorted(PRESETS)}")
-
-
-def _validate_values_list(values, path: str) -> None:
-    if not isinstance(values, list) or not all(_is_num(v) for v in values):
-        raise ConfigError(f"'{path}' must be a list of numbers")
+    for key, value in section.items():
+        then = _KINDS[spec[key][0]][2]
+        if then is not None and not then[0](value):
+            raise ConfigError(then[1].format(path=f"{path}.{key}",
+                                             value=value))
 
 
 def _validate_config(command: str, doc: dict) -> None:
-    _check_keys(doc, "config", _TOP_SPECS[command])
+    entry = _SCHEMA[command]
+    top = {"out": ("str", None)}  # every command takes ``out``
+    for part in (entry, *entry.get("pick", (None, {}))[1].values()):
+        top.update({name: ("map" if isinstance(spec, dict) else spec, None)
+                    for name, spec in part["sections"].items()})
+    _check_section(doc, "config", top)
+    for part in _entries(command, doc):
+        for name in part["required"]:
+            if name not in doc:
+                raise ConfigError(f"missing required key '{name}'")
+        for name, message in part.get("forbidden", {}).items():
+            if name in doc:
+                raise ConfigError(message)
+        for name, spec in part["sections"].items():
+            if name in doc and isinstance(spec, dict):
+                _check_section(doc[name], name, spec)
 
-    if command == "solve-agent":
-        for key in ("model", "contract", "grid"):
-            if key not in doc:
-                raise ConfigError(f"missing required key '{key}'")
-        _validate_model(doc["model"])
-        _check_keys(doc["contract"], "contract", {"payment": "str"},
-                    required=("payment",))
-        _check_keys(doc["grid"], "grid", _AGENT_GRID_SPEC,
-                    required=tuple(_AGENT_GRID_SPEC))
 
-    elif command == "solve-principal":
-        for key in ("model", "grid"):
-            if key not in doc:
-                raise ConfigError(f"missing required key '{key}'")
-        _validate_model(doc["model"])
-        _check_keys(doc["grid"], "grid", _FULL_GRID_SPEC,
-                    required=tuple(_FULL_GRID_SPEC))
-        _check_keys(doc.get("options", {}), "options",
-                    {"x0": "num", "reservation": "num",
-                     "cfl_safety": "num"})
-
-    elif command == "simulate":
-        if "sim" not in doc:
-            raise ConfigError("missing required key 'sim'")
-        _check_keys(doc["sim"], "sim", _SIM_SPEC,
-                    required=("paths", "dt", "seed"))
-        has_art, has_pol = "artifacts" in doc, "policy" in doc
-        if has_art and has_pol:
-            raise ConfigError("give either 'artifacts' or 'policy', not both")
-        if not has_art and not has_pol:
-            raise ConfigError("missing required key 'artifacts' or 'policy'")
-        if has_art and "model" in doc:
-            raise ConfigError(
-                "the model is read from the artifact manifest; remove the "
-                "'model' section")
-        if has_pol:
-            if "model" not in doc:
-                raise ConfigError("missing required key 'model'")
-            _validate_model(doc["model"])
-            _check_keys(doc["policy"], "policy", _POLICY_SPEC,
-                        required=("horizon",))
-        if "nature" in doc:
-            _check_keys(doc["nature"], "nature", {"values": "list"},
-                        required=("values",))
-            _validate_values_list(doc["nature"]["values"], "nature.values")
-
-    elif command == "verify":
-        if "verify" not in doc:
-            raise ConfigError("missing required key 'verify'")
-        _check_keys(doc["verify"], "verify", _VERIFY_SPEC,
-                    required=("artifacts",))
-
-    elif command == "sweep":
-        if "sweep" not in doc:
-            raise ConfigError("missing required key 'sweep'")
-        _check_keys(doc["sweep"], "sweep", {"axis": "str", "values": "list"},
-                    required=("axis", "values"))
-        _validate_values_list(doc["sweep"]["values"], "sweep.values")
-        axis = doc["sweep"]["axis"]
-        if axis == "m_salary":
-            for key in ("model", "sim"):
-                if key not in doc:
-                    raise ConfigError(f"missing required key '{key}'")
-            for key in ("contract", "grid"):
-                if key in doc:
-                    raise ConfigError(
-                        f"unknown key '{key}' for an m_salary sweep")
-            _validate_model(doc["model"])
-            _check_keys(doc["sim"], "sim", _SIM_SPEC,
-                        required=("paths", "dt", "seed"))
-            _check_keys(doc.get("options", {}), "options",
-                        {"horizon": "num"})
-        elif axis == "band_width":
-            for key in ("model", "contract", "grid"):
-                if key not in doc:
-                    raise ConfigError(f"missing required key '{key}'")
-            if "sim" in doc:
-                raise ConfigError("unknown key 'sim' for a band_width sweep")
-            _validate_model(doc["model"])
-            _check_keys(doc["contract"], "contract", {"payment": "str"},
-                        required=("payment",))
-            _check_keys(doc["grid"], "grid", _AGENT_GRID_SPEC,
-                        required=tuple(_AGENT_GRID_SPEC))
-            _check_keys(doc.get("options", {}), "options", {"x0": "num"})
-        else:
-            raise ConfigError(
-                f"unknown sweep axis '{axis}'; known: band_width, m_salary")
+def _with_defaults(command: str, conf: dict, section: str) -> dict:
+    """A copy of a validated config's section (empty if absent) with the
+    schema's defaults filled in; ``conf`` itself is left as it is."""
+    spec = next(part["sections"][section] for part in _entries(command, conf)
+                if section in part["sections"])
+    given = conf.get(section, {})
+    return {key: given.get(key, default) for key, (_, default) in spec.items()}
 
 
 @dataclass(frozen=True)
@@ -270,7 +277,7 @@ class RunConfig:
 
     @classmethod
     def parse(cls, text: str, command: str) -> "RunConfig":
-        if command not in _TOP_SPECS:
+        if command not in _SCHEMA:
             raise ConfigError(f"unknown command '{command}'")
         try:
             doc = yaml.safe_load(text)
@@ -336,10 +343,11 @@ def _translate_params(params: dict) -> dict:
     return out
 
 
-def _build_model(section: dict) -> ModelSpec:
-    params = _translate_params(section.get("params", {}))
+def _build_model(command: str, conf: dict) -> ModelSpec:
+    params = _translate_params(
+        _with_defaults(command, conf, "model")["params"])
     try:
-        return make_model(section["preset"], **params)
+        return make_model(conf["model"]["preset"], **params)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"model.params: {exc}")
 
@@ -353,17 +361,14 @@ def _build_contract(section: dict) -> ContractFunction:
 
 def _build_gridspec(section: dict) -> GridSpec:
     try:
-        return GridSpec(**{k: section[k] for k in _FULL_GRID_SPEC})
+        return GridSpec(**section)
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}")
 
 
 def _build_simconfig(section: dict, **defaults) -> SimConfig:
-    merged = dict(defaults)
-    merged.update({k: section[k] for k in ("x0", "y0") if k in section})
     try:
-        return SimConfig(paths=section["paths"], dt=section["dt"],
-                         seed=section["seed"], **merged)
+        return SimConfig(**dict(defaults, **section))
     except ValueError as exc:
         raise ConfigError(f"sim: {exc}")
 
@@ -452,7 +457,7 @@ def _load_principal(art_dir: str) -> SimpleNamespace:
             f"'{art_dir}' holds a {manifest.get('command')!r} run, "
             "not solve-principal")
     conf = manifest["config"]
-    model = _build_model(conf["model"])
+    model = _build_model("solve-principal", conf)
     grid = _build_gridspec(conf["grid"])
     shape = (grid.t_steps + 1, grid.x_nodes, grid.y_nodes)
     rows = shape[0] * shape[1] * shape[2]
@@ -473,7 +478,7 @@ def _load_principal(art_dir: str) -> SimpleNamespace:
     y0_star = None
     if "y0.txt" in manifest["artifacts"]:
         y0_star = float(_artifact_table(art_dir, "y0.txt")["y0"][0])
-    x0 = float(conf.get("options", {}).get("x0", 0.0))
+    x0 = float(_with_defaults("solve-principal", conf, "options")["x0"])
     return SimpleNamespace(manifest=manifest, config=conf, model=model,
                            grid=grid, policy=policy, surface=surface,
                            y0_star=y0_star, x0=x0)
@@ -486,15 +491,11 @@ def _load_principal(art_dir: str) -> SimpleNamespace:
 def cmd_solve_agent(run: RunConfig, out_dir: str,
                     seed_override: int | None) -> int:
     conf = run.effective(seed_override)
-    model = _build_model(conf["model"])
+    model = _build_model(run.command, conf)
     contract = _build_contract(conf["contract"])
-    g = conf["grid"]
     started = time.perf_counter()
     try:
-        sol = solve_agent(model, contract,
-                          x_lo=g["x_lo"], x_hi=g["x_hi"],
-                          x_nodes=g["x_nodes"], t_steps=g["t_steps"],
-                          horizon=g["horizon"])
+        sol = solve_agent(model, contract, **conf["grid"])
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}")
     elapsed = time.perf_counter() - started
@@ -513,13 +514,12 @@ def cmd_solve_agent(run: RunConfig, out_dir: str,
 def cmd_solve_principal(run: RunConfig, out_dir: str,
                         seed_override: int | None) -> int:
     conf = run.effective(seed_override)
-    model = _build_model(conf["model"])
+    model = _build_model(run.command, conf)
     grid = _build_gridspec(conf["grid"])
-    opts = conf.get("options", {})
+    opts = _with_defaults(run.command, conf, "options")
     started = time.perf_counter()
     try:
-        sol = solve_hjbi(model, grid,
-                         cfl_safety=float(opts.get("cfl_safety", 0.9)))
+        sol = solve_hjbi(model, grid, cfl_safety=float(opts["cfl_safety"]))
     except (ValueError, RuntimeError) as exc:
         raise ConfigError(f"grid: {exc}")
     elapsed = time.perf_counter() - started
@@ -527,9 +527,9 @@ def cmd_solve_principal(run: RunConfig, out_dir: str,
     os.makedirs(out_dir, exist_ok=True)
     files = _write_principal_surfaces(out_dir, sol)
     extras = dict(sol.diagnostics)
-    if "reservation" in opts:
+    if opts["reservation"] is not None:
         try:
-            y0res = optimize_y0(sol, float(opts.get("x0", 0.0)),
+            y0res = optimize_y0(sol, float(opts["x0"]),
                                 float(opts["reservation"]))
         except ValueError as exc:
             raise ConfigError(f"infeasible participation: {exc}")
@@ -557,14 +557,13 @@ def cmd_simulate(run: RunConfig, out_dir: str,
         upstream = {"path": conf["artifacts"],
                     "config_sha256": art.manifest["config_sha256"]}
     else:
-        model = _build_model(conf["model"])
-        p = conf["policy"]
+        model = _build_model(run.command, conf)
+        p = _with_defaults(run.command, conf, "policy")
         if p["horizon"] <= 0:
             raise ConfigError("policy.horizon must be positive")
         policy = sim.constant_policy(
-            model, float(p["horizon"]), z=float(p.get("z", 0.0)),
-            k_rate=float(p.get("k_rate", 0.0)),
-            nature=p.get("nature"))
+            model, float(p["horizon"]), z=float(p["z"]),
+            k_rate=float(p["k_rate"]), nature=p["nature"])
         y0_default, x0_default = 0.0, 0.0
 
     cfg = _build_simconfig(conf["sim"], x0=x0_default, y0=y0_default)
@@ -634,13 +633,12 @@ def _incentive_field_check(model: ModelSpec, grid: GridSpec,
 
 def _principal_checks(art: SimpleNamespace, v: dict) -> dict:
     horizon = float(art.policy.t_grid[-1])
-    dt_default = horizon / 64.0 if horizon > 0.0 else 1.0
+    if v["dt"] is None:
+        v = dict(v, dt=horizon / 64.0 if horizon > 0.0 else 1.0)
     y0 = art.y0_star if art.y0_star is not None else 0.0
     try:
-        cfg = SimConfig(paths=int(v.get("paths", 4000)),
-                        dt=float(v.get("dt", dt_default)),
-                        seed=int(v.get("seed", 0)),
-                        x0=art.x0, y0=float(y0))
+        cfg = SimConfig(paths=int(v["paths"]), dt=float(v["dt"]),
+                        seed=int(v["seed"]), x0=art.x0, y0=float(y0))
         cfg.steps_for(horizon)
     except ValueError as exc:
         raise ConfigError(f"verify: {exc}")
@@ -653,10 +651,10 @@ def _principal_checks(art: SimpleNamespace, v: dict) -> dict:
         "passed": cross["agree"], "measured": cross["gap"],
         "bound": cross["tol"]}
 
-    tol = float(v.get("martingale_tolerance", 0.05))
+    tol = float(v["martingale_tolerance"])
     mart = sim.martingale_sandwich_check(
         art.model, art.surface, art.policy, cfg,
-        probes=int(v.get("probes", 9)), tolerance=tol)
+        probes=int(v["probes"]), tolerance=tol)
     checks["martingale_drift"] = {
         "passed": mart["passed"], "measured": mart["worst_drift"],
         "bound": tol,
@@ -664,7 +662,7 @@ def _principal_checks(art: SimpleNamespace, v: dict) -> dict:
         "suboptimal_downward_drift":
             mart["suboptimal"]["worst_downward_drift"]}
 
-    probes = int(v.get("perturbations", 5))
+    probes = int(v["perturbations"])
     inc = sim.incentive_compatibility_check(art.model, art.policy, cfg,
                                             probes)
     checks["incentive_probes"] = {
@@ -676,7 +674,7 @@ def _principal_checks(art: SimpleNamespace, v: dict) -> dict:
 
 def _agent_checks(art_dir: str, manifest: dict) -> dict:
     conf = manifest["config"]
-    model = _build_model(conf["model"])
+    model = _build_model("solve-agent", conf)
     contract = _build_contract(conf["contract"])
     g = conf["grid"]
     shape = (g["t_steps"] + 1, g["x_nodes"])
@@ -718,7 +716,7 @@ def _agent_checks(art_dir: str, manifest: dict) -> dict:
 def cmd_verify(run: RunConfig, out_dir: str,
                seed_override: int | None) -> int:
     conf = run.effective(seed_override)
-    v = conf["verify"]
+    v = _with_defaults(run.command, conf, "verify")
     art_dir = v["artifacts"]
     manifest = _read_manifest(art_dir)
 
@@ -769,9 +767,9 @@ _BAND_PARAM = {"heat_band": "band", "risk_neutral": "n_band",
 
 
 def _sweep_m_salary(conf: dict, out_dir: str) -> tuple[list[str], dict]:
-    model = _build_model(conf["model"])
+    model = _build_model("sweep", conf)
     cfg = _build_simconfig(conf["sim"])
-    horizon = float(conf.get("options", {}).get("horizon", 1.0))
+    horizon = float(_with_defaults("sweep", conf, "options")["horizon"])
     files, rows = [], []
     for i, m in enumerate(conf["sweep"]["values"]):
         try:
@@ -795,29 +793,26 @@ def _sweep_m_salary(conf: dict, out_dir: str) -> tuple[list[str], dict]:
 
 
 def _sweep_band_width(conf: dict, out_dir: str) -> tuple[list[str], dict]:
-    base = _build_model(conf["model"])
+    base = _build_model("sweep", conf)
     preset = conf["model"]["preset"]
     if preset not in _BAND_PARAM:
         raise ConfigError(
             f"band_width sweep is not defined for preset '{preset}'")
     center = 0.5 * (base.nature_set_N[0] + base.nature_set_N[1])
     contract = _build_contract(conf["contract"])
-    g = conf["grid"]
-    x0 = float(conf.get("options", {}).get("x0", 0.0))
+    x0 = float(_with_defaults("sweep", conf, "options")["x0"])
 
     files, rows = [], []
     for i, width in enumerate(conf["sweep"]["values"]):
         if not width >= 0.0:
             raise ConfigError(f"sweep.values[{i}]: width must be >= 0")
-        params = dict(_translate_params(conf["model"].get("params", {})))
+        params = _translate_params(
+            _with_defaults("sweep", conf, "model")["params"])
         params[_BAND_PARAM[preset]] = (center - 0.5 * width,
                                        center + 0.5 * width)
         try:
             model = make_model(preset, **params)
-            sol = solve_agent(model, contract,
-                              x_lo=g["x_lo"], x_hi=g["x_hi"],
-                              x_nodes=g["x_nodes"], t_steps=g["t_steps"],
-                              horizon=g["horizon"])
+            sol = solve_agent(model, contract, **conf["grid"])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"sweep.values[{i}]: {exc}")
         sub = os.path.join(out_dir, f"pt_{i:03d}")

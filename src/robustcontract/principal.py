@@ -42,6 +42,8 @@ from . import numerics
 _RADIUS_CAP = 1024.0
 # stable substeps one time slice may take before the solve gives up
 _MAX_SUBSTEPS = 10000
+# default share of the realized stability bound that one substep uses
+CFL_SAFETY = 0.9
 
 
 @dataclass(frozen=True)
@@ -397,7 +399,7 @@ def _flat_derivatives(u, grid: GridSpec):
 
 
 def solve_hjbi(model: ModelSpec, grid: GridSpec, *,
-               cfl_safety: float = 0.9) -> PrincipalSolution:
+               cfl_safety: float = CFL_SAFETY) -> PrincipalSolution:
     """March the principal equation backward from the liquidation reward."""
     if not 0.0 < cfl_safety <= 1.0:
         raise ValueError("cfl_safety must lie in (0, 1]")
@@ -600,8 +602,8 @@ class CandidateFunction:
 
 def perron_sandwich_check(model: ModelSpec, candidate: CandidateFunction, *,
                           horizon: float, x_range: tuple[float, float],
-                          y_range: tuple[float, float], t_samples: int = 5,
-                          x_samples: int = 7, y_samples: int = 7) -> dict:
+                          y_range: tuple[float, float], t_samples: int,
+                          x_samples: int, y_samples: int) -> dict:
     """Pointwise residual of a smooth candidate in the interior equation.
 
     Returns the worst one-sided defects: ``sub_defect`` must vanish for a

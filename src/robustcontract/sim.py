@@ -568,7 +568,7 @@ def girsanov_cross_check(model: ModelSpec, policy: ContractPolicy,
 # policies without a preceding solve
 # ---------------------------------------------------------------------------
 
-def constant_policy(model: ModelSpec, horizon: float, *, z: float = 0.0,
+def constant_policy(model: ModelSpec, horizon: float, *, z: float,
                     k_rate: float = 0.0, nature: float | None = None,
                     ) -> ContractPolicy:
     """Contract with constant sensitivity and compensator rate.

@@ -3,13 +3,14 @@ codes, determinism and the verification gates."""
 
 import math
 import os
+import re
 import shutil
 
 import numpy as np
 import pytest
 import yaml
 
-from robustcontract import export, sim
+from robustcontract import cli, export, sim
 from robustcontract.cli import (
     EXIT_CONFIG,
     EXIT_MISSING,
@@ -47,6 +48,322 @@ PRINCIPAL_SMALL = {
              "t_steps": 16, "horizon": 1.0},
     "options": {"x0": 0.0, "reservation": 0.0},
 }
+
+
+# The smallest accepted config of each command (and each variant of it).
+AGENT_GRID = {"x_lo": -4.0, "x_hi": 4.0, "x_nodes": 41, "t_steps": 32,
+              "horizon": 1.0}
+SIM = {"paths": 10, "dt": 0.5, "seed": 0}
+MINIMAL = {
+    "agent": ("solve-agent", {
+        "model": {"preset": "heat_band"}, "contract": {"payment": "call:0"},
+        "grid": AGENT_GRID}),
+    "principal": ("solve-principal", {
+        "model": {"preset": "risk_neutral"},
+        "grid": dict(AGENT_GRID, y_lo=-4.0, y_hi=4.0, y_nodes=41)}),
+    "from_artifacts": ("simulate", {"sim": SIM, "artifacts": "runs/p"}),
+    "from_policy": ("simulate", {"sim": SIM, "model": {"preset": "zero_vol"},
+                                 "policy": {"horizon": 1.0}}),
+    "verify": ("verify", {"verify": {"artifacts": "runs/p"}}),
+    "m_salary": ("sweep", {
+        "sweep": {"axis": "m_salary", "values": [1]},
+        "model": {"preset": "disjoint_beliefs"}, "sim": SIM}),
+    "band_width": ("sweep", {
+        "sweep": {"axis": "band_width", "values": [0.1]},
+        "model": {"preset": "heat_band"}, "contract": {"payment": "call:0"},
+        "grid": AGENT_GRID}),
+}
+# Every optional key and section, on top of the minimal configs.
+FULL = {
+    "agent": {"model.params": {"band": [0.2, 0.4]}, "out": "runs/a"},
+    "principal": {"options": {"x0": 0.0, "reservation": 0.0,
+                              "cfl_safety": 0.5}},
+    "from_artifacts": {"sim.x0": 0.5, "sim.y0": 0.25,
+                       "nature": {"values": [0.2, 0.4]}},
+    "from_policy": {"policy.z": 0.5, "policy.k_rate": 0.1,
+                    "policy.nature": 0.0, "nature": {"values": []}},
+    "verify": {"verify": {"artifacts": "runs/p", "paths": 100, "dt": 0.25,
+                          "seed": 3, "perturbations": 2, "probes": 3,
+                          "martingale_tolerance": 0.1}},
+    "m_salary": {"options": {"horizon": 2.0}, "sim.x0": 1.0},
+    "band_width": {"options": {"x0": 0.5}},
+}
+DROP = object()
+KNOWN_PRESETS = ("['custom_tabulated', 'disjoint_beliefs', 'heat_band', "
+                 "'quadratic_bounded', 'risk_neutral', 'zero_vol']")
+
+# (minimal config, one fault, exact message).  Between them the cases
+# reach every ConfigError that schema validation raises, for each command
+# that reaches it.
+REJECTED = [
+    ("agent", {"extra": 1}, "unknown key 'config.extra'"),
+    ("agent", {"options": {}}, "unknown key 'config.options'"),
+    ("agent", {"model": DROP}, "missing required key 'model'"),
+    ("agent", {"contract": DROP}, "missing required key 'contract'"),
+    ("agent", {"grid": DROP}, "missing required key 'grid'"),
+    ("agent", {"grid": 5}, "'config.grid' must be a mapping"),
+    ("agent", {"out": 5}, "'config.out' must be a string"),
+    ("agent", {"grid.nodes_x": 5}, "unknown key 'grid.nodes_x'"),
+    ("agent", {"grid.y_lo": -4.0}, "unknown key 'grid.y_lo'"),
+    ("agent", {"grid.x_lo": DROP}, "missing required key 'grid.x_lo'"),
+    ("agent", {"grid.x_nodes": 4.5}, "'grid.x_nodes' must be an integer"),
+    ("agent", {"grid.x_nodes": True}, "'grid.x_nodes' must be an integer"),
+    ("agent", {"grid.horizon": "1"}, "'grid.horizon' must be a number"),
+    ("agent", {"contract.payment": DROP},
+     "missing required key 'contract.payment'"),
+    ("agent", {"contract.payment": 3}, "'contract.payment' must be a string"),
+    ("agent", {"contract.strike": 0}, "unknown key 'contract.strike'"),
+    ("agent", {"model.preset": DROP}, "missing required key 'model.preset'"),
+    ("agent", {"model.preset": 7}, "'model.preset' must be a string"),
+    ("agent", {"model.preset": "nope"},
+     f"unknown model preset 'nope'; known: {KNOWN_PRESETS}"),
+    ("agent", {"model.params": [1]}, "'model.params' must be a mapping"),
+    ("agent", {"model.band": [0.2, 0.4]}, "unknown key 'model.band'"),
+    ("principal", {"model": DROP}, "missing required key 'model'"),
+    ("principal", {"grid": DROP}, "missing required key 'grid'"),
+    ("principal", {"contract": {"payment": "call:0"}},
+     "unknown key 'config.contract'"),
+    ("principal", {"grid.y_nodes": DROP},
+     "missing required key 'grid.y_nodes'"),
+    ("principal", {"grid.y_hi": "4"}, "'grid.y_hi' must be a number"),
+    ("principal", {"model.preset": "nope"},
+     f"unknown model preset 'nope'; known: {KNOWN_PRESETS}"),
+    ("principal", {"options": []}, "'config.options' must be a mapping"),
+    ("principal", {"options.horizon": 1.0}, "unknown key 'options.horizon'"),
+    ("principal", {"options.cfl_safety": "x"},
+     "'options.cfl_safety' must be a number"),
+    ("principal", {"options.reservation": None},
+     "'options.reservation' must be a number"),
+    ("from_artifacts", {"sim": DROP}, "missing required key 'sim'"),
+    ("from_artifacts", {"sim.seed": DROP}, "missing required key 'sim.seed'"),
+    ("from_artifacts", {"sim.paths": 1.5}, "'sim.paths' must be an integer"),
+    ("from_artifacts", {"sim.z": 0.0}, "unknown key 'sim.z'"),
+    ("from_artifacts", {"policy": {"horizon": 1.0}},
+     "give either 'artifacts' or 'policy', not both"),
+    ("from_artifacts", {"model": {"preset": "zero_vol"}},
+     "the model is read from the artifact manifest; remove the 'model' "
+     "section"),
+    ("from_artifacts", {"artifacts": 5}, "'config.artifacts' must be a string"),
+    ("from_artifacts", {"grid": AGENT_GRID}, "unknown key 'config.grid'"),
+    ("from_artifacts", {"nature": {}}, "missing required key 'nature.values'"),
+    ("from_artifacts", {"nature": {"values": 0.3}},
+     "'nature.values' must be a list"),
+    ("from_artifacts", {"nature": {"values": [0.3, "a"]}},
+     "'nature.values' must be a list of numbers"),
+    ("from_artifacts", {"nature": {"values": [0.3], "steps": 2}},
+     "unknown key 'nature.steps'"),
+    ("from_policy", {"policy": DROP},
+     "missing required key 'artifacts' or 'policy'"),
+    ("from_policy", {"model": DROP}, "missing required key 'model'"),
+    ("from_policy", {"model.preset": "nope"},
+     f"unknown model preset 'nope'; known: {KNOWN_PRESETS}"),
+    ("from_policy", {"policy.horizon": DROP},
+     "missing required key 'policy.horizon'"),
+    ("from_policy", {"policy.nature": "hi"},
+     "'policy.nature' must be a number"),
+    ("from_policy", {"policy.seed": 1}, "unknown key 'policy.seed'"),
+    ("verify", {"verify": DROP}, "missing required key 'verify'"),
+    ("verify", {"verify.artifacts": DROP},
+     "missing required key 'verify.artifacts'"),
+    ("verify", {"verify.artifacts": ["a"]},
+     "'verify.artifacts' must be a string"),
+    ("verify", {"verify.probes": 9.0}, "'verify.probes' must be an integer"),
+    ("verify", {"verify.martingale_tolerance": "x"},
+     "'verify.martingale_tolerance' must be a number"),
+    ("verify", {"verify.x0": 0.0}, "unknown key 'verify.x0'"),
+    ("verify", {"model": {"preset": "zero_vol"}},
+     "unknown key 'config.model'"),
+    ("m_salary", {"sweep": DROP}, "missing required key 'sweep'"),
+    ("m_salary", {"sweep.axis": DROP}, "missing required key 'sweep.axis'"),
+    ("m_salary", {"sweep.values": DROP},
+     "missing required key 'sweep.values'"),
+    ("m_salary", {"sweep.axis": 3}, "'sweep.axis' must be a string"),
+    ("m_salary", {"sweep.axis": "gravity"},
+     "unknown sweep axis 'gravity'; known: band_width, m_salary"),
+    ("m_salary", {"sweep.values": "1"}, "'sweep.values' must be a list"),
+    ("m_salary", {"sweep.values": [1, "a"]},
+     "'sweep.values' must be a list of numbers"),
+    ("m_salary", {"sweep.step": 1}, "unknown key 'sweep.step'"),
+    ("m_salary", {"model": DROP}, "missing required key 'model'"),
+    ("m_salary", {"sim": DROP}, "missing required key 'sim'"),
+    ("m_salary", {"contract": {"payment": "call:0"}},
+     "unknown key 'contract' for an m_salary sweep"),
+    ("m_salary", {"grid": AGENT_GRID},
+     "unknown key 'grid' for an m_salary sweep"),
+    ("m_salary", {"verify": {}}, "unknown key 'config.verify'"),
+    ("m_salary", {"model.preset": "nope"},
+     f"unknown model preset 'nope'; known: {KNOWN_PRESETS}"),
+    ("m_salary", {"sim.dt": DROP}, "missing required key 'sim.dt'"),
+    ("m_salary", {"options.x0": 0.0}, "unknown key 'options.x0'"),
+    ("m_salary", {"options.horizon": "1"},
+     "'options.horizon' must be a number"),
+    ("band_width", {"model": DROP}, "missing required key 'model'"),
+    ("band_width", {"contract": DROP}, "missing required key 'contract'"),
+    ("band_width", {"grid": DROP}, "missing required key 'grid'"),
+    ("band_width", {"sim": SIM}, "unknown key 'sim' for a band_width sweep"),
+    ("band_width", {"model.preset": "nope"},
+     f"unknown model preset 'nope'; known: {KNOWN_PRESETS}"),
+    ("band_width", {"contract.payment": DROP},
+     "missing required key 'contract.payment'"),
+    ("band_width", {"grid.y_hi": 4.0}, "unknown key 'grid.y_hi'"),
+    ("band_width", {"grid.t_steps": DROP},
+     "missing required key 'grid.t_steps'"),
+    ("band_width", {"options.horizon": 1.0}, "unknown key 'options.horizon'"),
+    ("band_width", {"options.x0": "0"}, "'options.x0' must be a number"),
+]
+# the first rejected case of each command, run through ``main``
+BY_MAIN = list({MINIMAL[case[0]][0]: case for case in reversed(REJECTED)}
+               .values())
+
+
+def edited(name: str, edits: dict) -> tuple[str, dict]:
+    """A deep copy of a minimal config with dotted-path edits applied;
+    ``DROP`` deletes the key."""
+    command, base = MINIMAL[name]
+    doc = yaml.safe_load(yaml.safe_dump(base))
+    for path, value in edits.items():
+        *parents, key = path.split(".")
+        node = doc
+        for part in parents:
+            node = node.setdefault(part, {})
+        if value is DROP:
+            del node[key]
+        else:
+            node[key] = value
+    return command, doc
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+def read_example(name: str) -> tuple[str, str]:
+    """(text, command) of an example config, the command read from the
+    ``Run:`` line of its header comment."""
+    with open(os.path.join(CONFIGS, name), encoding="utf-8") as fh:
+        text = fh.read()
+    return text, text.split("Run: robustcontract ", 1)[1].split()[0]
+
+
+class TestSchemaCorpus:
+    @pytest.mark.parametrize("name", sorted(MINIMAL))
+    @pytest.mark.parametrize("full", [False, True])
+    def test_accepted_configs_parse_verbatim(self, name, full):
+        command, doc = edited(name, FULL[name] if full else {})
+        run = RunConfig.parse(yaml.safe_dump(doc), command)
+        assert run.mapping == doc
+
+    @pytest.mark.parametrize("name", sorted(os.listdir(CONFIGS)))
+    def test_example_configs_parse(self, name):
+        text, command = read_example(name)
+        assert RunConfig.parse(text, command).mapping == yaml.safe_load(text)
+
+    @pytest.mark.parametrize("name,edits,message", REJECTED)
+    def test_each_fault_has_its_message(self, name, edits, message):
+        command, doc = edited(name, edits)
+        with pytest.raises(ConfigError) as exc:
+            RunConfig.parse(yaml.safe_dump(doc), command)
+        assert str(exc.value) == message
+
+    def test_unknown_command(self):
+        with pytest.raises(ConfigError) as exc:
+            RunConfig.parse("out: x\n", "solve")
+        assert str(exc.value) == "unknown command 'solve'"
+
+    @pytest.mark.parametrize("name,edits,message", BY_MAIN)
+    def test_main_exits_2_with_the_message(self, name, edits, message,
+                                            tmp_path, capsys):
+        command, doc = edited(name, edits)
+        cfg = write_config(tmp_path, "bad.yaml", doc)
+        assert run_cli(command, cfg, tmp_path / "out") == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+
+def documented_schema(doc: str):
+    """The schema that a docstring states in its literal block: {(command,
+    variant): {section: (label, optional)}} from the command lines, and
+    {label: key tokens} from the section lines that follow them."""
+    match = re.search(r"::\n\n(.*?)\n\n(.*?)\n\n", doc, re.S)
+    if match is None:
+        return {}, {}
+    commands = {}
+    for line in match.group(1).splitlines():
+        head, tokens = re.split(r"\s{2,}", line.strip(), maxsplit=1)
+        command, _, variant = head.partition(" ")
+        commands[(command, variant.strip("()") or None)] = {
+            token.strip("[]").split("/")[0]: (token.strip("[]"),
+                                              token.startswith("["))
+            for token in tokens.split()}
+    sections, labels = {}, []
+    for line in match.group(2).splitlines():
+        if not line.startswith(" " * 5):  # not a continuation line
+            head, line = re.split(r"\s{2,}", line.strip(), maxsplit=1)
+            labels = head.split(", ")
+        for label in labels:
+            sections.setdefault(label, []).extend(line.split())
+    return commands, sections
+
+
+def tabled_schema() -> dict:
+    """{(command, variant): (section specs, required sections)}."""
+    out = {}
+    for command, entry in cli._SCHEMA.items():
+        _, variants = entry.get("pick", (None, {None: {
+            "required": (), "sections": {}}}))
+        for variant, part in variants.items():
+            out[(command, variant)] = (
+                dict(entry["sections"], **part["sections"]),
+                set(entry["required"]) | set(part["required"]))
+    return out
+
+
+def key_defaults(tokens) -> dict:
+    """{key: (type, default)} from key tokens: ``key`` is required,
+    ``[key]`` has no fixed default and ``[key=value]`` has that one."""
+    out = {}
+    for token in tokens:
+        key, _, value = token.strip("[]").partition("=")
+        default = ("required" if not token.startswith("[")
+                   else yaml.safe_load(value) if value else None)
+        out[key] = (type(default), default)
+    return out
+
+
+class TestSchemaDocstring:
+    def test_docstring_states_every_section_key_and_default(self):
+        commands, sections = documented_schema(cli.__doc__)
+        table = tabled_schema()
+        assert set(commands) == set(table)
+        used = {"out"}
+        for variant, (specs, required) in table.items():
+            assert set(commands[variant]) == set(specs), variant
+            for name, spec in specs.items():
+                label, optional = commands[variant][name]
+                assert optional == (name not in required), (variant, name)
+                used.add(label)
+                if isinstance(spec, str):
+                    assert (spec, sections[label]) == ("str", ["strings"])
+                    continue
+                want = {key: "required" if default is cli._REQUIRED
+                        else default for key, (_, default) in spec.items()}
+                assert key_defaults(sections[label]) == {
+                    key: (type(d), d) for key, d in want.items()}, label
+        assert sections["out"] == ["strings"] and "``[out]``" in cli.__doc__
+        assert used == set(sections)
+
+    def test_the_parser_reads_a_stated_schema(self):
+        commands, sections = documented_schema(
+            "Schema::\n\n    sweep (band_width)   sweep grid/x [options]\n"
+            "\n    grid/x         x_lo [t_steps]\n"
+            "                   [horizon=1.0]\n    a, b      strings\n\n")
+        assert commands == {("sweep", "band_width"): {
+            "sweep": ("sweep", False), "grid": ("grid/x", False),
+            "options": ("options", True)}}
+        assert sections == {"grid/x": ["x_lo", "[t_steps]", "[horizon=1.0]"],
+                            "a": ["strings"], "b": ["strings"]}
+        assert key_defaults(sections["grid/x"]) == {
+            "x_lo": (str, "required"), "t_steps": (type(None), None),
+            "horizon": (float, 1.0)}
 
 
 @pytest.fixture(scope="module")

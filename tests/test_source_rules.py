@@ -1,8 +1,8 @@
 """Source rules for the package: no ``assert`` statements (``python -O``
 strips them), no handler that swallows every error, no effort-payoff
 coefficient evaluated outside the ``numerics`` effort kernel, no
-defaulted parameter that no call site sets, and no dataclass field
-default that every constructor call overrides."""
+defaulted parameter that no call site sets, and no function or dataclass
+field default that every call overrides."""
 
 import ast
 import pathlib
@@ -133,11 +133,9 @@ def _surely_sets(call, index, name):
     return index is not None and plain > index
 
 
-def unset_defaults(root=SRC, callers=CALLERS):
-    """``file:line name(param)`` of every defaulted parameter of a function
-    in ``root`` that no call of that name under ``callers`` sets."""
-    calls = _calls(callers)
-    found = []
+def _defaulted_params(root):
+    """(path, function, position or None, name) of each defaulted
+    parameter of a function in ``root``, in line order per module."""
     for path, tree in _modules(root):
         methods = {id(fn) for cls in ast.walk(tree)
                    if isinstance(cls, ast.ClassDef) for fn in cls.body}
@@ -145,10 +143,28 @@ def unset_defaults(root=SRC, callers=CALLERS):
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
         for fn in sorted(defs, key=lambda node: node.lineno):
             for index, name in _defaulted(fn, id(fn) in methods):
-                if not any(_sets(call, index, name)
-                           for call in calls.get(fn.name, [])):
-                    found.append(f"{path.name}:{fn.lineno} {fn.name}({name})")
-    return found
+                yield path, fn, index, name
+
+
+def unset_defaults(root=SRC, callers=CALLERS):
+    """``file:line name(param)`` of every defaulted parameter of a function
+    in ``root`` that no call of that name under ``callers`` sets."""
+    calls = _calls(callers)
+    return [f"{path.name}:{fn.lineno} {fn.name}({name})"
+            for path, fn, index, name in _defaulted_params(root)
+            if not any(_sets(call, index, name)
+                       for call in calls.get(fn.name, []))]
+
+
+def overridden_defaults(root=SRC, callers=CALLERS):
+    """``file:line name(param)`` of every defaulted parameter of a function
+    in ``root`` that every call of that name under ``callers`` surely sets,
+    so that no call relies on the default."""
+    calls = _calls(callers)
+    return [f"{path.name}:{fn.lineno} {fn.name}({name})"
+            for path, fn, index, name in _defaulted_params(root)
+            if calls.get(fn.name) and all(_surely_sets(call, index, name)
+                                          for call in calls[fn.name])]
 
 
 def _init_fields(cls):
@@ -253,6 +269,28 @@ def test_default_rule_catches_each_form(tmp_path):
     assert unset_defaults(pkg, (tmp_path,)) == [
         "mod.py:1 f(d)", "mod.py:4 m(y)", "mod.py:6 g(k)",
         "mod.py:10 lone(r)"]
+
+
+def test_every_default_is_relied_on_by_some_caller():
+    assert overridden_defaults() == []
+
+
+def test_overridden_default_rule_catches_each_form(tmp_path):
+    pkg, use = tmp_path / "pkg", tmp_path / "use"
+    pkg.mkdir()
+    use.mkdir()
+    (pkg / "mod.py").write_text(
+        "def f(a, b=1, *, c=2, d=3):\n    pass\n"
+        "class K:\n    def m(self, x=0, y=1):\n        pass\n"
+        "def g(u=0, *, k=0):\n    pass\n"
+        "def h(q=0):\n    pass\n"
+        "def lone(r=0):\n    pass\n")
+    (pkg / "presets.py").write_text("def preset(w=0):\n    pass\n")
+    (use / "use.py").write_text(
+        "f(0, 5, c=1)\nmod.f(0, b=2, c=1, d=4)\nK().m(4, y=2)\nK().m(5, 6)\n"
+        "g(1, *xs, k=2)\ng(**kw)\nh(*xs)\npreset(w=1)\n")
+    assert overridden_defaults(pkg, (tmp_path,)) == [
+        "mod.py:1 f(b)", "mod.py:1 f(c)", "mod.py:4 m(x)", "mod.py:4 m(y)"]
 
 
 def test_every_field_default_is_relied_on():
