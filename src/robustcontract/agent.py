@@ -109,38 +109,42 @@ class AgentSolution:
         return float(self.effort[ti, xi]), float(self.nature[ti, xi])
 
 
-def _control_grids(model: ModelSpec, nodes: int):
-    """Nature column (Nn, 1) and the effort-grid tensor (Nn, Na, nodes)."""
-    n_col = np.asarray(model.n_grid())[:, None]
-    a_grid = model.a_grid()
-    return n_col, np.broadcast_to(a_grid[None, :, None],
-                                  (len(n_col), len(a_grid), nodes))
+def _control_grids(model: ModelSpec):
+    """Nature column (Nn, 1) and effort column (Na, 1)."""
+    return np.asarray(model.n_grid())[:, None], model.a_grid()[:, None]
 
 
 def _saddle_step(model: ModelSpec, t, x_arr, v, z, gam, grids):
-    """Vectorized one-slice saddle: returns (a_star, n_star, sig2, b, k, c).
+    """Vectorized one-slice saddle: returns (a_star, n_star, sig2, b, k, c),
+    each per node or, where the model ignores the node, broadcasting to it.
 
     The ``numerics`` effort kernel gives the efforts and the running payoff
-    on one (nature, effort, node) tensor.  Mirrors the scalar evaluator
-    selection rule: for each nature control the effort maximizing the
-    running reward wins (earliest within tolerance), then the nature
-    control minimizing the realized second-order Hamiltonian is chosen the
-    same way; b, k and c are gathered at the selected controls only.
-    ``grids`` is ``_control_grids``' result, built once per solve.
+    on a (nature, effort, node) tensor whose axes are only as long as the
+    coefficients need: a payoff free of nature has no nature axis, so its
+    effort maximum is taken once per node rather than once per nature
+    control.  Mirrors the scalar evaluator selection rule: for each nature
+    control the effort maximizing the running reward wins (earliest within
+    tolerance), then the nature control minimizing the realized
+    second-order Hamiltonian is chosen the same way; b, k and c are
+    gathered at the selected controls only, from their own shapes
+    (``numerics.pick``).  ``grids`` is ``_control_grids``' result, built once
+    per solve.
     """
-    n_col, A = grids
-    sig = numerics.field(model.vol_sigma, t, x_arr, n_col)         # (Nn, X)
+    n_col, a_col = grids
+    sig = numerics.field(model.vol_sigma, t, x_arr, n_col)
     sig2 = sig * sig
     a_c = numerics.clamped_candidate(model, t, x_arr, z, sig)
-    if a_c is not None:
-        A = np.concatenate([a_c[:, None, :], A], axis=1)
+    A = numerics.effort_rows(a_c, a_col, len(a_col))
     base, b, k, c = numerics.effort_payoff(model, t, x_arr, v, A,
                                            n_col[:, :, None])
-    a_idx, f_best = numerics.first_argmax(base + b * z, axis=1)
-    n_idx, _ = numerics.first_argmin(0.5 * sig2 * gam + f_best)
+    a_idx, f_best = numerics.best_effort(base + b * z)
+    n_idx, _ = numerics.first_argmin(
+        np.atleast_2d(0.5 * sig2 * gam + f_best))
     nodes = np.arange(x_arr.size)
-    at = (n_idx, a_idx[n_idx, nodes], nodes)
-    return (A[at], n_col[n_idx, 0], sig2[n_idx, nodes], b[at], k[at], c[at])
+    at = (n_idx, numerics.pick(a_idx, (n_idx, nodes)), nodes)
+    return (numerics.pick(A, at), n_col[n_idx, 0],
+            numerics.pick(sig2, at[::2]),
+            *(numerics.pick(arr, at) for arr in (b, k, c)))
 
 
 def solve_agent(model: ModelSpec, contract: ContractFunction, *,
@@ -178,7 +182,7 @@ def solve_agent(model: ModelSpec, contract: ContractFunction, *,
     values[t_steps] = numerics.apply1(
         model.utility_agent, numerics.apply1(contract.payment, x_grid))
 
-    grids = _control_grids(model, x_nodes)
+    grids = _control_grids(model)
     max_grad = 0.0
     for step in range(t_steps - 1, -1, -1):
         t = float(t_grid[step])
@@ -235,7 +239,9 @@ def linear_bsde_value(model: ModelSpec, contract: ContractFunction,
     float or an array of frozen controls broadcasting with ``x``."""
     _require_linear_family(model)
     x = np.asarray(x, dtype=float)
-    sig = numerics.field(model.vol_sigma, t, x, n)
+    # inf_of_bsdes reduces over the nature axis, so sigma keeps it
+    sig = np.broadcast_to(numerics.field(model.vol_sigma, t, x, n),
+                          np.broadcast_shapes(x.shape, np.shape(n)))
     tau = horizon - t
     if tau < 0:
         raise ValueError("evaluation time past the horizon")

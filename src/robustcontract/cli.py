@@ -449,6 +449,20 @@ def _artifact_table(art_dir: str, name: str) -> dict[str, np.ndarray]:
         raise MissingArtifact(f"no {name} in '{art_dir}'")
 
 
+def _manifest_config(art_dir: str, manifest: dict) -> dict:
+    """The config a prior run's manifest embeds, checked against its
+    command's schema; a config that fails is a broken artifact."""
+    conf = manifest.get("config")
+    try:
+        if not isinstance(conf, dict):
+            raise ConfigError("config must be a YAML mapping")
+        _validate_config(manifest["command"], conf)
+    except ConfigError as exc:
+        raise MissingArtifact(
+            f"manifest config in '{art_dir}' is invalid: {exc}")
+    return conf
+
+
 def _load_principal(art_dir: str) -> SimpleNamespace:
     """Rebuild model, grid, policy and value surface from a solve dir."""
     manifest = _read_manifest(art_dir)
@@ -456,7 +470,7 @@ def _load_principal(art_dir: str) -> SimpleNamespace:
         raise MissingArtifact(
             f"'{art_dir}' holds a {manifest.get('command')!r} run, "
             "not solve-principal")
-    conf = manifest["config"]
+    conf = _manifest_config(art_dir, manifest)
     model = _build_model("solve-principal", conf)
     grid = _build_gridspec(conf["grid"])
     shape = (grid.t_steps + 1, grid.x_nodes, grid.y_nodes)
@@ -673,7 +687,7 @@ def _principal_checks(art: SimpleNamespace, v: dict) -> dict:
 
 
 def _agent_checks(art_dir: str, manifest: dict) -> dict:
-    conf = manifest["config"]
+    conf = _manifest_config(art_dir, manifest)
     model = _build_model("solve-agent", conf)
     contract = _build_contract(conf["contract"])
     g = conf["grid"]

@@ -71,21 +71,27 @@ def elementwise(fn):
     return adapter
 
 
-def vectorized(fn, *axes, want=None):
-    """``fn`` if its call on the open mesh of ``axes`` broadcasts to ``want``,
-    its scalar calls there (made here unless given), and agrees within
-    ``_PROBE_RTOL``, NaN matching NaN; else ``elementwise(fn)``.  A
-    ``TypeError`` or ``ValueError`` on the probe also means scalar-only."""
+def _mesh_shape(fn, axes, want):
+    """Shape of ``fn``'s call on the open mesh of ``axes`` when that call
+    broadcasts to ``want`` (its scalar calls there, made here when None)
+    and agrees within ``_PROBE_RTOL``, NaN matching NaN; else None.  A
+    ``TypeError`` or ``ValueError`` on the probe also gives None."""
     try:
         got = np.asarray(fn(*np.ix_(*axes)), dtype=float)
         want = _scalar_table(fn, *axes) if want is None else want
-        got = np.broadcast_to(got, want.shape)
+        full = np.broadcast_to(got, want.shape)
     except (TypeError, ValueError):
-        return elementwise(fn)
+        return None
     with np.errstate(invalid="ignore"):
-        close = np.abs(got - want) <= _PROBE_RTOL * np.abs(want)
-    same = close | (got == want) | (np.isnan(got) & np.isnan(want))
-    return fn if np.all(same) else elementwise(fn)
+        close = np.abs(full - want) <= _PROBE_RTOL * np.abs(want)
+    same = close | (full == want) | (np.isnan(full) & np.isnan(want))
+    return got.shape if np.all(same) else None
+
+
+def vectorized(fn, *axes, want=None):
+    """``fn`` if it broadcasts on the open mesh of ``axes`` and matches its
+    scalar calls there (:func:`_mesh_shape`), else ``elementwise(fn)``."""
+    return fn if _mesh_shape(fn, axes, want) is not None else elementwise(fn)
 
 
 @dataclass(frozen=True)
@@ -148,8 +154,18 @@ class ModelSpec:
     Coefficient contract: the solvers call primitives on broadcast arrays.
     Each callable primitive above and ``candidate_effort`` either broadcasts
     (checked once at construction against scalar calls on probe points) or
-    is wrapped there, once, in ``elementwise``.  ``candidate_zgamma`` must
-    broadcast, else ``ValueError``.  Errors inside primitives propagate.
+    is wrapped there, once, in ``elementwise``.  A result may omit an axis
+    its primitive ignores, and the solvers reduce on the shapes they get.
+    ``candidate_zgamma`` must broadcast, else ``ValueError``.  Errors inside
+    primitives propagate.
+
+    ``payoff_free_of_nature`` is derived at construction, not set: it holds
+    when ``drift_b`` and ``discount_k`` broadcast and their calls on the
+    probe mesh, which has two or more nature values, come back without a
+    nature axis (or with one of length 1).  Neither then reads the nature
+    control, so the running payoff ``-k*y - c + b*z`` is the same at every
+    nature control; the agent and principal solvers read the same fact
+    from the shapes of their own calls.
     """
 
     drift_b: Callable[[float, float, float, float], float]
@@ -182,6 +198,8 @@ class ModelSpec:
     allow_degenerate_vol: bool = False
     growth_C: float = 10.0
 
+    payoff_free_of_nature: bool = field(init=False, default=False)
+
     def __post_init__(self) -> None:
         a_lo, a_hi = self.effort_set_A
         if a_lo != 0.0 or a_hi <= 0.0:
@@ -207,32 +225,40 @@ class ModelSpec:
         a_probe, n_probe = self.a_grid(), self.n_grid()
         a_sub = a_probe[:: max(1, len(a_probe) // 4)]
         n_sub = n_probe[:: max(1, len(n_probe) // 4)]
-        sig = self._adopt("vol_sigma", ts, xs, n_probe)
+        sig = self._adopt("vol_sigma", ts, xs, n_probe)[0]
         if not self.allow_degenerate_vol and not np.all(sig > 0.0):
             i, j, k = np.argwhere(~(sig > 0.0))[0]
             raise ValueError(
                 f"vol_sigma must be positive on the grid, got {sig[i, j, k]} "
                 f"at (t={ts[i]}, x={xs[j]}, n={n_probe[k]})")
-        costs = self._adopt("cost_c", ts, xs, a_probe)
+        costs = self._adopt("cost_c", ts, xs, a_probe)[0]
         if np.any(costs < -1e-12):
             raise ValueError("cost_c must be nonnegative on the effort grid")
         if len(a_probe) >= 2 and np.any(np.diff(costs) < -1e-12):
             raise ValueError("cost_c must be increasing in effort")
         if len(a_probe) >= 3 and np.any(np.diff(costs, n=2) < -1e-12):
             raise ValueError("cost_c must be convex in effort")
-        disc = self._adopt("discount_k", ts, xs, a_sub, n_sub)
+        disc, disc_shape = self._adopt("discount_k", ts, xs, a_sub, n_sub)
         if np.any(np.abs(disc) > self.growth_params.kappa + 1e-12):
             raise ValueError("discount_k exceeds the kappa bound")
-        target = self._adopt("utility_agent", PROBE_W)
-        inv = self._adopt("utility_agent_inv", target)
+        target = self._adopt("utility_agent", PROBE_W)[0]
+        inv = self._adopt("utility_agent_inv", target)[0]
         if np.any(np.abs(_scalar_table(self.utility_agent, inv) - target) > 1e-12):
             raise ValueError("utility_agent inverse is not exact on probes")
 
-        xs, a_sub, n_sub = xs[::4], a_sub[::2], n_sub[::2]
+        # the thin mesh keeps two nature values of a two-point grid: on one
+        # value the nature axis has length 1 whatever the drift reads
+        xs, a_sub = xs[::4], a_sub[::2]
+        n_sub = n_sub[::2] if len(n_sub) > 2 else n_sub
+        drift_shape = self._adopt("drift_b", ts, xs, a_sub, n_sub)[1]
+        # a broadcasting call that comes back without a nature axis reads
+        # no nature control anywhere, not only at the probe points
+        object.__setattr__(self, "payoff_free_of_nature", len(n_sub) > 1 and all(
+            shape is not None and shape[-1:] in ((), (1,))
+            for shape in (drift_shape, disc_shape)))
         # two w points (-1.5, 1.5) probe z, y, p and q; nature values stand in
         # for the candidate effort's volatility argument
-        for name, axes in (("drift_b", (ts, xs, a_sub, n_sub)),
-                           ("utility_principal", (PROBE_W,)),
+        for name, axes in (("utility_principal", (PROBE_W,)),
                            ("liquidation_L", (PROBE_W,)),
                            ("candidate_effort", (ts, xs, PROBE_W[3::6], n_sub))):
             if getattr(self, name) is not None:
@@ -249,11 +275,15 @@ class ModelSpec:
                 raise ValueError("candidate_zgamma must broadcast over array "
                                  "arguments and match its scalar calls")
 
-    def _adopt(self, name: str, *axes) -> np.ndarray:
-        """Scalar values of primitive ``name`` on ``axes``; it is made ``vectorized``."""
-        want = _scalar_table(getattr(self, name), *axes)
-        object.__setattr__(self, name, vectorized(getattr(self, name), *axes, want=want))
-        return want
+    def _adopt(self, name: str, *axes) -> tuple[np.ndarray, tuple | None]:
+        """Scalar values of primitive ``name`` on ``axes`` and the shape of
+        its mesh call (:func:`_mesh_shape`); it is wrapped in
+        ``elementwise`` when that shape is None."""
+        fn = getattr(self, name)
+        want = _scalar_table(fn, *axes)
+        shape = _mesh_shape(fn, axes, want)
+        object.__setattr__(self, name, fn if shape is not None else elementwise(fn))
+        return want, shape
 
     # -- control grids ------------------------------------------------------
 

@@ -2,14 +2,20 @@
 
 The solvers evaluate each model coefficient ``fn(t, x, *controls)`` once
 per step on a tensor: nodes last, control grids (nature, effort) on leading
-axes.  :func:`field` returns it on the broadcast shape of its arguments;
-``ModelSpec`` has already wrapped any primitive written for scalars, so
-every call here is one array call.
+axes.  :func:`field` returns the primitive's own result, which broadcasts to
+the shape of its arguments but may omit an axis the primitive ignores (a
+constant comes back 0-d, a drift free of nature has no nature axis), so the
+model's structure shows in the shapes.  ``ModelSpec`` has already wrapped
+any primitive written for scalars, so every call here is one array call; a
+wrapped primitive returns the full shape.
 The effort kernel owns the agent's response rule for the agent and
 principal solvers and the engine: :func:`clamped_candidate` is the effort
-enumeration's first entry, ahead of the a-grid, and :func:`effort_payoff`
-keeps ``eval_F``'s expression order, so ``base + b*z`` is ``-k*y - c + b*z``
-bit for bit.  Each caller keeps its own reduction.
+enumeration's first entry, ahead of the a-grid (:func:`effort_rows` stacks
+it there), and :func:`effort_payoff` keeps ``eval_F``'s expression order,
+so ``base + b*z`` is ``-k*y - c + b*z`` bit for bit.  Each caller keeps its
+own reduction and runs it on the smallest shape the coefficients allow;
+broadcasting never changes an elementwise result, so the reductions agree
+bit for bit with the full tensor's.
 Selection helpers reproduce the evaluator tie-break rule (earliest
 enumerated index within ``TIE_TOL``) along one axis of such a tensor, so
 vectorized kernels and scalar evaluators agree about which control wins.
@@ -23,34 +29,72 @@ from .hamiltonians import TIE_TOL
 
 
 def field(fn, t, x, *args):
-    """Evaluate ``fn(t, x, *args)`` on the broadcast shape of ``x`` and ``args``.
+    """Evaluate ``fn(t, x, *args)`` as a float array.
 
-    Returns a float array of that shape; a result that merely broadcasts to
-    it (a constant, or one free of some argument) comes back as a read-only
-    broadcast view.
+    The result keeps the primitive's own shape: it broadcasts to the shape
+    of ``x`` and ``args`` but may omit (or have length 1 on) an axis the
+    primitive ignores, so a constant comes back 0-d.  Callers broadcast it
+    where they need the full shape.
     """
-    x = np.asarray(x, dtype=float)
-    shape = np.broadcast(x, *args).shape
-    out = np.asarray(fn(t, x, *args), dtype=float)
-    return out if out.shape == shape else np.broadcast_to(out, shape)
+    return np.asarray(fn(t, np.asarray(x, dtype=float), *args), dtype=float)
 
 
 def clamped_candidate(model, t, x, z, sig):
-    """The closed-form effort candidate clipped into the effort set; None
-    when the model has no candidate hook."""
+    """The closed-form effort candidate clipped into the effort set, on the
+    candidate's own shape (:func:`field`); None when the model has no
+    candidate hook."""
     if model.candidate_effort is not None:
         return np.clip(field(model.candidate_effort, t, x, z, sig),
                        *model.effort_set_A)
 
 
 def effort_payoff(model, t, x, y, a, n, c=None):
-    """Running-payoff parts ``(base, b, k, c)`` with ``base = -k*y - c``; a
-    given cost ``c``, which is free of ``n``, is reused."""
+    """Running-payoff parts ``(base, b, k, c)`` with ``base = -k*y - c``,
+    each on its own :func:`field` shape; a given cost ``c``, which is free
+    of ``n``, is reused."""
     b = field(model.drift_b, t, x, a, n)
     k = field(model.discount_k, t, x, a, n)
     if c is None:
         c = field(model.cost_c, t, x, a)
     return -k * y - c, b, k, c
+
+
+def effort_rows(cand, rows, count):
+    """The candidate row ahead of ``count`` effort rows on the effort axis
+    (second to last) of a (nature, effort, node) tensor; ``rows`` as they
+    are when ``cand`` is None.
+
+    ``cand`` broadcasts to (nature, node) and ``rows`` to (nature, count,
+    node); either may omit an axis it ignores.  Only the axes the
+    concatenation needs are broadcast: the result has a nature axis only
+    when an input has one.
+    """
+    if cand is None:
+        return rows
+    cand = np.atleast_1d(cand)[..., None, :]
+    *lead, _, nodes = np.broadcast_shapes(cand.shape, np.shape(rows))
+    return np.concatenate([np.broadcast_to(cand, (*lead, 1, nodes)),
+                           np.broadcast_to(rows, (*lead, count, nodes))],
+                          axis=-2)
+
+
+def best_effort(pay):
+    """:func:`first_argmax` over the effort axis (second to last) of a
+    payoff on a (nature, effort, node) tensor.  A payoff without that axis
+    is the same for every effort, so the first effort wins with it."""
+    pay = np.asarray(pay)
+    if pay.ndim < 2:
+        return 0, pay
+    return first_argmax(pay, axis=-2)
+
+
+def pick(arr, at):
+    """``arr`` at the index arrays ``at`` of the full tensor it broadcasts
+    to, without broadcasting it: an axis ``arr`` lacks is skipped and one
+    of length 1 is read at 0, so the result may omit axes too."""
+    arr = np.asarray(arr)
+    return arr[tuple(i if n > 1 else 0
+                     for i, n in zip(at[len(at) - arr.ndim:], arr.shape))]
 
 
 def max_sigma_sq(model, t_grid, x_grid):
@@ -115,12 +159,6 @@ def first_argmin(stack):
     stack = np.asarray(stack, dtype=float)
     best = np.min(stack, axis=0)
     return np.argmin(stack - best > TIE_TOL, axis=0), best
-
-
-def take_rows(stack, idx):
-    """Gather ``stack[idx[j], j]`` for each column j."""
-    stack = np.asarray(stack)
-    return stack[idx, np.arange(stack.shape[-1])]
 
 
 def grid_searchsorted(grid, q):

@@ -146,20 +146,23 @@ class PrincipalSolution:
 
 def _static_tables(model: ModelSpec, t: float, X: np.ndarray, Y: np.ndarray,
                    exact_only: bool):
-    """Per-slice caches: volatilities per nature control, (nature, node),
-    and unless ``exact_only`` the z-independent reward parts of every grid
-    effort, drift ``B`` and ``BASE = -k y - c`` on (nature, effort, node)
-    from the ``numerics`` effort kernel."""
+    """Per-slice caches: squared volatilities per nature control on
+    (nature, node), of length 1 on an axis the volatility ignores; the
+    effort grid as a column ``a_rows``; and the z-independent reward parts
+    of every grid effort, drift ``B`` and ``BASE = -k y - c``, on the
+    ``numerics`` effort kernel's own shapes.  ``exact_only`` skips the
+    grid: ``a_rows``, ``B`` and ``BASE`` have no rows then."""
     n_grid = model.n_grid()
-    a_grid = model.a_grid()
     n_col = np.asarray(n_grid)[:, None]
     sig = numerics.field(model.vol_sigma, t, X, n_col)
-    sig2 = sig * sig
-    B = BASE = None
-    if not exact_only:
-        BASE, B = numerics.effort_payoff(model, t, X, Y, a_grid[:, None],
+    sig2 = np.atleast_2d(sig * sig)
+    if exact_only:
+        a_rows = B = BASE = np.empty((0, 1))
+    else:
+        a_rows = model.a_grid()[:, None]
+        BASE, B = numerics.effort_payoff(model, t, X, Y, a_rows,
                                          n_col[:, :, None])[:2]
-    return n_grid, a_grid, sig, sig2, B, BASE
+    return n_grid, a_rows, sig, sig2, B, BASE
 
 
 def _entry_eval(model, t, X, Y, tables, z_spec, gam_rows, p, pt, q, qt, r):
@@ -167,40 +170,37 @@ def _entry_eval(model, t, X, Y, tables, z_spec, gam_rows, p, pt, q, qt, r):
 
     ``z_spec`` is a float (grid layer) or per-node array (candidate layer);
     ``gam_rows`` has shape (G,) for grid gammas or (G, N) for per-node ones.
-    The effort enumeration is the ``numerics`` effort kernel's on one
-    (nature, effort, node) tensor: the candidate row, evaluated for every
-    nature in one call, ahead of the grid rows ``BASE + B z`` (the
-    candidate row alone when the tables skipped the grid, ``B is None``).
-    The best effort per (nature, node) is the earliest within ``TIE_TOL``
-    of the maximum.  Returns (G, N) rows keyed by field: the
-    inf-over-nature payoff ``value``, the nature index ``n_idx`` attaining
-    it, and the controls and stencil inputs realized with that nature.
+    The effort enumeration is the ``numerics`` effort kernel's: the
+    candidate row, evaluated for every nature in one call, ahead of the
+    grid rows ``BASE + B z``, stacked by ``numerics.effort_rows`` on a
+    (nature, effort, node) tensor that has a nature axis only when the
+    payoff depends on nature.  The best effort per (nature, node) is the
+    earliest within ``TIE_TOL`` of the maximum.  Returns (G, N) rows keyed
+    by field: the inf-over-nature payoff ``value``, the nature index
+    ``n_idx`` attaining it, and the controls and stencil inputs realized
+    with that nature.
     """
-    n_grid, a_grid, sig, sig2, B, BASE = tables
+    n_grid, a_rows, sig, sig2, B, BASE = tables
     zB = np.asarray(z_spec, dtype=float)
+    count = len(a_rows)
 
-    rows_f, rows_a, rows_b = [], [], []
     ac = numerics.clamped_candidate(model, t, X, zB, sig)
+    fc = bc = None
     if ac is not None:
         base, bc, _, _ = numerics.effort_payoff(model, t, X, Y, ac,
                                                 np.asarray(n_grid)[:, None])
-        rows_f.append((base + bc * zB)[:, None, :])
-        rows_a.append(ac[:, None, :])
-        rows_b.append(bc[:, None, :])
-    if B is not None:
-        rows_f.append(BASE + B * zB)
-        rows_a.append(np.broadcast_to(a_grid[:, None], B.shape))
-        rows_b.append(B)
-    idx, fmax = numerics.first_argmax(np.concatenate(rows_f, axis=1), axis=1)
+        fc = base + bc * zB
+    idx, fmax = numerics.best_effort(
+        numerics.effort_rows(fc, BASE + B * zB, count))
     nodes = np.arange(X.size)
     at = (np.arange(len(n_grid))[:, None], idx, nodes)
-    astar = np.concatenate(rows_a, axis=1)[at]
-    bstar = np.concatenate(rows_b, axis=1)[at]
+    astar = numerics.pick(numerics.effort_rows(ac, a_rows, count), at)
+    bstar = numerics.pick(numerics.effort_rows(bc, B, count), at)
 
     gam = np.asarray(gam_rows, dtype=float)
     gam2 = gam[:, None] if gam.ndim == 1 else gam          # (G, 1|N)
     half_sig2 = 0.5 * sig2                                  # (n, N)
-    hall = half_sig2[:, None, :] * gam2[None, :, :] + fmax[:, None, :]
+    hall = half_sig2[:, None, :] * gam2[None, :, :] + fmax[..., None, :]
     hval = hall.min(axis=0)                                 # (G, N)
 
     # gamma-independent part of the payoff, (n, N)
@@ -211,10 +211,13 @@ def _entry_eval(model, t, X, Y, tables, z_spec, gam_rows, p, pt, q, qt, r):
               - (pt * hval)[None, :, :])
     best = gstack.min(axis=0)                               # (G, N)
     n_idx = np.argmin(gstack - best[None, :, :] > TIE_TOL, axis=0)
+    realized = {name: np.broadcast_to(numerics.pick(arr, (n_idx, nodes)),
+                                      best.shape)
+                for name, arr in (("effort", astar), ("fstar", fmax),
+                                  ("bdrift", bstar))}
     return {"value": best, "z": np.broadcast_to(zB, best.shape),
             "gamma": np.broadcast_to(gam2, best.shape), "n_idx": n_idx,
-            "effort": astar[n_idx, nodes], "hval": hval,
-            "fstar": fmax[n_idx, nodes], "bdrift": bstar[n_idx, nodes]}
+            "hval": hval, **realized}
 
 
 def _enumerate_entries(model: ModelSpec, t, X, Y, p, q, radius,
@@ -262,17 +265,18 @@ def _select_slice(model, t, X, Y, p, pt, q, qt, r, radius) -> _Selection:
               for z_spec, gam_rows in entries]
     win, top = numerics.first_argmax(
         np.concatenate([b["value"] for b in blocks]))
-    pick = {name: numerics.take_rows(
-                np.concatenate([b[name] for b in blocks]), win)
-            for name in blocks[0] if name != "value"}
-    n_sel = pick.pop("n_idx")
+    nodes = np.arange(X.size)
+    chosen = {name: np.concatenate([b[name] for b in blocks])[win, nodes]
+              for name in blocks[0] if name != "value"}
+    n_sel = chosen.pop("n_idx")
     edge = radius * (1.0 - 1e-9)
-    sat = (np.abs(pick["z"]) >= edge) | (np.abs(pick["gamma"]) >= edge)
+    sat = (np.abs(chosen["z"]) >= edge) | (np.abs(chosen["gamma"]) >= edge)
+    # a constant volatility gathers to 0-d; the stencil needs one per node
+    sig2 = np.broadcast_to(numerics.pick(tables[3], (n_sel, nodes)), X.size)
     return _Selection(
-        value=top, nature=np.asarray(tables[0])[n_sel],
-        sig2=tables[3][n_sel, np.arange(X.size)], radius=radius,
-        sat_mask=sat, saturated=int(np.count_nonzero(sat)),
-        qt_nonneg_saturated=int(np.count_nonzero(sat & (qt >= 0.0))), **pick)
+        value=top, nature=np.asarray(tables[0])[n_sel], sig2=sig2,
+        radius=radius, sat_mask=sat, saturated=int(np.count_nonzero(sat)),
+        qt_nonneg_saturated=int(np.count_nonzero(sat & (qt >= 0.0))), **chosen)
 
 
 def _derivatives(u: np.ndarray, dx: float, dy: float):

@@ -349,16 +349,21 @@ def _response(model: ModelSpec, t: float, X: np.ndarray, Y: np.ndarray,
     inner infimum runs over the grid controls whose squared volatility
     matches the realized level within the model tolerance, with the
     driving control itself appended last (it always realizes its own
-    level).  Ties resolve to the earliest enumerated entry.
+    level).  Ties resolve to the earliest enumerated entry.  sigma keeps
+    the volatility's own shape (``numerics.field``).
 
     The cost is evaluated once, and only the payoff outlives each kernel
     call, which keeps the fold's peak memory down.  The infimum over the
     level set is a sequential fold in n-grid order rather than a masked
     ``np.min``, which would resolve NaN and signed zeros differently from
-    the pointwise evaluator.
+    the pointwise evaluator.  A model whose payoff is free of nature
+    (``ModelSpec.payoff_free_of_nature``) skips the fold: every entry
+    would equal the driving control's payoff, so none is smaller.
     """
     sig = numerics.field(model.vol_sigma, t, X, n_now)
     cand = numerics.clamped_candidate(model, t, X, Z, sig)
+    if cand is not None:
+        cand = np.broadcast_to(cand, X.shape)
 
     if model.risk_neutral and cand is not None:
         # the candidate is the exact maximizer and F does not depend on the
@@ -372,23 +377,33 @@ def _response(model: ModelSpec, t: float, X: np.ndarray, Y: np.ndarray,
     if cand is not None:
         A = np.concatenate([cand[None], A])
 
-    n_pts = model.n_grid()
-    sig_grid = numerics.field(model.vol_sigma, t, X, n_pts[:, None])
-    sig2_grid = sig_grid * sig_grid
-    tol = level_set_tolerance(n_pts, sig2_grid)
-    member = np.abs(sig2_grid - (sig * sig)[None, :]) <= tol[None, :]
+    if model.payoff_free_of_nature:
+        # no fold reuses the cost, so it is not kept: one (effort, path)
+        # tensor less at the peak
+        base, b = numerics.effort_payoff(model, t, X, Y, A, n_now)[:2]
+        inner = base + b * Z
+    else:
+        n_pts = model.n_grid()
+        # the level-set tolerance differences along the full n-grid axis
+        sig_grid = np.broadcast_to(
+            numerics.field(model.vol_sigma, t, X, n_pts[:, None]),
+            (len(n_pts),) + X.shape)
+        sig2_grid = sig_grid * sig_grid
+        tol = level_set_tolerance(n_pts, sig2_grid)
+        member = np.abs(sig2_grid - sig * sig) <= tol
 
-    def payoff(n, cost):
-        base, b, _, cost = numerics.effort_payoff(model, t, X, Y, A, n, cost)
-        return base + b * Z, cost
+        def payoff(n, cost):
+            base, b, _, cost = numerics.effort_payoff(model, t, X, Y, A, n,
+                                                      cost)
+            return base + b * Z, cost
 
-    inner, cost = payoff(n_now, None)
-    for j, n in enumerate(n_pts):
-        fj, _ = payoff(float(n), cost)
-        inner = np.where(member[j] & (fj < inner), fj, inner)
+        inner, cost = payoff(n_now, None)
+        for j, n in enumerate(n_pts):
+            fj, _ = payoff(float(n), cost)
+            inner = np.where(member[j] & (fj < inner), fj, inner)
 
-    win, fstar = numerics.first_argmax(inner)
-    return numerics.take_rows(A, win), fstar, sig
+    win, fstar = numerics.best_effort(inner)
+    return A[win, np.arange(X.size)], fstar, sig
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from robustcontract import ModelSpec, GrowthParams
-from robustcontract import eval_F, eval_g, level_set_V, principal
+from robustcontract import eval_F, eval_g, level_set_V, numerics, principal
 from robustcontract.hamiltonians import R_MIN, uniform_grid
 
 TIE = 1e-12
@@ -124,6 +124,40 @@ def oracle_G(model, t, x, y, p, p_tilde, q, q_tilde, r, radius):
     k = first_within(outer, value)
     jn = first_within(rows[k], outer[k])
     return value, pairs[k][0], pairs[k][1], n_grid[jn]
+
+
+def full_field(fn, t, x, *args):
+    """A coefficient broadcast to the full shape of its arguments."""
+    x = np.asarray(x, dtype=float)
+    return np.broadcast_to(np.asarray(fn(t, x, *args), dtype=float),
+                           np.broadcast(x, *args).shape)
+
+
+def oracle_saddle_step(model, t, x_arr, v, z, gam):
+    """``agent._saddle_step`` on the full (nature, effort, node) tensor.
+
+    Every coefficient is broadcast to that tensor and the effort maximum
+    is taken once per nature control, whatever the coefficients ignore.
+    """
+    n_col = np.asarray(model.n_grid())[:, None]
+    a_grid = model.a_grid()
+    A = np.broadcast_to(a_grid[None, :, None],
+                        (len(n_col), len(a_grid), x_arr.size))
+    sig = full_field(model.vol_sigma, t, x_arr, n_col)
+    sig2 = sig * sig
+    if model.candidate_effort is not None:
+        a_c = np.clip(full_field(model.candidate_effort, t, x_arr, z, sig),
+                      *model.effort_set_A)
+        A = np.concatenate([a_c[:, None, :], A], axis=1)
+    n3 = n_col[:, :, None]
+    b = full_field(model.drift_b, t, x_arr, A, n3)
+    k = full_field(model.discount_k, t, x_arr, A, n3)
+    c = full_field(model.cost_c, t, x_arr, A)
+    a_idx, f_best = numerics.first_argmax(-k * v - c + b * z, axis=1)
+    n_idx, _ = numerics.first_argmin(0.5 * sig2 * gam + f_best)
+    nodes = np.arange(x_arr.size)
+    at = (n_idx, a_idx[n_idx, nodes], nodes)
+    return (A[at], n_col[n_idx, 0], sig2[n_idx, nodes], b[at], k[at], c[at])
 
 
 def oracle_select_with_radius(model, t, X, Y, p, pt, q, qt, r, diags):

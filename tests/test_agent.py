@@ -7,7 +7,7 @@ import pytest
 
 import robustcontract as rc
 from robustcontract import agent, numerics
-from robustcontract.hamiltonians import eval_H
+from robustcontract.hamiltonians import eval_F, eval_H
 from robustcontract.agent import (
     AgentSolution,
     ContractFunction,
@@ -16,7 +16,7 @@ from robustcontract.agent import (
     participation_check,
     solve_agent,
 )
-from helpers import random_polynomial_model
+from helpers import oracle_saddle_step, random_polynomial_model
 
 
 # observed refinement order of the agent scheme on the call-payoff heat
@@ -175,14 +175,45 @@ class TestSaddleStep:
         t = 0.3
         v = np.sin(xs) + 0.3 * xs ** 2
         z, gam = numerics.central_differences(v, xs[1] - xs[0])
-        a_star, n_star, sig2, b, k, c = agent._saddle_step(
-            m, t, xs, v, z, gam, agent._control_grids(m, xs.size))
+        step = agent._saddle_step(m, t, xs, v, z, gam, agent._control_grids(m))
+        # a coefficient the model holds constant comes back 0-d
+        a_star, n_star, sig2, b, k, c = (np.broadcast_to(r, xs.shape)
+                                         for r in step)
         for i, x in enumerate(xs):
             ref = eval_H(m, t, float(x), float(v[i]), float(z[i]),
                          float(gam[i]))
             assert (a_star[i], n_star[i]) == (ref.arg_a, ref.arg_n)
             got = 0.5 * sig2[i] * gam[i] - k[i] * v[i] - c[i] + b[i] * z[i]
             assert abs(got - ref.value) <= 1e-12
+
+
+    @pytest.mark.parametrize("kind", ["heat_band", "quadratic_bounded",
+                                      "risk_neutral", "poly3", "poly8",
+                                      "poly11"])
+    def test_matches_the_full_tensor_oracle_bit_for_bit(self, kind):
+        if kind.startswith("poly"):
+            m = random_polynomial_model(np.random.default_rng(int(kind[4:])))
+            assert not m.payoff_free_of_nature
+        else:
+            m = rc.make_model(kind)
+        t = 0.3
+        xs = np.linspace(-3.5, 3.5, 41)
+        v = np.sin(xs) + 0.3 * xs ** 2
+        v[[3, 10]] = np.nan
+        v[[5, 6]] = -0.0
+        z, gam = numerics.central_differences(v, xs[1] - xs[0])
+        z[[20, 21]] = -0.0
+        gam[22] = -0.0
+        # the payoff holds NaN and -0.0 entries: heat_band's running
+        # reward is -0.0 wherever v > 0 and z < 0
+        if kind == "heat_band":
+            assert np.isnan(eval_F(m, t, xs[3], v[3], z[3], 0.0, 0.3))
+            pay = eval_F(m, t, xs[0], v[0], z[0], 0.0, 0.3)
+            assert pay == 0.0 and math.copysign(1.0, pay) < 0.0
+        got = agent._saddle_step(m, t, xs, v, z, gam, agent._control_grids(m))
+        want = oracle_saddle_step(m, t, xs, v, z, gam)
+        for g, w in zip(got, want):
+            assert np.broadcast_to(g, xs.shape).tobytes() == w.tobytes()
 
 
 class TestQuadratureRoute:

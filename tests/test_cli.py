@@ -618,6 +618,36 @@ class TestVerify:
                            {"verify": {"artifacts": str(tmp_path / "nope")}})
         assert run_cli("verify", cfg, tmp_path / "x") == EXIT_MISSING
 
+    @staticmethod
+    def drop_grid_key(art, key):
+        """Delete ``grid.<key>`` from the config a manifest embeds."""
+        doc = export.read_manifest(str(art))
+        del doc["config"]["grid"][key]
+        (art / export.MANIFEST_NAME).write_text(export.canonical_yaml(doc))
+
+    def test_agent_manifest_config_off_schema_exits_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "a.yaml", AGENT_MARTINGALE)
+        art = tmp_path / "agent"
+        assert run_cli("solve-agent", cfg, art) == EXIT_OK
+        self.drop_grid_key(art, "x_nodes")
+        vcfg = write_config(tmp_path, "va.yaml",
+                            {"verify": {"artifacts": str(art)}})
+        assert run_cli("verify", vcfg, tmp_path / "run") == EXIT_MISSING
+        assert "missing required key 'grid.x_nodes'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    def test_principal_manifest_config_off_schema_exits_3(
+            self, principal_run, tmp_path, capsys, command):
+        art = tmp_path / "principal"
+        shutil.copytree(principal_run, art)
+        self.drop_grid_key(art, "y_nodes")
+        doc = ({"verify": {"artifacts": str(art)}} if command == "verify"
+               else {"sim": {"paths": 100, "dt": 1.0 / 64.0, "seed": 1},
+                     "artifacts": str(art)})
+        cfg = write_config(tmp_path, "c.yaml", doc)
+        assert run_cli(command, cfg, tmp_path / "run") == EXIT_MISSING
+        assert "missing required key 'grid.y_nodes'" in capsys.readouterr().err
+
     def test_agent_artifacts_static_checks(self, tmp_path):
         cfg = write_config(tmp_path, "a.yaml", AGENT_MARTINGALE)
         art = tmp_path / "agent"

@@ -42,15 +42,22 @@ class TestField:
     A = np.linspace(0.0, 1.0, 4)[None, :, None]
     N = np.array([1.0, 1.25, 2.0])[:, None, None]
 
-    def test_output_takes_the_broadcast_shape(self):
+    def test_output_keeps_the_primitive_shape(self):
         X, A, N = self.X, self.A, self.N
         full = numerics.field(lambda t, x, a, n: a * n + x, 0.0, X, A, N)
         assert full.shape == (3, 4, 7)
         assert full.tobytes() == (A * N + X).tobytes()
+        # a result omits the axes its primitive ignores and still
+        # broadcasts to the full shape
         free_of_x = numerics.field(lambda t, x, a, n: a * n, 0.0, X, A, N)
-        assert free_of_x.tobytes() == np.broadcast_to(A * N, (3, 4, 7)).tobytes()
+        assert free_of_x.shape == (3, 4, 1)
+        assert free_of_x.tobytes() == (A * N).tobytes()
+        free_of_n = numerics.field(lambda t, x, a, n: a + x, 0.0, X, A, N)
+        assert free_of_n.shape == (1, 4, 7)
         const = numerics.field(lambda t, x, a, n: 0.25, 0.0, X, A, N)
-        assert const.shape == (3, 4, 7) and np.all(const == 0.25)
+        assert const.shape == () and const == 0.25
+        for got in (free_of_x, free_of_n, const):
+            assert np.broadcast_shapes(got.shape, (3, 4, 7)) == (3, 4, 7)
         assert numerics.field(lambda t, x: 2.0, 0.0, 0.5).shape == ()
 
     def test_scalar_only_coefficient_goes_through_the_loop(self):
@@ -62,8 +69,8 @@ class TestField:
         twin = build_model(b=where_drift, **kw)
         looped = numerics.field(loop_model.drift_b, 0.0, X, A, N)
         assert looped.shape == (3, 4, 7)
-        assert looped.tobytes() == numerics.field(where_drift, 0.0, X, A,
-                                                  N).tobytes()
+        assert looped.tobytes() == np.broadcast_to(
+            numerics.field(where_drift, 0.0, X, A, N), (3, 4, 7)).tobytes()
 
         agent_grid = dict(x_lo=-2.0, x_hi=2.0, x_nodes=21, t_steps=30,
                           horizon=0.25)
@@ -120,16 +127,17 @@ class TestEffortKernel:
         sig = numerics.field(model.vol_sigma, self.T, X, n_grid[:, None])
         cand = numerics.clamped_candidate(model, self.T, X, Z, sig)
         assert (cand is None) == (model.candidate_effort is None)
-        A = np.broadcast_to(a_grid[None, :, None],
-                            (len(n_grid), len(a_grid), len(X)))
-        if cand is not None:
-            A = np.concatenate([cand[:, None, :], A], axis=1)
+        A = numerics.effort_rows(cand, a_grid[:, None], len(a_grid))
         base, b, k, c = numerics.effort_payoff(model, self.T, X, Y, A,
                                                n_grid[:, None, None])
-        F = base + b * Z
         again = numerics.effort_payoff(model, self.T, X, Y, A,
                                        n_grid[:, None, None], c)
         assert again[0].tobytes() == base.tobytes()
+        # the kernel's shapes broadcast to the full tensor
+        full = (len(n_grid), len(a_grid) + (cand is not None), len(X))
+        F = np.broadcast_to(base + b * Z, full)
+        A = np.broadcast_to(A, full)
+        sig = np.broadcast_to(sig, full[::2])
         for j, n in enumerate(n_grid):
             for i in range(len(X)):
                 efforts = hamiltonians._effort_enumeration(

@@ -222,3 +222,33 @@ def test_coarse_copy_calls_no_primitive_and_solves_like_a_rebuilt_model():
     assert outputs(coarse) == outputs(rebuilt)
     with pytest.raises(ValueError, match="at least one point"):
         model.with_control_grids(z=0)
+
+
+@pytest.mark.parametrize("drift, discount, n_points, free", [
+    # the thin drift probe of a two-point nature grid still sees both points
+    (lambda t, x, a, n: a * n, None, 2, False),
+    (None, lambda t, x, a, n: 0.1 * n, 2, False),
+    (lambda t, x, a, n: np.where(n > 1.5, a, 0.5 * a), None, 5, False),
+    # reads nature only at |x| > 3, off the probe points (|x| <= M + 0.95):
+    # the values agree there, but the result carries a nature axis
+    (lambda t, x, a, n: a + n * np.maximum(np.abs(x) - 3.0, 0.0), None, 5,
+     False),
+    # broadcasts to every axis without reading nature: not shown free
+    (lambda t, x, a, n: a + 0.0 * n, None, 5, False),
+    (None, None, 2, True),
+    # one nature point shows no dependence either way
+    (None, None, 1, False),
+])
+def test_payoff_free_of_nature_is_read_from_the_probes(drift, discount,
+                                                       n_points, free):
+    model = build_model(b=drift, k=discount, a_points=3, n_points=n_points,
+                        z_points=5, gamma_points=5)
+    assert model.payoff_free_of_nature is free
+
+
+@pytest.mark.parametrize("name", sorted(presets.PRESETS))
+def test_presets_have_payoffs_free_of_nature(name):
+    # every preset's drift and discount ignore the volatility control
+    model = presets.make_model(name, **PRESET_PARAMS.get(name, {}))
+    assert model.payoff_free_of_nature
+    assert model.with_control_grids(n=2).payoff_free_of_nature

@@ -2,7 +2,9 @@
 scenario search, incentive probes, martingale flatness, and the
 separated-beliefs degeneracy."""
 
+import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from robustcontract.sim import (
     _response,
 )
 
-from helpers import random_polynomial_model, reference_draw
+from helpers import build_model, random_polynomial_model, reference_draw
 
 
 @pytest.fixture(scope="module")
@@ -335,6 +337,78 @@ class TestResponseEquivalence:
         a_slow, f_slow, _ = _response(slow, 0.5, X, Y, Z, 0.75)
         np.testing.assert_array_equal(a_fast, a_slow)
         np.testing.assert_array_equal(f_fast, f_slow)
+
+
+    @staticmethod
+    def with_the_fold(model):
+        """A copy that runs the n-grid fold whatever its probes showed."""
+        twin = copy.copy(model)
+        object.__setattr__(twin, "payoff_free_of_nature", False)
+        return twin
+
+    @pytest.mark.parametrize("name", ["quadratic_bounded", "heat_band",
+                                      "custom_tabulated"])
+    def test_skipped_fold_matches_the_fold_bit_for_bit(self, name):
+        model = {"quadratic_bounded": presets.quadratic_bounded,
+                 "heat_band": presets.heat_band,
+                 "custom_tabulated": lambda: presets.custom_tabulated(
+                     [0.5, 0.75, 1.0], [0.5, 0.9, 1.0], discount=0.3),
+                 }[name]()
+        assert model.payoff_free_of_nature
+        folded = self.with_the_fold(model)
+        rng = np.random.default_rng(43)
+        X = rng.uniform(-3.0, 3.0, size=200)
+        Y = rng.uniform(-0.8, 0.8, size=200)
+        Z = rng.uniform(-2.0, 2.0, size=200)
+        X[:3], Y[3:6], Z[6:9] = np.nan, np.nan, np.inf
+        Y[9:12], Z[12:15] = -0.0, -0.0
+        lo, hi = model.nature_set_N
+        for n_now in (lo, 0.3 * lo + 0.7 * hi,
+                      rng.choice(model.n_grid(), size=200)):
+            with np.errstate(invalid="ignore"):
+                got = _response(model, 0.25, X, Y, Z, n_now)
+                want = _response(folded, 0.25, X, Y, Z, n_now)
+            for g, w in zip(got, want):
+                assert np.broadcast_to(g, X.shape).tobytes() == \
+                    np.broadcast_to(w, X.shape).tobytes()
+
+    def test_nature_read_off_the_probe_points_keeps_the_fold(self):
+        # the drift reads nature only at |x| > 3, outside the probed
+        # |x| <= M + 0.95; a constant volatility puts every grid control in
+        # the level set, so the fold picks the worst nature there
+        model = build_model(
+            b=lambda t, x, a, n: a + n * np.maximum(np.abs(x) - 3.0, 0.0),
+            sigma=lambda t, x, n: 1.0, truncation_M=2.0)
+        assert not model.payoff_free_of_nature
+        X = np.linspace(-4.0, 4.0, 41)
+        Y = np.zeros_like(X)
+        Z = np.linspace(-1.0, 1.0, 41)
+        a_vec, f_vec, _ = _response(model, 0.25, X, Y, Z, 1.5)
+        for i in range(len(X)):
+            res = eval_F_star(model, 0.25, float(X[i]), float(Y[i]),
+                              float(Z[i]), 1.0)
+            assert (a_vec[i], f_vec[i]) == (res.arg_a, res.value)
+        skipped = copy.copy(model)
+        object.__setattr__(skipped, "payoff_free_of_nature", True)
+        f_skip = _response(skipped, 0.25, X, Y, Z, 1.5)[1]
+        assert np.any(f_skip != f_vec)
+
+    def test_peak_memory_stays_below_one_stacked_nature_tensor(self):
+        model = presets.quadratic_bounded()
+        paths = 4000
+        rng = np.random.default_rng(44)
+        X = rng.uniform(-3.0, 3.0, size=paths)
+        Y = rng.uniform(-0.8, 0.8, size=paths)
+        Z = rng.uniform(-2.0, 2.0, size=paths)
+        n_now = rng.choice(model.n_grid(), size=paths)
+        stacked = len(model.n_grid()) * (len(model.a_grid()) + 1) * paths * 8
+        tracemalloc.start()
+        try:
+            _response(model, 0.25, X, Y, Z, n_now)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < stacked
 
 
 class TestGirsanov:
