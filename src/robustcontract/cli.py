@@ -75,8 +75,8 @@ from . import export, sim
 from .agent import ContractFunction, solve_agent
 from .hamiltonians import ModelSpec
 from .presets import PRESETS, make_model
-from .principal import (CFL_SAFETY, ContractPolicy, GridSpec, optimize_y0,
-                        solve_hjbi)
+from .principal import (CFL_SAFETY, POLICY_FIELDS, ContractPolicy, GridSpec,
+                        optimize_y0, solve_hjbi)
 from .sim import NatureStrategy, SimConfig
 
 __all__ = [
@@ -401,9 +401,6 @@ def _write_agent_surfaces(out_dir: str, sol) -> list[str]:
     return [name for name, _, _ in trio]
 
 
-_POLICY_FIELDS = ("z", "gamma", "effort", "nature", "k_rate", "fstar")
-
-
 def _write_principal_surfaces(out_dir: str, sol) -> list[str]:
     t_col, x_col, y_col = _txy_columns(sol.t_grid, sol.x_grid, sol.y_grid)
     export.write_table(os.path.join(out_dir, "value_surface.txt"),
@@ -411,9 +408,9 @@ def _write_principal_surfaces(out_dir: str, sol) -> list[str]:
                        (t_col, x_col, y_col, sol.values.ravel()))
     export.write_table(
         os.path.join(out_dir, "policy.txt"),
-        ("t", "x", "y") + _POLICY_FIELDS,
+        ("t", "x", "y") + POLICY_FIELDS,
         (t_col, x_col, y_col)
-        + tuple(getattr(sol, f).ravel() for f in _POLICY_FIELDS))
+        + tuple(getattr(sol, f).ravel() for f in POLICY_FIELDS))
     return ["value_surface.txt", "policy.txt"]
 
 
@@ -482,12 +479,11 @@ def _load_principal(art_dir: str) -> SimpleNamespace:
         raise MissingArtifact(
             f"artifact rows in '{art_dir}' do not match the manifest grid")
 
+    axes = dict(t_grid=grid.t_grid(), x_grid=grid.x_grid(),
+                y_grid=grid.y_grid())
     policy = ContractPolicy(
-        t_grid=grid.t_grid(), x_grid=grid.x_grid(), y_grid=grid.y_grid(),
-        **{f: pol_tab[f].reshape(shape) for f in _POLICY_FIELDS})
-    surface = SimpleNamespace(
-        t_grid=grid.t_grid(), x_grid=grid.x_grid(), y_grid=grid.y_grid(),
-        values=surf_tab["value"].reshape(shape))
+        **axes, **{f: pol_tab[f].reshape(shape) for f in POLICY_FIELDS})
+    surface = SimpleNamespace(**axes, values=surf_tab["value"].reshape(shape))
 
     y0_star = None
     if "y0.txt" in manifest["artifacts"]:

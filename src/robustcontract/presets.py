@@ -1,4 +1,11 @@
-"""Named model constructors selected by tests and the config layer."""
+"""Named model constructors selected by tests and the config layer.
+
+Each preset is one instance of the primitive tuple (b, sigma, c, k, U_A,
+U_P, L) and states only what sets it apart.  ``_model`` supplies what the
+presets share: zero drift, cost and discount; identity utilities and
+liquidation; the effort set [0, 1]; ``GrowthParams()`` (ell 1, m 2,
+m_lower 1, kappa 1); and ``growth_C = 2.0``.
+"""
 
 from __future__ import annotations
 
@@ -17,6 +24,43 @@ def _identity(v):
     return v
 
 
+def _zero(t, x, *controls):
+    return 0.0
+
+
+def _vol_is_n(t, x, n):
+    return n
+
+
+def _drift_is_effort(t, x, a, n):
+    return a
+
+
+def _quadratic_cost(t, x, a):
+    return 0.5 * a * a
+
+
+def _clamped_effort(a_bar: float):
+    """The effort response clamp(z, 0, a_bar) of drift a and cost a^2/2."""
+
+    def candidate_effort(t, x, z, sigma):
+        return np.clip(z, 0.0, a_bar)
+
+    return candidate_effort
+
+
+def _model(grid_counts: dict, **fields) -> ModelSpec:
+    """``ModelSpec`` of ``fields`` over the shared defaults, plus the
+    caller's ``grid_counts``; a count naming a field that is set here
+    raises ``TypeError``, as a direct ``ModelSpec`` call does."""
+    shared = dict(drift_b=_zero, cost_c=_zero, discount_k=_zero,
+                  utility_agent=_identity, utility_agent_inv=_identity,
+                  utility_principal=_identity, liquidation_L=_identity,
+                  effort_set_A=(0.0, 1.0), growth_params=GrowthParams(),
+                  growth_C=2.0)
+    return ModelSpec(**{**shared, **fields}, **grid_counts)
+
+
 def risk_neutral(n_band: tuple[float, float] = (0.5, 1.0), a_bar: float = 1.0,
                  truncation_M: float = 6.0, **grid_counts) -> ModelSpec:
     """Linear-utility benchmark: b = a, sigma = n, c = a^2/2, k = 0.
@@ -26,38 +70,14 @@ def risk_neutral(n_band: tuple[float, float] = (0.5, 1.0), a_bar: float = 1.0,
     is what the candidate hooks encode.
     """
 
-    def drift_b(t, x, a, n):
-        return a
-
-    def vol_sigma(t, x, n):
-        return n
-
-    def cost_c(t, x, a):
-        return 0.5 * a * a
-
-    def discount_k(t, x, a, n):
-        return 0.0
-
-    def candidate_effort(t, x, z, sigma):
-        return np.clip(z, 0.0, a_bar)
-
     def candidate_zgamma(t, x, y, p, q):
         return [(p, q)]
 
-    return ModelSpec(
-        drift_b=drift_b, vol_sigma=vol_sigma, cost_c=cost_c,
-        discount_k=discount_k,
-        utility_agent=_identity, utility_agent_inv=_identity,
-        utility_principal=_identity, liquidation_L=_identity,
-        effort_set_A=(0.0, a_bar), nature_set_N=n_band,
-        growth_params=GrowthParams(ell=1.0, m=2.0, m_lower=1.0, kappa=1.0),
-        truncation_M=truncation_M,
-        risk_neutral=True,
-        candidate_effort=candidate_effort,
-        candidate_zgamma=candidate_zgamma,
-        growth_C=2.0,
-        **grid_counts,
-    )
+    return _model(grid_counts, drift_b=_drift_is_effort, vol_sigma=_vol_is_n,
+                  cost_c=_quadratic_cost, effort_set_A=(0.0, a_bar),
+                  nature_set_N=n_band, truncation_M=truncation_M,
+                  risk_neutral=True, candidate_effort=_clamped_effort(a_bar),
+                  candidate_zgamma=candidate_zgamma)
 
 
 def saturated_utility(w0: float = 2.0):
@@ -87,7 +107,6 @@ def quadratic_bounded(M: float = 2.0, a_bar: float = 1.0,
     The optimal effort has the closed form clamp(z phi(x), 0, a_bar).
     """
     u_a, u_a_inv = saturated_utility(w0)
-    u_p = utility_principal if utility_principal is not None else _identity
 
     def drift_b(t, x, a, n):
         return a * smooth_cutoff(x, M)
@@ -95,52 +114,23 @@ def quadratic_bounded(M: float = 2.0, a_bar: float = 1.0,
     def vol_sigma(t, x, n):
         return n * smooth_cutoff(x, M)
 
-    def cost_c(t, x, a):
-        return 0.5 * a * a
-
-    def discount_k(t, x, a, n):
-        return 0.0
-
     def candidate_effort(t, x, z, sigma):
         return np.clip(z * smooth_cutoff(x, M), 0.0, a_bar)
 
-    return ModelSpec(
-        drift_b=drift_b, vol_sigma=vol_sigma, cost_c=cost_c,
-        discount_k=discount_k,
-        utility_agent=u_a, utility_agent_inv=u_a_inv,
-        utility_principal=u_p, liquidation_L=_identity,
-        effort_set_A=(0.0, a_bar), nature_set_N=n_band,
-        growth_params=GrowthParams(ell=1.0, m=2.0, m_lower=1.0, kappa=1.0),
-        truncation_M=M,
-        candidate_effort=candidate_effort,
-        growth_C=2.0,
-        **grid_counts,
-    )
+    return _model(
+        grid_counts, drift_b=drift_b, vol_sigma=vol_sigma,
+        cost_c=_quadratic_cost, utility_agent=u_a, utility_agent_inv=u_a_inv,
+        utility_principal=(_identity if utility_principal is None
+                           else utility_principal),
+        effort_set_A=(0.0, a_bar), nature_set_N=n_band, truncation_M=M,
+        candidate_effort=candidate_effort)
 
 
 def heat_band(band: tuple[float, float] = (0.2, 0.4), truncation_M: float = 2.0,
               **grid_counts) -> ModelSpec:
     """Driftless costless model with a volatility band; sigma(n) = n."""
-
-    def zero3(t, x, a):
-        return 0.0
-
-    def zero4(t, x, a, n):
-        return 0.0
-
-    def vol_sigma(t, x, n):
-        return n
-
-    return ModelSpec(
-        drift_b=zero4, vol_sigma=vol_sigma, cost_c=zero3, discount_k=zero4,
-        utility_agent=_identity, utility_agent_inv=_identity,
-        utility_principal=_identity, liquidation_L=_identity,
-        effort_set_A=(0.0, 1.0), nature_set_N=band,
-        growth_params=GrowthParams(ell=1.0, m=2.0, m_lower=1.0, kappa=1.0),
-        truncation_M=truncation_M,
-        growth_C=2.0,
-        **grid_counts,
-    )
+    return _model(grid_counts, vol_sigma=_vol_is_n, nature_set_N=band,
+                  truncation_M=truncation_M)
 
 
 def disjoint_beliefs(agent_band: tuple[float, float] = (0.1, 0.2),
@@ -149,51 +139,17 @@ def disjoint_beliefs(agent_band: tuple[float, float] = (0.1, 0.2),
                      **grid_counts) -> ModelSpec:
     """Two separated volatility intervals: the agent believes one, the
     principal the other. Used by the degeneracy demonstration."""
-
-    def zero3(t, x, a):
-        return 0.0
-
-    def zero4(t, x, a, n):
-        return 0.0
-
-    def vol_sigma(t, x, n):
-        return n
-
-    u_p = utility_principal if utility_principal is not None else _identity
-    return ModelSpec(
-        drift_b=zero4, vol_sigma=vol_sigma, cost_c=zero3, discount_k=zero4,
-        utility_agent=_identity, utility_agent_inv=_identity,
-        utility_principal=u_p, liquidation_L=_identity,
-        effort_set_A=(0.0, 1.0), nature_set_N=principal_band,
-        growth_params=GrowthParams(ell=1.0, m=2.0, m_lower=1.0, kappa=1.0),
-        truncation_M=truncation_M,
-        agent_nature_set=agent_band,
-        growth_C=2.0,
-        **grid_counts,
-    )
+    return _model(grid_counts, vol_sigma=_vol_is_n,
+                  utility_principal=(_identity if utility_principal is None
+                                     else utility_principal),
+                  nature_set_N=principal_band, truncation_M=truncation_M,
+                  agent_nature_set=agent_band)
 
 
 def zero_vol(truncation_M: float = 2.0, **grid_counts) -> ModelSpec:
     """Fully deterministic degenerate model: no diffusion, no drift."""
-
-    def zero3(t, x, a):
-        return 0.0
-
-    def zero4(t, x, a, n):
-        return 0.0
-
-    return ModelSpec(
-        drift_b=zero4, vol_sigma=lambda t, x, n: 0.0, cost_c=zero3,
-        discount_k=zero4,
-        utility_agent=_identity, utility_agent_inv=_identity,
-        utility_principal=_identity, liquidation_L=_identity,
-        effort_set_A=(0.0, 1.0), nature_set_N=(1.0, 1.0),
-        growth_params=GrowthParams(ell=1.0, m=2.0, m_lower=1.0, kappa=1.0),
-        truncation_M=truncation_M,
-        allow_degenerate_vol=True,
-        growth_C=2.0,
-        **grid_counts,
-    )
+    return _model(grid_counts, vol_sigma=_zero, nature_set_N=(1.0, 1.0),
+                  truncation_M=truncation_M, allow_degenerate_vol=True)
 
 
 def custom_tabulated(n_values, sigma_values, a_bar: float = 1.0,
@@ -210,36 +166,20 @@ def custom_tabulated(n_values, sigma_values, a_bar: float = 1.0,
         raise ValueError("n_values and sigma_values must be 1-D and equal length")
     if len(n_values) < 2 or np.any(np.diff(n_values) <= 0):
         raise ValueError("n_values must be strictly increasing")
-    kappa = max(abs(discount), 1e-6)
-
-    def drift_b(t, x, a, n):
-        return a
 
     def vol_sigma(t, x, n):
         return np.interp(n, n_values, sigma_values)
 
-    def cost_c(t, x, a):
-        return 0.5 * a * a
-
     def discount_k(t, x, a, n):
         return discount
 
-    def candidate_effort(t, x, z, sigma):
-        return np.clip(z, 0.0, a_bar)
-
-    return ModelSpec(
-        drift_b=drift_b, vol_sigma=vol_sigma, cost_c=cost_c,
-        discount_k=discount_k,
-        utility_agent=_identity, utility_agent_inv=_identity,
-        utility_principal=_identity, liquidation_L=_identity,
+    return _model(
+        grid_counts, drift_b=_drift_is_effort, vol_sigma=vol_sigma,
+        cost_c=_quadratic_cost, discount_k=discount_k,
         effort_set_A=(0.0, a_bar),
         nature_set_N=(float(n_values[0]), float(n_values[-1])),
-        growth_params=GrowthParams(ell=1.0, m=2.0, m_lower=1.0, kappa=kappa),
-        truncation_M=truncation_M,
-        candidate_effort=candidate_effort,
-        growth_C=2.0,
-        **grid_counts,
-    )
+        growth_params=GrowthParams(kappa=max(abs(discount), 1e-6)),
+        truncation_M=truncation_M, candidate_effort=_clamped_effort(a_bar))
 
 
 PRESETS = {

@@ -44,6 +44,8 @@ _RADIUS_CAP = 1024.0
 _MAX_SUBSTEPS = 10000
 # default share of the realized stability bound that one substep uses
 CFL_SAFETY = 0.9
+# the policy fields a solve records per node, in artifact column order
+POLICY_FIELDS = ("z", "gamma", "effort", "nature", "k_rate", "fstar")
 
 
 @dataclass(frozen=True)
@@ -209,8 +211,7 @@ def _entry_eval(model, t, X, Y, tables, z_spec, gam_rows, p, pt, q, qt, r):
     gstack = (g0[:, None, :]
               + (pt * half_sig2)[:, None, :] * gam2[None, :, :]
               - (pt * hval)[None, :, :])
-    best = gstack.min(axis=0)                               # (G, N)
-    n_idx = np.argmin(gstack - best[None, :, :] > TIE_TOL, axis=0)
+    n_idx, best = numerics.first_argmin(gstack)             # (G, N)
     realized = {name: np.broadcast_to(numerics.pick(arr, (n_idx, nodes)),
                                       best.shape)
                 for name, arr in (("effort", astar), ("fstar", fmax),
@@ -416,8 +417,7 @@ def solve_hjbi(model: ModelSpec, grid: GridSpec, *,
     values = np.empty((nt + 1, nx, ny))
     values[nt] = terminal
     pol_shape = (nt + 1, nx, ny)
-    pol = {name: np.zeros(pol_shape) for name in
-           ("z", "gamma", "effort", "nature", "k_rate", "fstar")}
+    pol = {name: np.zeros(pol_shape) for name in POLICY_FIELDS}
     diags = _new_diagnostics()
 
     def select(t, u):
@@ -426,12 +426,9 @@ def solve_hjbi(model: ModelSpec, grid: GridSpec, *,
 
     def fill_policy(step, sel):
         kr = np.maximum(sel.fstar + 0.5 * sel.sig2 * sel.gamma - sel.hval, 0.0)
-        pol["z"][step] = sel.z.reshape(nx, ny)
-        pol["gamma"][step] = sel.gamma.reshape(nx, ny)
-        pol["effort"][step] = sel.effort.reshape(nx, ny)
-        pol["nature"][step] = sel.nature.reshape(nx, ny)
-        pol["k_rate"][step] = kr.reshape(nx, ny)
-        pol["fstar"][step] = sel.fstar.reshape(nx, ny)
+        for name in POLICY_FIELDS:
+            got = kr if name == "k_rate" else getattr(sel, name)
+            pol[name][step] = got.reshape(nx, ny)
 
     for step in range(nt - 1, -1, -1):
         cur = values[step + 1].copy()
@@ -466,9 +463,7 @@ def solve_hjbi(model: ModelSpec, grid: GridSpec, *,
     else:
         fill_policy(0, select(tg[0], terminal))
     return PrincipalSolution(model, grid, tg, xg, yg, values,
-                             pol["z"], pol["gamma"], pol["effort"],
-                             pol["nature"], pol["k_rate"], pol["fstar"],
-                             diags)
+                             diagnostics=diags, **pol)
 
 
 # ---------------------------------------------------------------------------
@@ -528,9 +523,7 @@ class ContractPolicy:
         dt = self.t_grid[1] - self.t_grid[0]
         return min(max(math.floor((t - self.t_grid[0]) / dt), 0), nt - 1)
 
-    def gather(self, t: float, x, y, *,
-               fields=("z", "gamma", "effort", "nature", "k_rate", "fstar"),
-               ) -> dict:
+    def gather(self, t: float, x, y, *, fields=POLICY_FIELDS) -> dict:
         """Nearest-node control arrays for a batch of (x, y) states.
 
         ``fields`` names the policy arrays looked up (all six by default).
@@ -547,9 +540,8 @@ class ContractPolicy:
 def extract_contract(solution: PrincipalSolution) -> ContractPolicy:
     return ContractPolicy(
         t_grid=solution.t_grid, x_grid=solution.x_grid,
-        y_grid=solution.y_grid, z=solution.z, gamma=solution.gamma,
-        effort=solution.effort, nature=solution.nature,
-        k_rate=solution.k_rate, fstar=solution.fstar)
+        y_grid=solution.y_grid,
+        **{name: getattr(solution, name) for name in POLICY_FIELDS})
 
 
 class Y0Result(NamedTuple):
@@ -576,9 +568,7 @@ def optimize_y0(solution: PrincipalSolution, x0: float,
         else yg >= reservation - 1e-12
     if not np.any(admissible):
         raise ValueError("no admissible promised value on the grid")
-    sub = row[admissible]
-    best = float(np.max(sub))
-    idx_local = int(np.argmax(sub >= best - TIE_TOL))
+    idx_local, best = numerics.first_argmax(row[admissible])
     idx = np.flatnonzero(admissible)[idx_local]
     if not row[idx] >= best - TIE_TOL:
         raise RuntimeError(

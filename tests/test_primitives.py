@@ -12,7 +12,7 @@ import pytest
 import helpers
 from helpers import build_model, random_polynomial_model
 from robustcontract import agent, presets, principal, sim
-from robustcontract.hamiltonians import ModelSpec
+from robustcontract.hamiltonians import GrowthParams, ModelSpec
 
 PRIMITIVES = ("drift_b", "vol_sigma", "cost_c", "discount_k",
               "candidate_effort", "utility_agent", "utility_agent_inv",
@@ -69,6 +69,53 @@ def test_presets_keep_their_own_callables(monkeypatch, name):
     model = presets.make_model(name, **PRESET_PARAMS.get(name, {}))
     for prim in PRIMITIVES:
         assert getattr(model, prim) is seen[0].get(prim), prim
+
+
+# each preset's fields beside its primitives, at the parameters above:
+# (effort_set_A, nature_set_N, truncation_M, risk_neutral,
+#  allow_degenerate_vol, agent_nature_set)
+PRESET_FIELDS = {
+    "risk_neutral": ((0.0, 1.0), (0.5, 1.0), 6.0, True, False, None),
+    "quadratic_bounded": ((0.0, 1.0), (0.5, 1.0), 2.0, False, False, None),
+    "heat_band": ((0.0, 1.0), (0.2, 0.4), 2.0, False, False, None),
+    "disjoint_beliefs": ((0.0, 1.0), (0.3, 0.5), 2.0, False, False,
+                         (0.1, 0.2)),
+    "zero_vol": ((0.0, 1.0), (1.0, 1.0), 2.0, False, True, None),
+    "custom_tabulated": ((0.0, 1.0), (1.0, 2.0), 2.0, False, False, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(presets.PRESETS))
+def test_presets_keep_their_shared_defaults(name):
+    model = presets.make_model(name, **PRESET_PARAMS.get(name, {}))
+    # a zero discount still bounds the rate by a positive kappa
+    kappa = 1e-6 if name == "custom_tabulated" else 1.0
+    assert model.growth_params == GrowthParams(kappa=kappa)
+    assert model.growth_C == 2.0
+    assert (model.effort_set_A, model.nature_set_N, model.truncation_M,
+            model.risk_neutral, model.allow_degenerate_vol,
+            model.agent_nature_set) == PRESET_FIELDS[name]
+    assert model.payoff_free_of_nature
+
+
+@pytest.mark.parametrize("n_values, sigma_values, message", [
+    ((1.0, 2.0), (0.3,), "1-D and equal length"),
+    ((1.0, 1.0), (0.3, 0.5), "strictly increasing"),
+])
+def test_custom_tabulated_rejects_a_bad_table(n_values, sigma_values,
+                                              message):
+    with pytest.raises(ValueError, match=message):
+        presets.custom_tabulated(n_values, sigma_values)
+
+
+def test_make_model_rejects_an_unknown_name():
+    with pytest.raises(KeyError, match="unknown model preset 'nope'"):
+        presets.make_model("nope")
+
+
+def test_preset_params_may_not_restate_a_shared_field():
+    with pytest.raises(TypeError, match="multiple values.*growth_C"):
+        presets.make_model("heat_band", growth_C=5.0)
 
 
 def test_random_polynomial_models_keep_their_own_callables(monkeypatch):
