@@ -14,7 +14,10 @@ columnar artifacts plus a checksummed manifest into the output directory
 ``out`` key), and exits 0 on success, 2 on a config error, 3 on a missing
 artifact and 4 on a verification failure.  Identical configs produce
 byte-identical numeric artifacts; wall-clock timings live in a sidecar
-that is excluded from the checksums.
+(``timings.txt``, one line per stage) that is excluded from the checksums.
+The solves report ``solve`` and ``write`` (surfaces plus manifest),
+simulate and verify report ``load`` (artifact reads, plus checksums for
+verify) beside ``simulate`` or ``verify``, and sweep reports ``sweep``.
 
 Config schema
 -------------
@@ -62,6 +65,7 @@ solve's horizon; ``reservation`` makes solve-principal pick the promise.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
@@ -498,26 +502,36 @@ def _load_principal(art_dir: str) -> SimpleNamespace:
 # command handlers
 # ---------------------------------------------------------------------------
 
+@contextlib.contextmanager
+def _stage(stages: dict[str, float], name: str):
+    """Record the block's wall-clock seconds as ``stages[name]``."""
+    started = time.perf_counter()
+    yield
+    stages[name] = time.perf_counter() - started
+
+
 def cmd_solve_agent(run: RunConfig, out_dir: str,
                     seed_override: int | None) -> int:
     conf = run.effective(seed_override)
     model = _build_model(run.command, conf)
     contract = _build_contract(conf["contract"])
-    started = time.perf_counter()
-    try:
-        sol = solve_agent(model, contract, **conf["grid"])
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}")
-    elapsed = time.perf_counter() - started
+    stages: dict[str, float] = {}
+    with _stage(stages, "solve"):
+        try:
+            sol = solve_agent(model, contract, **conf["grid"])
+        except ValueError as exc:
+            raise ConfigError(f"grid: {exc}")
 
     os.makedirs(out_dir, exist_ok=True)
-    files = _write_agent_surfaces(out_dir, sol)
-    export.write_manifest(
-        out_dir, "solve-agent", conf, files=files, seed_override=seed_override,
-        extras={"cfl_number": sol.cfl_number,
-                "max_abs_value": sol.max_abs_value,
-                "max_abs_gradient": sol.max_abs_gradient})
-    export.write_timings(out_dir, {"solve": elapsed})
+    with _stage(stages, "write"):
+        files = _write_agent_surfaces(out_dir, sol)
+        export.write_manifest(
+            out_dir, "solve-agent", conf, files=files,
+            seed_override=seed_override,
+            extras={"cfl_number": sol.cfl_number,
+                    "max_abs_value": sol.max_abs_value,
+                    "max_abs_gradient": sol.max_abs_gradient})
+    export.write_timings(out_dir, stages)
     return EXIT_OK
 
 
@@ -527,40 +541,45 @@ def cmd_solve_principal(run: RunConfig, out_dir: str,
     model = _build_model(run.command, conf)
     grid = _build_gridspec(conf["grid"])
     opts = _with_defaults(run.command, conf, "options")
-    started = time.perf_counter()
-    try:
-        sol = solve_hjbi(model, grid, cfl_safety=float(opts["cfl_safety"]))
-    except (ValueError, RuntimeError) as exc:
-        raise ConfigError(f"grid: {exc}")
-    elapsed = time.perf_counter() - started
+    stages: dict[str, float] = {}
+    y0res = None
+    with _stage(stages, "solve"):
+        try:
+            sol = solve_hjbi(model, grid, cfl_safety=float(opts["cfl_safety"]))
+        except (ValueError, RuntimeError) as exc:
+            raise ConfigError(f"grid: {exc}")
+        if opts["reservation"] is not None:
+            try:
+                y0res = optimize_y0(sol, float(opts["x0"]),
+                                    float(opts["reservation"]))
+            except ValueError as exc:
+                raise ConfigError(f"infeasible participation: {exc}")
 
     os.makedirs(out_dir, exist_ok=True)
-    files = _write_principal_surfaces(out_dir, sol)
-    extras = dict(sol.diagnostics)
-    if opts["reservation"] is not None:
-        try:
-            y0res = optimize_y0(sol, float(opts["x0"]),
-                                float(opts["reservation"]))
-        except ValueError as exc:
-            raise ConfigError(f"infeasible participation: {exc}")
-        export.write_table(os.path.join(out_dir, "y0.txt"),
-                           ("y0", "value", "at_upper_edge"),
-                           ([y0res.y0], [y0res.value],
-                            [1.0 if y0res.at_upper_edge else 0.0]))
-        files.append("y0.txt")
-        extras.update(y0_star=y0res.y0, value_at_y0=y0res.value)
-    export.write_manifest(out_dir, "solve-principal", conf, files=files,
-                          seed_override=seed_override, extras=extras)
-    export.write_timings(out_dir, {"solve": elapsed})
+    with _stage(stages, "write"):
+        files = _write_principal_surfaces(out_dir, sol)
+        extras = dict(sol.diagnostics)
+        if y0res is not None:
+            export.write_table(os.path.join(out_dir, "y0.txt"),
+                               ("y0", "value", "at_upper_edge"),
+                               ([y0res.y0], [y0res.value],
+                                [1.0 if y0res.at_upper_edge else 0.0]))
+            files.append("y0.txt")
+            extras.update(y0_star=y0res.y0, value_at_y0=y0res.value)
+        export.write_manifest(out_dir, "solve-principal", conf, files=files,
+                              seed_override=seed_override, extras=extras)
+    export.write_timings(out_dir, stages)
     return EXIT_OK
 
 
 def cmd_simulate(run: RunConfig, out_dir: str,
                  seed_override: int | None) -> int:
     conf = run.effective(seed_override)
+    stages: dict[str, float] = {}
     upstream = None
     if "artifacts" in conf:
-        art = _load_principal(conf["artifacts"])
+        with _stage(stages, "load"):
+            art = _load_principal(conf["artifacts"])
         model, policy = art.model, art.policy
         y0_default = art.y0_star if art.y0_star is not None else 0.0
         x0_default = art.x0
@@ -587,14 +606,13 @@ def cmd_simulate(run: RunConfig, out_dir: str,
         except ValueError as exc:
             raise ConfigError(f"nature: {exc}")
 
-    started = time.perf_counter()
-    try:
-        res = sim.simulate_system(model, policy, strategy, cfg)
-    except ValueError as exc:
-        raise ConfigError(f"sim: {exc}")
-    except RuntimeError as exc:
-        raise VerificationFailure(str(exc))
-    elapsed = time.perf_counter() - started
+    with _stage(stages, "simulate"):
+        try:
+            res = sim.simulate_system(model, policy, strategy, cfg)
+        except ValueError as exc:
+            raise ConfigError(f"sim: {exc}")
+        except RuntimeError as exc:
+            raise VerificationFailure(str(exc))
 
     os.makedirs(out_dir, exist_ok=True)
     files = _write_estimates(out_dir, res)
@@ -610,7 +628,7 @@ def cmd_simulate(run: RunConfig, out_dir: str,
         extras["upstream"] = upstream
     export.write_manifest(out_dir, "simulate", conf, files=files,
                           seed_override=seed_override, extras=extras)
-    export.write_timings(out_dir, {"simulate": elapsed})
+    export.write_timings(out_dir, stages)
     return EXIT_OK
 
 
@@ -682,7 +700,8 @@ def _principal_checks(art: SimpleNamespace, v: dict) -> dict:
     return checks
 
 
-def _agent_checks(art_dir: str, manifest: dict) -> dict:
+def _load_agent(art_dir: str, manifest: dict) -> SimpleNamespace:
+    """Rebuild model, contract, grid and surfaces from a solve-agent dir."""
     conf = _manifest_config(art_dir, manifest)
     model = _build_model("solve-agent", conf)
     contract = _build_contract(conf["contract"])
@@ -696,10 +715,14 @@ def _agent_checks(art_dir: str, manifest: dict) -> dict:
         if len(tab[name]) != rows:
             raise MissingArtifact(
                 f"agent_{name}.txt rows do not match the manifest grid")
+    return SimpleNamespace(
+        model=model, contract=contract, grid=g,
+        **{name: tab[name].reshape(shape) for name, tab in tabs.items()})
 
-    values = tabs["value"]["value"].reshape(shape)
-    effort = tabs["effort"]["effort"].reshape(shape)
-    vol = tabs["worst_vol"]["worst_vol"].reshape(shape)
+
+def _agent_checks(art: SimpleNamespace) -> dict:
+    model, g = art.model, art.grid
+    values, effort, vol = art.value, art.effort, art.worst_vol
 
     nonfinite = int(np.count_nonzero(~np.isfinite(values)))
     a_lo, a_hi = model.effort_set_A
@@ -709,7 +732,7 @@ def _agent_checks(art_dir: str, manifest: dict) -> dict:
         float(np.max(np.maximum(n_lo - vol, vol - n_hi), initial=0.0)))
 
     x_grid = np.linspace(g["x_lo"], g["x_hi"], g["x_nodes"])
-    want = np.array([float(model.utility_agent(contract.payment(x)))
+    want = np.array([float(model.utility_agent(art.contract.payment(x)))
                      for x in x_grid])
     terminal_gap = float(np.max(np.abs(values[-1] - want)))
 
@@ -730,26 +753,33 @@ def cmd_verify(run: RunConfig, out_dir: str,
     art_dir = v["artifacts"]
     manifest = _read_manifest(art_dir)
 
-    started = time.perf_counter()
-    missing, mismatched = export.checksum_failures(art_dir, manifest)
-    if missing:
-        raise MissingArtifact(
-            f"files listed in the manifest are absent: {', '.join(missing)}")
-    checks = {"checksums": {"passed": not mismatched,
-                            "measured": float(len(mismatched)),
-                            "bound": 0.0, "mismatched": mismatched}}
-    if not mismatched:
-        command = manifest.get("command")
-        if command == "solve-principal":
-            with sim._shared_increments():
-                checks.update(_principal_checks(_load_principal(art_dir), v))
+    stages: dict[str, float] = {}
+    command = manifest.get("command")
+    with _stage(stages, "load"):
+        missing, mismatched = export.checksum_failures(art_dir, manifest)
+        if missing:
+            raise MissingArtifact(
+                f"files listed in the manifest are absent: "
+                f"{', '.join(missing)}")
+        if mismatched:
+            art = None
+        elif command == "solve-principal":
+            art = _load_principal(art_dir)
         elif command == "solve-agent":
-            checks.update(_agent_checks(art_dir, manifest))
+            art = _load_agent(art_dir, manifest)
         else:
             raise MissingArtifact(
                 f"verify supports solve-agent and solve-principal "
                 f"directories, not {command!r}")
-    elapsed = time.perf_counter() - started
+    checks = {"checksums": {"passed": not mismatched,
+                            "measured": float(len(mismatched)),
+                            "bound": 0.0, "mismatched": mismatched}}
+    with _stage(stages, "verify"):
+        if art is not None and command == "solve-principal":
+            with sim._shared_increments():
+                checks.update(_principal_checks(art, v))
+        elif art is not None:
+            checks.update(_agent_checks(art))
 
     passed = all(c["passed"] for c in checks.values())
     os.makedirs(out_dir, exist_ok=True)
@@ -759,7 +789,7 @@ def cmd_verify(run: RunConfig, out_dir: str,
         fh.write(export.canonical_yaml(report))
     export.write_manifest(out_dir, "verify", conf, files=["report.yaml"],
                           seed_override=seed_override)
-    export.write_timings(out_dir, {"verify": elapsed})
+    export.write_timings(out_dir, stages)
     if not passed:
         failed = sorted(name for name, c in checks.items()
                         if not c["passed"])
@@ -841,15 +871,15 @@ def cmd_sweep(run: RunConfig, out_dir: str,
               seed_override: int | None) -> int:
     conf = run.effective(seed_override)
     os.makedirs(out_dir, exist_ok=True)
-    started = time.perf_counter()
-    if conf["sweep"]["axis"] == "m_salary":
-        files, extras = _sweep_m_salary(conf, out_dir)
-    else:
-        files, extras = _sweep_band_width(conf, out_dir)
-    elapsed = time.perf_counter() - started
+    stages: dict[str, float] = {}
+    with _stage(stages, "sweep"):
+        if conf["sweep"]["axis"] == "m_salary":
+            files, extras = _sweep_m_salary(conf, out_dir)
+        else:
+            files, extras = _sweep_band_width(conf, out_dir)
     export.write_manifest(out_dir, "sweep", conf, files=files,
                           seed_override=seed_override, extras=extras)
-    export.write_timings(out_dir, {"sweep": elapsed})
+    export.write_timings(out_dir, stages)
     return EXIT_OK
 
 

@@ -17,9 +17,11 @@ Randomness is reproducible by construction.  The splitting rule is the
 contract: child i of ``numpy.random.SeedSequence(seed).spawn(paths)``,
 which is ``SeedSequence(seed, spawn_key=(i,))``, seeds the PCG64 stream of
 path i, and ``Generator.standard_normal`` fills that path's increments.
-``_draw_increments`` derives every child's PCG64 state at once in
-vectorized integer arithmetic instead of building one ``SeedSequence`` and
-one ``PCG64`` per path; a guard compares the derived state of the first
+Path i is column i of a C-order (steps, paths) matrix, so the engine reads
+each step's increments as one contiguous row.  ``_draw_increments``
+derives every child's PCG64 state at once in vectorized integer
+arithmetic instead of building one ``SeedSequence`` and one ``PCG64`` per
+path; a guard compares the derived state of the first
 and the last path with NumPy's own and raises ``RuntimeError`` if they
 differ, so every path keeps NumPy's stream.  Identical configurations
 therefore give bit-identical results.  The checks built on common random
@@ -198,8 +200,12 @@ _INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
 _INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
 _PCG64_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
-# paths whose states are held as Python ints at one time
-_SEED_CHUNK = 4096
+# paths whose states are held as Python ints, and whose (paths, steps)
+# block is copied transposed into the output, at one time; at 256 steps
+# the block is 2 MB, small enough to stay in a 2 MB L2 cache while it is
+# copied, and fewer paths per chunk would pay _child_states's fixed cost
+# more often than the copy saves
+_SEED_CHUNK = 1024
 
 
 def _hasher(const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -264,17 +270,20 @@ def _child_states(seed: int, first: int, stop: int) -> list[tuple[int, int]]:
 
 
 def _draw_increments(seed: int, paths: int, steps: int) -> np.ndarray:
-    """Standard-normal increment matrix, one independently seeded row per path.
+    """Standard-normal increments, one independently seeded stream per path.
 
     Splitting rule (fixed for reproducibility): SeedSequence(seed).spawn(paths)
     gives child sequences in path order; child i seeds a PCG64 bit generator
-    whose Generator.standard_normal(steps) fills row i.
+    whose Generator.standard_normal(steps) fills path i.  Path i is column i
+    of the returned C-order (steps, paths) matrix.
 
     The rule is reproduced, not executed: ``_child_states`` derives the
-    children's PCG64 states a chunk of paths at a time, and one reused
-    PCG64/Generator pair takes each state in turn and fills its row.  A
-    guard builds NumPy's own bit generator for the first and the last path
-    and raises ``RuntimeError`` if the derived state differs from it.
+    children's PCG64 states a chunk of paths at a time, one reused
+    PCG64/Generator pair takes each state in turn and fills that path's row
+    of a (chunk, steps) block, and the block is copied transposed into the
+    output.  A guard builds NumPy's own bit generator for the first and the
+    last path and raises ``RuntimeError`` if the derived state differs from
+    it.
     """
     for i in sorted({0, paths - 1}):
         bit_gen = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,)))
@@ -284,14 +293,16 @@ def _draw_increments(seed: int, paths: int, steps: int) -> np.ndarray:
                 f"derived PCG64 state of path {i} for seed {seed} differs from "
                 "NumPy's SeedSequence spawn")
     gen = np.random.Generator(bit_gen)
-    out = np.empty((paths, steps))
+    out = np.empty((steps, paths))
+    block = np.empty((min(_SEED_CHUNK, paths), steps))
     for first in range(0, paths, _SEED_CHUNK):
         chunk = _child_states(seed, first, min(first + _SEED_CHUNK, paths))
-        for i, (state, inc) in enumerate(chunk, first):
+        for row, (state, inc) in zip(block, chunk):
             bit_gen.state = {"bit_generator": "PCG64",
                              "state": {"state": state, "inc": inc},
                              "has_uint32": 0, "uinteger": 0}
-            gen.standard_normal(out=out[i])
+            gen.standard_normal(out=row)
+        out[:, first:first + len(chunk)] = block[:len(chunk)].T
     return out
 
 
@@ -462,7 +473,7 @@ def simulate_system(model: ModelSpec, policy: ContractPolicy,
             # alive into the next step's _response they would raise peak RSS
             del k_a, c_a
 
-            dw = sqdt * incr[:, k]
+            dw = sqdt * incr[k]
             if cfg.girsanov_mode:
                 dX = sig * dw
                 theta = np.where(b != 0.0, b / np.where(sig > 0.0, sig, np.nan), 0.0)
@@ -474,8 +485,12 @@ def simulate_system(model: ModelSpec, policy: ContractPolicy,
 
             sq = dX * dX
             fin = np.isfinite(sq)
-            qv[k] = float(np.mean(sq[fin]) / cfg.dt) if fin.any() else math.nan
+            # the same contiguous doubles either way, so the same mean bits
+            kept = sq if fin.all() else sq[fin]
+            qv[k] = float(np.mean(kept) / cfg.dt) if kept.size else math.nan
             X = X + dX
+            # released before the next step's _response, as k_a and c_a are
+            del dw, dX, sq, fin, kept
         if observer is not None:
             observer(steps, horizon, X, Y)
 
@@ -823,7 +838,7 @@ def disjoint_beliefs_demo(model: ModelSpec, M_salary: float, cfg: SimConfig, *,
             t = k * cfg.dt
             b = numerics.effort_payoff(model, t, X, 0.0, 0.0, n_mid)[1]
             sig = numerics.field(model.vol_sigma, t, X, n_mid)
-            X = X + b * cfg.dt + sig * sqdt * incr[:, k]
+            X = X + b * cfg.dt + sig * sqdt * incr[k]
         lx = numerics.apply1(model.liquidation_L, X)
         # L(X_T) - xi cancels to the flat salary by the contract's own
         # algebra, so the integrand is evaluated in that exact form rather

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from robustcontract import ModelSpec, GrowthParams
-from robustcontract import eval_F, eval_g, level_set_V, numerics, principal
+from robustcontract import eval_F, eval_g, export, level_set_V, numerics, principal
 from robustcontract.hamiltonians import R_MIN, uniform_grid
 
 TIE = 1e-12
@@ -50,6 +50,16 @@ def reference_draw(seed, paths, steps):
     for i, child in enumerate(children):
         out[i] = np.random.Generator(np.random.PCG64(child)).standard_normal(steps)
     return out
+
+
+def oracle_write_table(path, names, columns):
+    """The columnar writer cell by cell: every number through
+    ``export.render_float``, one row at a time."""
+    cols = [np.atleast_1d(np.asarray(c, dtype=float)) for c in columns]
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(" ".join(names) + "\n")
+        for i in range(cols[0].shape[0] if cols else 0):
+            fh.write(" ".join(export.render_float(c[i]) for c in cols) + "\n")
 
 
 def first_within(values, target):

@@ -716,6 +716,45 @@ class TestSweep:
         assert "axis" in capsys.readouterr().err
 
 
+class TestTimings:
+    @staticmethod
+    def stages(out) -> list[str]:
+        lines = (out / export.TIMINGS_NAME).read_text().splitlines()
+        assert lines[0] == "stage seconds"
+        for line in lines[1:]:
+            assert float(line.split()[1]) >= 0.0
+        return [line.split()[0] for line in lines[1:]]
+
+    def test_each_command_lists_its_stages_outside_the_checksums(
+            self, principal_run, tmp_path):
+        agent = tmp_path / "agent"
+        runs = [(principal_run, ["solve", "write"])]
+        assert run_cli("solve-agent", write_config(
+            tmp_path, "a.yaml", AGENT_MARTINGALE), agent) == EXIT_OK
+        runs.append((agent, ["solve", "write"]))
+        for name, doc, stages in (
+                ("simulate", {"sim": {"paths": 200, "dt": 0.0625, "seed": 1},
+                              "artifacts": str(principal_run)},
+                 ["load", "simulate"]),
+                ("verify", {"verify": {"artifacts": str(principal_run),
+                                       "paths": 300, "seed": 9,
+                                       "perturbations": 2}},
+                 ["load", "verify"]),
+                ("verify", {"verify": {"artifacts": str(agent)}},
+                 ["load", "verify"])):
+            out = tmp_path / f"{name}{len(runs)}"
+            cfg = write_config(tmp_path, f"{len(runs)}.yaml", doc)
+            assert run_cli(name, cfg, out) == EXIT_OK
+            runs.append((out, stages))
+        for out, stages in runs:
+            assert self.stages(out) == stages, out.name
+            listed = export.read_manifest(str(out))["artifacts"]
+            assert export.TIMINGS_NAME not in listed
+            assert sorted(listed) == sorted(
+                p.name for p in out.iterdir()
+                if p.name not in (export.TIMINGS_NAME, export.MANIFEST_NAME))
+
+
 class TestDeterminism:
     def test_identical_configs_identical_bytes(self, principal_run,
                                                tmp_path):

@@ -8,6 +8,8 @@ import pytest
 
 from robustcontract import export
 
+from helpers import oracle_write_table
+
 
 class TestRendering:
     def test_seventeen_digits_round_trip_doubles(self):
@@ -72,6 +74,46 @@ class TestTables:
         path.write_text("a b\n1 2 3\n")
         with pytest.raises(ValueError, match="columns"):
             export.read_table(str(path))
+
+
+def _column_sets():
+    """Named column sets for the writer, each as a tuple of columns."""
+    t, x, y = np.meshgrid(np.linspace(0.0, 1.0, 33), np.linspace(-8.0, 8.0, 23),
+                          np.linspace(-8.0, 8.0, 23), indexing="ij")
+    grid = (t.ravel(), x.ravel(), y.ravel(), (x - y + 0.5 * t).ravel())
+    rng = np.random.default_rng(15)
+    wide = rng.standard_normal((3000, 4)) * 10.0 ** rng.integers(-300, 300, (3000, 4))
+    nan_a = np.array([0x7FF8_0000_0000_0001], dtype=np.uint64).view(float)[0]
+    nan_b = np.array([0xFFF8_0000_0000_0002], dtype=np.uint64).view(float)[0]
+    special = np.array([0.0, -0.0, nan_a, nan_b, np.inf, -np.inf, 5e-324,
+                        -5e-324, -0.0, nan_b, 0.0, nan_a, 1.0])
+    return {
+        # more rows than one written block, a few dozen values per column
+        "grid_repetitive": grid,
+        "all_distinct": tuple(wide.T),
+        "signed_zeros": (np.array([0.0, -0.0, 0.0, -0.0, 2.0, -0.0]),),
+        "special_values": (special, special[::-1]),
+        "integers": (np.arange(-3, 9), np.arange(12) % 3),
+        "non_contiguous": (wide[:, 1], wide[::-1, 2],
+                           np.stack(grid, axis=1)[:3000, 3],
+                           grid[3][::-1][:3000]),
+        "zero_rows": ((), ()),
+        "one_row": ([-0.0], [np.pi], [7]),
+    }
+
+
+class TestDistinctValueWriter:
+    @pytest.mark.parametrize("case", sorted(_column_sets()))
+    def test_bytes_match_the_per_cell_writer(self, tmp_path, case):
+        columns = _column_sets()[case]
+        names = [f"c{i}" for i in range(len(columns))]
+        export.write_table(str(tmp_path / "got.txt"), names, columns)
+        oracle_write_table(str(tmp_path / "want.txt"), names, columns)
+        want = (tmp_path / "want.txt").read_bytes()
+        assert (tmp_path / "got.txt").read_bytes() == want
+        if case == "signed_zeros":
+            # a writer keyed on the float values would merge these two
+            assert b"\n0\n-0\n" in want
 
 
 class TestCanonicalYaml:

@@ -193,11 +193,14 @@ class TestDrawIncrements:
     @pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1, 2**32 - 1, 2**32 + 5,
                                       2**64 + 3, 2**130 + 1, 1013446243])
     def test_rows_are_the_spawned_streams(self, seed):
+        # the reference's row i, path i's stream, is column i of the draw;
+        # 257 and 3000 paths end in a partial chunk of the seeding loop
         for paths in (1, 2, 257, 3000):
             for steps in (0, 1, 64):
                 got = sim._draw_increments(seed, paths, steps)
-                want = reference_draw(seed, paths, steps)
-                assert got.shape == want.shape
+                want = reference_draw(seed, paths, steps).T
+                assert got.shape == (steps, paths)
+                assert got.flags.c_contiguous
                 assert got.tobytes() == want.tobytes(), (paths, steps)
 
     @pytest.mark.parametrize("bad_path", [0, 4])
@@ -227,7 +230,7 @@ class TestDrawIncrements:
         got = sim._draw_increments(11, 5000, 3)
         assert built == [(0,), (4999,)]
         monkeypatch.undo()
-        assert got.tobytes() == reference_draw(11, 5000, 3).tobytes()
+        assert got.tobytes() == reference_draw(11, 5000, 3).T.tobytes()
 
 
 class TestSharedIncrements:
