@@ -674,11 +674,6 @@ def _principal_checks(art: SimpleNamespace, v: dict) -> dict:
     checks = {"incentive_fields":
               _incentive_field_check(art.model, art.grid, art.policy)}
 
-    cross = sim.girsanov_cross_check(art.model, art.policy, cfg)
-    checks["girsanov_agreement"] = {
-        "passed": cross["agree"], "measured": cross["gap"],
-        "bound": cross["tol"]}
-
     tol = float(v["martingale_tolerance"])
     mart = sim.martingale_sandwich_check(
         art.model, art.surface, art.policy, cfg,
@@ -697,6 +692,13 @@ def _principal_checks(art: SimpleNamespace, v: dict) -> dict:
         "passed": inc["passed"], "measured": float(len(inc["violations"])),
         "bound": 0.0, "strictly_lower": inc["strictly_lower"],
         "perturbations": probes}
+
+    # last, because its reweighted batch alone runs on seed + 1: the scope
+    # then draws the increments twice, not three times
+    cross = sim.girsanov_cross_check(art.model, art.policy, cfg)
+    checks["girsanov_agreement"] = {
+        "passed": cross["agree"], "measured": cross["gap"],
+        "bound": cross["tol"]}
     return checks
 
 

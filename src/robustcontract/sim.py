@@ -14,19 +14,15 @@ incentive-compatibility probes, martingale flatness reports, and the
 separated-beliefs degeneracy demonstration.
 
 Randomness is reproducible by construction.  The splitting rule is the
-contract: child i of ``numpy.random.SeedSequence(seed).spawn(paths)``,
-which is ``SeedSequence(seed, spawn_key=(i,))``, seeds the PCG64 stream of
-path i, and ``Generator.standard_normal`` fills that path's increments.
-Path i is column i of a C-order (steps, paths) matrix, so the engine reads
-each step's increments as one contiguous row.  ``_draw_increments``
-derives every child's PCG64 state at once in vectorized integer
-arithmetic instead of building one ``SeedSequence`` and one ``PCG64`` per
-path; a guard compares the derived state of the first
-and the last path with NumPy's own and raises ``RuntimeError`` if they
-differ, so every path keeps NumPy's stream.  Identical configurations
-therefore give bit-identical results.  The checks built on common random
-numbers (the scenario search, the incentive probes, the martingale report,
-and the whole of ``verify``) draw the increment matrix once for
+contract: child k of ``numpy.random.SeedSequence(seed).spawn(steps)``,
+which is ``SeedSequence(seed, spawn_key=(k,))``, seeds the PCG64 stream of
+time step k, and ``Generator.standard_normal(paths)`` fills that step's
+row of increments; path i takes element i of every row.  A batch draws
+each row when the engine reaches its step, so it holds the increments of
+one step, not of the whole horizon.  Identical configurations therefore
+give bit-identical results.  The checks built on common random numbers
+(the scenario search, the incentive probes, the martingale report, and
+the whole of ``verify``) draw the (steps, paths) increment matrix once for
 consecutive batches that share (seed, paths, steps) and hand every batch
 that same read-only matrix, so their results stay bit-identical to fresh
 draws.
@@ -40,7 +36,7 @@ import contextvars
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -191,118 +187,24 @@ class SimResult:
 # randomness
 # ---------------------------------------------------------------------------
 
-# SeedSequence's hash constants and PCG64's 128-bit LCG multiplier, as in
-# NumPy's bit_generator.pyx and pcg64.h
-_MASK32 = 0xFFFF_FFFF
-_MASK128 = (1 << 128) - 1
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
-_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
-_PCG64_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
-# paths whose states are held as Python ints, and whose (paths, steps)
-# block is copied transposed into the output, at one time; at 256 steps
-# the block is 2 MB, small enough to stay in a 2 MB L2 cache while it is
-# copied, and fewer paths per chunk would pay _child_states's fixed cost
-# more often than the copy saves
-_SEED_CHUNK = 1024
-
-
-def _hasher(const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
-    """SeedSequence's hashmix: each call advances the shared multiplier."""
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> np.uint32(16))
-    return hashmix
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-    return out ^ (out >> np.uint32(16))
-
-
-def _child_states(seed: int, first: int, stop: int) -> list[tuple[int, int]]:
-    """(state, inc) of ``PCG64(SeedSequence(seed, spawn_key=(i,)))`` for
-    ``first <= i < stop``.
-
-    SeedSequence's entropy mixing and ``generate_state(4, uint64)`` run in
-    uint32 arithmetic with one lane per child.  The hash multipliers do not
-    depend on the data, so every lane shares the mixing of the root entropy
-    (zero-padded to the pool size, as a spawned sequence pads it) and
-    differs only from the spawn-key word, mixed in last.  PCG64's seeding
-    step then runs in Python ints.
-    """
-    words, rest = [], int(seed)
-    while True:
-        words.append(rest & _MASK32)
-        rest >>= 32
-        if not rest:
-            break
-    words += [0] * (_POOL_SIZE - len(words))
-    entropy = [np.full(1, w, dtype=np.uint32) for w in words]
-    entropy.append(np.arange(first, stop, dtype=np.uint32))
-
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-
-    hashmix = _hasher(_INIT_B, _MULT_B)
-    half = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
-    # uint64 word j joins uint32 words 2j (low) and 2j + 1 (high)
-    state_words = np.stack([half[2 * j] | half[2 * j + 1] << np.uint64(32)
-                            for j in range(4)], axis=-1)
-    states = []
-    for w0, w1, w2, w3 in state_words.tolist():
-        # pcg64_srandom_r: state 0, step, add initstate, step
-        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-        states.append((((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128,
-                       inc))
-    return states
+def _step_stream(seed: int, k: int) -> np.random.Generator:
+    """Step k's Gaussian stream: ``SeedSequence(seed).spawn(steps)[k]``,
+    which is ``SeedSequence(seed, spawn_key=(k,))``, seeding a PCG64."""
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(seed, spawn_key=(k,))))
 
 
 def _draw_increments(seed: int, paths: int, steps: int) -> np.ndarray:
-    """Standard-normal increments, one independently seeded stream per path.
+    """Standard-normal increments as one C-order (steps, paths) matrix.
 
-    Splitting rule (fixed for reproducibility): SeedSequence(seed).spawn(paths)
-    gives child sequences in path order; child i seeds a PCG64 bit generator
-    whose Generator.standard_normal(steps) fills path i.  Path i is column i
-    of the returned C-order (steps, paths) matrix.
-
-    The rule is reproduced, not executed: ``_child_states`` derives the
-    children's PCG64 states a chunk of paths at a time, one reused
-    PCG64/Generator pair takes each state in turn and fills that path's row
-    of a (chunk, steps) block, and the block is copied transposed into the
-    output.  A guard builds NumPy's own bit generator for the first and the
-    last path and raises ``RuntimeError`` if the derived state differs from
-    it.
+    Splitting rule (fixed for reproducibility): child k of
+    SeedSequence(seed).spawn(steps) seeds a PCG64 bit generator whose
+    Generator.standard_normal(paths) fills row k, the increments of step
+    k; path i is element i of every row.
     """
-    for i in sorted({0, paths - 1}):
-        bit_gen = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,)))
-        want = bit_gen.state["state"]
-        if _child_states(seed, i, i + 1) != [(want["state"], want["inc"])]:
-            raise RuntimeError(
-                f"derived PCG64 state of path {i} for seed {seed} differs from "
-                "NumPy's SeedSequence spawn")
-    gen = np.random.Generator(bit_gen)
     out = np.empty((steps, paths))
-    block = np.empty((min(_SEED_CHUNK, paths), steps))
-    for first in range(0, paths, _SEED_CHUNK):
-        chunk = _child_states(seed, first, min(first + _SEED_CHUNK, paths))
-        for row, (state, inc) in zip(block, chunk):
-            bit_gen.state = {"bit_generator": "PCG64",
-                             "state": {"state": state, "inc": inc},
-                             "has_uint32": 0, "uinteger": 0}
-            gen.standard_normal(out=row)
-        out[:, first:first + len(chunk)] = block[:len(chunk)].T
+    for k, row in enumerate(out):
+        _step_stream(seed, k).standard_normal(out=row)
     return out
 
 
@@ -331,20 +233,26 @@ def _shared_increments():
         _increment_memo.reset(token)
 
 
-def _path_increments(seed: int, paths: int, steps: int) -> np.ndarray:
-    """Read-only increment matrix, drawn afresh unless the open scope holds it."""
+def _path_increments(seed: int, paths: int, steps: int) -> Iterable[np.ndarray]:
+    """Step rows of increments under ``_draw_increments``'s splitting rule.
+
+    Outside a reuse scope this is a generator that draws each row when the
+    engine reaches its step, so a batch holds one row rather than the
+    whole matrix.  Inside one it is the scope's read-only matrix, drawn
+    afresh only when (seed, paths, steps) changes.
+    """
     memo = _increment_memo.get()
+    if memo is None:
+        return (_step_stream(seed, k).standard_normal(paths)
+                for k in range(steps))
     key = (seed, paths, steps)
-    if memo is not None and memo[0] == key:
-        return memo[1]
-    if memo is not None:
+    if memo[0] != key:
         # release the previous matrix before the new one is allocated
         memo[:] = [None, None]
-    out = _draw_increments(seed, paths, steps)
-    out.flags.writeable = False
-    if memo is not None:
+        out = _draw_increments(seed, paths, steps)
+        out.flags.writeable = False
         memo[:] = [key, out]
-    return out
+    return memo[1]
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +364,7 @@ def simulate_system(model: ModelSpec, policy: ContractPolicy,
     qv = np.empty(steps)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(steps):
+        for k, row in enumerate(incr):
             t = k * cfg.dt
             if observer is not None:
                 observer(k, t, X, Y)
@@ -473,7 +381,7 @@ def simulate_system(model: ModelSpec, policy: ContractPolicy,
             # alive into the next step's _response they would raise peak RSS
             del k_a, c_a
 
-            dw = sqdt * incr[k]
+            dw = sqdt * row
             if cfg.girsanov_mode:
                 dX = sig * dw
                 theta = np.where(b != 0.0, b / np.where(sig > 0.0, sig, np.nan), 0.0)
@@ -490,7 +398,7 @@ def simulate_system(model: ModelSpec, policy: ContractPolicy,
             qv[k] = float(np.mean(kept) / cfg.dt) if kept.size else math.nan
             X = X + dX
             # released before the next step's _response, as k_a and c_a are
-            del dw, dX, sq, fin, kept
+            del row, dw, dX, sq, fin, kept
         if observer is not None:
             observer(steps, horizon, X, Y)
 
@@ -834,11 +742,11 @@ def disjoint_beliefs_demo(model: ModelSpec, M_salary: float, cfg: SimConfig, *,
 
     X = np.full(cfg.paths, float(cfg.x0))
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
+        for k, row in enumerate(incr):
             t = k * cfg.dt
             b = numerics.effort_payoff(model, t, X, 0.0, 0.0, n_mid)[1]
             sig = numerics.field(model.vol_sigma, t, X, n_mid)
-            X = X + b * cfg.dt + sig * sqdt * incr[k]
+            X = X + b * cfg.dt + sig * sqdt * row
         lx = numerics.apply1(model.liquidation_L, X)
         # L(X_T) - xi cancels to the flat salary by the contract's own
         # algebra, so the integrand is evaluated in that exact form rather

@@ -44,11 +44,12 @@ def build_model(b=None, sigma=None, c=None, k=None, A=(0.0, 1.0), N=(1.0, 2.0),
 
 def reference_draw(seed, paths, steps):
     """The increment splitting rule executed directly: one spawned
-    SeedSequence child and one PCG64 stream per path."""
-    children = np.random.SeedSequence(seed).spawn(paths)
-    out = np.empty((paths, steps))
-    for i, child in enumerate(children):
-        out[i] = np.random.Generator(np.random.PCG64(child)).standard_normal(steps)
+    SeedSequence child and one PCG64 stream per time step, filling that
+    step's row of a (steps, paths) matrix."""
+    out = np.empty((steps, paths))
+    for k in range(steps):
+        child = np.random.SeedSequence(seed, spawn_key=(k,))
+        out[k] = np.random.Generator(np.random.PCG64(child)).standard_normal(paths)
     return out
 
 

@@ -563,12 +563,12 @@ class TestVerify:
 
         monkeypatch.setattr(sim, "_draw_increments", counting)
         assert run_cli("verify", cfg, tmp_path / "shared") == EXIT_OK
-        # direct and reweighted cross-check runs, then the common batches
-        assert drawn == [9, 10, 9]
+        # every batch on the seed, then the cross-check's reweighted run
+        assert drawn == [9, 10]
         monkeypatch.setattr(sim, "_path_increments", counting)
         assert run_cli("verify", cfg, tmp_path / "fresh") == EXIT_OK
         batches = 4 + 3 * len(make_model("risk_neutral").n_grid())
-        assert len(drawn) == 3 + batches
+        assert len(drawn) == 2 + batches
         for name in ("report.yaml", export.MANIFEST_NAME):
             assert (tmp_path / "shared" / name).read_bytes() == \
                 (tmp_path / "fresh" / name).read_bytes()

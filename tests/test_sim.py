@@ -3,6 +3,7 @@ scenario search, incentive probes, martingale flatness, and the
 separated-beliefs degeneracy."""
 
 import copy
+import dataclasses
 import math
 import tracemalloc
 
@@ -17,6 +18,7 @@ from robustcontract.sim import (
     Estimate,
     NatureStrategy,
     SimConfig,
+    SimResult,
     adversarial_nature_search,
     constant_policy,
     disjoint_beliefs_demo,
@@ -193,44 +195,60 @@ class TestDrawIncrements:
     @pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1, 2**32 - 1, 2**32 + 5,
                                       2**64 + 3, 2**130 + 1, 1013446243])
     def test_rows_are_the_spawned_streams(self, seed):
-        # the reference's row i, path i's stream, is column i of the draw;
-        # 257 and 3000 paths end in a partial chunk of the seeding loop
+        # step k's key is child k of the root's spawn
+        children = np.random.SeedSequence(seed).spawn(3)
+        for k, child in enumerate(children):
+            keyed = np.random.SeedSequence(seed, spawn_key=(k,))
+            assert np.array_equal(child.generate_state(4),
+                                  keyed.generate_state(4))
+        # the scope's matrix and the fresh batch's rows alike
         for paths in (1, 2, 257, 3000):
             for steps in (0, 1, 64):
+                want = reference_draw(seed, paths, steps)
                 got = sim._draw_increments(seed, paths, steps)
-                want = reference_draw(seed, paths, steps).T
                 assert got.shape == (steps, paths)
                 assert got.flags.c_contiguous
                 assert got.tobytes() == want.tobytes(), (paths, steps)
+                rows = list(sim._path_increments(seed, paths, steps))
+                assert len(rows) == steps
+                for k, row in enumerate(rows):
+                    assert row.tobytes() == want[k].tobytes(), (paths, k)
 
-    @pytest.mark.parametrize("bad_path", [0, 4])
-    def test_guard_rejects_a_wrong_derived_state(self, monkeypatch, bad_path):
-        derive = sim._child_states
+    def test_prefixes_and_single_rows_agree_with_the_matrix(self):
+        big = sim._draw_increments(13, 1000, 16)
+        assert np.array_equal(big[:8, :10], sim._draw_increments(13, 10, 8))
+        for k in (0, 7, 15):
+            alone = sim._step_stream(13, k).standard_normal(1000)
+            assert alone.tobytes() == big[k].tobytes()
 
-        def corrupted(seed, first, stop):
-            states = derive(seed, first, stop)
-            if first <= bad_path < stop:
-                state, inc = states[bad_path - first]
-                states[bad_path - first] = (state ^ 1, inc)
-            return states
+    def test_scope_and_fresh_batches_give_the_same_bytes(self, rn_model,
+                                                         rn_policy):
+        for girsanov in (False, True):
+            cfg = SimConfig(paths=300, dt=1 / 32, seed=31,
+                            girsanov_mode=girsanov)
+            fresh = simulate_system(rn_model, rn_policy, None, cfg)
+            with sim._shared_increments():
+                shared = simulate_system(rn_model, rn_policy, None, cfg)
+            for field in dataclasses.fields(SimResult):
+                a = getattr(fresh, field.name)
+                b = getattr(shared, field.name)
+                if isinstance(a, np.ndarray):
+                    assert a.tobytes() == b.tobytes(), field.name
+                else:
+                    assert a == b, field.name
 
-        monkeypatch.setattr(sim, "_child_states", corrupted)
-        with pytest.raises(RuntimeError, match=f"path {bad_path}"):
-            sim._draw_increments(3, 5, 4)
-
-    def test_only_the_guard_builds_seed_sequences(self, monkeypatch):
-        built = []
-
-        class Counting(np.random.SeedSequence):
-            def __init__(self, *args, **kwargs):
-                built.append(kwargs.get("spawn_key"))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(np.random, "SeedSequence", Counting)
-        got = sim._draw_increments(11, 5000, 3)
-        assert built == [(0,), (4999,)]
-        monkeypatch.undo()
-        assert got.tobytes() == reference_draw(11, 5000, 3).T.tobytes()
+    def test_a_fresh_batch_holds_one_step_of_increments(self, rn_model,
+                                                        rn_policy):
+        # a 20000 x 256 matrix is 41 MB; the engine must hold far less
+        paths, steps = 20_000, 256
+        cfg = SimConfig(paths=paths, dt=1 / steps, seed=5)
+        tracemalloc.start()
+        try:
+            simulate_system(rn_model, rn_policy, None, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * paths * steps / 4
 
 
 class TestSharedIncrements:
@@ -272,9 +290,17 @@ class TestSharedIncrements:
             for key in keys:
                 sim._path_increments(*key)
         assert drawn == keys[:4]
-        sim._path_increments(5, 41, 8)
-        sim._path_increments(5, 41, 8)
-        assert drawn == keys[:4] + [(5, 41, 8)] * 2
+        assert sim._increment_memo.get() is None
+        # outside the scope each batch gets its own generator of step rows,
+        # which builds no matrix and keeps nothing between calls
+        matrix = sim._draw_increments(5, 41, 8)
+        drawn.clear()
+        for _ in range(2):
+            rows = sim._path_increments(5, 41, 8)
+            assert not isinstance(rows, np.ndarray)
+            assert np.array_equal(np.array(list(rows)), matrix)
+        assert drawn == []
+        assert sim._increment_memo.get() is None
 
     def test_common_random_number_checks_repeat_fresh_draws(
             self, rn_model, rn_policy, monkeypatch):
@@ -465,6 +491,18 @@ class TestGirsanov:
         res = simulate_system(flat, flat_policy, None,
                               SimConfig(paths=100, dt=1 / 16, seed=3, girsanov_mode=True))
         np.testing.assert_array_equal(res.weights, 1.0)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: the 3x CI tolerance underestimates the spread of "
+        "heavy-tailed likelihood weights, so about one seed in a few "
+        "hundred reports a false disagreement at 2,000 paths"))
+    def test_cross_check_agrees_at_two_thousand_paths(self, rn_model,
+                                                      rn_policy):
+        # verify's batch on the default risk-neutral solve; this seed's gap
+        # is 0.521 against a bound of 0.357
+        cfg = SimConfig(paths=2000, dt=1 / 64, seed=692)
+        report = girsanov_cross_check(rn_model, rn_policy, cfg)
+        assert report["agree"], report
 
 
 class TestAdversarialSearch:
