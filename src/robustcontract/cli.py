@@ -694,8 +694,10 @@ def _principal_checks(art: SimpleNamespace, v: dict) -> dict:
         "perturbations": probes}
 
     # last, because its reweighted batch alone runs on seed + 1: the scope
-    # then draws the increments twice, not three times
-    cross = sim.girsanov_cross_check(art.model, art.policy, cfg)
+    # then draws the increments twice, not three times.  Its direct run is
+    # the martingale check's feedback run (same model, policy, config).
+    cross = sim.girsanov_cross_check(art.model, art.policy, cfg,
+                                     direct=mart["feedback_run"])
     checks["girsanov_agreement"] = {
         "passed": cross["agree"], "measured": cross["gap"],
         "bound": cross["tol"]}

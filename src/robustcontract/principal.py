@@ -7,10 +7,10 @@ computed radius, against an inf over the nature control.
 
 Scheme
 ------
-Explicit in time.  Each slice estimates derivatives with central
-differences on a ghost-padded array, selects the saddle controls nodewise
-with the same candidates-first enumeration the pointwise evaluator uses,
-then re-realizes the chosen operator monotonically:
+Explicit in time.  Each time step estimates derivatives of the later slice
+with central differences on a ghost-padded array, selects the saddle
+controls nodewise once with the same candidates-first enumeration the
+pointwise evaluator uses, then realizes the chosen operator monotonically:
 
 * drift terms upwind in each direction,
 * own-diffusions by central second differences,
@@ -22,9 +22,11 @@ The diffusion matrix of the pair state has rank one (the promised-value
 noise is z times the output noise), so the cross stencil is exactly
 representable when dy = |z| dx and the clip is inactive there.
 
-Each slice substeps internally against the realized stability bound; the
-number of substeps is chosen from the measured erosion of the center
-weight, never assumed.
+The step's CFL substeps march on that frozen stencil, counted from its
+measured erosion of the center weight, never assumed; the selection lags
+the iterate by at most one step.  Off the edges each substep is a convex
+combination of the iterate's values; that a whole step keeps ordered data
+ordered is tested, not proven.
 """
 
 from __future__ import annotations
@@ -291,12 +293,22 @@ def _derivatives(u: np.ndarray, dx: float, dy: float):
     return p, pt, q, qt, r
 
 
-def _diffusion_coefficients(sel: _Selection, dx, dy, shape):
-    """Own-diffusion weights and the monotone-clipped cross coefficient.
+class _Stencil(NamedTuple):
+    """A step's monotone stencil, frozen for its substeps: diffusion weights,
+    the clipped cross coefficient, drifts, the center weight's erosion rate
+    (the stable step bound) and the largest cross mass the clip removed."""
 
-    Returns (a2, c2, rho_used, clipped_cross_mass): three arrays of
-    ``shape`` and the largest cross mass the clip removed.
-    """
+    a2: np.ndarray
+    c2: np.ndarray
+    rho: np.ndarray
+    bx: np.ndarray
+    by: np.ndarray
+    erosion: np.ndarray
+    defect: float
+
+
+def _stencil(sel: _Selection, dx, dy, shape) -> _Stencil:
+    """Build the monotone stencil of the selected controls on ``shape``."""
     sig2 = sel.sig2.reshape(shape)
     z = sel.z.reshape(shape)
     a2 = 0.5 * sig2
@@ -305,20 +317,17 @@ def _diffusion_coefficients(sel: _Selection, dx, dy, shape):
     cap = np.minimum(2.0 * a2 * dy / dx, 2.0 * c2 * dx / dy)
     rho_used = np.sign(rho) * np.minimum(np.abs(rho), cap)
     defect = float(np.max(np.abs(rho) - np.abs(rho_used), initial=0.0))
-    return a2, c2, rho_used, defect
-
-
-def _monotone_rhs(u, sel: _Selection, dx, dy, shape):
-    """Realize the selected operator with monotone stencils.
-
-    Returns (rhs, erosion, clipped_cross_mass); erosion is the nodewise
-    decay rate of the center weight that bounds the stable step size.
-    """
-    a2, c2, rho_used, defect = _diffusion_coefficients(sel, dx, dy, shape)
     bx = sel.bdrift.reshape(shape)
-    by = (a2 * sel.gamma.reshape(shape) - sel.hval.reshape(shape)
-          + bx * sel.z.reshape(shape))
+    by = a2 * sel.gamma.reshape(shape) - sel.hval.reshape(shape) + bx * z
+    erosion = (2.0 * a2 / (dx * dx) + 2.0 * c2 / (dy * dy)
+               - np.abs(rho_used) / (dx * dy)
+               + np.abs(bx) / dx + np.abs(by) / dy)
+    return _Stencil(a2, c2, rho_used, bx, by, erosion, defect)
 
+
+def _apply(st: _Stencil, u, dx, dy):
+    """The stencil's right-hand side on slice ``u``: central own
+    diffusions, the sign-split cross stencil and upwind drifts."""
     up = numerics.ghost_pad2(u)
     ctr = up[1:-1, 1:-1]
     dxx = (up[2:, 1:-1] - 2.0 * ctr + up[:-2, 1:-1]) / (dx * dx)
@@ -333,15 +342,10 @@ def _monotone_rhs(u, sel: _Selection, dx, dy, shape):
     cross_m = -(2.0 * ctr + up[2:, :-2] + up[:-2, 2:]
                 - up[2:, 1:-1] - up[:-2, 1:-1]
                 - up[1:-1, 2:] - up[1:-1, :-2]) / (2.0 * dx * dy)
-    cross = np.where(rho_used >= 0.0, cross_p, cross_m)
-
-    rhs = (a2 * dxx + c2 * dyy + rho_used * cross
-           + np.maximum(bx, 0.0) * dpx - np.maximum(-bx, 0.0) * dmx
-           + np.maximum(by, 0.0) * dpy - np.maximum(-by, 0.0) * dmy)
-    erosion = (2.0 * a2 / (dx * dx) + 2.0 * c2 / (dy * dy)
-               - np.abs(rho_used) / (dx * dy)
-               + np.abs(bx) / dx + np.abs(by) / dy)
-    return rhs, erosion, defect
+    cross = np.where(st.rho >= 0.0, cross_p, cross_m)
+    return (st.a2 * dxx + st.c2 * dyy + st.rho * cross
+            + np.maximum(st.bx, 0.0) * dpx - np.maximum(-st.bx, 0.0) * dmx
+            + np.maximum(st.by, 0.0) * dpy - np.maximum(-st.by, 0.0) * dmy)
 
 
 def _terminal_reward(model: ModelSpec, xg, yg) -> np.ndarray:
@@ -353,7 +357,7 @@ def _terminal_reward(model: ModelSpec, xg, yg) -> np.ndarray:
 
 
 def _new_diagnostics() -> dict:
-    return {"radius_max": 0.0, "substeps_max": 0,
+    return {"radius_max": 0.0, "substeps_max": 0, "selections": 0,
             "monotonicity_defect": 0.0, "saturated_nodes": 0,
             "coercivity_unverified_nodes": 0}
 
@@ -416,11 +420,11 @@ def solve_hjbi(model: ModelSpec, grid: GridSpec, *,
     terminal = _terminal_reward(model, xg, yg)
     values = np.empty((nt + 1, nx, ny))
     values[nt] = terminal
-    pol_shape = (nt + 1, nx, ny)
-    pol = {name: np.zeros(pol_shape) for name in POLICY_FIELDS}
+    pol = {name: np.zeros((nt + 1, nx, ny)) for name in POLICY_FIELDS}
     diags = _new_diagnostics()
 
     def select(t, u):
+        diags["selections"] += 1
         return _select_with_radius(model, t, Xf, Yf,
                                    *_flat_derivatives(u, grid), diags)
 
@@ -431,28 +435,20 @@ def solve_hjbi(model: ModelSpec, grid: GridSpec, *,
             pol[name][step] = got.reshape(nx, ny)
 
     for step in range(nt - 1, -1, -1):
-        cur = values[step + 1].copy()
-        dt_rem = grid.dt
-        substeps = 0
-        sel = None
+        sel = select(float(tg[step]), values[step + 1])
+        st = _stencil(sel, grid.dx, grid.dy, (nx, ny))
+        diags["monotonicity_defect"] = max(diags["monotonicity_defect"],
+                                           st.defect)
+        emax = float(np.max(st.erosion))
+        if emax * grid.dt > cfl_safety * _MAX_SUBSTEPS:
+            raise RuntimeError(f"slice needs more than {_MAX_SUBSTEPS} "
+                               "stable substeps; refine the grid")
+        cur, dt_rem, substeps = values[step + 1], grid.dt, 0
         while dt_rem > 0.0:
-            sel = select(float(tg[step]), cur)
-            rhs, erosion, defect = _monotone_rhs(cur, sel, grid.dx, grid.dy,
-                                                 (nx, ny))
-            diags["monotonicity_defect"] = max(
-                diags["monotonicity_defect"], defect)
-            emax = float(np.max(erosion))
-            if emax * dt_rem <= cfl_safety:
-                dt_n = dt_rem
-            else:
-                dt_n = cfl_safety / emax
-            substeps += 1
-            if substeps + dt_rem / dt_n - 1.0 > _MAX_SUBSTEPS:
-                raise RuntimeError(
-                    f"slice needs more than {_MAX_SUBSTEPS} stable "
-                    "substeps; refine the grid")
-            cur = cur + dt_n * rhs
+            dt_n = dt_rem if emax * dt_rem <= cfl_safety else cfl_safety / emax
+            cur = cur + dt_n * _apply(st, cur, grid.dx, grid.dy)
             dt_rem -= dt_n
+            substeps += 1
         values[step] = cur
         fill_policy(step, sel)
         diags["substeps_max"] = max(diags["substeps_max"], substeps)
@@ -484,17 +480,14 @@ def probe_monotonicity(model: ModelSpec, grid: GridSpec) -> dict:
     sel = _select_with_radius(model, 0.0, X2.ravel(), Y2.ravel(),
                               *_flat_derivatives(terminal, grid),
                               _new_diagnostics())
-    shape = (grid.x_nodes, grid.y_nodes)
-    a2, c2, rho_used, _ = _diffusion_coefficients(sel, grid.dx, grid.dy,
-                                                  shape)
-    w_x = a2 / grid.dx ** 2 - np.abs(rho_used) / (2.0 * grid.dx * grid.dy)
-    w_y = c2 / grid.dy ** 2 - np.abs(rho_used) / (2.0 * grid.dx * grid.dy)
-    _, erosion, defect = _monotone_rhs(terminal, sel, grid.dx, grid.dy, shape)
+    st = _stencil(sel, grid.dx, grid.dy, (grid.x_nodes, grid.y_nodes))
+    w_x = st.a2 / grid.dx ** 2 - np.abs(st.rho) / (2.0 * grid.dx * grid.dy)
+    w_y = st.c2 / grid.dy ** 2 - np.abs(st.rho) / (2.0 * grid.dx * grid.dy)
     dt = grid.dt
     return {
         "min_neighbor_weight": float(min(w_x.min(), w_y.min())),
-        "min_center_weight": float(1.0 - dt * erosion.max()) if dt else 1.0,
-        "clipped_cross_mass": defect,
+        "min_center_weight": float(1.0 - dt * st.erosion.max()) if dt else 1.0,
+        "clipped_cross_mass": st.defect,
     }
 
 

@@ -473,17 +473,20 @@ def girsanov_weight(model: ModelSpec, path: np.ndarray,
 
 
 def girsanov_cross_check(model: ModelSpec, policy: ContractPolicy,
-                         cfg: SimConfig) -> dict:
+                         cfg: SimConfig, *,
+                         direct: SimResult | None = None) -> dict:
     """Two-estimator consistency check on E[L(X_T)].
 
     Runs the drifted simulation and an independently seeded driftless one
     reweighted by the likelihood ratio, both under the policy's worst-case
     volatility feedback; reports both estimates, their gap and the 3x
-    combined confidence tolerance.
+    combined confidence tolerance.  ``direct`` is the drifted run when the
+    caller has it, such as the martingale check's ``feedback_run``.
     """
-    direct_cfg = dataclasses.replace(cfg, girsanov_mode=False)
+    if direct is None:
+        direct = simulate_system(model, policy, None,
+                                 dataclasses.replace(cfg, girsanov_mode=False))
     ref_cfg = dataclasses.replace(cfg, girsanov_mode=True, seed=cfg.seed + 1)
-    direct = simulate_system(model, policy, None, direct_cfg)
     ref = simulate_system(model, policy, None, ref_cfg)
 
     def terminal_estimate(res: SimResult) -> Estimate:
@@ -658,12 +661,13 @@ def martingale_sandwich_check(model: ModelSpec, solution, policy: ContractPolicy
     A second run under a deliberately suboptimal constant scenario probes
     the submartingale side (its mean should not trend down); for
     volatility-flat models that run is labeled accordingly.
+    ``feedback_run`` is the first run's result.
     """
     horizon = float(policy.t_grid[-1])
     steps = cfg.steps_for(horizon)
     probe_steps = np.unique(np.round(np.linspace(0, steps, probes)).astype(int))
 
-    def run(nature: NatureStrategy | None) -> tuple[np.ndarray, np.ndarray]:
+    def run(nature: NatureStrategy | None):
         times, means = [], []
 
         def observe(k: int, t: float, X: np.ndarray, Y: np.ndarray) -> None:
@@ -676,10 +680,10 @@ def martingale_sandwich_check(model: ModelSpec, solution, policy: ContractPolicy
                 means.append(float(np.mean(u[fin])) if fin.any() else math.nan)
 
         probe_set = set(int(s) for s in probe_steps)
-        simulate_system(model, policy, nature, cfg, observer=observe)
-        return np.array(times), np.array(means)
+        res = simulate_system(model, policy, nature, cfg, observer=observe)
+        return np.array(times), np.array(means), res
 
-    times, means = run(None)
+    times, means, feedback = run(None)
     if len(times) > 1:
         slopes = np.diff(means) / np.diff(times)
         worst = float(np.max(np.abs(slopes)))
@@ -695,7 +699,7 @@ def martingale_sandwich_check(model: ModelSpec, solution, policy: ContractPolicy
         mid_used = float(np.median(policy.nature[0]))
         far = n_lo if abs(mid_used - n_lo) >= abs(mid_used - n_hi) else n_hi
         suboptimal_nature = NatureStrategy.constant(far, horizon)
-    sub_times, sub_means = run(suboptimal_nature)
+    sub_times, sub_means, _ = run(suboptimal_nature)
     sub_slopes = (np.diff(sub_means) / np.diff(sub_times)
                   if len(sub_times) > 1 else np.array([]))
     worst_down = float(-np.min(sub_slopes)) if len(sub_slopes) else 0.0
@@ -703,6 +707,7 @@ def martingale_sandwich_check(model: ModelSpec, solution, policy: ContractPolicy
     return {
         "probe_times": times, "means": means, "slopes": slopes,
         "worst_drift": worst, "passed": bool(worst <= tolerance),
+        "feedback_run": feedback,
         "suboptimal": {
             "scenario": suboptimal_nature, "probe_times": sub_times,
             "means": sub_means, "worst_downward_drift": worst_down,

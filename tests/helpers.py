@@ -199,6 +199,35 @@ def oracle_select_with_radius(model, t, X, Y, p, pt, q, qt, r, diags):
     return sel
 
 
+def per_substep_values(model, grid):
+    """The principal's backward march with a fresh selection on every
+    CFL substep: each substep re-runs the radius policy on the current
+    iterate and builds its stencil from that selection, where
+    ``principal.solve_hjbi`` selects once per time step and marches the
+    substeps on that step's frozen stencil.  Returns the (t, x, y) values.
+    """
+    xg, yg, tg = grid.x_grid(), grid.y_grid(), grid.t_grid()
+    X2, Y2 = np.meshgrid(xg, yg, indexing="ij")
+    X, Y = X2.ravel(), Y2.ravel()
+    values = np.empty((grid.t_steps + 1, grid.x_nodes, grid.y_nodes))
+    values[-1] = principal._terminal_reward(model, xg, yg)
+    diags = principal._new_diagnostics()
+    safety = principal.CFL_SAFETY
+    for step in range(grid.t_steps - 1, -1, -1):
+        cur, dt_rem = values[step + 1], grid.dt
+        while dt_rem > 0.0:
+            sel = principal._select_with_radius(
+                model, float(tg[step]), X, Y,
+                *principal._flat_derivatives(cur, grid), diags)
+            st = principal._stencil(sel, grid.dx, grid.dy, cur.shape)
+            emax = float(np.max(st.erosion))
+            dt_n = dt_rem if emax * dt_rem <= safety else safety / emax
+            cur = cur + dt_n * principal._apply(st, cur, grid.dx, grid.dy)
+            dt_rem -= dt_n
+        values[step] = cur
+    return values
+
+
 def random_polynomial_model(rng: np.random.Generator, max_points=7):
     """Random bounded-coefficient model with grids of at most max_points."""
     b0, b1, b2, b3, b4 = rng.uniform(-2.0, 2.0, size=5)

@@ -567,7 +567,10 @@ class TestVerify:
         assert drawn == [9, 10]
         monkeypatch.setattr(sim, "_path_increments", counting)
         assert run_cli("verify", cfg, tmp_path / "fresh") == EXIT_OK
-        batches = 4 + 3 * len(make_model("risk_neutral").n_grid())
+        # two runs for the martingale check, whose feedback run is also the
+        # cross-check's direct run, the cross-check's reweighted run, and
+        # the baseline and 2 perturbations per nature point
+        batches = 3 + 3 * len(make_model("risk_neutral").n_grid())
         assert len(drawn) == 2 + batches
         for name in ("report.yaml", export.MANIFEST_NAME):
             assert (tmp_path / "shared" / name).read_bytes() == \

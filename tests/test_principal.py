@@ -11,6 +11,7 @@ from robustcontract.hamiltonians import eval_G
 from helpers import (
     build_model,
     oracle_select_with_radius,
+    per_substep_values,
     random_polynomial_model,
 )
 from robustcontract.principal import (
@@ -170,12 +171,17 @@ class TestSolveHjbi:
         assert got.tobytes() == np.array(want).tobytes()
 
 
-ROBUST_GRID = GridSpec(x_lo=-3.0, x_hi=3.0, x_nodes=13, y_lo=-0.5, y_hi=0.5,
-                       y_nodes=13, t_steps=8, horizon=0.5)
+def robust_grid(nodes, steps, horizon):
+    return GridSpec(x_lo=-3.0, x_hi=3.0, x_nodes=nodes, y_lo=-0.5, y_hi=0.5,
+                    y_nodes=nodes, t_steps=steps, horizon=horizon)
+
+
+ROBUST_GRID = robust_grid(13, 8, 0.5)
 # a kinked principal utility whose boundary optima move with the box: the
-# solve on KINK_GRID accepts three doublings in all
-KINK_GRID = GridSpec(x_lo=-1.0, x_hi=1.0, x_nodes=7, y_lo=-1.0, y_hi=1.0,
-                     y_nodes=7, t_steps=2, horizon=0.05)
+# solve on KINK_GRID accepts three doublings in all, every one on the
+# second of its two selections (one per time step)
+KINK_GRID = GridSpec(x_lo=-1.0, x_hi=1.0, x_nodes=9, y_lo=-1.0, y_hi=1.0,
+                     y_nodes=9, t_steps=2, horizon=0.05)
 
 
 def robust_model():
@@ -315,6 +321,45 @@ class TestRadiusPolicy:
         assert probes > 0
         evaluated = sum(size for calls in runs for size, _, _ in calls)
         assert evaluated < 1.5 * len(runs) * nodes
+
+
+# largest t = 0 gap on shared nodes between robust_model's 13x13x8 and
+# 25x25x16 solves (horizon 1).  Selecting on every CFL substep gave this
+# gap; one selection per time step gives 7.0e-3.
+SELF_CONVERGENCE_GAP = 7.2e-3
+
+
+@pytest.fixture(scope="module")
+def coarse_robust():
+    return solve_hjbi(robust_model(), robust_grid(13, 8, 1.0))
+
+
+class TestSchemeConvergence:
+    def test_refinement_gap_is_bounded(self, coarse_robust):
+        fine = solve_hjbi(robust_model(), robust_grid(25, 16, 1.0))
+        gap = np.abs(coarse_robust.values[0] - fine.values[0][::2, ::2]).max()
+        assert gap <= SELF_CONVERGENCE_GAP
+
+    def test_frozen_substeps_move_less_than_refinement(self, coarse_robust):
+        """The frozen stencil lags the per-substep selection by O(dt), well
+        inside the discretization gap the refinement shows."""
+        replay = per_substep_values(robust_model(), robust_grid(13, 8, 1.0))
+        move = np.abs(coarse_robust.values[0] - replay[0]).max()
+        assert 0.0 < move <= 0.2 * SELF_CONVERGENCE_GAP
+        assert coarse_robust.diagnostics["selections"] == 8
+
+    def test_ordered_terminal_data_give_ordered_solutions(self):
+        """Comparison: a pointwise larger terminal reward yields a pointwise
+        larger value at every slice.  The utilities stay smooth; kinked ones
+        still meet the radius runaway."""
+        lift = rc.make_model("quadratic_bounded", n_band=(0.45, 0.87),
+                             w0=2.65, utility_principal=lambda w:
+                             w + 0.05 * (1.0 + np.tanh(w)))
+        lo = solve_hjbi(robust_model(), ROBUST_GRID).values
+        hi = solve_hjbi(lift, ROBUST_GRID).values
+        assert (lo[-1] < hi[-1]).all()
+        for k in range(ROBUST_GRID.t_steps + 1):
+            assert float((lo[k] - hi[k]).max()) <= 0.0, k
 
 
 class TestMonotonicityProbe:

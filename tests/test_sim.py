@@ -492,6 +492,15 @@ class TestGirsanov:
                               SimConfig(paths=100, dt=1 / 16, seed=3, girsanov_mode=True))
         np.testing.assert_array_equal(res.weights, 1.0)
 
+    def test_direct_run_may_be_the_martingale_feedback_run(
+            self, rn_model, rn_solution, rn_policy):
+        cfg = SimConfig(paths=500, dt=1 / 64, seed=31, x0=0.5, y0=0.25)
+        mart = martingale_sandwich_check(rn_model, rn_solution, rn_policy,
+                                         cfg)
+        shared = girsanov_cross_check(rn_model, rn_policy, cfg,
+                                      direct=mart["feedback_run"])
+        assert shared == girsanov_cross_check(rn_model, rn_policy, cfg)
+
     @pytest.mark.xfail(strict=True, reason=(
         "known defect: the 3x CI tolerance underestimates the spread of "
         "heavy-tailed likelihood weights, so about one seed in a few "
