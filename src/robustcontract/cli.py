@@ -18,6 +18,8 @@ byte-identical numeric artifacts; wall-clock timings live in a sidecar
 The solves report ``solve`` and ``write`` (surfaces plus manifest),
 simulate and verify report ``load`` (artifact reads, plus checksums for
 verify) beside ``simulate`` or ``verify``, and sweep reports ``sweep``.
+``simulate`` and ``verify`` check each surface's header and grid columns
+against the manifest, and exit 3 otherwise.
 
 Config schema
 -------------
@@ -42,7 +44,7 @@ the manifest embeds and hashes.  Every command also takes ``[out]``::
     sim                     paths dt seed [x0] [y0]
     policy                  horizon [z=0.0] [k_rate=0.0] [nature]
     nature                  values
-    options/principal       [x0=0.0] [reservation] [cfl_safety=0.9]
+    options/principal       [x0=0.0] [reservation]
     options/m_salary        [horizon=1.0]
     options/band_width      [x0=0.0]
     verify                  artifacts [paths=4000] [dt] [seed=0]
@@ -66,6 +68,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 import time
@@ -79,8 +82,8 @@ from . import export, sim
 from .agent import ContractFunction, solve_agent
 from .hamiltonians import ModelSpec
 from .presets import PRESETS, make_model
-from .principal import (CFL_SAFETY, POLICY_FIELDS, ContractPolicy, GridSpec,
-                        optimize_y0, solve_hjbi)
+from .principal import (POLICY_FIELDS, ContractPolicy, GridSpec, optimize_y0,
+                        solve_hjbi)
 from .sim import NatureStrategy, SimConfig
 
 __all__ = [
@@ -197,8 +200,7 @@ _SCHEMA = {
         "model": _MODEL,
         "grid": dict(_AGENT_GRID,
                      **_required(y_lo="num", y_hi="num", y_nodes="int")),
-        "options": {"x0": ("num", 0.0), "reservation": ("num", None),
-                    "cfl_safety": ("num", CFL_SAFETY)}}},
+        "options": {"x0": ("num", 0.0), "reservation": ("num", None)}}},
     "simulate": {"required": ("sim",), "sections": {"sim": _SIM},
                  "pick": (_present, _SOURCES)},
     "verify": {"required": ("verify",), "sections": {"verify": {
@@ -378,61 +380,36 @@ def _build_simconfig(section: dict, **defaults) -> SimConfig:
 
 
 # ---------------------------------------------------------------------------
-# artifact writing
+# artifacts: one layout per solve drives its surface writer and reader
 # ---------------------------------------------------------------------------
 
-def _tx_columns(t_grid: np.ndarray, x_grid: np.ndarray):
-    return (np.repeat(t_grid, len(x_grid)),
-            np.tile(x_grid, len(t_grid)))
+# Each solve's surface files and their columns after the grid axes (t, x,
+# then y for the principal), each column mapped to its solution attribute.
+_SURFACES = {
+    "solve-agent": {"agent_value.txt": {"value": "values"},
+                    "agent_effort.txt": {"effort": "effort"},
+                    "agent_worst_vol.txt": {"worst_vol": "nature"}},
+    "solve-principal": {"policy.txt": dict(zip(POLICY_FIELDS, POLICY_FIELDS)),
+                        "value_surface.txt": {"value": "values"}},
+}
+_Y0_COLUMNS = ("y0", "value", "at_upper_edge")
 
 
-def _txy_columns(t_grid, x_grid, y_grid):
-    nt, nx, ny = len(t_grid), len(x_grid), len(y_grid)
-    return (np.repeat(t_grid, nx * ny),
-            np.tile(np.repeat(x_grid, ny), nt),
-            np.tile(y_grid, nt * nx))
+def _axes(grids) -> dict[str, np.ndarray]:
+    """The t, x (and y) axes over ``grids``, shaped to broadcast."""
+    return dict(zip("txy", np.meshgrid(*grids, indexing="ij", sparse=True)))
 
 
-def _write_agent_surfaces(out_dir: str, sol) -> list[str]:
-    t_col, x_col = _tx_columns(sol.t_grid, sol.x_grid)
-    trio = [("agent_value.txt", "value", sol.values),
-            ("agent_effort.txt", "effort", sol.effort),
-            ("agent_worst_vol.txt", "worst_vol", sol.nature)]
-    for name, column, field in trio:
-        export.write_table(os.path.join(out_dir, name),
-                           ("t", "x", column),
-                           (t_col, x_col, field.ravel()))
-    return [name for name, _, _ in trio]
+def _write_surfaces(out_dir: str, command: str, sol, grids) -> list[str]:
+    """Write the solve's surface files from ``sol``; returns their names."""
+    axes, shape = _axes(grids), tuple(map(len, grids))
+    cols = [np.broadcast_to(axis, shape).ravel() for axis in axes.values()]
+    for name, fields in _SURFACES[command].items():
+        export.write_table(os.path.join(out_dir, name), (*axes, *fields),
+                           cols + [getattr(sol, attr).ravel()
+                                   for attr in fields.values()])
+    return list(_SURFACES[command])
 
-
-def _write_principal_surfaces(out_dir: str, sol) -> list[str]:
-    t_col, x_col, y_col = _txy_columns(sol.t_grid, sol.x_grid, sol.y_grid)
-    export.write_table(os.path.join(out_dir, "value_surface.txt"),
-                       ("t", "x", "y", "value"),
-                       (t_col, x_col, y_col, sol.values.ravel()))
-    export.write_table(
-        os.path.join(out_dir, "policy.txt"),
-        ("t", "x", "y") + POLICY_FIELDS,
-        (t_col, x_col, y_col)
-        + tuple(getattr(sol, f).ravel() for f in POLICY_FIELDS))
-    return ["value_surface.txt", "policy.txt"]
-
-
-def _write_estimates(out_dir: str, res) -> list[str]:
-    export.write_table(
-        os.path.join(out_dir, "estimates.txt"),
-        ("principal_mean", "principal_ci", "agent_mean", "agent_ci",
-         "paths_used", "quarantined", "discount_lo", "discount_hi"),
-        ([res.principal_estimate.mean], [res.principal_estimate.ci_halfwidth],
-         [res.agent_estimate.mean], [res.agent_estimate.ci_halfwidth],
-         [res.paths_used], [res.quarantined],
-         [res.discount_bounds[0]], [res.discount_bounds[1]]))
-    return ["estimates.txt"]
-
-
-# ---------------------------------------------------------------------------
-# artifact loading
-# ---------------------------------------------------------------------------
 
 def _read_manifest(art_dir: str) -> dict:
     try:
@@ -443,11 +420,40 @@ def _read_manifest(art_dir: str) -> dict:
         raise MissingArtifact(str(exc))
 
 
-def _artifact_table(art_dir: str, name: str) -> dict[str, np.ndarray]:
+def _artifact_table(art_dir: str, name: str, columns: tuple,
+                    rows: int) -> dict[str, np.ndarray]:
+    """``name`` in ``art_dir``, which must hold exactly ``columns`` over
+    ``rows`` rows.  Every read of a prior run's table goes through here, so
+    a missing, unreadable or misshapen one is a broken artifact."""
     try:
-        return export.read_table(os.path.join(art_dir, name))
+        tab = export.read_table(os.path.join(art_dir, name))
     except FileNotFoundError:
         raise MissingArtifact(f"no {name} in '{art_dir}'")
+    except ValueError as exc:
+        raise MissingArtifact(f"{name} in '{art_dir}' is damaged: {exc}")
+    got = (len(next(iter(tab.values()))), list(tab))
+    if got != (rows, list(columns)):
+        raise MissingArtifact(f"{name} in '{art_dir}' has {got[0]} rows of "
+                              f"{got[1]}, not {rows} of {list(columns)}")
+    return tab
+
+
+def _read_surfaces(art_dir: str, command: str, grids) -> dict[str, np.ndarray]:
+    """Each solution attribute of the solve's surface files, shaped like
+    ``grids``; every file's axis columns must be ``grids`` bit for bit."""
+    axes, shape = _axes(grids), tuple(map(len, grids))
+    fields = {}
+    for name, layout in _SURFACES[command].items():
+        tab = _artifact_table(art_dir, name, (*axes, *layout),
+                              math.prod(shape))
+        for axis, want in axes.items():
+            if (tab[axis].reshape(shape).view(np.uint64)
+                    != want.view(np.uint64)).any():
+                raise MissingArtifact(f"{name} in '{art_dir}': column "
+                                      f"{axis} is off the manifest grid")
+        fields.update({attr: tab[column].reshape(shape)
+                       for column, attr in layout.items()})
+    return fields
 
 
 def _manifest_config(art_dir: str, manifest: dict) -> dict:
@@ -464,9 +470,8 @@ def _manifest_config(art_dir: str, manifest: dict) -> dict:
     return conf
 
 
-def _load_principal(art_dir: str) -> SimpleNamespace:
+def _load_principal(art_dir: str, manifest: dict) -> SimpleNamespace:
     """Rebuild model, grid, policy and value surface from a solve dir."""
-    manifest = _read_manifest(art_dir)
     if manifest.get("command") != "solve-principal":
         raise MissingArtifact(
             f"'{art_dir}' holds a {manifest.get('command')!r} run, "
@@ -474,24 +479,15 @@ def _load_principal(art_dir: str) -> SimpleNamespace:
     conf = _manifest_config(art_dir, manifest)
     model = _build_model("solve-principal", conf)
     grid = _build_gridspec(conf["grid"])
-    shape = (grid.t_steps + 1, grid.x_nodes, grid.y_nodes)
-    rows = shape[0] * shape[1] * shape[2]
-
-    pol_tab = _artifact_table(art_dir, "policy.txt")
-    surf_tab = _artifact_table(art_dir, "value_surface.txt")
-    if len(pol_tab["z"]) != rows or len(surf_tab["value"]) != rows:
-        raise MissingArtifact(
-            f"artifact rows in '{art_dir}' do not match the manifest grid")
-
     axes = dict(t_grid=grid.t_grid(), x_grid=grid.x_grid(),
                 y_grid=grid.y_grid())
-    policy = ContractPolicy(
-        **axes, **{f: pol_tab[f].reshape(shape) for f in POLICY_FIELDS})
-    surface = SimpleNamespace(**axes, values=surf_tab["value"].reshape(shape))
-
+    fields = _read_surfaces(art_dir, "solve-principal", tuple(axes.values()))
+    surface = SimpleNamespace(**axes, values=fields.pop("values"))
+    policy = ContractPolicy(**axes, **fields)
     y0_star = None
     if "y0.txt" in manifest["artifacts"]:
-        y0_star = float(_artifact_table(art_dir, "y0.txt")["y0"][0])
+        y0_star = float(
+            _artifact_table(art_dir, "y0.txt", _Y0_COLUMNS, 1)["y0"][0])
     x0 = float(_with_defaults("solve-principal", conf, "options")["x0"])
     return SimpleNamespace(manifest=manifest, config=conf, model=model,
                            grid=grid, policy=policy, surface=surface,
@@ -524,7 +520,8 @@ def cmd_solve_agent(run: RunConfig, out_dir: str,
 
     os.makedirs(out_dir, exist_ok=True)
     with _stage(stages, "write"):
-        files = _write_agent_surfaces(out_dir, sol)
+        files = _write_surfaces(out_dir, run.command, sol,
+                                (sol.t_grid, sol.x_grid))
         export.write_manifest(
             out_dir, "solve-agent", conf, files=files,
             seed_override=seed_override,
@@ -545,7 +542,7 @@ def cmd_solve_principal(run: RunConfig, out_dir: str,
     y0res = None
     with _stage(stages, "solve"):
         try:
-            sol = solve_hjbi(model, grid, cfl_safety=float(opts["cfl_safety"]))
+            sol = solve_hjbi(model, grid)
         except (ValueError, RuntimeError) as exc:
             raise ConfigError(f"grid: {exc}")
         if opts["reservation"] is not None:
@@ -557,11 +554,11 @@ def cmd_solve_principal(run: RunConfig, out_dir: str,
 
     os.makedirs(out_dir, exist_ok=True)
     with _stage(stages, "write"):
-        files = _write_principal_surfaces(out_dir, sol)
+        files = _write_surfaces(out_dir, run.command, sol,
+                                (sol.t_grid, sol.x_grid, sol.y_grid))
         extras = dict(sol.diagnostics)
         if y0res is not None:
-            export.write_table(os.path.join(out_dir, "y0.txt"),
-                               ("y0", "value", "at_upper_edge"),
+            export.write_table(os.path.join(out_dir, "y0.txt"), _Y0_COLUMNS,
                                ([y0res.y0], [y0res.value],
                                 [1.0 if y0res.at_upper_edge else 0.0]))
             files.append("y0.txt")
@@ -579,7 +576,8 @@ def cmd_simulate(run: RunConfig, out_dir: str,
     upstream = None
     if "artifacts" in conf:
         with _stage(stages, "load"):
-            art = _load_principal(conf["artifacts"])
+            art = _load_principal(conf["artifacts"],
+                                  _read_manifest(conf["artifacts"]))
         model, policy = art.model, art.policy
         y0_default = art.y0_star if art.y0_star is not None else 0.0
         x0_default = art.x0
@@ -615,18 +613,25 @@ def cmd_simulate(run: RunConfig, out_dir: str,
             raise VerificationFailure(str(exc))
 
     os.makedirs(out_dir, exist_ok=True)
-    files = _write_estimates(out_dir, res)
+    export.write_table(
+        os.path.join(out_dir, "estimates.txt"),
+        ("principal_mean", "principal_ci", "agent_mean", "agent_ci",
+         "paths_used", "quarantined", "discount_lo", "discount_hi"),
+        ([res.principal_estimate.mean], [res.principal_estimate.ci_halfwidth],
+         [res.agent_estimate.mean], [res.agent_estimate.ci_halfwidth],
+         [res.paths_used], [res.quarantined],
+         [res.discount_bounds[0]], [res.discount_bounds[1]]))
     steps = len(res.realized_qv)
     export.write_table(os.path.join(out_dir, "qv.txt"),
                        ("step", "t", "qv"),
                        (np.arange(steps, dtype=float),
                         np.arange(steps, dtype=float) * cfg.dt,
                         res.realized_qv))
-    files.append("qv.txt")
     extras = {"x0": cfg.x0, "y0": cfg.y0, "horizon": horizon}
     if upstream is not None:
         extras["upstream"] = upstream
-    export.write_manifest(out_dir, "simulate", conf, files=files,
+    export.write_manifest(out_dir, "simulate", conf,
+                          files=["estimates.txt", "qv.txt"],
                           seed_override=seed_override, extras=extras)
     export.write_timings(out_dir, stages)
     return EXIT_OK
@@ -710,23 +715,14 @@ def _load_agent(art_dir: str, manifest: dict) -> SimpleNamespace:
     model = _build_model("solve-agent", conf)
     contract = _build_contract(conf["contract"])
     g = conf["grid"]
-    shape = (g["t_steps"] + 1, g["x_nodes"])
-    rows = shape[0] * shape[1]
-
-    tabs = {name: _artifact_table(art_dir, f"agent_{name}.txt")
-            for name in ("value", "effort", "worst_vol")}
-    for name, tab in tabs.items():
-        if len(tab[name]) != rows:
-            raise MissingArtifact(
-                f"agent_{name}.txt rows do not match the manifest grid")
-    return SimpleNamespace(
-        model=model, contract=contract, grid=g,
-        **{name: tab[name].reshape(shape) for name, tab in tabs.items()})
+    grids = (np.linspace(0.0, g["horizon"], g["t_steps"] + 1),
+             np.linspace(g["x_lo"], g["x_hi"], g["x_nodes"]))
+    return SimpleNamespace(model=model, contract=contract, x_grid=grids[1],
+                           **_read_surfaces(art_dir, "solve-agent", grids))
 
 
 def _agent_checks(art: SimpleNamespace) -> dict:
-    model, g = art.model, art.grid
-    values, effort, vol = art.value, art.effort, art.worst_vol
+    model, values, effort, vol = art.model, art.values, art.effort, art.nature
 
     nonfinite = int(np.count_nonzero(~np.isfinite(values)))
     a_lo, a_hi = model.effort_set_A
@@ -735,9 +731,8 @@ def _agent_checks(art: SimpleNamespace) -> dict:
         float(np.max(np.maximum(a_lo - effort, effort - a_hi), initial=0.0)),
         float(np.max(np.maximum(n_lo - vol, vol - n_hi), initial=0.0)))
 
-    x_grid = np.linspace(g["x_lo"], g["x_hi"], g["x_nodes"])
     want = np.array([float(model.utility_agent(art.contract.payment(x)))
-                     for x in x_grid])
+                     for x in art.x_grid])
     terminal_gap = float(np.max(np.abs(values[-1] - want)))
 
     return {
@@ -768,7 +763,7 @@ def cmd_verify(run: RunConfig, out_dir: str,
         if mismatched:
             art = None
         elif command == "solve-principal":
-            art = _load_principal(art_dir)
+            art = _load_principal(art_dir, manifest)
         elif command == "solve-agent":
             art = _load_agent(art_dir, manifest)
         else:
@@ -861,7 +856,8 @@ def _sweep_band_width(conf: dict, out_dir: str) -> tuple[list[str], dict]:
             raise ConfigError(f"sweep.values[{i}]: {exc}")
         sub = os.path.join(out_dir, f"pt_{i:03d}")
         os.makedirs(sub, exist_ok=True)
-        for name in _write_agent_surfaces(sub, sol):
+        for name in _write_surfaces(sub, "solve-agent", sol,
+                                    (sol.t_grid, sol.x_grid)):
             files.append(f"pt_{i:03d}/{name}")
         rows.append((float(width), sol.value(0.0, x0)))
     cols = tuple(np.array(c) for c in zip(*rows)) if rows else ((), ())

@@ -44,7 +44,7 @@ from . import numerics
 _RADIUS_CAP = 1024.0
 # stable substeps one time slice may take before the solve gives up
 _MAX_SUBSTEPS = 10000
-# default share of the realized stability bound that one substep uses
+# share of the realized stability bound that one substep uses
 CFL_SAFETY = 0.9
 # the policy fields a solve records per node, in artifact column order
 POLICY_FIELDS = ("z", "gamma", "effort", "nature", "k_rate", "fstar")
@@ -407,11 +407,13 @@ def _flat_derivatives(u, grid: GridSpec):
     return tuple(arr.ravel() for arr in _derivatives(u, grid.dx, grid.dy))
 
 
-def solve_hjbi(model: ModelSpec, grid: GridSpec, *,
-               cfl_safety: float = CFL_SAFETY) -> PrincipalSolution:
+def _substep(emax: float, dt_rem: float) -> float:
+    """The next substep under erosion ``emax``: all of ``dt_rem`` if stable."""
+    return dt_rem if emax * dt_rem <= CFL_SAFETY else CFL_SAFETY / emax
+
+
+def solve_hjbi(model: ModelSpec, grid: GridSpec) -> PrincipalSolution:
     """March the principal equation backward from the liquidation reward."""
-    if not 0.0 < cfl_safety <= 1.0:
-        raise ValueError("cfl_safety must lie in (0, 1]")
     xg, yg, tg = grid.x_grid(), grid.y_grid(), grid.t_grid()
     nx, ny, nt = grid.x_nodes, grid.y_nodes, grid.t_steps
     X2, Y2 = np.meshgrid(xg, yg, indexing="ij")
@@ -440,12 +442,12 @@ def solve_hjbi(model: ModelSpec, grid: GridSpec, *,
         diags["monotonicity_defect"] = max(diags["monotonicity_defect"],
                                            st.defect)
         emax = float(np.max(st.erosion))
-        if emax * grid.dt > cfl_safety * _MAX_SUBSTEPS:
+        if emax * grid.dt > CFL_SAFETY * _MAX_SUBSTEPS:
             raise RuntimeError(f"slice needs more than {_MAX_SUBSTEPS} "
                                "stable substeps; refine the grid")
         cur, dt_rem, substeps = values[step + 1], grid.dt, 0
         while dt_rem > 0.0:
-            dt_n = dt_rem if emax * dt_rem <= cfl_safety else cfl_safety / emax
+            dt_n = _substep(emax, dt_rem)
             cur = cur + dt_n * _apply(st, cur, grid.dx, grid.dy)
             dt_rem -= dt_n
             substeps += 1
@@ -467,26 +469,27 @@ def solve_hjbi(model: ModelSpec, grid: GridSpec, *,
 # ---------------------------------------------------------------------------
 
 def probe_monotonicity(model: ModelSpec, grid: GridSpec) -> dict:
-    """The first backward step's stencil weights, reported as minima.
+    """The solver's first backward step's stencil weights, as minima.
 
-    The step selects its controls under the solver's own radius policy.
-    A nonnegative ``min_neighbor_weight`` together with a nonnegative
-    ``min_center_weight`` certifies the first update is a convex
-    combination of slice values.
+    As in ``solve_hjbi``, the step selects from the terminal slice at the
+    last time node under the solver's own radius policy; the center weight
+    is its first substep's.  Nonnegative minima certify that substep is a
+    convex combination of slice values.
     """
     xg, yg = grid.x_grid(), grid.y_grid()
     X2, Y2 = np.meshgrid(xg, yg, indexing="ij")
     terminal = _terminal_reward(model, xg, yg)
-    sel = _select_with_radius(model, 0.0, X2.ravel(), Y2.ravel(),
+    sel = _select_with_radius(model, float(grid.t_grid()[grid.t_steps - 1]),
+                              X2.ravel(), Y2.ravel(),
                               *_flat_derivatives(terminal, grid),
                               _new_diagnostics())
     st = _stencil(sel, grid.dx, grid.dy, (grid.x_nodes, grid.y_nodes))
     w_x = st.a2 / grid.dx ** 2 - np.abs(st.rho) / (2.0 * grid.dx * grid.dy)
     w_y = st.c2 / grid.dy ** 2 - np.abs(st.rho) / (2.0 * grid.dx * grid.dy)
-    dt = grid.dt
+    emax = float(np.max(st.erosion))
     return {
         "min_neighbor_weight": float(min(w_x.min(), w_y.min())),
-        "min_center_weight": float(1.0 - dt * st.erosion.max()) if dt else 1.0,
+        "min_center_weight": 1.0 - _substep(emax, grid.dt) * emax,
         "clipped_cross_mass": st.defect,
     }
 

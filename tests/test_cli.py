@@ -5,6 +5,7 @@ import math
 import os
 import re
 import shutil
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -76,8 +77,7 @@ MINIMAL = {
 # Every optional key and section, on top of the minimal configs.
 FULL = {
     "agent": {"model.params": {"band": [0.2, 0.4]}, "out": "runs/a"},
-    "principal": {"options": {"x0": 0.0, "reservation": 0.0,
-                              "cfl_safety": 0.5}},
+    "principal": {"options": {"x0": 0.0, "reservation": 0.0}},
     "from_artifacts": {"sim.x0": 0.5, "sim.y0": 0.25,
                        "nature": {"values": [0.2, 0.4]}},
     "from_policy": {"policy.z": 0.5, "policy.k_rate": 0.1,
@@ -130,8 +130,8 @@ REJECTED = [
      f"unknown model preset 'nope'; known: {KNOWN_PRESETS}"),
     ("principal", {"options": []}, "'config.options' must be a mapping"),
     ("principal", {"options.horizon": 1.0}, "unknown key 'options.horizon'"),
-    ("principal", {"options.cfl_safety": "x"},
-     "'options.cfl_safety' must be a number"),
+    ("principal", {"options.cfl_safety": 0.5},
+     "unknown key 'options.cfl_safety'"),
     ("principal", {"options.reservation": None},
      "'options.reservation' must be a number"),
     ("from_artifacts", {"sim": DROP}, "missing required key 'sim'"),
@@ -662,6 +662,128 @@ class TestVerify:
         report = yaml.safe_load((out / "report.yaml").read_text())
         assert report["checks"]["terminal_consistency"]["passed"] is True
         assert report["checks"]["controls_in_range"]["passed"] is True
+
+
+@pytest.fixture(scope="module")
+def agent_run(tmp_path_factory):
+    """One shared solve-agent directory for the damaged-artifact tests."""
+    tmp = tmp_path_factory.mktemp("agent")
+    out = tmp / "run"
+    assert run_cli("solve-agent", write_config(tmp, "a.yaml", AGENT_MARTINGALE),
+                   out) == EXIT_OK
+    return out
+
+
+# per solve kind: the surface that the damage cases edit, its columns and
+# its rows (PRINCIPAL_SMALL has 17 x 17 x 17 nodes, AGENT_MARTINGALE 33 x 81)
+SURFACE = {
+    "principal": ("policy.txt", ["t", "x", "y", "z", "gamma", "effort",
+                                 "nature", "k_rate", "fstar"], 4913),
+    "agent": ("agent_effort.txt", ["t", "x", "effort"], 2673),
+}
+Y0 = ["y0", "value", "at_upper_edge"]
+# case: the message it gives, formatted with the damaged directory ``art``,
+# the surface ``name``, its ``cols`` and ``rows``, and ``absent``, how the
+# command reports a listed file that is gone
+DAMAGED = {
+    "renamed_column": "{name} in '{art}' has {rows} rows of {renamed}, not "
+                      "{rows} of {cols}",
+    "extra_column": "{name} in '{art}' has {rows} rows of {extra}, not "
+                    "{rows} of {cols}",
+    "malformed_row": "{name} in '{art}' is damaged: could not convert string "
+                     "'oops' to float64 at row 1, column 1.",
+    "truncated_rows": "{name} in '{art}' has {short} rows of {cols}, not "
+                      "{rows} of {cols}",
+    "axis_off_by_one_ulp": "{name} in '{art}': column x is off the manifest "
+                           "grid",
+    "header_only_y0": f"y0.txt in '{{art}}' has 0 rows of {Y0}, not 1 of {Y0}",
+    "missing_file": "{absent}",
+}
+ABSENT = {"simulate": "no {name} in '{art}'",
+          "verify": "files listed in the manifest are absent: {name}"}
+DAMAGE_RUNS = [(command, kind, case) for command, kind in (
+    ("simulate", "principal"), ("verify", "principal"), ("verify", "agent"))
+    for case in DAMAGED if (kind, case) != ("agent", "header_only_y0")]
+
+
+def damage(art, name: str, case: str) -> None:
+    """Apply one damage case to surface ``name`` (or to ``y0.txt``) of the
+    solve directory ``art``."""
+    path = art / name
+    lines = path.read_text().splitlines()
+    if case == "renamed_column":
+        lines[0] = lines[0].rsplit(" ", 1)[0] + " renamed"
+    elif case == "extra_column":
+        lines = [line + (" 0" if i else " extra")
+                 for i, line in enumerate(lines)]
+    elif case == "malformed_row":
+        lines[2] = "oops " + lines[2].split(" ", 1)[1]
+    elif case == "truncated_rows":
+        lines = lines[:-1]
+    elif case == "axis_off_by_one_ulp":
+        row = lines[1].split()
+        row[1] = export.render_float(np.nextafter(float(row[1]), np.inf))
+        lines[1] = " ".join(row)
+    elif case == "header_only_y0":
+        path, lines = art / "y0.txt", [" ".join(Y0)]
+    path.write_text("\n".join(lines) + "\n")
+    if case == "missing_file":
+        path.unlink()
+
+
+class TestDamagedArtifacts:
+    @pytest.mark.parametrize("command,kind,case", DAMAGE_RUNS)
+    def test_each_damage_exits_3_with_its_message(
+            self, principal_run, agent_run, tmp_path, capsys, command, kind,
+            case):
+        art = tmp_path / "art"
+        shutil.copytree(principal_run if kind == "principal" else agent_run,
+                        art)
+        name, cols, rows = SURFACE[kind]
+        damage(art, name, case)
+        if command == "verify" and case != "missing_file":
+            # re-pin the checksums, so that the loader reads the damage
+            doc = export.read_manifest(str(art))
+            export.write_manifest(str(art), doc["command"], doc["config"],
+                                  files=list(doc["artifacts"]),
+                                  seed_override=doc["cli"]["seed_override"],
+                                  extras=doc.get("run"))
+        doc = ({"verify": {"artifacts": str(art)}} if command == "verify"
+               else {"sim": {"paths": 10, "dt": 1.0 / 64.0, "seed": 1},
+                     "artifacts": str(art)})
+        cfg = write_config(tmp_path, "c.yaml", doc)
+        assert run_cli(command, cfg, tmp_path / "out") == EXIT_MISSING
+        fields = dict(art=art, name=name, cols=cols, rows=rows,
+                      renamed=cols[:-1] + ["renamed"], extra=cols + ["extra"],
+                      short=rows - 1)
+        message = DAMAGED[case].format(
+            absent=ABSENT[command].format(**fields), **fields)
+        assert capsys.readouterr().err == f"missing artifact: {message}\n"
+
+    @pytest.mark.parametrize("command,grids", [
+        ("solve-agent", (np.linspace(0.0, 0.7, 4), np.linspace(-1.3, 2.9, 5))),
+        ("solve-principal", (np.linspace(0.0, 0.7, 4),
+                             np.linspace(-1.3, 2.9, 5),
+                             np.linspace(-3.1, 0.2, 3)))])
+    def test_read_returns_every_written_field_bit_for_bit(self, tmp_path,
+                                                          command, grids):
+        shape = tuple(map(len, grids))
+        attrs = [attr for layout in cli._SURFACES[command].values()
+                 for attr in layout.values()]
+        rng = np.random.default_rng(18)
+        sol = SimpleNamespace(**{attr: rng.standard_normal(shape)
+                                 for attr in attrs})
+        # the text renders every NaN as ``nan``, so only NaN-ness returns
+        sol.nature.flat[:5] = [-0.0, np.inf, -np.inf, np.nan, 5e-324]
+        assert cli._write_surfaces(str(tmp_path), command, sol, grids) == \
+            list(cli._SURFACES[command])
+        got = cli._read_surfaces(str(tmp_path), command, grids)
+        assert sorted(got) == sorted(attrs)
+        for attr in attrs:
+            want, nan = getattr(sol, attr), np.isnan(getattr(sol, attr))
+            assert got[attr].shape == shape
+            assert (np.isnan(got[attr]) == nan).all(), attr
+            assert got[attr][~nan].tobytes() == want[~nan].tobytes(), attr
 
 
 class TestSweep:

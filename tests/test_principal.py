@@ -107,11 +107,6 @@ class TestSolveHjbi:
         got = sol.value(0.21, 0.33, -0.47)
         assert got == pytest.approx(0.33 + 0.47 + 0.5 * (0.5 - 0.21), abs=1e-9)
 
-    def test_rejects_bad_cfl_safety(self):
-        m = rc.make_model("risk_neutral")
-        with pytest.raises(ValueError):
-            solve_hjbi(m, small_grid(), cfl_safety=0.0)
-
     def test_saturating_utility_model_runs(self):
         m = rc.make_model("quadratic_bounded", n_grid_points=3,
                           z_grid_points=7, gamma_grid_points=7,
@@ -378,6 +373,14 @@ class TestMonotonicityProbe:
                      y_nodes=9, t_steps=4, horizon=0.25)
         rep = probe_monotonicity(m, g)
         assert rep["min_neighbor_weight"] >= -1e-12
+
+    @pytest.mark.parametrize("horizon", [0.5, 1.0])
+    def test_center_weight_is_the_solvers_first_substeps(self, horizon):
+        # the whole step's center weight reads -1.66 and -4.32 here; the
+        # solver's first substep keeps the share 1 - CFL_SAFETY of it
+        rep = probe_monotonicity(robust_model(), robust_grid(13, 8, horizon))
+        assert rep["min_center_weight"] >= 1.0 - principal.CFL_SAFETY
+        assert rep["min_neighbor_weight"] == 0.0
 
 
 @pytest.fixture(scope="module")

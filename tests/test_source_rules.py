@@ -1,8 +1,9 @@
 """Source rules for the package: no ``assert`` statements (``python -O``
 strips them), no handler that swallows every error, no effort-payoff
-coefficient evaluated outside the ``numerics`` effort kernel, no
-defaulted parameter that no call site sets, and no function or dataclass
-field default that every call overrides."""
+coefficient evaluated outside the ``numerics`` effort kernel, no artifact
+table read outside ``cli._artifact_table``, no defaulted parameter that no
+call site sets, and no function or dataclass field default that every call
+overrides."""
 
 import ast
 import pathlib
@@ -65,6 +66,29 @@ def kernel_bypasses(root=SRC):
         found += [f"{path.name}:{line} field {attr}"
                   for line, attr in sorted(sites)]
     return found
+
+
+def table_reads(root=SRC):
+    """``file:line owner`` of every reference to ``read_table`` in ``root``
+    (a call, an attribute, a name or an import) outside
+    ``cli._artifact_table``, the one read that turns a missing or damaged
+    table into exit 3; ``owner`` is the innermost enclosing function."""
+    found = []
+
+    def visit(node, path, owner):
+        for child in ast.iter_child_nodes(node):
+            name = getattr(child, "id", None) or getattr(child, "attr", None) \
+                or (child.name if isinstance(child, ast.alias) else None)
+            if name == "read_table" and (path.name, owner) != (
+                    "cli.py", "_artifact_table"):
+                found.append((path.name, child.lineno, owner))
+            visit(child, path, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+
+    for path in sorted(root.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path,
+              "<module>")
+    return [f"{name}:{line} {owner}" for name, line, owner in sorted(found)]
 
 
 def _defaulted(fn, method):
@@ -246,6 +270,26 @@ def test_kernel_rule_catches_each_form(tmp_path):
     assert kernel_bypasses(tmp_path) == [
         "bad.py:1 field drift_b", "bad.py:2 field discount_k",
         "bad.py:3 field candidate_effort", "bad.py:7 field cost_c"]
+
+
+def test_artifact_tables_are_read_only_by_the_checked_reader():
+    assert table_reads() == []
+
+
+def test_table_read_rule_catches_each_form(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "def _artifact_table(d, name):\n    return export.read_table(name)\n"
+        "def _load(d):\n    return export.read_table(d)\n"
+        "def _artifact_table(d):\n    def inner():\n"
+        "        return read_table(d)\n"
+        "reader = export.read_table\n"
+        "def _other(d):\n    return export.read_manifest(d)\n")
+    (tmp_path / "sim.py").write_text(
+        "from .export import read_table\n"
+        "def _artifact_table(p):\n    return read_table(p)\n")
+    assert table_reads(tmp_path) == [
+        "cli.py:4 _load", "cli.py:7 inner", "cli.py:8 <module>",
+        "sim.py:1 <module>", "sim.py:3 _artifact_table"]
 
 
 def test_every_default_is_set_by_some_caller():
