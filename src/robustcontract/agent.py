@@ -147,14 +147,9 @@ def _saddle_step(model: ModelSpec, t, x_arr, v, z, gam, grids):
             *(numerics.pick(arr, at) for arr in (b, k, c)))
 
 
-def solve_agent(model: ModelSpec, contract: ContractFunction, *,
-                x_lo: float, x_hi: float, x_nodes: int,
-                t_steps: int, horizon: float) -> AgentSolution:
-    """March the agent equation backward from ``U_A(xi(x))``.
-
-    Raises ``ValueError`` when the diffusion stability bound fails; the
-    caller picks grids, the solver never substeps on its own.
-    """
+def agent_grids(x_lo: float, x_hi: float, x_nodes: int, t_steps: int,
+                horizon: float) -> tuple[np.ndarray, np.ndarray]:
+    """The agent solve's (t, x) grids; ``ValueError`` on a degenerate one."""
     if x_nodes < 3:
         raise ValueError("need at least 3 space nodes")
     if t_steps < 1:
@@ -163,9 +158,20 @@ def solve_agent(model: ModelSpec, contract: ContractFunction, *,
         raise ValueError("empty space interval")
     if horizon <= 0:
         raise ValueError("horizon must be positive")
+    return (np.linspace(0.0, horizon, t_steps + 1),
+            np.linspace(x_lo, x_hi, x_nodes))
 
-    x_grid = np.linspace(x_lo, x_hi, x_nodes)
-    t_grid = np.linspace(0.0, horizon, t_steps + 1)
+
+def solve_agent(model: ModelSpec, contract: ContractFunction, *,
+                x_lo: float, x_hi: float, x_nodes: int,
+                t_steps: int, horizon: float) -> AgentSolution:
+    """March the agent equation backward from ``U_A(xi(x))``.
+
+    Raises ``ValueError`` on a degenerate grid (``agent_grids``) or when
+    the diffusion stability bound fails; the caller picks grids, the solver
+    never substeps on its own.
+    """
+    t_grid, x_grid = agent_grids(x_lo, x_hi, x_nodes, t_steps, horizon)
     dx = x_grid[1] - x_grid[0]
     dt = t_grid[1] - t_grid[0]
 

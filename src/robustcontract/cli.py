@@ -15,11 +15,14 @@ columnar artifacts plus a checksummed manifest into the output directory
 artifact and 4 on a verification failure.  Identical configs produce
 byte-identical numeric artifacts; wall-clock timings live in a sidecar
 (``timings.txt``, one line per stage) that is excluded from the checksums.
-The solves report ``solve`` and ``write`` (surfaces plus manifest),
-simulate and verify report ``load`` (artifact reads, plus checksums for
-verify) beside ``simulate`` or ``verify``, and sweep reports ``sweep``.
-``simulate`` and ``verify`` check each surface's header and grid columns
-against the manifest, and exit 3 otherwise.
+A command handler only computes: it returns its files, its manifest extras
+and (verify) its failed checks, and ``main`` writes them all, then the
+manifest, under the ``write`` stage, then the timings, and only then exits
+4 on a failed verify.  The stages are ``solve, write`` for the solves,
+``load, simulate, write`` (``load`` only from artifacts), ``load, verify,
+write`` (``load`` reads and checksums) and ``sweep, write``.  ``simulate``
+and ``verify`` check the prior run's manifest, its config and each
+surface's header and grid columns, and exit 3 otherwise.
 
 Config schema
 -------------
@@ -79,7 +82,7 @@ import numpy as np
 import yaml
 
 from . import export, sim
-from .agent import ContractFunction, solve_agent
+from .agent import ContractFunction, agent_grids, solve_agent
 from .hamiltonians import ModelSpec
 from .presets import PRESETS, make_model
 from .principal import (POLICY_FIELDS, ContractPolicy, GridSpec, optimize_y0,
@@ -269,6 +272,14 @@ def _with_defaults(command: str, conf: dict, section: str) -> dict:
     return {key: given.get(key, default) for key, (_, default) in spec.items()}
 
 
+def _unparseable(what: str, exc: yaml.YAMLError) -> str:
+    """A YAML syntax error in one line: its line number and its problem."""
+    mark = getattr(exc, "problem_mark", None)
+    where = f" at line {mark.line + 1}" if mark is not None else ""
+    problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
+    return f"cannot parse {what}{where}: {problem}"
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run configuration for one command.
@@ -288,10 +299,7 @@ class RunConfig:
         try:
             doc = yaml.safe_load(text)
         except yaml.YAMLError as exc:
-            mark = getattr(exc, "problem_mark", None)
-            where = f" at line {mark.line + 1}" if mark is not None else ""
-            problem = getattr(exc, "problem", None) or str(exc)
-            raise ConfigError(f"cannot parse config{where}: {problem}")
+            raise ConfigError(_unparseable("config", exc))
         if not isinstance(doc, dict):
             raise ConfigError("config must be a YAML mapping")
         _validate_config(command, doc)
@@ -365,9 +373,10 @@ def _build_contract(section: dict) -> ContractFunction:
         raise ConfigError(f"contract.payment: {exc}")
 
 
-def _build_gridspec(section: dict) -> GridSpec:
+def _build_grid(build, section: dict):
+    """``build(**section)``: a ``GridSpec`` or the agent's grids."""
     try:
-        return GridSpec(**section)
+        return build(**section)
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}")
 
@@ -400,15 +409,15 @@ def _axes(grids) -> dict[str, np.ndarray]:
     return dict(zip("txy", np.meshgrid(*grids, indexing="ij", sparse=True)))
 
 
-def _write_surfaces(out_dir: str, command: str, sol, grids) -> list[str]:
-    """Write the solve's surface files from ``sol``; returns their names."""
+def _surface_files(command: str, sol, grids) -> dict[str, dict]:
+    """The solve's surface files, each name mapped to its columns: the
+    grid axes, then views of ``sol``'s fields."""
     axes, shape = _axes(grids), tuple(map(len, grids))
-    cols = [np.broadcast_to(axis, shape).ravel() for axis in axes.values()]
-    for name, fields in _SURFACES[command].items():
-        export.write_table(os.path.join(out_dir, name), (*axes, *fields),
-                           cols + [getattr(sol, attr).ravel()
-                                   for attr in fields.values()])
-    return list(_SURFACES[command])
+    cols = {axis: np.broadcast_to(values, shape).ravel()
+            for axis, values in axes.items()}
+    return {name: dict(cols, **{column: getattr(sol, attr).ravel()
+                                for column, attr in fields.items()})
+            for name, fields in _SURFACES[command].items()}
 
 
 def _read_manifest(art_dir: str) -> dict:
@@ -416,6 +425,9 @@ def _read_manifest(art_dir: str) -> dict:
         return export.read_manifest(art_dir)
     except FileNotFoundError:
         raise MissingArtifact(f"no {export.MANIFEST_NAME} in '{art_dir}'")
+    except yaml.YAMLError as exc:
+        raise MissingArtifact(f"{export.MANIFEST_NAME} in '{art_dir}' is "
+                              f"damaged: {_unparseable('YAML', exc)}")
     except ValueError as exc:
         raise MissingArtifact(str(exc))
 
@@ -456,18 +468,20 @@ def _read_surfaces(art_dir: str, command: str, grids) -> dict[str, np.ndarray]:
     return fields
 
 
-def _manifest_config(art_dir: str, manifest: dict) -> dict:
+@contextlib.contextmanager
+def _manifest_config(art_dir: str, manifest: dict):
     """The config a prior run's manifest embeds, checked against its
-    command's schema; a config that fails is a broken artifact."""
-    conf = manifest.get("config")
+    command's schema, for a block that rebuilds the run from it; a config
+    that fails the schema or a builder in the block is a broken artifact."""
     try:
+        conf = manifest.get("config")
         if not isinstance(conf, dict):
             raise ConfigError("config must be a YAML mapping")
         _validate_config(manifest["command"], conf)
+        yield conf
     except ConfigError as exc:
         raise MissingArtifact(
             f"manifest config in '{art_dir}' is invalid: {exc}")
-    return conf
 
 
 def _load_principal(art_dir: str, manifest: dict) -> SimpleNamespace:
@@ -476,9 +490,9 @@ def _load_principal(art_dir: str, manifest: dict) -> SimpleNamespace:
         raise MissingArtifact(
             f"'{art_dir}' holds a {manifest.get('command')!r} run, "
             "not solve-principal")
-    conf = _manifest_config(art_dir, manifest)
-    model = _build_model("solve-principal", conf)
-    grid = _build_gridspec(conf["grid"])
+    with _manifest_config(art_dir, manifest) as conf:
+        model = _build_model("solve-principal", conf)
+        grid = _build_grid(GridSpec, conf["grid"])
     axes = dict(t_grid=grid.t_grid(), x_grid=grid.x_grid(),
                 y_grid=grid.y_grid())
     fields = _read_surfaces(art_dir, "solve-principal", tuple(axes.values()))
@@ -506,39 +520,35 @@ def _stage(stages: dict[str, float], name: str):
     stages[name] = time.perf_counter() - started
 
 
-def cmd_solve_agent(run: RunConfig, out_dir: str,
-                    seed_override: int | None) -> int:
-    conf = run.effective(seed_override)
-    model = _build_model(run.command, conf)
+@dataclass(frozen=True)
+class Produced:
+    """What a command produced, for ``main`` to write: each file's relative
+    path mapped to its columns (name -> values) or its text, the manifest's
+    ``run`` extras and, for a failed verify, the failure's message."""
+
+    files: dict[str, dict | str]
+    run: dict | None = None
+    failure: str | None = None
+
+
+def cmd_solve_agent(conf: dict, stages: dict[str, float]) -> Produced:
+    model = _build_model("solve-agent", conf)
     contract = _build_contract(conf["contract"])
-    stages: dict[str, float] = {}
     with _stage(stages, "solve"):
         try:
             sol = solve_agent(model, contract, **conf["grid"])
         except ValueError as exc:
             raise ConfigError(f"grid: {exc}")
-
-    os.makedirs(out_dir, exist_ok=True)
-    with _stage(stages, "write"):
-        files = _write_surfaces(out_dir, run.command, sol,
-                                (sol.t_grid, sol.x_grid))
-        export.write_manifest(
-            out_dir, "solve-agent", conf, files=files,
-            seed_override=seed_override,
-            extras={"cfl_number": sol.cfl_number,
-                    "max_abs_value": sol.max_abs_value,
-                    "max_abs_gradient": sol.max_abs_gradient})
-    export.write_timings(out_dir, stages)
-    return EXIT_OK
+    return Produced(
+        _surface_files("solve-agent", sol, (sol.t_grid, sol.x_grid)),
+        {"cfl_number": sol.cfl_number, "max_abs_value": sol.max_abs_value,
+         "max_abs_gradient": sol.max_abs_gradient})
 
 
-def cmd_solve_principal(run: RunConfig, out_dir: str,
-                        seed_override: int | None) -> int:
-    conf = run.effective(seed_override)
-    model = _build_model(run.command, conf)
-    grid = _build_gridspec(conf["grid"])
-    opts = _with_defaults(run.command, conf, "options")
-    stages: dict[str, float] = {}
+def cmd_solve_principal(conf: dict, stages: dict[str, float]) -> Produced:
+    model = _build_model("solve-principal", conf)
+    grid = _build_grid(GridSpec, conf["grid"])
+    opts = _with_defaults("solve-principal", conf, "options")
     y0res = None
     with _stage(stages, "solve"):
         try:
@@ -552,27 +562,17 @@ def cmd_solve_principal(run: RunConfig, out_dir: str,
             except ValueError as exc:
                 raise ConfigError(f"infeasible participation: {exc}")
 
-    os.makedirs(out_dir, exist_ok=True)
-    with _stage(stages, "write"):
-        files = _write_surfaces(out_dir, run.command, sol,
-                                (sol.t_grid, sol.x_grid, sol.y_grid))
-        extras = dict(sol.diagnostics)
-        if y0res is not None:
-            export.write_table(os.path.join(out_dir, "y0.txt"), _Y0_COLUMNS,
-                               ([y0res.y0], [y0res.value],
-                                [1.0 if y0res.at_upper_edge else 0.0]))
-            files.append("y0.txt")
-            extras.update(y0_star=y0res.y0, value_at_y0=y0res.value)
-        export.write_manifest(out_dir, "solve-principal", conf, files=files,
-                              seed_override=seed_override, extras=extras)
-    export.write_timings(out_dir, stages)
-    return EXIT_OK
+    files = _surface_files("solve-principal", sol,
+                           (sol.t_grid, sol.x_grid, sol.y_grid))
+    extras = dict(sol.diagnostics)
+    if y0res is not None:
+        files["y0.txt"] = dict(zip(_Y0_COLUMNS, (
+            [y0res.y0], [y0res.value], [1.0 if y0res.at_upper_edge else 0.0])))
+        extras.update(y0_star=y0res.y0, value_at_y0=y0res.value)
+    return Produced(files, extras)
 
 
-def cmd_simulate(run: RunConfig, out_dir: str,
-                 seed_override: int | None) -> int:
-    conf = run.effective(seed_override)
-    stages: dict[str, float] = {}
+def cmd_simulate(conf: dict, stages: dict[str, float]) -> Produced:
     upstream = None
     if "artifacts" in conf:
         with _stage(stages, "load"):
@@ -584,8 +584,8 @@ def cmd_simulate(run: RunConfig, out_dir: str,
         upstream = {"path": conf["artifacts"],
                     "config_sha256": art.manifest["config_sha256"]}
     else:
-        model = _build_model(run.command, conf)
-        p = _with_defaults(run.command, conf, "policy")
+        model = _build_model("simulate", conf)
+        p = _with_defaults("simulate", conf, "policy")
         if p["horizon"] <= 0:
             raise ConfigError("policy.horizon must be positive")
         policy = sim.constant_policy(
@@ -612,29 +612,21 @@ def cmd_simulate(run: RunConfig, out_dir: str,
         except RuntimeError as exc:
             raise VerificationFailure(str(exc))
 
-    os.makedirs(out_dir, exist_ok=True)
-    export.write_table(
-        os.path.join(out_dir, "estimates.txt"),
-        ("principal_mean", "principal_ci", "agent_mean", "agent_ci",
-         "paths_used", "quarantined", "discount_lo", "discount_hi"),
-        ([res.principal_estimate.mean], [res.principal_estimate.ci_halfwidth],
-         [res.agent_estimate.mean], [res.agent_estimate.ci_halfwidth],
-         [res.paths_used], [res.quarantined],
-         [res.discount_bounds[0]], [res.discount_bounds[1]]))
-    steps = len(res.realized_qv)
-    export.write_table(os.path.join(out_dir, "qv.txt"),
-                       ("step", "t", "qv"),
-                       (np.arange(steps, dtype=float),
-                        np.arange(steps, dtype=float) * cfg.dt,
-                        res.realized_qv))
+    steps = np.arange(len(res.realized_qv), dtype=float)
     extras = {"x0": cfg.x0, "y0": cfg.y0, "horizon": horizon}
     if upstream is not None:
         extras["upstream"] = upstream
-    export.write_manifest(out_dir, "simulate", conf,
-                          files=["estimates.txt", "qv.txt"],
-                          seed_override=seed_override, extras=extras)
-    export.write_timings(out_dir, stages)
-    return EXIT_OK
+    return Produced({
+        "estimates.txt": {
+            "principal_mean": [res.principal_estimate.mean],
+            "principal_ci": [res.principal_estimate.ci_halfwidth],
+            "agent_mean": [res.agent_estimate.mean],
+            "agent_ci": [res.agent_estimate.ci_halfwidth],
+            "paths_used": [res.paths_used], "quarantined": [res.quarantined],
+            "discount_lo": [res.discount_bounds[0]],
+            "discount_hi": [res.discount_bounds[1]]},
+        "qv.txt": {"step": steps, "t": steps * cfg.dt, "qv": res.realized_qv},
+    }, extras)
 
 
 # ---------------------------------------------------------------------------
@@ -711,12 +703,10 @@ def _principal_checks(art: SimpleNamespace, v: dict) -> dict:
 
 def _load_agent(art_dir: str, manifest: dict) -> SimpleNamespace:
     """Rebuild model, contract, grid and surfaces from a solve-agent dir."""
-    conf = _manifest_config(art_dir, manifest)
-    model = _build_model("solve-agent", conf)
-    contract = _build_contract(conf["contract"])
-    g = conf["grid"]
-    grids = (np.linspace(0.0, g["horizon"], g["t_steps"] + 1),
-             np.linspace(g["x_lo"], g["x_hi"], g["x_nodes"]))
+    with _manifest_config(art_dir, manifest) as conf:
+        model = _build_model("solve-agent", conf)
+        contract = _build_contract(conf["contract"])
+        grids = _build_grid(agent_grids, conf["grid"])
     return SimpleNamespace(model=model, contract=contract, x_grid=grids[1],
                            **_read_surfaces(art_dir, "solve-agent", grids))
 
@@ -745,14 +735,11 @@ def _agent_checks(art: SimpleNamespace) -> dict:
     }
 
 
-def cmd_verify(run: RunConfig, out_dir: str,
-               seed_override: int | None) -> int:
-    conf = run.effective(seed_override)
-    v = _with_defaults(run.command, conf, "verify")
+def cmd_verify(conf: dict, stages: dict[str, float]) -> Produced:
+    v = _with_defaults("verify", conf, "verify")
     art_dir = v["artifacts"]
     manifest = _read_manifest(art_dir)
 
-    stages: dict[str, float] = {}
     command = manifest.get("command")
     with _stage(stages, "load"):
         missing, mismatched = export.checksum_failures(art_dir, manifest)
@@ -780,21 +767,12 @@ def cmd_verify(run: RunConfig, out_dir: str,
         elif art is not None:
             checks.update(_agent_checks(art))
 
-    passed = all(c["passed"] for c in checks.values())
-    os.makedirs(out_dir, exist_ok=True)
-    report = {"artifacts": art_dir, "checks": checks, "passed": passed}
-    with open(os.path.join(out_dir, "report.yaml"), "w",
-              encoding="ascii", newline="\n") as fh:
-        fh.write(export.canonical_yaml(report))
-    export.write_manifest(out_dir, "verify", conf, files=["report.yaml"],
-                          seed_override=seed_override)
-    export.write_timings(out_dir, stages)
-    if not passed:
-        failed = sorted(name for name, c in checks.items()
-                        if not c["passed"])
-        raise VerificationFailure(
-            f"checks failed: {', '.join(failed)} (see report.yaml)")
-    return EXIT_OK
+    failed = sorted(name for name, c in checks.items() if not c["passed"])
+    report = {"artifacts": art_dir, "checks": checks, "passed": not failed}
+    failure = (f"checks failed: {', '.join(failed)} (see report.yaml)"
+               if failed else None)
+    return Produced({"report.yaml": export.canonical_yaml(report)},
+                    failure=failure)
 
 
 # ---------------------------------------------------------------------------
@@ -805,33 +783,27 @@ _BAND_PARAM = {"heat_band": "band", "risk_neutral": "n_band",
                "disjoint_beliefs": "principal_band"}
 
 
-def _sweep_m_salary(conf: dict, out_dir: str) -> tuple[list[str], dict]:
+def _sweep_m_salary(conf: dict) -> Produced:
     model = _build_model("sweep", conf)
     cfg = _build_simconfig(conf["sim"])
     horizon = float(_with_defaults("sweep", conf, "options")["horizon"])
-    files, rows = [], []
+    names = ("m_salary", "mean", "ci", "target")
+    files, rows = {}, []
     for i, m in enumerate(conf["sweep"]["values"]):
         try:
             est, target = sim.disjoint_beliefs_demo(model, float(m), cfg,
                                                     horizon=horizon)
         except ValueError as exc:
             raise ConfigError(f"sweep.values[{i}]: {exc}")
-        sub = os.path.join(out_dir, f"pt_{i:03d}")
-        os.makedirs(sub, exist_ok=True)
-        export.write_table(os.path.join(sub, "estimate.txt"),
-                           ("m_salary", "mean", "ci", "target"),
-                           ([m], [est.mean], [est.ci_halfwidth], [target]))
-        files.append(f"pt_{i:03d}/estimate.txt")
         rows.append((float(m), est.mean, est.ci_halfwidth, target))
-    cols = tuple(np.array(c) for c in zip(*rows)) if rows \
-        else ((), (), (), ())
-    export.write_table(os.path.join(out_dir, "summary.txt"),
-                       ("m_salary", "mean", "ci", "target"), cols)
-    files.append("summary.txt")
-    return files, {"points": len(rows)}
+        files[f"pt_{i:03d}/estimate.txt"] = {
+            name: [value] for name, value in zip(names, rows[-1])}
+    files["summary.txt"] = dict(zip(names,
+                                    np.reshape(rows, (-1, len(names))).T))
+    return Produced(files, {"points": len(rows)})
 
 
-def _sweep_band_width(conf: dict, out_dir: str) -> tuple[list[str], dict]:
+def _sweep_band_width(conf: dict) -> Produced:
     base = _build_model("sweep", conf)
     preset = conf["model"]["preset"]
     if preset not in _BAND_PARAM:
@@ -841,7 +813,7 @@ def _sweep_band_width(conf: dict, out_dir: str) -> tuple[list[str], dict]:
     contract = _build_contract(conf["contract"])
     x0 = float(_with_defaults("sweep", conf, "options")["x0"])
 
-    files, rows = [], []
+    files, rows = {}, []
     for i, width in enumerate(conf["sweep"]["values"]):
         if not width >= 0.0:
             raise ConfigError(f"sweep.values[{i}]: width must be >= 0")
@@ -854,39 +826,26 @@ def _sweep_band_width(conf: dict, out_dir: str) -> tuple[list[str], dict]:
             sol = solve_agent(model, contract, **conf["grid"])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"sweep.values[{i}]: {exc}")
-        sub = os.path.join(out_dir, f"pt_{i:03d}")
-        os.makedirs(sub, exist_ok=True)
-        for name in _write_surfaces(sub, "solve-agent", sol,
-                                    (sol.t_grid, sol.x_grid)):
-            files.append(f"pt_{i:03d}/{name}")
+        files.update((f"pt_{i:03d}/{name}", cols) for name, cols in
+                     _surface_files("solve-agent", sol,
+                                    (sol.t_grid, sol.x_grid)).items())
         rows.append((float(width), sol.value(0.0, x0)))
-    cols = tuple(np.array(c) for c in zip(*rows)) if rows else ((), ())
-    export.write_table(os.path.join(out_dir, "summary.txt"),
-                       ("band_width", "value"), cols)
-    files.append("summary.txt")
-    return files, {"points": len(rows), "band_center": center, "x0": x0}
+    files["summary.txt"] = dict(zip(("band_width", "value"),
+                                    np.reshape(rows, (-1, 2)).T))
+    return Produced(files,
+                    {"points": len(rows), "band_center": center, "x0": x0})
 
 
-def cmd_sweep(run: RunConfig, out_dir: str,
-              seed_override: int | None) -> int:
-    conf = run.effective(seed_override)
-    os.makedirs(out_dir, exist_ok=True)
-    stages: dict[str, float] = {}
+def cmd_sweep(conf: dict, stages: dict[str, float]) -> Produced:
     with _stage(stages, "sweep"):
-        if conf["sweep"]["axis"] == "m_salary":
-            files, extras = _sweep_m_salary(conf, out_dir)
-        else:
-            files, extras = _sweep_band_width(conf, out_dir)
-    export.write_manifest(out_dir, "sweep", conf, files=files,
-                          seed_override=seed_override, extras=extras)
-    export.write_timings(out_dir, stages)
-    return EXIT_OK
+        return _SWEEPS[conf["sweep"]["axis"]](conf)
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
+_SWEEPS = {"m_salary": _sweep_m_salary, "band_width": _sweep_band_width}
 _HANDLERS = {
     "solve-agent": cmd_solve_agent,
     "solve-principal": cmd_solve_principal,
@@ -921,6 +880,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_run(out_dir: str, command: str, conf: dict,
+               seed_override: int | None, out: Produced,
+               stages: dict[str, float]) -> None:
+    """Write ``out``'s files and then the manifest that checksums exactly
+    those under the ``write`` stage; then the timings sidecar."""
+    with _stage(stages, "write"):
+        for rel, content in out.files.items():
+            path = os.path.join(out_dir, rel)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            if isinstance(content, str):
+                with open(path, "w", encoding="ascii", newline="\n") as fh:
+                    fh.write(content)
+            else:
+                export.write_table(path, content, content.values())
+        export.write_manifest(out_dir, command, conf, files=list(out.files),
+                              seed_override=seed_override, extras=out.run)
+    export.write_timings(out_dir, stages)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -936,7 +914,13 @@ def main(argv=None) -> int:
             raise ConfigError(
                 "no output directory: pass --out, set ROBUSTCONTRACT_OUT "
                 "or add an 'out' key to the config")
-        return _HANDLERS[args.command](run, out_dir, args.seed)
+        conf = run.effective(args.seed)
+        stages: dict[str, float] = {}
+        out = _HANDLERS[args.command](conf, stages)
+        _write_run(out_dir, args.command, conf, args.seed, out, stages)
+        if out.failure is not None:
+            raise VerificationFailure(out.failure)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -698,17 +698,26 @@ DAMAGED = {
                            "grid",
     "header_only_y0": f"y0.txt in '{{art}}' has 0 rows of {Y0}, not 1 of {Y0}",
     "missing_file": "{absent}",
+    "unparseable_manifest": "manifest.yaml in '{art}' is damaged: cannot "
+                            "parse YAML at line 2: expected ',' or ']', but "
+                            "got '<stream end>'",
 }
+# the cases that edit a file the manifest lists, whose checksum verify must
+# then re-pin to read the damage
+REPIN = set(DAMAGED) - {"missing_file", "unparseable_manifest"}
 ABSENT = {"simulate": "no {name} in '{art}'",
           "verify": "files listed in the manifest are absent: {name}"}
-DAMAGE_RUNS = [(command, kind, case) for command, kind in (
-    ("simulate", "principal"), ("verify", "principal"), ("verify", "agent"))
-    for case in DAMAGED if (kind, case) != ("agent", "header_only_y0")]
+# the commands that read a solve directory, with the solve kind each reads
+READERS = [("simulate", "principal"), ("verify", "principal"),
+           ("verify", "agent")]
+DAMAGE_RUNS = [(command, kind, case) for command, kind in READERS
+               for case in DAMAGED
+               if (kind, case) != ("agent", "header_only_y0")]
 
 
 def damage(art, name: str, case: str) -> None:
-    """Apply one damage case to surface ``name`` (or to ``y0.txt``) of the
-    solve directory ``art``."""
+    """Apply one damage case to surface ``name`` (or to ``y0.txt`` or the
+    manifest) of the solve directory ``art``."""
     path = art / name
     lines = path.read_text().splitlines()
     if case == "renamed_column":
@@ -726,12 +735,49 @@ def damage(art, name: str, case: str) -> None:
         lines[1] = " ".join(row)
     elif case == "header_only_y0":
         path, lines = art / "y0.txt", [" ".join(Y0)]
+    elif case == "unparseable_manifest":
+        path, lines = art / export.MANIFEST_NAME, ["command: [unclosed"]
     path.write_text("\n".join(lines) + "\n")
     if case == "missing_file":
         path.unlink()
 
 
+def read_back(tmp_path, command: str, art) -> int:
+    """Run ``command`` (verify or simulate) on the solve directory ``art``."""
+    doc = ({"verify": {"artifacts": str(art)}} if command == "verify"
+           else {"sim": {"paths": 10, "dt": 1.0 / 64.0, "seed": 1},
+                 "artifacts": str(art)})
+    return run_cli(command, write_config(tmp_path, "c.yaml", doc),
+                   tmp_path / "out")
+
+
+# manifest config edits that pass the schema but not a builder, per reader
+# and solve kind, with the message that each gives
+REBUILDS = [(command, kind, *edit) for command, kind in READERS for edit in (
+    ("grid", "x_nodes", -3, "grid: need at least 3 space nodes"
+     if kind == "agent" else "grid: need at least 3 nodes per space axis"),
+    ("model", "params", {"band" if kind == "agent" else "n_band": [0.5, 0.1]},
+     "model.params: nature set bounds out of order"))]
+
+
 class TestDamagedArtifacts:
+    @pytest.mark.parametrize(
+        "command,kind,section,key,value,message", REBUILDS,
+        ids=[f"{c}-{k}-{s}.{key}" for c, k, s, key, *_ in REBUILDS])
+    def test_manifest_config_a_builder_rejects_exits_3(
+            self, principal_run, agent_run, tmp_path, capsys, command, kind,
+            section, key, value, message):
+        art = tmp_path / "art"
+        shutil.copytree(principal_run if kind == "principal" else agent_run,
+                        art)
+        doc = export.read_manifest(str(art))
+        doc["config"][section][key] = value
+        (art / export.MANIFEST_NAME).write_text(export.canonical_yaml(doc))
+        assert read_back(tmp_path, command, art) == EXIT_MISSING
+        assert capsys.readouterr().err == (
+            f"missing artifact: manifest config in '{art}' is invalid: "
+            f"{message}\n")
+
     @pytest.mark.parametrize("command,kind,case", DAMAGE_RUNS)
     def test_each_damage_exits_3_with_its_message(
             self, principal_run, agent_run, tmp_path, capsys, command, kind,
@@ -741,18 +787,14 @@ class TestDamagedArtifacts:
                         art)
         name, cols, rows = SURFACE[kind]
         damage(art, name, case)
-        if command == "verify" and case != "missing_file":
+        if command == "verify" and case in REPIN:
             # re-pin the checksums, so that the loader reads the damage
             doc = export.read_manifest(str(art))
             export.write_manifest(str(art), doc["command"], doc["config"],
                                   files=list(doc["artifacts"]),
                                   seed_override=doc["cli"]["seed_override"],
                                   extras=doc.get("run"))
-        doc = ({"verify": {"artifacts": str(art)}} if command == "verify"
-               else {"sim": {"paths": 10, "dt": 1.0 / 64.0, "seed": 1},
-                     "artifacts": str(art)})
-        cfg = write_config(tmp_path, "c.yaml", doc)
-        assert run_cli(command, cfg, tmp_path / "out") == EXIT_MISSING
+        assert read_back(tmp_path, command, art) == EXIT_MISSING
         fields = dict(art=art, name=name, cols=cols, rows=rows,
                       renamed=cols[:-1] + ["renamed"], extra=cols + ["extra"],
                       short=rows - 1)
@@ -775,8 +817,14 @@ class TestDamagedArtifacts:
                                  for attr in attrs})
         # the text renders every NaN as ``nan``, so only NaN-ness returns
         sol.nature.flat[:5] = [-0.0, np.inf, -np.inf, np.nan, 5e-324]
-        assert cli._write_surfaces(str(tmp_path), command, sol, grids) == \
-            list(cli._SURFACES[command])
+        files = cli._surface_files(command, sol, grids)
+        assert list(files) == list(cli._SURFACES[command])
+        for name, layout in cli._SURFACES[command].items():
+            for column, attr in layout.items():  # views, not copies
+                assert np.shares_memory(files[name][column],
+                                        getattr(sol, attr)), column
+        cli._write_run(str(tmp_path), command, {}, None, cli.Produced(files),
+                       {})
         got = cli._read_surfaces(str(tmp_path), command, grids)
         assert sorted(got) == sorted(attrs)
         for attr in attrs:
@@ -832,6 +880,18 @@ class TestSweep:
         tab = export.read_table(str(out / "summary.txt"))
         assert np.all(np.diff(tab["value"]) <= 1e-12)
 
+    def test_bad_second_width_exits_2_and_writes_nothing(self, tmp_path,
+                                                         capsys):
+        doc = {"sweep": {"axis": "band_width", "values": [0.1, -0.1]},
+               "model": {"preset": "heat_band"},
+               "contract": {"payment": "call:0"}, "grid": AGENT_GRID}
+        out = tmp_path / "run"
+        assert run_cli("sweep", write_config(tmp_path, "b.yaml", doc),
+                       out) == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            "config error: sweep.values[1]: width must be >= 0\n"
+        assert not out.exists()
+
     def test_unknown_axis_exits_2(self, tmp_path, capsys):
         doc = {"sweep": {"axis": "gravity", "values": [1]},
                "model": {"preset": "zero_vol"},
@@ -860,13 +920,21 @@ class TestTimings:
         for name, doc, stages in (
                 ("simulate", {"sim": {"paths": 200, "dt": 0.0625, "seed": 1},
                               "artifacts": str(principal_run)},
-                 ["load", "simulate"]),
+                 ["load", "simulate", "write"]),
+                ("simulate", {"sim": {"paths": 10, "dt": 0.5, "seed": 0},
+                              "model": {"preset": "zero_vol"},
+                              "policy": {"horizon": 1.0}},
+                 ["simulate", "write"]),
                 ("verify", {"verify": {"artifacts": str(principal_run),
                                        "paths": 300, "seed": 9,
                                        "perturbations": 2}},
-                 ["load", "verify"]),
+                 ["load", "verify", "write"]),
                 ("verify", {"verify": {"artifacts": str(agent)}},
-                 ["load", "verify"])):
+                 ["load", "verify", "write"]),
+                ("sweep", {"sweep": {"axis": "m_salary", "values": [1, 10]},
+                           "model": {"preset": "disjoint_beliefs"},
+                           "sim": {"paths": 10, "dt": 0.5, "seed": 0}},
+                 ["sweep", "write"])):
             out = tmp_path / f"{name}{len(runs)}"
             cfg = write_config(tmp_path, f"{len(runs)}.yaml", doc)
             assert run_cli(name, cfg, out) == EXIT_OK
@@ -876,8 +944,9 @@ class TestTimings:
             listed = export.read_manifest(str(out))["artifacts"]
             assert export.TIMINGS_NAME not in listed
             assert sorted(listed) == sorted(
-                p.name for p in out.iterdir()
-                if p.name not in (export.TIMINGS_NAME, export.MANIFEST_NAME))
+                p.relative_to(out).as_posix() for p in out.rglob("*")
+                if p.is_file() and p.name not in (export.TIMINGS_NAME,
+                                                  export.MANIFEST_NAME))
 
 
 class TestDeterminism:

@@ -1,9 +1,9 @@
 """Source rules for the package: no ``assert`` statements (``python -O``
 strips them), no handler that swallows every error, no effort-payoff
 coefficient evaluated outside the ``numerics`` effort kernel, no artifact
-table read outside ``cli._artifact_table``, no defaulted parameter that no
-call site sets, and no function or dataclass field default that every call
-overrides."""
+table read outside ``cli._artifact_table``, no artifact written outside
+``cli._write_run``, no defaulted parameter that no call site sets, and no
+function or dataclass field default that every call overrides."""
 
 import ast
 import pathlib
@@ -13,6 +13,8 @@ SRC = REPO / "src" / "robustcontract"
 # where the call sites of the package's functions live
 CALLERS = (REPO / "src", REPO / "tests", REPO / "perfbench")
 BROAD = {"Exception", "BaseException"}
+# the export functions that write an artifact directory
+WRITERS = {"write_table", "write_manifest", "write_timings"}
 # the coefficients of the agent's response rule, which only the effort
 # kernel in numerics.py passes to ``field``
 KERNEL_ONLY = {"drift_b", "discount_k", "cost_c", "candidate_effort"}
@@ -68,27 +70,42 @@ def kernel_bypasses(root=SRC):
     return found
 
 
-def table_reads(root=SRC):
-    """``file:line owner`` of every reference to ``read_table`` in ``root``
-    (a call, an attribute, a name or an import) outside
-    ``cli._artifact_table``, the one read that turns a missing or damaged
-    table into exit 3; ``owner`` is the innermost enclosing function."""
+def _references(root, names, home):
+    """(file, line, owner, name) of every reference to one of ``names`` in
+    ``root`` (a call, an attribute, a name or an import) outside the
+    function ``home`` = (file, function name); ``owner`` is the innermost
+    enclosing function."""
     found = []
 
     def visit(node, path, owner):
         for child in ast.iter_child_nodes(node):
             name = getattr(child, "id", None) or getattr(child, "attr", None) \
                 or (child.name if isinstance(child, ast.alias) else None)
-            if name == "read_table" and (path.name, owner) != (
-                    "cli.py", "_artifact_table"):
-                found.append((path.name, child.lineno, owner))
+            if name in names and (path.name, owner) != home:
+                found.append((path.name, child.lineno, owner, name))
             visit(child, path, child.name if isinstance(
                 child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
 
     for path in sorted(root.glob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), path,
               "<module>")
-    return [f"{name}:{line} {owner}" for name, line, owner in sorted(found)]
+    return sorted(found)
+
+
+def table_reads(root=SRC):
+    """``file:line owner`` of every reference to ``read_table`` outside
+    ``cli._artifact_table``, the one read that turns a missing or damaged
+    table into exit 3."""
+    return [f"{name}:{line} {owner}" for name, line, owner, _ in
+            _references(root, {"read_table"}, ("cli.py", "_artifact_table"))]
+
+
+def artifact_writes(root=SRC):
+    """``file:line owner name`` of every reference to an export writer
+    outside ``cli._write_run``, the writer that ``main`` calls, so that a
+    manifest lists exactly the files written beside it."""
+    return [f"{name}:{line} {owner} {writer}" for name, line, owner, writer in
+            _references(root, WRITERS, ("cli.py", "_write_run"))]
 
 
 def _defaulted(fn, method):
@@ -290,6 +307,29 @@ def test_table_read_rule_catches_each_form(tmp_path):
     assert table_reads(tmp_path) == [
         "cli.py:4 _load", "cli.py:7 inner", "cli.py:8 <module>",
         "sim.py:1 <module>", "sim.py:3 _artifact_table"]
+
+
+def test_artifact_directories_are_written_only_by_main():
+    assert artifact_writes() == []
+
+
+def test_write_rule_catches_each_form(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "def _write_run(d, out):\n    export.write_table(d, out)\n"
+        "    export.write_manifest(d)\n    export.write_timings(d, {})\n"
+        "def cmd_x(d):\n    export.write_manifest(d)\n"
+        "def _write_run(d):\n    def inner():\n"
+        "        write_timings(d, {})\n"
+        "writer = export.write_table\n"
+        "def _other(d):\n    return export.read_manifest(d)\n")
+    (tmp_path / "sim.py").write_text(
+        "from .export import write_table, write_manifest\n"
+        "def _write_run(p):\n    write_table(p, (), ())\n")
+    assert artifact_writes(tmp_path) == [
+        "cli.py:6 cmd_x write_manifest", "cli.py:9 inner write_timings",
+        "cli.py:10 <module> write_table",
+        "sim.py:1 <module> write_manifest", "sim.py:1 <module> write_table",
+        "sim.py:3 _write_run write_table"]
 
 
 def test_every_default_is_set_by_some_caller():
