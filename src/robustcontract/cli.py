@@ -485,7 +485,7 @@ def _manifest_config(art_dir: str, manifest: dict):
 
 
 def _load_principal(art_dir: str, manifest: dict) -> SimpleNamespace:
-    """Rebuild model, grid, policy and value surface from a solve dir."""
+    """Rebuild model, policy and value surface from a solve dir."""
     if manifest.get("command") != "solve-principal":
         raise MissingArtifact(
             f"'{art_dir}' holds a {manifest.get('command')!r} run, "
@@ -503,9 +503,8 @@ def _load_principal(art_dir: str, manifest: dict) -> SimpleNamespace:
         y0_star = float(
             _artifact_table(art_dir, "y0.txt", _Y0_COLUMNS, 1)["y0"][0])
     x0 = float(_with_defaults("solve-principal", conf, "options")["x0"])
-    return SimpleNamespace(manifest=manifest, config=conf, model=model,
-                           grid=grid, policy=policy, surface=surface,
-                           y0_star=y0_star, x0=x0)
+    return SimpleNamespace(manifest=manifest, model=model, policy=policy,
+                           surface=surface, y0_star=y0_star, x0=x0)
 
 
 # ---------------------------------------------------------------------------
@@ -633,30 +632,8 @@ def cmd_simulate(conf: dict, stages: dict[str, float]) -> Produced:
 # verification checks
 # ---------------------------------------------------------------------------
 
-def _incentive_field_check(model: ModelSpec, grid: GridSpec,
-                           policy: ContractPolicy) -> dict:
-    """Tabulated play must be the best response to the tabulated terms.
-
-    An injected policy whose effort no longer answers its own sensitivity
-    fails here immediately, without any sampling noise.
-    """
-    nt = grid.t_steps
-    slices = sorted({0, (nt - 1) // 2, nt - 1} if nt >= 1 else {0})
-    X2, Y2 = np.meshgrid(grid.x_grid(), grid.y_grid(), indexing="ij")
-    Xf, Yf = X2.ravel(), Y2.ravel()
-    worst = 0.0
-    for k in slices:
-        t = float(policy.t_grid[k])
-        a_resp, _, _ = sim._response(model, t, Xf, Yf,
-                                     policy.z[k].ravel(),
-                                     policy.nature[k].ravel())
-        worst = max(worst, float(np.max(np.abs(
-            policy.effort[k].ravel() - a_resp))))
-    return {"passed": bool(worst <= 1e-9), "measured": worst,
-            "bound": 1e-9}
-
-
 def _principal_checks(art: SimpleNamespace, v: dict) -> dict:
+    """``sim.contract_checks`` on a loaded solve, with verify settings ``v``."""
     horizon = float(art.policy.t_grid[-1])
     if v["dt"] is None:
         v = dict(v, dt=horizon / 64.0 if horizon > 0.0 else 1.0)
@@ -667,38 +644,10 @@ def _principal_checks(art: SimpleNamespace, v: dict) -> dict:
         cfg.steps_for(horizon)
     except ValueError as exc:
         raise ConfigError(f"verify: {exc}")
-
-    checks = {"incentive_fields":
-              _incentive_field_check(art.model, art.grid, art.policy)}
-
-    tol = float(v["martingale_tolerance"])
-    mart = sim.martingale_sandwich_check(
+    return sim.contract_checks(
         art.model, art.surface, art.policy, cfg,
-        probes=int(v["probes"]), tolerance=tol)
-    checks["martingale_drift"] = {
-        "passed": mart["passed"], "measured": mart["worst_drift"],
-        "bound": tol,
-        "suboptimal_label": mart["suboptimal"]["label"],
-        "suboptimal_downward_drift":
-            mart["suboptimal"]["worst_downward_drift"]}
-
-    probes = int(v["perturbations"])
-    inc = sim.incentive_compatibility_check(art.model, art.policy, cfg,
-                                            probes)
-    checks["incentive_probes"] = {
-        "passed": inc["passed"], "measured": float(len(inc["violations"])),
-        "bound": 0.0, "strictly_lower": inc["strictly_lower"],
-        "perturbations": probes}
-
-    # last, because its reweighted batch alone runs on seed + 1: the scope
-    # then draws the increments twice, not three times.  Its direct run is
-    # the martingale check's feedback run (same model, policy, config).
-    cross = sim.girsanov_cross_check(art.model, art.policy, cfg,
-                                     direct=mart["feedback_run"])
-    checks["girsanov_agreement"] = {
-        "passed": cross["agree"], "measured": cross["gap"],
-        "bound": cross["tol"]}
-    return checks
+        perturbations=int(v["perturbations"]), probes=int(v["probes"]),
+        tolerance=float(v["martingale_tolerance"]))
 
 
 def _load_agent(art_dir: str, manifest: dict) -> SimpleNamespace:
@@ -762,8 +711,7 @@ def cmd_verify(conf: dict, stages: dict[str, float]) -> Produced:
                             "bound": 0.0, "mismatched": mismatched}}
     with _stage(stages, "verify"):
         if art is not None and command == "solve-principal":
-            with sim._shared_increments():
-                checks.update(_principal_checks(art, v))
+            checks.update(_principal_checks(art, v))
         elif art is not None:
             checks.update(_agent_checks(art))
 

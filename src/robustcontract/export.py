@@ -177,6 +177,13 @@ def read_manifest(art_dir: str) -> dict:
         doc = yaml.safe_load(fh)
     if not isinstance(doc, dict) or "artifacts" not in doc:
         raise ValueError(f"{path}: not a run manifest")
+    arts = doc["artifacts"]
+    if not isinstance(arts, dict) or not all(
+            isinstance(rel, str) and isinstance(digest, str) and rel
+            and not os.path.isabs(rel) and ".." not in rel.split("/")
+            for rel, digest in arts.items()):
+        raise ValueError(f"{path}: artifacts must map relative paths inside "
+                         "the directory to checksums")
     return doc
 
 

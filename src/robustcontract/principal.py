@@ -120,8 +120,6 @@ class _Selection:
 class PrincipalSolution:
     """Backward value surface with the realized controls per slice."""
 
-    model: ModelSpec
-    grid: GridSpec
     t_grid: np.ndarray
     x_grid: np.ndarray
     y_grid: np.ndarray
@@ -460,8 +458,7 @@ def solve_hjbi(model: ModelSpec, grid: GridSpec) -> PrincipalSolution:
             pol[name][nt] = pol[name][nt - 1]
     else:
         fill_policy(0, select(tg[0], terminal))
-    return PrincipalSolution(model, grid, tg, xg, yg, values,
-                             diagnostics=diags, **pol)
+    return PrincipalSolution(tg, xg, yg, values, diagnostics=diags, **pol)
 
 
 # ---------------------------------------------------------------------------

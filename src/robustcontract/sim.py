@@ -10,8 +10,9 @@ scenario, where the effort a is the agent's best response to the contract
 sensitivity z at the realized volatility level.  On top of the raw engine
 sit the verification utilities: likelihood-ratio reweighting between the
 driftless and the drifted dynamics, coordinate-descent scenario search,
-incentive-compatibility probes, martingale flatness reports, and the
-separated-beliefs degeneracy demonstration.
+incentive-compatibility probes, martingale flatness reports, the
+separated-beliefs degeneracy demonstration, and ``contract_checks``,
+the whole suite that ``verify`` runs on an extracted contract.
 
 Randomness is reproducible by construction.  The splitting rule is the
 contract: child k of ``numpy.random.SeedSequence(seed).spawn(steps)``,
@@ -22,10 +23,10 @@ each row when the engine reaches its step, so it holds the increments of
 one step, not of the whole horizon.  Identical configurations therefore
 give bit-identical results.  The checks built on common random numbers
 (the scenario search, the incentive probes, the martingale report, and
-the whole of ``verify``) draw the (steps, paths) increment matrix once for
-consecutive batches that share (seed, paths, steps) and hand every batch
-that same read-only matrix, so their results stay bit-identical to fresh
-draws.
+the whole ``contract_checks`` suite) draw the (steps, paths) increment
+matrix once for consecutive batches that share (seed, paths, steps) and
+hand every batch that same read-only matrix, so their results stay
+bit-identical to fresh draws.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ __all__ = [
     "simulate_system", "girsanov_weight", "girsanov_cross_check",
     "constant_policy", "adversarial_nature_search",
     "incentive_compatibility_check", "martingale_sandwich_check",
-    "disjoint_beliefs_demo",
+    "contract_checks", "disjoint_beliefs_demo",
 ]
 
 #: two-sided 95% normal quantile used for every confidence halfwidth
@@ -106,10 +107,8 @@ class SimConfig:
         A zero horizon is legal and runs no steps (terminal-only batch).
         """
         steps = int(round(horizon / self.dt))
-        if abs(steps * self.dt - horizon) > 1e-9 * max(horizon, 1.0):
-            raise ValueError(
-                f"dt={self.dt} does not divide the horizon {horizon}")
-        if steps < 1 and horizon > 0.0:
+        if (abs(steps * self.dt - horizon) > 1e-9 * max(horizon, 1.0)
+                or (steps < 1 and horizon > 0.0)):
             raise ValueError(
                 f"dt={self.dt} does not divide the horizon {horizon}")
         return steps
@@ -325,6 +324,24 @@ def _response(model: ModelSpec, t: float, X: np.ndarray, Y: np.ndarray,
     return A[win, np.arange(X.size)], fstar, sig
 
 
+def _incentive_field_check(model: ModelSpec, policy: ContractPolicy) -> dict:
+    """Tabulated play must be the best response to the tabulated terms,
+    on the (x, y) nodes of the policy's first, middle and last slices.  An
+    injected policy whose effort no longer answers its own sensitivity
+    fails here, without any sampling noise."""
+    nt = len(policy.t_grid) - 1
+    slices = sorted({0, (nt - 1) // 2, nt - 1} if nt >= 1 else {0})
+    X2, Y2 = np.meshgrid(policy.x_grid, policy.y_grid, indexing="ij")
+    Xf, Yf = X2.ravel(), Y2.ravel()
+    worst = 0.0
+    for k in slices:
+        a_resp = _response(model, float(policy.t_grid[k]), Xf, Yf,
+                           policy.z[k].ravel(), policy.nature[k].ravel())[0]
+        worst = max(worst, float(np.max(np.abs(
+            policy.effort[k].ravel() - a_resp))))
+    return {"passed": bool(worst <= 1e-9), "measured": worst, "bound": 1e-9}
+
+
 # ---------------------------------------------------------------------------
 # the engine
 # ---------------------------------------------------------------------------
@@ -479,8 +496,8 @@ def girsanov_cross_check(model: ModelSpec, policy: ContractPolicy,
 
     Runs the drifted simulation and an independently seeded driftless one
     reweighted by the likelihood ratio, both under the policy's worst-case
-    volatility feedback; reports both estimates, their gap and the 3x
-    combined confidence tolerance.  ``direct`` is the drifted run when the
+    volatility feedback; reports the gap between the two estimates and the
+    3x combined confidence tolerance.  ``direct`` is the drifted run when the
     caller has it, such as the martingale check's ``feedback_run``.
     """
     if direct is None:
@@ -501,8 +518,7 @@ def girsanov_cross_check(model: ModelSpec, policy: ContractPolicy,
     w_est = terminal_estimate(ref)
     gap = abs(d_est.mean - w_est.mean)
     tol = 3.0 * (d_est.ci_halfwidth + w_est.ci_halfwidth)
-    return {"direct": d_est, "weighted": w_est, "gap": gap, "tol": tol,
-            "agree": bool(gap <= tol)}
+    return {"gap": gap, "tol": tol, "agree": bool(gap <= tol)}
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +628,7 @@ def incentive_compatibility_check(model: ModelSpec, policy: ContractPolicy,
     discretization budget; the report also counts the strict drops larger
     than one combined halfwidth.  Violations are listed, not raised.
     """
-    base, base_n = _worst_constant_agent_value(model, policy, cfg, None)
+    base = _worst_constant_agent_value(model, policy, cfg, None)[0]
 
     if deformations is None:
         rng = np.random.Generator(np.random.PCG64(
@@ -640,9 +656,8 @@ def incentive_compatibility_check(model: ModelSpec, policy: ContractPolicy,
         entries.append(entry)
         if not ok:
             violations.append(entry)
-    return {"baseline": base, "baseline_nature": base_n, "entries": entries,
-            "strictly_lower": strict, "violations": violations,
-            "passed": not violations}
+    return {"baseline": base, "entries": entries, "strictly_lower": strict,
+            "violations": violations, "passed": not violations}
 
 
 # ---------------------------------------------------------------------------
@@ -657,15 +672,15 @@ def martingale_sandwich_check(model: ModelSpec, solution, policy: ContractPolicy
 
     Under the extracted policy with its own worst-case volatility feedback
     the surface composed with the state should be driftless; the report
-    gives the probe-time means and the worst secant slope per unit time.
-    A second run under a deliberately suboptimal constant scenario probes
-    the submartingale side (its mean should not trend down); for
+    gives the worst secant slope per unit time between the probe-time
+    means.  A second run under a deliberately suboptimal constant scenario
+    probes the submartingale side (its mean should not trend down); for
     volatility-flat models that run is labeled accordingly.
     ``feedback_run`` is the first run's result.
     """
     horizon = float(policy.t_grid[-1])
     steps = cfg.steps_for(horizon)
-    probe_steps = np.unique(np.round(np.linspace(0, steps, probes)).astype(int))
+    probe_set = set(np.round(np.linspace(0, steps, probes)).astype(int).tolist())
 
     def run(nature: NatureStrategy | None):
         times, means = [], []
@@ -679,17 +694,11 @@ def martingale_sandwich_check(model: ModelSpec, solution, policy: ContractPolicy
                 times.append(t)
                 means.append(float(np.mean(u[fin])) if fin.any() else math.nan)
 
-        probe_set = set(int(s) for s in probe_steps)
         res = simulate_system(model, policy, nature, cfg, observer=observe)
-        return np.array(times), np.array(means), res
+        return np.diff(means) / np.diff(times), res
 
-    times, means, feedback = run(None)
-    if len(times) > 1:
-        slopes = np.diff(means) / np.diff(times)
-        worst = float(np.max(np.abs(slopes)))
-    else:
-        slopes = np.array([])
-        worst = 0.0
+    slopes, feedback = run(None)
+    worst = float(np.max(np.abs(slopes))) if len(slopes) else 0.0
 
     # freeze the scenario at the band edge farthest from the policy's
     # time-zero midpoint choice; a zero horizon has no scenario to freeze
@@ -699,22 +708,59 @@ def martingale_sandwich_check(model: ModelSpec, solution, policy: ContractPolicy
         mid_used = float(np.median(policy.nature[0]))
         far = n_lo if abs(mid_used - n_lo) >= abs(mid_used - n_hi) else n_hi
         suboptimal_nature = NatureStrategy.constant(far, horizon)
-    sub_times, sub_means, _ = run(suboptimal_nature)
-    sub_slopes = (np.diff(sub_means) / np.diff(sub_times)
-                  if len(sub_times) > 1 else np.array([]))
+    sub_slopes = run(suboptimal_nature)[0]
     worst_down = float(-np.min(sub_slopes)) if len(sub_slopes) else 0.0
 
     return {
-        "probe_times": times, "means": means, "slopes": slopes,
         "worst_drift": worst, "passed": bool(worst <= tolerance),
         "feedback_run": feedback,
         "suboptimal": {
-            "scenario": suboptimal_nature, "probe_times": sub_times,
-            "means": sub_means, "worst_downward_drift": worst_down,
+            "worst_downward_drift": worst_down,
             "label": ("flat game" if model.risk_neutral
                       else "submartingale probe"),
         },
     }
+
+
+# ---------------------------------------------------------------------------
+# the whole suite of an extracted contract
+# ---------------------------------------------------------------------------
+
+@_shared_increments()
+def contract_checks(model: ModelSpec, surface, policy: ContractPolicy,
+                    cfg: SimConfig, *, perturbations: int, probes: int,
+                    tolerance: float) -> dict:
+    """``verify``'s checks of an extracted contract as its report entries:
+    ``incentive_fields``, ``martingale_drift`` (of the value ``surface``),
+    ``incentive_probes`` and ``girsanov_agreement``.  One reuse scope
+    covers every batch, so the suite draws the increments once on
+    ``cfg.seed`` and once on ``cfg.seed + 1``."""
+    checks = {"incentive_fields": _incentive_field_check(model, policy)}
+
+    mart = martingale_sandwich_check(model, surface, policy, cfg,
+                                     probes=probes, tolerance=tolerance)
+    checks["martingale_drift"] = {
+        "passed": mart["passed"], "measured": mart["worst_drift"],
+        "bound": tolerance,
+        "suboptimal_label": mart["suboptimal"]["label"],
+        "suboptimal_downward_drift":
+            mart["suboptimal"]["worst_downward_drift"]}
+
+    inc = incentive_compatibility_check(model, policy, cfg, perturbations)
+    checks["incentive_probes"] = {
+        "passed": inc["passed"], "measured": float(len(inc["violations"])),
+        "bound": 0.0, "strictly_lower": inc["strictly_lower"],
+        "perturbations": perturbations}
+
+    # last, because its reweighted batch alone runs on seed + 1: the scope
+    # then draws the increments twice, not three times.  Its direct run is
+    # the martingale check's feedback run (same model, policy, config).
+    cross = girsanov_cross_check(model, policy, cfg,
+                                 direct=mart["feedback_run"])
+    checks["girsanov_agreement"] = {
+        "passed": cross["agree"], "measured": cross["gap"],
+        "bound": cross["tol"]}
+    return checks
 
 
 # ---------------------------------------------------------------------------

@@ -702,9 +702,23 @@ DAMAGED = {
                             "parse YAML at line 2: expected ',' or ']', but "
                             "got '<stream end>'",
 }
+# the cases that rewrite the manifest's ``artifacts`` from its mapping, the
+# solve directory ``art`` and the surface ``name``; each key they add names
+# the surface itself, so only the key's form is at fault
+ARTIFACT_EDITS = {
+    "artifacts_list": lambda arts, art, name: sorted(arts),
+    "absolute_artifact": lambda arts, art, name: dict(
+        arts, **{str(art / name): arts[name]}),
+    "dotdot_artifact": lambda arts, art, name: dict(
+        arts, **{f"../{art.name}/{name}": arts[name]}),
+}
+DAMAGED.update(dict.fromkeys(
+    ARTIFACT_EDITS, "{art}/manifest.yaml: artifacts must map relative paths "
+                    "inside the directory to checksums"))
 # the cases that edit a file the manifest lists, whose checksum verify must
 # then re-pin to read the damage
-REPIN = set(DAMAGED) - {"missing_file", "unparseable_manifest"}
+REPIN = set(DAMAGED) - {"missing_file", "unparseable_manifest",
+                        *ARTIFACT_EDITS}
 ABSENT = {"simulate": "no {name} in '{art}'",
           "verify": "files listed in the manifest are absent: {name}"}
 # the commands that read a solve directory, with the solve kind each reads
@@ -737,6 +751,11 @@ def damage(art, name: str, case: str) -> None:
         path, lines = art / "y0.txt", [" ".join(Y0)]
     elif case == "unparseable_manifest":
         path, lines = art / export.MANIFEST_NAME, ["command: [unclosed"]
+    elif case in ARTIFACT_EDITS:
+        path = art / export.MANIFEST_NAME
+        doc = yaml.safe_load(path.read_text())
+        doc["artifacts"] = ARTIFACT_EDITS[case](doc["artifacts"], art, name)
+        lines = export.canonical_yaml(doc).splitlines()
     path.write_text("\n".join(lines) + "\n")
     if case == "missing_file":
         path.unlink()

@@ -9,8 +9,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import yaml
 
-from robustcontract import presets, sim
+from robustcontract import cli, export, presets, sim
 from robustcontract.agent import ContractFunction, solve_agent
 from robustcontract.hamiltonians import eval_F_star
 from robustcontract.principal import GridSpec, extract_contract, solve_hjbi
@@ -601,6 +602,41 @@ class TestMartingaleSandwich:
         report = martingale_sandwich_check(rn_model, rn_solution, policy, cfg)
         assert report["worst_drift"] == 0.0
         assert report["passed"]
+
+
+class TestContractChecks:
+    def test_suite_draws_twice_and_writes_verify_report_entries(
+            self, tmp_path, monkeypatch):
+        grid = {"x_lo": -8.0, "x_hi": 8.0, "x_nodes": 17, "y_lo": -8.0,
+                "y_hi": 8.0, "y_nodes": 17, "t_steps": 16, "horizon": 1.0}
+        settings = {"paths": 300, "seed": 9, "perturbations": 2, "probes": 7,
+                    "martingale_tolerance": 0.04}
+
+        def run(command, doc):
+            path = tmp_path / f"{command}.yaml"
+            path.write_text(yaml.safe_dump(doc))
+            assert cli.main([command, "--config", str(path),
+                             "--out", str(tmp_path / command)]) == cli.EXIT_OK
+            return tmp_path / command
+
+        solve = run("solve-principal",
+                    {"model": {"preset": "risk_neutral"}, "grid": grid})
+        out = run("verify", {"verify": dict(settings, artifacts=str(solve))})
+        report = yaml.safe_load((out / "report.yaml").read_text())
+        del report["checks"]["checksums"]
+
+        model = presets.risk_neutral()
+        solution = solve_hjbi(model, GridSpec(**grid))
+        drawn = TestSharedIncrements.count_draws(monkeypatch)
+        assert sim._increment_memo.get() is None
+        # verify's defaults: dt is 1/64 of the horizon, x0 and y0 are 0
+        cfg = SimConfig(paths=300, dt=1 / 64, seed=9)
+        checks = sim.contract_checks(
+            model, solution, extract_contract(solution), cfg,
+            perturbations=2, probes=7, tolerance=0.04)
+        assert [key[0] for key in drawn] == [9, 10]
+        assert export.canonical_yaml(checks) == \
+            export.canonical_yaml(report["checks"])
 
 
 class TestDisjointBeliefs:

@@ -2,8 +2,9 @@
 strips them), no handler that swallows every error, no effort-payoff
 coefficient evaluated outside the ``numerics`` effort kernel, no artifact
 table read outside ``cli._artifact_table``, no artifact written outside
-``cli._write_run``, no defaulted parameter that no call site sets, and no
-function or dataclass field default that every call overrides."""
+``cli._write_run``, no defaulted parameter that no call site sets, no
+function or dataclass field default that every call overrides, and no
+module reaching into another package module's underscore-prefixed names."""
 
 import ast
 import pathlib
@@ -106,6 +107,32 @@ def artifact_writes(root=SRC):
     manifest lists exactly the files written beside it."""
     return [f"{name}:{line} {owner} {writer}" for name, line, owner, writer in
             _references(root, WRITERS, ("cli.py", "_write_run"))]
+
+
+def private_reaches(root=SRC):
+    """``file:line module._name`` of every reference from one package
+    module to another's underscore-prefixed name, as ``module._name`` or
+    ``from .module import _name``; dunder names such as ``__version__``
+    are not private."""
+    modules = {path.stem for path in root.glob("*.py")}
+    found = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith(SRC.name)):
+                owner = (node.module or "").rsplit(".", 1)[-1]
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                owner = getattr(node.value, "attr", None) or getattr(
+                    node.value, "id", None)
+                names = [node.attr]
+            else:
+                continue
+            found += [(path.name, node.lineno, f"{owner}.{name}")
+                      for name in names
+                      if owner in modules - {path.stem}
+                      and name.startswith("_") and not name.endswith("__")]
+    return [f"{name}:{line} {ref}" for name, line, ref in sorted(found)]
 
 
 def _defaulted(fn, method):
@@ -330,6 +357,29 @@ def test_write_rule_catches_each_form(tmp_path):
         "cli.py:10 <module> write_table",
         "sim.py:1 <module> write_manifest", "sim.py:1 <module> write_table",
         "sim.py:3 _write_run write_table"]
+
+
+def test_no_module_reaches_into_another_modules_private_names():
+    assert private_reaches() == []
+
+
+def test_private_reach_rule_catches_each_form(tmp_path):
+    for name in ("sim", "numerics"):
+        (tmp_path / f"{name}.py").write_text("def _own():\n    pass\n")
+    (tmp_path / "cli.py").write_text(
+        "from . import sim, __version__\n"
+        "a = sim._response(1)\n"
+        "with sim._shared_increments():\n    pass\n"
+        "from .sim import simulate_system, _draw_increments\n"
+        "from robustcontract.numerics import _helper\n"
+        "b = robustcontract.sim._memo\n"
+        "c = sim.simulate_system, self._cache, np._private, _own()\n"
+        "from .sim import __all__\n")
+    (tmp_path / "sim.py").write_text("x = sim._own\n")
+    assert private_reaches(tmp_path) == [
+        "cli.py:2 sim._response", "cli.py:3 sim._shared_increments",
+        "cli.py:5 sim._draw_increments", "cli.py:6 numerics._helper",
+        "cli.py:7 sim._memo"]
 
 
 def test_every_default_is_set_by_some_caller():
