@@ -25,7 +25,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-TIE_TOL = 1e-12
+from . import numerics
+from .numerics import TIE_TOL
 
 # domain-membership slack for rejecting effort / volatility-control inputs
 _DOMAIN_EPS = 1e-12
@@ -349,11 +350,21 @@ class GameResult(NamedTuple):
 # shared selection helpers (the tie-break rule of the module docstring)
 # ---------------------------------------------------------------------------
 
-def _first_within(values: Sequence[float], target: float) -> int:
-    for i, v in enumerate(values):
-        if abs(v - target) <= TIE_TOL:
-            return i
-    raise RuntimeError("optimum not found in its own enumeration")
+def _first_within(values, target):
+    """Earliest index along the last axis of ``values`` within ``TIE_TOL``
+    of ``target``, which has the leading shape."""
+    hit = np.abs(np.asarray(values) - np.asarray(target)[..., None]) <= TIE_TOL
+    if not hit.any(axis=-1).all():
+        raise RuntimeError("optimum not found in its own enumeration")
+    return np.argmax(hit, axis=-1)
+
+
+def _loop_optimum(values, arg):
+    """``max`` (``arg`` np.argmax) or ``min`` (np.argmin) along the last
+    axis as a scalar loop returns it, the first element attaining it: a
+    signed zero keeps the loop's sign, which NumPy's reductions do not."""
+    at = arg(values, axis=-1)[..., None]
+    return np.take_along_axis(values, at, axis=-1)[..., 0]
 
 
 def _effort_enumeration(model: ModelSpec, t: float, x: float, z: float,
@@ -518,76 +529,75 @@ def eval_g(model: ModelSpec, t: float, x: float, y: float, p: float,
     return _g_from_parts(p, p_tilde, q, q_tilde, r, z, gamma, sig2, bval, hval)
 
 
-def _zgamma_enumeration(model: ModelSpec, t: float, x: float, y: float,
-                        p: float, q: float, radius: float) -> list[tuple[float, float]]:
-    """Control pairs: preset candidates first (clamped into the box), then the
-    z-major, gamma-minor uniform grid."""
-    pairs: list[tuple[float, float]] = []
-    if model.candidate_zgamma is not None:
-        for (zc, gc) in model.candidate_zgamma(t, x, y, p, q):
-            pairs.append((min(max(zc, -radius), radius),
-                          min(max(gc, -radius), radius)))
-    z_grid = uniform_grid(-radius, radius, model.z_grid_points)
-    g_grid = uniform_grid(-radius, radius, model.gamma_grid_points)
-    pairs.extend((float(zv), float(gv)) for zv in z_grid for gv in g_grid)
-    return pairs
-
-
 def eval_G(model: ModelSpec, t: float, x: float, y: float, p: float,
            p_tilde: float, q: float, q_tilde: float, r: float,
            radius: float) -> GameResult:
     """sup over the (z, gamma) box of inf over the n-grid of the integrand.
 
-    The effort maxima inside H and the agent response do not depend on
-    gamma, so both are memoized by z.  H(z, gamma) is formed from those
-    maxima in ``eval_H``'s expression order and equals ``eval_H(...).value``
-    bit for bit; ``eval_H`` stays the reference the test oracles go through.
+    One array evaluation, bit-identical to the oracle that calls the scalar
+    reference ``eval_g`` pair by pair.  The pairs are clamped candidates,
+    then the z-major box grid.  The parts free of gamma are computed once
+    per distinct z (keyed by bit pattern: 0.0 and -0.0 stay apart): F's
+    effort maximum per nature, which forms H as ``eval_H`` does, and the
+    agent's response at each nature n_j as ``eval_F_star`` selects it at
+    sigma_j^2.  Every optimum is taken as a scalar loop takes it.
     """
     if radius <= 0.0:
         raise ValueError("radius must be positive")
-    pairs = _zgamma_enumeration(model, t, x, y, p, q, radius)
-    n_grid = [float(n) for n in model.n_grid()]
-    sigs = [model.vol_sigma(t, x, n) for n in n_grid]
-    sig2s = [sig * sig for sig in sigs]
+    cands = ([] if model.candidate_zgamma is None
+             else model.candidate_zgamma(t, x, y, p, q))
+    box = np.meshgrid(uniform_grid(-radius, radius, model.z_grid_points),
+                      uniform_grid(-radius, radius, model.gamma_grid_points),
+                      indexing="ij")
+    pairs = np.concatenate([np.clip(np.reshape(cands, (-1, 2)), -radius, radius),
+                            np.stack(box, axis=-1).reshape(-1, 2)])
+    bits, zi = np.unique(pairs[:, 0].view(np.uint64), return_inverse=True)
+    z = bits.view(float)[:, None]                           # (Z, 1)
+    n_grid, a_grid = model.n_grid(), model.a_grid()
+    sig = np.broadcast_to(numerics.field(model.vol_sigma, t, x, n_grid),
+                          n_grid.shape)
+    sig2 = sig * sig
 
-    # max over effort of F at each nature point, per z
-    fmax_cache: dict[float, list[float]] = {}
+    def options(sigma):
+        """F and b of each effort option at (z, n_j) against every n_l, on
+        (Z, n_j, effort, n_l): the clamped candidate at (z, ``sigma``), if
+        the model has one, then the a-grid."""
+        a = np.broadcast_to(a_grid, (len(z), len(n_grid), len(a_grid)))
+        cand = numerics.clamped_candidate(model, t, x, z, sigma)
+        if cand is not None:
+            if np.isnan(cand).any():    # the one effort eval_F rejects
+                raise ValueError(f"effort nan outside {model.effort_set_A}")
+            a = np.concatenate([np.broadcast_to(cand, a.shape[:2])[..., None],
+                                a], axis=-1)
+        base, b = numerics.effort_payoff(model, t, x, y, a[..., None], n_grid)[:2]
+        full = a.shape + n_grid.shape
+        return (np.broadcast_to(base + b * z[..., None, None], full),
+                np.broadcast_to(b, full))
 
-    def h_at(z: float, gam: float) -> float:
-        fmax = fmax_cache.get(z)
-        if fmax is None:
-            fmax = [max(eval_F(model, t, x, y, z, a, n)
-                        for a in _effort_enumeration(model, t, x, z, sig))
-                    for n, sig in zip(n_grid, sigs)]
-            fmax_cache[z] = fmax
-        return min(0.5 * sig * sig * gam + fm for sig, fm in zip(sigs, fmax))
+    # the effort maximum of F at each nature, candidate at sigma_j
+    f = options(sig)[0].diagonal(axis1=1, axis2=3)          # (Z, e, n)
+    fmax = _loop_optimum(f.swapaxes(1, 2), np.argmax)       # (Z, n)
 
-    a_cache: dict[tuple[float, float], float] = {}
+    # response at n_j: the options (candidate at sqrt(sigma_j^2)) by their
+    # inf over the level set of n_j, and b at n_j of the earliest best
+    f, b = options(np.sqrt(sig2))
+    level = (np.abs(sig2 - sig2[:, None])
+             <= level_set_tolerance(n_grid, sig2))          # (n_j, n_l)
+    inner = np.where(level[:, None], f, np.inf).min(axis=-1)
+    ia = _first_within(inner, inner.max(axis=-1))           # (Z, n_j)
+    bval = np.take_along_axis(b.diagonal(axis1=1, axis2=3), ia[:, None],
+                              axis=1)[:, 0]                 # (Z, n_j)
 
-    def bval_at(z: float, j: int) -> float:
-        key = (z, sig2s[j])
-        a = a_cache.get(key)
-        if a is None:
-            a, _ = optimal_effort(model, t, x, y, z, sig2s[j])
-            a_cache[key] = a
-        return model.drift_b(t, x, a, n_grid[j])
-
-    outer_vals: list[float] = []
-    inner_rows: list[list[float]] = []
-    for (z, gam) in pairs:
-        hval = h_at(z, gam)
-        row = [_g_from_parts(p, p_tilde, q, q_tilde, r, z, gam,
-                             sig2s[j], bval_at(z, j), hval)
-               for j in range(len(n_grid))]
-        inner_rows.append(row)
-        outer_vals.append(min(row))
-
-    value = max(outer_vals)
-    k = _first_within(outer_vals, value)
-    jn = _first_within(inner_rows[k], outer_vals[k])
-    z_star, gamma_star = pairs[k]
-    return GameResult(value=value, z_star=z_star, gamma_star=gamma_star,
-                      n_star=n_grid[jn])
+    zs, gams = pairs[:, :1], pairs[:, 1:]
+    hval = _loop_optimum(0.5 * sig * sig * gams + fmax[zi], np.argmin)
+    rows = _g_from_parts(p, p_tilde, q, q_tilde, r, zs, gams, sig2,
+                         bval[zi], hval[:, None])           # (pairs, n)
+    outer = _loop_optimum(rows, np.argmin)
+    value = _loop_optimum(outer, np.argmax)
+    k = _first_within(outer, value)
+    jn = _first_within(rows[k], outer[k])
+    return GameResult(value=float(value), z_star=float(pairs[k, 0]),
+                      gamma_star=float(pairs[k, 1]), n_star=float(n_grid[jn]))
 
 
 def compute_radius(model: ModelSpec, t: float, x: float, y: float, p: float,

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hamiltonians import TIE_TOL
+#: an arg-optimum is the earliest index within this of the optimum
+TIE_TOL = 1e-12
 
 
 def field(fn, t, x, *args):

@@ -395,7 +395,8 @@ def simulate_system(model: ModelSpec, policy: ContractPolicy,
             b, k_a, c_a = numerics.effort_payoff(model, t, X, Y, a, n_now)[1:]
             cost_acc = cost_acc + disc * c_a * cfg.dt
             disc = disc * np.exp(-k_a * cfg.dt)
-            # alive into the next step's _response they would raise peak RSS
+            # the step's discount and cost are spent: kept alive into the
+            # next step's _response they would raise peak RSS
             del k_a, c_a
 
             dw = sqdt * row
@@ -598,15 +599,17 @@ def adversarial_nature_search(model: ModelSpec, policy: ContractPolicy,
 # ---------------------------------------------------------------------------
 
 def _worst_constant_agent_value(model: ModelSpec, policy: ContractPolicy,
-                                cfg: SimConfig,
-                                transform) -> tuple[Estimate, float]:
-    """Agent objective minimized over constant volatility scenarios."""
+                                cfg: SimConfig, transform,
+                                runs: dict) -> tuple[Estimate, float]:
+    """Agent objective minimized over constant volatility scenarios; one
+    in ``runs`` reuses that result of the same policy, config and transform."""
     horizon = float(policy.t_grid[-1])
     best: Estimate | None = None
     best_n = math.nan
     for n in model.n_grid():
-        res = simulate_system(model, policy, NatureStrategy.constant(float(n), horizon),
-                              cfg, effort_transform=transform)
+        nature = NatureStrategy.constant(float(n), horizon)
+        res = runs.get(nature) or simulate_system(
+            model, policy, nature, cfg, effort_transform=transform)
         if best is None or res.agent_estimate.mean < best.mean:
             best, best_n = res.agent_estimate, float(n)
     return best, best_n
@@ -617,6 +620,7 @@ def incentive_compatibility_check(model: ModelSpec, policy: ContractPolicy,
                                   cfg: SimConfig, perturbations: int, *,
                                   deformations: Sequence[Callable] | None = None,
                                   damping_range: tuple[float, float] = (0.2, 0.45),
+                                  baseline_runs: dict | None = None,
                                   ) -> dict:
     """Deformed-effort probes of the extracted contract.
 
@@ -627,8 +631,10 @@ def incentive_compatibility_check(model: ModelSpec, policy: ContractPolicy,
     unperturbed one beyond 3x the combined confidence halfwidth plus the
     discretization budget; the report also counts the strict drops larger
     than one combined halfwidth.  Violations are listed, not raised.
+    ``baseline_runs`` holds unperturbed runs the caller already has.
     """
-    base = _worst_constant_agent_value(model, policy, cfg, None)[0]
+    base = _worst_constant_agent_value(model, policy, cfg, None,
+                                       baseline_runs or {})[0]
 
     if deformations is None:
         rng = np.random.Generator(np.random.PCG64(
@@ -645,7 +651,7 @@ def incentive_compatibility_check(model: ModelSpec, policy: ContractPolicy,
     strict = 0
     violations = []
     for label, deform in zip(labels, deformations):
-        est, n_star = _worst_constant_agent_value(model, policy, cfg, deform)
+        est, n_star = _worst_constant_agent_value(model, policy, cfg, deform, {})
         combined = base.ci_halfwidth + est.ci_halfwidth
         drop = base.mean - est.mean
         ok = est.mean <= base.mean + 3.0 * combined + _BIAS_BUDGET
@@ -676,7 +682,8 @@ def martingale_sandwich_check(model: ModelSpec, solution, policy: ContractPolicy
     means.  A second run under a deliberately suboptimal constant scenario
     probes the submartingale side (its mean should not trend down); for
     volatility-flat models that run is labeled accordingly.
-    ``feedback_run`` is the first run's result.
+    ``feedback_run`` is the first run's result; ``suboptimal_runs`` maps
+    the second run's scenario, when it has one, to its result.
     """
     horizon = float(policy.t_grid[-1])
     steps = cfg.steps_for(horizon)
@@ -708,12 +715,13 @@ def martingale_sandwich_check(model: ModelSpec, solution, policy: ContractPolicy
         mid_used = float(np.median(policy.nature[0]))
         far = n_lo if abs(mid_used - n_lo) >= abs(mid_used - n_hi) else n_hi
         suboptimal_nature = NatureStrategy.constant(far, horizon)
-    sub_slopes = run(suboptimal_nature)[0]
+    sub_slopes, suboptimal = run(suboptimal_nature)
     worst_down = float(-np.min(sub_slopes)) if len(sub_slopes) else 0.0
 
     return {
         "worst_drift": worst, "passed": bool(worst <= tolerance),
         "feedback_run": feedback,
+        "suboptimal_runs": {suboptimal_nature: suboptimal} if suboptimal_nature else {},
         "suboptimal": {
             "worst_downward_drift": worst_down,
             "label": ("flat game" if model.risk_neutral
@@ -746,7 +754,9 @@ def contract_checks(model: ModelSpec, surface, policy: ContractPolicy,
         "suboptimal_downward_drift":
             mart["suboptimal"]["worst_downward_drift"]}
 
-    inc = incentive_compatibility_check(model, policy, cfg, perturbations)
+    # the martingale check's band-edge run is that nature's baseline run
+    inc = incentive_compatibility_check(model, policy, cfg, perturbations,
+                                        baseline_runs=mart["suboptimal_runs"])
     checks["incentive_probes"] = {
         "passed": inc["passed"], "measured": float(len(inc["violations"])),
         "bound": 0.0, "strictly_lower": inc["strictly_lower"],

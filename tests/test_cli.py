@@ -569,8 +569,10 @@ class TestVerify:
         assert run_cli("verify", cfg, tmp_path / "fresh") == EXIT_OK
         # two runs for the martingale check, whose feedback run is also the
         # cross-check's direct run, the cross-check's reweighted run, and
-        # the baseline and 2 perturbations per nature point
-        batches = 3 + 3 * len(make_model("risk_neutral").n_grid())
+        # the baseline and 2 perturbations per nature point, less the
+        # baseline at the far band edge, which is the martingale check's
+        # second run
+        batches = 3 + 3 * len(make_model("risk_neutral").n_grid()) - 1
         assert len(drawn) == 2 + batches
         for name in ("report.yaml", export.MANIFEST_NAME):
             assert (tmp_path / "shared" / name).read_bytes() == \

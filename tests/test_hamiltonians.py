@@ -259,9 +259,25 @@ class TestEvalG:
             rc.eval_G(m, 0, 0, 0, 1, -1, 0, 0, 0, radius=0.0)
 
 
+# scalar-only primitives (a Python ``if`` or ``float()`` on the arguments),
+# which the model wraps in ``hamiltonians.elementwise``
+SCALAR_ONLY = {
+    "b": lambda t, x, a, n: a if n > 1.5 else 0.5 * a + 0.1 * x,
+    "sigma": lambda t, x, n: n if x < 0.5 else 1.25 * n,
+    "c": lambda t, x, a: 0.5 * a * a if x < 0.0 else a * a,
+    "k": lambda t, x, a, n: 0.25 * a if x > 0.0 else 0.0,
+    "candidate_effort": lambda t, x, z, sigma: float(np.clip(z / sigma, 0.0, 1.0)),
+}
+
+
+def bits(result):
+    return np.array(tuple(result), dtype=float).tobytes()
+
+
 class TestEvalGMemo:
-    """eval_G reuses each z's effort maxima across gamma; eval_H, reached
-    through the oracle's eval_g, stays the reference."""
+    """eval_G evaluates its whole enumeration as arrays, each gamma-free
+    part once per distinct z; the oracle, which goes through the scalar
+    eval_g and eval_H pair by pair, stays the reference."""
 
     COARSE = dict(n_grid_points=3, z_grid_points=5, gamma_grid_points=5,
                   a_grid_points=5)
@@ -295,23 +311,102 @@ class TestEvalGMemo:
             assert tuple(res) == oracle_G(m, *args)
 
     def test_effort_scan_once_per_z(self, monkeypatch):
-        calls = {"F": 0, "H": 0}
-        real_F, real_H = hamiltonians.eval_F, hamiltonians.eval_H
+        """No scalar reference is called, and a scalar-only model's
+        primitives, called once per element, are called as often at 21
+        gamma points as at 5."""
+        def scalar_reference(*args):
+            raise AssertionError("eval_G reached a scalar reference")
 
-        def counting_F(*args):
-            calls["F"] += 1
-            return real_F(*args)
+        for name in ("eval_F", "eval_H", "eval_F_star", "optimal_effort"):
+            monkeypatch.setattr(hamiltonians, name, scalar_reference)
+        calls = {}
 
-        def counting_H(*args):
-            calls["H"] += 1
-            return real_H(*args)
+        def counted(name, fn):
+            def primitive(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args)
+            return primitive
 
-        m = rc.make_model("quadratic_bounded")
-        assert (m.z_grid_points, m.gamma_grid_points) == (21, 21)
-        monkeypatch.setattr(hamiltonians, "eval_F", counting_F)
-        monkeypatch.setattr(hamiltonians, "eval_H", counting_H)
-        rc.eval_G(m, 0.1, 0.4, 0.2, 0.7, -0.8, -0.3, -0.5, 0.1, radius=1.0)
-        assert calls["H"] == 0 and 0 < calls["F"] <= 5000, calls
+        model = build_model(**{kwarg: counted(kwarg, fn)
+                               for kwarg, fn in SCALAR_ONLY.items()},
+                            a_points=5, n_points=3, z_points=5)
+        args = (0.1, 0.4, 0.2, 0.7, -0.8, -0.3, -0.5, 0.1, 1.0)
+        counts = []
+        for gamma in (5, 21):
+            calls.clear()
+            rc.eval_G(model.with_control_grids(gamma=gamma), *args)
+            counts.append(dict(calls))
+        assert counts[0] == counts[1], counts
+        assert set(counts[0]) == set(SCALAR_ONLY), counts
+
+
+class TestEvalGEdges:
+    """Bit-for-bit agreement with the oracle, signed zeros included, where
+    the array evaluation could part from the scalar loops."""
+
+    COARSE = dict(a_grid_points=5, n_grid_points=3, z_grid_points=5,
+                  gamma_grid_points=5)
+
+    def test_scalar_only_model(self):
+        m = build_model(**SCALAR_ONLY, a_points=5, n_points=4, z_points=5,
+                        gamma_points=3)
+        assert all(hasattr(getattr(m, name), "__wrapped__") for name in
+                   ("drift_b", "vol_sigma", "cost_c", "discount_k",
+                    "candidate_effort"))
+        rng = np.random.default_rng(17)
+        for _ in range(4):
+            t, x, y = (float(v) for v in rng.uniform(-1.0, 1.0, size=3))
+            p, q, r = (float(v) for v in rng.uniform(-2.0, 2.0, size=3))
+            args = (t, x, y, p, -0.7, q, -0.4, r, float(rng.uniform(0.2, 2.0)))
+            assert bits(rc.eval_G(m, *args)) == bits(oracle_G(m, *args))
+
+    @pytest.mark.parametrize("preset", ["quadratic_bounded", "risk_neutral"])
+    def test_one_point_control_grids(self, preset):
+        m = rc.make_model(preset, z_grid_points=1, gamma_grid_points=1,
+                          n_grid_points=1)
+        args = (0.3, 0.7, 0.2, 0.9, -1.1, 0.4, -0.6, 0.2, 1.5)
+        got = rc.eval_G(m, *args)
+        assert bits(got) == bits(oracle_G(m, *args))
+        if preset == "quadratic_bounded":
+            assert (got.z_star, got.gamma_star) == (-1.5, -1.5)
+
+    @pytest.mark.parametrize("p", [0.0, -0.0])
+    def test_candidate_zero_meets_grid_zero(self, p):
+        m = rc.make_model("risk_neutral", **self.COARSE)
+        assert uniform_grid(-1.0, 1.0, 5)[2] == 0.0
+        for y in (0.4, -0.4):
+            args = (0.2, 0.5, y, p, -0.8, 0.3, -0.5, 0.1, 1.0)
+            got = rc.eval_G(m, *args)
+            assert bits(got) == bits(oracle_G(m, *args))
+            assert math.copysign(1.0, got.z_star) == math.copysign(1.0, p)
+
+    def test_custom_tabulated_level_sets(self):
+        # a flat stretch of the profile puts several natures in one level set
+        m = rc.make_model("custom_tabulated", n_values=[0.3, 0.6, 1.0],
+                          sigma_values=[0.4, 0.4, 0.9], discount=0.2,
+                          **dict(self.COARSE, n_grid_points=5))
+        rng = np.random.default_rng(23)
+        for _ in range(4):
+            t, x, y = (float(v) for v in rng.uniform(-1.0, 1.0, size=3))
+            p, q, r = (float(v) for v in rng.uniform(-2.0, 2.0, size=3))
+            args = (t, x, y, p, -0.9, q, -0.3, r, 1.2)
+            assert bits(rc.eval_G(m, *args)) == bits(oracle_G(m, *args))
+
+    @pytest.mark.parametrize("preset,name,value,error,message", [
+        ("quadratic_bounded", "r", math.inf, RuntimeError, "optimum not found"),
+        ("quadratic_bounded", "p", math.nan, RuntimeError, "optimum not found"),
+        ("risk_neutral", "q", -math.inf, RuntimeError, "optimum not found"),
+        ("risk_neutral", "p", math.nan, ValueError, "effort nan outside"),
+    ])
+    def test_non_finite_derivative(self, preset, name, value, error, message):
+        # a NaN or infinite row leaves the optimum outside its own
+        # enumeration; risk_neutral's NaN candidate z makes a NaN
+        # candidate effort, which eval_F rejects
+        m = rc.make_model(preset, **self.COARSE)
+        derivs = dict(p=0.7, p_tilde=-0.8, q=-0.3, q_tilde=-0.5, r=0.1)
+        derivs[name] = value
+        with pytest.raises(error, match=message), np.errstate(invalid="ignore"):
+            rc.eval_G(m, 0.2, 0.5, 0.1, **derivs, radius=1.0)
 
 
 # ---------------------------------------------------------------------------

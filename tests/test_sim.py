@@ -638,6 +638,40 @@ class TestContractChecks:
         assert export.canonical_yaml(checks) == \
             export.canonical_yaml(report["checks"])
 
+    def test_suite_runs_the_engine_once_per_distinct_batch(
+            self, rn_model, rn_solution, rn_policy, monkeypatch):
+        runs = []
+        real = sim.simulate_system
+
+        def counting(model, policy, nature, cfg, **kwargs):
+            runs.append((nature, kwargs.get("effort_transform")))
+            return real(model, policy, nature, cfg, **kwargs)
+
+        monkeypatch.setattr(sim, "simulate_system", counting)
+        cfg = SimConfig(paths=200, dt=1 / 16, seed=3)
+        sim.contract_checks(rn_model, rn_solution, rn_policy, cfg,
+                            perturbations=2, probes=5, tolerance=0.05)
+        # martingale: the feedback run and one at the far band edge;
+        # incentive: 1 + 2 effort maps at 5 constant natures, less the far
+        # edge's unperturbed run, which the martingale check made; Girsanov:
+        # the reweighted run alone
+        assert len(runs) == 2 + 3 * 5 - 1 + 1
+        unperturbed = [nature for nature, transform in runs
+                       if nature is not None and transform is None]
+        assert len(unperturbed) == len(set(unperturbed)) == 5
+
+    def test_handed_baseline_run_equals_a_fresh_one(
+            self, rn_model, rn_solution, rn_policy):
+        cfg = SimConfig(paths=200, dt=1 / 16, seed=3)
+        mart = martingale_sandwich_check(rn_model, rn_solution, rn_policy,
+                                         cfg, probes=5)
+        assert len(mart["suboptimal_runs"]) == 1
+        handed = incentive_compatibility_check(
+            rn_model, rn_policy, cfg, 2,
+            baseline_runs=mart["suboptimal_runs"])
+        assert handed == incentive_compatibility_check(rn_model, rn_policy,
+                                                       cfg, 2)
+
 
 class TestDisjointBeliefs:
     def test_flat_salary_is_reproduced_exactly(self):
