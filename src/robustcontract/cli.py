@@ -65,6 +65,8 @@ band's middle); ``sim.x0``/``y0`` default to that solve's ``options.x0``
 and chosen promise, else 0.  ``nature.values`` is a volatility scenario on
 equal subintervals of the horizon.  ``verify.dt`` defaults to 1/64 of the
 solve's horizon; ``reservation`` makes solve-principal pick the promise.
+On a solve-principal directory verify exits 2 unless ``paths`` >= 1,
+``perturbations`` >= 1, ``probes`` >= 2 and ``martingale_tolerance`` > 0.
 """
 
 from __future__ import annotations
@@ -642,12 +644,12 @@ def _principal_checks(art: SimpleNamespace, v: dict) -> dict:
         cfg = SimConfig(paths=int(v["paths"]), dt=float(v["dt"]),
                         seed=int(v["seed"]), x0=art.x0, y0=float(y0))
         cfg.steps_for(horizon)
+        return sim.contract_checks(
+            art.model, art.surface, art.policy, cfg,
+            perturbations=int(v["perturbations"]), probes=int(v["probes"]),
+            tolerance=float(v["martingale_tolerance"]))
     except ValueError as exc:
         raise ConfigError(f"verify: {exc}")
-    return sim.contract_checks(
-        art.model, art.surface, art.policy, cfg,
-        perturbations=int(v["perturbations"]), probes=int(v["probes"]),
-        tolerance=float(v["martingale_tolerance"]))
 
 
 def _load_agent(art_dir: str, manifest: dict) -> SimpleNamespace:

@@ -542,6 +542,10 @@ def eval_G(model: ModelSpec, t: float, x: float, y: float, p: float,
     agent's response at each nature n_j as ``eval_F_star`` selects it at
     sigma_j^2.  Every optimum is taken as a scalar loop takes it.
     """
+    for name, value in dict(p=p, p_tilde=p_tilde, q=q, q_tilde=q_tilde, r=r,
+                            radius=radius).items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     cands = ([] if model.candidate_zgamma is None

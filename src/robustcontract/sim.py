@@ -21,23 +21,20 @@ time step k, and ``Generator.standard_normal(paths)`` fills that step's
 row of increments; path i takes element i of every row.  A batch draws
 each row when the engine reaches its step, so it holds the increments of
 one step, not of the whole horizon.  Identical configurations therefore
-give bit-identical results.  The checks built on common random numbers
-(the scenario search, the incentive probes, the martingale report, and
-the whole ``contract_checks`` suite) draw the (steps, paths) increment
-matrix once for consecutive batches that share (seed, paths, steps) and
-hand every batch that same read-only matrix, so their results stay
-bit-identical to fresh draws.
+give bit-identical results.  Each check built on common random numbers
+(the scenario search, the incentive probes and the martingale report)
+draws the read-only (steps, paths) increment matrix once and passes it
+to every batch it runs as ``simulate_system``'s ``increments``; a batch
+given that matrix is bit-identical to one that draws its rows itself.
 """
 
 from __future__ import annotations
 
 import bisect
-import contextlib
-import contextvars
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -194,7 +191,8 @@ def _step_stream(seed: int, k: int) -> np.random.Generator:
 
 
 def _draw_increments(seed: int, paths: int, steps: int) -> np.ndarray:
-    """Standard-normal increments as one C-order (steps, paths) matrix.
+    """Standard-normal increments as one read-only C-order (steps, paths)
+    matrix.
 
     Splitting rule (fixed for reproducibility): child k of
     SeedSequence(seed).spawn(steps) seeds a PCG64 bit generator whose
@@ -204,54 +202,16 @@ def _draw_increments(seed: int, paths: int, steps: int) -> np.ndarray:
     out = np.empty((steps, paths))
     for k, row in enumerate(out):
         _step_stream(seed, k).standard_normal(out=row)
+    out.flags.writeable = False
     return out
 
 
-# The open reuse scope's memo, a [key, matrix] pair, or None outside any
-# scope.  A context variable keeps concurrent threads and tasks apart.
-_increment_memo: contextvars.ContextVar[list | None] = contextvars.ContextVar(
-    "robustcontract_sim_increments", default=None)
-
-
-@contextlib.contextmanager
-def _shared_increments():
-    """Reuse the last increment matrix while its (seed, paths, steps) repeats.
-
-    Common-random-number checks run many batches on one key; inside this
-    scope they share a single draw.  A nested scope joins the outer one, and
-    nothing is kept once the outermost scope exits.  Also usable as a
-    function decorator.
-    """
-    if _increment_memo.get() is not None:
-        yield
-        return
-    token = _increment_memo.set([None, None])
-    try:
-        yield
-    finally:
-        _increment_memo.reset(token)
-
-
-def _path_increments(seed: int, paths: int, steps: int) -> Iterable[np.ndarray]:
-    """Step rows of increments under ``_draw_increments``'s splitting rule.
-
-    Outside a reuse scope this is a generator that draws each row when the
-    engine reaches its step, so a batch holds one row rather than the
-    whole matrix.  Inside one it is the scope's read-only matrix, drawn
-    afresh only when (seed, paths, steps) changes.
-    """
-    memo = _increment_memo.get()
-    if memo is None:
-        return (_step_stream(seed, k).standard_normal(paths)
-                for k in range(steps))
-    key = (seed, paths, steps)
-    if memo[0] != key:
-        # release the previous matrix before the new one is allocated
-        memo[:] = [None, None]
-        out = _draw_increments(seed, paths, steps)
-        out.flags.writeable = False
-        memo[:] = [key, out]
-    return memo[1]
+def _path_increments(seed: int, paths: int, steps: int) -> Iterator[np.ndarray]:
+    """Step rows of increments under ``_draw_increments``'s splitting rule,
+    each drawn when the engine reaches its step, so a batch holds one row
+    rather than the whole matrix."""
+    return (_step_stream(seed, k).standard_normal(paths)
+            for k in range(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +310,7 @@ def simulate_system(model: ModelSpec, policy: ContractPolicy,
                     nature: NatureStrategy | None, cfg: SimConfig, *,
                     effort_transform: Callable[[float, np.ndarray, np.ndarray], np.ndarray] | None = None,
                     observer: Callable[[int, float, np.ndarray, np.ndarray], None] | None = None,
+                    increments: np.ndarray | None = None,
                     ) -> SimResult:
     """Euler-Maruyama run of the coupled (X, Y) system under a contract.
 
@@ -362,14 +323,19 @@ def simulate_system(model: ModelSpec, policy: ContractPolicy,
 
     Per-path overflow or NaN is quarantined; a quarantined fraction above
     1% raises.  ``observer`` is called as observer(step, t, X, Y) before
-    every update and once more at the horizon.
+    every update and once more at the horizon.  ``increments``, the
+    ``_draw_increments`` matrix of ``cfg``, replaces the per-step draws.
     """
     horizon = float(policy.t_grid[-1])
     steps = cfg.steps_for(horizon)
     if nature is not None:
         nature.validate_for(model, horizon)
-
-    incr = _path_increments(cfg.seed, cfg.paths, steps)
+    if increments is None:
+        increments = _path_increments(cfg.seed, cfg.paths, steps)
+    elif np.shape(increments) != (steps, cfg.paths):
+        # a short matrix would end the run early with qv unfilled
+        raise ValueError(f"increments have shape {np.shape(increments)}, "
+                         f"not (steps, paths) = {(steps, cfg.paths)}")
     sqdt = math.sqrt(cfg.dt)
     fields = ("z", "k_rate") if nature is not None else ("z", "k_rate", "nature")
 
@@ -381,7 +347,7 @@ def simulate_system(model: ModelSpec, policy: ContractPolicy,
     qv = np.empty(steps)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k, row in enumerate(incr):
+        for k, row in enumerate(increments):
             t = k * cfg.dt
             if observer is not None:
                 observer(k, t, X, Y)
@@ -550,7 +516,6 @@ def constant_policy(model: ModelSpec, horizon: float, *, z: float,
 # adversarial scenario search
 # ---------------------------------------------------------------------------
 
-@_shared_increments()
 def adversarial_nature_search(model: ModelSpec, policy: ContractPolicy,
                               cfg: SimConfig, intervals: int, *,
                               candidates: Sequence[float] | None = None,
@@ -568,13 +533,15 @@ def adversarial_nature_search(model: ModelSpec, policy: ContractPolicy,
     horizon = float(policy.t_grid[-1])
     cand = tuple(float(n) for n in (candidates if candidates is not None
                                     else model.n_grid()))
+    increments = _draw_increments(cfg.seed, cfg.paths, cfg.steps_for(horizon))
     cache: dict[tuple[float, ...], float] = {}
 
     def value_of(values: tuple[float, ...]) -> float:
         if values not in cache:
             strat = NatureStrategy.uniform(values, horizon)
             cache[values] = simulate_system(
-                model, policy, strat, cfg).principal_estimate.mean
+                model, policy, strat, cfg,
+                increments=increments).principal_estimate.mean
         return cache[values]
 
     # best constant start
@@ -598,24 +565,31 @@ def adversarial_nature_search(model: ModelSpec, policy: ContractPolicy,
 # incentive compatibility
 # ---------------------------------------------------------------------------
 
+def _check_perturbations(perturbations: int) -> None:
+    """Without a probe the incentive check would pass having tested nothing."""
+    if perturbations < 1:
+        raise ValueError(f"perturbations must be at least 1, got {perturbations}")
+
+
 def _worst_constant_agent_value(model: ModelSpec, policy: ContractPolicy,
-                                cfg: SimConfig, transform,
-                                runs: dict) -> tuple[Estimate, float]:
-    """Agent objective minimized over constant volatility scenarios; one
-    in ``runs`` reuses that result of the same policy, config and transform."""
+                                cfg: SimConfig, transform, runs: dict,
+                                increments: np.ndarray) -> tuple[Estimate, float]:
+    """Agent objective minimized over constant volatility scenarios, each
+    run on ``increments``; one in ``runs`` reuses that result of the same
+    policy, config and transform."""
     horizon = float(policy.t_grid[-1])
     best: Estimate | None = None
     best_n = math.nan
     for n in model.n_grid():
         nature = NatureStrategy.constant(float(n), horizon)
         res = runs.get(nature) or simulate_system(
-            model, policy, nature, cfg, effort_transform=transform)
+            model, policy, nature, cfg, effort_transform=transform,
+            increments=increments)
         if best is None or res.agent_estimate.mean < best.mean:
             best, best_n = res.agent_estimate, float(n)
     return best, best_n
 
 
-@_shared_increments()
 def incentive_compatibility_check(model: ModelSpec, policy: ContractPolicy,
                                   cfg: SimConfig, perturbations: int, *,
                                   deformations: Sequence[Callable] | None = None,
@@ -633,8 +607,11 @@ def incentive_compatibility_check(model: ModelSpec, policy: ContractPolicy,
     than one combined halfwidth.  Violations are listed, not raised.
     ``baseline_runs`` holds unperturbed runs the caller already has.
     """
+    _check_perturbations(perturbations)
+    increments = _draw_increments(cfg.seed, cfg.paths,
+                                  cfg.steps_for(float(policy.t_grid[-1])))
     base = _worst_constant_agent_value(model, policy, cfg, None,
-                                       baseline_runs or {})[0]
+                                       baseline_runs or {}, increments)[0]
 
     if deformations is None:
         rng = np.random.Generator(np.random.PCG64(
@@ -651,7 +628,8 @@ def incentive_compatibility_check(model: ModelSpec, policy: ContractPolicy,
     strict = 0
     violations = []
     for label, deform in zip(labels, deformations):
-        est, n_star = _worst_constant_agent_value(model, policy, cfg, deform, {})
+        est, n_star = _worst_constant_agent_value(model, policy, cfg, deform,
+                                                  {}, increments)
         combined = base.ci_halfwidth + est.ci_halfwidth
         drop = base.mean - est.mean
         ok = est.mean <= base.mean + 3.0 * combined + _BIAS_BUDGET
@@ -670,7 +648,6 @@ def incentive_compatibility_check(model: ModelSpec, policy: ContractPolicy,
 # martingale flatness along optimal paths
 # ---------------------------------------------------------------------------
 
-@_shared_increments()
 def martingale_sandwich_check(model: ModelSpec, solution, policy: ContractPolicy,
                               cfg: SimConfig, *, probes: int = 9,
                               tolerance: float = 0.05) -> dict:
@@ -683,10 +660,16 @@ def martingale_sandwich_check(model: ModelSpec, solution, policy: ContractPolicy
     probes the submartingale side (its mean should not trend down); for
     volatility-flat models that run is labeled accordingly.
     ``feedback_run`` is the first run's result; ``suboptimal_runs`` maps
-    the second run's scenario, when it has one, to its result.
+    the second run's scenario, when it has one, to its result.  Fewer than
+    two probes (no slope) or a tolerance that is not positive raise.
     """
+    if probes < 2:
+        raise ValueError(f"probes must be at least 2, got {probes}")
+    if not tolerance > 0.0:
+        raise ValueError(f"martingale_tolerance must be positive, got {tolerance}")
     horizon = float(policy.t_grid[-1])
     steps = cfg.steps_for(horizon)
+    increments = _draw_increments(cfg.seed, cfg.paths, steps)
     probe_set = set(np.round(np.linspace(0, steps, probes)).astype(int).tolist())
 
     def run(nature: NatureStrategy | None):
@@ -701,7 +684,8 @@ def martingale_sandwich_check(model: ModelSpec, solution, policy: ContractPolicy
                 times.append(t)
                 means.append(float(np.mean(u[fin])) if fin.any() else math.nan)
 
-        res = simulate_system(model, policy, nature, cfg, observer=observe)
+        res = simulate_system(model, policy, nature, cfg, observer=observe,
+                              increments=increments)
         return np.diff(means) / np.diff(times), res
 
     slopes, feedback = run(None)
@@ -734,15 +718,15 @@ def martingale_sandwich_check(model: ModelSpec, solution, policy: ContractPolicy
 # the whole suite of an extracted contract
 # ---------------------------------------------------------------------------
 
-@_shared_increments()
 def contract_checks(model: ModelSpec, surface, policy: ContractPolicy,
                     cfg: SimConfig, *, perturbations: int, probes: int,
                     tolerance: float) -> dict:
     """``verify``'s checks of an extracted contract as its report entries:
     ``incentive_fields``, ``martingale_drift`` (of the value ``surface``),
-    ``incentive_probes`` and ``girsanov_agreement``.  One reuse scope
-    covers every batch, so the suite draws the increments once on
-    ``cfg.seed`` and once on ``cfg.seed + 1``."""
+    ``incentive_probes`` and ``girsanov_agreement``.  Settings that would
+    make a check vacuous or always fail raise ``ValueError`` before any
+    batch runs."""
+    _check_perturbations(perturbations)  # the martingale check checks the rest
     checks = {"incentive_fields": _incentive_field_check(model, policy)}
 
     mart = martingale_sandwich_check(model, surface, policy, cfg,
@@ -762,9 +746,8 @@ def contract_checks(model: ModelSpec, surface, policy: ContractPolicy,
         "bound": 0.0, "strictly_lower": inc["strictly_lower"],
         "perturbations": perturbations}
 
-    # last, because its reweighted batch alone runs on seed + 1: the scope
-    # then draws the increments twice, not three times.  Its direct run is
-    # the martingale check's feedback run (same model, policy, config).
+    # the direct run is the martingale check's feedback run (same model,
+    # policy and config)
     cross = girsanov_cross_check(model, policy, cfg,
                                  direct=mart["feedback_run"])
     checks["girsanov_agreement"] = {

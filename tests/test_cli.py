@@ -554,29 +554,63 @@ class TestVerify:
         cfg = write_config(tmp_path, "v.yaml", {"verify": {
             "artifacts": str(principal_run), "paths": 300, "seed": 9,
             "perturbations": 2}})
-        drawn = []
-        draw = sim._draw_increments
+        drawn, rows = [], []
+        draw, fresh_rows = sim._draw_increments, sim._path_increments
 
         def counting(seed, paths, steps):
             drawn.append(seed)
             return draw(seed, paths, steps)
 
+        def counting_rows(seed, paths, steps):
+            rows.append(seed)
+            return fresh_rows(seed, paths, steps)
+
         monkeypatch.setattr(sim, "_draw_increments", counting)
+        monkeypatch.setattr(sim, "_path_increments", counting_rows)
         assert run_cli("verify", cfg, tmp_path / "shared") == EXIT_OK
-        # every batch on the seed, then the cross-check's reweighted run
-        assert drawn == [9, 10]
-        monkeypatch.setattr(sim, "_path_increments", counting)
+        # a matrix for the martingale check and one for the incentive
+        # check; the cross-check's reweighted run draws its own rows
+        assert (drawn, rows) == ([9, 9], [10])
+
+        real = sim.simulate_system
+
+        def fresh(model, policy, nature, cfg, **kwargs):
+            kwargs.pop("increments", None)
+            return real(model, policy, nature, cfg, **kwargs)
+
+        monkeypatch.setattr(sim, "simulate_system", fresh)
+        rows.clear()
         assert run_cli("verify", cfg, tmp_path / "fresh") == EXIT_OK
         # two runs for the martingale check, whose feedback run is also the
-        # cross-check's direct run, the cross-check's reweighted run, and
-        # the baseline and 2 perturbations per nature point, less the
-        # baseline at the far band edge, which is the martingale check's
-        # second run
-        batches = 3 + 3 * len(make_model("risk_neutral").n_grid()) - 1
-        assert len(drawn) == 2 + batches
+        # cross-check's direct run, the baseline and 2 perturbations per
+        # nature point, less the baseline at the far band edge, which is
+        # the martingale check's second run, and the cross-check's
+        # reweighted run
+        batches = 2 + 3 * len(make_model("risk_neutral").n_grid()) - 1
+        assert rows == [9] * batches + [10]
         for name in ("report.yaml", export.MANIFEST_NAME):
             assert (tmp_path / "shared" / name).read_bytes() == \
                 (tmp_path / "fresh" / name).read_bytes()
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("probes", 1, "probes must be at least 2, got 1"),
+        ("probes", 0, "probes must be at least 2, got 0"),
+        ("probes", -2, "probes must be at least 2, got -2"),
+        ("perturbations", 0, "perturbations must be at least 1, got 0"),
+        ("perturbations", -1, "perturbations must be at least 1, got -1"),
+        ("martingale_tolerance", 0.0,
+         "martingale_tolerance must be positive, got 0.0"),
+        ("martingale_tolerance", -1,
+         "martingale_tolerance must be positive, got -1.0"),
+    ])
+    def test_vacuous_settings_exit_2_and_write_nothing(
+            self, principal_run, tmp_path, capsys, key, value, message):
+        cfg = write_config(tmp_path, "v.yaml", {"verify": {
+            "artifacts": str(principal_run), "paths": 200, key: value}})
+        out = tmp_path / "run"
+        assert run_cli("verify", cfg, out) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: verify: {message}\n"
+        assert not out.exists()
 
     def test_tampered_surface_fails_checksums(self, principal_run, tmp_path,
                                               capsys):

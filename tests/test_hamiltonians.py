@@ -1,5 +1,6 @@
 """Unit tests for the Hamiltonian evaluators and their reductions."""
 
+import itertools
 import math
 
 import numpy as np
@@ -342,7 +343,8 @@ class TestEvalGMemo:
 
 class TestEvalGEdges:
     """Bit-for-bit agreement with the oracle, signed zeros included, where
-    the array evaluation could part from the scalar loops."""
+    the array evaluation could part from the scalar loops; a non-finite
+    argument is rejected by name before any evaluation."""
 
     COARSE = dict(a_grid_points=5, n_grid_points=3, z_grid_points=5,
                   gamma_grid_points=5)
@@ -392,21 +394,17 @@ class TestEvalGEdges:
             args = (t, x, y, p, -0.9, q, -0.3, r, 1.2)
             assert bits(rc.eval_G(m, *args)) == bits(oracle_G(m, *args))
 
-    @pytest.mark.parametrize("preset,name,value,error,message", [
-        ("quadratic_bounded", "r", math.inf, RuntimeError, "optimum not found"),
-        ("quadratic_bounded", "p", math.nan, RuntimeError, "optimum not found"),
-        ("risk_neutral", "q", -math.inf, RuntimeError, "optimum not found"),
-        ("risk_neutral", "p", math.nan, ValueError, "effort nan outside"),
-    ])
-    def test_non_finite_derivative(self, preset, name, value, error, message):
-        # a NaN or infinite row leaves the optimum outside its own
-        # enumeration; risk_neutral's NaN candidate z makes a NaN
-        # candidate effort, which eval_F rejects
+    @pytest.mark.parametrize("preset,name,value", list(itertools.product(
+        ("quadratic_bounded", "risk_neutral"),
+        ("p", "p_tilde", "q", "q_tilde", "r", "radius"),
+        (math.inf, -math.inf, math.nan))))
+    def test_non_finite_argument_is_named(self, preset, name, value):
         m = rc.make_model(preset, **self.COARSE)
-        derivs = dict(p=0.7, p_tilde=-0.8, q=-0.3, q_tilde=-0.5, r=0.1)
-        derivs[name] = value
-        with pytest.raises(error, match=message), np.errstate(invalid="ignore"):
-            rc.eval_G(m, 0.2, 0.5, 0.1, **derivs, radius=1.0)
+        args = dict(p=0.7, p_tilde=-0.8, q=-0.3, q_tilde=-0.5, r=0.1,
+                    radius=1.0)
+        args[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+            rc.eval_G(m, 0.2, 0.5, 0.1, **args)
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +412,15 @@ class TestEvalGEdges:
 # ---------------------------------------------------------------------------
 
 class TestComputeRadius:
+    @pytest.mark.parametrize("name", ["p", "q", "p_tilde", "q_tilde", "r"])
+    def test_non_finite_derivative_is_named(self, name):
+        # the radius search passes each derivative on to eval_G
+        m = rc.make_model("quadratic_bounded")
+        args = dict(p=0.05, q=0.02, p_tilde=-0.5, q_tilde=-0.1, r=0.3)
+        args[name] = math.nan
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            rc.compute_radius(m, 0.2, 0.5, 0.1, **args)
+
     def test_risk_neutral_closed_form(self):
         m = rc.make_model("risk_neutral")
         assert rc.compute_radius(m, 0, 0, 0, 3.0, -1.0, -1.0, 0.0, 0.0) == 3.0

@@ -202,7 +202,7 @@ class TestDrawIncrements:
             keyed = np.random.SeedSequence(seed, spawn_key=(k,))
             assert np.array_equal(child.generate_state(4),
                                   keyed.generate_state(4))
-        # the scope's matrix and the fresh batch's rows alike
+        # the matrix and a fresh batch's rows alike
         for paths in (1, 2, 257, 3000):
             for steps in (0, 1, 64):
                 want = reference_draw(seed, paths, steps)
@@ -222,21 +222,34 @@ class TestDrawIncrements:
             alone = sim._step_stream(13, k).standard_normal(1000)
             assert alone.tobytes() == big[k].tobytes()
 
-    def test_scope_and_fresh_batches_give_the_same_bytes(self, rn_model,
-                                                         rn_policy):
+    def test_given_and_fresh_increments_give_the_same_bytes(self, rn_model,
+                                                            rn_policy):
         for girsanov in (False, True):
             cfg = SimConfig(paths=300, dt=1 / 32, seed=31,
                             girsanov_mode=girsanov)
             fresh = simulate_system(rn_model, rn_policy, None, cfg)
-            with sim._shared_increments():
-                shared = simulate_system(rn_model, rn_policy, None, cfg)
+            given = simulate_system(
+                rn_model, rn_policy, None, cfg,
+                increments=sim._draw_increments(cfg.seed, cfg.paths, 32))
             for field in dataclasses.fields(SimResult):
                 a = getattr(fresh, field.name)
-                b = getattr(shared, field.name)
+                b = getattr(given, field.name)
                 if isinstance(a, np.ndarray):
                     assert a.tobytes() == b.tobytes(), field.name
                 else:
                     assert a == b, field.name
+
+    @pytest.mark.parametrize("shape", [(31, 300), (33, 300), (32, 299),
+                                       (32,), (32, 300, 1)])
+    def test_wrong_shape_increments_raise_before_any_step(
+            self, rn_model, rn_policy, shape):
+        cfg = SimConfig(paths=300, dt=1 / 32, seed=31)
+        seen = []
+        with pytest.raises(ValueError, match=r"not \(steps, paths\)"):
+            simulate_system(rn_model, rn_policy, None, cfg,
+                            observer=lambda k, t, X, Y: seen.append(k),
+                            increments=np.zeros(shape))
+        assert seen == []
 
     def test_a_fresh_batch_holds_one_step_of_increments(self, rn_model,
                                                         rn_policy):
@@ -259,58 +272,64 @@ class TestSharedIncrements:
         draw = sim._draw_increments
 
         def counting(seed, paths, steps):
-            memo = sim._increment_memo.get()
-            # a scope releases its previous matrix before drawing a new one
-            assert memo is None or memo[1] is None
             drawn.append((seed, paths, steps))
             return draw(seed, paths, steps)
 
         monkeypatch.setattr(sim, "_draw_increments", counting)
         return drawn
 
-    def test_scope_reuses_one_read_only_draw(self, monkeypatch):
-        fresh = sim._draw_increments(5, 40, 8)
-        drawn = self.count_draws(monkeypatch)
-        with sim._shared_increments():
-            a = sim._path_increments(5, 40, 8)
-            with sim._shared_increments():
-                b = sim._path_increments(5, 40, 8)
-            c = sim._path_increments(5, 40, 8)
-        assert a is b is c
-        assert a.tobytes() == fresh.tobytes()
-        assert not a.flags.writeable
+    def test_drawn_matrix_is_read_only(self):
+        matrix = sim._draw_increments(5, 40, 8)
+        assert not matrix.flags.writeable
         with pytest.raises(ValueError):
-            a[0, 0] = 0.0
-        assert drawn == [(5, 40, 8)]
-        assert sim._increment_memo.get() is None
+            matrix[0, 0] = 0.0
+        assert matrix.tobytes() == reference_draw(5, 40, 8).tobytes()
 
-    def test_key_change_redraws_and_nothing_outlives_the_scope(self, monkeypatch):
-        drawn = self.count_draws(monkeypatch)
-        keys = [(5, 40, 8), (6, 40, 8), (5, 40, 8), (5, 41, 8), (5, 41, 8)]
-        with sim._shared_increments():
-            for key in keys:
-                sim._path_increments(*key)
-        assert drawn == keys[:4]
-        assert sim._increment_memo.get() is None
-        # outside the scope each batch gets its own generator of step rows,
-        # which builds no matrix and keeps nothing between calls
+    def test_a_fresh_batch_draws_row_by_row(self, rn_model, rn_policy,
+                                            monkeypatch):
+        # each batch gets its own generator of step rows, which builds no
+        # matrix and keeps nothing between calls
         matrix = sim._draw_increments(5, 41, 8)
-        drawn.clear()
+        drawn = self.count_draws(monkeypatch)
         for _ in range(2):
             rows = sim._path_increments(5, 41, 8)
             assert not isinstance(rows, np.ndarray)
             assert np.array_equal(np.array(list(rows)), matrix)
+        simulate_system(rn_model, rn_policy, None,
+                        SimConfig(paths=41, dt=1 / 8, seed=5))
+        girsanov_cross_check(rn_model, rn_policy,
+                             SimConfig(paths=41, dt=1 / 8, seed=5))
         assert drawn == []
-        assert sim._increment_memo.get() is None
+
+    def test_each_check_draws_its_matrix_once(self, rn_model, rn_solution,
+                                              rn_policy, monkeypatch):
+        cfg = SimConfig(paths=50, dt=1 / 8, seed=4)
+        drawn = self.count_draws(monkeypatch)
+        incentive_compatibility_check(rn_model, rn_policy, cfg, 2)
+        assert drawn == [(4, 50, 8)]
+        drawn.clear()
+        martingale_sandwich_check(rn_model, rn_solution, rn_policy, cfg,
+                                  probes=5)
+        assert drawn == [(4, 50, 8)]
+        drawn.clear()
+        adversarial_nature_search(rn_model, rn_policy, cfg, intervals=2,
+                                  candidates=(0.5, 1.0))
+        assert drawn == [(4, 50, 8)]
 
     def test_common_random_number_checks_repeat_fresh_draws(
             self, rn_model, rn_policy, monkeypatch):
         cfg = SimConfig(paths=200, dt=1 / 16, seed=4)
         shared = incentive_compatibility_check(rn_model, rn_policy, cfg, 2)
-        drawn = self.count_draws(monkeypatch)
-        monkeypatch.setattr(sim, "_path_increments", sim._draw_increments)
+        runs = []
+        real = sim.simulate_system
+
+        def fresh_rows(model, policy, nature, cfg, **kwargs):
+            runs.append(kwargs.pop("increments"))
+            return real(model, policy, nature, cfg, **kwargs)
+
+        monkeypatch.setattr(sim, "simulate_system", fresh_rows)
         fresh = incentive_compatibility_check(rn_model, rn_policy, cfg, 2)
-        assert len(drawn) == 3 * len(rn_model.n_grid())
+        assert len(runs) == 3 * len(rn_model.n_grid())
         assert shared["baseline"] == fresh["baseline"]
         assert [e["value"] for e in shared["entries"]] == \
             [e["value"] for e in fresh["entries"]]
@@ -628,13 +647,23 @@ class TestContractChecks:
         model = presets.risk_neutral()
         solution = solve_hjbi(model, GridSpec(**grid))
         drawn = TestSharedIncrements.count_draws(monkeypatch)
-        assert sim._increment_memo.get() is None
+        rows = []
+        fresh_rows = sim._path_increments
+
+        def counting_rows(seed, paths, steps):
+            rows.append(seed)
+            return fresh_rows(seed, paths, steps)
+
+        monkeypatch.setattr(sim, "_path_increments", counting_rows)
         # verify's defaults: dt is 1/64 of the horizon, x0 and y0 are 0
         cfg = SimConfig(paths=300, dt=1 / 64, seed=9)
         checks = sim.contract_checks(
             model, solution, extract_contract(solution), cfg,
             perturbations=2, probes=7, tolerance=0.04)
-        assert [key[0] for key in drawn] == [9, 10]
+        # a matrix for the martingale check and one for the incentive
+        # check; the cross-check's reweighted run draws its rows itself
+        assert [key[0] for key in drawn] == [9, 9]
+        assert rows == [10]
         assert export.canonical_yaml(checks) == \
             export.canonical_yaml(report["checks"])
 
@@ -671,6 +700,37 @@ class TestContractChecks:
             baseline_runs=mart["suboptimal_runs"])
         assert handed == incentive_compatibility_check(rn_model, rn_policy,
                                                        cfg, 2)
+
+
+    @pytest.mark.parametrize("setting,value,message", [
+        ("probes", 1, "probes must be at least 2"),
+        ("probes", -2, "probes must be at least 2"),
+        ("perturbations", 0, "perturbations must be at least 1"),
+        ("tolerance", 0.0, "martingale_tolerance must be positive"),
+        ("tolerance", math.nan, "martingale_tolerance must be positive"),
+    ])
+    def test_vacuous_settings_raise_before_any_batch(
+            self, rn_model, rn_solution, rn_policy, monkeypatch, setting,
+            value, message):
+        runs = []
+        monkeypatch.setattr(sim, "simulate_system",
+                            lambda *args, **kwargs: runs.append(args))
+        cfg = SimConfig(paths=50, dt=1 / 8, seed=3)
+        settings = dict(perturbations=2, probes=5, tolerance=0.05)
+        settings[setting] = value
+        with pytest.raises(ValueError, match=message):
+            sim.contract_checks(rn_model, rn_solution, rn_policy, cfg,
+                                **settings)
+        if setting == "perturbations":
+            with pytest.raises(ValueError, match=message):
+                incentive_compatibility_check(rn_model, rn_policy, cfg, value)
+        else:
+            with pytest.raises(ValueError, match=message):
+                martingale_sandwich_check(
+                    rn_model, rn_solution, rn_policy, cfg,
+                    probes=settings["probes"],
+                    tolerance=settings["tolerance"])
+        assert runs == []
 
 
 class TestDisjointBeliefs:

@@ -2,7 +2,8 @@
 strips them), no handler that swallows every error, no effort-payoff
 coefficient evaluated outside the ``numerics`` effort kernel, no artifact
 table read outside ``cli._artifact_table``, no artifact written outside
-``cli._write_run``, no defaulted parameter that no call site sets, no
+``cli._write_run``, no Gaussian draw outside ``sim._path_increments`` and
+``sim._draw_increments``, no defaulted parameter that no call site sets, no
 function or dataclass field default that every call overrides, and no
 module reaching into another package module's underscore-prefixed names."""
 
@@ -19,6 +20,8 @@ WRITERS = {"write_table", "write_manifest", "write_timings"}
 # the coefficients of the agent's response rule, which only the effort
 # kernel in numerics.py passes to ``field``
 KERNEL_ONLY = {"drift_b", "discount_k", "cost_c", "candidate_effort"}
+# the owners of the increments' per-step splitting rule
+DRAWERS = {("sim.py", "_path_increments"), ("sim.py", "_draw_increments")}
 
 
 def _names(node):
@@ -71,18 +74,18 @@ def kernel_bypasses(root=SRC):
     return found
 
 
-def _references(root, names, home):
+def _references(root, names, homes):
     """(file, line, owner, name) of every reference to one of ``names`` in
     ``root`` (a call, an attribute, a name or an import) outside the
-    function ``home`` = (file, function name); ``owner`` is the innermost
-    enclosing function."""
+    functions ``homes``, each a (file, function name); ``owner`` is the
+    innermost enclosing function."""
     found = []
 
     def visit(node, path, owner):
         for child in ast.iter_child_nodes(node):
             name = getattr(child, "id", None) or getattr(child, "attr", None) \
                 or (child.name if isinstance(child, ast.alias) else None)
-            if name in names and (path.name, owner) != home:
+            if name in names and (path.name, owner) not in homes:
                 found.append((path.name, child.lineno, owner, name))
             visit(child, path, child.name if isinstance(
                 child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
@@ -98,7 +101,7 @@ def table_reads(root=SRC):
     ``cli._artifact_table``, the one read that turns a missing or damaged
     table into exit 3."""
     return [f"{name}:{line} {owner}" for name, line, owner, _ in
-            _references(root, {"read_table"}, ("cli.py", "_artifact_table"))]
+            _references(root, {"read_table"}, {("cli.py", "_artifact_table")})]
 
 
 def artifact_writes(root=SRC):
@@ -106,7 +109,15 @@ def artifact_writes(root=SRC):
     outside ``cli._write_run``, the writer that ``main`` calls, so that a
     manifest lists exactly the files written beside it."""
     return [f"{name}:{line} {owner} {writer}" for name, line, owner, writer in
-            _references(root, WRITERS, ("cli.py", "_write_run"))]
+            _references(root, WRITERS, {("cli.py", "_write_run")})]
+
+
+def gaussian_draws(root=SRC):
+    """``file:line owner`` of every reference to ``standard_normal`` outside
+    ``DRAWERS``, so that every Monte Carlo increment follows the one
+    per-step splitting rule."""
+    return [f"{name}:{line} {owner}" for name, line, owner, _ in
+            _references(root, {"standard_normal"}, DRAWERS)]
 
 
 def private_reaches(root=SRC):
@@ -357,6 +368,27 @@ def test_write_rule_catches_each_form(tmp_path):
         "cli.py:10 <module> write_table",
         "sim.py:1 <module> write_manifest", "sim.py:1 <module> write_table",
         "sim.py:3 _write_run write_table"]
+
+
+def test_gaussian_increments_are_drawn_only_by_the_splitting_rule():
+    assert gaussian_draws() == []
+
+
+def test_gaussian_draw_rule_catches_each_form(tmp_path):
+    (tmp_path / "sim.py").write_text(
+        "def _draw_increments(s, p, n):\n    g.standard_normal(out=r)\n"
+        "def _path_increments(s, p, n):\n"
+        "    return (g.standard_normal(p) for k in n)\n"
+        "def simulate_system(cfg):\n    rng.standard_normal(cfg.paths)\n"
+        "def _path_increments_too(s):\n"
+        "    def _path_increments():\n        pass\n"
+        "    return np.random.default_rng(s).standard_normal\n"
+        "from numpy.random import standard_normal\n")
+    (tmp_path / "cli.py").write_text(
+        "def _draw_increments(s):\n    return standard_normal(s)\n")
+    assert gaussian_draws(tmp_path) == [
+        "cli.py:2 _draw_increments", "sim.py:6 simulate_system",
+        "sim.py:10 _path_increments_too", "sim.py:11 <module>"]
 
 
 def test_no_module_reaches_into_another_modules_private_names():
