@@ -452,12 +452,15 @@ def _artifact_table(art_dir: str, name: str, columns: tuple,
     return tab
 
 
-def _read_surfaces(art_dir: str, command: str, grids) -> dict[str, np.ndarray]:
-    """Each solution attribute of the solve's surface files, shaped like
-    ``grids``; every file's axis columns must be ``grids`` bit for bit."""
+def _read_surfaces(art_dir: str, command: str, grids,
+                   names) -> dict[str, np.ndarray]:
+    """Each solution attribute of the solve's surface files ``names``,
+    shaped like ``grids``; every file's axis columns must be ``grids`` bit
+    for bit."""
     axes, shape = _axes(grids), tuple(map(len, grids))
     fields = {}
-    for name, layout in _SURFACES[command].items():
+    for name in names:
+        layout = _SURFACES[command][name]
         tab = _artifact_table(art_dir, name, (*axes, *layout),
                               math.prod(shape))
         for axis, want in axes.items():
@@ -486,8 +489,11 @@ def _manifest_config(art_dir: str, manifest: dict):
             f"manifest config in '{art_dir}' is invalid: {exc}")
 
 
-def _load_principal(art_dir: str, manifest: dict) -> SimpleNamespace:
-    """Rebuild model, policy and value surface from a solve dir."""
+def _load_principal(art_dir: str, manifest: dict,
+                    names) -> SimpleNamespace:
+    """Rebuild model and policy from a solve dir, reading its surface files
+    ``names``: the policy's alone, or with the value surface, which is
+    None when not read."""
     if manifest.get("command") != "solve-principal":
         raise MissingArtifact(
             f"'{art_dir}' holds a {manifest.get('command')!r} run, "
@@ -497,8 +503,11 @@ def _load_principal(art_dir: str, manifest: dict) -> SimpleNamespace:
         grid = _build_grid(GridSpec, conf["grid"])
     axes = dict(t_grid=grid.t_grid(), x_grid=grid.x_grid(),
                 y_grid=grid.y_grid())
-    fields = _read_surfaces(art_dir, "solve-principal", tuple(axes.values()))
-    surface = SimpleNamespace(**axes, values=fields.pop("values"))
+    fields = _read_surfaces(art_dir, "solve-principal", tuple(axes.values()),
+                            names)
+    values = fields.pop("values", None)
+    surface = (SimpleNamespace(**axes, values=values)
+               if values is not None else None)
     policy = ContractPolicy(**axes, **fields)
     y0_star = None
     if "y0.txt" in manifest["artifacts"]:
@@ -577,8 +586,11 @@ def cmd_simulate(conf: dict, stages: dict[str, float]) -> Produced:
     upstream = None
     if "artifacts" in conf:
         with _stage(stages, "load"):
+            # the engine reads only the policy, so the value surface is
+            # neither parsed nor checked
             art = _load_principal(conf["artifacts"],
-                                  _read_manifest(conf["artifacts"]))
+                                  _read_manifest(conf["artifacts"]),
+                                  ("policy.txt",))
         model, policy = art.model, art.policy
         y0_default = art.y0_star if art.y0_star is not None else 0.0
         x0_default = art.x0
@@ -659,7 +671,8 @@ def _load_agent(art_dir: str, manifest: dict) -> SimpleNamespace:
         contract = _build_contract(conf["contract"])
         grids = _build_grid(agent_grids, conf["grid"])
     return SimpleNamespace(model=model, contract=contract, x_grid=grids[1],
-                           **_read_surfaces(art_dir, "solve-agent", grids))
+                           **_read_surfaces(art_dir, "solve-agent", grids,
+                                            _SURFACES["solve-agent"]))
 
 
 def _agent_checks(art: SimpleNamespace) -> dict:
@@ -701,7 +714,8 @@ def cmd_verify(conf: dict, stages: dict[str, float]) -> Produced:
         if mismatched:
             art = None
         elif command == "solve-principal":
-            art = _load_principal(art_dir, manifest)
+            art = _load_principal(art_dir, manifest,
+                                  _SURFACES["solve-principal"])
         elif command == "solve-agent":
             art = _load_agent(art_dir, manifest)
         else:

@@ -32,7 +32,7 @@ ordered is tested, not proven.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -48,6 +48,10 @@ _MAX_SUBSTEPS = 10000
 CFL_SAFETY = 0.9
 # the policy fields a solve records per node, in artifact column order
 POLICY_FIELDS = ("z", "gamma", "effort", "nature", "k_rate", "fstar")
+# equal buckets per grid cell of a policy axis's nearest-node table; odd, so
+# a uniform cell's midpoint, where the nearest node changes, falls in the
+# middle of a bucket and leaves one ambiguous bucket per cell
+_BUCKETS_PER_CELL = 255
 
 
 @dataclass(frozen=True)
@@ -495,9 +499,72 @@ def probe_monotonicity(model: ModelSpec, grid: GridSpec) -> dict:
 # contract extraction and the y0 choice
 # ---------------------------------------------------------------------------
 
+def _nearest_node(g, v):
+    """Index of the node of the increasing grid ``g`` nearest ``v``: the
+    first node not below ``v - h/2``, h the first spacing, clamped to the
+    last node, which also takes NaN and +inf.  The one definition of the
+    nearest-node rule; the bucket tables are derived from it."""
+    return np.minimum(numerics.grid_searchsorted(
+        g, np.asarray(v) - 0.5 * (g[1] - g[0])), len(g) - 1)
+
+
+class _AxisLookup(NamedTuple):
+    """Bucket table of one policy axis: a value ``v`` falls in bucket
+    ``(v - lo) * inv``, clamped to the table, and the bucket holds its
+    nearest node times ``stride``, or a negative sentinel where the node
+    may change inside the bucket."""
+
+    lo: float
+    inv: float
+    table: np.ndarray
+
+
+def _axis_lookup(g, stride: int, sentinel: int) -> _AxisLookup:
+    """The nearest-node bucket table of grid ``g`` (at least two nodes).
+
+    Bucket j covers [lo + j/inv, lo + (j+1)/inv); the clamp of
+    :func:`_axis_nodes` gives the first bucket everything below and the
+    last everything above, NaN included.  Rounding moves the computed
+    ``(v - lo) * inv`` by at most 2**-52 of itself, and the float edges
+    used here by about 2**-53 (|lo| + span); ``margin`` exceeds both in v.
+    A bucket holds a node only when :func:`_nearest_node` gives it at both
+    ends of the bucket widened by ``margin``: the rule is monotone in v, so
+    it gives that node at every value the bucket receives.  Every other
+    bucket holds the sentinel, and so does every bucket once ``margin``
+    reaches half a bucket (a grid far from zero for its span).
+    """
+    buckets = _BUCKETS_PER_CELL * (len(g) - 1)
+    lo, span = float(g[0]), float(g[-1] - g[0])
+    inv = buckets / span
+    margin = 8.0 * np.finfo(float).eps * (max(abs(lo), abs(float(g[-1])))
+                                          + span)
+    table = np.full(buckets, sentinel, dtype=np.intp)
+    if 2.0 * margin < span / buckets:
+        inner = lo + np.arange(1, buckets) / inv
+        first = _nearest_node(g, np.concatenate(([-np.inf], inner - margin)))
+        last = _nearest_node(g, np.concatenate((inner + margin, [np.inf])))
+        sure = first == last
+        table[sure] = first[sure] * stride
+    return _AxisLookup(lo, inv, table)
+
+
+def _axis_nodes(look: _AxisLookup, v: np.ndarray) -> np.ndarray:
+    """``look.table`` at each value's bucket, computed in one buffer; fmin
+    sends NaN and +inf to the last bucket, and maximum -inf to the first."""
+    u = np.subtract(v, look.lo, out=np.empty(np.shape(v)))
+    np.multiply(u, look.inv, out=u)
+    np.fmin(u, len(look.table) - 1, out=u)
+    return look.table.take(np.maximum(u, 0.0, out=u).astype(np.intp))
+
+
 @dataclass
 class ContractPolicy:
-    """Gridded optimal-contract fields ready for pathwise lookup."""
+    """Gridded optimal-contract fields ready for pathwise lookup.
+
+    Construction builds the nearest-node bucket tables of both axes, so
+    :meth:`gather` does no search except on the few values that land in
+    a bucket the nearest node changes in.
+    """
 
     t_grid: np.ndarray
     x_grid: np.ndarray
@@ -508,6 +575,16 @@ class ContractPolicy:
     nature: np.ndarray
     k_rate: np.ndarray
     fstar: np.ndarray
+    _x_lookup: _AxisLookup = field(init=False, repr=False, compare=False)
+    _y_lookup: _AxisLookup = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ny = len(self.y_grid)
+        # the other axis adds at most (nx - 1) ny, so a sentinel on either
+        # axis leaves the node negative
+        sentinel = -len(self.x_grid) * ny
+        self._x_lookup = _axis_lookup(self.x_grid, ny, sentinel)
+        self._y_lookup = _axis_lookup(self.y_grid, 1, sentinel)
 
     def slice_index(self, t: float) -> int:
         nt = len(self.t_grid) - 1
@@ -520,13 +597,21 @@ class ContractPolicy:
         """Nearest-node control arrays for a batch of (x, y) states.
 
         ``fields`` names the policy arrays looked up (all six by default).
+        The node is :func:`_nearest_node` on each axis, bit for bit: the
+        bucket tables give it, and the rule itself runs only on the values
+        whose bucket holds the sentinel.
         """
         step = self.slice_index(t)
-        # grid_searchsorted returns indices in [0, n]: only the top clamps
-        xi, yi = (np.minimum(numerics.grid_searchsorted(
-                      g, np.asarray(v) - 0.5 * (g[1] - g[0])), len(g) - 1)
-                  for g, v in ((self.x_grid, x), (self.y_grid, y)))
-        node = xi * len(self.y_grid) + yi
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        node = np.asarray(_axis_nodes(self._x_lookup, x)
+                          + _axis_nodes(self._y_lookup, y))
+        unsure = np.flatnonzero(node < 0)
+        if unsure.size:
+            xs, ys = (np.broadcast_to(v, node.shape).flat[unsure]
+                      for v in (x, y))
+            node.flat[unsure] = (_nearest_node(self.x_grid, xs)
+                                 * len(self.y_grid)
+                                 + _nearest_node(self.y_grid, ys))
         return {name: getattr(self, name)[step].take(node) for name in fields}
 
 

@@ -44,7 +44,7 @@ from .principal import ContractPolicy
 
 __all__ = [
     "Estimate", "SimConfig", "NatureStrategy", "SimResult",
-    "simulate_system", "girsanov_weight", "girsanov_cross_check",
+    "simulate_system", "girsanov_cross_check",
     "constant_policy", "adversarial_nature_search",
     "incentive_compatibility_check", "martingale_sandwich_check",
     "contract_checks", "disjoint_beliefs_demo",
@@ -376,13 +376,16 @@ def simulate_system(model: ModelSpec, policy: ContractPolicy,
             Y = Y + z * dX - fstar * cfg.dt + k_rate * cfg.dt
 
             sq = dX * dX
-            fin = np.isfinite(sq)
-            # the same contiguous doubles either way, so the same mean bits
-            kept = sq if fin.all() else sq[fin]
-            qv[k] = float(np.mean(kept) / cfg.dt) if kept.size else math.nan
+            # squares are >= 0, +inf or NaN, so a finite mean has none to
+            # drop; only a non-finite one pays for the masked mean
+            m = np.mean(sq)
+            if not math.isfinite(m):
+                kept = sq[np.isfinite(sq)]
+                m = np.mean(kept) if kept.size else math.nan
+            qv[k] = float(m / cfg.dt)
             X = X + dX
             # released before the next step's _response, as k_a and c_a are
-            del row, dw, dX, sq, fin, kept
+            del row, dw, dX, sq
         if observer is not None:
             observer(steps, horizon, X, Y)
 
@@ -421,40 +424,6 @@ def simulate_system(model: ModelSpec, policy: ContractPolicy,
 # ---------------------------------------------------------------------------
 # likelihood ratio between the driftless and the drifted dynamics
 # ---------------------------------------------------------------------------
-
-def girsanov_weight(model: ModelSpec, path: np.ndarray,
-                    effort_path: np.ndarray, nature_path: np.ndarray, *,
-                    dt: float) -> float:
-    """Discrete stochastic exponential of the drift/volatility ratio.
-
-    ``path`` must be simulated under the driftless dynamics; the returned
-    weight converts its expectations to the drifted measure.  The ratio
-    theta = b/sigma is taken as 0 wherever b vanishes; a nonzero drift at
-    zero volatility has no equivalent measure change and raises.
-    """
-    x = np.asarray(path, dtype=float)
-    a = np.asarray(effort_path, dtype=float)
-    nu = np.asarray(nature_path, dtype=float)
-    if x.ndim != 1 or len(x) != len(a) + 1 or len(a) != len(nu):
-        raise ValueError("need len(path) = len(effort_path)+1 = len(nature_path)+1")
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-
-    log_weight = 0.0
-    for k in range(len(a)):
-        t = k * dt
-        b = model.drift_b(t, float(x[k]), float(a[k]), float(nu[k]))
-        if b == 0.0:
-            continue
-        sig = model.vol_sigma(t, float(x[k]), float(nu[k]))
-        if sig <= 0.0:
-            raise ValueError(
-                "nonzero drift at zero volatility admits no likelihood ratio")
-        theta = b / sig
-        dw = (float(x[k + 1]) - float(x[k])) / sig
-        log_weight += theta * dw - 0.5 * theta * theta * dt
-    return math.exp(log_weight)
-
 
 def girsanov_cross_check(model: ModelSpec, policy: ContractPolicy,
                          cfg: SimConfig, *,

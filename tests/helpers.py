@@ -8,6 +8,8 @@ agreement is required bit for bit.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from robustcontract import ModelSpec, GrowthParams
@@ -15,6 +17,30 @@ from robustcontract import eval_F, eval_g, export, level_set_V, numerics, princi
 from robustcontract.hamiltonians import R_MIN, uniform_grid
 
 TIE = 1e-12
+
+
+# increasing grids for the nearest-node and search tests: two nodes,
+# negative, offset far from zero for their span, fine, non-uniform
+SEARCH_GRIDS = {
+    "2": np.linspace(0.0, 1.0, 2),
+    "3-negative": np.linspace(-7.5, -2.25, 3),
+    "13-offset": np.linspace(1e3, 1e3 + 0.3, 13),
+    "41": np.linspace(-8.0, 8.0, 41),
+    "401-offset": np.linspace(-3.3, 0.7, 401),
+    "non-uniform": np.array([-2.0, -1.999, -1.0, 0.0, 1e-9, 0.5, 3.0,
+                             3.25, 40.0]),
+}
+
+
+def search_probes(grid):
+    """Nodes, cell midpoints, the doubles either side of each, the
+    non-finite and extreme values, -0.0 and 200k normals about the grid."""
+    base = np.concatenate([grid, 0.5 * (grid[1:] + grid[:-1])])
+    rng = np.random.default_rng(7)
+    return np.concatenate([
+        base, np.nextafter(base, np.inf), np.nextafter(base, -np.inf),
+        [np.inf, -np.inf, np.nan, 1e300, -1e300, -0.0],
+        grid[len(grid) // 2] + np.ptp(grid) * rng.standard_normal(200_000)])
 
 
 def build_model(b=None, sigma=None, c=None, k=None, A=(0.0, 1.0), N=(1.0, 2.0),
@@ -253,3 +279,36 @@ def random_polynomial_model(rng: np.random.Generator, max_points=7):
         z_points=int(counts[2]), gamma_points=int(counts[3]),
         kappa=float(kappa),
     )
+
+
+def girsanov_weight(model, path, effort_path, nature_path, *, dt):
+    """Discrete stochastic exponential of the drift/volatility ratio, one
+    scalar step at a time: the reference for the engine's ``logw``.
+
+    ``path`` must be simulated under the driftless dynamics; the returned
+    weight converts its expectations to the drifted measure.  The ratio
+    theta = b/sigma is taken as 0 wherever b vanishes; a nonzero drift at
+    zero volatility has no equivalent measure change and raises.
+    """
+    x = np.asarray(path, dtype=float)
+    a = np.asarray(effort_path, dtype=float)
+    nu = np.asarray(nature_path, dtype=float)
+    if x.ndim != 1 or len(x) != len(a) + 1 or len(a) != len(nu):
+        raise ValueError("need len(path) = len(effort_path)+1 = len(nature_path)+1")
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+
+    log_weight = 0.0
+    for k in range(len(a)):
+        t = k * dt
+        b = model.drift_b(t, float(x[k]), float(a[k]), float(nu[k]))
+        if b == 0.0:
+            continue
+        sig = model.vol_sigma(t, float(x[k]), float(nu[k]))
+        if sig <= 0.0:
+            raise ValueError(
+                "nonzero drift at zero volatility admits no likelihood ratio")
+        theta = b / sig
+        dw = (float(x[k + 1]) - float(x[k])) / sig
+        log_weight += theta * dw - 0.5 * theta * theta * dt
+    return math.exp(log_weight)

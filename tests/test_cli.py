@@ -493,6 +493,19 @@ class TestSimulate:
         assert abs(float(est["principal_mean"][0]) - value) <= 0.02
         assert float(est["quarantined"][0]) == 0.0
 
+    def test_reads_no_value_surface(self, principal_run, tmp_path):
+        art = tmp_path / "art"
+        shutil.copytree(principal_run, art)
+        (art / "value_surface.txt").unlink()
+        for name, solve in (("full", principal_run), ("policy_only", art)):
+            doc = {"sim": {"paths": 300, "dt": 1.0 / 16.0, "seed": 4},
+                   "artifacts": str(solve)}
+            cfg = write_config(tmp_path, f"{name}.yaml", doc)
+            assert run_cli("simulate", cfg, tmp_path / name) == EXIT_OK
+        for table in ("estimates.txt", "qv.txt"):
+            assert (tmp_path / "full" / table).read_bytes() == \
+                (tmp_path / "policy_only" / table).read_bytes(), table
+
     def test_constant_policy_without_artifacts(self, tmp_path):
         doc = {
             "model": {"preset": "heat_band", "params": {"band": [0.3, 0.3]}},
@@ -880,7 +893,8 @@ class TestDamagedArtifacts:
                                         getattr(sol, attr)), column
         cli._write_run(str(tmp_path), command, {}, None, cli.Produced(files),
                        {})
-        got = cli._read_surfaces(str(tmp_path), command, grids)
+        got = cli._read_surfaces(str(tmp_path), command, grids,
+                                 cli._SURFACES[command])
         assert sorted(got) == sorted(attrs)
         for attr in attrs:
             want, nan = getattr(sol, attr), np.isnan(getattr(sol, attr))

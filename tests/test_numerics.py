@@ -7,7 +7,8 @@ import pytest
 
 from robustcontract import (agent, eval_F, hamiltonians, numerics, presets,
                             principal)
-from helpers import build_model, random_polynomial_model
+from helpers import (SEARCH_GRIDS, build_model, random_polynomial_model,
+                     search_probes)
 
 
 T_GRID = np.linspace(0.0, 0.5, 5)
@@ -150,29 +151,10 @@ class TestEffortKernel:
 
 
 class TestGridSearchsorted:
-    GRIDS = {
-        "2": np.linspace(0.0, 1.0, 2),
-        "3-negative": np.linspace(-7.5, -2.25, 3),
-        "13-offset": np.linspace(1e3, 1e3 + 0.3, 13),
-        "41": np.linspace(-8.0, 8.0, 41),
-        "401-offset": np.linspace(-3.3, 0.7, 401),
-        "non-uniform": np.array([-2.0, -1.999, -1.0, 0.0, 1e-9, 0.5, 3.0,
-                                 3.25, 40.0]),
-    }
-
-    @staticmethod
-    def probes(grid):
-        base = np.concatenate([grid, 0.5 * (grid[1:] + grid[:-1])])
-        rng = np.random.default_rng(7)
-        return np.concatenate([
-            base, np.nextafter(base, np.inf), np.nextafter(base, -np.inf),
-            [np.inf, -np.inf, np.nan, 1e300, -1e300, -0.0],
-            grid[len(grid) // 2] + np.ptp(grid) * rng.standard_normal(200_000)])
-
-    @pytest.mark.parametrize("name", sorted(GRIDS))
+    @pytest.mark.parametrize("name", sorted(SEARCH_GRIDS))
     def test_matches_numpy_searchsorted(self, name):
-        grid = self.GRIDS[name]
-        q = self.probes(grid)
+        grid = SEARCH_GRIDS[name]
+        q = search_probes(grid)
         got = numerics.grid_searchsorted(grid, q)
         want = np.searchsorted(grid, q)
         assert got.dtype == want.dtype

@@ -9,10 +9,12 @@ import robustcontract as rc
 from robustcontract import principal
 from robustcontract.hamiltonians import eval_G
 from helpers import (
+    SEARCH_GRIDS,
     build_model,
     oracle_select_with_radius,
     per_substep_values,
     random_polynomial_model,
+    search_probes,
 )
 from robustcontract.principal import (
     CandidateFunction,
@@ -473,6 +475,85 @@ class TestContractPolicy:
             for name in names:
                 assert np.array_equal(full[name],
                                       getattr(pol, name)[step][xi, yi])
+
+
+def nearest(g, v):
+    """The nearest-node rule written out with ``np.searchsorted``."""
+    return np.minimum(np.searchsorted(g, v - 0.5 * (g[1] - g[0])), len(g) - 1)
+
+
+def index_policy(x_grid, y_grid):
+    """A policy over the two grids whose every field holds the flat node
+    index, so a gather returns the nodes it looked up."""
+    nodes = np.arange(len(x_grid) * len(y_grid), dtype=float)
+    table = np.broadcast_to(nodes.reshape(1, len(x_grid), len(y_grid)),
+                            (2, len(x_grid), len(y_grid)))
+    return ContractPolicy(t_grid=np.array([0.0, 1.0]), x_grid=x_grid,
+                          y_grid=y_grid,
+                          **{name: table for name in principal.POLICY_FIELDS})
+
+
+class TestNearestNodeLookup:
+    # far from zero for its span: the rounding margin of (v - lo) * inv
+    # reaches half a bucket, so every bucket must fall back to the rule
+    FAR = np.linspace(1e12, 1e12 + 16.0, 41)
+    OTHER = np.linspace(-1.0, 1.5, 6)
+
+    @pytest.mark.parametrize("name", sorted(SEARCH_GRIDS) + ["1e12-offset"])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_gather_is_the_nearest_node_rule_bit_for_bit(self, name, axis):
+        grid = SEARCH_GRIDS.get(name, self.FAR)
+        q = search_probes(grid)
+        other = np.resize(search_probes(self.OTHER), len(q))
+        grids, (x, y) = (((grid, self.OTHER), (q, other)) if axis == "x"
+                         else ((self.OTHER, grid), (other, q)))
+        pol = index_policy(*grids)
+        want = nearest(grids[0], x) * len(grids[1]) + nearest(grids[1], y)
+        got = pol.gather(0.5, x, y, fields=("z",))["z"]
+        assert got.tobytes() == want.astype(float).tobytes()
+        # the table decides all but the ambiguous buckets, one per uniform
+        # cell, and none on the far grid
+        unsure = np.mean(getattr(pol, f"_{axis}_lookup").table < 0)
+        assert unsure == 1.0 if name == "1e12-offset" else unsure < 0.01
+
+    def test_a_node_change_on_a_bucket_edge_is_exact(self):
+        # the 3-node grid's second threshold, 1.5, is the edge of bucket j:
+        # without the rounding margin some of these buckets give the wrong
+        # node just past the edge
+        for j in range(200, 510):
+            grid = np.array([0.0, 1.0, 1.5 * 510 / j])
+            pol = index_policy(grid, self.OTHER)
+            x = 1.5 + np.arange(-300, 301) * np.spacing(1.5)
+            want = nearest(grid, x) * len(self.OTHER) + nearest(self.OTHER,
+                                                                 0.0)
+            got = pol.gather(0.0, x, 0.0, fields=("fstar",))["fstar"]
+            assert got.tobytes() == want.astype(float).tobytes(), j
+
+    def test_scalar_x_with_an_array_y(self):
+        x_grid, y_grid = SEARCH_GRIDS["41"], SEARCH_GRIDS["non-uniform"]
+        pol = index_policy(x_grid, y_grid)
+        y = search_probes(y_grid)
+        for x in (0.1, x_grid[3], np.inf, np.nan, -1e300, -0.0):
+            want = nearest(x_grid, x) * len(y_grid) + nearest(y_grid, y)
+            got = pol.gather(0.0, x, y)
+            assert set(got) == set(principal.POLICY_FIELDS)
+            for values in got.values():
+                assert values.tobytes() == want.astype(float).tobytes()
+
+    def test_a_replaced_policy_looks_up_its_own_grids(self):
+        pol = index_policy(SEARCH_GRIDS["41"], SEARCH_GRIDS["3-negative"])
+        x_grid, y_grid = SEARCH_GRIDS["13-offset"], SEARCH_GRIDS["2"]
+        nodes = np.arange(len(x_grid) * len(y_grid), dtype=float).reshape(
+            1, len(x_grid), len(y_grid))
+        moved = dataclasses.replace(
+            pol, x_grid=x_grid, y_grid=y_grid,
+            **{name: np.repeat(nodes, 2, axis=0)
+               for name in principal.POLICY_FIELDS})
+        x, y = search_probes(x_grid), np.resize(search_probes(y_grid),
+                                               len(search_probes(x_grid)))
+        want = nearest(x_grid, x) * len(y_grid) + nearest(y_grid, y)
+        got = moved.gather(0.0, x, y, fields=("k_rate",))["k_rate"]
+        assert got.tobytes() == want.astype(float).tobytes()
 
 
 class TestPerronSandwich:

@@ -24,14 +24,18 @@ from robustcontract.sim import (
     constant_policy,
     disjoint_beliefs_demo,
     girsanov_cross_check,
-    girsanov_weight,
     incentive_compatibility_check,
     martingale_sandwich_check,
     simulate_system,
     _response,
 )
 
-from helpers import build_model, random_polynomial_model, reference_draw
+from helpers import (
+    build_model,
+    girsanov_weight,
+    random_polynomial_model,
+    reference_draw,
+)
 
 
 @pytest.fixture(scope="module")
@@ -789,3 +793,25 @@ class TestRealizedQuadraticVariation:
         first, second = res.realized_qv[:17], res.realized_qv[17:]
         np.testing.assert_allclose(first, 0.04, rtol=0.2)
         np.testing.assert_allclose(second, 0.16, rtol=0.2)
+
+    def test_non_finite_squares_are_dropped_as_the_masked_mean_drops_them(
+            self, rn_model):
+        # under girsanov_mode dX = sigma dW exactly, and sigma = n here, so
+        # the test restates every step's squared increments
+        policy = constant_policy(rn_model, horizon=0.5, z=1.0)
+        cfg = SimConfig(paths=1000, dt=1 / 8, seed=3, girsanov_mode=True)
+        steps = cfg.steps_for(0.5)
+        rows = np.random.default_rng(3).standard_normal((steps, cfg.paths))
+        rows[1, 7], rows[1, 8], rows[2, 9] = np.inf, np.nan, -np.inf
+        res = simulate_system(rn_model, policy,
+                              NatureStrategy.constant(0.75, 0.5), cfg,
+                              increments=rows)
+        assert res.quarantined == 3
+        dX = 0.75 * (math.sqrt(cfg.dt) * rows)
+        want = np.empty(steps)
+        for k, sq in enumerate(dX * dX):
+            fin = np.isfinite(sq)
+            kept = sq if fin.all() else sq[fin]
+            want[k] = float(np.mean(kept) / cfg.dt) if kept.size else math.nan
+        assert np.isfinite(want).all()
+        assert res.realized_qv.tobytes() == want.tobytes()

@@ -3,7 +3,8 @@ strips them), no handler that swallows every error, no effort-payoff
 coefficient evaluated outside the ``numerics`` effort kernel, no artifact
 table read outside ``cli._artifact_table``, no artifact written outside
 ``cli._write_run``, no Gaussian draw outside ``sim._path_increments`` and
-``sim._draw_increments``, no defaulted parameter that no call site sets, no
+``sim._draw_increments``, no grid search outside the surface interpolation
+and the nearest-node rule, no defaulted parameter that no call site sets, no
 function or dataclass field default that every call overrides, and no
 module reaching into another package module's underscore-prefixed names."""
 
@@ -22,6 +23,11 @@ WRITERS = {"write_table", "write_manifest", "write_timings"}
 KERNEL_ONLY = {"drift_b", "discount_k", "cost_c", "candidate_effort"}
 # the owners of the increments' per-step splitting rule
 DRAWERS = {("sim.py", "_path_increments"), ("sim.py", "_draw_increments")}
+# the callers of ``numerics.grid_searchsorted``: the surface interpolation
+# (``bilinear`` is its inner function) and the exact nearest-node rule
+# that the policy's bucket tables come from and fall back to
+SEARCHERS = {("numerics.py", "surface_value"), ("numerics.py", "bilinear"),
+             ("principal.py", "_nearest_node")}
 
 
 def _names(node):
@@ -118,6 +124,14 @@ def gaussian_draws(root=SRC):
     per-step splitting rule."""
     return [f"{name}:{line} {owner}" for name, line, owner, _ in
             _references(root, {"standard_normal"}, DRAWERS)]
+
+
+def grid_searches(root=SRC):
+    """``file:line owner`` of every reference to ``grid_searchsorted``
+    outside ``SEARCHERS``, so that no engine path goes back to a search
+    per step where the bucket tables answer."""
+    return [f"{name}:{line} {owner}" for name, line, owner, _ in
+            _references(root, {"grid_searchsorted"}, SEARCHERS)]
 
 
 def private_reaches(root=SRC):
@@ -389,6 +403,31 @@ def test_gaussian_draw_rule_catches_each_form(tmp_path):
     assert gaussian_draws(tmp_path) == [
         "cli.py:2 _draw_increments", "sim.py:6 simulate_system",
         "sim.py:10 _path_increments_too", "sim.py:11 <module>"]
+
+
+def test_grid_searches_run_only_in_the_interpolation_and_the_rule():
+    assert grid_searches() == []
+
+
+def test_grid_search_rule_catches_each_form(tmp_path):
+    (tmp_path / "numerics.py").write_text(
+        "def grid_searchsorted(grid, q):\n    return q\n"
+        "def surface_value(t, x):\n    def bilinear(p):\n"
+        "        return grid_searchsorted(x, p)\n"
+        "    return grid_searchsorted(t, 0)\n"
+        "def bilinear_too(x):\n    return grid_searchsorted(x, 1)\n")
+    (tmp_path / "principal.py").write_text(
+        "def _nearest_node(g, v):\n    return numerics.grid_searchsorted(g, v)\n"
+        "def gather(self, x):\n"
+        "    return numerics.grid_searchsorted(self.x_grid, x)\n"
+        "search = numerics.grid_searchsorted\n"
+        "from .numerics import grid_searchsorted\n")
+    (tmp_path / "sim.py").write_text(
+        "def _nearest_node(g, v):\n    return numerics.grid_searchsorted(g, v)\n")
+    assert grid_searches(tmp_path) == [
+        "numerics.py:8 bilinear_too", "principal.py:4 gather",
+        "principal.py:5 <module>", "principal.py:6 <module>",
+        "sim.py:2 _nearest_node"]
 
 
 def test_no_module_reaches_into_another_modules_private_names():
