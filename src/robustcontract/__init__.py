@@ -3,10 +3,10 @@
 Modules:
   hamiltonians  pure evaluators for the game Hamiltonians and their reductions
   agent         robust best-response grid solver and its cross-checking oracles
-  principal     HJBI grid solver, contract extraction, candidate sandwiches
+  principal     HJBI grid solver, contract extraction, promise choice
   sim           forward Monte Carlo of the coupled state system and checks
   presets       named model constructors
-  cli           configuration-driven pipelines and columnar export
+  cli           configuration-driven pipelines over the artifact files
 """
 
 __version__ = "0.1.0"
@@ -41,7 +41,6 @@ from .principal import (
     PrincipalSolution,
     extract_contract,
     optimize_y0,
-    perron_sandwich_check,
     probe_monotonicity,
     solve_hjbi,
 )
@@ -66,8 +65,7 @@ __all__ = [
     "AgentSolution", "ContractFunction", "inf_of_bsdes",
     "participation_check", "solve_agent",
     "ContractPolicy", "GridSpec", "PrincipalSolution", "extract_contract",
-    "optimize_y0", "perron_sandwich_check", "probe_monotonicity",
-    "solve_hjbi",
+    "optimize_y0", "probe_monotonicity", "solve_hjbi",
     "Estimate", "NatureStrategy", "SimConfig", "SimResult",
     "adversarial_nature_search", "disjoint_beliefs_demo",
     "girsanov_cross_check", "incentive_compatibility_check",

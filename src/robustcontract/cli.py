@@ -8,21 +8,29 @@ simulate         Monte Carlo run of the coupled state system
 verify           consistency checks against a prior run's artifacts
 sweep            one-axis parameter study with a summary table
 
-Every command reads one YAML config (``--config``), writes plain-text
-columnar artifacts plus a checksummed manifest into the output directory
-(``--out``, the ROBUSTCONTRACT_OUT environment variable, or the config's
-``out`` key), and exits 0 on success, 2 on a config error, 3 on a missing
-artifact and 4 on a verification failure.  Identical configs produce
-byte-identical numeric artifacts; wall-clock timings live in a sidecar
-(``timings.txt``, one line per stage) that is excluded from the checksums.
-A command handler only computes: it returns its files, its manifest extras
-and (verify) its failed checks, and ``main`` writes them all, then the
-manifest, under the ``write`` stage, then the timings, and only then exits
-4 on a failed verify.  The stages are ``solve, write`` for the solves,
-``load, simulate, write`` (``load`` only from artifacts), ``load, verify,
-write`` (``load`` reads and checksums) and ``sweep, write``.  ``simulate``
-and ``verify`` check the prior run's manifest, its config and each
-surface's header and grid columns, and exit 3 otherwise.
+Every command reads one YAML config (``--config``), writes its artifacts
+plus a checksummed manifest into the output directory (``--out``, the
+ROBUSTCONTRACT_OUT environment variable, or the config's ``out`` key), and
+exits 0 on success, 2 on a config error, 3 on a missing artifact and 4 on
+a verification failure.  Every artifact is a plain-text columnar table
+except solve-principal's contract policy, ``policy.npy``: one C-order
+little-endian float64 array of shape (6, t_steps + 1, x_nodes, y_nodes)
+holding the fields z, gamma, effort, nature, k_rate and fstar in that
+order (``principal.POLICY_FIELDS``) over the manifest's grid.  Identical
+configs produce byte-identical numeric artifacts; wall-clock timings live
+in a sidecar (``timings.txt``, one line per stage) that is excluded from
+the checksums.  A command handler only computes: it returns its files,
+its manifest extras and (verify) its failed checks, and ``main`` writes
+them all, then the manifest, under the ``write`` stage, then the timings,
+and only then exits 4 on a failed verify.  The stages are ``solve,
+write`` for the solves, ``load, simulate, write`` (``load`` only from
+artifacts), ``load, verify, write`` (``load`` reads and checksums) and
+``sweep, write``.  ``simulate`` reads a principal solve's
+``manifest.yaml``, ``policy.npy`` and (when listed) ``y0.txt``;
+``verify`` checksums every listed file and reads every surface, so
+``value_surface.txt`` too.  Both check the manifest, its config, the
+policy's header and length, and each table's header and grid columns,
+and exit 3 otherwise.
 
 Config schema
 -------------
@@ -394,13 +402,15 @@ def _build_simconfig(section: dict, **defaults) -> SimConfig:
 # artifacts: one layout per solve drives its surface writer and reader
 # ---------------------------------------------------------------------------
 
-# Each solve's surface files and their columns after the grid axes (t, x,
-# then y for the principal), each column mapped to its solution attribute.
+# Each solve's surface files, each field mapped to its solution attribute.
+# A ``.npy`` file stacks its fields, in order, on the leading axis of one
+# array over the grid; a table's columns follow the grid axes (t, x, then
+# y for the principal).
 _SURFACES = {
     "solve-agent": {"agent_value.txt": {"value": "values"},
                     "agent_effort.txt": {"effort": "effort"},
                     "agent_worst_vol.txt": {"worst_vol": "nature"}},
-    "solve-principal": {"policy.txt": dict(zip(POLICY_FIELDS, POLICY_FIELDS)),
+    "solve-principal": {"policy.npy": dict(zip(POLICY_FIELDS, POLICY_FIELDS)),
                         "value_surface.txt": {"value": "values"}},
 }
 _Y0_COLUMNS = ("y0", "value", "at_upper_edge")
@@ -411,15 +421,22 @@ def _axes(grids) -> dict[str, np.ndarray]:
     return dict(zip("txy", np.meshgrid(*grids, indexing="ij", sparse=True)))
 
 
+def _is_array(name: str) -> bool:
+    return name.endswith(".npy")
+
+
 def _surface_files(command: str, sol, grids) -> dict[str, dict]:
-    """The solve's surface files, each name mapped to its columns: the
-    grid axes, then views of ``sol``'s fields."""
+    """The solve's surface files, each name mapped to views of ``sol``'s
+    fields, after the grid axes' columns in a table."""
     axes, shape = _axes(grids), tuple(map(len, grids))
     cols = {axis: np.broadcast_to(values, shape).ravel()
             for axis, values in axes.items()}
-    return {name: dict(cols, **{column: getattr(sol, attr).ravel()
-                                for column, attr in fields.items()})
-            for name, fields in _SURFACES[command].items()}
+    files = {}
+    for name, fields in _SURFACES[command].items():
+        own = {field: getattr(sol, attr) for field, attr in fields.items()}
+        files[name] = own if _is_array(name) else dict(
+            cols, **{column: v.ravel() for column, v in own.items()})
+    return files
 
 
 def _read_manifest(art_dir: str) -> dict:
@@ -434,17 +451,28 @@ def _read_manifest(art_dir: str) -> dict:
         raise MissingArtifact(str(exc))
 
 
+@contextlib.contextmanager
+def _broken_as_missing(art_dir: str, name: str):
+    """The path of ``name`` in ``art_dir``, for a block that reads it; a
+    missing, unreadable or damaged file is a broken artifact."""
+    try:
+        yield os.path.join(art_dir, name)
+    except FileNotFoundError:
+        raise MissingArtifact(f"no {name} in '{art_dir}'")
+    except OSError as exc:
+        raise MissingArtifact(f"cannot read {name} in '{art_dir}': "
+                              f"{exc.strerror or exc}")
+    except ValueError as exc:
+        raise MissingArtifact(f"{name} in '{art_dir}' is damaged: {exc}")
+
+
 def _artifact_table(art_dir: str, name: str, columns: tuple,
                     rows: int) -> dict[str, np.ndarray]:
     """``name`` in ``art_dir``, which must hold exactly ``columns`` over
     ``rows`` rows.  Every read of a prior run's table goes through here, so
     a missing, unreadable or misshapen one is a broken artifact."""
-    try:
-        tab = export.read_table(os.path.join(art_dir, name))
-    except FileNotFoundError:
-        raise MissingArtifact(f"no {name} in '{art_dir}'")
-    except ValueError as exc:
-        raise MissingArtifact(f"{name} in '{art_dir}' is damaged: {exc}")
+    with _broken_as_missing(art_dir, name) as path:
+        tab = export.read_table(path)
     got = (len(next(iter(tab.values()))), list(tab))
     if got != (rows, list(columns)):
         raise MissingArtifact(f"{name} in '{art_dir}' has {got[0]} rows of "
@@ -452,15 +480,27 @@ def _artifact_table(art_dir: str, name: str, columns: tuple,
     return tab
 
 
+def _artifact_array(art_dir: str, name: str,
+                    shape: tuple) -> np.ndarray:
+    """``name`` in ``art_dir``, which must hold a float64 array of
+    ``shape``; every read of a prior run's array goes through here."""
+    with _broken_as_missing(art_dir, name) as path:
+        return export.read_array(path, shape)
+
+
 def _read_surfaces(art_dir: str, command: str, grids,
                    names) -> dict[str, np.ndarray]:
     """Each solution attribute of the solve's surface files ``names``,
-    shaped like ``grids``; every file's axis columns must be ``grids`` bit
-    for bit."""
+    shaped like ``grids``: an array file's fields are views of its one
+    array, and every table's axis columns must be ``grids`` bit for bit."""
     axes, shape = _axes(grids), tuple(map(len, grids))
     fields = {}
     for name in names:
         layout = _SURFACES[command][name]
+        if _is_array(name):
+            block = _artifact_array(art_dir, name, (len(layout), *shape))
+            fields.update(zip(layout.values(), block))
+            continue
         tab = _artifact_table(art_dir, name, (*axes, *layout),
                               math.prod(shape))
         for axis, want in axes.items():
@@ -533,8 +573,9 @@ def _stage(stages: dict[str, float], name: str):
 @dataclass(frozen=True)
 class Produced:
     """What a command produced, for ``main`` to write: each file's relative
-    path mapped to its columns (name -> values) or its text, the manifest's
-    ``run`` extras and, for a failed verify, the failure's message."""
+    path mapped to its columns (name -> values; a ``.npy`` file's fields,
+    stacked in order) or its text, the manifest's ``run`` extras and, for
+    a failed verify, the failure's message."""
 
     files: dict[str, dict | str]
     run: dict | None = None
@@ -590,7 +631,7 @@ def cmd_simulate(conf: dict, stages: dict[str, float]) -> Produced:
             # neither parsed nor checked
             art = _load_principal(conf["artifacts"],
                                   _read_manifest(conf["artifacts"]),
-                                  ("policy.txt",))
+                                  ("policy.npy",))
         model, policy = art.model, art.policy
         y0_default = art.y0_star if art.y0_star is not None else 0.0
         x0_default = art.x0
@@ -856,6 +897,8 @@ def _write_run(out_dir: str, command: str, conf: dict,
             if isinstance(content, str):
                 with open(path, "w", encoding="ascii", newline="\n") as fh:
                     fh.write(content)
+            elif _is_array(rel):
+                export.write_array(path, content.values())
             else:
                 export.write_table(path, content, content.values())
         export.write_manifest(out_dir, command, conf, files=list(out.files),

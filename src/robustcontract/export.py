@@ -1,20 +1,30 @@
-"""Columnar plain-text artifacts and checksummed run manifests.
+"""Artifact files and checksummed run manifests.
 
-Every numeric file is written the same way: one header line naming the
-columns, then one row per record with each number rendered to 17
-significant digits, which round-trips IEEE doubles exactly.  A column's
-distinct values are rendered once each and its rows gather the rendered
-strings, so a grid column repeated over 100k rows costs a few dozen
-renderings; the bytes are those of rendering every cell.  Writers are
-deterministic, so identical runs produce identical bytes; the manifest
-pins every artifact to its sha256 and embeds the effective configuration,
-making a run reconstructible from its output directory alone.  Wall-clock
-timings go to a sidecar that is excluded from the checksum table.
+A table is plain text: one header line naming the columns, then one row
+per record with each number rendered to 17 significant digits, which
+round-trips IEEE doubles exactly.  A column's distinct values are rendered
+once each and its rows gather the rendered strings, so a grid column
+repeated over 100k rows costs a few dozen renderings; the bytes are those
+of rendering every cell.
+
+A gridded block that a later command reads as a lookup table is one
+binary ``.npy`` array instead (NEP 1: a magic string, a header naming
+dtype, order and shape, then the raw doubles).  ``write_array`` stacks
+equal-shape fields on a leading axis as C-order little-endian float64;
+``read_array`` checks the header and the file's length against the shape
+its caller expects before it reads any data, and never unpickles.
+
+Writers are deterministic, so identical runs produce identical bytes; the
+manifest pins every artifact to its sha256 and embeds the effective
+configuration, making a run reconstructible from its output directory
+alone.  Wall-clock timings go to a sidecar that is excluded from the
+checksum table.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import platform
 import warnings
@@ -24,7 +34,7 @@ import yaml
 
 __all__ = [
     "MANIFEST_NAME", "TIMINGS_NAME",
-    "render_float", "write_table", "read_table",
+    "render_float", "write_table", "read_table", "write_array", "read_array",
     "canonical_yaml", "sha256_file", "sha256_text",
     "write_manifest", "read_manifest", "checksum_failures",
     "write_timings",
@@ -97,6 +107,66 @@ def read_table(path: str) -> dict[str, np.ndarray]:
             f"{path}: {data.shape[1]} columns of data under "
             f"{len(names)} header names")
     return {name: data[:, i].copy() for i, name in enumerate(names)}
+
+
+def write_array(path: str, fields) -> None:
+    """Write equal-shape arrays as one C-order little-endian float64
+    ``.npy`` array of shape ``(len(fields), *shape)``.
+
+    The fields are written one after another under a single header, so the
+    stacked array is never built; the bytes are those ``np.save`` writes
+    for it.
+    """
+    fields = [np.ascontiguousarray(f, dtype="<f8") for f in fields]
+    shapes = {f.shape for f in fields}
+    if len(shapes) != 1:
+        raise ValueError("one or more fields of one shape required")
+    header = {"descr": "<f8", "fortran_order": False,
+              "shape": (len(fields), *shapes.pop())}
+    with open(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, header)
+        for f in fields:
+            fh.write(f.data)
+
+
+def read_array(path: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Read a ``.npy`` file that must hold a C-order ``<f8`` array of
+    ``shape``.
+
+    The magic string, the header (dtype, order, shape) and the file's
+    length are checked before any data is read, so a damaged header, a
+    short file or trailing bytes raise ``ValueError`` with a one-line
+    message and nothing the header claims is allocated.  Pickled data is
+    never loaded.
+    """
+    fmt = np.lib.format
+    with open(path, "rb") as fh:
+        magic = fh.read(fmt.MAGIC_LEN)
+        if magic[:-2] != fmt.MAGIC_PREFIX:
+            raise ValueError("not a .npy file")
+        # ``write_array`` writes version 1.0, whose header holds any shape
+        # of a few axes
+        if magic[-2:] != b"\x01\x00":
+            raise ValueError(f"unsupported .npy version {tuple(magic[-2:])}")
+        try:
+            got, fortran_order, dtype = fmt.read_array_header_1_0(fh)
+        except ValueError as exc:
+            raise ValueError("unreadable .npy header: "
+                             + " ".join(str(exc).split()))
+        if dtype.str != "<f8":
+            raise ValueError(f"holds {dtype.str} data, not <f8")
+        if fortran_order:
+            raise ValueError("is in Fortran order, not C order")
+        if got != shape:
+            raise ValueError(f"holds shape {got}, not {shape}")
+        extra = (os.fstat(fh.fileno()).st_size - fh.tell()
+                 - 8 * math.prod(shape))
+        if extra < 0:
+            raise ValueError(f"ends {-extra} bytes short of its data")
+        if extra > 0:
+            raise ValueError(f"has {extra} bytes after its data")
+        fh.seek(0)
+        return np.load(fh, allow_pickle=False)
 
 
 def _plain(obj):

@@ -219,8 +219,10 @@ def _path_increments(seed: int, paths: int, steps: int) -> Iterator[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def _response(model: ModelSpec, t: float, X: np.ndarray, Y: np.ndarray,
-              Z: np.ndarray, n_now) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized (effort, F*, sigma) across paths at the driving control.
+              Z: np.ndarray, n_now) -> tuple:
+    """Vectorized (effort, F*, sigma, parts) across paths at the driving
+    control; ``parts`` is the effort's ``(b, k, c)`` from the effort
+    kernel when this call evaluated them at that effort, else None.
 
     Mirrors the pointwise saddle evaluation with the ``numerics`` effort
     kernel's enumeration and payoff on one (effort, path) tensor; the
@@ -247,8 +249,8 @@ def _response(model: ModelSpec, t: float, X: np.ndarray, Y: np.ndarray,
         # the candidate is the exact maximizer and F does not depend on the
         # volatility control beyond sigma itself, so the grid and the level
         # enumeration are redundant here (validated bit-for-bit in tests)
-        base, b, _, _ = numerics.effort_payoff(model, t, X, Y, cand, n_now)
-        return cand, base + b * Z, sig
+        base, b, k, c = numerics.effort_payoff(model, t, X, Y, cand, n_now)
+        return cand, base + b * Z, sig, (b, k, c)
 
     a_grid = model.a_grid()
     A = np.broadcast_to(a_grid[:, None], (len(a_grid),) + X.shape)
@@ -281,7 +283,7 @@ def _response(model: ModelSpec, t: float, X: np.ndarray, Y: np.ndarray,
             inner = np.where(member[j] & (fj < inner), fj, inner)
 
     win, fstar = numerics.best_effort(inner)
-    return A[win, np.arange(X.size)], fstar, sig
+    return A[win, np.arange(X.size)], fstar, sig, None
 
 
 def _incentive_field_check(model: ModelSpec, policy: ContractPolicy) -> dict:
@@ -355,10 +357,14 @@ def simulate_system(model: ModelSpec, policy: ContractPolicy,
             z, k_rate = ctl["z"], ctl["k_rate"]
             n_now = nature.value_at(t) if nature is not None else ctl["nature"]
 
-            a, fstar, sig = _response(model, t, X, Y, z, n_now)
+            a, fstar, sig, parts = _response(model, t, X, Y, z, n_now)
             if effort_transform is not None:
                 a = np.clip(effort_transform(t, X, a), *model.effort_set_A)
-            b, k_a, c_a = numerics.effort_payoff(model, t, X, Y, a, n_now)[1:]
+                parts = None  # they belong to the replaced effort
+            if parts is None:
+                parts = numerics.effort_payoff(model, t, X, Y, a, n_now)[1:]
+            b, k_a, c_a = parts
+            del parts
             cost_acc = cost_acc + disc * c_a * cfg.dt
             disc = disc * np.exp(-k_a * cfg.dt)
             # the step's discount and cost are spent: kept alive into the

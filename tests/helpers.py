@@ -1,4 +1,5 @@
-"""Shared test utilities: model builders and brute-force oracles.
+"""Shared test utilities: model builders, brute-force oracles and the
+pointwise residual of a smooth candidate value.
 
 The oracles re-run every reduction as plain nested Python loops with the
 same enumeration order and tie-break rule as the library (candidates first,
@@ -9,11 +10,14 @@ agreement is required bit for bit.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from robustcontract import ModelSpec, GrowthParams
-from robustcontract import eval_F, eval_g, export, level_set_V, numerics, principal
+from robustcontract import (compute_radius, eval_F, eval_G, eval_g, export,
+                            level_set_V, numerics, principal)
 from robustcontract.hamiltonians import R_MIN, uniform_grid
 
 TIE = 1e-12
@@ -312,3 +316,54 @@ def girsanov_weight(model, path, effort_path, nature_path, *, dt):
         dw = (float(x[k + 1]) - float(x[k])) / sig
         log_weight += theta * dw - 0.5 * theta * theta * dt
     return math.exp(log_weight)
+
+
+@dataclass(frozen=True)
+class CandidateFunction:
+    """Smooth candidate with analytic derivatives for residual checks."""
+
+    value: Callable[[float, float, float], float]
+    dt: Callable[[float, float, float], float]
+    dx: Callable[[float, float, float], float]
+    dy: Callable[[float, float, float], float]
+    dxx: Callable[[float, float, float], float]
+    dyy: Callable[[float, float, float], float]
+    dxy: Callable[[float, float, float], float]
+
+
+def perron_sandwich_check(model: ModelSpec, candidate: CandidateFunction, *,
+                          horizon: float, x_range: tuple[float, float],
+                          y_range: tuple[float, float], t_samples: int,
+                          x_samples: int, y_samples: int) -> dict:
+    """Pointwise residual of a smooth candidate in the interior equation.
+
+    Returns the worst one-sided defects: ``sub_defect`` must vanish for a
+    subsolution, ``super_defect`` for a supersolution, and both vanish for
+    the saddle value itself.  ``terminal_defect`` compares the candidate at
+    the horizon with the liquidation reward.
+    """
+    sub_defect = 0.0
+    super_defect = 0.0
+    for t in np.linspace(0.0, horizon, t_samples + 1)[:-1]:
+        for x in np.linspace(*x_range, x_samples):
+            for y in np.linspace(*y_range, y_samples):
+                p = candidate.dx(t, x, y)
+                pt = candidate.dy(t, x, y)
+                q = candidate.dxx(t, x, y)
+                qt = candidate.dyy(t, x, y)
+                rr = candidate.dxy(t, x, y)
+                radius = compute_radius(model, t, x, y, p, q, pt, qt, rr)
+                gval = eval_G(model, t, x, y, p, pt, q, qt, rr, radius).value
+                residual = -candidate.dt(t, x, y) - gval
+                sub_defect = max(sub_defect, residual)
+                super_defect = max(super_defect, -residual)
+    terminal_defect = 0.0
+    for x in np.linspace(*x_range, x_samples):
+        for y in np.linspace(*y_range, y_samples):
+            want = model.utility_principal(model.liquidation_L(x)
+                                           - model.utility_agent_inv(y))
+            got = candidate.value(horizon, x, y)
+            terminal_defect = max(terminal_defect, abs(got - want))
+    return {"sub_defect": sub_defect, "super_defect": super_defect,
+            "terminal_defect": terminal_defect,
+            "max_abs_residual": max(sub_defect, super_defect)}

@@ -1,10 +1,12 @@
 """End-to-end command tests: config validation, artifact pipelines, exit
 codes, determinism and the verification gates."""
 
+import io
 import math
 import os
 import re
 import shutil
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,6 +24,7 @@ from robustcontract.cli import (
     main,
 )
 from robustcontract.presets import make_model
+from robustcontract.principal import POLICY_FIELDS
 
 
 def write_config(tmp_path, name: str, mapping: dict) -> str:
@@ -644,15 +647,12 @@ class TestVerify:
                                                         tmp_path):
         art = tmp_path / "injected"
         shutil.copytree(principal_run, art)
-        tab = export.read_table(str(art / "policy.txt"))
-        tab["z"] = 0.5 * tab["z"]
-        names = ("t", "x", "y", "z", "gamma", "effort", "nature",
-                 "k_rate", "fstar")
-        export.write_table(str(art / "policy.txt"), names,
-                           [tab[n] for n in names])
+        path = art / POLICY
+        fields = dict(zip(POLICY_FIELDS, np.load(path, allow_pickle=False)))
+        fields["z"] = 0.5 * fields["z"]
+        export.write_array(str(path), fields.values())
         doc = export.read_manifest(str(art))
-        doc["artifacts"]["policy.txt"] = export.sha256_file(
-            str(art / "policy.txt"))
+        doc["artifacts"][POLICY] = export.sha256_file(str(path))
         (art / "manifest.yaml").write_text(export.canonical_yaml(doc))
 
         cfg = write_config(tmp_path, "i.yaml",
@@ -723,24 +723,50 @@ def agent_run(tmp_path_factory):
     return out
 
 
-# per solve kind: the surface that the damage cases edit, its columns and
-# its rows (PRINCIPAL_SMALL has 17 x 17 x 17 nodes, AGENT_MARTINGALE 33 x 81)
-SURFACE = {
-    "principal": ("policy.txt", ["t", "x", "y", "z", "gamma", "effort",
-                                 "nature", "k_rate", "fstar"], 4913),
-    "agent": ("agent_effort.txt", ["t", "x", "effort"], 2673),
-}
 Y0 = ["y0", "value", "at_upper_edge"]
+POLICY = "policy.npy"
+# the commands that read a solve directory, with the solve kind each reads,
+# mapped to the table that the table cases edit, its columns and its rows
+# (PRINCIPAL_SMALL has 17 x 17 x 17 nodes, AGENT_MARTINGALE 33 x 81); of a
+# principal solve's tables simulate reads only y0.txt
+TABLE = {
+    ("simulate", "principal"): ("y0.txt", Y0, 1),
+    ("verify", "principal"): ("value_surface.txt", ["t", "x", "y", "value"],
+                              4913),
+    ("verify", "agent"): ("agent_effort.txt", ["t", "x", "effort"], 2673),
+}
+READERS = list(TABLE)
+# the damage cases of policy.npy, which both readers of a principal solve
+# read; ``damage_policy`` rewrites the file, deletes it or puts a directory
+# in its place
+POLICY_DAMAGED = {
+    case: f"{{name}} in '{{art}}' is damaged: {message}" for case, message in {
+        "bad_magic": "not a .npy file",
+        "shape_off_by_one_node": "holds shape (6, 17, 17, 16), not "
+                                 "(6, 17, 17, 17)",
+        "dtype_f4": "holds <f4 data, not <f8",
+        "fortran_order": "is in Fortran order, not C order",
+        "pickled_objects": "holds |O data, not <f8",
+        "truncated_data": "ends 8 bytes short of its data",
+        "trailing_bytes": "has 8 bytes after its data",
+        "billion_element_header": "holds shape (1000000000,), not "
+                                  "(6, 17, 17, 17)",
+    }.items()}
+POLICY_DAMAGED["missing_policy"] = "{absent}"
+# verify counts a directory in place of a listed file as absent
+POLICY_DAMAGED["directory_in_place"] = "{unreadable}"
+UNREADABLE = {"simulate": "cannot read {name} in '{art}': Is a directory",
+              "verify": "files listed in the manifest are absent: {name}"}
 # case: the message it gives, formatted with the damaged directory ``art``,
-# the surface ``name``, its ``cols`` and ``rows``, and ``absent``, how the
-# command reports a listed file that is gone
+# the damaged file ``name``, a table's ``cols`` and ``rows``, and
+# ``absent``, how the command reports a listed file that is gone
 DAMAGED = {
     "renamed_column": "{name} in '{art}' has {rows} rows of {renamed}, not "
                       "{rows} of {cols}",
     "extra_column": "{name} in '{art}' has {rows} rows of {extra}, not "
                     "{rows} of {cols}",
     "malformed_row": "{name} in '{art}' is damaged: could not convert string "
-                     "'oops' to float64 at row 1, column 1.",
+                     "'oops' to float64 at row 0, column 1.",
     "truncated_rows": "{name} in '{art}' has {short} rows of {cols}, not "
                       "{rows} of {cols}",
     "axis_off_by_one_ulp": "{name} in '{art}': column x is off the manifest "
@@ -750,10 +776,11 @@ DAMAGED = {
     "unparseable_manifest": "manifest.yaml in '{art}' is damaged: cannot "
                             "parse YAML at line 2: expected ',' or ']', but "
                             "got '<stream end>'",
+    **POLICY_DAMAGED,
 }
 # the cases that rewrite the manifest's ``artifacts`` from its mapping, the
-# solve directory ``art`` and the surface ``name``; each key they add names
-# the surface itself, so only the key's form is at fault
+# solve directory ``art`` and the table ``name``; each key they add names
+# the table itself, so only the key's form is at fault
 ARTIFACT_EDITS = {
     "artifacts_list": lambda arts, art, name: sorted(arts),
     "absolute_artifact": lambda arts, art, name: dict(
@@ -766,22 +793,57 @@ DAMAGED.update(dict.fromkeys(
                     "inside the directory to checksums"))
 # the cases that edit a file the manifest lists, whose checksum verify must
 # then re-pin to read the damage
-REPIN = set(DAMAGED) - {"missing_file", "unparseable_manifest",
+REPIN = set(DAMAGED) - {"missing_file", "missing_policy",
+                        "directory_in_place", "unparseable_manifest",
                         *ARTIFACT_EDITS}
 ABSENT = {"simulate": "no {name} in '{art}'",
           "verify": "files listed in the manifest are absent: {name}"}
-# the commands that read a solve directory, with the solve kind each reads
-READERS = [("simulate", "principal"), ("verify", "principal"),
-           ("verify", "agent")]
+# an agent solve has no y0.txt and no policy; y0.txt has no grid axis
 DAMAGE_RUNS = [(command, kind, case) for command, kind in READERS
                for case in DAMAGED
-               if (kind, case) != ("agent", "header_only_y0")]
+               if not (kind == "agent" and (case == "header_only_y0"
+                                            or case in POLICY_DAMAGED))
+               and (command, case) != ("simulate", "axis_off_by_one_ulp")]
+
+
+def damage_policy(path, case: str) -> None:
+    """Apply one ``POLICY_DAMAGED`` case to the policy file ``path``."""
+    if case in ("missing_policy", "directory_in_place"):
+        path.unlink()
+        if case == "directory_in_place":
+            path.mkdir()
+        return
+    raw = path.read_bytes()
+    block = np.load(path, allow_pickle=False)
+    buf = io.BytesIO()
+    if case == "bad_magic":
+        raw = b"\x00" + raw[1:]
+    elif case == "truncated_data":
+        raw = raw[:-8]
+    elif case == "trailing_bytes":
+        raw += bytes(8)
+    elif case == "billion_element_header":
+        # the data stays that of the real grid: only the header claims 8 GB
+        np.lib.format.write_array_header_1_0(buf, {
+            "descr": "<f8", "fortran_order": False, "shape": (10**9,)})
+        raw = buf.getvalue() + block.tobytes()
+    else:
+        np.save(buf, {"shape_off_by_one_node": block[..., :-1],
+                      "dtype_f4": block.astype("<f4"),
+                      "fortran_order": np.asfortranarray(block),
+                      "pickled_objects": block.astype(object)}[case],
+                allow_pickle=True)
+        raw = buf.getvalue()
+    path.write_bytes(raw)
 
 
 def damage(art, name: str, case: str) -> None:
-    """Apply one damage case to surface ``name`` (or to ``y0.txt`` or the
-    manifest) of the solve directory ``art``."""
+    """Apply one damage case to file ``name`` (a table, ``policy.npy``, or
+    ``y0.txt`` or the manifest) of the solve directory ``art``."""
     path = art / name
+    if case in POLICY_DAMAGED:
+        damage_policy(path, case)
+        return
     lines = path.read_text().splitlines()
     if case == "renamed_column":
         lines[0] = lines[0].rsplit(" ", 1)[0] + " renamed"
@@ -789,7 +851,7 @@ def damage(art, name: str, case: str) -> None:
         lines = [line + (" 0" if i else " extra")
                  for i, line in enumerate(lines)]
     elif case == "malformed_row":
-        lines[2] = "oops " + lines[2].split(" ", 1)[1]
+        lines[1] = "oops " + lines[1].split(" ", 1)[1]
     elif case == "truncated_rows":
         lines = lines[:-1]
     elif case == "axis_off_by_one_ulp":
@@ -853,7 +915,9 @@ class TestDamagedArtifacts:
         art = tmp_path / "art"
         shutil.copytree(principal_run if kind == "principal" else agent_run,
                         art)
-        name, cols, rows = SURFACE[kind]
+        name, cols, rows = TABLE[command, kind]
+        if case in POLICY_DAMAGED:
+            name = POLICY
         damage(art, name, case)
         if command == "verify" and case in REPIN:
             # re-pin the checksums, so that the loader reads the damage
@@ -862,12 +926,20 @@ class TestDamagedArtifacts:
                                   files=list(doc["artifacts"]),
                                   seed_override=doc["cli"]["seed_override"],
                                   extras=doc.get("run"))
-        assert read_back(tmp_path, command, art) == EXIT_MISSING
+        tracemalloc.start()
+        try:
+            assert read_back(tmp_path, command, art) == EXIT_MISSING
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # far below the 8 GB that billion_element_header claims
+        assert peak < 64 << 20
         fields = dict(art=art, name=name, cols=cols, rows=rows,
                       renamed=cols[:-1] + ["renamed"], extra=cols + ["extra"],
                       short=rows - 1)
         message = DAMAGED[case].format(
-            absent=ABSENT[command].format(**fields), **fields)
+            absent=ABSENT[command].format(**fields),
+            unreadable=UNREADABLE[command].format(**fields), **fields)
         assert capsys.readouterr().err == f"missing artifact: {message}\n"
 
     @pytest.mark.parametrize("command,grids", [
@@ -883,8 +955,11 @@ class TestDamagedArtifacts:
         rng = np.random.default_rng(18)
         sol = SimpleNamespace(**{attr: rng.standard_normal(shape)
                                  for attr in attrs})
-        # the text renders every NaN as ``nan``, so only NaN-ness returns
+        # a table renders every NaN as ``nan``, so only NaN-ness returns;
+        # an array file returns every bit
         sol.nature.flat[:5] = [-0.0, np.inf, -np.inf, np.nan, 5e-324]
+        sol.nature.flat[5] = np.frombuffer(
+            np.uint64(0x7FF8_0000_DEAD_BEEF).tobytes(), dtype=float)[0]
         files = cli._surface_files(command, sol, grids)
         assert list(files) == list(cli._SURFACES[command])
         for name, layout in cli._SURFACES[command].items():
@@ -896,11 +971,14 @@ class TestDamagedArtifacts:
         got = cli._read_surfaces(str(tmp_path), command, grids,
                                  cli._SURFACES[command])
         assert sorted(got) == sorted(attrs)
+        exact = set(POLICY_FIELDS) if command == "solve-principal" else ()
         for attr in attrs:
             want, nan = getattr(sol, attr), np.isnan(getattr(sol, attr))
             assert got[attr].shape == shape
             assert (np.isnan(got[attr]) == nan).all(), attr
             assert got[attr][~nan].tobytes() == want[~nan].tobytes(), attr
+            if attr in exact:
+                assert got[attr].tobytes() == want.tobytes(), attr
 
 
 class TestSweep:
@@ -1024,7 +1102,7 @@ class TestDeterminism:
         cfg = write_config(tmp_path, "p.yaml", PRINCIPAL_SMALL)
         other = tmp_path / "again"
         assert run_cli("solve-principal", cfg, other) == EXIT_OK
-        for name in ("value_surface.txt", "policy.txt", "y0.txt",
+        for name in ("value_surface.txt", POLICY, "y0.txt",
                      "manifest.yaml"):
             assert (other / name).read_bytes() == \
                 (principal_run / name).read_bytes(), name

@@ -1,6 +1,8 @@
-"""Columnar file round-trips and manifest checksumming."""
+"""Columnar and array file round-trips and manifest checksumming."""
 
+import io
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -114,6 +116,68 @@ class TestDistinctValueWriter:
         if case == "signed_zeros":
             # a writer keyed on the float values would merge these two
             assert b"\n0\n-0\n" in want
+
+
+class TestArrays:
+    FIELDS = [np.arange(24.0).reshape(2, 3, 4) * k - 0.5 for k in range(3)]
+
+    def test_bytes_are_those_np_save_writes_for_the_stack(self, tmp_path):
+        path = tmp_path / "a.npy"
+        export.write_array(str(path), self.FIELDS)
+        buf = io.BytesIO()
+        np.save(buf, np.stack(self.FIELDS), allow_pickle=False)
+        assert path.read_bytes() == buf.getvalue()
+
+    def test_round_trip_keeps_every_bit(self, tmp_path):
+        path = str(tmp_path / "a.npy")
+        fields = [f.copy() for f in self.FIELDS]
+        fields[0].flat[:4] = [-0.0, np.nan, -np.inf, 5e-324]
+        fields[1].flat[0] = np.frombuffer(
+            np.uint64(0xFFF4_0000_0000_0001).tobytes(), dtype=float)[0]
+        export.write_array(path, fields)
+        back = export.read_array(path, (3, 2, 3, 4))
+        assert back.dtype == np.dtype("<f8") and back.flags.c_contiguous
+        assert back.tobytes() == np.stack(fields).tobytes()
+
+    def test_unequal_fields_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="one shape"):
+            export.write_array(str(tmp_path / "a.npy"),
+                               [np.zeros(3), np.zeros(4)])
+        with pytest.raises(ValueError, match="one shape"):
+            export.write_array(str(tmp_path / "b.npy"), [])
+
+    def test_claimed_billion_elements_are_never_allocated(self, tmp_path):
+        # a header whose shape is the expected one, over 16 bytes of data:
+        # the length check answers before a byte of the 8 GB is reserved
+        path = tmp_path / "huge.npy"
+        with open(path, "wb") as fh:
+            np.lib.format.write_array_header_1_0(fh, {
+                "descr": "<f8", "fortran_order": False, "shape": (10**9,)})
+            fh.write(bytes(16))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as exc:
+                export.read_array(str(path), (10**9,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == "ends 7999999984 bytes short of its data"
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("raw,message", [
+        (b"", "not a .npy file"),
+        (b"\x93NUMPY\x02\x00", "unsupported .npy version (2, 0)"),
+        # the rest of this message is NumPy's own, flattened to one line
+        (b"\x93NUMPY\x01\x00\x10\x00{'descr': '<f8'}\n",
+         "unreadable .npy header: "),
+    ])
+    def test_damaged_headers_give_one_line(self, tmp_path, raw, message):
+        path = tmp_path / "bad.npy"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError) as exc:
+            export.read_array(str(path), (1,))
+        assert str(exc.value).startswith(message)
+        assert "\n" not in str(exc.value)
 
 
 class TestCanonicalYaml:

@@ -10,19 +10,19 @@ from robustcontract import principal
 from robustcontract.hamiltonians import eval_G
 from helpers import (
     SEARCH_GRIDS,
+    CandidateFunction,
     build_model,
     oracle_select_with_radius,
     per_substep_values,
+    perron_sandwich_check,
     random_polynomial_model,
     search_probes,
 )
 from robustcontract.principal import (
-    CandidateFunction,
     ContractPolicy,
     GridSpec,
     extract_contract,
     optimize_y0,
-    perron_sandwich_check,
     probe_monotonicity,
     solve_hjbi,
 )

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from robustcontract import cli, export, presets, sim
+from robustcontract import cli, export, numerics, presets, sim
 from robustcontract.agent import ContractFunction, solve_agent
 from robustcontract.hamiltonians import eval_F_star
 from robustcontract.principal import GridSpec, extract_contract, solve_hjbi
@@ -347,7 +347,7 @@ class TestResponseEquivalence:
         Y = rng.uniform(-0.8, 0.8, size=24)
         Z = rng.uniform(-2.0, 2.0, size=24)
         for n in model.n_grid():
-            a_vec, f_vec, sig_vec = _response(model, 0.25, X, Y, Z, float(n))
+            a_vec, f_vec, sig_vec, _ = _response(model, 0.25, X, Y, Z, float(n))
             for i in range(len(X)):
                 sig = model.vol_sigma(0.25, X[i], float(n))
                 res = eval_F_star(model, 0.25, float(X[i]), float(Y[i]),
@@ -370,7 +370,7 @@ class TestResponseEquivalence:
         Y = rng.uniform(-0.8, 0.8, size=40)
         Z = rng.uniform(-2.0, 2.0, size=40)
         n_now = rng.choice(model.n_grid(), size=40)
-        a_vec, f_vec, sig_vec = _response(model, 0.25, X, Y, Z, n_now)
+        a_vec, f_vec, sig_vec, _ = _response(model, 0.25, X, Y, Z, n_now)
         for i in range(len(X)):
             sig = model.vol_sigma(0.25, X[i], float(n_now[i]))
             res = eval_F_star(model, 0.25, float(X[i]), float(Y[i]),
@@ -386,10 +386,17 @@ class TestResponseEquivalence:
         X = rng.uniform(-4, 4, size=50)
         Y = rng.uniform(-4, 4, size=50)
         Z = rng.uniform(-0.5, 1.5, size=50)
-        a_fast, f_fast, _ = _response(rn_model, 0.5, X, Y, Z, 0.75)
-        a_slow, f_slow, _ = _response(slow, 0.5, X, Y, Z, 0.75)
+        a_fast, f_fast, _, parts = _response(rn_model, 0.5, X, Y, Z, 0.75)
+        a_slow, f_slow, _, none = _response(slow, 0.5, X, Y, Z, 0.75)
         np.testing.assert_array_equal(a_fast, a_slow)
         np.testing.assert_array_equal(f_fast, f_slow)
+        # the fast path hands back the kernel's (b, k, c) at the played
+        # effort, which the engine would otherwise evaluate again
+        assert none is None
+        want = numerics.effort_payoff(rn_model, 0.5, X, Y, a_fast, 0.75)[1:]
+        for got, exact in zip(parts, want, strict=True):
+            assert np.broadcast_to(got, X.shape).tobytes() == \
+                np.broadcast_to(exact, X.shape).tobytes()
 
 
     @staticmethod
@@ -421,7 +428,8 @@ class TestResponseEquivalence:
             with np.errstate(invalid="ignore"):
                 got = _response(model, 0.25, X, Y, Z, n_now)
                 want = _response(folded, 0.25, X, Y, Z, n_now)
-            for g, w in zip(got, want):
+            assert got[3] is want[3] is None
+            for g, w in zip(got[:3], want[:3]):
                 assert np.broadcast_to(g, X.shape).tobytes() == \
                     np.broadcast_to(w, X.shape).tobytes()
 
@@ -436,7 +444,7 @@ class TestResponseEquivalence:
         X = np.linspace(-4.0, 4.0, 41)
         Y = np.zeros_like(X)
         Z = np.linspace(-1.0, 1.0, 41)
-        a_vec, f_vec, _ = _response(model, 0.25, X, Y, Z, 1.5)
+        a_vec, f_vec, _, _ = _response(model, 0.25, X, Y, Z, 1.5)
         for i in range(len(X)):
             res = eval_F_star(model, 0.25, float(X[i]), float(Y[i]),
                               float(Z[i]), 1.0)

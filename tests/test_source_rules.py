@@ -1,8 +1,11 @@
 """Source rules for the package: no ``assert`` statements (``python -O``
 strips them), no handler that swallows every error, no effort-payoff
 coefficient evaluated outside the ``numerics`` effort kernel, no artifact
-table read outside ``cli._artifact_table``, no artifact written outside
-``cli._write_run``, no Gaussian draw outside ``sim._path_increments`` and
+table or array read outside ``cli._artifact_table`` and
+``cli._artifact_array``, no artifact written outside ``cli._write_run``, no
+NumPy array-file call (``np.load``, ``np.save``, ``numpy.lib.format``)
+outside ``export``'s array reader and writer, no Gaussian draw outside
+``sim._path_increments`` and
 ``sim._draw_increments``, no grid search outside the surface interpolation
 and the nearest-node rule, no defaulted parameter that no call site sets, no
 function or dataclass field default that every call overrides, and no
@@ -17,7 +20,14 @@ SRC = REPO / "src" / "robustcontract"
 CALLERS = (REPO / "src", REPO / "tests", REPO / "perfbench")
 BROAD = {"Exception", "BaseException"}
 # the export functions that write an artifact directory
-WRITERS = {"write_table", "write_manifest", "write_timings"}
+WRITERS = {"write_table", "write_array", "write_manifest", "write_timings"}
+# the checked readers of a prior run's files, each of its own export reader
+READERS = {"read_table": ("cli.py", "_artifact_table"),
+           "read_array": ("cli.py", "_artifact_array")}
+# the NumPy functions that load or save array files, and the one home of
+# NumPy's array-file code: export's array reader and writer
+NPY_FUNCTIONS = {"load", "save", "savez", "savez_compressed"}
+ARRAY_FILES = {("export.py", "read_array"), ("export.py", "write_array")}
 # the coefficients of the agent's response rule, which only the effort
 # kernel in numerics.py passes to ``field``
 KERNEL_ONLY = {"drift_b", "discount_k", "cost_c", "candidate_effort"}
@@ -80,18 +90,17 @@ def kernel_bypasses(root=SRC):
     return found
 
 
-def _references(root, names, homes):
-    """(file, line, owner, name) of every reference to one of ``names`` in
-    ``root`` (a call, an attribute, a name or an import) outside the
-    functions ``homes``, each a (file, function name); ``owner`` is the
-    innermost enclosing function."""
+def _matches(root, match, homes):
+    """(file, line, owner, name) of every node in ``root`` that ``match``
+    names (it returns a name or None) outside the functions ``homes``,
+    each a (file, function name); ``owner`` is the innermost enclosing
+    function."""
     found = []
 
     def visit(node, path, owner):
         for child in ast.iter_child_nodes(node):
-            name = getattr(child, "id", None) or getattr(child, "attr", None) \
-                or (child.name if isinstance(child, ast.alias) else None)
-            if name in names and (path.name, owner) not in homes:
+            name = match(child)
+            if name is not None and (path.name, owner) not in homes:
                 found.append((path.name, child.lineno, owner, name))
             visit(child, path, child.name if isinstance(
                 child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
@@ -102,12 +111,24 @@ def _references(root, names, homes):
     return sorted(found)
 
 
+def _references(root, names, homes):
+    """``_matches`` of every reference to one of ``names`` (a call, an
+    attribute, a name or an import)."""
+    def match(node):
+        name = getattr(node, "id", None) or getattr(node, "attr", None) \
+            or (node.name if isinstance(node, ast.alias) else None)
+        return name if name in names else None
+
+    return _matches(root, match, homes)
+
+
 def table_reads(root=SRC):
-    """``file:line owner`` of every reference to ``read_table`` outside
-    ``cli._artifact_table``, the one read that turns a missing or damaged
-    table into exit 3."""
-    return [f"{name}:{line} {owner}" for name, line, owner, _ in
-            _references(root, {"read_table"}, {("cli.py", "_artifact_table")})]
+    """``file:line owner`` of every reference to an export reader outside
+    its checked reader in ``READERS``, the one read that turns a missing
+    or damaged file into exit 3."""
+    found = sorted(hit for reader, home in READERS.items()
+                   for hit in _references(root, {reader}, {home}))
+    return [f"{name}:{line} {owner}" for name, line, owner, _ in found]
 
 
 def artifact_writes(root=SRC):
@@ -116,6 +137,37 @@ def artifact_writes(root=SRC):
     manifest lists exactly the files written beside it."""
     return [f"{name}:{line} {owner} {writer}" for name, line, owner, writer in
             _references(root, WRITERS, {("cli.py", "_write_run")})]
+
+
+def _array_file_name(node):
+    """``np.<function>`` or ``numpy.lib.format`` when ``node`` refers to
+    one: as an attribute of ``np`` or ``numpy`` (``np.lib.format`` at its
+    ``format``), or in an import."""
+    if isinstance(node, ast.Attribute):
+        if node.attr in NPY_FUNCTIONS and getattr(node.value, "id", None) in (
+                "np", "numpy"):
+            return f"np.{node.attr}"
+        if node.attr == "format" and getattr(node.value, "attr", None) == "lib":
+            return "numpy.lib.format"
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        module, names = node.module or "", {a.name for a in node.names}
+        if module.startswith("numpy.lib.format") or (
+                module == "numpy.lib" and "format" in names):
+            return "numpy.lib.format"
+        if module == "numpy" and names & NPY_FUNCTIONS:
+            return f"np.{min(names & NPY_FUNCTIONS)}"
+    elif isinstance(node, ast.Import) and any(
+            a.name.startswith("numpy.lib.format") for a in node.names):
+        return "numpy.lib.format"
+    return None
+
+
+def array_file_calls(root=SRC):
+    """``file:line owner name`` of every reference to NumPy's array-file
+    code outside ``ARRAY_FILES``, so that every array artifact is written
+    and read with its header checked and pickles refused."""
+    return [f"{name}:{line} {owner} {what}" for name, line, owner, what in
+            _matches(root, _array_file_name, ARRAY_FILES)]
 
 
 def gaussian_draws(root=SRC):
@@ -352,13 +404,17 @@ def test_table_read_rule_catches_each_form(tmp_path):
         "def _artifact_table(d):\n    def inner():\n"
         "        return read_table(d)\n"
         "reader = export.read_table\n"
-        "def _other(d):\n    return export.read_manifest(d)\n")
+        "def _other(d):\n    return export.read_manifest(d)\n"
+        "def _artifact_array(d, s):\n    return export.read_array(d, s)\n"
+        "def _artifact_table(d):\n    return export.read_array(d, ())\n")
     (tmp_path / "sim.py").write_text(
         "from .export import read_table\n"
-        "def _artifact_table(p):\n    return read_table(p)\n")
+        "def _artifact_table(p):\n    return read_table(p)\n"
+        "def _artifact_array(p):\n    return export.read_array(p, ())\n")
     assert table_reads(tmp_path) == [
         "cli.py:4 _load", "cli.py:7 inner", "cli.py:8 <module>",
-        "sim.py:1 <module>", "sim.py:3 _artifact_table"]
+        "cli.py:14 _artifact_table", "sim.py:1 <module>",
+        "sim.py:3 _artifact_table", "sim.py:5 _artifact_array"]
 
 
 def test_artifact_directories_are_written_only_by_main():
@@ -373,15 +429,48 @@ def test_write_rule_catches_each_form(tmp_path):
         "def _write_run(d):\n    def inner():\n"
         "        write_timings(d, {})\n"
         "writer = export.write_table\n"
-        "def _other(d):\n    return export.read_manifest(d)\n")
+        "def _other(d):\n    return export.read_manifest(d)\n"
+        "def _write_run(d):\n    export.write_array(d, ())\n"
+        "def cmd_y(d):\n    export.write_array(d, ())\n")
     (tmp_path / "sim.py").write_text(
         "from .export import write_table, write_manifest\n"
         "def _write_run(p):\n    write_table(p, (), ())\n")
     assert artifact_writes(tmp_path) == [
         "cli.py:6 cmd_x write_manifest", "cli.py:9 inner write_timings",
-        "cli.py:10 <module> write_table",
+        "cli.py:10 <module> write_table", "cli.py:16 cmd_y write_array",
         "sim.py:1 <module> write_manifest", "sim.py:1 <module> write_table",
         "sim.py:3 _write_run write_table"]
+
+
+def test_array_files_are_touched_only_by_the_export_reader_and_writer():
+    assert array_file_calls() == []
+
+
+def test_array_file_rule_catches_each_form(tmp_path):
+    (tmp_path / "export.py").write_text(
+        "def read_array(p, s):\n    np.lib.format.read_magic(p)\n"
+        "    return np.load(p, allow_pickle=False)\n"
+        "def write_array(p, f):\n    np.save(p, f)\n"
+        "def read_table(p):\n    return numpy.load(p)\n"
+        "def read_array_too(p):\n    def read_array():\n"
+        "        pass\n    return np.lib.format.read_array(p)\n")
+    (tmp_path / "cli.py").write_text(
+        "import numpy.lib.format\n"
+        "import numpy.lib.format as fmt\n"
+        "from numpy.lib import format\n"
+        "from numpy.lib.format import read_magic\n"
+        "from numpy import load, savez\n"
+        "def _load(p):\n    return np.load(p), np.savez_compressed(p)\n"
+        "def _keep(p):\n    return yaml.safe_load(p), json.load(p), np.loadtxt(p)\n"
+        "from numpy import loadtxt, lib\n")
+    assert array_file_calls(tmp_path) == [
+        "cli.py:1 <module> numpy.lib.format",
+        "cli.py:2 <module> numpy.lib.format",
+        "cli.py:3 <module> numpy.lib.format",
+        "cli.py:4 <module> numpy.lib.format", "cli.py:5 <module> np.load",
+        "cli.py:7 _load np.load", "cli.py:7 _load np.savez_compressed",
+        "export.py:7 read_table np.load",
+        "export.py:11 read_array_too numpy.lib.format"]
 
 
 def test_gaussian_increments_are_drawn_only_by_the_splitting_rule():
