@@ -11,8 +11,9 @@ wrapped primitive returns the full shape.
 The effort kernel owns the agent's response rule for the agent and
 principal solvers and the engine: :func:`clamped_candidate` is the effort
 enumeration's first entry, ahead of the a-grid (:func:`effort_rows` stacks
-it there), and :func:`effort_payoff` keeps ``eval_F``'s expression order,
-so ``base + b*z`` is ``-k*y - c + b*z`` bit for bit.  Each caller keeps its
+it there), :func:`effort_parts` evaluates an effort's drift, discount and
+cost, and :func:`effort_payoff` adds the base ``-k*y - c`` in ``eval_F``'s
+expression order, so ``base + b*z`` is ``-k*y - c + b*z`` bit for bit.  Each caller keeps its
 own reduction and runs it on the smallest shape the coefficients allow;
 broadcasting never changes an elementwise result, so the reductions agree
 bit for bit with the full tensor's.
@@ -49,14 +50,21 @@ def clamped_candidate(model, t, x, z, sig):
                        *model.effort_set_A)
 
 
-def effort_payoff(model, t, x, y, a, n, c=None):
-    """Running-payoff parts ``(base, b, k, c)`` with ``base = -k*y - c``,
-    each on its own :func:`field` shape; a given cost ``c``, which is free
-    of ``n``, is reused."""
+def effort_parts(model, t, x, a, n, c=None):
+    """Drift, discount rate and cost ``(b, k, c)`` of effort ``a``, each on
+    its own :func:`field` shape; a given cost ``c``, which is free of ``n``,
+    is reused."""
     b = field(model.drift_b, t, x, a, n)
     k = field(model.discount_k, t, x, a, n)
     if c is None:
         c = field(model.cost_c, t, x, a)
+    return b, k, c
+
+
+def effort_payoff(model, t, x, y, a, n, c=None):
+    """Running-payoff parts ``(base, b, k, c)`` with ``base = -k*y - c``
+    and ``(b, k, c)`` from :func:`effort_parts`."""
+    b, k, c = effort_parts(model, t, x, a, n, c)
     return -k * y - c, b, k, c
 
 

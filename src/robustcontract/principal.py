@@ -509,21 +509,64 @@ def _nearest_node(g, v):
 
 
 class _AxisLookup(NamedTuple):
-    """Bucket table of one policy axis: a value ``v`` falls in bucket
-    ``(v - lo) * inv``, clamped to the table, and the bucket holds its
+    """Bucket tables of one policy axis.  A value ``v`` falls in bucket
+    ``(v - lo) * inv``, clamped to the table.  ``table`` holds the bucket's
     nearest node times ``stride``, or a negative sentinel where the node
-    may change inside the bucket."""
+    may change inside the bucket.  Where it changes exactly once,
+    ``switch`` holds the first float at which it does and ``above`` the
+    node from there on times ``stride``, so the node is ``above - stride``
+    below ``switch``; elsewhere ``switch`` is -inf and ``above`` is
+    ``table``."""
 
     lo: float
     inv: float
+    stride: int
     table: np.ndarray
+    above: np.ndarray
+    switch: np.ndarray
+
+
+def _flip(keys: np.ndarray) -> np.ndarray:
+    """int64 float bits to keys in the floats' order and back: the bits of
+    a negative float flipped below its sign bit (-0.0 lands just below
+    +0.0)."""
+    return keys ^ ((keys >> 63) & np.int64(0x7FFF_FFFF_FFFF_FFFF))
+
+
+def _first_switch(g, node, lower, upper) -> np.ndarray:
+    """The first float in (``lower``, ``upper``] at which
+    :func:`_nearest_node` gives more than ``node``, for arrays with
+    ``_nearest_node(g, lower) == node < _nearest_node(g, upper)``.
+
+    A search over the floats' order keys.  The first probe is the float
+    after ``g[node] + h/2``, where the rule's change sits up to rounding
+    (the rule asks ``v - h/2`` to exceed the node); each later probe
+    steps 1, 2, 4, ... keys from the last one towards the change, at most
+    half way across what is left of the bracket.  A guess within a few
+    floats takes two or three probes, and no search more than about
+    2 x 64 (a change next to zero, where the floats are densest).
+    """
+    lo, hi = (_flip(np.asarray(v, dtype=float).view(np.int64))
+              for v in (lower, upper))
+    guess = _flip((g[node] + 0.5 * (g[1] - g[0])).view(np.int64)) + 1
+    probe = np.clip(guess, lo + 1, hi)
+    width = 1
+    while True:
+        up = _nearest_node(g, _flip(probe).view(float)) > node
+        hi, lo = np.where(up, probe, hi), np.where(up, lo, probe)
+        if not (hi > lo + 1).any():
+            return _flip(hi).view(float)
+        # half the bracket, without the overflow of hi - lo
+        step = np.minimum((hi >> 1) - (lo >> 1), width)
+        probe = np.where(up, hi - step, lo + step)
+        width = min(2 * width, 1 << 62)
 
 
 def _axis_lookup(g, stride: int, sentinel: int) -> _AxisLookup:
-    """The nearest-node bucket table of grid ``g`` (at least two nodes).
+    """The nearest-node bucket tables of grid ``g`` (at least two nodes).
 
     Bucket j covers [lo + j/inv, lo + (j+1)/inv); the clamp of
-    :func:`_axis_nodes` gives the first bucket everything below and the
+    :func:`_axis_buckets` gives the first bucket everything below and the
     last everything above, NaN included.  Rounding moves the computed
     ``(v - lo) * inv`` by at most 2**-52 of itself, and the float edges
     used here by about 2**-53 (|lo| + span); ``margin`` exceeds both in v.
@@ -531,7 +574,10 @@ def _axis_lookup(g, stride: int, sentinel: int) -> _AxisLookup:
     ends of the bucket widened by ``margin``: the rule is monotone in v, so
     it gives that node at every value the bucket receives.  Every other
     bucket holds the sentinel, and so does every bucket once ``margin``
-    reaches half a bucket (a grid far from zero for its span).
+    reaches half a bucket (a grid far from zero for its span).  A bucket
+    whose ends differ by one node has one change, and its switch value
+    comes from :func:`_first_switch` within the widened ends.  On a
+    uniform grid that is the one straddling bucket of each cell.
     """
     buckets = _BUCKETS_PER_CELL * (len(g) - 1)
     lo, span = float(g[0]), float(g[-1] - g[0])
@@ -539,31 +585,58 @@ def _axis_lookup(g, stride: int, sentinel: int) -> _AxisLookup:
     margin = 8.0 * np.finfo(float).eps * (max(abs(lo), abs(float(g[-1])))
                                           + span)
     table = np.full(buckets, sentinel, dtype=np.intp)
+    above = table.copy()
+    switch = np.full(buckets, -np.inf)
     if 2.0 * margin < span / buckets:
         inner = lo + np.arange(1, buckets) / inv
-        first = _nearest_node(g, np.concatenate(([-np.inf], inner - margin)))
-        last = _nearest_node(g, np.concatenate((inner + margin, [np.inf])))
+        lower = np.concatenate(([-np.inf], inner - margin))
+        upper = np.concatenate((inner + margin, [np.inf]))
+        first = _nearest_node(g, lower)
+        last = _nearest_node(g, upper)
         sure = first == last
-        table[sure] = first[sure] * stride
-    return _AxisLookup(lo, inv, table)
+        table[sure] = above[sure] = first[sure] * stride
+        once = np.flatnonzero(last - first == 1)
+        above[once] = last[once] * stride
+        switch[once] = _first_switch(g, first[once], lower[once],
+                                     upper[once])
+    return _AxisLookup(lo, inv, stride, table, above, switch)
+
+
+def _axis_buckets(look: _AxisLookup, v: np.ndarray) -> tuple:
+    """Each value's bucket, and the float buffer it was computed in, free
+    for reuse.  fmin sends NaN and +inf to the last bucket; the cast
+    leaves values below ``lo`` zero or negative (the int minimum for
+    -inf), which ``take(mode="clip")`` reads as the first.  Call under
+    ``errstate(invalid="ignore")`` for the cast of -inf."""
+    u = np.subtract(v, look.lo, out=np.empty(np.shape(v)))
+    np.multiply(u, look.inv, out=u)
+    return np.fmin(u, len(look.table) - 1, out=u).astype(np.intp), u
 
 
 def _axis_nodes(look: _AxisLookup, v: np.ndarray) -> np.ndarray:
-    """``look.table`` at each value's bucket, computed in one buffer; fmin
-    sends NaN and +inf to the last bucket, and maximum -inf to the first."""
-    u = np.subtract(v, look.lo, out=np.empty(np.shape(v)))
-    np.multiply(u, look.inv, out=u)
-    np.fmin(u, len(look.table) - 1, out=u)
-    return look.table.take(np.maximum(u, 0.0, out=u).astype(np.intp))
+    """``look.table`` at each value's bucket, written over the float
+    buffer (intp and float64 have one size), which saves a fresh array."""
+    bucket, u = _axis_buckets(look, v)
+    return look.table.take(bucket, mode="clip", out=u.view(np.intp))
+
+
+def _switched_nodes(look: _AxisLookup, v: np.ndarray) -> np.ndarray:
+    """``look.above`` at each value's bucket, less one node below the
+    bucket's switch value; NaN, which only the last bucket receives,
+    compares as not below."""
+    bucket = _axis_buckets(look, v)[0]
+    return (look.above.take(bucket, mode="clip")
+            - look.stride * (v < look.switch.take(bucket, mode="clip")))
 
 
 @dataclass
 class ContractPolicy:
     """Gridded optimal-contract fields ready for pathwise lookup.
 
-    Construction builds the nearest-node bucket tables of both axes, so
-    :meth:`gather` does no search except on the few values that land in
-    a bucket the nearest node changes in.
+    Construction builds the nearest-node bucket tables of both axes, with
+    the switch value of each bucket the nearest node changes in once, so
+    :meth:`gather` does no search except on the values that land in a
+    bucket it changes in more than once.
     """
 
     t_grid: np.ndarray
@@ -598,20 +671,27 @@ class ContractPolicy:
 
         ``fields`` names the policy arrays looked up (all six by default).
         The node is :func:`_nearest_node` on each axis, bit for bit: the
-        bucket tables give it, and the rule itself runs only on the values
-        whose bucket holds the sentinel.
+        bucket tables give it; a value whose bucket the node changes in
+        once is compared with that bucket's switch value, and the rule
+        itself runs only on the values whose bucket the node changes in
+        more than once (none on a uniform grid).
         """
         step = self.slice_index(t)
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        node = np.asarray(_axis_nodes(self._x_lookup, x)
-                          + _axis_nodes(self._y_lookup, y))
-        unsure = np.flatnonzero(node < 0)
-        if unsure.size:
-            xs, ys = (np.broadcast_to(v, node.shape).flat[unsure]
-                      for v in (x, y))
-            node.flat[unsure] = (_nearest_node(self.x_grid, xs)
+        xl, yl = self._x_lookup, self._y_lookup
+        with np.errstate(invalid="ignore"):
+            node = np.asarray(_axis_nodes(xl, x) + _axis_nodes(yl, y))
+            unsure = np.flatnonzero(node < 0)
+            if unsure.size:
+                xs, ys = (np.broadcast_to(v, node.shape).flat[unsure]
+                          for v in (x, y))
+                sub = _switched_nodes(xl, xs) + _switched_nodes(yl, ys)
+                left = np.flatnonzero(sub < 0)
+                if left.size:
+                    sub[left] = (_nearest_node(self.x_grid, xs[left])
                                  * len(self.y_grid)
-                                 + _nearest_node(self.y_grid, ys))
+                                 + _nearest_node(self.y_grid, ys[left]))
+                node.flat[unsure] = sub
         return {name: getattr(self, name)[step].take(node) for name in fields}
 
 

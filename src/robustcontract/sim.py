@@ -33,6 +33,7 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -91,6 +92,11 @@ class SimConfig:
     girsanov_mode: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("paths", "seed"):
+            value = getattr(self, name)
+            # bool is an Integral too, but a count or a seed it is not
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.paths < 1:
             raise ValueError("paths must be at least 1")
         if not self.dt > 0.0:
@@ -323,6 +329,14 @@ def simulate_system(model: ModelSpec, policy: ContractPolicy,
     (a map (t, X, a*) -> played effort, clamped back into the effort set),
     which changes the realized drift and cost but never the payments.
 
+    Each step reads the policy at the paths' nearest nodes
+    (``ContractPolicy.gather``).  While every discount rate so far is a
+    0-d zero the discount is exactly 1.0 and, since 1.0 * x is x bit for
+    bit, is not multiplied into the cost or by exp(-k dt); the first other
+    rate starts both products.  After an effort transform the step
+    evaluates only the played effort's (b, k, c)
+    (``numerics.effort_parts``).
+
     Per-path overflow or NaN is quarantined; a quarantined fraction above
     1% raises.  ``observer`` is called as observer(step, t, X, Y) before
     every update and once more at the horizon.  ``increments``, the
@@ -344,6 +358,9 @@ def simulate_system(model: ModelSpec, policy: ContractPolicy,
     X = np.full(cfg.paths, float(cfg.x0))
     Y = np.full(cfg.paths, float(cfg.y0))
     disc = np.ones(cfg.paths)
+    # disc is exactly 1.0 until a step's discount rate is not a 0-d zero,
+    # and 1.0 * x is x bit for bit, so until then no step multiplies by it
+    unit_disc = True
     cost_acc = np.zeros(cfg.paths)
     logw = np.zeros(cfg.paths) if cfg.girsanov_mode else None
     qv = np.empty(steps)
@@ -362,11 +379,15 @@ def simulate_system(model: ModelSpec, policy: ContractPolicy,
                 a = np.clip(effort_transform(t, X, a), *model.effort_set_A)
                 parts = None  # they belong to the replaced effort
             if parts is None:
-                parts = numerics.effort_payoff(model, t, X, Y, a, n_now)[1:]
+                parts = numerics.effort_parts(model, t, X, a, n_now)
             b, k_a, c_a = parts
             del parts
-            cost_acc = cost_acc + disc * c_a * cfg.dt
-            disc = disc * np.exp(-k_a * cfg.dt)
+            unit_disc = unit_disc and np.ndim(k_a) == 0 and k_a == 0.0
+            if unit_disc:
+                cost_acc = cost_acc + c_a * cfg.dt
+            else:
+                cost_acc = cost_acc + disc * c_a * cfg.dt
+                disc = disc * np.exp(-k_a * cfg.dt)
             # the step's discount and cost are spent: kept alive into the
             # next step's _response they would raise peak RSS
             del k_a, c_a
@@ -384,7 +405,7 @@ def simulate_system(model: ModelSpec, policy: ContractPolicy,
             sq = dX * dX
             # squares are >= 0, +inf or NaN, so a finite mean has none to
             # drop; only a non-finite one pays for the masked mean
-            m = np.mean(sq)
+            m = np.add.reduce(sq) / sq.size
             if not math.isfinite(m):
                 kept = sq[np.isfinite(sq)]
                 m = np.mean(kept) if kept.size else math.nan
@@ -570,6 +591,7 @@ def incentive_compatibility_check(model: ModelSpec, policy: ContractPolicy,
                                   deformations: Sequence[Callable] | None = None,
                                   damping_range: tuple[float, float] = (0.2, 0.45),
                                   baseline_runs: dict | None = None,
+                                  increments: np.ndarray | None = None,
                                   ) -> dict:
     """Deformed-effort probes of the extracted contract.
 
@@ -580,11 +602,14 @@ def incentive_compatibility_check(model: ModelSpec, policy: ContractPolicy,
     unperturbed one beyond 3x the combined confidence halfwidth plus the
     discretization budget; the report also counts the strict drops larger
     than one combined halfwidth.  Violations are listed, not raised.
-    ``baseline_runs`` holds unperturbed runs the caller already has.
+    ``baseline_runs`` holds unperturbed runs the caller already has, and
+    ``increments`` the ``_draw_increments`` matrix of ``cfg`` when the
+    caller has drawn it.
     """
     _check_perturbations(perturbations)
-    increments = _draw_increments(cfg.seed, cfg.paths,
-                                  cfg.steps_for(float(policy.t_grid[-1])))
+    if increments is None:
+        increments = _draw_increments(
+            cfg.seed, cfg.paths, cfg.steps_for(float(policy.t_grid[-1])))
     base = _worst_constant_agent_value(model, policy, cfg, None,
                                        baseline_runs or {}, increments)[0]
 
@@ -625,7 +650,8 @@ def incentive_compatibility_check(model: ModelSpec, policy: ContractPolicy,
 
 def martingale_sandwich_check(model: ModelSpec, solution, policy: ContractPolicy,
                               cfg: SimConfig, *, probes: int = 9,
-                              tolerance: float = 0.05) -> dict:
+                              tolerance: float = 0.05,
+                              increments: np.ndarray | None = None) -> dict:
     """Flatness report for E[u(t, X_t, Y_t)] along simulated paths.
 
     Under the extracted policy with its own worst-case volatility feedback
@@ -635,8 +661,10 @@ def martingale_sandwich_check(model: ModelSpec, solution, policy: ContractPolicy
     probes the submartingale side (its mean should not trend down); for
     volatility-flat models that run is labeled accordingly.
     ``feedback_run`` is the first run's result; ``suboptimal_runs`` maps
-    the second run's scenario, when it has one, to its result.  Fewer than
-    two probes (no slope) or a tolerance that is not positive raise.
+    the second run's scenario, when it has one, to its result.  Both runs
+    use ``increments``, drawn here unless the caller passes the
+    ``_draw_increments`` matrix of ``cfg``.  Fewer than two probes (no
+    slope) or a tolerance that is not positive raise.
     """
     if probes < 2:
         raise ValueError(f"probes must be at least 2, got {probes}")
@@ -644,7 +672,8 @@ def martingale_sandwich_check(model: ModelSpec, solution, policy: ContractPolicy
         raise ValueError(f"martingale_tolerance must be positive, got {tolerance}")
     horizon = float(policy.t_grid[-1])
     steps = cfg.steps_for(horizon)
-    increments = _draw_increments(cfg.seed, cfg.paths, steps)
+    if increments is None:
+        increments = _draw_increments(cfg.seed, cfg.paths, steps)
     probe_set = set(np.round(np.linspace(0, steps, probes)).astype(int).tolist())
 
     def run(nature: NatureStrategy | None):
@@ -700,12 +729,16 @@ def contract_checks(model: ModelSpec, surface, policy: ContractPolicy,
     ``incentive_fields``, ``martingale_drift`` (of the value ``surface``),
     ``incentive_probes`` and ``girsanov_agreement``.  Settings that would
     make a check vacuous or always fail raise ``ValueError`` before any
-    batch runs."""
+    batch runs.  The martingale and incentive checks share one matrix of
+    common random numbers."""
     _check_perturbations(perturbations)  # the martingale check checks the rest
     checks = {"incentive_fields": _incentive_field_check(model, policy)}
+    increments = _draw_increments(cfg.seed, cfg.paths,
+                                  cfg.steps_for(float(policy.t_grid[-1])))
 
     mart = martingale_sandwich_check(model, surface, policy, cfg,
-                                     probes=probes, tolerance=tolerance)
+                                     probes=probes, tolerance=tolerance,
+                                     increments=increments)
     checks["martingale_drift"] = {
         "passed": mart["passed"], "measured": mart["worst_drift"],
         "bound": tolerance,
@@ -715,7 +748,8 @@ def contract_checks(model: ModelSpec, surface, policy: ContractPolicy,
 
     # the martingale check's band-edge run is that nature's baseline run
     inc = incentive_compatibility_check(model, policy, cfg, perturbations,
-                                        baseline_runs=mart["suboptimal_runs"])
+                                        baseline_runs=mart["suboptimal_runs"],
+                                        increments=increments)
     checks["incentive_probes"] = {
         "passed": inc["passed"], "measured": float(len(inc["violations"])),
         "bound": 0.0, "strictly_lower": inc["strictly_lower"],
@@ -763,7 +797,7 @@ def disjoint_beliefs_demo(model: ModelSpec, M_salary: float, cfg: SimConfig, *,
     with np.errstate(over="ignore", invalid="ignore"):
         for k, row in enumerate(incr):
             t = k * cfg.dt
-            b = numerics.effort_payoff(model, t, X, 0.0, 0.0, n_mid)[1]
+            b = numerics.effort_parts(model, t, X, 0.0, n_mid)[0]
             sig = numerics.field(model.vol_sigma, t, X, n_mid)
             X = X + b * cfg.dt + sig * sqdt * row
         lx = numerics.apply1(model.liquidation_L, X)

@@ -72,6 +72,76 @@ def build_model(b=None, sigma=None, c=None, k=None, A=(0.0, 1.0), N=(1.0, 2.0),
     )
 
 
+def nearest(g, v):
+    """The nearest-node rule written out with ``np.searchsorted``."""
+    return np.minimum(np.searchsorted(g, v - 0.5 * (g[1] - g[0])), len(g) - 1)
+
+
+def reference_simulate(model, policy, nature, cfg, effort_transform=None):
+    """``sim.simulate_system`` written out plainly: the policy read at the
+    :func:`nearest` node, the whole payoff evaluated at the played effort,
+    the discount and the discounted cost updated at every step, and the
+    realized quadratic variation as the mean of the finite squares.
+    Returns the ``SimResult`` fields as a dict."""
+    from robustcontract import sim
+
+    steps = cfg.steps_for(float(policy.t_grid[-1]))
+    rows = reference_draw(cfg.seed, cfg.paths, steps)
+    X = np.full(cfg.paths, float(cfg.x0))
+    Y = np.full(cfg.paths, float(cfg.y0))
+    disc, cost = np.ones(cfg.paths), np.zeros(cfg.paths)
+    logw, qv = np.zeros(cfg.paths), np.empty(steps)
+    ny = len(policy.y_grid)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(steps):
+            t = k * cfg.dt
+            node = nearest(policy.x_grid, X) * ny + nearest(policy.y_grid, Y)
+            at = {name: getattr(policy, name)[policy.slice_index(t)].take(node)
+                  for name in ("z", "k_rate", "nature")}
+            n_now = nature.value_at(t) if nature is not None else at["nature"]
+            a, fstar, sig, _ = sim._response(model, t, X, Y, at["z"], n_now)
+            if effort_transform is not None:
+                a = np.clip(effort_transform(t, X, a), *model.effort_set_A)
+            _, b, k_a, c_a = numerics.effort_payoff(model, t, X, Y, a, n_now)
+            cost = cost + disc * c_a * cfg.dt
+            disc = disc * np.exp(-k_a * cfg.dt)
+            dw = math.sqrt(cfg.dt) * rows[k]
+            if cfg.girsanov_mode:
+                dX = sig * dw
+                theta = np.where(b != 0.0, b / np.where(sig > 0.0, sig, np.nan),
+                                 0.0)
+                logw += theta * dw - 0.5 * theta * theta * cfg.dt
+            else:
+                dX = b * cfg.dt + sig * dw
+            Y = Y + at["z"] * dX - fstar * cfg.dt + at["k_rate"] * cfg.dt
+            sq = dX * dX
+            kept = sq[np.isfinite(sq)]
+            qv[k] = float(np.mean(kept) / cfg.dt) if kept.size else math.nan
+            X = X + dX
+        pay = numerics.apply1(model.utility_agent_inv, Y)
+        agent = disc * numerics.apply1(model.utility_agent, pay) - cost
+        principal_samples = numerics.apply1(
+            model.utility_principal,
+            numerics.apply1(model.liquidation_L, X) - pay)
+    weights = np.exp(logw) if cfg.girsanov_mode else None
+    good = (np.isfinite(X) & np.isfinite(Y) & np.isfinite(agent)
+            & np.isfinite(principal_samples))
+    if weights is not None:
+        good &= np.isfinite(weights)
+
+    def estimate(samples):
+        vals = samples[good]
+        return sim._estimate(vals if weights is None else vals * weights[good])
+
+    return {"principal_estimate": estimate(principal_samples),
+            "agent_estimate": estimate(agent), "terminal_x": X,
+            "terminal_y": Y, "realized_qv": qv,
+            "paths_used": int(np.count_nonzero(good)),
+            "discount_bounds": (float(np.min(disc[good])),
+                                float(np.max(disc[good]))),
+            "weights": weights}
+
+
 def reference_draw(seed, paths, steps):
     """The increment splitting rule executed directly: one spawned
     SeedSequence child and one PCG64 stream per time step, filling that

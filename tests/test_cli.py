@@ -584,9 +584,9 @@ class TestVerify:
         monkeypatch.setattr(sim, "_draw_increments", counting)
         monkeypatch.setattr(sim, "_path_increments", counting_rows)
         assert run_cli("verify", cfg, tmp_path / "shared") == EXIT_OK
-        # a matrix for the martingale check and one for the incentive
-        # check; the cross-check's reweighted run draws its own rows
-        assert (drawn, rows) == ([9, 9], [10])
+        # one matrix for the martingale and the incentive check; the
+        # cross-check's reweighted run draws its own rows
+        assert (drawn, rows) == ([9], [10])
 
         real = sim.simulate_system
 

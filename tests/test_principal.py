@@ -12,6 +12,7 @@ from helpers import (
     SEARCH_GRIDS,
     CandidateFunction,
     build_model,
+    nearest,
     oracle_select_with_radius,
     per_substep_values,
     perron_sandwich_check,
@@ -477,11 +478,6 @@ class TestContractPolicy:
                                       getattr(pol, name)[step][xi, yi])
 
 
-def nearest(g, v):
-    """The nearest-node rule written out with ``np.searchsorted``."""
-    return np.minimum(np.searchsorted(g, v - 0.5 * (g[1] - g[0])), len(g) - 1)
-
-
 def index_policy(x_grid, y_grid):
     """A policy over the two grids whose every field holds the flat node
     index, so a gather returns the nodes it looked up."""
@@ -515,6 +511,50 @@ class TestNearestNodeLookup:
         # cell, and none on the far grid
         unsure = np.mean(getattr(pol, f"_{axis}_lookup").table < 0)
         assert unsure == 1.0 if name == "1e12-offset" else unsure < 0.01
+
+    UNIFORM = sorted(name for name in SEARCH_GRIDS if name != "non-uniform")
+
+    @pytest.mark.parametrize("name", UNIFORM)
+    def test_each_switch_value_is_the_first_float_of_the_next_node(self,
+                                                                   name):
+        grid = SEARCH_GRIDS[name]
+        look = index_policy(grid, self.OTHER)._x_lookup
+        once = look.switch > -np.inf
+        # one change per cell, in the bucket that straddles it
+        assert np.count_nonzero(once) == len(grid) - 1
+        assert np.array_equal(once, look.table < 0)
+        s = look.switch[once]
+        below = principal._nearest_node(grid, np.nextafter(s, -np.inf))
+        assert np.array_equal(principal._nearest_node(grid, s), below + 1)
+        assert np.array_equal(look.above[once], (below + 1) * len(self.OTHER))
+
+    @pytest.mark.parametrize("name", UNIFORM)
+    def test_gather_at_and_beside_each_switch_value(self, name):
+        grid = SEARCH_GRIDS[name]
+        pol = index_policy(self.OTHER, grid)
+        s = pol._y_lookup.switch[pol._y_lookup.switch > -np.inf]
+        y = np.concatenate([s, np.nextafter(s, np.inf),
+                            np.nextafter(s, -np.inf)])
+        want = nearest(self.OTHER, 0.3) * len(grid) + nearest(grid, y)
+        got = pol.gather(0.0, 0.3, y, fields=("z",))["z"]
+        assert got.tobytes() == want.astype(float).tobytes()
+
+    def test_a_uniform_grid_gather_runs_no_search(self, monkeypatch):
+        grid = SEARCH_GRIDS["41"]
+        pol = index_policy(grid, grid)
+        q = search_probes(grid)
+        searches = []
+        search = principal.numerics.grid_searchsorted
+
+        def counting(g, v):
+            searches.append(np.size(v))
+            return search(g, v)
+
+        monkeypatch.setattr(principal.numerics, "grid_searchsorted", counting)
+        got = pol.gather(0.0, q, q[::-1], fields=("z",))["z"]
+        assert searches == []
+        want = nearest(grid, q) * len(grid) + nearest(grid, q[::-1])
+        assert got.tobytes() == want.astype(float).tobytes()
 
     def test_a_node_change_on_a_bucket_edge_is_exact(self):
         # the 3-node grid's second threshold, 1.5, is the edge of bucket j:

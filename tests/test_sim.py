@@ -35,6 +35,7 @@ from helpers import (
     girsanov_weight,
     random_polynomial_model,
     reference_draw,
+    reference_simulate,
 )
 
 
@@ -63,6 +64,16 @@ class TestSimConfig:
             SimConfig(paths=10, dt=0.0, seed=1)
         with pytest.raises(ValueError):
             SimConfig(paths=10, dt=0.1, seed=-3)
+
+    @pytest.mark.parametrize("field, value", [
+        ("paths", 10.5), ("seed", 1.5), ("paths", True), ("seed", False),
+        ("paths", 10.0)])
+    def test_paths_and_seed_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SimConfig(**dict({"paths": 10, "dt": 0.1, "seed": 1},
+                             **{field: value}))
+        # NumPy integers are integers
+        assert SimConfig(paths=np.int64(10), dt=0.1, seed=np.uint32(1)).paths == 10
 
     def test_steps_must_divide_horizon(self):
         cfg = SimConfig(paths=1, dt=0.3, seed=0)
@@ -636,7 +647,7 @@ class TestMartingaleSandwich:
 
 
 class TestContractChecks:
-    def test_suite_draws_twice_and_writes_verify_report_entries(
+    def test_suite_draws_once_and_writes_verify_report_entries(
             self, tmp_path, monkeypatch):
         grid = {"x_lo": -8.0, "x_hi": 8.0, "x_nodes": 17, "y_lo": -8.0,
                 "y_hi": 8.0, "y_nodes": 17, "t_steps": 16, "horizon": 1.0}
@@ -672,9 +683,9 @@ class TestContractChecks:
         checks = sim.contract_checks(
             model, solution, extract_contract(solution), cfg,
             perturbations=2, probes=7, tolerance=0.04)
-        # a matrix for the martingale check and one for the incentive
-        # check; the cross-check's reweighted run draws its rows itself
-        assert [key[0] for key in drawn] == [9, 9]
+        # one matrix for the martingale and the incentive check; the
+        # cross-check's reweighted run draws its rows itself
+        assert [key[0] for key in drawn] == [9]
         assert rows == [10]
         assert export.canonical_yaml(checks) == \
             export.canonical_yaml(report["checks"])
@@ -823,3 +834,56 @@ class TestRealizedQuadraticVariation:
             want[k] = float(np.mean(kept) / cfg.dt) if kept.size else math.nan
         assert np.isfinite(want).all()
         assert res.realized_qv.tobytes() == want.tobytes()
+
+
+class TestEngineReference:
+    """``simulate_system`` against the engine written out plainly in the
+    helpers, bit for bit: the lookup's switch values, the unit discount
+    and the payoff parts of a replaced effort change no byte."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, rn_model, rn_policy):
+        qb = presets.quadratic_bounded(a_grid_points=9, n_grid_points=5)
+        qb_policy = extract_contract(solve_hjbi(qb, GridSpec(
+            x_lo=-3.0, x_hi=3.0, x_nodes=13, y_lo=-0.5, y_hi=0.5,
+            y_nodes=13, t_steps=8, horizon=0.5)))
+        tab = presets.custom_tabulated([0.5, 0.75, 1.0], [0.5, 0.9, 1.0],
+                                       discount=0.3)
+        # a 0-d zero discount rate until mid-horizon, then a positive one
+        late = build_model(k=lambda t, x, a, n: 0.0 if t < 0.5 else 0.4 * n)
+        return {
+            "risk_neutral": (rn_model, rn_policy),
+            "quadratic_bounded": (qb, qb_policy),
+            "custom_tabulated": (tab, constant_policy(tab, 1.0, z=0.7,
+                                                      k_rate=0.1)),
+            "late_discount": (late, constant_policy(late, 1.0, z=0.6,
+                                                    k_rate=-0.05)),
+        }
+
+    @pytest.mark.parametrize("girsanov", [False, True])
+    @pytest.mark.parametrize("transform", [False, True])
+    @pytest.mark.parametrize("feedback", [True, False])
+    @pytest.mark.parametrize("name", ["risk_neutral", "quadratic_bounded",
+                                      "custom_tabulated", "late_discount"])
+    def test_simulate_is_the_plain_engine_bit_for_bit(
+            self, cases, name, feedback, transform, girsanov):
+        model, policy = cases[name]
+        nature = None if feedback else NatureStrategy.constant(
+            model.nature_set_N[1], float(policy.t_grid[-1]))
+        deform = (lambda t, X, a: 0.6 * a + 0.05 * np.tanh(X)) \
+            if transform else None
+        cfg = SimConfig(paths=700, dt=1 / 16, seed=31, x0=0.25, y0=0.1,
+                        girsanov_mode=girsanov)
+        got = simulate_system(model, policy, nature, cfg,
+                              effort_transform=deform)
+        want = reference_simulate(model, policy, nature, cfg, deform)
+        for key, value in want.items():
+            mine = getattr(got, key)
+            if isinstance(value, np.ndarray):
+                assert mine.tobytes() == value.tobytes(), key
+            else:
+                assert mine == value, key
+        if name in ("custom_tabulated", "late_discount"):
+            assert got.discount_bounds[1] < 1.0
+        else:
+            assert got.discount_bounds == (1.0, 1.0)
