@@ -548,7 +548,11 @@ def _load_principal(art_dir: str, manifest: dict,
     values = fields.pop("values", None)
     surface = (SimpleNamespace(**axes, values=values)
                if values is not None else None)
-    policy = ContractPolicy(**axes, **fields)
+    try:
+        policy = ContractPolicy(**axes, **fields)
+    except ValueError as exc:
+        raise MissingArtifact(
+            f"manifest config in '{art_dir}' is invalid: {exc}")
     y0_star = None
     if "y0.txt" in manifest["artifacts"]:
         y0_star = float(

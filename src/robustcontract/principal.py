@@ -32,7 +32,7 @@ ordered is tested, not proven.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -48,10 +48,13 @@ _MAX_SUBSTEPS = 10000
 CFL_SAFETY = 0.9
 # the policy fields a solve records per node, in artifact column order
 POLICY_FIELDS = ("z", "gamma", "effort", "nature", "k_rate", "fstar")
-# equal buckets per grid cell of a policy axis's nearest-node table; odd, so
-# a uniform cell's midpoint, where the nearest node changes, falls in the
-# middle of a bucket and leaves one ambiguous bucket per cell
-_BUCKETS_PER_CELL = 255
+# how far, in ulps of max(|g[0]|, |g[-1]|), a policy axis's spacings may
+# stray from its first and the axis still count as uniform: np.linspace
+# puts each node within about 1.5 such ulps of its exact place, so its
+# spacings differ by at most about 6 (2.5 over 20,000 random grids), while
+# spacings that differ by more move the cell midpoints, where the
+# arithmetic nearest node changes, away from the true ones
+_UNIFORM_ULPS = 8
 
 
 @dataclass(frozen=True)
@@ -500,143 +503,42 @@ def probe_monotonicity(model: ModelSpec, grid: GridSpec) -> dict:
 # ---------------------------------------------------------------------------
 
 def _nearest_node(g, v):
-    """Index of the node of the increasing grid ``g`` nearest ``v``: the
-    first node not below ``v - h/2``, h the first spacing, clamped to the
-    last node, which also takes NaN and +inf.  The one definition of the
-    nearest-node rule; the bucket tables are derived from it."""
-    return np.minimum(numerics.grid_searchsorted(
-        g, np.asarray(v) - 0.5 * (g[1] - g[0])), len(g) - 1)
+    """Index of the node of the uniform grid ``g`` nearest ``v``:
+    ``clip(ceil((v - g[0]) / h - 0.5), 0, n - 1)`` with h = g[1] - g[0],
+    so a value on a cell midpoint takes the lower node.  fmin sends NaN and
+    +inf to the last node, -inf goes to the first.  On a grid that is not
+    uniform the result is not the nearest node; ``ContractPolicy`` refuses
+    such axes.  The value is worked in one float buffer; only the final
+    cast allocates another."""
+    with np.errstate(over="ignore"):
+        u = np.subtract(v, g[0], out=np.empty(np.shape(v)))
+        np.divide(u, g[1] - g[0], out=u)
+    np.subtract(u, 0.5, out=u)
+    np.ceil(u, out=u)
+    np.fmin(u, len(g) - 1, out=u)
+    return np.maximum(u, 0.0, out=u).astype(np.intp)
 
 
-class _AxisLookup(NamedTuple):
-    """Bucket tables of one policy axis.  A value ``v`` falls in bucket
-    ``(v - lo) * inv``, clamped to the table.  ``table`` holds the bucket's
-    nearest node times ``stride``, or a negative sentinel where the node
-    may change inside the bucket.  Where it changes exactly once,
-    ``switch`` holds the first float at which it does and ``above`` the
-    node from there on times ``stride``, so the node is ``above - stride``
-    below ``switch``; elsewhere ``switch`` is -inf and ``above`` is
-    ``table``."""
-
-    lo: float
-    inv: float
-    stride: int
-    table: np.ndarray
-    above: np.ndarray
-    switch: np.ndarray
-
-
-def _flip(keys: np.ndarray) -> np.ndarray:
-    """int64 float bits to keys in the floats' order and back: the bits of
-    a negative float flipped below its sign bit (-0.0 lands just below
-    +0.0)."""
-    return keys ^ ((keys >> 63) & np.int64(0x7FFF_FFFF_FFFF_FFFF))
-
-
-def _first_switch(g, node, lower, upper) -> np.ndarray:
-    """The first float in (``lower``, ``upper``] at which
-    :func:`_nearest_node` gives more than ``node``, for arrays with
-    ``_nearest_node(g, lower) == node < _nearest_node(g, upper)``.
-
-    A search over the floats' order keys.  The first probe is the float
-    after ``g[node] + h/2``, where the rule's change sits up to rounding
-    (the rule asks ``v - h/2`` to exceed the node); each later probe
-    steps 1, 2, 4, ... keys from the last one towards the change, at most
-    half way across what is left of the bracket.  A guess within a few
-    floats takes two or three probes, and no search more than about
-    2 x 64 (a change next to zero, where the floats are densest).
-    """
-    lo, hi = (_flip(np.asarray(v, dtype=float).view(np.int64))
-              for v in (lower, upper))
-    guess = _flip((g[node] + 0.5 * (g[1] - g[0])).view(np.int64)) + 1
-    probe = np.clip(guess, lo + 1, hi)
-    width = 1
-    while True:
-        up = _nearest_node(g, _flip(probe).view(float)) > node
-        hi, lo = np.where(up, probe, hi), np.where(up, lo, probe)
-        if not (hi > lo + 1).any():
-            return _flip(hi).view(float)
-        # half the bracket, without the overflow of hi - lo
-        step = np.minimum((hi >> 1) - (lo >> 1), width)
-        probe = np.where(up, hi - step, lo + step)
-        width = min(2 * width, 1 << 62)
-
-
-def _axis_lookup(g, stride: int, sentinel: int) -> _AxisLookup:
-    """The nearest-node bucket tables of grid ``g`` (at least two nodes).
-
-    Bucket j covers [lo + j/inv, lo + (j+1)/inv); the clamp of
-    :func:`_axis_buckets` gives the first bucket everything below and the
-    last everything above, NaN included.  Rounding moves the computed
-    ``(v - lo) * inv`` by at most 2**-52 of itself, and the float edges
-    used here by about 2**-53 (|lo| + span); ``margin`` exceeds both in v.
-    A bucket holds a node only when :func:`_nearest_node` gives it at both
-    ends of the bucket widened by ``margin``: the rule is monotone in v, so
-    it gives that node at every value the bucket receives.  Every other
-    bucket holds the sentinel, and so does every bucket once ``margin``
-    reaches half a bucket (a grid far from zero for its span).  A bucket
-    whose ends differ by one node has one change, and its switch value
-    comes from :func:`_first_switch` within the widened ends.  On a
-    uniform grid that is the one straddling bucket of each cell.
-    """
-    buckets = _BUCKETS_PER_CELL * (len(g) - 1)
-    lo, span = float(g[0]), float(g[-1] - g[0])
-    inv = buckets / span
-    margin = 8.0 * np.finfo(float).eps * (max(abs(lo), abs(float(g[-1])))
-                                          + span)
-    table = np.full(buckets, sentinel, dtype=np.intp)
-    above = table.copy()
-    switch = np.full(buckets, -np.inf)
-    if 2.0 * margin < span / buckets:
-        inner = lo + np.arange(1, buckets) / inv
-        lower = np.concatenate(([-np.inf], inner - margin))
-        upper = np.concatenate((inner + margin, [np.inf]))
-        first = _nearest_node(g, lower)
-        last = _nearest_node(g, upper)
-        sure = first == last
-        table[sure] = above[sure] = first[sure] * stride
-        once = np.flatnonzero(last - first == 1)
-        above[once] = last[once] * stride
-        switch[once] = _first_switch(g, first[once], lower[once],
-                                     upper[once])
-    return _AxisLookup(lo, inv, stride, table, above, switch)
-
-
-def _axis_buckets(look: _AxisLookup, v: np.ndarray) -> tuple:
-    """Each value's bucket, and the float buffer it was computed in, free
-    for reuse.  fmin sends NaN and +inf to the last bucket; the cast
-    leaves values below ``lo`` zero or negative (the int minimum for
-    -inf), which ``take(mode="clip")`` reads as the first.  Call under
-    ``errstate(invalid="ignore")`` for the cast of -inf."""
-    u = np.subtract(v, look.lo, out=np.empty(np.shape(v)))
-    np.multiply(u, look.inv, out=u)
-    return np.fmin(u, len(look.table) - 1, out=u).astype(np.intp), u
-
-
-def _axis_nodes(look: _AxisLookup, v: np.ndarray) -> np.ndarray:
-    """``look.table`` at each value's bucket, written over the float
-    buffer (intp and float64 have one size), which saves a fresh array."""
-    bucket, u = _axis_buckets(look, v)
-    return look.table.take(bucket, mode="clip", out=u.view(np.intp))
-
-
-def _switched_nodes(look: _AxisLookup, v: np.ndarray) -> np.ndarray:
-    """``look.above`` at each value's bucket, less one node below the
-    bucket's switch value; NaN, which only the last bucket receives,
-    compares as not below."""
-    bucket = _axis_buckets(look, v)[0]
-    return (look.above.take(bucket, mode="clip")
-            - look.stride * (v < look.switch.take(bucket, mode="clip")))
+def _uniform(g) -> bool:
+    """Whether each spacing of ``g`` is within ``_UNIFORM_ULPS`` ulps of
+    max(|g[0]|, |g[-1]|) of the first."""
+    if len(g) < 3:
+        return True
+    gaps = np.diff(g)
+    slack = _UNIFORM_ULPS * np.spacing(max(abs(g[0]), abs(g[-1])))
+    return bool(np.all(np.abs(gaps - gaps[0]) <= slack))
 
 
 @dataclass
 class ContractPolicy:
     """Gridded optimal-contract fields ready for pathwise lookup.
 
-    Construction builds the nearest-node bucket tables of both axes, with
-    the switch value of each bucket the nearest node changes in once, so
-    :meth:`gather` does no search except on the values that land in a
-    bucket it changes in more than once.
+    Each field has shape (len(t_grid), len(x_grid), len(y_grid)).  The x
+    and y axes are finite, strictly increasing, at least two nodes long
+    and uniform (see ``_UNIFORM_ULPS``), so :meth:`gather` finds a
+    value's nearest node by arithmetic; the time axis is uniform, as
+    :meth:`slice_index` assumes.  Construction, and so
+    ``dataclasses.replace``, raises ``ValueError`` otherwise.
     """
 
     t_grid: np.ndarray
@@ -648,16 +550,25 @@ class ContractPolicy:
     nature: np.ndarray
     k_rate: np.ndarray
     fstar: np.ndarray
-    _x_lookup: _AxisLookup = field(init=False, repr=False, compare=False)
-    _y_lookup: _AxisLookup = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ny = len(self.y_grid)
-        # the other axis adds at most (nx - 1) ny, so a sentinel on either
-        # axis leaves the node negative
-        sentinel = -len(self.x_grid) * ny
-        self._x_lookup = _axis_lookup(self.x_grid, ny, sentinel)
-        self._y_lookup = _axis_lookup(self.y_grid, 1, sentinel)
+        for name in ("x_grid", "y_grid"):
+            g = getattr(self, name)
+            if np.ndim(g) != 1 or len(g) < 2:
+                raise ValueError(f"policy {name} needs at least 2 nodes")
+            if not (np.all(np.isfinite(g)) and np.all(np.diff(g) > 0.0)):
+                raise ValueError(f"policy {name} is not finite and "
+                                 "strictly increasing")
+            if not _uniform(g):
+                raise ValueError(f"policy {name} is not uniform")
+        if np.ndim(self.t_grid) != 1 or not _uniform(self.t_grid):
+            raise ValueError("policy t_grid is not uniform")
+        shape = (len(self.t_grid), len(self.x_grid), len(self.y_grid))
+        for name in POLICY_FIELDS:
+            got = np.shape(getattr(self, name))
+            if got != shape:
+                raise ValueError(f"policy field {name} has shape {got}, "
+                                 f"not {shape}")
 
     def slice_index(self, t: float) -> int:
         nt = len(self.t_grid) - 1
@@ -670,28 +581,14 @@ class ContractPolicy:
         """Nearest-node control arrays for a batch of (x, y) states.
 
         ``fields`` names the policy arrays looked up (all six by default).
-        The node is :func:`_nearest_node` on each axis, bit for bit: the
-        bucket tables give it; a value whose bucket the node changes in
-        once is compared with that bucket's switch value, and the rule
-        itself runs only on the values whose bucket the node changes in
-        more than once (none on a uniform grid).
+        The node is :func:`_nearest_node` on each axis: the value's offset
+        from the first node in spacings, rounded half down and clamped to
+        the axis, which is the nearest node because the axis is uniform.
         """
         step = self.slice_index(t)
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        xl, yl = self._x_lookup, self._y_lookup
-        with np.errstate(invalid="ignore"):
-            node = np.asarray(_axis_nodes(xl, x) + _axis_nodes(yl, y))
-            unsure = np.flatnonzero(node < 0)
-            if unsure.size:
-                xs, ys = (np.broadcast_to(v, node.shape).flat[unsure]
-                          for v in (x, y))
-                sub = _switched_nodes(xl, xs) + _switched_nodes(yl, ys)
-                left = np.flatnonzero(sub < 0)
-                if left.size:
-                    sub[left] = (_nearest_node(self.x_grid, xs[left])
-                                 * len(self.y_grid)
-                                 + _nearest_node(self.y_grid, ys[left]))
-                node.flat[unsure] = sub
+        node = _nearest_node(self.x_grid, x)
+        np.multiply(node, len(self.y_grid), out=node)
+        node = node + _nearest_node(self.y_grid, y)
         return {name: getattr(self, name)[step].take(node) for name in fields}
 
 

@@ -73,8 +73,13 @@ def build_model(b=None, sigma=None, c=None, k=None, A=(0.0, 1.0), N=(1.0, 2.0),
 
 
 def nearest(g, v):
-    """The nearest-node rule written out with ``np.searchsorted``."""
-    return np.minimum(np.searchsorted(g, v - 0.5 * (g[1] - g[0])), len(g) - 1)
+    """The nearest-node rule of a uniform grid written out plainly: the
+    position (v - g[0]) / h in cells, h = g[1] - g[0], rounded half down
+    and clamped to the grid, with NaN at the last node."""
+    with np.errstate(over="ignore"):
+        cells = (np.asarray(v, dtype=float) - g[0]) / (g[1] - g[0])
+    node = np.clip(np.ceil(cells - 0.5), 0, len(g) - 1)
+    return np.where(np.isnan(node), len(g) - 1, node).astype(np.intp)
 
 
 def reference_simulate(model, policy, nature, cfg, effort_transform=None):

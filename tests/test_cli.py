@@ -908,6 +908,21 @@ class TestDamagedArtifacts:
             f"missing artifact: manifest config in '{art}' is invalid: "
             f"{message}\n")
 
+    def test_manifest_grid_the_policy_refuses_exits_3(
+            self, principal_run, tmp_path, capsys):
+        art = tmp_path / "art"
+        shutil.copytree(principal_run, art)
+        doc = export.read_manifest(str(art))
+        # GridSpec takes this box, but np.linspace puts its nodes on fewer
+        # distinct doubles than there are nodes; simulate reads no grid
+        # column that could catch it first, as verify's value surface does
+        doc["config"]["grid"].update(x_lo=1e15, x_hi=1e15 + 1.0)
+        (art / export.MANIFEST_NAME).write_text(export.canonical_yaml(doc))
+        assert read_back(tmp_path, "simulate", art) == EXIT_MISSING
+        assert capsys.readouterr().err == (
+            f"missing artifact: manifest config in '{art}' is invalid: "
+            "policy x_grid is not finite and strictly increasing\n")
+
     @pytest.mark.parametrize("command,kind,case", DAMAGE_RUNS)
     def test_each_damage_exits_3_with_its_message(
             self, principal_run, agent_run, tmp_path, capsys, command, kind,

@@ -478,6 +478,55 @@ class TestContractPolicy:
                                       getattr(pol, name)[step][xi, yi])
 
 
+def small_policy(**changes):
+    """A valid policy on a 2 x 3 x 4 (t, x, y) grid, with ``changes``."""
+    args = dict(t_grid=np.array([0.0, 0.5]), x_grid=np.linspace(0.0, 1.0, 3),
+                y_grid=np.linspace(-1.0, 1.0, 4),
+                **{name: np.zeros((2, 3, 4))
+                   for name in principal.POLICY_FIELDS})
+    args.update(changes)
+    return ContractPolicy(**args)
+
+
+class TestContractPolicyChecks:
+    def test_fields_must_have_the_grid_shape(self):
+        small_policy()
+        fields = {name: np.arange(24.0).reshape(2, 4, 3)
+                  for name in principal.POLICY_FIELDS}
+        with pytest.raises(ValueError, match=r"shape \(2, 4, 3\), not "
+                                             r"\(2, 3, 4\)"):
+            small_policy(**fields)
+        with pytest.raises(ValueError, match="field gamma"):
+            small_policy(gamma=np.zeros((3, 3, 4)))
+
+    def test_a_decreasing_axis_is_refused(self):
+        with pytest.raises(ValueError, match="x_grid is not finite and "
+                                             "strictly increasing"):
+            small_policy(x_grid=np.linspace(1.0, 0.0, 3))
+
+    def test_a_one_node_axis_is_refused(self):
+        with pytest.raises(ValueError, match="x_grid needs at least 2"):
+            small_policy(x_grid=np.array([0.5]),
+                         **{name: np.zeros((2, 1, 4))
+                            for name in principal.POLICY_FIELDS})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_axis_is_refused(self, bad):
+        with pytest.raises(ValueError, match="y_grid is not finite"):
+            small_policy(y_grid=np.array([-1.0, 0.0, 1.0, bad]))
+
+    def test_a_non_uniform_time_axis_is_refused(self):
+        fields = {name: np.zeros((3, 3, 4)) for name in principal.POLICY_FIELDS}
+        small_policy(t_grid=np.linspace(0.0, 0.5, 3), **fields)
+        with pytest.raises(ValueError, match="t_grid is not uniform"):
+            small_policy(t_grid=np.array([0.0, 0.1, 0.5]), **fields)
+
+    def test_replace_runs_the_same_checks(self):
+        with pytest.raises(ValueError, match="x_grid is not finite"):
+            dataclasses.replace(small_policy(),
+                                x_grid=np.array([0.0, 1.0, 0.5]))
+
+
 def index_policy(x_grid, y_grid):
     """A policy over the two grids whose every field holds the flat node
     index, so a gather returns the nodes it looked up."""
@@ -490,15 +539,23 @@ def index_policy(x_grid, y_grid):
 
 
 class TestNearestNodeLookup:
-    # far from zero for its span: the rounding margin of (v - lo) * inv
-    # reaches half a bucket, so every bucket must fall back to the rule
+    # far from zero for its span: a cell holds only about 3,300 doubles
     FAR = np.linspace(1e12, 1e12 + 16.0, 41)
     OTHER = np.linspace(-1.0, 1.5, 6)
+    UNIFORM = sorted(name for name in SEARCH_GRIDS
+                     if name != "non-uniform") + ["1e12-offset"]
+    # how far from a cell midpoint, in ulps of max(|g[0]|, |g[-1]|), the
+    # arithmetic node may differ from the search rule's: their midpoints
+    # differ by the rounding of the nodes and of h = g[1] - g[0]
+    MIDPOINT_ULPS = 8
 
-    @pytest.mark.parametrize("name", sorted(SEARCH_GRIDS) + ["1e12-offset"])
+    def grid(self, name):
+        return SEARCH_GRIDS.get(name, self.FAR)
+
+    @pytest.mark.parametrize("name", UNIFORM)
     @pytest.mark.parametrize("axis", ["x", "y"])
     def test_gather_is_the_nearest_node_rule_bit_for_bit(self, name, axis):
-        grid = SEARCH_GRIDS.get(name, self.FAR)
+        grid = self.grid(name)
         q = search_probes(grid)
         other = np.resize(search_probes(self.OTHER), len(q))
         grids, (x, y) = (((grid, self.OTHER), (q, other)) if axis == "x"
@@ -507,70 +564,39 @@ class TestNearestNodeLookup:
         want = nearest(grids[0], x) * len(grids[1]) + nearest(grids[1], y)
         got = pol.gather(0.5, x, y, fields=("z",))["z"]
         assert got.tobytes() == want.astype(float).tobytes()
-        # the table decides all but the ambiguous buckets, one per uniform
-        # cell, and none on the far grid
-        unsure = np.mean(getattr(pol, f"_{axis}_lookup").table < 0)
-        assert unsure == 1.0 if name == "1e12-offset" else unsure < 0.01
-
-    UNIFORM = sorted(name for name in SEARCH_GRIDS if name != "non-uniform")
 
     @pytest.mark.parametrize("name", UNIFORM)
-    def test_each_switch_value_is_the_first_float_of_the_next_node(self,
+    def test_the_rule_moves_from_the_search_rule_only_at_midpoints(self,
                                                                    name):
-        grid = SEARCH_GRIDS[name]
-        look = index_policy(grid, self.OTHER)._x_lookup
-        once = look.switch > -np.inf
-        # one change per cell, in the bucket that straddles it
-        assert np.count_nonzero(once) == len(grid) - 1
-        assert np.array_equal(once, look.table < 0)
-        s = look.switch[once]
-        below = principal._nearest_node(grid, np.nextafter(s, -np.inf))
-        assert np.array_equal(principal._nearest_node(grid, s), below + 1)
-        assert np.array_equal(look.above[once], (below + 1) * len(self.OTHER))
+        grid = self.grid(name)
 
-    @pytest.mark.parametrize("name", UNIFORM)
-    def test_gather_at_and_beside_each_switch_value(self, name):
-        grid = SEARCH_GRIDS[name]
-        pol = index_policy(self.OTHER, grid)
-        s = pol._y_lookup.switch[pol._y_lookup.switch > -np.inf]
-        y = np.concatenate([s, np.nextafter(s, np.inf),
-                            np.nextafter(s, -np.inf)])
-        want = nearest(self.OTHER, 0.3) * len(grid) + nearest(grid, y)
-        got = pol.gather(0.0, 0.3, y, fields=("z",))["z"]
-        assert got.tobytes() == want.astype(float).tobytes()
+        def search(v):
+            return np.minimum(np.searchsorted(grid, v - 0.5 * (grid[1]
+                                                              - grid[0])),
+                              len(grid) - 1)
 
-    def test_a_uniform_grid_gather_runs_no_search(self, monkeypatch):
-        grid = SEARCH_GRIDS["41"]
-        pol = index_policy(grid, grid)
+        exact = np.concatenate([grid, [np.inf, -np.inf, np.nan, 1e300,
+                                       -1e300, -0.0]])
+        assert np.array_equal(principal._nearest_node(grid, exact),
+                              search(exact))
         q = search_probes(grid)
-        searches = []
-        search = principal.numerics.grid_searchsorted
+        got, want = principal._nearest_node(grid, q), search(q)
+        moved = np.flatnonzero(got != want)
+        assert np.all(np.abs(got[moved] - want[moved]) == 1)
+        lower = np.minimum(got, want)[moved]
+        midpoint = 0.5 * (grid[lower] + grid[lower + 1])
+        ulp = np.spacing(max(abs(grid[0]), abs(grid[-1])))
+        assert np.all(np.abs(q[moved] - midpoint) <= self.MIDPOINT_ULPS * ulp)
 
-        def counting(g, v):
-            searches.append(np.size(v))
-            return search(g, v)
-
-        monkeypatch.setattr(principal.numerics, "grid_searchsorted", counting)
-        got = pol.gather(0.0, q, q[::-1], fields=("z",))["z"]
-        assert searches == []
-        want = nearest(grid, q) * len(grid) + nearest(grid, q[::-1])
-        assert got.tobytes() == want.astype(float).tobytes()
-
-    def test_a_node_change_on_a_bucket_edge_is_exact(self):
-        # the 3-node grid's second threshold, 1.5, is the edge of bucket j:
-        # without the rounding margin some of these buckets give the wrong
-        # node just past the edge
-        for j in range(200, 510):
-            grid = np.array([0.0, 1.0, 1.5 * 510 / j])
-            pol = index_policy(grid, self.OTHER)
-            x = 1.5 + np.arange(-300, 301) * np.spacing(1.5)
-            want = nearest(grid, x) * len(self.OTHER) + nearest(self.OTHER,
-                                                                 0.0)
-            got = pol.gather(0.0, x, 0.0, fields=("fstar",))["fstar"]
-            assert got.tobytes() == want.astype(float).tobytes(), j
+    def test_a_non_uniform_axis_is_refused(self):
+        grid = SEARCH_GRIDS["non-uniform"]
+        with pytest.raises(ValueError, match="x_grid is not uniform"):
+            index_policy(grid, self.OTHER)
+        with pytest.raises(ValueError, match="y_grid is not uniform"):
+            index_policy(self.OTHER, grid)
 
     def test_scalar_x_with_an_array_y(self):
-        x_grid, y_grid = SEARCH_GRIDS["41"], SEARCH_GRIDS["non-uniform"]
+        x_grid, y_grid = SEARCH_GRIDS["41"], SEARCH_GRIDS["401-offset"]
         pol = index_policy(x_grid, y_grid)
         y = search_probes(y_grid)
         for x in (0.1, x_grid[3], np.inf, np.nan, -1e300, -0.0):

@@ -34,10 +34,9 @@ KERNEL_ONLY = {"drift_b", "discount_k", "cost_c", "candidate_effort"}
 # the owners of the increments' per-step splitting rule
 DRAWERS = {("sim.py", "_path_increments"), ("sim.py", "_draw_increments")}
 # the callers of ``numerics.grid_searchsorted``: the surface interpolation
-# (``bilinear`` is its inner function) and the exact nearest-node rule
-# that the policy's bucket tables come from and fall back to
-SEARCHERS = {("numerics.py", "surface_value"), ("numerics.py", "bilinear"),
-             ("principal.py", "_nearest_node")}
+# alone (``bilinear`` is its inner function); the policy's nearest node is
+# arithmetic on its uniform axes
+SEARCHERS = {("numerics.py", "surface_value"), ("numerics.py", "bilinear")}
 
 
 def _names(node):
@@ -181,7 +180,7 @@ def gaussian_draws(root=SRC):
 def grid_searches(root=SRC):
     """``file:line owner`` of every reference to ``grid_searchsorted``
     outside ``SEARCHERS``, so that no engine path goes back to a search
-    per step where the bucket tables answer."""
+    per step where arithmetic on a uniform axis answers."""
     return [f"{name}:{line} {owner}" for name, line, owner, _ in
             _references(root, {"grid_searchsorted"}, SEARCHERS)]
 
@@ -494,7 +493,7 @@ def test_gaussian_draw_rule_catches_each_form(tmp_path):
         "sim.py:10 _path_increments_too", "sim.py:11 <module>"]
 
 
-def test_grid_searches_run_only_in_the_interpolation_and_the_rule():
+def test_grid_searches_run_only_in_the_interpolation():
     assert grid_searches() == []
 
 
@@ -514,9 +513,9 @@ def test_grid_search_rule_catches_each_form(tmp_path):
     (tmp_path / "sim.py").write_text(
         "def _nearest_node(g, v):\n    return numerics.grid_searchsorted(g, v)\n")
     assert grid_searches(tmp_path) == [
-        "numerics.py:8 bilinear_too", "principal.py:4 gather",
-        "principal.py:5 <module>", "principal.py:6 <module>",
-        "sim.py:2 _nearest_node"]
+        "numerics.py:8 bilinear_too", "principal.py:2 _nearest_node",
+        "principal.py:4 gather", "principal.py:5 <module>",
+        "principal.py:6 <module>", "sim.py:2 _nearest_node"]
 
 
 def test_no_module_reaches_into_another_modules_private_names():
