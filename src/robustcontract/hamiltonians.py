@@ -162,11 +162,21 @@ class ModelSpec:
 
     ``payoff_free_of_nature`` is derived at construction, not set: it holds
     when ``drift_b`` and ``discount_k`` broadcast and their calls on the
-    probe mesh, which has two or more nature values, come back without a
-    nature axis (or with one of length 1).  Neither then reads the nature
-    control, so the running payoff ``-k*y - c + b*z`` is the same at every
-    nature control; the agent and principal solvers read the same fact
-    from the shapes of their own calls.
+    probe mesh, which has two or more nature values (the nature set's ends
+    on a one-point grid), come back without a nature axis (or with one of
+    length 1).  Neither then reads the nature control, so the running
+    payoff ``-k*y - c + b*z`` is the same at every nature control; the
+    agent and principal solvers read the same fact from the shapes of
+    their own calls.
+
+    ``exact_effort`` declares the clamped ``candidate_effort`` the exact
+    maximizer of the running payoff over the effort set, so the Monte
+    Carlo engine plays it without enumerating the effort grid.  It
+    requires a ``candidate_effort`` and a payoff free of nature (the
+    engine then skips the inner infimum over the volatility level set as
+    well).  ``risk_neutral`` claims more (exact (z, gamma) candidates, the
+    closed-form radius and a flat game) and requires ``exact_effort``.
+    Construction raises ``ValueError`` when either requirement fails.
     """
 
     drift_b: Callable[[float, float, float, float], float]
@@ -190,6 +200,7 @@ class ModelSpec:
 
     # preset hooks: closed-form interior candidates injected ahead of the grid
     risk_neutral: bool = False
+    exact_effort: bool = False
     candidate_effort: Callable[[float, float, float, float], float] | None = None
     candidate_zgamma: Callable[[float, float, float, float, float], Sequence[tuple[float, float]]] | None = None
 
@@ -212,7 +223,13 @@ class ModelSpec:
             raise ValueError("truncation_M must be positive")
         _check_grid_counts(self.a_grid_points, self.n_grid_points,
                            self.z_grid_points, self.gamma_grid_points)
+        if self.risk_neutral and not self.exact_effort:
+            raise ValueError("risk_neutral requires exact_effort")
+        if self.exact_effort and self.candidate_effort is None:
+            raise ValueError("exact_effort requires a candidate_effort")
         self._probe_primitives()
+        if self.exact_effort and not self.payoff_free_of_nature:
+            raise ValueError("exact_effort requires a payoff free of nature")
 
     def _probe_primitives(self) -> None:
         """Check the model's conditions with scalar calls at probe points;
@@ -225,7 +242,10 @@ class ModelSpec:
         xs = uniform_grid(-half, half, 9)
         a_probe, n_probe = self.a_grid(), self.n_grid()
         a_sub = a_probe[:: max(1, len(a_probe) // 4)]
-        n_sub = n_probe[:: max(1, len(n_probe) // 4)]
+        # one nature value shows no dependence either way, so a one-point
+        # grid's payoff probes take the nature set's two ends instead
+        n_sub = (n_probe[:: max(1, len(n_probe) // 4)] if len(n_probe) > 1
+                 else uniform_grid(*self.nature_set_N, 2))
         sig = self._adopt("vol_sigma", ts, xs, n_probe)[0]
         if not self.allow_degenerate_vol and not np.all(sig > 0.0):
             i, j, k = np.argwhere(~(sig > 0.0))[0]
@@ -254,7 +274,7 @@ class ModelSpec:
         drift_shape = self._adopt("drift_b", ts, xs, a_sub, n_sub)[1]
         # a broadcasting call that comes back without a nature axis reads
         # no nature control anywhere, not only at the probe points
-        object.__setattr__(self, "payoff_free_of_nature", len(n_sub) > 1 and all(
+        object.__setattr__(self, "payoff_free_of_nature", all(
             shape is not None and shape[-1:] in ((), (1,))
             for shape in (drift_shape, disc_shape)))
         # two w points (-1.5, 1.5) probe z, y, p and q; nature values stand in

@@ -59,7 +59,10 @@ _UNIFORM_ULPS = 8
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Bounded tensor grid for the pair state plus the time axis."""
+    """Bounded tensor grid for the pair state plus the time axis.
+
+    Construction raises ``ValueError`` unless each space axis has finite
+    bounds and every axis holds its nodes on distinct doubles."""
 
     x_lo: float
     x_hi: float
@@ -75,10 +78,21 @@ class GridSpec:
             raise ValueError("need at least 3 nodes per space axis")
         if not (self.x_hi > self.x_lo and self.y_hi > self.y_lo):
             raise ValueError("empty space interval")
+        if not all(map(math.isfinite, (self.x_lo, self.x_hi, self.y_lo,
+                                       self.y_hi))):
+            raise ValueError("space bounds must be finite")
         if self.t_steps < 0:
             raise ValueError("negative time step count")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
+        # an interval too narrow for its magnitude puts nodes on equal
+        # doubles
+        for name, g in (("x", self.x_grid()), ("y", self.y_grid()),
+                        ("t", self.t_grid())):
+            if not np.all(np.diff(g) > 0.0):
+                raise ValueError(
+                    f"the {name} interval [{float(g[0])!r}, "
+                    f"{float(g[-1])!r}] cannot hold {len(g)} distinct nodes")
 
     @property
     def dx(self) -> float:
@@ -519,6 +533,10 @@ def _nearest_node(g, v):
     return np.maximum(u, 0.0, out=u).astype(np.intp)
 
 
+def _finite_increasing(g) -> bool:
+    return bool(np.all(np.isfinite(g)) and np.all(np.diff(g) > 0.0))
+
+
 def _uniform(g) -> bool:
     """Whether each spacing of ``g`` is within ``_UNIFORM_ULPS`` ulps of
     max(|g[0]|, |g[-1]|) of the first."""
@@ -536,9 +554,10 @@ class ContractPolicy:
     Each field has shape (len(t_grid), len(x_grid), len(y_grid)).  The x
     and y axes are finite, strictly increasing, at least two nodes long
     and uniform (see ``_UNIFORM_ULPS``), so :meth:`gather` finds a
-    value's nearest node by arithmetic; the time axis is uniform, as
-    :meth:`slice_index` assumes.  Construction, and so
-    ``dataclasses.replace``, raises ``ValueError`` otherwise.
+    value's nearest node by arithmetic; the time axis is one node or
+    finite, strictly increasing and uniform, as :meth:`slice_index`
+    assumes.  Construction, and so ``dataclasses.replace``, raises
+    ``ValueError`` otherwise.
     """
 
     t_grid: np.ndarray
@@ -556,12 +575,18 @@ class ContractPolicy:
             g = getattr(self, name)
             if np.ndim(g) != 1 or len(g) < 2:
                 raise ValueError(f"policy {name} needs at least 2 nodes")
-            if not (np.all(np.isfinite(g)) and np.all(np.diff(g) > 0.0)):
+            if not _finite_increasing(g):
                 raise ValueError(f"policy {name} is not finite and "
                                  "strictly increasing")
             if not _uniform(g):
                 raise ValueError(f"policy {name} is not uniform")
-        if np.ndim(self.t_grid) != 1 or not _uniform(self.t_grid):
+        if np.ndim(self.t_grid) != 1:
+            raise ValueError("policy t_grid is not 1-D")
+        # one time node (a zero-step solve) has no spacing to check
+        if len(self.t_grid) > 1 and not _finite_increasing(self.t_grid):
+            raise ValueError("policy t_grid is not finite and strictly "
+                             "increasing")
+        if not _uniform(self.t_grid):
             raise ValueError("policy t_grid is not uniform")
         shape = (len(self.t_grid), len(self.x_grid), len(self.y_grid))
         for name in POLICY_FIELDS:

@@ -245,16 +245,34 @@ def _response(model: ModelSpec, t: float, X: np.ndarray, Y: np.ndarray,
     the pointwise evaluator.  A model whose payoff is free of nature
     (``ModelSpec.payoff_free_of_nature``) skips the fold: every entry
     would equal the driving control's payoff, so none is smaller.
+
+    A model that declares ``ModelSpec.exact_effort`` skips the effort grid
+    too: it plays the clamped candidate and reports that effort's own
+    payoff as F*.  Against the enumeration (same model, flag off) the
+    played effort, sigma and ``(b, k, c)`` agree bit for bit, but F* can
+    differ:
+
+    - the enumeration reports the maximum over every row while its tie
+      rule keeps the first (candidate) effort, so where the candidate
+      lies within a few ulps of a grid effort a grid row can round above
+      it, and the fast F* is then the lower by a few ulps of the payoff's
+      terms (up to 5.6e-17 on risk_neutral and 2.8e-16 on
+      quadratic_bounded; about one such state in six, and about one
+      uniform random state in 400,000);
+    - at z = +inf the fast F* is inf where the enumeration gives NaN
+      (0 * inf on the a = 0 row); at z = -inf both give NaN;
+    - at z = -0.0 the fast F* is +0.0 where the enumeration gives -0.0.
     """
     sig = numerics.field(model.vol_sigma, t, X, n_now)
     cand = numerics.clamped_candidate(model, t, X, Z, sig)
     if cand is not None:
         cand = np.broadcast_to(cand, X.shape)
 
-    if model.risk_neutral and cand is not None:
-        # the candidate is the exact maximizer and F does not depend on the
-        # volatility control beyond sigma itself, so the grid and the level
-        # enumeration are redundant here (validated bit-for-bit in tests)
+    if model.exact_effort:
+        # the candidate is the exact maximizer and the payoff is free of
+        # nature, so neither the effort grid nor the level set can change
+        # the played effort; F* is the candidate's own payoff, which can
+        # sit an ulp below the enumeration's maximum (see the docstring)
         base, b, k, c = numerics.effort_payoff(model, t, X, Y, cand, n_now)
         return cand, base + b * Z, sig, (b, k, c)
 
@@ -498,8 +516,9 @@ def constant_policy(model: ModelSpec, horizon: float, *, z: float,
     """
     if nature is None:
         nature = 0.5 * (model.nature_set_N[0] + model.nature_set_N[1])
-    shape = (2, 2, 2)
-    t_grid = np.array([0.0, horizon])
+    # a zero horizon has one time node, as a zero-step solve does
+    t_grid = np.array([0.0, horizon]) if horizon != 0.0 else np.zeros(1)
+    shape = (len(t_grid), 2, 2)
     return ContractPolicy(
         t_grid=t_grid, x_grid=np.linspace(*_CONSTANT_POLICY_BOX, 2),
         y_grid=np.linspace(*_CONSTANT_POLICY_BOX, 2),

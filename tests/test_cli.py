@@ -469,6 +469,21 @@ class TestSolvePrincipal:
         assert run_cli("solve-principal", cfg, tmp_path / "x") == EXIT_CONFIG
         assert "participation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_a_box_without_distinct_nodes_exits_2(self, tmp_path, capsys,
+                                                   axis):
+        # np.linspace would put 41 nodes on 9 distinct doubles
+        grid = dict(PRINCIPAL_SMALL["grid"], **{
+            f"{axis}_lo": 1e15, f"{axis}_hi": 1e15 + 1.0,
+            f"{axis}_nodes": 41})
+        cfg = write_config(tmp_path, "g.yaml",
+                           dict(PRINCIPAL_SMALL, grid=grid))
+        assert run_cli("solve-principal", cfg, tmp_path / "x") == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: grid: the {axis} interval [1000000000000000.0, "
+            "1000000000000001.0] cannot hold 41 distinct nodes\n")
+        assert not (tmp_path / "x").exists()
+
     def test_zero_time_steps_writes_terminal_only(self, tmp_path):
         doc = dict(PRINCIPAL_SMALL, options={},
                    grid=dict(PRINCIPAL_SMALL["grid"], t_steps=0))
@@ -908,20 +923,21 @@ class TestDamagedArtifacts:
             f"missing artifact: manifest config in '{art}' is invalid: "
             f"{message}\n")
 
-    def test_manifest_grid_the_policy_refuses_exits_3(
+    def test_manifest_grid_without_distinct_nodes_exits_3(
             self, principal_run, tmp_path, capsys):
         art = tmp_path / "art"
         shutil.copytree(principal_run, art)
         doc = export.read_manifest(str(art))
-        # GridSpec takes this box, but np.linspace puts its nodes on fewer
-        # distinct doubles than there are nodes; simulate reads no grid
+        # np.linspace puts this box's nodes on fewer distinct doubles than
+        # there are nodes, which GridSpec refuses; simulate reads no grid
         # column that could catch it first, as verify's value surface does
         doc["config"]["grid"].update(x_lo=1e15, x_hi=1e15 + 1.0)
         (art / export.MANIFEST_NAME).write_text(export.canonical_yaml(doc))
         assert read_back(tmp_path, "simulate", art) == EXIT_MISSING
         assert capsys.readouterr().err == (
             f"missing artifact: manifest config in '{art}' is invalid: "
-            "policy x_grid is not finite and strictly increasing\n")
+            "grid: the x interval [1000000000000000.0, 1000000000000001.0] "
+            "cannot hold 17 distinct nodes\n")
 
     @pytest.mark.parametrize("command,kind,case", DAMAGE_RUNS)
     def test_each_damage_exits_3_with_its_message(

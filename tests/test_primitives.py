@@ -72,16 +72,18 @@ def test_presets_keep_their_own_callables(monkeypatch, name):
 
 
 # each preset's fields beside its primitives, at the parameters above:
-# (effort_set_A, nature_set_N, truncation_M, risk_neutral,
+# (effort_set_A, nature_set_N, truncation_M, risk_neutral, exact_effort,
 #  allow_degenerate_vol, agent_nature_set)
 PRESET_FIELDS = {
-    "risk_neutral": ((0.0, 1.0), (0.5, 1.0), 6.0, True, False, None),
-    "quadratic_bounded": ((0.0, 1.0), (0.5, 1.0), 2.0, False, False, None),
-    "heat_band": ((0.0, 1.0), (0.2, 0.4), 2.0, False, False, None),
-    "disjoint_beliefs": ((0.0, 1.0), (0.3, 0.5), 2.0, False, False,
+    "risk_neutral": ((0.0, 1.0), (0.5, 1.0), 6.0, True, True, False, None),
+    "quadratic_bounded": ((0.0, 1.0), (0.5, 1.0), 2.0, False, True, False,
+                          None),
+    "heat_band": ((0.0, 1.0), (0.2, 0.4), 2.0, False, False, False, None),
+    "disjoint_beliefs": ((0.0, 1.0), (0.3, 0.5), 2.0, False, False, False,
                          (0.1, 0.2)),
-    "zero_vol": ((0.0, 1.0), (1.0, 1.0), 2.0, False, True, None),
-    "custom_tabulated": ((0.0, 1.0), (1.0, 2.0), 2.0, False, False, None),
+    "zero_vol": ((0.0, 1.0), (1.0, 1.0), 2.0, False, False, True, None),
+    "custom_tabulated": ((0.0, 1.0), (1.0, 2.0), 2.0, False, False, False,
+                         None),
 }
 
 
@@ -93,7 +95,8 @@ def test_presets_keep_their_shared_defaults(name):
     assert model.growth_params == GrowthParams(kappa=kappa)
     assert model.growth_C == 2.0
     assert (model.effort_set_A, model.nature_set_N, model.truncation_M,
-            model.risk_neutral, model.allow_degenerate_vol,
+            model.risk_neutral, model.exact_effort,
+            model.allow_degenerate_vol,
             model.agent_nature_set) == PRESET_FIELDS[name]
     assert model.payoff_free_of_nature
 
@@ -283,8 +286,10 @@ def test_coarse_copy_calls_no_primitive_and_solves_like_a_rebuilt_model():
     # broadcasts to every axis without reading nature: not shown free
     (lambda t, x, a, n: a + 0.0 * n, None, 5, False),
     (None, None, 2, True),
-    # one nature point shows no dependence either way
-    (None, None, 1, False),
+    # a one-point grid's probes take the nature set's two ends
+    (None, None, 1, True),
+    (lambda t, x, a, n: a * n, None, 1, False),
+    (None, lambda t, x, a, n: 0.1 * n, 1, False),
 ])
 def test_payoff_free_of_nature_is_read_from_the_probes(drift, discount,
                                                        n_points, free):
@@ -299,3 +304,33 @@ def test_presets_have_payoffs_free_of_nature(name):
     model = presets.make_model(name, **PRESET_PARAMS.get(name, {}))
     assert model.payoff_free_of_nature
     assert model.with_control_grids(n=2).payoff_free_of_nature
+
+
+def _clamped(t, x, z, sigma):
+    return np.clip(z, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(exact_effort=True), "exact_effort requires a candidate_effort"),
+    # the shortcut skips the infimum over the volatility level set
+    (dict(exact_effort=True, candidate_effort=_clamped,
+          b=lambda t, x, a, n: a * n),
+     "exact_effort requires a payoff free of nature"),
+    (dict(exact_effort=True, candidate_effort=_clamped,
+          k=lambda t, x, a, n: 0.1 * n),
+     "exact_effort requires a payoff free of nature"),
+    (dict(risk_neutral=True, candidate_effort=_clamped),
+     "risk_neutral requires exact_effort"),
+])
+def test_exact_effort_claims_are_refused_without_their_grounds(fields,
+                                                               message):
+    with pytest.raises(ValueError, match=message):
+        build_model(**fields)
+
+
+@pytest.mark.parametrize("name", ["risk_neutral", "quadratic_bounded"])
+def test_presets_that_declare_exact_effort_keep_it_on_one_nature_point(name):
+    # one nature grid value shows nothing about the payoff, and the
+    # probes take the nature set's ends
+    model = presets.make_model(name, n_grid_points=1)
+    assert model.exact_effort and model.payoff_free_of_nature

@@ -478,6 +478,32 @@ class TestContractPolicy:
                                       getattr(pol, name)[step][xi, yi])
 
 
+class TestGridSpecChecks:
+    BOX = dict(x_lo=-1.0, x_hi=1.0, x_nodes=5, y_lo=-1.0, y_hi=1.0,
+               y_nodes=5, t_steps=2, horizon=1.0)
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_a_box_without_distinct_nodes_is_refused(self, axis):
+        far = dict(self.BOX, **{f"{axis}_lo": 1e15, f"{axis}_hi": 1e15 + 1.0})
+        # 9 nodes there are 0.125 apart, one ulp at 1e15; np.linspace puts
+        # 41 nodes on those 9 doubles
+        GridSpec(**dict(far, **{f"{axis}_nodes": 9}))
+        with pytest.raises(ValueError, match=f"the {axis} interval .* "
+                                             "cannot hold 41 distinct"):
+            GridSpec(**dict(far, **{f"{axis}_nodes": 41}))
+
+    def test_a_horizon_without_distinct_steps_is_refused(self):
+        # half the smallest subnormal rounds to zero: t_grid [0, 0, h]
+        GridSpec(**dict(self.BOX, horizon=5e-324, t_steps=1))
+        with pytest.raises(ValueError, match=r"the t interval \[0.0, 5e-324\] "
+                                             "cannot hold 3 distinct"):
+            GridSpec(**dict(self.BOX, horizon=5e-324, t_steps=2))
+
+    def test_an_infinite_bound_is_refused(self):
+        with pytest.raises(ValueError, match="space bounds must be finite"):
+            GridSpec(**dict(self.BOX, x_lo=-np.inf))
+
+
 def small_policy(**changes):
     """A valid policy on a 2 x 3 x 4 (t, x, y) grid, with ``changes``."""
     args = dict(t_grid=np.array([0.0, 0.5]), x_grid=np.linspace(0.0, 1.0, 3),
@@ -520,6 +546,20 @@ class TestContractPolicyChecks:
         small_policy(t_grid=np.linspace(0.0, 0.5, 3), **fields)
         with pytest.raises(ValueError, match="t_grid is not uniform"):
             small_policy(t_grid=np.array([0.0, 0.1, 0.5]), **fields)
+
+    @pytest.mark.parametrize("end", [0.0, -0.5, np.nan, np.inf],
+                             ids=["zero-horizon", "decreasing", "nan", "inf"])
+    def test_a_time_axis_that_does_not_increase_is_refused(self, end):
+        with pytest.raises(ValueError, match="t_grid is not finite and "
+                                             "strictly increasing"):
+            small_policy(t_grid=np.array([0.0, end]))
+
+    def test_a_one_node_time_axis_is_accepted(self):
+        # a zero-step solve's policy: every time reads its one slice
+        policy = small_policy(t_grid=np.zeros(1), **{
+            name: np.full((1, 3, 4), 2.5) for name in principal.POLICY_FIELDS})
+        assert policy.slice_index(0.0) == policy.slice_index(7.0) == 0
+        assert policy.gather(0.0, [0.2], [-0.3])["z"].tolist() == [2.5]
 
     def test_replace_runs_the_same_checks(self):
         with pytest.raises(ValueError, match="x_grid is not finite"):

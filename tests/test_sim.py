@@ -4,6 +4,7 @@ separated-beliefs degeneracy."""
 
 import copy
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -172,6 +173,13 @@ class TestEngineClosedForms:
         res = simulate_system(rn_model, policy, None, cfg)
         gap = abs(res.agent_estimate.mean - y0)
         assert gap <= 3 * res.agent_estimate.ci_halfwidth + 0.02
+
+    def test_zero_horizon_policy_has_one_time_node(self, rn_model):
+        policy = constant_policy(rn_model, horizon=0.0, z=1.0)
+        assert policy.t_grid.tolist() == [0.0]
+        assert policy.gather(0.0, [0.0], [0.0])["z"].tolist() == [1.0]
+        with pytest.raises(ValueError, match="t_grid is not finite"):
+            constant_policy(rn_model, horizon=-1.0, z=1.0)
 
     def test_zero_horizon_batch_reports_the_terminal_functional(self, rn_model):
         policy = constant_policy(rn_model, horizon=0.0, z=1.0)
@@ -352,12 +360,15 @@ class TestSharedIncrements:
 
 class TestResponseEquivalence:
     def test_vectorized_response_matches_pointwise_saddle(self):
-        model = presets.quadratic_bounded(a_grid_points=9, n_grid_points=5)
+        exact = presets.quadratic_bounded(a_grid_points=9, n_grid_points=5)
         rng = np.random.default_rng(40)
         X = rng.uniform(-1.5, 1.5, size=24)
         Y = rng.uniform(-0.8, 0.8, size=24)
         Z = rng.uniform(-2.0, 2.0, size=24)
-        for n in model.n_grid():
+        # the exact-effort shortcut and the effort enumeration
+        for model, n in itertools.product(
+                (exact, dataclasses.replace(exact, exact_effort=False)),
+                exact.n_grid()):
             a_vec, f_vec, sig_vec, _ = _response(model, 0.25, X, Y, Z, float(n))
             for i in range(len(X)):
                 sig = model.vol_sigma(0.25, X[i], float(n))
@@ -374,25 +385,30 @@ class TestResponseEquivalence:
         rng = np.random.default_rng(42)
         if kind == "quadratic_bounded":
             model = presets.quadratic_bounded(a_grid_points=9, n_grid_points=5)
+            # the exact-effort shortcut and the effort enumeration
+            models = (model, dataclasses.replace(model, exact_effort=False))
         else:
             model = random_polynomial_model(np.random.default_rng(8))
             assert model.candidate_effort is None
+            models = (model,)
         X = rng.uniform(-1.5, 1.5, size=40)
         Y = rng.uniform(-0.8, 0.8, size=40)
         Z = rng.uniform(-2.0, 2.0, size=40)
         n_now = rng.choice(model.n_grid(), size=40)
-        a_vec, f_vec, sig_vec, _ = _response(model, 0.25, X, Y, Z, n_now)
-        for i in range(len(X)):
-            sig = model.vol_sigma(0.25, X[i], float(n_now[i]))
-            res = eval_F_star(model, 0.25, float(X[i]), float(Y[i]),
-                              float(Z[i]), sig * sig)
-            assert f_vec[i] == res.value
-            assert a_vec[i] == res.arg_a
-            assert sig_vec[i] == sig
+        for model in models:
+            a_vec, f_vec, sig_vec, _ = _response(model, 0.25, X, Y, Z, n_now)
+            for i in range(len(X)):
+                sig = model.vol_sigma(0.25, X[i], float(n_now[i]))
+                res = eval_F_star(model, 0.25, float(X[i]), float(Y[i]),
+                                  float(Z[i]), sig * sig)
+                assert f_vec[i] == res.value
+                assert a_vec[i] == res.arg_a
+                assert sig_vec[i] == sig
 
     def test_fast_path_matches_general_enumeration(self, rn_model):
-        import dataclasses
-        slow = dataclasses.replace(rn_model, risk_neutral=False)
+        # risk_neutral requires exact_effort, so both go
+        slow = dataclasses.replace(rn_model, risk_neutral=False,
+                                   exact_effort=False)
         rng = np.random.default_rng(41)
         X = rng.uniform(-4, 4, size=50)
         Y = rng.uniform(-4, 4, size=50)
@@ -425,6 +441,9 @@ class TestResponseEquivalence:
                  "custom_tabulated": lambda: presets.custom_tabulated(
                      [0.5, 0.75, 1.0], [0.5, 0.9, 1.0], discount=0.3),
                  }[name]()
+        # both sides enumerate the effort grid, so the fold skip is what
+        # differs between them, not the exact-effort shortcut
+        model = dataclasses.replace(model, exact_effort=False)
         assert model.payoff_free_of_nature
         folded = self.with_the_fold(model)
         rng = np.random.default_rng(43)
@@ -466,7 +485,9 @@ class TestResponseEquivalence:
         assert np.any(f_skip != f_vec)
 
     def test_peak_memory_stays_below_one_stacked_nature_tensor(self):
-        model = presets.quadratic_bounded()
+        # the effort enumeration's peak, not the exact-effort shortcut's
+        model = dataclasses.replace(presets.quadratic_bounded(),
+                                    exact_effort=False)
         paths = 4000
         rng = np.random.default_rng(44)
         X = rng.uniform(-3.0, 3.0, size=paths)
@@ -481,6 +502,95 @@ class TestResponseEquivalence:
         finally:
             tracemalloc.stop()
         assert peak < stacked
+
+
+class TestExactEffort:
+    """``ModelSpec.exact_effort`` against the effort enumeration of the
+    same model with the flag off.  ``reference_simulate`` calls
+    ``_response`` itself, so ``TestEngineReference`` cannot see a fault of
+    the shortcut; these tests can."""
+
+    @staticmethod
+    def enumerating(model):
+        # risk_neutral requires exact_effort, so it goes too
+        return dataclasses.replace(model, risk_neutral=False,
+                                   exact_effort=False)
+
+    @pytest.mark.parametrize("name", ["risk_neutral", "quadratic_bounded"])
+    def test_differences_from_the_enumeration_are_the_stated_ones(self, name):
+        fast = presets.make_model(name)
+        slow = self.enumerating(fast)
+        rng = np.random.default_rng(45)
+        size = 20000
+        X = rng.uniform(-2.5, 2.5, size)
+        Y = rng.uniform(-0.8, 0.8, size)
+        n_now = rng.choice(fast.n_grid(), size)
+        # the candidate is clamp(z phi(x)): phi >= 0.5 on quadratic_bounded
+        # here, 1 on risk_neutral
+        phi = (presets.smooth_cutoff(X, fast.truncation_M)
+               if name == "quadratic_bounded" else 1.0)
+        near = rng.choice(fast.a_grid(), size)
+        near = near + rng.integers(-8, 9, size) * np.spacing(near)
+
+        def both(Z, X=X, Y=Y, n_now=n_now):
+            with np.errstate(invalid="ignore"):
+                got = _response(fast, 0.25, X, Y, Z, n_now)
+                want = _response(slow, 0.25, X, Y, Z, n_now)
+            # effort and sigma agree bit for bit, and the handed-back
+            # (b, k, c) are the kernel's at the played effort
+            for g, w in zip(got[::2], want[::2]):
+                assert np.broadcast_to(g, X.shape).tobytes() == \
+                    np.broadcast_to(w, X.shape).tobytes()
+            parts = numerics.effort_parts(slow, 0.25, X, want[0], n_now)
+            for g, w in zip(got[3], parts, strict=True):
+                assert np.broadcast_to(g, X.shape).tobytes() == \
+                    np.broadcast_to(w, X.shape).tobytes()
+            return got[1], want[1]
+
+        # z phi within 8 ulps of a grid effort: the enumeration reports a
+        # grid row that rounds above the candidate it keeps
+        f_fast, f_slow = both(near / phi)
+        gap = f_slow - f_fast
+        assert np.all(gap >= 0.0)
+        assert 0 < np.count_nonzero(gap) < size // 4
+        assert np.max(gap) <= 2 * np.spacing(1.0)
+        # uniform states: about one in 400,000 differs
+        f_fast, f_slow = both(rng.uniform(-2.0, 2.0, size))
+        assert np.count_nonzero(f_fast != f_slow) <= 1
+        # z = +inf: inf against NaN (0 * inf on the a = 0 row); z = -inf:
+        # NaN on both; z = -0.0: +0.0 against -0.0
+        f_fast, f_slow = both(np.array([np.inf, -np.inf, -0.0]),
+                              X=np.full(3, 0.3), Y=np.full(3, 0.2),
+                              n_now=0.75)
+        assert f_fast[0] == np.inf and np.isnan(f_slow[0])
+        assert np.isnan(f_fast[1]) and np.isnan(f_slow[1])
+        assert f_fast[2] == f_slow[2] == 0.0
+        assert not np.signbit(f_fast[2]) and np.signbit(f_slow[2])
+
+    @pytest.fixture(scope="class")
+    def robust_policy(self):
+        # the robust solve's grid in tests/test_principal.py (ROBUST_GRID)
+        grid = GridSpec(x_lo=-3.0, x_hi=3.0, x_nodes=13, y_lo=-0.5,
+                        y_hi=0.5, y_nodes=13, t_steps=8, horizon=0.5)
+        return extract_contract(solve_hjbi(presets.quadratic_bounded(), grid))
+
+    @pytest.mark.parametrize("feedback", [True, False])
+    def test_engine_runs_match_the_enumeration(self, robust_policy, feedback):
+        fast = presets.quadratic_bounded()
+        nature = None if feedback else NatureStrategy.constant(0.7, 0.5)
+        cfg = SimConfig(paths=3000, dt=1 / 64, seed=47, x0=0.25, y0=0.1)
+        got = simulate_system(fast, robust_policy, nature, cfg)
+        want = simulate_system(self.enumerating(fast), robust_policy, nature,
+                               cfg)
+        # the state and its quadratic variation follow the effort alone
+        assert got.terminal_x.tobytes() == want.terminal_x.tobytes()
+        assert got.realized_qv.tobytes() == want.realized_qv.tobytes()
+        assert (got.paths_used, got.quarantined) == \
+            (want.paths_used, want.quarantined)
+        # the payments carry F*, which may sit an ulp lower
+        for key in ("principal_estimate", "agent_estimate"):
+            np.testing.assert_allclose(getattr(got, key), getattr(want, key),
+                                       rtol=0.0, atol=1e-12)
 
 
 class TestGirsanov:

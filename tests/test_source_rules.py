@@ -6,8 +6,9 @@ table or array read outside ``cli._artifact_table`` and
 NumPy array-file call (``np.load``, ``np.save``, ``numpy.lib.format``)
 outside ``export``'s array reader and writer, no Gaussian draw outside
 ``sim._path_increments`` and
-``sim._draw_increments``, no grid search outside the surface interpolation
-and the nearest-node rule, no defaulted parameter that no call site sets, no
+``sim._draw_increments``, no grid search outside the surface interpolation,
+no ``risk_neutral`` read in the engine but the martingale check's label, no
+defaulted parameter that no call site sets, no
 function or dataclass field default that every call overrides, and no
 module reaching into another package module's underscore-prefixed names."""
 
@@ -33,6 +34,9 @@ ARRAY_FILES = {("export.py", "read_array"), ("export.py", "write_array")}
 KERNEL_ONLY = {"drift_b", "discount_k", "cost_c", "candidate_effort"}
 # the owners of the increments' per-step splitting rule
 DRAWERS = {("sim.py", "_path_increments"), ("sim.py", "_draw_increments")}
+# the one reader of the flat-game claim in the engine: the martingale
+# check's label; the engine's effort shortcut reads ``exact_effort``
+FLAT_GAME_LABEL = {("sim.py", "martingale_sandwich_check")}
 # the callers of ``numerics.grid_searchsorted``: the surface interpolation
 # alone (``bilinear`` is its inner function); the policy's nearest node is
 # arithmetic on its uniform axes
@@ -183,6 +187,25 @@ def grid_searches(root=SRC):
     per step where arithmetic on a uniform axis answers."""
     return [f"{name}:{line} {owner}" for name, line, owner, _ in
             _references(root, {"grid_searchsorted"}, SEARCHERS)]
+
+
+def _risk_neutral_name(node):
+    """``risk_neutral`` when ``node`` names it: as an attribute, a name, an
+    import, a parameter, a keyword argument or a string (``getattr``)."""
+    name = getattr(node, "id", None) or getattr(node, "attr", None) \
+        or getattr(node, "arg", None) \
+        or (node.name if isinstance(node, ast.alias) else None) \
+        or (node.value if isinstance(node, ast.Constant) else None)
+    return name if name == "risk_neutral" else None
+
+
+def flat_game_reads(root=SRC):
+    """``file:line owner`` of every reference to ``risk_neutral`` in
+    ``sim.py`` outside ``FLAT_GAME_LABEL``, so that the engine's effort
+    shortcut keeps reading ``exact_effort`` alone."""
+    return [f"{name}:{line} {owner}" for name, line, owner, _ in
+            _matches(root, _risk_neutral_name, FLAT_GAME_LABEL)
+            if name == "sim.py"]
 
 
 def private_reaches(root=SRC):
@@ -516,6 +539,30 @@ def test_grid_search_rule_catches_each_form(tmp_path):
         "numerics.py:8 bilinear_too", "principal.py:2 _nearest_node",
         "principal.py:4 gather", "principal.py:5 <module>",
         "principal.py:6 <module>", "sim.py:2 _nearest_node"]
+
+
+def test_the_engine_reads_risk_neutral_only_for_the_label():
+    assert flat_game_reads() == []
+
+
+def test_flat_game_rule_catches_each_form(tmp_path):
+    (tmp_path / "sim.py").write_text(
+        "from .presets import risk_neutral\n"
+        "def _response(model, risk_neutral=False):\n"
+        "    if model.risk_neutral or risk_neutral:\n"
+        "        return getattr(model, 'risk_neutral')\n"
+        "    return replace(model, risk_neutral=False)\n"
+        "def martingale_sandwich_check(model):\n"
+        "    def label():\n        return model.risk_neutral\n"
+        "    return 'flat game' if model.risk_neutral else 'probe'\n"
+        "def _keep(model):\n"
+        "    return model.exact_effort, 'risk_neutral preset', risk\n")
+    (tmp_path / "principal.py").write_text(
+        "def _radius(model):\n    return model.risk_neutral\n")
+    assert flat_game_reads(tmp_path) == [
+        "sim.py:1 <module>", "sim.py:2 _response", "sim.py:3 _response",
+        "sim.py:3 _response", "sim.py:4 _response", "sim.py:5 _response",
+        "sim.py:8 label"]
 
 
 def test_no_module_reaches_into_another_modules_private_names():
