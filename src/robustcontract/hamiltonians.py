@@ -169,14 +169,12 @@ class ModelSpec:
     agent and principal solvers read the same fact from the shapes of
     their own calls.
 
-    ``exact_effort`` declares the clamped ``candidate_effort`` the exact
-    maximizer of the running payoff over the effort set, so the Monte
-    Carlo engine plays it without enumerating the effort grid.  It
-    requires a ``candidate_effort`` and a payoff free of nature (the
-    engine then skips the inner infimum over the volatility level set as
-    well).  ``risk_neutral`` claims more (exact (z, gamma) candidates, the
-    closed-form radius and a flat game) and requires ``exact_effort``.
-    Construction raises ``ValueError`` when either requirement fails.
+    ``candidate_effort``, clamped to the effort set, is the exact
+    maximizer of the running payoff over that set.  The solvers enumerate
+    it ahead of the effort grid; on a payoff free of nature the Monte
+    Carlo engine plays it without the grid or the volatility level set.
+    ``risk_neutral`` claims more: exact (z, gamma) candidates, the
+    closed-form radius and a flat game.
     """
 
     drift_b: Callable[[float, float, float, float], float]
@@ -200,7 +198,6 @@ class ModelSpec:
 
     # preset hooks: closed-form interior candidates injected ahead of the grid
     risk_neutral: bool = False
-    exact_effort: bool = False
     candidate_effort: Callable[[float, float, float, float], float] | None = None
     candidate_zgamma: Callable[[float, float, float, float, float], Sequence[tuple[float, float]]] | None = None
 
@@ -223,13 +220,7 @@ class ModelSpec:
             raise ValueError("truncation_M must be positive")
         _check_grid_counts(self.a_grid_points, self.n_grid_points,
                            self.z_grid_points, self.gamma_grid_points)
-        if self.risk_neutral and not self.exact_effort:
-            raise ValueError("risk_neutral requires exact_effort")
-        if self.exact_effort and self.candidate_effort is None:
-            raise ValueError("exact_effort requires a candidate_effort")
         self._probe_primitives()
-        if self.exact_effort and not self.payoff_free_of_nature:
-            raise ValueError("exact_effort requires a payoff free of nature")
 
     def _probe_primitives(self) -> None:
         """Check the model's conditions with scalar calls at probe points;
@@ -242,10 +233,11 @@ class ModelSpec:
         xs = uniform_grid(-half, half, 9)
         a_probe, n_probe = self.a_grid(), self.n_grid()
         a_sub = a_probe[:: max(1, len(a_probe) // 4)]
+        n_sub = n_probe[:: max(1, len(n_probe) // 4)]
         # one nature value shows no dependence either way, so a one-point
-        # grid's payoff probes take the nature set's two ends instead
-        n_sub = (n_probe[:: max(1, len(n_probe) // 4)] if len(n_probe) > 1
-                 else uniform_grid(*self.nature_set_N, 2))
+        # grid's shape probes take the nature set's two ends instead
+        n_shape = (n_sub if len(n_sub) > 1
+                   else uniform_grid(*self.nature_set_N, 2))
         sig = self._adopt("vol_sigma", ts, xs, n_probe)[0]
         if not self.allow_degenerate_vol and not np.all(sig > 0.0):
             i, j, k = np.argwhere(~(sig > 0.0))[0]
@@ -262,6 +254,8 @@ class ModelSpec:
         disc, disc_shape = self._adopt("discount_k", ts, xs, a_sub, n_sub)
         if np.any(np.abs(disc) > self.growth_params.kappa + 1e-12):
             raise ValueError("discount_k exceeds the kappa bound")
+        if n_shape is not n_sub:
+            disc_shape = self._adopt("discount_k", ts, xs, a_sub, n_shape)[1]
         target = self._adopt("utility_agent", PROBE_W)[0]
         inv = self._adopt("utility_agent_inv", target)[0]
         if np.any(np.abs(_scalar_table(self.utility_agent, inv) - target) > 1e-12):
@@ -270,8 +264,8 @@ class ModelSpec:
         # the thin mesh keeps two nature values of a two-point grid: on one
         # value the nature axis has length 1 whatever the drift reads
         xs, a_sub = xs[::4], a_sub[::2]
-        n_sub = n_sub[::2] if len(n_sub) > 2 else n_sub
-        drift_shape = self._adopt("drift_b", ts, xs, a_sub, n_sub)[1]
+        n_shape = n_shape[::2] if len(n_shape) > 2 else n_shape
+        drift_shape = self._adopt("drift_b", ts, xs, a_sub, n_shape)[1]
         # a broadcasting call that comes back without a nature axis reads
         # no nature control anywhere, not only at the probe points
         object.__setattr__(self, "payoff_free_of_nature", all(
@@ -281,7 +275,7 @@ class ModelSpec:
         # for the candidate effort's volatility argument
         for name, axes in (("utility_principal", (PROBE_W,)),
                            ("liquidation_L", (PROBE_W,)),
-                           ("candidate_effort", (ts, xs, PROBE_W[3::6], n_sub))):
+                           ("candidate_effort", (ts, xs, PROBE_W[3::6], n_shape))):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, vectorized(getattr(self, name), *axes))
         if self.candidate_zgamma is not None:

@@ -76,8 +76,7 @@ def risk_neutral(n_band: tuple[float, float] = (0.5, 1.0), a_bar: float = 1.0,
     return _model(grid_counts, drift_b=_drift_is_effort, vol_sigma=_vol_is_n,
                   cost_c=_quadratic_cost, effort_set_A=(0.0, a_bar),
                   nature_set_N=n_band, truncation_M=truncation_M,
-                  risk_neutral=True, exact_effort=True,
-                  candidate_effort=_clamped_effort(a_bar),
+                  risk_neutral=True, candidate_effort=_clamped_effort(a_bar),
                   candidate_zgamma=candidate_zgamma)
 
 
@@ -105,8 +104,7 @@ def quadratic_bounded(M: float = 2.0, a_bar: float = 1.0,
     """Bounded-domain model: coefficients vanish outside |x| >= M+1.
 
     b = a phi(x), sigma = n phi(x), c = a^2/2, k = 0, bounded agent utility.
-    The optimal effort has the closed form clamp(z phi(x), 0, a_bar), which
-    the model declares exact (``exact_effort``).
+    The optimal effort has the closed form clamp(z phi(x), 0, a_bar).
     """
     u_a, u_a_inv = saturated_utility(w0)
 
@@ -125,7 +123,7 @@ def quadratic_bounded(M: float = 2.0, a_bar: float = 1.0,
         utility_principal=(_identity if utility_principal is None
                            else utility_principal),
         effort_set_A=(0.0, a_bar), nature_set_N=n_band, truncation_M=M,
-        exact_effort=True, candidate_effort=candidate_effort)
+        candidate_effort=candidate_effort)
 
 
 def heat_band(band: tuple[float, float] = (0.2, 0.4), truncation_M: float = 2.0,

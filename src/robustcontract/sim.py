@@ -230,6 +230,40 @@ def _response(model: ModelSpec, t: float, X: np.ndarray, Y: np.ndarray,
     control; ``parts`` is the effort's ``(b, k, c)`` from the effort
     kernel when this call evaluated them at that effort, else None.
 
+    A model with a ``candidate_effort`` and a payoff free of nature plays
+    the clamped candidate, which is the exact maximizer of a running
+    payoff that no volatility control changes, and reports that effort's
+    own payoff as F*.  Any other model goes through
+    :func:`_enumerated_response`.  Against that enumeration on the same
+    model, the played effort, sigma and ``(b, k, c)`` agree bit for bit,
+    but F* can differ:
+
+    - the enumeration reports the maximum over every row while its tie
+      rule keeps the first (candidate) effort, so where the candidate
+      lies within a few ulps of a grid effort a grid row can round above
+      it, and the candidate's F* is then the lower.  Over 400,000 states
+      within 8 ulps per preset, 13% to 19% differ, by at most 5.6e-17
+      (2**-54) on risk_neutral, 2.8e-16 (2**-52 + 2**-54) on
+      quadratic_bounded and 1.1e-16 (2**-53) on custom_tabulated; on
+      uniform random states about one in 400,000 differs;
+    - at z = +inf the candidate's F* is inf where the enumeration gives
+      NaN (0 * inf on the a = 0 row); at z = -inf both give NaN;
+    - at z = -0.0 the candidate's F* is +0.0 where the enumeration gives
+      -0.0.
+    """
+    if model.candidate_effort is None or not model.payoff_free_of_nature:
+        return _enumerated_response(model, t, X, Y, Z, n_now)
+    sig = numerics.field(model.vol_sigma, t, X, n_now)
+    cand = np.broadcast_to(
+        numerics.clamped_candidate(model, t, X, Z, sig), X.shape)
+    base, b, k, c = numerics.effort_payoff(model, t, X, Y, cand, n_now)
+    return cand, base + b * Z, sig, (b, k, c)
+
+
+def _enumerated_response(model: ModelSpec, t: float, X: np.ndarray,
+                         Y: np.ndarray, Z: np.ndarray, n_now) -> tuple:
+    """:func:`_response` by enumeration, with None for ``parts``.
+
     Mirrors the pointwise saddle evaluation with the ``numerics`` effort
     kernel's enumeration and payoff on one (effort, path) tensor; the
     inner infimum runs over the grid controls whose squared volatility
@@ -245,36 +279,11 @@ def _response(model: ModelSpec, t: float, X: np.ndarray, Y: np.ndarray,
     the pointwise evaluator.  A model whose payoff is free of nature
     (``ModelSpec.payoff_free_of_nature``) skips the fold: every entry
     would equal the driving control's payoff, so none is smaller.
-
-    A model that declares ``ModelSpec.exact_effort`` skips the effort grid
-    too: it plays the clamped candidate and reports that effort's own
-    payoff as F*.  Against the enumeration (same model, flag off) the
-    played effort, sigma and ``(b, k, c)`` agree bit for bit, but F* can
-    differ:
-
-    - the enumeration reports the maximum over every row while its tie
-      rule keeps the first (candidate) effort, so where the candidate
-      lies within a few ulps of a grid effort a grid row can round above
-      it, and the fast F* is then the lower by a few ulps of the payoff's
-      terms (up to 5.6e-17 on risk_neutral and 2.8e-16 on
-      quadratic_bounded; about one such state in six, and about one
-      uniform random state in 400,000);
-    - at z = +inf the fast F* is inf where the enumeration gives NaN
-      (0 * inf on the a = 0 row); at z = -inf both give NaN;
-    - at z = -0.0 the fast F* is +0.0 where the enumeration gives -0.0.
     """
     sig = numerics.field(model.vol_sigma, t, X, n_now)
     cand = numerics.clamped_candidate(model, t, X, Z, sig)
     if cand is not None:
         cand = np.broadcast_to(cand, X.shape)
-
-    if model.exact_effort:
-        # the candidate is the exact maximizer and the payoff is free of
-        # nature, so neither the effort grid nor the level set can change
-        # the played effort; F* is the candidate's own payoff, which can
-        # sit an ulp below the enumeration's maximum (see the docstring)
-        base, b, k, c = numerics.effort_payoff(model, t, X, Y, cand, n_now)
-        return cand, base + b * Z, sig, (b, k, c)
 
     a_grid = model.a_grid()
     A = np.broadcast_to(a_grid[:, None], (len(a_grid),) + X.shape)

@@ -72,18 +72,16 @@ def test_presets_keep_their_own_callables(monkeypatch, name):
 
 
 # each preset's fields beside its primitives, at the parameters above:
-# (effort_set_A, nature_set_N, truncation_M, risk_neutral, exact_effort,
+# (effort_set_A, nature_set_N, truncation_M, risk_neutral,
 #  allow_degenerate_vol, agent_nature_set)
 PRESET_FIELDS = {
-    "risk_neutral": ((0.0, 1.0), (0.5, 1.0), 6.0, True, True, False, None),
-    "quadratic_bounded": ((0.0, 1.0), (0.5, 1.0), 2.0, False, True, False,
-                          None),
-    "heat_band": ((0.0, 1.0), (0.2, 0.4), 2.0, False, False, False, None),
-    "disjoint_beliefs": ((0.0, 1.0), (0.3, 0.5), 2.0, False, False, False,
+    "risk_neutral": ((0.0, 1.0), (0.5, 1.0), 6.0, True, False, None),
+    "quadratic_bounded": ((0.0, 1.0), (0.5, 1.0), 2.0, False, False, None),
+    "heat_band": ((0.0, 1.0), (0.2, 0.4), 2.0, False, False, None),
+    "disjoint_beliefs": ((0.0, 1.0), (0.3, 0.5), 2.0, False, False,
                          (0.1, 0.2)),
-    "zero_vol": ((0.0, 1.0), (1.0, 1.0), 2.0, False, False, True, None),
-    "custom_tabulated": ((0.0, 1.0), (1.0, 2.0), 2.0, False, False, False,
-                         None),
+    "zero_vol": ((0.0, 1.0), (1.0, 1.0), 2.0, False, True, None),
+    "custom_tabulated": ((0.0, 1.0), (1.0, 2.0), 2.0, False, False, None),
 }
 
 
@@ -95,8 +93,7 @@ def test_presets_keep_their_shared_defaults(name):
     assert model.growth_params == GrowthParams(kappa=kappa)
     assert model.growth_C == 2.0
     assert (model.effort_set_A, model.nature_set_N, model.truncation_M,
-            model.risk_neutral, model.exact_effort,
-            model.allow_degenerate_vol,
+            model.risk_neutral, model.allow_degenerate_vol,
             model.agent_nature_set) == PRESET_FIELDS[name]
     assert model.payoff_free_of_nature
 
@@ -306,31 +303,23 @@ def test_presets_have_payoffs_free_of_nature(name):
     assert model.with_control_grids(n=2).payoff_free_of_nature
 
 
-def _clamped(t, x, z, sigma):
-    return np.clip(z, 0.0, 1.0)
+@pytest.mark.parametrize("name", ["risk_neutral", "quadratic_bounded",
+                                  "custom_tabulated"])
+def test_presets_with_a_candidate_keep_a_free_payoff_on_one_nature_point(name):
+    # one nature grid value shows nothing about the payoff, so the shape
+    # probes take the nature set's ends, and the engine still plays the
+    # candidate effort
+    model = presets.make_model(name, n_grid_points=1,
+                               **PRESET_PARAMS.get(name, {}))
+    assert model.candidate_effort is not None
+    assert model.payoff_free_of_nature
 
 
-@pytest.mark.parametrize("fields, message", [
-    (dict(exact_effort=True), "exact_effort requires a candidate_effort"),
-    # the shortcut skips the infimum over the volatility level set
-    (dict(exact_effort=True, candidate_effort=_clamped,
-          b=lambda t, x, a, n: a * n),
-     "exact_effort requires a payoff free of nature"),
-    (dict(exact_effort=True, candidate_effort=_clamped,
-          k=lambda t, x, a, n: 0.1 * n),
-     "exact_effort requires a payoff free of nature"),
-    (dict(risk_neutral=True, candidate_effort=_clamped),
-     "risk_neutral requires exact_effort"),
-])
-def test_exact_effort_claims_are_refused_without_their_grounds(fields,
-                                                               message):
-    with pytest.raises(ValueError, match=message):
-        build_model(**fields)
-
-
-@pytest.mark.parametrize("name", ["risk_neutral", "quadratic_bounded"])
-def test_presets_that_declare_exact_effort_keep_it_on_one_nature_point(name):
-    # one nature grid value shows nothing about the payoff, and the
-    # probes take the nature set's ends
-    model = presets.make_model(name, n_grid_points=1)
-    assert model.exact_effort and model.payoff_free_of_nature
+def test_the_kappa_bound_is_checked_on_the_nature_grid_only():
+    # k = 0.5 n is within kappa = 1 at the one grid point n = 1 but not at
+    # the nature set's other end, which only the shape probe reads
+    model = build_model(k=lambda t, x, a, n: 0.5 * n, N=(1.0, 3.0),
+                        n_points=1)
+    assert not model.payoff_free_of_nature
+    with pytest.raises(ValueError, match="kappa bound"):
+        build_model(k=lambda t, x, a, n: 0.5 * n, N=(1.0, 3.0), n_points=2)

@@ -28,6 +28,7 @@ from robustcontract.sim import (
     incentive_compatibility_check,
     martingale_sandwich_check,
     simulate_system,
+    _enumerated_response,
     _response,
 )
 
@@ -360,16 +361,15 @@ class TestSharedIncrements:
 
 class TestResponseEquivalence:
     def test_vectorized_response_matches_pointwise_saddle(self):
-        exact = presets.quadratic_bounded(a_grid_points=9, n_grid_points=5)
+        model = presets.quadratic_bounded(a_grid_points=9, n_grid_points=5)
         rng = np.random.default_rng(40)
         X = rng.uniform(-1.5, 1.5, size=24)
         Y = rng.uniform(-0.8, 0.8, size=24)
         Z = rng.uniform(-2.0, 2.0, size=24)
-        # the exact-effort shortcut and the effort enumeration
-        for model, n in itertools.product(
-                (exact, dataclasses.replace(exact, exact_effort=False)),
-                exact.n_grid()):
-            a_vec, f_vec, sig_vec, _ = _response(model, 0.25, X, Y, Z, float(n))
+        # the candidate shortcut and the effort enumeration
+        for respond, n in itertools.product(
+                (_response, _enumerated_response), model.n_grid()):
+            a_vec, f_vec, sig_vec, _ = respond(model, 0.25, X, Y, Z, float(n))
             for i in range(len(X)):
                 sig = model.vol_sigma(0.25, X[i], float(n))
                 res = eval_F_star(model, 0.25, float(X[i]), float(Y[i]),
@@ -385,18 +385,16 @@ class TestResponseEquivalence:
         rng = np.random.default_rng(42)
         if kind == "quadratic_bounded":
             model = presets.quadratic_bounded(a_grid_points=9, n_grid_points=5)
-            # the exact-effort shortcut and the effort enumeration
-            models = (model, dataclasses.replace(model, exact_effort=False))
         else:
             model = random_polynomial_model(np.random.default_rng(8))
             assert model.candidate_effort is None
-            models = (model,)
         X = rng.uniform(-1.5, 1.5, size=40)
         Y = rng.uniform(-0.8, 0.8, size=40)
         Z = rng.uniform(-2.0, 2.0, size=40)
         n_now = rng.choice(model.n_grid(), size=40)
-        for model in models:
-            a_vec, f_vec, sig_vec, _ = _response(model, 0.25, X, Y, Z, n_now)
+        # the candidate shortcut (quadratic_bounded) and the enumeration
+        for respond in (_response, _enumerated_response):
+            a_vec, f_vec, sig_vec, _ = respond(model, 0.25, X, Y, Z, n_now)
             for i in range(len(X)):
                 sig = model.vol_sigma(0.25, X[i], float(n_now[i]))
                 res = eval_F_star(model, 0.25, float(X[i]), float(Y[i]),
@@ -406,15 +404,13 @@ class TestResponseEquivalence:
                 assert sig_vec[i] == sig
 
     def test_fast_path_matches_general_enumeration(self, rn_model):
-        # risk_neutral requires exact_effort, so both go
-        slow = dataclasses.replace(rn_model, risk_neutral=False,
-                                   exact_effort=False)
         rng = np.random.default_rng(41)
         X = rng.uniform(-4, 4, size=50)
         Y = rng.uniform(-4, 4, size=50)
         Z = rng.uniform(-0.5, 1.5, size=50)
         a_fast, f_fast, _, parts = _response(rn_model, 0.5, X, Y, Z, 0.75)
-        a_slow, f_slow, _, none = _response(slow, 0.5, X, Y, Z, 0.75)
+        a_slow, f_slow, _, none = _enumerated_response(rn_model, 0.5, X, Y,
+                                                       Z, 0.75)
         np.testing.assert_array_equal(a_fast, a_slow)
         np.testing.assert_array_equal(f_fast, f_slow)
         # the fast path hands back the kernel's (b, k, c) at the played
@@ -441,9 +437,6 @@ class TestResponseEquivalence:
                  "custom_tabulated": lambda: presets.custom_tabulated(
                      [0.5, 0.75, 1.0], [0.5, 0.9, 1.0], discount=0.3),
                  }[name]()
-        # both sides enumerate the effort grid, so the fold skip is what
-        # differs between them, not the exact-effort shortcut
-        model = dataclasses.replace(model, exact_effort=False)
         assert model.payoff_free_of_nature
         folded = self.with_the_fold(model)
         rng = np.random.default_rng(43)
@@ -456,8 +449,10 @@ class TestResponseEquivalence:
         for n_now in (lo, 0.3 * lo + 0.7 * hi,
                       rng.choice(model.n_grid(), size=200)):
             with np.errstate(invalid="ignore"):
-                got = _response(model, 0.25, X, Y, Z, n_now)
-                want = _response(folded, 0.25, X, Y, Z, n_now)
+                # both sides enumerate, so the fold skip is what differs
+                # between them, not the candidate shortcut
+                got = _enumerated_response(model, 0.25, X, Y, Z, n_now)
+                want = _enumerated_response(folded, 0.25, X, Y, Z, n_now)
             assert got[3] is want[3] is None
             for g, w in zip(got[:3], want[:3]):
                 assert np.broadcast_to(g, X.shape).tobytes() == \
@@ -484,10 +479,26 @@ class TestResponseEquivalence:
         f_skip = _response(skipped, 0.25, X, Y, Z, 1.5)[1]
         assert np.any(f_skip != f_vec)
 
+    def test_a_candidate_on_a_payoff_that_reads_nature_keeps_the_fold(self):
+        # a constant volatility puts every grid control in the level set;
+        # clamp(z) maximizes the worst payoff a z - a^2/2 (n = 1 for z > 0,
+        # effort 0 otherwise) of the drift a n, but only the fold reports
+        # that worst payoff at a driving control n = 1.5
+        model = build_model(b=lambda t, x, a, n: a * n,
+                            sigma=lambda t, x, n: 1.0,
+                            candidate_effort=lambda t, x, z, sigma: z)
+        assert not model.payoff_free_of_nature
+        Z = np.linspace(-1.5, 1.5, 31)
+        X, Y = np.zeros_like(Z), np.zeros_like(Z)
+        a_vec, f_vec, _, parts = _response(model, 0.25, X, Y, Z, 1.5)
+        assert parts is None
+        for i in range(len(Z)):
+            res = eval_F_star(model, 0.25, 0.0, 0.0, float(Z[i]), 1.0)
+            assert (a_vec[i], f_vec[i]) == (res.arg_a, res.value)
+            assert a_vec[i] == min(max(Z[i], 0.0), 1.0)
+
     def test_peak_memory_stays_below_one_stacked_nature_tensor(self):
-        # the effort enumeration's peak, not the exact-effort shortcut's
-        model = dataclasses.replace(presets.quadratic_bounded(),
-                                    exact_effort=False)
+        model = presets.quadratic_bounded()
         paths = 4000
         rng = np.random.default_rng(44)
         X = rng.uniform(-3.0, 3.0, size=paths)
@@ -497,51 +508,56 @@ class TestResponseEquivalence:
         stacked = len(model.n_grid()) * (len(model.a_grid()) + 1) * paths * 8
         tracemalloc.start()
         try:
-            _response(model, 0.25, X, Y, Z, n_now)
+            _enumerated_response(model, 0.25, X, Y, Z, n_now)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < stacked
 
 
-class TestExactEffort:
-    """``ModelSpec.exact_effort`` against the effort enumeration of the
-    same model with the flag off.  ``reference_simulate`` calls
-    ``_response`` itself, so ``TestEngineReference`` cannot see a fault of
-    the shortcut; these tests can."""
+class TestCandidateShortcut:
+    """``_response``'s candidate shortcut against the effort enumeration
+    on the same model.  ``reference_simulate`` calls ``_response`` itself,
+    so ``TestEngineReference`` cannot see a fault of the shortcut; these
+    tests can."""
 
-    @staticmethod
-    def enumerating(model):
-        # risk_neutral requires exact_effort, so it goes too
-        return dataclasses.replace(model, risk_neutral=False,
-                                   exact_effort=False)
+    # each preset with a candidate effort, and the largest F* gap measured
+    # on it near a grid effort (400,000 states; ``_response``'s docstring)
+    MODELS = {"risk_neutral": (presets.risk_neutral, 2.0**-54),
+              "quadratic_bounded": (presets.quadratic_bounded,
+                                    2.0**-52 + 2.0**-54),
+              # the only preset with a nonzero discount
+              "custom_tabulated": (lambda: presets.custom_tabulated(
+                  [0.5, 0.75, 1.0], [0.5, 0.9, 1.0], discount=0.3), 2.0**-53)}
 
-    @pytest.mark.parametrize("name", ["risk_neutral", "quadratic_bounded"])
+    @pytest.mark.parametrize("name", sorted(MODELS))
     def test_differences_from_the_enumeration_are_the_stated_ones(self, name):
-        fast = presets.make_model(name)
-        slow = self.enumerating(fast)
+        build, max_gap = self.MODELS[name]
+        model = build()
+        assert model.candidate_effort is not None
+        assert model.payoff_free_of_nature
         rng = np.random.default_rng(45)
         size = 20000
         X = rng.uniform(-2.5, 2.5, size)
         Y = rng.uniform(-0.8, 0.8, size)
-        n_now = rng.choice(fast.n_grid(), size)
+        n_now = rng.choice(model.n_grid(), size)
         # the candidate is clamp(z phi(x)): phi >= 0.5 on quadratic_bounded
-        # here, 1 on risk_neutral
-        phi = (presets.smooth_cutoff(X, fast.truncation_M)
+        # here, 1 on the others
+        phi = (presets.smooth_cutoff(X, model.truncation_M)
                if name == "quadratic_bounded" else 1.0)
-        near = rng.choice(fast.a_grid(), size)
+        near = rng.choice(model.a_grid(), size)
         near = near + rng.integers(-8, 9, size) * np.spacing(near)
 
         def both(Z, X=X, Y=Y, n_now=n_now):
             with np.errstate(invalid="ignore"):
-                got = _response(fast, 0.25, X, Y, Z, n_now)
-                want = _response(slow, 0.25, X, Y, Z, n_now)
+                got = _response(model, 0.25, X, Y, Z, n_now)
+                want = _enumerated_response(model, 0.25, X, Y, Z, n_now)
             # effort and sigma agree bit for bit, and the handed-back
             # (b, k, c) are the kernel's at the played effort
             for g, w in zip(got[::2], want[::2]):
                 assert np.broadcast_to(g, X.shape).tobytes() == \
                     np.broadcast_to(w, X.shape).tobytes()
-            parts = numerics.effort_parts(slow, 0.25, X, want[0], n_now)
+            parts = numerics.effort_parts(model, 0.25, X, want[0], n_now)
             for g, w in zip(got[3], parts, strict=True):
                 assert np.broadcast_to(g, X.shape).tobytes() == \
                     np.broadcast_to(w, X.shape).tobytes()
@@ -553,14 +569,14 @@ class TestExactEffort:
         gap = f_slow - f_fast
         assert np.all(gap >= 0.0)
         assert 0 < np.count_nonzero(gap) < size // 4
-        assert np.max(gap) <= 2 * np.spacing(1.0)
+        assert np.max(gap) <= max_gap
         # uniform states: about one in 400,000 differs
         f_fast, f_slow = both(rng.uniform(-2.0, 2.0, size))
         assert np.count_nonzero(f_fast != f_slow) <= 1
         # z = +inf: inf against NaN (0 * inf on the a = 0 row); z = -inf:
         # NaN on both; z = -0.0: +0.0 against -0.0
         f_fast, f_slow = both(np.array([np.inf, -np.inf, -0.0]),
-                              X=np.full(3, 0.3), Y=np.full(3, 0.2),
+                              X=np.full(3, 0.3), Y=np.zeros(3),
                               n_now=0.75)
         assert f_fast[0] == np.inf and np.isnan(f_slow[0])
         assert np.isnan(f_fast[1]) and np.isnan(f_slow[1])
@@ -575,13 +591,14 @@ class TestExactEffort:
         return extract_contract(solve_hjbi(presets.quadratic_bounded(), grid))
 
     @pytest.mark.parametrize("feedback", [True, False])
-    def test_engine_runs_match_the_enumeration(self, robust_policy, feedback):
-        fast = presets.quadratic_bounded()
+    def test_engine_runs_match_the_enumeration(self, robust_policy, feedback,
+                                               monkeypatch):
+        model = presets.quadratic_bounded()
         nature = None if feedback else NatureStrategy.constant(0.7, 0.5)
         cfg = SimConfig(paths=3000, dt=1 / 64, seed=47, x0=0.25, y0=0.1)
-        got = simulate_system(fast, robust_policy, nature, cfg)
-        want = simulate_system(self.enumerating(fast), robust_policy, nature,
-                               cfg)
+        got = simulate_system(model, robust_policy, nature, cfg)
+        monkeypatch.setattr(sim, "_response", _enumerated_response)
+        want = simulate_system(model, robust_policy, nature, cfg)
         # the state and its quadratic variation follow the effort alone
         assert got.terminal_x.tobytes() == want.terminal_x.tobytes()
         assert got.realized_qv.tobytes() == want.realized_qv.tobytes()

@@ -35,7 +35,8 @@ KERNEL_ONLY = {"drift_b", "discount_k", "cost_c", "candidate_effort"}
 # the owners of the increments' per-step splitting rule
 DRAWERS = {("sim.py", "_path_increments"), ("sim.py", "_draw_increments")}
 # the one reader of the flat-game claim in the engine: the martingale
-# check's label; the engine's effort shortcut reads ``exact_effort``
+# check's label; the engine's effort shortcut reads the candidate effort
+# and ``payoff_free_of_nature``
 FLAT_GAME_LABEL = {("sim.py", "martingale_sandwich_check")}
 # the callers of ``numerics.grid_searchsorted``: the surface interpolation
 # alone (``bilinear`` is its inner function); the policy's nearest node is
@@ -202,7 +203,7 @@ def _risk_neutral_name(node):
 def flat_game_reads(root=SRC):
     """``file:line owner`` of every reference to ``risk_neutral`` in
     ``sim.py`` outside ``FLAT_GAME_LABEL``, so that the engine's effort
-    shortcut keeps reading ``exact_effort`` alone."""
+    shortcut does not come to rest on the flat-game claim."""
     return [f"{name}:{line} {owner}" for name, line, owner, _ in
             _matches(root, _risk_neutral_name, FLAT_GAME_LABEL)
             if name == "sim.py"]
@@ -556,7 +557,7 @@ def test_flat_game_rule_catches_each_form(tmp_path):
         "    def label():\n        return model.risk_neutral\n"
         "    return 'flat game' if model.risk_neutral else 'probe'\n"
         "def _keep(model):\n"
-        "    return model.exact_effort, 'risk_neutral preset', risk\n")
+        "    return model.payoff_free_of_nature, 'risk_neutral preset', risk\n")
     (tmp_path / "principal.py").write_text(
         "def _radius(model):\n    return model.risk_neutral\n")
     assert flat_game_reads(tmp_path) == [
