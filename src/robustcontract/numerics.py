@@ -155,19 +155,25 @@ def ghost_pad2(u):
     return up
 
 
+# first_argmax and first_argmin call array methods, not their np.*
+# wrappers: the solvers call them once per step on small tensors, where the
+# wrappers' Python overhead is a measurable share.  ``[()]`` turns the 0-d
+# optimum of a 1-D stack into a scalar, as np.max returns it.
+
 def first_argmax(stack, axis=0):
     """Earliest index along ``axis`` within ``TIE_TOL`` of the max."""
     stack = np.asarray(stack, dtype=float)
-    best = np.max(stack, axis=axis)
-    within = stack >= np.expand_dims(best, axis) - TIE_TOL
-    return np.argmax(within, axis=axis), best
+    best = stack.max(axis=axis, keepdims=True)
+    return ((stack >= best - TIE_TOL).argmax(axis=axis),
+            best.squeeze(axis)[()])
 
 
-def first_argmin(stack):
-    """Earliest row index within ``TIE_TOL`` of the columnwise min."""
+def first_argmin(stack, axis=0):
+    """Earliest index along ``axis`` within ``TIE_TOL`` of the min."""
     stack = np.asarray(stack, dtype=float)
-    best = np.min(stack, axis=0)
-    return np.argmin(stack - best > TIE_TOL, axis=0), best
+    best = stack.min(axis=axis, keepdims=True)
+    return ((stack - best > TIE_TOL).argmin(axis=axis),
+            best.squeeze(axis)[()])
 
 
 def grid_searchsorted(grid, q):

@@ -42,6 +42,10 @@ from . import numerics
 
 # largest (z, gamma) box radius of the saddle search
 _RADIUS_CAP = 1024.0
+# (entry, nature, gamma, node) elements one block of the saddle
+# enumeration may hold, 1 MB of doubles; a block holds at least one z.
+# At 13x13 nodes a block holds 7 of the 21 z, at 49x49 one
+_BLOCK_ELEMENTS = 2 ** 17
 # stable substeps one time slice may take before the solve gives up
 _MAX_SUBSTEPS = 10000
 # share of the realized stability bound that one substep uses
@@ -188,23 +192,34 @@ def _static_tables(model: ModelSpec, t: float, X: np.ndarray, Y: np.ndarray,
     return n_grid, a_rows, sig, sig2, B, BASE
 
 
-def _entry_eval(model, t, X, Y, tables, z_spec, gam_rows, p, pt, q, qt, r):
-    """Evaluate one enumeration layer: a z choice against a batch of gammas.
+# the fields of a saddle block on (entry, nature, node)
+_PER_NATURE = ("effort", "fstar", "bdrift")
 
-    ``z_spec`` is a float (grid layer) or per-node array (candidate layer);
-    ``gam_rows`` has shape (G,) for grid gammas or (G, N) for per-node ones.
+
+def _saddle_block(model, t, X, Y, tables, z, gam, p, pt, q, qt, r):
+    """Evaluate a block of enumeration entries on one tensor.
+
+    ``z`` holds one z per entry on (entry, node), of length 1 on the node
+    axis for grid entries; ``gam`` holds the gammas on (entry, gamma,
+    node), of length 1 on the entry and node axes for the shared gamma
+    grid.  The tensors are (entry, nature, gamma, node); per entry the
+    arithmetic is the single-entry evaluation's, expression by expression,
+    so a block's results do not depend on how many entries it holds.
+
     The effort enumeration is the ``numerics`` effort kernel's: the
     candidate row, evaluated for every nature in one call, ahead of the
-    grid rows ``BASE + B z``, stacked by ``numerics.effort_rows`` on a
-    (nature, effort, node) tensor that has a nature axis only when the
-    payoff depends on nature.  The best effort per (nature, node) is the
-    earliest within ``TIE_TOL`` of the maximum.  Returns (G, N) rows keyed
-    by field: the inf-over-nature payoff ``value``, the nature index
-    ``n_idx`` attaining it, and the controls and stencil inputs realized
-    with that nature.
+    grid rows ``BASE + B z``, stacked by ``numerics.effort_rows`` on an
+    (entry, nature, effort, node) tensor that has a nature axis of length
+    1 unless the payoff depends on nature.  The best effort per (entry,
+    nature, node) is the earliest within ``TIE_TOL`` of the maximum.
+    Returns arrays keyed by field: on (entry, gamma, node) the
+    inf-over-nature payoff ``value``, the nature index ``n_idx`` attaining
+    it and ``hval``, with ``z`` and ``gamma`` broadcasting there; on
+    (entry, nature, node) the best ``effort``, its payoff ``fstar`` and
+    its drift ``bdrift``, to be read at ``n_idx``.
     """
     n_grid, a_rows, sig, sig2, B, BASE = tables
-    zB = np.asarray(z_spec, dtype=float)
+    zB = z[:, None, :]                                      # (E, 1, N|1)
     count = len(a_rows)
 
     ac = numerics.clamped_candidate(model, t, X, zB, sig)
@@ -214,62 +229,84 @@ def _entry_eval(model, t, X, Y, tables, z_spec, gam_rows, p, pt, q, qt, r):
                                                 np.asarray(n_grid)[:, None])
         fc = base + bc * zB
     idx, fmax = numerics.best_effort(
-        numerics.effort_rows(fc, BASE + B * zB, count))
+        numerics.effort_rows(fc, BASE + B * zB[..., None, :], count))
     nodes = np.arange(X.size)
-    at = (np.arange(len(n_grid))[:, None], idx, nodes)
+    at = (np.arange(len(z))[:, None, None], np.arange(len(n_grid))[:, None],
+          idx, nodes)
     astar = numerics.pick(numerics.effort_rows(ac, a_rows, count), at)
     bstar = numerics.pick(numerics.effort_rows(bc, B, count), at)
 
-    gam = np.asarray(gam_rows, dtype=float)
-    gam2 = gam[:, None] if gam.ndim == 1 else gam          # (G, 1|N)
+    gam4 = gam[:, None]                                     # (E, 1, G, N|1)
     half_sig2 = 0.5 * sig2                                  # (n, N)
-    hall = half_sig2[:, None, :] * gam2[None, :, :] + fmax[..., None, :]
-    hval = hall.min(axis=0)                                 # (G, N)
+    hall = half_sig2[:, None, :] * gam4 + fmax[..., None, :]
+    hval = hall.min(axis=-3)                                # (E, G, N)
 
-    # gamma-independent part of the payoff, (n, N)
+    # gamma-independent part of the payoff, (E, n, N)
     g0 = (p * bstar + half_sig2 * q + pt * bstar * zB
           + zB * sig2 * r + qt * (zB * zB) * half_sig2)
-    gstack = (g0[:, None, :]
-              + (pt * half_sig2)[:, None, :] * gam2[None, :, :]
-              - (pt * hval)[None, :, :])
-    n_idx, best = numerics.first_argmin(gstack)             # (G, N)
-    realized = {name: np.broadcast_to(numerics.pick(arr, (n_idx, nodes)),
-                                      best.shape)
-                for name, arr in (("effort", astar), ("fstar", fmax),
-                                  ("bdrift", bstar))}
-    return {"value": best, "z": np.broadcast_to(zB, best.shape),
-            "gamma": np.broadcast_to(gam2, best.shape), "n_idx": n_idx,
-            "hval": hval, **realized}
+    gstack = (g0[..., None, :]
+              + (pt * half_sig2)[:, None, :] * gam4
+              - (pt * hval)[:, None])
+    n_idx, best = numerics.first_argmin(gstack, axis=-3)    # (E, G, N)
+    return {"value": best, "n_idx": n_idx, "hval": hval, "z": zB,
+            "gamma": gam, "effort": astar, "fstar": fmax, "bdrift": bstar}
 
 
-def _enumerate_entries(model: ModelSpec, t, X, Y, p, q, radius,
-                       include_grid):
-    """Canonical (z, gamma-batch) layers: clamped closed-form candidates
-    first, then the uniform box grid in z-major order."""
-    entries = []
+def _enumeration(model: ModelSpec, t, X, Y, p, q, radius, include_grid):
+    """The canonical enumeration as (z, gamma) blocks for
+    :func:`_saddle_block`: the clamped closed-form candidates first, all
+    in one block, then the uniform box grid in z-major order, at most
+    ``_BLOCK_ELEMENTS`` (entry, nature, gamma, node) elements, and at
+    least one z, per block."""
+    blocks = []
     if model.candidate_zgamma is not None:
         cand = np.clip([np.broadcast_to(np.asarray(v, dtype=float), X.shape)
                         for pair in model.candidate_zgamma(t, X, Y, p, q)
                         for v in pair], -radius, radius)
-        entries.extend((zc, gc[None, :])
-                       for zc, gc in zip(cand[0::2], cand[1::2]))
+        blocks.append((cand[0::2], cand[1::2, None, :]))
     if include_grid:
-        z_vals = uniform_grid(-radius, radius, model.z_grid_points)
-        gam_vals = np.asarray(uniform_grid(-radius, radius,
-                                           model.gamma_grid_points))
-        for zv in z_vals:
-            entries.append((float(zv), gam_vals))
-    if not entries:
-        raise ValueError("empty control enumeration")
-    return entries
+        z_vals = uniform_grid(-radius, radius, model.z_grid_points)[:, None]
+        gam_vals = uniform_grid(-radius, radius,
+                                model.gamma_grid_points)[None, :, None]
+        per_z = model.n_grid_points * gam_vals.size * X.size
+        step = max(1, _BLOCK_ELEMENTS // per_z)
+        blocks.extend((z_vals[i:i + step], gam_vals)
+                      for i in range(0, len(z_vals), step))
+    return blocks
+
+
+def _read_winners(blocks, win):
+    """Each node's controls, read in the block that holds its winning row
+    ``win`` among the blocks' stacked (entry, gamma) rows: at the winning
+    nature for the fields on (entry, nature, node), else at the winning
+    gamma."""
+    out = {name: np.empty(win.size, dtype=arr.dtype)
+           for name, arr in blocks[0].items() if name != "value"}
+    lo = 0
+    for b in blocks:
+        entries, gammas, _ = b["value"].shape
+        at = np.flatnonzero((win >= lo) & (win < lo + entries * gammas))
+        e, g = np.divmod(win[at] - lo, gammas)
+        n_sel = b["n_idx"][e, g, at]
+        for name in out:
+            row = n_sel if name in _PER_NATURE else g
+            out[name][at] = numerics.pick(b[name], (e, row, at))
+        lo += entries * gammas
+    return out
 
 
 def _select_slice(model, t, X, Y, p, pt, q, qt, r, radius) -> _Selection:
     """Nodewise saddle selection over the full enumeration.
 
-    Each enumeration entry is evaluated once; the winning (entry, gamma)
-    row per node is the earliest within ``TIE_TOL`` of the best, and every
-    selected control is gathered from that row.
+    The enumeration is evaluated block by block (:func:`_enumeration`,
+    :func:`_saddle_block`): a block's (entry, nature, gamma, node) tensors
+    hold at most ``_BLOCK_ELEMENTS`` elements, or one z's worth where one z
+    needs more.  Blocks of a few z make each NumPy call large enough that
+    the arithmetic, not the call, costs; the cap keeps the tensors near the
+    cache size.  The winning (entry, gamma) row per node is the earliest
+    within ``TIE_TOL`` of the best over every block's value rows, stacked
+    in enumeration order; only the value rows are stacked, and the
+    winner's controls are read in the block that holds it.
 
     Models flagged risk-neutral declare their closed-form candidates exact
     optimizers, so the box grid can never improve on them and ties resolve
@@ -280,17 +317,14 @@ def _select_slice(model, t, X, Y, p, pt, q, qt, r, radius) -> _Selection:
     exact_only = bool(model.risk_neutral and model.candidate_zgamma is not None
                       and model.candidate_effort is not None)
     tables = _static_tables(model, t, X, Y, exact_only)
-    entries = _enumerate_entries(model, t, X, Y, p, q, radius,
-                                 include_grid=not exact_only)
-    blocks = [_entry_eval(model, t, X, Y, tables, z_spec, gam_rows,
-                          p, pt, q, qt, r)
-              for z_spec, gam_rows in entries]
+    blocks = [_saddle_block(model, t, X, Y, tables, z, gam, p, pt, q, qt, r)
+              for z, gam in _enumeration(model, t, X, Y, p, q, radius,
+                                         include_grid=not exact_only)]
     win, top = numerics.first_argmax(
-        np.concatenate([b["value"] for b in blocks]))
-    nodes = np.arange(X.size)
-    chosen = {name: np.concatenate([b[name] for b in blocks])[win, nodes]
-              for name in blocks[0] if name != "value"}
+        np.concatenate([b["value"].reshape(-1, X.size) for b in blocks]))
+    chosen = _read_winners(blocks, win)
     n_sel = chosen.pop("n_idx")
+    nodes = np.arange(X.size)
     edge = radius * (1.0 - 1e-9)
     sat = (np.abs(chosen["z"]) >= edge) | (np.abs(chosen["gamma"]) >= edge)
     # a constant volatility gathers to 0-d; the stencil needs one per node
@@ -368,11 +402,23 @@ def _apply(st: _Stencil, u, dx, dy):
 
 
 def _terminal_reward(model: ModelSpec, xg, yg) -> np.ndarray:
-    """Liquidation reward U_P(L(x) - U_A^{-1}(y)) on the (x, y) grid."""
+    """Liquidation reward U_P(L(x) - U_A^{-1}(y)) on the (x, y) grid.
+
+    Raises ``ValueError`` naming the count of non-finite nodes and the
+    first of them, since a march from such data fails far from its cause.
+    """
     pay = numerics.apply1(model.liquidation_L, xg)
     wage = numerics.apply1(model.utility_agent_inv, yg)
-    return numerics.apply1(model.utility_principal,
-                           pay[:, None] - wage[None, :])
+    reward = numerics.apply1(model.utility_principal,
+                             pay[:, None] - wage[None, :])
+    bad = ~np.isfinite(reward)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(
+            f"terminal reward is not finite at {int(bad.sum())} of "
+            f"{bad.size} nodes, first at (x={float(xg[i])!r}, "
+            f"y={float(yg[j])!r}): {float(reward[i, j])!r}")
+    return reward
 
 
 def _new_diagnostics() -> dict:

@@ -9,6 +9,7 @@ agreement is required bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -276,6 +277,83 @@ def oracle_saddle_step(model, t, x_arr, v, z, gam):
     return (A[at], n_col[n_idx, 0], sig2[n_idx, nodes], b[at], k[at], c[at])
 
 
+def _reference_entry(model, t, X, Y, sig, z, gam, p, pt, q, qt, r,
+                     exact_only):
+    """One enumeration entry, a z (a float, or one per node) against its
+    gammas, (G,) or (1, N), on full (nature, effort, node) and (nature,
+    gamma, node) tensors.  Returns (G, N) rows keyed by field."""
+    n_col = np.asarray(model.n_grid())[:, None]
+    a_grid = np.empty(0) if exact_only else model.a_grid()
+    n, N = len(n_col), X.size
+    A = np.broadcast_to(a_grid[None, :, None], (n, len(a_grid), N))
+    if model.candidate_effort is not None:
+        a_c = np.clip(full_field(model.candidate_effort, t, X,
+                                 np.broadcast_to(z, (n, N)), sig),
+                      *model.effort_set_A)
+        A = np.concatenate([a_c[:, None, :], A], axis=1)
+    n3 = n_col[:, :, None]
+    b = full_field(model.drift_b, t, X, A, n3)
+    k = full_field(model.discount_k, t, X, A, n3)
+    c = full_field(model.cost_c, t, X, A)
+    a_idx, fmax = numerics.first_argmax(-k * Y - c + b * z, axis=1)
+    at = (np.arange(n)[:, None], a_idx, np.arange(N))
+    astar, bstar = A[at], b[at]
+    sig2 = sig * sig
+    half_sig2 = 0.5 * sig2
+    gam2 = gam[:, None] if gam.ndim == 1 else gam
+    hval = (half_sig2[:, None, :] * gam2[None] + fmax[:, None, :]).min(axis=0)
+    g0 = (p * bstar + half_sig2 * q + pt * bstar * z
+          + z * sig2 * r + qt * (z * z) * half_sig2)
+    n_idx, best = numerics.first_argmin(
+        g0[:, None, :] + (pt * half_sig2)[:, None, :] * gam2[None]
+        - (pt * hval)[None])
+    rows = np.broadcast_to(np.arange(N), best.shape)
+    return {"value": best, "z": np.broadcast_to(z, best.shape),
+            "gamma": np.broadcast_to(gam2, best.shape), "n_idx": n_idx,
+            "hval": hval, "effort": astar[n_idx, rows],
+            "fstar": fmax[n_idx, rows], "bdrift": bstar[n_idx, rows]}
+
+
+def reference_select_slice(model, t, X, Y, p, pt, q, qt, r, radius):
+    """``principal._select_slice`` as a per-entry enumeration: the clamped
+    (z, gamma) candidates, then each grid z against every grid gamma, one
+    entry at a time; every field of every entry concatenated in that
+    order, and each node's controls read at the earliest row within 1e-12
+    of its best value.  A risk-neutral model with both candidate hooks
+    enumerates its candidates alone."""
+    exact_only = bool(model.risk_neutral and model.candidate_zgamma is not None
+                      and model.candidate_effort is not None)
+    n_col = np.asarray(model.n_grid())[:, None]
+    sig = full_field(model.vol_sigma, t, X, n_col)
+    entries = []
+    if model.candidate_zgamma is not None:
+        for zc, gc in model.candidate_zgamma(t, X, Y, p, q):
+            zc, gc = (np.clip(np.broadcast_to(np.asarray(v, dtype=float),
+                                              X.shape), -radius, radius)
+                      for v in (zc, gc))
+            entries.append((zc, gc[None, :]))
+    if not exact_only:
+        gammas = uniform_grid(-radius, radius, model.gamma_grid_points)
+        entries += [(float(zv), gammas)
+                    for zv in uniform_grid(-radius, radius,
+                                           model.z_grid_points)]
+    rows = [_reference_entry(model, t, X, Y, sig, z, gam, p, pt, q, qt, r,
+                             exact_only) for z, gam in entries]
+    stacked = {name: np.concatenate([row[name] for row in rows])
+               for name in rows[0]}
+    win, top = numerics.first_argmax(stacked.pop("value"))
+    nodes = np.arange(X.size)
+    chosen = {name: arr[win, nodes] for name, arr in stacked.items()}
+    n_sel = chosen.pop("n_idx")
+    edge = radius * (1.0 - 1e-9)
+    sat = (np.abs(chosen["z"]) >= edge) | (np.abs(chosen["gamma"]) >= edge)
+    return principal._Selection(
+        value=top, nature=n_col[n_sel, 0], sig2=(sig * sig)[n_sel, nodes],
+        radius=radius, sat_mask=sat, saturated=int(np.count_nonzero(sat)),
+        qt_nonneg_saturated=int(np.count_nonzero(sat & (qt >= 0.0))),
+        **chosen)
+
+
 def oracle_select_with_radius(model, t, X, Y, p, pt, q, qt, r, diags):
     """The box radius policy with every probe a whole-slice selection.
 
@@ -358,6 +436,25 @@ def random_polynomial_model(rng: np.random.Generator, max_points=7):
         z_points=int(counts[2]), gamma_points=int(counts[3]),
         kappa=float(kappa),
     )
+
+
+def polynomial_with_candidate():
+    """A random polynomial model whose payoff reads nature, with a
+    candidate effort that reads the volatility."""
+    model = random_polynomial_model(np.random.default_rng(5))
+    return dataclasses.replace(
+        model, candidate_effort=lambda t, x, z, sig: 0.8 * z - 0.3 * sig)
+
+
+# scalar-only primitives (a Python ``if`` or ``float()`` on the arguments),
+# which the model wraps in ``hamiltonians.elementwise``
+SCALAR_ONLY = {
+    "b": lambda t, x, a, n: a if n > 1.5 else 0.5 * a + 0.1 * x,
+    "sigma": lambda t, x, n: n if x < 0.5 else 1.25 * n,
+    "c": lambda t, x, a: 0.5 * a * a if x < 0.0 else a * a,
+    "k": lambda t, x, a, n: 0.25 * a if x > 0.0 else 0.0,
+    "candidate_effort": lambda t, x, z, sigma: float(np.clip(z / sigma, 0.0, 1.0)),
+}
 
 
 def girsanov_weight(model, path, effort_path, nature_path, *, dt):

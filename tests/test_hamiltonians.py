@@ -12,6 +12,7 @@ from robustcontract import hamiltonians
 from robustcontract.hamiltonians import uniform_grid
 
 from helpers import (
+    SCALAR_ONLY,
     build_model,
     oracle_F_star,
     oracle_G,
@@ -258,17 +259,6 @@ class TestEvalG:
         m = build_model()
         with pytest.raises(ValueError):
             rc.eval_G(m, 0, 0, 0, 1, -1, 0, 0, 0, radius=0.0)
-
-
-# scalar-only primitives (a Python ``if`` or ``float()`` on the arguments),
-# which the model wraps in ``hamiltonians.elementwise``
-SCALAR_ONLY = {
-    "b": lambda t, x, a, n: a if n > 1.5 else 0.5 * a + 0.1 * x,
-    "sigma": lambda t, x, n: n if x < 0.5 else 1.25 * n,
-    "c": lambda t, x, a: 0.5 * a * a if x < 0.0 else a * a,
-    "k": lambda t, x, a, n: 0.25 * a if x > 0.0 else 0.0,
-    "candidate_effort": lambda t, x, z, sigma: float(np.clip(z / sigma, 0.0, 1.0)),
-}
 
 
 def bits(result):

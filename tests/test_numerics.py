@@ -1,14 +1,12 @@
 """Tests for the shared grid utilities."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from robustcontract import (agent, eval_F, hamiltonians, numerics, presets,
                             principal)
-from helpers import (SEARCH_GRIDS, build_model, random_polynomial_model,
-                     search_probes)
+from helpers import (SEARCH_GRIDS, build_model, polynomial_with_candidate,
+                     random_polynomial_model, search_probes)
 
 
 T_GRID = np.linspace(0.0, 0.5, 5)
@@ -90,12 +88,6 @@ class TestField:
         assert got.diagnostics == want.diagnostics
 
 
-def polynomial_with_candidate():
-    model = random_polynomial_model(np.random.default_rng(5))
-    return dataclasses.replace(
-        model, candidate_effort=lambda t, x, z, sig: 0.8 * z - 0.3 * sig)
-
-
 KERNEL_MODELS = {
     "quadratic_bounded": lambda: presets.quadratic_bounded(
         a_grid_points=9, n_grid_points=5),
@@ -148,6 +140,36 @@ class TestEffortKernel:
                     assert F[j, e, i] == eval_F(model, self.T, float(X[i]),
                                                 float(Y[i]), float(Z[i]), a,
                                                 float(n))
+
+
+class TestTieBreak:
+    """``first_argmax`` and ``first_argmin`` along any axis: the earliest
+    index within ``TIE_TOL`` of the optimum, found by a loop, and the
+    optimum itself, a NumPy scalar for a 1-D stack as ``np.max`` gives."""
+
+    @pytest.mark.parametrize("axis", [0, 1, -1, -3])
+    def test_earliest_within_the_tolerance(self, axis):
+        rng = np.random.default_rng(31)
+        stack = rng.integers(0, 3, size=(4, 3, 5, 6)).astype(float)
+        # near-ties on either side of the tolerance
+        stack += rng.choice([0.0, 0.5e-12, -0.5e-12, 2e-12], size=stack.shape)
+        moved = np.moveaxis(stack, axis, 0)
+        tol = numerics.TIE_TOL
+        for fn, opt, within in (
+                (numerics.first_argmax, np.max, lambda v, b: v >= b - tol),
+                (numerics.first_argmin, np.min, lambda v, b: v - b <= tol)):
+            idx, best = fn(stack, axis=axis)
+            assert best.tobytes() == opt(stack, axis=axis).tobytes()
+            for pos in np.ndindex(best.shape):
+                column = moved[(slice(None),) + pos]
+                want = next(i for i, v in enumerate(column)
+                            if within(v, best[pos]))
+                assert idx[pos] == want
+
+    def test_a_flat_stack_gives_scalars(self):
+        for fn in (numerics.first_argmax, numerics.first_argmin):
+            idx, best = fn(np.array([1.0, 3.0, 3.0 - 1e-13, 0.5]))
+            assert type(idx) is np.intp and type(best) is np.float64
 
 
 class TestGridSearchsorted:

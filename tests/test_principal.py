@@ -1,6 +1,7 @@
 """Tests for the principal-side HJBI solver, policy extraction and checks."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import robustcontract as rc
 from robustcontract import principal
 from robustcontract.hamiltonians import eval_G
 from helpers import (
+    SCALAR_ONLY,
     SEARCH_GRIDS,
     CandidateFunction,
     build_model,
@@ -16,7 +18,9 @@ from helpers import (
     oracle_select_with_radius,
     per_substep_values,
     perron_sandwich_check,
+    polynomial_with_candidate,
     random_polynomial_model,
+    reference_select_slice,
     search_probes,
 )
 from robustcontract.principal import (
@@ -202,6 +206,16 @@ def assert_same_selection(got, want):
             assert a == b, f.name
 
 
+def random_slice(grid, rng):
+    """A slice's flat nodes and random (p, pt, q, qt, r) on them."""
+    X2, Y2 = np.meshgrid(grid.x_grid(), grid.y_grid(), indexing="ij")
+    n = X2.size
+    return X2.ravel(), Y2.ravel(), [
+        rng.uniform(-2.0, 2.0, n), rng.uniform(-2.0, 0.5, n),
+        rng.uniform(-3.0, 3.0, n), rng.uniform(-3.0, 3.0, n),
+        rng.uniform(-1.0, 1.0, n)]
+
+
 class TestNodeLocality:
     """A node's selection depends on its own inputs and the shared radius
     alone, so selecting a subset of nodes gives the subset of the full
@@ -220,12 +234,8 @@ class TestNodeLocality:
                                                              grid):
         model = make()
         rng = np.random.default_rng(11)
-        X2, Y2 = np.meshgrid(grid.x_grid(), grid.y_grid(), indexing="ij")
-        X, Y = X2.ravel(), Y2.ravel()
+        X, Y, derivs = random_slice(grid, rng)
         n = X.size
-        derivs = [rng.uniform(-2.0, 2.0, n), rng.uniform(-2.0, 0.5, n),
-                  rng.uniform(-3.0, 3.0, n), rng.uniform(-3.0, 3.0, n),
-                  rng.uniform(-1.0, 1.0, n)]
         # a scattered third of the slice, out of order and neither end,
         # then every node in small scattered groups: a reduction over nodes
         # shows as soon as some group lacks what the whole slice has
@@ -250,6 +260,86 @@ class TestNodeLocality:
                        for f in dataclasses.fields(full)
                        if isinstance(getattr(full, f.name), np.ndarray)})
                 assert_same_selection(sub, want)
+
+
+# models whose selections take each path through the saddle blocks: no
+# candidate hook, the candidate layer ahead of the grid, a payoff that
+# reads nature, and primitives wrapped to run once per element
+BLOCK_MODELS = {
+    "quadratic_bounded": robust_model,
+    "risk_neutral_grid": lambda: dataclasses.replace(
+        rc.make_model("risk_neutral"), risk_neutral=False),
+    "polynomial_candidate": lambda: polynomial_with_candidate(
+        ).with_control_grids(z=21, gamma=21),
+    "scalar_only": lambda: build_model(**SCALAR_ONLY, a_points=5,
+                                       n_points=3),
+}
+
+
+class TestBlockedSelection:
+    """The selection evaluates the z grid in blocks of at most
+    ``_BLOCK_ELEMENTS`` elements and is the per-entry enumeration of
+    ``helpers.reference_select_slice`` bit for bit, whatever the block
+    size."""
+
+    @pytest.mark.parametrize("per_block", [1, 4, 21])
+    @pytest.mark.parametrize("name", sorted(BLOCK_MODELS))
+    def test_matches_the_per_entry_enumeration(self, monkeypatch, name,
+                                               per_block):
+        model = BLOCK_MODELS[name]()
+        assert model.z_grid_points == 21
+        X, Y, derivs = random_slice(ROBUST_GRID, np.random.default_rng(23))
+        n = X.size
+        blocks, kernel = [], principal._saddle_block
+
+        def recorded(model, t, X, Y, tables, z, gam, *rest):
+            blocks.append(len(z))
+            return kernel(model, t, X, Y, tables, z, gam, *rest)
+
+        monkeypatch.setattr(principal, "_saddle_block", recorded)
+        # the whole slice, then subsets of the radius probe's sizes
+        for idx in (np.arange(n), np.array([n // 2]), np.array([n - 1, 3, 40])):
+            monkeypatch.setattr(principal, "_BLOCK_ELEMENTS", per_block * len(
+                model.n_grid()) * model.gamma_grid_points * len(idx))
+            args = (X[idx], Y[idx], *(d[idx] for d in derivs))
+            for radius in (0.75, 1.5):
+                blocks.clear()
+                got = principal._select_slice(model, 0.1, *args, radius)
+                candidates = [1] if model.candidate_zgamma else []
+                assert blocks == candidates + [per_block] * (21 // per_block) \
+                    + [21 % per_block] * (21 % per_block > 0)
+                assert_same_selection(
+                    got, reference_select_slice(model, 0.1, *args, radius))
+
+    def test_risk_neutral_enumerates_its_candidates_alone(self):
+        model = rc.make_model("risk_neutral")
+        X, Y, derivs = random_slice(ROBUST_GRID, np.random.default_rng(29))
+        args = (0.2, X, Y, *derivs, 1.0)
+        assert_same_selection(principal._select_slice(model, *args),
+                              reference_select_slice(model, *args))
+
+    def test_a_fine_slice_peaks_below_one_whole_tensor(self):
+        """One 49x49 selection's traced peak stays below the bytes of one
+        (z, nature, gamma, node) tensor: the blocks hold one z each."""
+        model = rc.make_model("quadratic_bounded")
+        grid = robust_grid(49, 32, 0.5)
+        xg, yg = grid.x_grid(), grid.y_grid()
+        X2, Y2 = np.meshgrid(xg, yg, indexing="ij")
+        derivs = principal._flat_derivatives(
+            principal._terminal_reward(model, xg, yg), grid)
+        radius = max(float(np.max(np.abs(derivs[0]))),
+                     float(np.max(np.abs(derivs[2]))))
+        whole = (model.z_grid_points * len(model.n_grid())
+                 * model.gamma_grid_points * X2.size * 8)
+        tracemalloc.start()
+        try:
+            principal._select_slice(model, 0.48, X2.ravel(), Y2.ravel(),
+                                    *derivs, radius)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert whole == 21 * 5 * 21 * 2401 * 8
+        assert peak < whole
 
 
 class TestRadiusPolicy:
@@ -384,6 +474,32 @@ class TestMonotonicityProbe:
         rep = probe_monotonicity(robust_model(), robust_grid(13, 8, horizon))
         assert rep["min_center_weight"] >= 1.0 - principal.CFL_SAFETY
         assert rep["min_neighbor_weight"] == 0.0
+
+
+class TestNonFiniteTerminal:
+    """A terminal reward with NaN or inf nodes is refused by name before
+    any selection, by the solve and by the probe that builds the same
+    terminal slice."""
+
+    @pytest.mark.parametrize("u_p, count, first", [
+        (lambda w: np.log(w + 2.0), 33, "x=-3.0, y=-0.5"),
+        (lambda w: np.where(w > 2.5, np.inf, w), 19, "x=2.0, y=-0.5"),
+        (lambda w: np.where(w > 2.9, np.nan, w), 10, "x=2.5, y=-0.5")],
+        ids=["log", "inf", "nan"])
+    def test_is_refused_before_the_march(self, monkeypatch, u_p, count,
+                                         first):
+        def no_selection(*args):
+            raise AssertionError("the march selected from a bad terminal")
+
+        monkeypatch.setattr(principal, "_select_with_radius", no_selection)
+        grid = GridSpec(-3, 3, 13, -0.5, 0.5, 13, 8, 0.5)
+        want = (f"terminal reward is not finite at {count} of 169 nodes, "
+                f"first at \\({first}\\)")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            model = rc.make_model("quadratic_bounded", utility_principal=u_p)
+            for run in (solve_hjbi, probe_monotonicity):
+                with pytest.raises(ValueError, match=want):
+                    run(model, grid)
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,7 @@ outside ``export``'s array reader and writer, no Gaussian draw outside
 ``sim._path_increments`` and
 ``sim._draw_increments``, no grid search outside the surface interpolation,
 no ``risk_neutral`` read in the engine but the martingale check's label, no
-defaulted parameter that no call site sets, no
+process environment read outside ``cli.py``, no defaulted parameter that no call site sets, no
 function or dataclass field default that every call overrides, and no
 module reaching into another package module's underscore-prefixed names."""
 
@@ -42,6 +42,11 @@ FLAT_GAME_LABEL = {("sim.py", "martingale_sandwich_check")}
 # alone (``bilinear`` is its inner function); the policy's nearest node is
 # arithmetic on its uniform axes
 SEARCHERS = {("numerics.py", "surface_value"), ("numerics.py", "bilinear")}
+# the process environment's readers in ``os``, and the one module that may
+# use them: a tuning constant such as ``principal._BLOCK_ELEMENTS`` stays a
+# constant, never an environment knob
+ENVIRON = {"environ", "getenv"}
+ENVIRON_READER = "cli.py"
 
 
 def _names(node):
@@ -207,6 +212,26 @@ def flat_game_reads(root=SRC):
     return [f"{name}:{line} {owner}" for name, line, owner, _ in
             _matches(root, _risk_neutral_name, FLAT_GAME_LABEL)
             if name == "sim.py"]
+
+
+def _environ_name(node):
+    """``os.environ`` or ``os.getenv`` when ``node`` refers to one: as an
+    attribute of ``os`` or in an import from ``os``."""
+    if isinstance(node, ast.Attribute) and node.attr in ENVIRON \
+            and getattr(node.value, "id", None) == "os":
+        return f"os.{node.attr}"
+    if isinstance(node, ast.ImportFrom) and node.module == "os":
+        names = {a.name for a in node.names} & ENVIRON
+        if names:
+            return f"os.{min(names)}"
+    return None
+
+
+def environment_reads(root=SRC):
+    """``file:line owner name`` of every reference to the process
+    environment outside ``ENVIRON_READER``."""
+    return [f"{name}:{line} {owner} {what}" for name, line, owner, what in
+            _matches(root, _environ_name, set()) if name != ENVIRON_READER]
 
 
 def private_reaches(root=SRC):
@@ -564,6 +589,31 @@ def test_flat_game_rule_catches_each_form(tmp_path):
         "sim.py:1 <module>", "sim.py:2 _response", "sim.py:3 _response",
         "sim.py:3 _response", "sim.py:4 _response", "sim.py:5 _response",
         "sim.py:8 label"]
+
+
+def test_only_the_cli_reads_the_environment():
+    assert environment_reads() == []
+
+
+def test_environment_rule_catches_each_form(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "import os\nout = os.environ.get('ROBUSTCONTRACT_OUT')\n"
+        "from os import environ, getenv\n")
+    (tmp_path / "principal.py").write_text(
+        "import os\n"
+        "_BLOCK = int(os.environ.get('BLOCK', 1))\n"
+        "def _select():\n    return os.getenv('BLOCK')\n"
+        "from os import environ\n"
+        "from os import path, getenv\n"
+        "def _keep(model):\n"
+        "    return os.path.join('a'), model.environ, sys.getenv, os.sep\n"
+        "v = os.environ['X']\n")
+    assert environment_reads(tmp_path) == [
+        "principal.py:2 <module> os.environ",
+        "principal.py:4 _select os.getenv",
+        "principal.py:5 <module> os.environ",
+        "principal.py:6 <module> os.getenv",
+        "principal.py:9 <module> os.environ"]
 
 
 def test_no_module_reaches_into_another_modules_private_names():
