@@ -7,11 +7,26 @@ the saddle Hamiltonian evaluated at the local derivative estimates:
 
     dV/dt + H(t, x, V, dV/dx, d2V/dx2) = 0,      V(T, x) = U_A(xi(x)).
 
-The solver marches backward with an explicit monotone scheme: derivative
-probes are central, the chosen saddle controls are then re-realized with
-upwinded drift so every node update is a convex combination under the
-stability bound dt * max sigma^2 / dx^2 <= 1.  The bound is checked once up
-front and violations are rejected rather than silently substepped.
+The solver marches backward with an explicit monotone scheme.  The CFL
+scan runs once, before the march: it takes the largest sigma^2 over the
+time nodes, the space nodes and the nature grid, and a grid that breaks the
+stability bound dt * max sigma^2 / dx^2 <= 1 is rejected rather than
+silently substepped.  One step from the row v then evaluates
+
+- the central differences z and gam of v, padded at each wall with a
+  linearly extrapolated ghost value;
+- the saddle (``_saddle_step``): for each nature control the effort that
+  maximizes the running reward -k v - c + b z, then the nature control
+  that minimizes 1/2 sigma^2 gam plus that reward, each the earliest
+  within tolerance;
+- the update v + dt (1/2 sigma^2 gam - k v - c + b+ up - b- dn) at the
+  chosen controls, whose drift is upwinded on the forward slopes (each wall
+  repeating its one-sided slope), so every node update is a convex
+  combination under the bound.
+
+The padded row and the slopes live in buffers made once per solve, and
+the march allocates nothing the size of the (t, x) surface beyond its
+three output arrays.
 
 A second, independent route to the same number exists for models without
 drift, running cost or discounting: conditionally on a frozen nature control
@@ -109,9 +124,10 @@ class AgentSolution:
         return float(self.effort[ti, xi]), float(self.nature[ti, xi])
 
 
-def _control_grids(model: ModelSpec):
-    """Nature column (Nn, 1) and effort column (Na, 1)."""
-    return np.asarray(model.n_grid())[:, None], model.a_grid()[:, None]
+def _control_grids(model: ModelSpec, x_nodes: int):
+    """Nature column (Nn, 1), effort column (Na, 1) and node indices."""
+    return (np.asarray(model.n_grid())[:, None], model.a_grid()[:, None],
+            np.arange(x_nodes))
 
 
 def _saddle_step(model: ModelSpec, t, x_arr, v, z, gam, grids):
@@ -127,10 +143,10 @@ def _saddle_step(model: ModelSpec, t, x_arr, v, z, gam, grids):
     tolerance), then the nature control minimizing the realized
     second-order Hamiltonian is chosen the same way; b, k and c are
     gathered at the selected controls only, from their own shapes
-    (``numerics.pick``).  ``grids`` is ``_control_grids``' result, built once
-    per solve.
+    (``numerics.pick``).  ``grids`` is ``_control_grids``' result (the
+    nature and effort columns and the node indices), built once per solve.
     """
-    n_col, a_col = grids
+    n_col, a_col, nodes = grids
     sig = numerics.field(model.vol_sigma, t, x_arr, n_col)
     sig2 = sig * sig
     a_c = numerics.clamped_candidate(model, t, x_arr, z, sig)
@@ -140,9 +156,8 @@ def _saddle_step(model: ModelSpec, t, x_arr, v, z, gam, grids):
     a_idx, f_best = numerics.best_effort(base + b * z)
     n_idx, _ = numerics.first_argmin(
         np.atleast_2d(0.5 * sig2 * gam + f_best))
-    nodes = np.arange(x_arr.size)
     at = (n_idx, numerics.pick(a_idx, (n_idx, nodes)), nodes)
-    return (numerics.pick(A, at), n_col[n_idx, 0],
+    return (numerics.pick(A, at), numerics.pick(n_col, at[::2]),
             numerics.pick(sig2, at[::2]),
             *(numerics.pick(arr, at) for arr in (b, k, c)))
 
@@ -188,34 +203,47 @@ def solve_agent(model: ModelSpec, contract: ContractFunction, *,
     values[t_steps] = numerics.apply1(
         model.utility_agent, numerics.apply1(contract.payment, x_grid))
 
-    grids = _control_grids(model)
+    grids = _control_grids(model, x_nodes)
+    # v, the row being stepped, between two ghost values extrapolated
+    # linearly from it; z, gam and the slopes read shifted views of it
+    pad = np.empty(x_nodes + 2)
+    left, v, right = pad[:-2], pad[1:-1], pad[2:]
+    # the forward slopes, each wall repeating its one-sided slope: dn is
+    # the slope ending at a node, up the one starting there
+    walls = np.empty(x_nodes + 1)
+    slope, dn, up = walls[1:-1], walls[:-1], walls[1:]
+    ahead, behind = v[1:], v[:-1]
+    two_dx, dx2 = 2.0 * dx, dx * dx
+    times = t_grid.tolist()
+    v[:] = values[t_steps]
     max_grad = 0.0
     for step in range(t_steps - 1, -1, -1):
-        t = float(t_grid[step])
-        v = values[step + 1]
-        z, gam = numerics.central_differences(v, dx)
-        a_star, n_star, sig2, b, k, c = _saddle_step(model, t, x_grid, v, z,
-                                                     gam, grids)
-
-        # forward and backward slopes; the walls reuse the one-sided slope
-        slope = np.diff(v) / dx
-        up = np.concatenate((slope, slope[-1:]))
-        dn = np.concatenate((slope[:1], slope))
+        pad[0] = 2.0 * pad[1] - pad[2]
+        pad[-1] = 2.0 * pad[-2] - pad[-3]
+        z = (right - left) / two_dx
+        gam = (right - 2.0 * v + left) / dx2
+        a_star, n_star, sig2, b, k, c = _saddle_step(model, times[step],
+                                                     x_grid, v, z, gam, grids)
+        np.subtract(ahead, behind, out=slope)
+        slope /= dx
+        walls[0], walls[-1] = slope[0], slope[-1]
         b_pos = np.maximum(b, 0.0)
         b_neg = np.maximum(-b, 0.0)
-        values[step] = v + dt * (0.5 * sig2 * gam - k * v - c
-                                 + b_pos * up - b_neg * dn)
+        v += dt * (0.5 * sig2 * gam - k * v - c + b_pos * up - b_neg * dn)
+        values[step] = v
         effort[step] = a_star
         nature[step] = n_star
-        max_grad = max(max_grad, float(np.max(np.abs(z))))
+        max_grad = max(max_grad, abs(z).max())
 
     effort[t_steps] = effort[t_steps - 1]
     nature[t_steps] = nature[t_steps - 1]
+    # the largest |v| from the extremes, with no |values| temporary;
+    # abs() turns an all-zero surface's -0.0 into 0.0
     return AgentSolution(
         t_grid=t_grid, x_grid=x_grid, values=values,
         effort=effort, nature=nature, cfl_number=float(cfl),
-        max_abs_value=float(np.max(np.abs(values))),
-        max_abs_gradient=max_grad)
+        max_abs_value=float(abs(max(values.max(), -values.min()))),
+        max_abs_gradient=float(max_grad))
 
 
 # ---------------------------------------------------------------------------

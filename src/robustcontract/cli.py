@@ -70,9 +70,10 @@ the manifest embeds and hashes.  Every command also takes ``[out]``::
 simulate takes its contract and model from a solve-principal directory
 (``artifacts``) or runs a constant ``policy`` (``nature`` defaults to the
 band's middle); ``sim.x0``/``y0`` default to that solve's ``options.x0``
-and chosen promise, else 0.  ``nature.values`` is a volatility scenario on
-equal subintervals of the horizon.  ``verify.dt`` defaults to 1/64 of the
-solve's horizon; ``reservation`` makes solve-principal pick the promise.
+and chosen promise, else 0.  Every ``x0`` and ``y0`` must be finite.
+``nature.values`` is a volatility scenario on equal subintervals of the
+horizon.  ``verify.dt`` defaults to 1/64 of the solve's horizon;
+``reservation`` makes solve-principal pick the promise.
 On a solve-principal directory verify exits 2 unless ``paths`` >= 1,
 ``perturbations`` >= 1, ``probes`` >= 2 and ``martingale_tolerance`` > 0.
 """
@@ -135,6 +136,8 @@ def _is_num(v) -> bool:
 # every key of the section has its type)
 _KINDS = {
     "num": (_is_num, "a number", None),
+    "finite": (_is_num, "a number",
+               (math.isfinite, "'{path}' must be finite, got {value}")),
     "int": (lambda v: _is_num(v) and isinstance(v, int), "an integer", None),
     "str": (lambda v: isinstance(v, str), "a string", None),
     "map": (lambda v: isinstance(v, dict), "a mapping", None),
@@ -200,7 +203,7 @@ _AXES = {
     "band_width": {"required": ("model", "contract", "grid"), "forbidden": {
         "sim": "unknown key 'sim' for a band_width sweep"},
         "sections": {"model": _MODEL, "contract": _CONTRACT,
-                     "grid": _AGENT_GRID, "options": {"x0": ("num", 0.0)}}},
+                     "grid": _AGENT_GRID, "options": {"x0": ("finite", 0.0)}}},
 }
 # One entry per command: its required sections, in the order a missing one
 # is named; forbidden sections with their messages; each section's key map
@@ -213,7 +216,7 @@ _SCHEMA = {
         "model": _MODEL,
         "grid": dict(_AGENT_GRID,
                      **_required(y_lo="num", y_hi="num", y_nodes="int")),
-        "options": {"x0": ("num", 0.0), "reservation": ("num", None)}}},
+        "options": {"x0": ("finite", 0.0), "reservation": ("num", None)}}},
     "simulate": {"required": ("sim",), "sections": {"sim": _SIM},
                  "pick": (_present, _SOURCES)},
     "verify": {"required": ("verify",), "sections": {"verify": {

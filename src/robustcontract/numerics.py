@@ -102,37 +102,21 @@ def pick(arr, at):
     to, without broadcasting it: an axis ``arr`` lacks is skipped and one
     of length 1 is read at 0, so the result may omit axes too."""
     arr = np.asarray(arr)
-    return arr[tuple(i if n > 1 else 0
-                     for i, n in zip(at[len(at) - arr.ndim:], arr.shape))]
+    if not arr.ndim:
+        return arr[()]
+    # squeezing the length-1 axes leaves fewer index arrays to broadcast
+    return arr.squeeze()[tuple(i for i, n in zip(at[len(at) - arr.ndim:],
+                                                 arr.shape) if n > 1)]
 
 
 def max_sigma_sq(model, t_grid, x_grid):
     """Largest squared volatility over the space-time grid and nature set."""
     n_col = np.asarray(model.n_grid())[:, None]
     worst = 0.0
-    for t in t_grid:
-        sig = field(model.vol_sigma, float(t), x_grid, n_col)
-        worst = max(worst, float(np.max(sig * sig)))
-    return worst
-
-
-def ghost_pad(v):
-    """Pad a 1-D node array with linearly extrapolated ghost values.
-
-    The extrapolation keeps first differences and zeroes the one-sided
-    second difference at the boundary, which is the monotone choice for a
-    domain-truncated problem.
-    """
-    v = np.asarray(v, dtype=float)
-    return np.concatenate(([2.0 * v[0] - v[1]], v, [2.0 * v[-1] - v[-2]]))
-
-
-def central_differences(v, dx):
-    """First (central) and second differences of a padded interior array."""
-    vp = ghost_pad(v)
-    z = (vp[2:] - vp[:-2]) / (2.0 * dx)
-    gam = (vp[2:] - 2.0 * vp[1:-1] + vp[:-2]) / (dx * dx)
-    return z, gam
+    for t in t_grid.tolist():
+        sig = field(model.vol_sigma, t, x_grid, n_col)
+        worst = max(worst, (sig * sig).max())
+    return float(worst)
 
 
 def apply1(fn, arr):
@@ -172,8 +156,16 @@ def first_argmin(stack, axis=0):
     """Earliest index along ``axis`` within ``TIE_TOL`` of the min."""
     stack = np.asarray(stack, dtype=float)
     best = stack.min(axis=axis, keepdims=True)
-    return ((stack - best > TIE_TOL).argmin(axis=axis),
-            best.squeeze(axis)[()])
+    # argmin copies its operand to put ``axis`` last in memory unless it
+    # is there already, so the tie mask is written in that layout
+    axis %= stack.ndim
+    last = stack.ndim - 1
+    shape = stack.shape
+    far = np.empty(shape[:axis] + shape[axis + 1:] + shape[axis:axis + 1],
+                   dtype=bool)
+    mask = far.transpose(*range(axis), last, *range(axis, last))
+    np.greater(stack - best, TIE_TOL, out=mask)
+    return mask.argmin(axis=axis), best.squeeze(axis)[()]
 
 
 def grid_searchsorted(grid, q):

@@ -103,6 +103,10 @@ class SimConfig:
             raise ValueError("dt must be positive")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
+        for name in ("x0", "y0"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
     def steps_for(self, horizon: float) -> int:
         """Number of Euler steps; errors unless dt divides the horizon.

@@ -19,6 +19,7 @@ import numpy as np
 from robustcontract import ModelSpec, GrowthParams
 from robustcontract import (compute_radius, eval_F, eval_G, eval_g, export,
                             level_set_V, numerics, principal)
+from robustcontract.agent import AgentSolution
 from robustcontract.hamiltonians import R_MIN, uniform_grid
 
 TIE = 1e-12
@@ -250,6 +251,25 @@ def full_field(fn, t, x, *args):
                            np.broadcast(x, *args).shape)
 
 
+def ghost_pad(v):
+    """Pad a 1-D node array with linearly extrapolated ghost values.
+
+    The extrapolation keeps first differences and zeroes the one-sided
+    second difference at the boundary, which is the monotone choice for a
+    domain-truncated problem.
+    """
+    v = np.asarray(v, dtype=float)
+    return np.concatenate(([2.0 * v[0] - v[1]], v, [2.0 * v[-1] - v[-2]]))
+
+
+def central_differences(v, dx):
+    """First (central) and second differences of a ghost-padded array."""
+    vp = ghost_pad(v)
+    z = (vp[2:] - vp[:-2]) / (2.0 * dx)
+    gam = (vp[2:] - 2.0 * vp[1:-1] + vp[:-2]) / (dx * dx)
+    return z, gam
+
+
 def oracle_saddle_step(model, t, x_arr, v, z, gam):
     """``agent._saddle_step`` on the full (nature, effort, node) tensor.
 
@@ -275,6 +295,62 @@ def oracle_saddle_step(model, t, x_arr, v, z, gam):
     nodes = np.arange(x_arr.size)
     at = (n_idx, a_idx[n_idx, nodes], nodes)
     return (A[at], n_col[n_idx, 0], sig2[n_idx, nodes], b[at], k[at], c[at])
+
+
+def reference_solve_agent(model, contract, *, x_lo, x_hi, x_nodes,
+                          t_steps, horizon):
+    """``agent.solve_agent`` restated plainly.
+
+    The CFL scan takes the largest sigma^2 one time node at a time, on the
+    full (nature, node) tensor.  Each backward step then takes fresh
+    ghost-padded central differences, the full-tensor saddle
+    (:func:`oracle_saddle_step`), forward slopes by ``np.diff`` with each
+    wall repeating its one-sided slope, and folds the step's largest |z|
+    into the gradient bound by builtin ``max``: a NaN there compares false,
+    so a step whose largest |z| is NaN leaves the bound as it was.
+    """
+    t_grid = np.linspace(0.0, horizon, t_steps + 1)
+    x_grid = np.linspace(x_lo, x_hi, x_nodes)
+    dx = x_grid[1] - x_grid[0]
+    dt = t_grid[1] - t_grid[0]
+    n_col = np.asarray(model.n_grid())[:, None]
+    sig2_max = 0.0
+    for t in t_grid:
+        sig = full_field(model.vol_sigma, float(t), x_grid, n_col)
+        sig2_max = max(sig2_max, float(np.max(sig * sig)))
+    cfl = dt * sig2_max / (dx * dx)
+    if cfl > 1.0 + 1e-12:
+        raise ValueError(f"stability bound violated: {cfl}")
+
+    shape = (t_steps + 1, x_nodes)
+    values = np.empty(shape)
+    effort = np.zeros(shape)
+    nature = np.full(shape, model.nature_set_N[0], dtype=float)
+    values[t_steps] = np.broadcast_to(np.asarray(
+        model.utility_agent(contract.payment(x_grid)), dtype=float), x_nodes)
+    max_grad = 0.0
+    for step in range(t_steps - 1, -1, -1):
+        v = values[step + 1]
+        z, gam = central_differences(v, dx)
+        a_star, n_star, sig2, b, k, c = oracle_saddle_step(
+            model, float(t_grid[step]), x_grid, v, z, gam)
+        slope = np.diff(v) / dx
+        up = np.concatenate((slope, slope[-1:]))
+        dn = np.concatenate((slope[:1], slope))
+        b_pos = np.maximum(b, 0.0)
+        b_neg = np.maximum(-b, 0.0)
+        values[step] = v + dt * (0.5 * sig2 * gam - k * v - c
+                                 + b_pos * up - b_neg * dn)
+        effort[step] = a_star
+        nature[step] = n_star
+        max_grad = max(max_grad, float(np.max(np.abs(z))))
+    effort[t_steps] = effort[t_steps - 1]
+    nature[t_steps] = nature[t_steps - 1]
+    return AgentSolution(
+        t_grid=t_grid, x_grid=x_grid, values=values, effort=effort,
+        nature=nature, cfl_number=float(cfl),
+        max_abs_value=float(np.max(np.abs(values))),
+        max_abs_gradient=max_grad)
 
 
 def _reference_entry(model, t, X, Y, sig, z, gam, p, pt, q, qt, r,

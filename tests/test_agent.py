@@ -1,12 +1,13 @@
 """Tests for the agent-side backward solver and its quadrature cross-check."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import robustcontract as rc
-from robustcontract import agent, numerics
+from robustcontract import agent
 from robustcontract.hamiltonians import eval_F, eval_H
 from robustcontract.agent import (
     AgentSolution,
@@ -16,7 +17,9 @@ from robustcontract.agent import (
     participation_check,
     solve_agent,
 )
-from helpers import oracle_saddle_step, random_polynomial_model
+from helpers import (build_model, central_differences, oracle_saddle_step,
+                     polynomial_with_candidate, random_polynomial_model,
+                     reference_solve_agent)
 
 
 # observed refinement order of the agent scheme on the call-payoff heat
@@ -133,6 +136,23 @@ class TestSolveAgent:
         assert sol.policy(-1.0, 5.0) == (1.0, 101.0)
         assert sol.policy(2.0, -5.0) == (20.0, 120.0)
 
+    def test_traced_peak_is_the_outputs_and_row_buffers(self):
+        # the march keeps no (t, x) temporary: beyond the three output
+        # arrays it holds per-row buffers and the time list, well under
+        # 1 MiB, while one more (t, x) array here is 5.1 MB
+        m = rc.make_model("heat_band")
+        grid = dict(x_lo=-4.0, x_hi=4.0, x_nodes=401, t_steps=1600,
+                    horizon=1.0)
+        solve_agent(m, square_contract(), **dict(grid, x_nodes=41))
+        tracemalloc.start()
+        try:
+            sol = solve_agent(m, square_contract(), **grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = sol.values.nbytes + sol.effort.nbytes + sol.nature.nbytes
+        assert peak < outputs + 2**20, (peak, outputs)
+
     def test_metadata_envelope(self):
         m = rc.make_model("heat_band")
         sol = solve_agent(m, square_contract(), x_lo=-2, x_hi=2, x_nodes=41,
@@ -174,8 +194,9 @@ class TestSaddleStep:
             xs = np.linspace(-2.0, 2.0, 29)
         t = 0.3
         v = np.sin(xs) + 0.3 * xs ** 2
-        z, gam = numerics.central_differences(v, xs[1] - xs[0])
-        step = agent._saddle_step(m, t, xs, v, z, gam, agent._control_grids(m))
+        z, gam = central_differences(v, xs[1] - xs[0])
+        step = agent._saddle_step(m, t, xs, v, z, gam,
+                                  agent._control_grids(m, xs.size))
         # a coefficient the model holds constant comes back 0-d
         a_star, n_star, sig2, b, k, c = (np.broadcast_to(r, xs.shape)
                                          for r in step)
@@ -201,7 +222,7 @@ class TestSaddleStep:
         v = np.sin(xs) + 0.3 * xs ** 2
         v[[3, 10]] = np.nan
         v[[5, 6]] = -0.0
-        z, gam = numerics.central_differences(v, xs[1] - xs[0])
+        z, gam = central_differences(v, xs[1] - xs[0])
         z[[20, 21]] = -0.0
         gam[22] = -0.0
         # the payoff holds NaN and -0.0 entries: heat_band's running
@@ -210,10 +231,99 @@ class TestSaddleStep:
             assert np.isnan(eval_F(m, t, xs[3], v[3], z[3], 0.0, 0.3))
             pay = eval_F(m, t, xs[0], v[0], z[0], 0.0, 0.3)
             assert pay == 0.0 and math.copysign(1.0, pay) < 0.0
-        got = agent._saddle_step(m, t, xs, v, z, gam, agent._control_grids(m))
+        got = agent._saddle_step(m, t, xs, v, z, gam,
+                                 agent._control_grids(m, xs.size))
         want = oracle_saddle_step(m, t, xs, v, z, gam)
         for g, w in zip(got, want):
             assert np.broadcast_to(g, xs.shape).tobytes() == w.tobytes()
+
+
+def nan_call():
+    """The call payoff at strike 0, NaN on (0.4, 0.6)."""
+    return ContractFunction(
+        lambda x: np.where(np.abs(x - 0.5) < 0.1, np.nan, np.maximum(x, 0.0)),
+        label="nan_call")
+
+
+# (model, contract, grid) of each reference-march case; the grids keep
+# every case within the stability bound
+MARCHES = {
+    "heat_band": (lambda: rc.make_model("heat_band"),
+                  lambda: ContractFunction.from_preset("call:0"),
+                  (-4.0, 4.0, 81, 100, 1.0)),
+    "quadratic_bounded": (lambda: rc.make_model("quadratic_bounded"),
+                          lambda: ContractFunction.from_preset("linear:1,0"),
+                          (-4.0, 4.0, 81, 200, 1.0)),
+    "custom_tabulated": (lambda: rc.make_model(
+        "custom_tabulated", n_values=[0.2, 0.3, 0.5],
+        sigma_values=[0.2, 0.5, 0.4], discount=0.3),
+        lambda: ContractFunction.from_preset("call:0.5"),
+        (-3.0, 3.0, 61, 200, 1.0)),
+    "disjoint_beliefs": (lambda: rc.make_model("disjoint_beliefs"),
+                         lambda: ContractFunction.from_preset("call:0"),
+                         (-3.0, 3.0, 61, 200, 1.0)),
+    "zero_vol": (lambda: rc.make_model("zero_vol"),
+                 lambda: ContractFunction.from_preset("call:0"),
+                 (-3.0, 3.0, 61, 50, 1.0)),
+    # the payoff reads nature, so each nature control has its own effort
+    "random_polynomial": (
+        lambda: random_polynomial_model(np.random.default_rng(8)),
+        lambda: ContractFunction(np.sin, label="sin"),
+        (-2.0, 2.0, 41, 200, 0.5)),
+    "polynomial_with_candidate": (
+        polynomial_with_candidate,
+        lambda: ContractFunction(np.sin, label="sin"),
+        (-2.0, 2.0, 41, 200, 0.25)),
+    # sigma ignores nature, so the saddle's nature stack has no nature
+    # axis; its smallest entry lies at the middle node, not the first
+    "vol_free_of_nature": (
+        lambda: build_model(sigma=lambda t, x, n: 0.5 - 0.05 * x * x),
+        lambda: ContractFunction(lambda x: -x * x, label="cap"),
+        (-2.0, 2.0, 41, 100, 1.0)),
+    "nan_payment": (lambda: rc.make_model("heat_band"), nan_call,
+                    (-2.0, 2.0, 41, 50, 1.0)),
+    # a surface of signed zeros, whose largest |v| is +0.0
+    "signed_zero_payment": (
+        lambda: rc.make_model("heat_band"),
+        lambda: ContractFunction(lambda x: -0.0 * np.abs(x), label="-0"),
+        (-2.0, 2.0, 41, 50, 1.0)),
+}
+
+
+def march(name, solver):
+    make, contract, (x_lo, x_hi, x_nodes, t_steps, horizon) = MARCHES[name]
+    return solver(make(), contract(), x_lo=x_lo, x_hi=x_hi, x_nodes=x_nodes,
+                  t_steps=t_steps, horizon=horizon)
+
+
+class TestReferenceMarch:
+    """``solve_agent`` against the plain march of ``reference_solve_agent``,
+    byte for byte."""
+
+    @pytest.mark.parametrize("name", sorted(MARCHES))
+    def test_matches_the_plain_march_bit_for_bit(self, name):
+        got = march(name, solve_agent)
+        want = march(name, reference_solve_agent)
+        for field in ("t_grid", "x_grid", "values", "effort", "nature",
+                      "cfl_number", "max_abs_value", "max_abs_gradient"):
+            assert (np.asarray(getattr(got, field)).tobytes()
+                    == np.asarray(getattr(want, field)).tobytes()), field
+        if name == "vol_free_of_nature":
+            assert np.all(got.nature == got.nature[0, 0])
+
+    def test_a_nan_gradient_step_leaves_the_bound(self):
+        # every step's z holds NaN next to the NaN payments, and the
+        # builtin max skips such a step whole: the bound stays 0.0, where
+        # an elementwise running max would give NaN and an fmax fold the
+        # largest finite |z|
+        sol = march("nan_payment", solve_agent)
+        dx = sol.x_grid[1] - sol.x_grid[0]
+        rows = np.array([np.abs(central_differences(v, dx)[0])
+                         for v in sol.values[1:]])
+        assert np.isnan(rows).any(axis=1).all()
+        assert sol.max_abs_gradient == 0.0
+        assert np.isnan(np.maximum.reduce(rows, axis=None))
+        assert np.fmax.reduce(rows, axis=None) > 0.0
 
 
 class TestQuadratureRoute:

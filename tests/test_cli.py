@@ -484,6 +484,15 @@ class TestSolvePrincipal:
             "1000000000000001.0] cannot hold 41 distinct nodes\n")
         assert not (tmp_path / "x").exists()
 
+    def test_a_non_finite_x0_exits_2(self, tmp_path, capsys):
+        doc = dict(PRINCIPAL_SMALL,
+                   options={"x0": math.nan, "reservation": 0.0})
+        cfg = write_config(tmp_path, "n.yaml", doc)
+        assert run_cli("solve-principal", cfg, tmp_path / "x") == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: 'options.x0' must be finite, got nan\n")
+        assert not (tmp_path / "x").exists()
+
     def test_zero_time_steps_writes_terminal_only(self, tmp_path):
         doc = dict(PRINCIPAL_SMALL, options={},
                    grid=dict(PRINCIPAL_SMALL["grid"], t_steps=0))
@@ -559,6 +568,18 @@ class TestSimulate:
         cfg = write_config(tmp_path, "b.yaml", doc)
         assert run_cli("simulate", cfg, tmp_path / "x") == EXIT_CONFIG
         assert "not both" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("x0", math.nan),
+                                           ("y0", math.inf)])
+    def test_a_non_finite_start_point_exits_2(self, principal_run, tmp_path,
+                                              capsys, key, value):
+        doc = {"sim": {"paths": 10, "dt": 0.5, "seed": 0, key: value},
+               "artifacts": str(principal_run)}
+        cfg = write_config(tmp_path, "n.yaml", doc)
+        assert run_cli("simulate", cfg, tmp_path / "x") == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: sim: {key} must be finite, got {value!r}\n")
+        assert not (tmp_path / "x").exists()
 
     def test_indivisible_dt_exits_2(self, principal_run, tmp_path):
         doc = {"sim": {"paths": 10, "dt": 0.3, "seed": 0},
@@ -1068,6 +1089,18 @@ class TestSweep:
                        out) == EXIT_CONFIG
         assert capsys.readouterr().err == \
             "config error: sweep.values[1]: width must be >= 0\n"
+        assert not out.exists()
+
+    def test_a_non_finite_x0_exits_2_and_writes_nothing(self, tmp_path,
+                                                        capsys):
+        text, command = read_example("sweep_band_width.yaml")
+        doc = yaml.safe_load(text)
+        doc["options"]["x0"] = math.nan
+        out = tmp_path / "run"
+        assert run_cli(command, write_config(tmp_path, "n.yaml", doc),
+                       out) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: 'options.x0' must be finite, got nan\n")
         assert not out.exists()
 
     def test_unknown_axis_exits_2(self, tmp_path, capsys):

@@ -77,6 +77,13 @@ class TestSimConfig:
         # NumPy integers are integers
         assert SimConfig(paths=np.int64(10), dt=0.1, seed=np.uint32(1)).paths == 10
 
+    @pytest.mark.parametrize("field, value", [
+        ("x0", math.nan), ("x0", -math.inf), ("y0", math.inf),
+        ("y0", np.float64(math.nan))])
+    def test_start_point_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SimConfig(**{"paths": 10, "dt": 0.1, "seed": 1, field: value})
+
     def test_steps_must_divide_horizon(self):
         cfg = SimConfig(paths=1, dt=0.3, seed=0)
         with pytest.raises(ValueError, match="divide"):
