@@ -182,9 +182,10 @@ def solve_agent(model: ModelSpec, contract: ContractFunction, *,
                 t_steps: int, horizon: float) -> AgentSolution:
     """March the agent equation backward from ``U_A(xi(x))``.
 
-    Raises ``ValueError`` on a degenerate grid (``agent_grids``) or when
-    the diffusion stability bound fails; the caller picks grids, the solver
-    never substeps on its own.
+    Raises ``ValueError`` on a degenerate grid (``agent_grids``), when
+    the diffusion stability bound fails, or on a terminal row that is not
+    finite, naming the count of such nodes and the first of them; the
+    caller picks grids, the solver never substeps on its own.
     """
     t_grid, x_grid = agent_grids(x_lo, x_hi, x_nodes, t_steps, horizon)
     dx = x_grid[1] - x_grid[0]
@@ -202,6 +203,13 @@ def solve_agent(model: ModelSpec, contract: ContractFunction, *,
     nature = np.full((t_steps + 1, x_nodes), model.nature_set_N[0], dtype=float)
     values[t_steps] = numerics.apply1(
         model.utility_agent, numerics.apply1(contract.payment, x_grid))
+    bad = ~np.isfinite(values[t_steps])
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"terminal value is not finite at {int(bad.sum())} of "
+            f"{x_nodes} nodes, first at x={float(x_grid[i])!r}: "
+            f"{float(values[t_steps, i])!r}")
 
     grids = _control_grids(model, x_nodes)
     # v, the row being stepped, between two ghost values extrapolated

@@ -173,8 +173,9 @@ class ModelSpec:
     maximizer of the running payoff over that set.  The solvers enumerate
     it ahead of the effort grid; on a payoff free of nature the Monte
     Carlo engine plays it without the grid or the volatility level set.
-    ``risk_neutral`` claims more: exact (z, gamma) candidates, the
-    closed-form radius and a flat game.
+    ``risk_neutral`` claims more: exact (z, gamma) candidates and the
+    closed-form radius, which the principal's saddle search reads; the
+    Monte Carlo engine and its checks never read it.
     """
 
     drift_b: Callable[[float, float, float, float], float]
@@ -459,12 +460,6 @@ def eval_F_star(model: ModelSpec, t: float, x: float, y: float, z: float,
     inf_sup = min(max(col) for col in zip(*table))
     return SaddleResult(value=value, arg_a=efforts[ia], arg_n=level[inn],
                         isaacs_gap=inf_sup - value)
-
-
-def check_isaacs(model: ModelSpec, t: float, x: float, y: float, z: float,
-                 Sigma: float) -> float:
-    """Gap between inf-sup and sup-inf of the payoff over the configured grids."""
-    return eval_F_star(model, t, x, y, z, Sigma).isaacs_gap
 
 
 def eval_H(model: ModelSpec, t: float, x: float, y: float, z: float,

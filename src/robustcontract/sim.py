@@ -600,19 +600,17 @@ def _check_perturbations(perturbations: int) -> None:
 
 
 def _worst_constant_agent_value(model: ModelSpec, policy: ContractPolicy,
-                                cfg: SimConfig, transform, runs: dict,
+                                cfg: SimConfig, transform,
                                 increments: np.ndarray) -> tuple[Estimate, float]:
     """Agent objective minimized over constant volatility scenarios, each
-    run on ``increments``; one in ``runs`` reuses that result of the same
-    policy, config and transform."""
+    run on ``increments``."""
     horizon = float(policy.t_grid[-1])
     best: Estimate | None = None
     best_n = math.nan
     for n in model.n_grid():
-        nature = NatureStrategy.constant(float(n), horizon)
-        res = runs.get(nature) or simulate_system(
-            model, policy, nature, cfg, effort_transform=transform,
-            increments=increments)
+        res = simulate_system(
+            model, policy, NatureStrategy.constant(float(n), horizon), cfg,
+            effort_transform=transform, increments=increments)
         if best is None or res.agent_estimate.mean < best.mean:
             best, best_n = res.agent_estimate, float(n)
     return best, best_n
@@ -622,7 +620,6 @@ def incentive_compatibility_check(model: ModelSpec, policy: ContractPolicy,
                                   cfg: SimConfig, perturbations: int, *,
                                   deformations: Sequence[Callable] | None = None,
                                   damping_range: tuple[float, float] = (0.2, 0.45),
-                                  baseline_runs: dict | None = None,
                                   increments: np.ndarray | None = None,
                                   ) -> dict:
     """Deformed-effort probes of the extracted contract.
@@ -634,8 +631,7 @@ def incentive_compatibility_check(model: ModelSpec, policy: ContractPolicy,
     unperturbed one beyond 3x the combined confidence halfwidth plus the
     discretization budget; the report also counts the strict drops larger
     than one combined halfwidth.  Violations are listed, not raised.
-    ``baseline_runs`` holds unperturbed runs the caller already has, and
-    ``increments`` the ``_draw_increments`` matrix of ``cfg`` when the
+    ``increments`` is the ``_draw_increments`` matrix of ``cfg`` when the
     caller has drawn it.
     """
     _check_perturbations(perturbations)
@@ -643,7 +639,7 @@ def incentive_compatibility_check(model: ModelSpec, policy: ContractPolicy,
         increments = _draw_increments(
             cfg.seed, cfg.paths, cfg.steps_for(float(policy.t_grid[-1])))
     base = _worst_constant_agent_value(model, policy, cfg, None,
-                                       baseline_runs or {}, increments)[0]
+                                       increments)[0]
 
     if deformations is None:
         rng = np.random.Generator(np.random.PCG64(
@@ -661,7 +657,7 @@ def incentive_compatibility_check(model: ModelSpec, policy: ContractPolicy,
     violations = []
     for label, deform in zip(labels, deformations):
         est, n_star = _worst_constant_agent_value(model, policy, cfg, deform,
-                                                  {}, increments)
+                                                  increments)
         combined = base.ci_halfwidth + est.ci_halfwidth
         drop = base.mean - est.mean
         ok = est.mean <= base.mean + 3.0 * combined + _BIAS_BUDGET
@@ -687,67 +683,39 @@ def martingale_sandwich_check(model: ModelSpec, solution, policy: ContractPolicy
     """Flatness report for E[u(t, X_t, Y_t)] along simulated paths.
 
     Under the extracted policy with its own worst-case volatility feedback
-    the surface composed with the state should be driftless; the report
-    gives the worst secant slope per unit time between the probe-time
-    means.  A second run under a deliberately suboptimal constant scenario
-    probes the submartingale side (its mean should not trend down); for
-    volatility-flat models that run is labeled accordingly.
-    ``feedback_run`` is the first run's result; ``suboptimal_runs`` maps
-    the second run's scenario, when it has one, to its result.  Both runs
-    use ``increments``, drawn here unless the caller passes the
-    ``_draw_increments`` matrix of ``cfg``.  Fewer than two probes (no
-    slope) or a tolerance that is not positive raise.
+    the surface composed with the state should be a martingale; one run
+    reports the worst secant slope per unit time between the probe-time
+    means as ``worst_drift``, and ``feedback_run`` is that run's result.
+    The name keeps "sandwich" because ``perfbench/spans.py`` traces this
+    function by name.  The run uses ``increments``, drawn here unless the
+    caller passes the ``_draw_increments`` matrix of ``cfg``.  Fewer than
+    two probes (no slope) or a tolerance that is not positive raise.
     """
     if probes < 2:
         raise ValueError(f"probes must be at least 2, got {probes}")
     if not tolerance > 0.0:
         raise ValueError(f"martingale_tolerance must be positive, got {tolerance}")
-    horizon = float(policy.t_grid[-1])
-    steps = cfg.steps_for(horizon)
+    steps = cfg.steps_for(float(policy.t_grid[-1]))
     if increments is None:
         increments = _draw_increments(cfg.seed, cfg.paths, steps)
     probe_set = set(np.round(np.linspace(0, steps, probes)).astype(int).tolist())
+    times, means = [], []
 
-    def run(nature: NatureStrategy | None):
-        times, means = [], []
+    def observe(k: int, t: float, X: np.ndarray, Y: np.ndarray) -> None:
+        if k in probe_set:
+            u = numerics.surface_value(solution.t_grid, solution.x_grid,
+                                       solution.y_grid, solution.values,
+                                       t, X, Y)
+            fin = np.isfinite(u)
+            times.append(t)
+            means.append(float(np.mean(u[fin])) if fin.any() else math.nan)
 
-        def observe(k: int, t: float, X: np.ndarray, Y: np.ndarray) -> None:
-            if k in probe_set:
-                u = numerics.surface_value(solution.t_grid, solution.x_grid,
-                                           solution.y_grid, solution.values,
-                                           t, X, Y)
-                fin = np.isfinite(u)
-                times.append(t)
-                means.append(float(np.mean(u[fin])) if fin.any() else math.nan)
-
-        res = simulate_system(model, policy, nature, cfg, observer=observe,
-                              increments=increments)
-        return np.diff(means) / np.diff(times), res
-
-    slopes, feedback = run(None)
+    feedback = simulate_system(model, policy, None, cfg, observer=observe,
+                               increments=increments)
+    slopes = np.diff(means) / np.diff(times)
     worst = float(np.max(np.abs(slopes))) if len(slopes) else 0.0
-
-    # freeze the scenario at the band edge farthest from the policy's
-    # time-zero midpoint choice; a zero horizon has no scenario to freeze
-    suboptimal_nature = None
-    if horizon > 0.0:
-        n_lo, n_hi = model.nature_set_N
-        mid_used = float(np.median(policy.nature[0]))
-        far = n_lo if abs(mid_used - n_lo) >= abs(mid_used - n_hi) else n_hi
-        suboptimal_nature = NatureStrategy.constant(far, horizon)
-    sub_slopes, suboptimal = run(suboptimal_nature)
-    worst_down = float(-np.min(sub_slopes)) if len(sub_slopes) else 0.0
-
-    return {
-        "worst_drift": worst, "passed": bool(worst <= tolerance),
-        "feedback_run": feedback,
-        "suboptimal_runs": {suboptimal_nature: suboptimal} if suboptimal_nature else {},
-        "suboptimal": {
-            "worst_downward_drift": worst_down,
-            "label": ("flat game" if model.risk_neutral
-                      else "submartingale probe"),
-        },
-    }
+    return {"worst_drift": worst, "passed": bool(worst <= tolerance),
+            "feedback_run": feedback}
 
 
 # ---------------------------------------------------------------------------
@@ -773,14 +741,9 @@ def contract_checks(model: ModelSpec, surface, policy: ContractPolicy,
                                      increments=increments)
     checks["martingale_drift"] = {
         "passed": mart["passed"], "measured": mart["worst_drift"],
-        "bound": tolerance,
-        "suboptimal_label": mart["suboptimal"]["label"],
-        "suboptimal_downward_drift":
-            mart["suboptimal"]["worst_downward_drift"]}
+        "bound": tolerance}
 
-    # the martingale check's band-edge run is that nature's baseline run
     inc = incentive_compatibility_check(model, policy, cfg, perturbations,
-                                        baseline_runs=mart["suboptimal_runs"],
                                         increments=increments)
     checks["incentive_probes"] = {
         "passed": inc["passed"], "measured": float(len(inc["violations"])),

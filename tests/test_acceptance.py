@@ -245,7 +245,7 @@ def test_09_value_flatness_along_paths(bench_model, bench_solve, bench_policy):
     assert rep["worst_drift"] <= DRIFT_TOL
     report("09 value flatness",
            f"worst drift {rep['worst_drift']:.1e} per unit time "
-           f"({rep['suboptimal']['label']})")
+           "along the worst-case feedback play")
 
 
 def test_10_determinism_and_reweighting(tmp_path):

@@ -31,6 +31,13 @@ def square_contract():
     return ContractFunction(lambda x: x * x, label="square")
 
 
+def nan_call():
+    """The call payoff at strike 0, NaN on (0.4, 0.6)."""
+    return ContractFunction(
+        lambda x: np.where(np.abs(x - 0.5) < 0.1, np.nan, np.maximum(x, 0.0)),
+        label="nan_call")
+
+
 class TestContractFunction:
     def test_linear_preset(self):
         f = ContractFunction.from_preset("linear:2,1")
@@ -79,6 +86,23 @@ class TestSolveAgent:
         with pytest.raises(ValueError):
             solve_agent(m, square_contract(), x_lo=-1, x_hi=1, x_nodes=11,
                         t_steps=10, horizon=-1.0)
+
+    @pytest.mark.parametrize("contract, count, first", [
+        (nan_call, 2, "x=0.40000000000000036: nan"),
+        (lambda: ContractFunction(lambda x: np.where(x > 1.5, np.inf, x),
+                                  label="inf_tail"),
+         5, "x=1.6: inf")], ids=["nan", "inf"])
+    def test_non_finite_terminal_row_is_refused_before_the_march(
+            self, monkeypatch, contract, count, first):
+        def no_step(*args):
+            raise AssertionError("the march stepped from a bad terminal row")
+
+        monkeypatch.setattr(agent, "_saddle_step", no_step)
+        want = (f"terminal value is not finite at {count} of 41 nodes, "
+                f"first at {first}")
+        with pytest.raises(ValueError, match=want):
+            solve_agent(rc.make_model("heat_band"), contract(), x_lo=-2.0,
+                        x_hi=2.0, x_nodes=41, t_steps=50, horizon=1.0)
 
     def test_terminal_row_is_utility_of_payment(self):
         m = rc.make_model("quadratic_bounded")
@@ -238,13 +262,6 @@ class TestSaddleStep:
             assert np.broadcast_to(g, xs.shape).tobytes() == w.tobytes()
 
 
-def nan_call():
-    """The call payoff at strike 0, NaN on (0.4, 0.6)."""
-    return ContractFunction(
-        lambda x: np.where(np.abs(x - 0.5) < 0.1, np.nan, np.maximum(x, 0.0)),
-        label="nan_call")
-
-
 # (model, contract, grid) of each reference-march case; the grids keep
 # every case within the stability bound
 MARCHES = {
@@ -280,8 +297,6 @@ MARCHES = {
         lambda: build_model(sigma=lambda t, x, n: 0.5 - 0.05 * x * x),
         lambda: ContractFunction(lambda x: -x * x, label="cap"),
         (-2.0, 2.0, 41, 100, 1.0)),
-    "nan_payment": (lambda: rc.make_model("heat_band"), nan_call,
-                    (-2.0, 2.0, 41, 50, 1.0)),
     # a surface of signed zeros, whose largest |v| is +0.0
     "signed_zero_payment": (
         lambda: rc.make_model("heat_band"),
@@ -310,20 +325,6 @@ class TestReferenceMarch:
                     == np.asarray(getattr(want, field)).tobytes()), field
         if name == "vol_free_of_nature":
             assert np.all(got.nature == got.nature[0, 0])
-
-    def test_a_nan_gradient_step_leaves_the_bound(self):
-        # every step's z holds NaN next to the NaN payments, and the
-        # builtin max skips such a step whole: the bound stays 0.0, where
-        # an elementwise running max would give NaN and an fmax fold the
-        # largest finite |z|
-        sol = march("nan_payment", solve_agent)
-        dx = sol.x_grid[1] - sol.x_grid[0]
-        rows = np.array([np.abs(central_differences(v, dx)[0])
-                         for v in sol.values[1:]])
-        assert np.isnan(rows).any(axis=1).all()
-        assert sol.max_abs_gradient == 0.0
-        assert np.isnan(np.maximum.reduce(rows, axis=None))
-        assert np.fmax.reduce(rows, axis=None) > 0.0
 
 
 class TestQuadratureRoute:

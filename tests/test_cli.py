@@ -455,6 +455,25 @@ class TestSolveAgent:
         assert run_cli("solve-agent", cfg, tmp_path / "x") == EXIT_CONFIG
         assert "stability" in capsys.readouterr().err
 
+    def test_non_finite_tabulated_payment_exits_2(self, tmp_path, capsys):
+        x = np.linspace(-2.0, 2.0, 41)
+        pay = np.maximum(x, 0.0)
+        pay[20] = np.nan
+        table = tmp_path / "pay.txt"
+        table.write_text("".join(f"{a!r} {b!r}\n" for a, b in
+                                 zip(x.tolist(), pay.tolist())))
+        doc = {"model": {"preset": "heat_band"},
+               "contract": {"payment": f"tabulated:{table}"},
+               "grid": {"x_lo": -2.0, "x_hi": 2.0, "x_nodes": 41,
+                        "t_steps": 50, "horizon": 1.0}}
+        cfg = write_config(tmp_path, "n.yaml", doc)
+        out = tmp_path / "x"
+        assert run_cli("solve-agent", cfg, out) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: grid: terminal value is not finite at 1 of 41 "
+            "nodes, first at x=0.0: nan\n")
+        assert not out.exists()
+
 
 class TestSolvePrincipal:
     def test_closed_form_value_at_the_chosen_promise(self, principal_run):
@@ -491,6 +510,20 @@ class TestSolvePrincipal:
         assert run_cli("solve-principal", cfg, tmp_path / "x") == EXIT_CONFIG
         assert capsys.readouterr().err == (
             "config error: 'options.x0' must be finite, got nan\n")
+        assert not (tmp_path / "x").exists()
+
+    def test_a_slice_past_the_substep_limit_exits_2(self, tmp_path, capsys):
+        # risk_neutral selects from its exact candidates, so no radius runs
+        # away: the one 5000-long slice alone needs the substeps
+        doc = {"model": {"preset": "risk_neutral"},
+               "grid": {"x_lo": -8.0, "x_hi": 8.0, "x_nodes": 41,
+                        "y_lo": -8.0, "y_hi": 8.0, "y_nodes": 41,
+                        "t_steps": 1, "horizon": 5000.0}}
+        cfg = write_config(tmp_path, "s.yaml", doc)
+        assert run_cli("solve-principal", cfg, tmp_path / "x") == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: grid: slice needs more than 10000 stable "
+            "substeps; refine the grid\n")
         assert not (tmp_path / "x").exists()
 
     def test_zero_time_steps_writes_terminal_only(self, tmp_path):
@@ -601,6 +634,26 @@ class TestVerify:
                      "martingale_drift", "incentive_probes"):
             assert report["checks"][name]["passed"] is True, name
 
+    # the keys beyond passed, measured and bound that a report entry may
+    # hold, each named here, so that an ungated number cannot come back
+    REPORT_EXTRAS = {"checksums": {"mismatched"},
+                     "incentive_probes": {"strictly_lower", "perturbations"}}
+
+    @pytest.mark.parametrize("kind", ["principal", "agent"])
+    def test_every_report_entry_is_a_gate(self, principal_run, agent_run,
+                                          tmp_path, kind):
+        art = principal_run if kind == "principal" else agent_run
+        doc = {"verify": {"artifacts": str(art), "paths": 300,
+                          "perturbations": 2}}
+        out = tmp_path / "run"
+        assert run_cli("verify", write_config(tmp_path, "v.yaml", doc),
+                       out) == EXIT_OK
+        checks = yaml.safe_load((out / "report.yaml").read_text())["checks"]
+        assert checks
+        for name, entry in checks.items():
+            assert set(entry) == {"passed", "measured", "bound"} \
+                | self.REPORT_EXTRAS.get(name, set()), name
+
     def test_shared_increments_keep_the_report_bytes(self, principal_run,
                                                      tmp_path, monkeypatch):
         cfg = write_config(tmp_path, "v.yaml", {"verify": {
@@ -633,12 +686,10 @@ class TestVerify:
         monkeypatch.setattr(sim, "simulate_system", fresh)
         rows.clear()
         assert run_cli("verify", cfg, tmp_path / "fresh") == EXIT_OK
-        # two runs for the martingale check, whose feedback run is also the
+        # the martingale check's feedback run, which is also the
         # cross-check's direct run, the baseline and 2 perturbations per
-        # nature point, less the baseline at the far band edge, which is
-        # the martingale check's second run, and the cross-check's
-        # reweighted run
-        batches = 2 + 3 * len(make_model("risk_neutral").n_grid()) - 1
+        # nature point, and the cross-check's reweighted run
+        batches = 1 + 3 * len(make_model("risk_neutral").n_grid())
         assert rows == [9] * batches + [10]
         for name in ("report.yaml", export.MANIFEST_NAME):
             assert (tmp_path / "shared" / name).read_bytes() == \

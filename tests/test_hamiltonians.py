@@ -126,7 +126,7 @@ class TestEvalFStar:
 
 
 # ---------------------------------------------------------------------------
-# check_isaacs
+# the Isaacs gap of eval_F_star
 # ---------------------------------------------------------------------------
 
 class TestIsaacs:
@@ -135,11 +135,11 @@ class TestIsaacs:
                         sigma=lambda t, x, n: 1.0,
                         k=lambda t, x, a, n: 0.2 * np.cos(n), kappa=0.5,
                         N=(1.0, 2.0), n_points=5, a_points=9)
-        assert rc.check_isaacs(m, 0.0, 0.0, 1.0, 0.7, 1.0) <= 1e-12
+        assert rc.eval_F_star(m, 0.0, 0.0, 1.0, 0.7, 1.0).isaacs_gap <= 1e-12
 
     def test_singleton_nature_set_has_zero_gap(self):
         m = build_model(N=(1.3, 1.3), n_points=1)
-        assert rc.check_isaacs(m, 0.0, 0.0, 0.0, 0.5, 1.3 ** 2) == 0.0
+        assert rc.eval_F_star(m, 0.0, 0.0, 0.0, 0.5, 1.3 ** 2).isaacs_gap == 0.0
 
     def test_matching_pennies_drift_has_positive_gap(self):
         m = build_model(b=lambda t, x, a, n: (a - 0.5) * (n - 1.5),
@@ -150,7 +150,7 @@ class TestIsaacs:
                  for a in m.a_grid()]
         sup_inf = max(min(row) for row in table)
         inf_sup = min(max(table[i][j] for i in range(2)) for j in range(2))
-        got = rc.check_isaacs(m, 0.0, 0.0, 0.0, z, 1.0)
+        got = rc.eval_F_star(m, 0.0, 0.0, 0.0, z, 1.0).isaacs_gap
         assert got == inf_sup - sup_inf == 0.5
 
 
@@ -535,7 +535,7 @@ def model_and_point(draw):
 @given(model_and_point())
 def test_isaacs_gap_nonnegative(data):
     model, t, x, y, z, sigma_sq, _ = data
-    assert rc.check_isaacs(model, t, x, y, z, sigma_sq) >= -1e-12
+    assert rc.eval_F_star(model, t, x, y, z, sigma_sq).isaacs_gap >= -1e-12
 
 
 @settings(max_examples=25, deadline=None)

@@ -4,6 +4,7 @@ separated-beliefs degeneracy."""
 
 import copy
 import dataclasses
+import functools
 import itertools
 import math
 import tracemalloc
@@ -768,9 +769,8 @@ class TestMartingaleSandwich:
         report = martingale_sandwich_check(rn_model, rn_solution, rn_policy, cfg)
         assert report["worst_drift"] <= 1e-8
         assert report["passed"]
-        sub = report["suboptimal"]
-        assert sub["label"] == "flat game"
-        assert sub["worst_downward_drift"] <= 1e-8
+        # one run: the feedback run, with nature read from the policy
+        assert set(report) == {"worst_drift", "passed", "feedback_run"}
 
     def test_zero_horizon_is_trivially_constant(self, rn_model, rn_solution):
         policy = constant_policy(rn_model, horizon=0.0, z=1.0)
@@ -837,27 +837,49 @@ class TestContractChecks:
         cfg = SimConfig(paths=200, dt=1 / 16, seed=3)
         sim.contract_checks(rn_model, rn_solution, rn_policy, cfg,
                             perturbations=2, probes=5, tolerance=0.05)
-        # martingale: the feedback run and one at the far band edge;
-        # incentive: 1 + 2 effort maps at 5 constant natures, less the far
-        # edge's unperturbed run, which the martingale check made; Girsanov:
-        # the reweighted run alone
-        assert len(runs) == 2 + 3 * 5 - 1 + 1
+        # martingale: the feedback run; incentive: 1 + 2 effort maps at 5
+        # constant natures; Girsanov: the reweighted run alone
+        assert len(runs) == 1 + 3 * 5 + 1
         unperturbed = [nature for nature, transform in runs
                        if nature is not None and transform is None]
         assert len(unperturbed) == len(set(unperturbed)) == 5
 
-    def test_handed_baseline_run_equals_a_fresh_one(
-            self, rn_model, rn_solution, rn_policy):
-        cfg = SimConfig(paths=200, dt=1 / 16, seed=3)
-        mart = martingale_sandwich_check(rn_model, rn_solution, rn_policy,
-                                         cfg, probes=5)
-        assert len(mart["suboptimal_runs"]) == 1
-        handed = incentive_compatibility_check(
-            rn_model, rn_policy, cfg, 2,
-            baseline_runs=mart["suboptimal_runs"])
-        assert handed == incentive_compatibility_check(rn_model, rn_policy,
-                                                       cfg, 2)
+    def test_probes_fail_an_effort_that_is_not_the_best_response(
+            self, rn_model, rn_solution, monkeypatch):
+        # the candidate says a = 0 whatever z is while the payoff stays
+        # free of nature, so the engine plays a = 0 and the tabulated effort
+        # (all zeros) answers it: the field check cannot see the fault.
+        # The default damping probes cannot see it either, since damping an
+        # effort of 0 leaves it at 0; a probe that raises the effort does.
+        bad = dataclasses.replace(
+            rn_model, candidate_effort=lambda t, x, z, s: 0.0 * z)
 
+        def raise_effort(t, X, a):
+            return a + 0.5
+
+        monkeypatch.setattr(sim, "incentive_compatibility_check",
+                            functools.partial(incentive_compatibility_check,
+                                              deformations=[raise_effort]))
+        cfg = SimConfig(paths=2000, dt=1 / 16, seed=5)
+        checks = sim.contract_checks(
+            bad, rn_solution, constant_policy(bad, 1.0, z=1.0), cfg,
+            perturbations=1, probes=5, tolerance=0.05)
+        assert checks["incentive_fields"] == {
+            "passed": True, "measured": 0.0, "bound": 1e-9}
+        assert checks["incentive_probes"]["passed"] is False
+        assert checks["incentive_probes"]["measured"] == 1.0
+
+        report = incentive_compatibility_check(
+            bad, constant_policy(bad, 1.0, z=1.0), cfg, 1,
+            deformations=[raise_effort])
+        assert report["violations"] == report["entries"]
+        assert report["entries"][0]["drop"] < -0.3
+        # on the preset itself a* = a_bar = 1, and a + 0.5 clamps back to it
+        real = incentive_compatibility_check(
+            rn_model, constant_policy(rn_model, 1.0, z=1.0), cfg, 1,
+            deformations=[raise_effort])
+        assert real["passed"]
+        assert real["entries"][0]["drop"] == 0.0
 
     @pytest.mark.parametrize("setting,value,message", [
         ("probes", 1, "probes must be at least 2"),

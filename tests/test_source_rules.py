@@ -7,7 +7,7 @@ NumPy array-file call (``np.load``, ``np.save``, ``numpy.lib.format``)
 outside ``export``'s array reader and writer, no Gaussian draw outside
 ``sim._path_increments`` and
 ``sim._draw_increments``, no grid search outside the surface interpolation,
-no ``risk_neutral`` read in the engine but the martingale check's label, no
+no ``risk_neutral`` read in the engine, no
 process environment read outside ``cli.py``, no defaulted parameter that no call site sets, no
 function or dataclass field default that every call overrides, and no
 module reaching into another package module's underscore-prefixed names."""
@@ -34,10 +34,6 @@ ARRAY_FILES = {("export.py", "read_array"), ("export.py", "write_array")}
 KERNEL_ONLY = {"drift_b", "discount_k", "cost_c", "candidate_effort"}
 # the owners of the increments' per-step splitting rule
 DRAWERS = {("sim.py", "_path_increments"), ("sim.py", "_draw_increments")}
-# the one reader of the flat-game claim in the engine: the martingale
-# check's label; the engine's effort shortcut reads the candidate effort
-# and ``payoff_free_of_nature``
-FLAT_GAME_LABEL = {("sim.py", "martingale_sandwich_check")}
 # the callers of ``numerics.grid_searchsorted``: the surface interpolation
 # alone (``bilinear`` is its inner function); the policy's nearest node is
 # arithmetic on its uniform axes
@@ -207,10 +203,11 @@ def _risk_neutral_name(node):
 
 def flat_game_reads(root=SRC):
     """``file:line owner`` of every reference to ``risk_neutral`` in
-    ``sim.py`` outside ``FLAT_GAME_LABEL``, so that the engine's effort
-    shortcut does not come to rest on the flat-game claim."""
+    ``sim.py``, so that no engine path or check comes to rest on the
+    flat-game claim: the effort shortcut reads the candidate effort and
+    ``payoff_free_of_nature``."""
     return [f"{name}:{line} {owner}" for name, line, owner, _ in
-            _matches(root, _risk_neutral_name, FLAT_GAME_LABEL)
+            _matches(root, _risk_neutral_name, set())
             if name == "sim.py"]
 
 
@@ -567,7 +564,7 @@ def test_grid_search_rule_catches_each_form(tmp_path):
         "principal.py:6 <module>", "sim.py:2 _nearest_node"]
 
 
-def test_the_engine_reads_risk_neutral_only_for_the_label():
+def test_the_engine_never_reads_risk_neutral():
     assert flat_game_reads() == []
 
 
@@ -588,7 +585,7 @@ def test_flat_game_rule_catches_each_form(tmp_path):
     assert flat_game_reads(tmp_path) == [
         "sim.py:1 <module>", "sim.py:2 _response", "sim.py:3 _response",
         "sim.py:3 _response", "sim.py:4 _response", "sim.py:5 _response",
-        "sim.py:8 label"]
+        "sim.py:8 label", "sim.py:9 martingale_sandwich_check"]
 
 
 def test_only_the_cli_reads_the_environment():
