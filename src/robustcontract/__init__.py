@@ -22,7 +22,6 @@ from .hamiltonians import (
     eval_H,
     eval_g,
     eval_G,
-    compute_radius,
     gamma_thresholds,
     optimal_effort,
 )
@@ -59,7 +58,7 @@ from .sim import (
 __all__ = [
     "GrowthParams", "ModelSpec", "SaddleResult", "GameResult",
     "eval_F", "level_set_V", "eval_F_star", "eval_H",
-    "eval_g", "eval_G", "compute_radius", "gamma_thresholds",
+    "eval_g", "eval_G", "gamma_thresholds",
     "optimal_effort", "make_model",
     "AgentSolution", "ContractFunction", "inf_of_bsdes",
     "participation_check", "solve_agent",

@@ -592,11 +592,12 @@ class Produced:
 def cmd_solve_agent(conf: dict, stages: dict[str, float]) -> Produced:
     model = _build_model("solve-agent", conf)
     contract = _build_contract(conf["contract"])
+    _build_grid(agent_grids, conf["grid"])   # grid errors read "grid:"
     with _stage(stages, "solve"):
         try:
             sol = solve_agent(model, contract, **conf["grid"])
         except ValueError as exc:
-            raise ConfigError(f"grid: {exc}")
+            raise ConfigError(f"solve: {exc}")
     return Produced(
         _surface_files("solve-agent", sol, (sol.t_grid, sol.x_grid)),
         {"cfl_number": sol.cfl_number, "max_abs_value": sol.max_abs_value,
@@ -612,7 +613,7 @@ def cmd_solve_principal(conf: dict, stages: dict[str, float]) -> Produced:
         try:
             sol = solve_hjbi(model, grid)
         except (ValueError, RuntimeError) as exc:
-            raise ConfigError(f"grid: {exc}")
+            raise ConfigError(f"solve: {exc}")
         if opts["reservation"] is not None:
             try:
                 y0res = optimize_y0(sol, float(opts["x0"]),

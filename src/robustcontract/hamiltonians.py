@@ -41,8 +41,6 @@ _PROBE_HORIZON = 1.0
 
 #: smallest (z, gamma) box radius of the saddle search
 R_MIN = 1e-3
-# box doublings the expanding radius search tries before it gives up
-_MAX_DOUBLINGS = 40
 
 
 def uniform_grid(lo: float, hi: float, count: int) -> np.ndarray:
@@ -173,9 +171,10 @@ class ModelSpec:
     maximizer of the running payoff over that set.  The solvers enumerate
     it ahead of the effort grid; on a payoff free of nature the Monte
     Carlo engine plays it without the grid or the volatility level set.
-    ``risk_neutral`` claims more: exact (z, gamma) candidates and the
-    closed-form radius, which the principal's saddle search reads; the
-    Monte Carlo engine and its checks never read it.
+    ``candidate_zgamma`` claims more: exact saddle controls inside the
+    envelope radius max(|p|, |q|, R_MIN), which the principal's selection
+    enumerates alone (no z grid, effort grid or radius doubling), so it
+    needs ``candidate_effort``, else ``ValueError``.
     """
 
     drift_b: Callable[[float, float, float, float], float]
@@ -198,7 +197,6 @@ class ModelSpec:
     gamma_grid_points: int = 21
 
     # preset hooks: closed-form interior candidates injected ahead of the grid
-    risk_neutral: bool = False
     candidate_effort: Callable[[float, float, float, float], float] | None = None
     candidate_zgamma: Callable[[float, float, float, float, float], Sequence[tuple[float, float]]] | None = None
 
@@ -221,6 +219,8 @@ class ModelSpec:
             raise ValueError("truncation_M must be positive")
         _check_grid_counts(self.a_grid_points, self.n_grid_points,
                            self.z_grid_points, self.gamma_grid_points)
+        if self.candidate_zgamma is not None and self.candidate_effort is None:
+            raise ValueError("candidate_zgamma needs a candidate_effort")
         self._probe_primitives()
 
     def _probe_primitives(self) -> None:
@@ -611,35 +611,6 @@ def eval_G(model: ModelSpec, t: float, x: float, y: float, p: float,
     jn = _first_within(rows[k], outer[k])
     return GameResult(value=float(value), z_star=float(pairs[k, 0]),
                       gamma_star=float(pairs[k, 1]), n_star=float(n_grid[jn]))
-
-
-def compute_radius(model: ModelSpec, t: float, x: float, y: float, p: float,
-                   q: float, p_tilde: float, q_tilde: float,
-                   r: float) -> float:
-    """Search-box radius for the (z, gamma) optimization.
-
-    Risk-neutral models admit the closed form max(|p|, |q|); otherwise an
-    expanding geometric search doubles the box until the recovered argmax
-    stays strictly interior for two consecutive steps, which requires the
-    coercivity q_tilde < 0.
-    """
-    if model.risk_neutral:
-        return max(abs(p), abs(q), R_MIN)
-    if q_tilde >= 0.0:
-        raise ValueError("coercivity not guaranteed: q_tilde must be negative")
-    radius = max(abs(p), abs(q), R_MIN)
-    first_interior: float | None = None
-    for _ in range(_MAX_DOUBLINGS):
-        res = eval_G(model, t, x, y, p, p_tilde, q, q_tilde, r, radius)
-        interior = max(abs(res.z_star), abs(res.gamma_star)) < radius * (1.0 - 1e-9)
-        if interior:
-            if first_interior is not None:
-                return first_interior
-            first_interior = radius
-        else:
-            first_interior = None
-        radius *= 2.0
-    raise RuntimeError("expanding radius search did not certify an interior argmax")
 
 
 def gamma_thresholds(sigma_profile: Callable[[float], float],

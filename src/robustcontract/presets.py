@@ -76,7 +76,7 @@ def risk_neutral(n_band: tuple[float, float] = (0.5, 1.0), a_bar: float = 1.0,
     return _model(grid_counts, drift_b=_drift_is_effort, vol_sigma=_vol_is_n,
                   cost_c=_quadratic_cost, effort_set_A=(0.0, a_bar),
                   nature_set_N=n_band, truncation_M=truncation_M,
-                  risk_neutral=True, candidate_effort=_clamped_effort(a_bar),
+                  candidate_effort=_clamped_effort(a_bar),
                   candidate_zgamma=candidate_zgamma)
 
 

@@ -9,8 +9,7 @@ Scheme
 ------
 Explicit in time.  Each time step estimates derivatives of the later slice
 with central differences on a ghost-padded array, selects the saddle
-controls nodewise once with the same candidates-first enumeration the
-pointwise evaluator uses, then realizes the chosen operator monotonically:
+controls nodewise once, then realizes the chosen operator monotonically:
 
 * drift terms upwind in each direction,
 * own-diffusions by central second differences,
@@ -171,19 +170,19 @@ class PrincipalSolution:
 # slice machinery
 # ---------------------------------------------------------------------------
 
-def _static_tables(model: ModelSpec, t: float, X: np.ndarray, Y: np.ndarray,
-                   exact_only: bool):
+def _static_tables(model: ModelSpec, t: float, X: np.ndarray, Y: np.ndarray):
     """Per-slice caches: squared volatilities per nature control on
     (nature, node), of length 1 on an axis the volatility ignores; the
     effort grid as a column ``a_rows``; and the z-independent reward parts
     of every grid effort, drift ``B`` and ``BASE = -k y - c``, on the
-    ``numerics`` effort kernel's own shapes.  ``exact_only`` skips the
-    grid: ``a_rows``, ``B`` and ``BASE`` have no rows then."""
+    ``numerics`` effort kernel's own shapes.  A model with exact (z, gamma)
+    candidates skips the effort grid: ``a_rows``, ``B`` and ``BASE`` have
+    no rows then."""
     n_grid = model.n_grid()
     n_col = np.asarray(n_grid)[:, None]
     sig = numerics.field(model.vol_sigma, t, X, n_col)
     sig2 = np.atleast_2d(sig * sig)
-    if exact_only:
+    if model.candidate_zgamma is not None:
         a_rows = B = BASE = np.empty((0, 1))
     else:
         a_rows = model.a_grid()[:, None]
@@ -252,27 +251,24 @@ def _saddle_block(model, t, X, Y, tables, z, gam, p, pt, q, qt, r):
             "gamma": gam, "effort": astar, "fstar": fmax, "bdrift": bstar}
 
 
-def _enumeration(model: ModelSpec, t, X, Y, p, q, radius, include_grid):
-    """The canonical enumeration as (z, gamma) blocks for
-    :func:`_saddle_block`: the clamped closed-form candidates first, all
-    in one block, then the uniform box grid in z-major order, at most
+def _enumeration(model: ModelSpec, t, X, Y, p, q, radius):
+    """The enumeration as (z, gamma) blocks for :func:`_saddle_block`: the
+    model's exact candidates, clamped to the box, all in one block; or,
+    without them, the uniform box grid in z-major order, at most
     ``_BLOCK_ELEMENTS`` (entry, nature, gamma, node) elements, and at
     least one z, per block."""
-    blocks = []
     if model.candidate_zgamma is not None:
         cand = np.clip([np.broadcast_to(np.asarray(v, dtype=float), X.shape)
                         for pair in model.candidate_zgamma(t, X, Y, p, q)
                         for v in pair], -radius, radius)
-        blocks.append((cand[0::2], cand[1::2, None, :]))
-    if include_grid:
-        z_vals = uniform_grid(-radius, radius, model.z_grid_points)[:, None]
-        gam_vals = uniform_grid(-radius, radius,
-                                model.gamma_grid_points)[None, :, None]
-        per_z = model.n_grid_points * gam_vals.size * X.size
-        step = max(1, _BLOCK_ELEMENTS // per_z)
-        blocks.extend((z_vals[i:i + step], gam_vals)
-                      for i in range(0, len(z_vals), step))
-    return blocks
+        return [(cand[0::2], cand[1::2, None, :])]
+    z_vals = uniform_grid(-radius, radius, model.z_grid_points)[:, None]
+    gam_vals = uniform_grid(-radius, radius,
+                            model.gamma_grid_points)[None, :, None]
+    per_z = model.n_grid_points * gam_vals.size * X.size
+    step = max(1, _BLOCK_ELEMENTS // per_z)
+    return [(z_vals[i:i + step], gam_vals)
+            for i in range(0, len(z_vals), step)]
 
 
 def _read_winners(blocks, win):
@@ -308,18 +304,15 @@ def _select_slice(model, t, X, Y, p, pt, q, qt, r, radius) -> _Selection:
     in enumeration order; only the value rows are stacked, and the
     winner's controls are read in the block that holds it.
 
-    Models flagged risk-neutral declare their closed-form candidates exact
-    optimizers, so the box grid can never improve on them and ties resolve
-    candidate-first regardless; the enumeration then shrinks to the
-    candidates alone.  The pointwise evaluator keeps the full enumeration,
-    which is what validates the flag.
+    A model with ``candidate_zgamma`` has exact saddle controls (the
+    ``ModelSpec`` contract): no grid entry can improve on them, and ties
+    resolve candidate-first anyway, so they are enumerated alone, against
+    the candidate effort alone.  The pointwise ``eval_G`` keeps the box
+    grid after them, which is what validates the shortcut.
     """
-    exact_only = bool(model.risk_neutral and model.candidate_zgamma is not None
-                      and model.candidate_effort is not None)
-    tables = _static_tables(model, t, X, Y, exact_only)
+    tables = _static_tables(model, t, X, Y)
     blocks = [_saddle_block(model, t, X, Y, tables, z, gam, p, pt, q, qt, r)
-              for z, gam in _enumeration(model, t, X, Y, p, q, radius,
-                                         include_grid=not exact_only)]
+              for z, gam in _enumeration(model, t, X, Y, p, q, radius)]
     win, top = numerics.first_argmax(
         np.concatenate([b["value"].reshape(-1, X.size) for b in blocks]))
     chosen = _read_winners(blocks, win)
@@ -430,8 +423,8 @@ def _new_diagnostics() -> dict:
 def _select_with_radius(model, t, X, Y, p, pt, q, qt, r, diags) -> _Selection:
     """Select a slice's saddle controls under the box radius policy.
 
-    Risk-neutral models carry exact candidates, so the envelope radius
-    already contains the optimum.  Otherwise the box doubles while a
+    Exact candidates (``candidate_zgamma``) lie in the envelope radius,
+    which then never doubles.  Otherwise the box doubles while a
     coercive node (negative second y-derivative) sits on the boundary
     AND doubling still moves the sup; a boundary optimum on a value
     plateau accepts the smaller box.  Non-coercive nodes never drive
@@ -447,7 +440,7 @@ def _select_with_radius(model, t, X, Y, p, pt, q, qt, r, diags) -> _Selection:
     """
     radius = max(R_MIN, float(np.max(np.abs(p))), float(np.max(np.abs(q))))
     sel = _select_slice(model, t, X, Y, p, pt, q, qt, r, radius)
-    if not model.risk_neutral:
+    if model.candidate_zgamma is None:
         while radius < _RADIUS_CAP:
             idx = np.flatnonzero(sel.sat_mask & (qt < 0.0))
             if not idx.size:

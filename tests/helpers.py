@@ -17,8 +17,8 @@ from typing import Callable
 import numpy as np
 
 from robustcontract import ModelSpec, GrowthParams
-from robustcontract import (compute_radius, eval_F, eval_G, eval_g, export,
-                            level_set_V, numerics, principal)
+from robustcontract import (eval_F, eval_G, eval_g, export, level_set_V,
+                            numerics, principal)
 from robustcontract.agent import AgentSolution
 from robustcontract.hamiltonians import R_MIN, uniform_grid
 
@@ -391,24 +391,23 @@ def _reference_entry(model, t, X, Y, sig, z, gam, p, pt, q, qt, r,
 
 
 def reference_select_slice(model, t, X, Y, p, pt, q, qt, r, radius):
-    """``principal._select_slice`` as a per-entry enumeration: the clamped
-    (z, gamma) candidates, then each grid z against every grid gamma, one
-    entry at a time; every field of every entry concatenated in that
-    order, and each node's controls read at the earliest row within 1e-12
-    of its best value.  A risk-neutral model with both candidate hooks
-    enumerates its candidates alone."""
-    exact_only = bool(model.risk_neutral and model.candidate_zgamma is not None
-                      and model.candidate_effort is not None)
+    """``principal._select_slice`` as a per-entry enumeration: the model's
+    clamped (z, gamma) candidates alone, against the candidate effort
+    alone, or else each grid z against every grid gamma, one entry at a
+    time; every field of every entry concatenated in that order, and each
+    node's controls read at the earliest row within 1e-12 of its best
+    value."""
+    exact_only = model.candidate_zgamma is not None
     n_col = np.asarray(model.n_grid())[:, None]
     sig = full_field(model.vol_sigma, t, X, n_col)
     entries = []
-    if model.candidate_zgamma is not None:
+    if exact_only:
         for zc, gc in model.candidate_zgamma(t, X, Y, p, q):
             zc, gc = (np.clip(np.broadcast_to(np.asarray(v, dtype=float),
                                               X.shape), -radius, radius)
                       for v in (zc, gc))
             entries.append((zc, gc[None, :]))
-    if not exact_only:
+    else:
         gammas = uniform_grid(-radius, radius, model.gamma_grid_points)
         entries += [(float(zv), gammas)
                     for zv in uniform_grid(-radius, radius,
@@ -430,6 +429,14 @@ def reference_select_slice(model, t, X, Y, p, pt, q, qt, r, radius):
         **chosen)
 
 
+def radius_policy_at(model, t, x, y, p, pt, q, qt, r):
+    """``principal._select_with_radius`` on the one node (x, y) with
+    scalar derivatives, under fresh diagnostics."""
+    return principal._select_with_radius(
+        model, t, *np.array([[x], [y], [p], [pt], [q], [qt], [r]]),
+        principal._new_diagnostics())
+
+
 def oracle_select_with_radius(model, t, X, Y, p, pt, q, qt, r, diags):
     """The box radius policy with every probe a whole-slice selection.
 
@@ -438,7 +445,7 @@ def oracle_select_with_radius(model, t, X, Y, p, pt, q, qt, r, diags):
     """
     radius = max(R_MIN, float(np.max(np.abs(p))), float(np.max(np.abs(q))))
     sel = principal._select_slice(model, t, X, Y, p, pt, q, qt, r, radius)
-    if not model.risk_neutral:
+    if model.candidate_zgamma is None:
         while radius < principal._RADIUS_CAP:
             expandable = sel.sat_mask & (qt < 0.0)
             if not expandable.any():
@@ -588,7 +595,8 @@ def perron_sandwich_check(model: ModelSpec, candidate: CandidateFunction, *,
     Returns the worst one-sided defects: ``sub_defect`` must vanish for a
     subsolution, ``super_defect`` for a supersolution, and both vanish for
     the saddle value itself.  ``terminal_defect`` compares the candidate at
-    the horizon with the liquidation reward.
+    the horizon with the liquidation reward.  Each point's box radius is
+    the principal solver's own: its radius policy on that one node.
     """
     sub_defect = 0.0
     super_defect = 0.0
@@ -600,7 +608,8 @@ def perron_sandwich_check(model: ModelSpec, candidate: CandidateFunction, *,
                 q = candidate.dxx(t, x, y)
                 qt = candidate.dyy(t, x, y)
                 rr = candidate.dxy(t, x, y)
-                radius = compute_radius(model, t, x, y, p, q, pt, qt, rr)
+                radius = radius_policy_at(model, t, x, y, p, pt, q, qt,
+                                          rr).radius
                 gval = eval_G(model, t, x, y, p, pt, q, qt, rr, radius).value
                 residual = -candidate.dt(t, x, y) - gval
                 sub_defect = max(sub_defect, residual)

@@ -18,6 +18,7 @@ import robustcontract as rc
 from robustcontract.agent import ContractFunction, inf_of_bsdes, solve_agent
 from robustcontract.cli import main as cli_main
 from robustcontract.export import TIMINGS_NAME
+from robustcontract.hamiltonians import R_MIN
 from robustcontract.presets import PRESETS, make_model
 from robustcontract.principal import GridSpec, extract_contract, optimize_y0, solve_hjbi
 from robustcontract.sim import (
@@ -110,7 +111,8 @@ def test_02_game_reduction_identity(bench_model):
     for _ in range(PROBE_COUNT):
         t = float(rng.uniform(0.0, HORIZON))
         x, y, p, q = (float(v) for v in rng.uniform(-3.0, 3.0, size=4))
-        radius = rc.compute_radius(bench_model, t, x, y, p, q, -1.0, 0.0, 0.0)
+        # the envelope radius, which holds the exact candidate (p, q)
+        radius = max(abs(p), abs(q), R_MIN)
         game = rc.eval_G(bench_model, t, x, y, p, -1.0, q, 0.0, 0.0, radius)
         saddle = rc.eval_H(bench_model, t, x, y, p, q)
         worst_value = max(worst_value, abs(game.value - saddle.value))

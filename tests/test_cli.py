@@ -453,7 +453,17 @@ class TestSolveAgent:
                          "t_steps": 4, "horizon": 1.0})
         cfg = write_config(tmp_path, "u.yaml", doc)
         assert run_cli("solve-agent", cfg, tmp_path / "x") == EXIT_CONFIG
-        assert "stability" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            "config error: solve: stability bound violated: ")
+
+    def test_a_degenerate_grid_is_a_grid_error(self, tmp_path, capsys):
+        doc = dict(AGENT_MARTINGALE,
+                   grid=dict(AGENT_MARTINGALE["grid"], x_nodes=2))
+        cfg = write_config(tmp_path, "d.yaml", doc)
+        assert run_cli("solve-agent", cfg, tmp_path / "x") == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: grid: need at least 3 space nodes\n")
+        assert not (tmp_path / "x").exists()
 
     def test_non_finite_tabulated_payment_exits_2(self, tmp_path, capsys):
         x = np.linspace(-2.0, 2.0, 41)
@@ -470,7 +480,7 @@ class TestSolveAgent:
         out = tmp_path / "x"
         assert run_cli("solve-agent", cfg, out) == EXIT_CONFIG
         assert capsys.readouterr().err == (
-            "config error: grid: terminal value is not finite at 1 of 41 "
+            "config error: solve: terminal value is not finite at 1 of 41 "
             "nodes, first at x=0.0: nan\n")
         assert not out.exists()
 
@@ -522,7 +532,7 @@ class TestSolvePrincipal:
         cfg = write_config(tmp_path, "s.yaml", doc)
         assert run_cli("solve-principal", cfg, tmp_path / "x") == EXIT_CONFIG
         assert capsys.readouterr().err == (
-            "config error: grid: slice needs more than 10000 stable "
+            "config error: solve: slice needs more than 10000 stable "
             "substeps; refine the grid\n")
         assert not (tmp_path / "x").exists()
 

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import robustcontract as rc
-from robustcontract import hamiltonians
-from robustcontract.hamiltonians import uniform_grid
+from robustcontract import hamiltonians, principal
+from robustcontract.hamiltonians import R_MIN, uniform_grid
 
 from helpers import (
     SCALAR_ONLY,
@@ -17,6 +17,7 @@ from helpers import (
     oracle_F_star,
     oracle_G,
     oracle_H,
+    radius_policy_at,
     random_polynomial_model,
 )
 
@@ -286,20 +287,22 @@ class TestEvalGMemo:
             assert tuple(rc.eval_G(m, *args, radius)) == oracle_G(m, *args, radius)
 
     def test_every_doubling_radius_matches_oracle(self, monkeypatch):
+        # the boxes the principal's radius policy tries at one coercive node
         m = rc.make_model("quadratic_bounded", **self.COARSE)
         visited = []
-        real = hamiltonians.eval_G
+        real = principal._select_slice
 
-        def recording(*args):
-            res = real(*args)
-            visited.append((args, res))
-            return res
+        def recording(model, t, X, Y, p, pt, q, qt, r, radius):
+            visited.append(radius)
+            return real(model, t, X, Y, p, pt, q, qt, r, radius)
 
-        monkeypatch.setattr(hamiltonians, "eval_G", recording)
-        rc.compute_radius(m, 0.2, 0.5, 0.1, 0.05, 0.02, -0.5, -0.1, 0.3)
-        assert len(visited) >= 3
-        for (_, *args), res in visited:
-            assert tuple(res) == oracle_G(m, *args)
+        monkeypatch.setattr(principal, "_select_slice", recording)
+        args = (0.2, 0.5, 0.1, 0.05, -0.5, 0.02, -0.1, 0.3)
+        radius_policy_at(m, *args)
+        assert len(set(visited)) >= 3
+        for radius in visited:
+            assert tuple(rc.eval_G(m, *args, radius)) == oracle_G(m, *args,
+                                                                  radius)
 
     def test_effort_scan_once_per_z(self, monkeypatch):
         """No scalar reference is called, and a scalar-only model's
@@ -395,42 +398,6 @@ class TestEvalGEdges:
         args[name] = value
         with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
             rc.eval_G(m, 0.2, 0.5, 0.1, **args)
-
-
-# ---------------------------------------------------------------------------
-# compute_radius
-# ---------------------------------------------------------------------------
-
-class TestComputeRadius:
-    @pytest.mark.parametrize("name", ["p", "q", "p_tilde", "q_tilde", "r"])
-    def test_non_finite_derivative_is_named(self, name):
-        # the radius search passes each derivative on to eval_G
-        m = rc.make_model("quadratic_bounded")
-        args = dict(p=0.05, q=0.02, p_tilde=-0.5, q_tilde=-0.1, r=0.3)
-        args[name] = math.nan
-        with pytest.raises(ValueError, match=f"^{name} must be finite"):
-            rc.compute_radius(m, 0.2, 0.5, 0.1, **args)
-
-    def test_risk_neutral_closed_form(self):
-        m = rc.make_model("risk_neutral")
-        assert rc.compute_radius(m, 0, 0, 0, 3.0, -1.0, -1.0, 0.0, 0.0) == 3.0
-
-    def test_risk_neutral_degenerate_floor(self):
-        m = rc.make_model("risk_neutral")
-        assert rc.compute_radius(m, 0, 0, 0, 0.0, 0.0, -1.0, 0.0, 0.0) == 1e-3
-
-    def test_coercive_expanding_search_certifies_interior(self):
-        m = rc.make_model("quadratic_bounded", n_grid_points=3,
-                          z_grid_points=9, gamma_grid_points=9, a_grid_points=9)
-        p, q, pt, qt, r = 0.5, -0.3, -1.0, -1.0, 0.0
-        radius = rc.compute_radius(m, 0.0, 0.5, 0.2, p, q, pt, qt, r)
-        res = rc.eval_G(m, 0.0, 0.5, 0.2, p, pt, q, qt, r, radius)
-        assert max(abs(res.z_star), abs(res.gamma_star)) < radius
-
-    def test_noncoercive_rejected(self):
-        m = rc.make_model("quadratic_bounded")
-        with pytest.raises(ValueError, match="coercivity"):
-            rc.compute_radius(m, 0, 0, 0, 1.0, 0.0, -1.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -589,11 +556,13 @@ def test_brute_force_equivalence_random_models(data):
 
 
 def test_radius_sufficiency_risk_neutral():
+    # the exact candidate (p, q) lies in the envelope radius
+    # max(|p|, |q|, R_MIN), so a doubled box finds nothing better
     m = rc.make_model("risk_neutral")
     rng = np.random.default_rng(3)
     for _ in range(10):
         p, q = rng.uniform(-2, 2, size=2)
-        radius = rc.compute_radius(m, 0, 0, 0, p, q, -1.0, 0.0, 0.0)
+        radius = max(abs(p), abs(q), R_MIN)
         v1 = rc.eval_G(m, 0, 0, 0, p, -1.0, q, 0.0, 0.0, radius).value
         v2 = rc.eval_G(m, 0, 0, 0, p, -1.0, q, 0.0, 0.0, 2 * radius).value
         assert abs(v2 - v1) <= 1e-9
@@ -604,7 +573,7 @@ def test_radius_sufficiency_coercive_model():
                       gamma_grid_points=9, a_grid_points=9)
     t, x, y = 0.0, 0.5, 0.2
     p, q, pt, qt, r = 0.5, -0.3, -1.0, -1.0, 0.0
-    radius = rc.compute_radius(m, t, x, y, p, q, pt, qt, r)
+    radius = radius_policy_at(m, t, x, y, p, pt, q, qt, r).radius
     v1 = rc.eval_G(m, t, x, y, p, pt, q, qt, r, radius).value
     v2 = rc.eval_G(m, t, x, y, p, pt, q, qt, r, 2 * radius).value
     # a doubled box with the same point count halves the sampling resolution;

@@ -27,6 +27,8 @@ PRINCIPAL_GRID = principal.GridSpec(x_lo=-1.0, x_hi=1.0, x_nodes=7, y_lo=-1.0,
                                     y_hi=1.0, y_nodes=7, t_steps=2,
                                     horizon=0.05)
 LINEAR = agent.ContractFunction.from_preset("linear:1,0")
+# the maximizer over a of build_model's default running payoff z*a - a^2/2
+CANDIDATE_EFFORT = lambda t, x, z, sigma: z
 
 
 def spy_on(monkeypatch, module):
@@ -72,16 +74,15 @@ def test_presets_keep_their_own_callables(monkeypatch, name):
 
 
 # each preset's fields beside its primitives, at the parameters above:
-# (effort_set_A, nature_set_N, truncation_M, risk_neutral,
-#  allow_degenerate_vol, agent_nature_set)
+# (effort_set_A, nature_set_N, truncation_M, allow_degenerate_vol,
+#  agent_nature_set)
 PRESET_FIELDS = {
-    "risk_neutral": ((0.0, 1.0), (0.5, 1.0), 6.0, True, False, None),
-    "quadratic_bounded": ((0.0, 1.0), (0.5, 1.0), 2.0, False, False, None),
-    "heat_band": ((0.0, 1.0), (0.2, 0.4), 2.0, False, False, None),
-    "disjoint_beliefs": ((0.0, 1.0), (0.3, 0.5), 2.0, False, False,
-                         (0.1, 0.2)),
-    "zero_vol": ((0.0, 1.0), (1.0, 1.0), 2.0, False, True, None),
-    "custom_tabulated": ((0.0, 1.0), (1.0, 2.0), 2.0, False, False, None),
+    "risk_neutral": ((0.0, 1.0), (0.5, 1.0), 6.0, False, None),
+    "quadratic_bounded": ((0.0, 1.0), (0.5, 1.0), 2.0, False, None),
+    "heat_band": ((0.0, 1.0), (0.2, 0.4), 2.0, False, None),
+    "disjoint_beliefs": ((0.0, 1.0), (0.3, 0.5), 2.0, False, (0.1, 0.2)),
+    "zero_vol": ((0.0, 1.0), (1.0, 1.0), 2.0, True, None),
+    "custom_tabulated": ((0.0, 1.0), (1.0, 2.0), 2.0, False, None),
 }
 
 
@@ -93,7 +94,7 @@ def test_presets_keep_their_shared_defaults(name):
     assert model.growth_params == GrowthParams(kappa=kappa)
     assert model.growth_C == 2.0
     assert (model.effort_set_A, model.nature_set_N, model.truncation_M,
-            model.risk_neutral, model.allow_degenerate_vol,
+            model.allow_degenerate_vol,
             model.agent_nature_set) == PRESET_FIELDS[name]
     assert model.payoff_free_of_nature
 
@@ -228,15 +229,35 @@ def test_error_inside_a_broadcasting_coefficient_propagates():
     lambda t, x, y, p, q: [(np.max(p), q)],
 ], ids=["python-if", "float", "wrong-values"])
 def test_non_broadcasting_candidate_zgamma_is_rejected(hook):
-    with pytest.raises(ValueError, match="candidate_zgamma"):
-        build_model(candidate_zgamma=hook, **GRIDS)
+    with pytest.raises(ValueError, match="^candidate_zgamma must broadcast"):
+        build_model(candidate_zgamma=hook, candidate_effort=CANDIDATE_EFFORT,
+                    **GRIDS)
 
 
 def test_broadcasting_candidate_zgamma_is_kept():
     def hook(t, x, y, p, q):
         return [(p, q), (0.5 * p, 0.25)]
 
-    assert build_model(candidate_zgamma=hook, **GRIDS).candidate_zgamma is hook
+    model = build_model(candidate_zgamma=hook,
+                        candidate_effort=CANDIDATE_EFFORT, **GRIDS)
+    assert model.candidate_zgamma is hook
+
+
+def test_candidate_zgamma_without_candidate_effort_is_rejected():
+    # candidates-only selection skips the effort grid, so exact (z, gamma)
+    # candidates need the exact effort that goes with them
+    with pytest.raises(ValueError, match="^candidate_zgamma needs a "
+                                         "candidate_effort$"):
+        build_model(candidate_zgamma=lambda t, x, y, p, q: [(p, q)], **GRIDS)
+
+
+def test_replace_dropping_candidate_effort_is_rejected():
+    # a copy re-runs the check, so the preset's exact candidates cannot
+    # lose their effort
+    model = presets.make_model("risk_neutral")
+    with pytest.raises(ValueError, match="^candidate_zgamma needs a "
+                                         "candidate_effort$"):
+        dataclasses.replace(model, candidate_effort=None)
 
 
 def test_coarse_copy_calls_no_primitive_and_solves_like_a_rebuilt_model():

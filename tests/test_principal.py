@@ -8,7 +8,7 @@ import pytest
 
 import robustcontract as rc
 from robustcontract import principal
-from robustcontract.hamiltonians import eval_G
+from robustcontract.hamiltonians import R_MIN, eval_G
 from helpers import (
     SCALAR_ONLY,
     SEARCH_GRIDS,
@@ -19,6 +19,7 @@ from helpers import (
     per_substep_values,
     perron_sandwich_check,
     polynomial_with_candidate,
+    radius_policy_at,
     random_polynomial_model,
     reference_select_slice,
     search_probes,
@@ -195,6 +196,27 @@ def kinked_model():
                        n_points=3, z_points=5, gamma_points=5)
 
 
+def linear_with_candidates(**grids):
+    """build_model's linear benchmark with (z, gamma) candidates (p, q) and
+    the clamped effort: a candidate model that is not a preset."""
+    return build_model(candidate_zgamma=lambda t, x, y, p, q: [(p, q)],
+                       candidate_effort=lambda t, x, z, sig: np.clip(z, 0.0,
+                                                                     1.0),
+                       **grids)
+
+
+def record_radii(monkeypatch):
+    """The box radius of every ``principal._select_slice`` call, in order."""
+    radii, real = [], principal._select_slice
+
+    def recorded(model, t, X, Y, p, pt, q, qt, r, radius):
+        radii.append(radius)
+        return real(model, t, X, Y, p, pt, q, qt, r, radius)
+
+    monkeypatch.setattr(principal, "_select_slice", recorded)
+    return radii
+
+
 def assert_same_selection(got, want):
     """Every field of two selections equal, arrays bit for bit."""
     for f in dataclasses.fields(principal._Selection):
@@ -245,7 +267,7 @@ class TestNodeLocality:
         assert not np.all(np.diff(groups[0]) == 1)
         for radius in (0.75, 1.5):
             full = principal._select_slice(model, 0.1, X, Y, *derivs, radius)
-            if not model.risk_neutral:
+            if model.candidate_zgamma is None:
                 assert 0 < full.saturated < n
             for idx in groups:
                 sub = principal._select_slice(model, 0.1, X[idx], Y[idx],
@@ -263,12 +285,12 @@ class TestNodeLocality:
 
 
 # models whose selections take each path through the saddle blocks: no
-# candidate hook, the candidate layer ahead of the grid, a payoff that
-# reads nature, and primitives wrapped to run once per element
+# candidate hook, a candidate effort ahead of the effort grid, a payoff
+# that reads nature, and primitives wrapped to run once per element
 BLOCK_MODELS = {
     "quadratic_bounded": robust_model,
     "risk_neutral_grid": lambda: dataclasses.replace(
-        rc.make_model("risk_neutral"), risk_neutral=False),
+        rc.make_model("risk_neutral"), candidate_zgamma=None),
     "polynomial_candidate": lambda: polynomial_with_candidate(
         ).with_control_grids(z=21, gamma=21),
     "scalar_only": lambda: build_model(**SCALAR_ONLY, a_points=5,
@@ -305,8 +327,7 @@ class TestBlockedSelection:
             for radius in (0.75, 1.5):
                 blocks.clear()
                 got = principal._select_slice(model, 0.1, *args, radius)
-                candidates = [1] if model.candidate_zgamma else []
-                assert blocks == candidates + [per_block] * (21 // per_block) \
+                assert blocks == [per_block] * (21 // per_block) \
                     + [21 % per_block] * (21 % per_block > 0)
                 assert_same_selection(
                     got, reference_select_slice(model, 0.1, *args, radius))
@@ -317,6 +338,24 @@ class TestBlockedSelection:
         args = (0.2, X, Y, *derivs, 1.0)
         assert_same_selection(principal._select_slice(model, *args),
                               reference_select_slice(model, *args))
+
+    def test_a_custom_candidate_model_enumerates_its_candidates_alone(
+            self, monkeypatch):
+        # the hook, not the preset, puts the selection on the candidates
+        model = linear_with_candidates(a_points=5, n_points=3)
+        X, Y, derivs = random_slice(ROBUST_GRID, np.random.default_rng(31))
+        args = (0.2, X, Y, *derivs, 1.0)
+        blocks, kernel = [], principal._saddle_block
+
+        def recorded(model, t, X, Y, tables, z, gam, *rest):
+            blocks.append((len(z), tables[1].size))
+            return kernel(model, t, X, Y, tables, z, gam, *rest)
+
+        monkeypatch.setattr(principal, "_saddle_block", recorded)
+        got = principal._select_slice(model, *args)
+        # one candidate block, against no effort grid rows
+        assert blocks == [(1, 0)]
+        assert_same_selection(got, reference_select_slice(model, *args))
 
     def test_a_fine_slice_peaks_below_one_whole_tensor(self):
         """One 49x49 selection's traced peak stays below the bytes of one
@@ -409,6 +448,75 @@ class TestRadiusPolicy:
         assert probes > 0
         evaluated = sum(size for calls in runs for size, _, _ in calls)
         assert evaluated < 1.5 * len(runs) * nodes
+
+
+    @pytest.mark.parametrize("p, q, radius", [(3.0, -1.0, 3.0),
+                                              (-0.5, 2.0, 2.0)],
+                             ids=["p", "q"])
+    def test_risk_neutral_closed_form(self, monkeypatch, p, q, radius):
+        # the envelope max(|p|, |q|) holds the exact candidate (p, q); it
+        # sits on the box boundary at a coercive node and still no larger
+        # box is tried
+        radii = record_radii(monkeypatch)
+        sel = radius_policy_at(rc.make_model("risk_neutral"), 0.0, 0.0, 0.0,
+                               p, -1.0, q, -1.0, 0.0)
+        assert (sel.radius, radii) == (radius, [radius])
+        assert (sel.z[0], sel.gamma[0], bool(sel.sat_mask[0])) == (p, q, True)
+
+    def test_risk_neutral_degenerate_floor(self):
+        sel = radius_policy_at(rc.make_model("risk_neutral"), 0.0, 0.0, 0.0,
+                               0.0, -1.0, 0.0, 0.0, 0.0)
+        assert sel.radius == R_MIN == 1e-3
+
+    def test_coercive_search_stops_on_a_value_plateau(self, monkeypatch):
+        m = rc.make_model("quadratic_bounded", n_grid_points=3,
+                          z_grid_points=9, gamma_grid_points=9,
+                          a_grid_points=9)
+        args = (0.2, 0.5, 0.1, 0.05, -0.5, 0.02, -0.1, 0.3)
+        radii = record_radii(monkeypatch)
+        sel = radius_policy_at(m, *args)
+        monkeypatch.undo()
+        # two accepted doublings of the envelope 0.05, each after its probe,
+        # then a rejected probe of the doubled box
+        assert radii == [0.05, 0.1, 0.1, 0.2, 0.2, 0.4]
+        assert sel.radius == 0.2 and sel.sat_mask[0]
+
+        def value(radius):
+            return principal._select_slice(
+                m, args[0], *np.array([[a] for a in args[1:]]), radius).value[0]
+
+        scale = 1e-9 * (1.0 + abs(value(0.2)))
+        assert abs(value(0.1) - value(0.2)) > scale
+        assert abs(value(0.4) - value(0.2)) <= scale
+
+    def test_noncoercive_nodes_never_double(self, monkeypatch):
+        m = rc.make_model("quadratic_bounded", n_grid_points=3,
+                          z_grid_points=9, gamma_grid_points=9,
+                          a_grid_points=9)
+        radii = record_radii(monkeypatch)
+        diags = principal._new_diagnostics()
+        sel = principal._select_with_radius(
+            m, 0.0, *np.array([[0.0], [0.0], [1.0], [-1.0], [0.0], [0.0],
+                               [0.0]]), diags)
+        assert (radii, bool(sel.sat_mask[0])) == ([1.0], True)
+        assert (diags["saturated_nodes"],
+                diags["coercivity_unverified_nodes"]) == (0, 1)
+
+    def test_exact_candidates_never_double(self, monkeypatch):
+        m = linear_with_candidates(a_points=5, n_points=3, z_points=5,
+                                   gamma_points=5)
+        radii = record_radii(monkeypatch)
+        diags = principal._new_diagnostics()
+        qt = np.array([-1.0, -1.0])
+        sel = principal._select_with_radius(
+            m, 0.1, np.array([0.0, 0.3]), np.array([0.0, 0.1]),
+            np.array([0.8, 0.2]), np.array([-1.0, -1.0]),
+            np.array([-0.4, 1.0]), qt, np.zeros(2), diags)
+        # the second node's candidate gamma = q = 1 is on the envelope
+        assert radii == [1.0]
+        assert sel.sat_mask.tolist() == [False, True]
+        assert (diags["radius_max"], diags["saturated_nodes"],
+                diags["coercivity_unverified_nodes"]) == (1.0, 0, 0)
 
 
 # largest t = 0 gap on shared nodes between robust_model's 13x13x8 and

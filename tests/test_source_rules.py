@@ -7,7 +7,8 @@ NumPy array-file call (``np.load``, ``np.save``, ``numpy.lib.format``)
 outside ``export``'s array reader and writer, no Gaussian draw outside
 ``sim._path_increments`` and
 ``sim._draw_increments``, no grid search outside the surface interpolation,
-no ``risk_neutral`` read in the engine, no
+no ``risk_neutral`` read in the engine and no ``risk_neutral``
+attribute or keyword argument anywhere, no
 process environment read outside ``cli.py``, no defaulted parameter that no call site sets, no
 function or dataclass field default that every call overrides, and no
 module reaching into another package module's underscore-prefixed names."""
@@ -191,24 +192,30 @@ def grid_searches(root=SRC):
             _references(root, {"grid_searchsorted"}, SEARCHERS)]
 
 
-def _risk_neutral_name(node):
-    """``risk_neutral`` when ``node`` names it: as an attribute, a name, an
-    import, a parameter, a keyword argument or a string (``getattr``)."""
+def _risk_neutral_form(node):
+    """How ``node`` names ``risk_neutral``, else None: ``"field"`` as an
+    attribute or a keyword argument, ``"other"`` as a name, an import, a
+    parameter or a string (``getattr``)."""
     name = getattr(node, "id", None) or getattr(node, "attr", None) \
         or getattr(node, "arg", None) \
         or (node.name if isinstance(node, ast.alias) else None) \
         or (node.value if isinstance(node, ast.Constant) else None)
-    return name if name == "risk_neutral" else None
+    if name != "risk_neutral":
+        return None
+    return "field" if isinstance(node, (ast.Attribute, ast.keyword)) \
+        else "other"
 
 
 def flat_game_reads(root=SRC):
-    """``file:line owner`` of every reference to ``risk_neutral`` in
-    ``sim.py``, so that no engine path or check comes to rest on the
-    flat-game claim: the effort shortcut reads the candidate effort and
-    ``payoff_free_of_nature``."""
-    return [f"{name}:{line} {owner}" for name, line, owner, _ in
-            _matches(root, _risk_neutral_name, set())
-            if name == "sim.py"]
+    """``file:line owner`` of every ``risk_neutral`` attribute or keyword
+    argument, and of every reference to it at all in ``sim.py``.  The
+    flat game is derived, never declared: the principal's selection reads
+    ``candidate_zgamma``, the engine's effort shortcut the candidate effort
+    and ``payoff_free_of_nature``.  The preset function and the string
+    keys that name it (``PRESETS``, ``cli._BAND_PARAM``) stay."""
+    return [f"{name}:{line} {owner}" for name, line, owner, form in
+            _matches(root, _risk_neutral_form, set())
+            if form == "field" or name == "sim.py"]
 
 
 def _environ_name(node):
@@ -582,7 +589,15 @@ def test_flat_game_rule_catches_each_form(tmp_path):
         "    return model.payoff_free_of_nature, 'risk_neutral preset', risk\n")
     (tmp_path / "principal.py").write_text(
         "def _radius(model):\n    return model.risk_neutral\n")
+    # outside sim.py the preset and the string keys naming it stay
+    (tmp_path / "presets.py").write_text(
+        "def risk_neutral(n_band=(0.5, 1.0)):\n"
+        "    return _model(n_band, risk_neutral=True)\n"
+        "PRESETS = {'risk_neutral': risk_neutral}\n")
+    (tmp_path / "cli.py").write_text(
+        "_BAND_PARAM = {'heat_band': 'band', 'risk_neutral': 'n_band'}\n")
     assert flat_game_reads(tmp_path) == [
+        "presets.py:2 risk_neutral", "principal.py:2 _radius",
         "sim.py:1 <module>", "sim.py:2 _response", "sim.py:3 _response",
         "sim.py:3 _response", "sim.py:4 _response", "sim.py:5 _response",
         "sim.py:8 label", "sim.py:9 martingale_sandwich_check"]
