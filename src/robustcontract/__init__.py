@@ -22,7 +22,6 @@ from .hamiltonians import (
     eval_H,
     eval_g,
     eval_G,
-    gamma_thresholds,
     optimal_effort,
 )
 from .presets import make_model
@@ -47,7 +46,6 @@ from .sim import (
     NatureStrategy,
     SimConfig,
     SimResult,
-    adversarial_nature_search,
     disjoint_beliefs_demo,
     girsanov_cross_check,
     incentive_compatibility_check,
@@ -58,15 +56,13 @@ from .sim import (
 __all__ = [
     "GrowthParams", "ModelSpec", "SaddleResult", "GameResult",
     "eval_F", "level_set_V", "eval_F_star", "eval_H",
-    "eval_g", "eval_G", "gamma_thresholds",
-    "optimal_effort", "make_model",
+    "eval_g", "eval_G", "optimal_effort", "make_model",
     "AgentSolution", "ContractFunction", "inf_of_bsdes",
     "participation_check", "solve_agent",
     "ContractPolicy", "GridSpec", "PrincipalSolution", "extract_contract",
     "optimize_y0", "probe_monotonicity", "solve_hjbi",
     "Estimate", "NatureStrategy", "SimConfig", "SimResult",
-    "adversarial_nature_search", "disjoint_beliefs_demo",
-    "girsanov_cross_check", "incentive_compatibility_check",
-    "martingale_sandwich_check", "simulate_system",
-    "__version__",
+    "disjoint_beliefs_demo", "girsanov_cross_check",
+    "incentive_compatibility_check", "martingale_sandwich_check",
+    "simulate_system", "__version__",
 ]

@@ -70,7 +70,8 @@ the manifest embeds and hashes.  Every command also takes ``[out]``::
 simulate takes its contract and model from a solve-principal directory
 (``artifacts``) or runs a constant ``policy`` (``nature`` defaults to the
 band's middle); ``sim.x0``/``y0`` default to that solve's ``options.x0``
-and chosen promise, else 0.  Every ``x0`` and ``y0`` must be finite.
+and chosen promise, else 0.  Every ``x0`` and ``y0`` must be finite, and
+an m_salary sweep's ``horizon`` finite, nonnegative and a multiple of ``dt``.
 ``nature.values`` is a volatility scenario on equal subintervals of the
 horizon.  ``verify.dt`` defaults to 1/64 of the solve's horizon;
 ``reservation`` makes solve-principal pick the promise.
@@ -199,7 +200,7 @@ _AXES = {
         key: f"unknown key '{key}' for an m_salary sweep"
         for key in ("contract", "grid")},
         "sections": {"model": _MODEL, "sim": _SIM,
-                     "options": {"horizon": ("num", 1.0)}}},
+                     "options": {"horizon": ("finite", 1.0)}}},
     "band_width": {"required": ("model", "contract", "grid"), "forbidden": {
         "sim": "unknown key 'sim' for a band_width sweep"},
         "sections": {"model": _MODEL, "contract": _CONTRACT,
@@ -800,6 +801,10 @@ def _sweep_m_salary(conf: dict) -> Produced:
     model = _build_model("sweep", conf)
     cfg = _build_simconfig(conf["sim"])
     horizon = float(_with_defaults("sweep", conf, "options")["horizon"])
+    try:
+        cfg.steps_for(horizon)
+    except ValueError as exc:
+        raise ConfigError(f"options.horizon: {exc}")
     names = ("m_salary", "mean", "ci", "target")
     files, rows = {}, []
     for i, m in enumerate(conf["sweep"]["values"]):

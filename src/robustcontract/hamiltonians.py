@@ -611,52 +611,3 @@ def eval_G(model: ModelSpec, t: float, x: float, y: float, p: float,
     jn = _first_within(rows[k], outer[k])
     return GameResult(value=float(value), z_star=float(pairs[k, 0]),
                       gamma_star=float(pairs[k, 1]), n_star=float(n_grid[jn]))
-
-
-def gamma_thresholds(sigma_profile: Callable[[float], float],
-                     q_profile: Callable[[float], float],
-                     n_grid: Sequence[float]) -> tuple[float, float]:
-    """Second-order weights beyond which the argmin of gamma*sigma^2 - q pins
-    to the sigma extremes.
-
-    Returns (m_neg, M_pos): for gamma > M_pos the grid argmin sits at the
-    sigma-minimizer, for gamma < m_neg at the sigma-maximizer. A flat sigma
-    profile degenerates; (-inf, +inf) sentinels signal that no threshold
-    localizes the argmin.
-    """
-    grid = [float(n) for n in n_grid]
-    sig = [sigma_profile(n) for n in grid]
-    qs = [q_profile(n) for n in grid]
-    if min(sig) <= 0.0:
-        raise ValueError("sigma_profile must be positive on the grid")
-
-    s_min, s_max = min(sig), max(sig)
-    flat_tol = 1e-12 * (1.0 + abs(s_max))
-    if s_max - s_min <= flat_tol:
-        return (-math.inf, math.inf)
-
-    def anchor(target: float) -> int:
-        # among grid points at the target sigma level, the one with maximal q
-        # dominates for extreme gamma; remaining ties go to the smaller index
-        members = [i for i in range(len(grid)) if abs(sig[i] - target) <= flat_tol]
-        best = members[0]
-        for i in members[1:]:
-            if qs[i] > qs[best]:
-                best = i
-        return best
-
-    def slope_bound(idx: int) -> float:
-        worst = 0.0
-        for i in range(len(grid)):
-            ds = sig[i] - sig[idx]
-            if abs(ds) <= flat_tol:
-                continue
-            worst = max(worst, abs((qs[i] - qs[idx]) / ds))
-        return worst
-
-    i_lo = anchor(s_min)
-    i_hi = anchor(s_max)
-    denom = 2.0 * sig[i_lo]
-    m_pos = slope_bound(i_lo) / denom
-    m_neg = -slope_bound(i_hi) / denom
-    return (m_neg, m_pos)

@@ -9,10 +9,10 @@ under a feedback contract policy and a piecewise-constant volatility
 scenario, where the effort a is the agent's best response to the contract
 sensitivity z at the realized volatility level.  On top of the raw engine
 sit the verification utilities: likelihood-ratio reweighting between the
-driftless and the drifted dynamics, coordinate-descent scenario search,
-incentive-compatibility probes, martingale flatness reports, the
-separated-beliefs degeneracy demonstration, and ``contract_checks``,
-the whole suite that ``verify`` runs on an extracted contract.
+driftless and the drifted dynamics, incentive-compatibility probes,
+martingale flatness reports, the separated-beliefs degeneracy
+demonstration, and ``contract_checks``, the whole suite that ``verify``
+runs on an extracted contract.
 
 Randomness is reproducible by construction.  The splitting rule is the
 contract: child k of ``numpy.random.SeedSequence(seed).spawn(steps)``,
@@ -22,10 +22,10 @@ row of increments; path i takes element i of every row.  A batch draws
 each row when the engine reaches its step, so it holds the increments of
 one step, not of the whole horizon.  Identical configurations therefore
 give bit-identical results.  Each check built on common random numbers
-(the scenario search, the incentive probes and the martingale report)
-draws the read-only (steps, paths) increment matrix once and passes it
-to every batch it runs as ``simulate_system``'s ``increments``; a batch
-given that matrix is bit-identical to one that draws its rows itself.
+(the incentive probes and the martingale report) draws the read-only
+(steps, paths) increment matrix once and passes it to every batch it runs
+as ``simulate_system``'s ``increments``; a batch given that matrix is
+bit-identical to one that draws its rows itself.
 """
 
 from __future__ import annotations
@@ -45,8 +45,7 @@ from .principal import ContractPolicy
 
 __all__ = [
     "Estimate", "SimConfig", "NatureStrategy", "SimResult",
-    "simulate_system", "girsanov_cross_check",
-    "constant_policy", "adversarial_nature_search",
+    "simulate_system", "girsanov_cross_check", "constant_policy",
     "incentive_compatibility_check", "martingale_sandwich_check",
     "contract_checks", "disjoint_beliefs_demo",
 ]
@@ -55,8 +54,6 @@ __all__ = [
 CI_QUANTILE = 1.959963984540054
 # x and y interval of the two-node grids of a constant policy
 _CONSTANT_POLICY_BOX = (-8.0, 8.0)
-# coordinate-descent sweeps of the adversarial scenario search
-_SEARCH_SWEEPS = 2
 # discretization budget an incentive probe may exceed the baseline by
 _BIAS_BUDGET = 0.02
 
@@ -109,10 +106,14 @@ class SimConfig:
                 raise ValueError(f"{name} must be finite, got {value!r}")
 
     def steps_for(self, horizon: float) -> int:
-        """Number of Euler steps; errors unless dt divides the horizon.
+        """Number of Euler steps; errors unless the horizon is finite and
+        nonnegative and dt divides it.
 
         A zero horizon is legal and runs no steps (terminal-only batch).
         """
+        if not (math.isfinite(horizon) and horizon >= 0.0):
+            raise ValueError(
+                f"the horizon must be finite and nonnegative, got {horizon}")
         steps = int(round(horizon / self.dt))
         if (abs(steps * self.dt - horizon) > 1e-9 * max(horizon, 1.0)
                 or (steps < 1 and horizon > 0.0)):
@@ -541,55 +542,6 @@ def constant_policy(model: ModelSpec, horizon: float, *, z: float,
 
 
 # ---------------------------------------------------------------------------
-# adversarial scenario search
-# ---------------------------------------------------------------------------
-
-def adversarial_nature_search(model: ModelSpec, policy: ContractPolicy,
-                              cfg: SimConfig, intervals: int, *,
-                              candidates: Sequence[float] | None = None,
-                              ) -> tuple[NatureStrategy, float]:
-    """Coordinate descent for the worst piecewise-constant volatility scenario.
-
-    Minimizes the principal estimate over scenarios constant on a uniform
-    partition with the given number of intervals, scanning the candidate
-    values one interval at a time with common random numbers.  The result
-    is a local minimum of the restricted family, deterministic given the
-    seed; strictly improving moves only, so the search terminates.
-    """
-    if intervals < 1:
-        raise ValueError("intervals must be at least 1")
-    horizon = float(policy.t_grid[-1])
-    cand = tuple(float(n) for n in (candidates if candidates is not None
-                                    else model.n_grid()))
-    increments = _draw_increments(cfg.seed, cfg.paths, cfg.steps_for(horizon))
-    cache: dict[tuple[float, ...], float] = {}
-
-    def value_of(values: tuple[float, ...]) -> float:
-        if values not in cache:
-            strat = NatureStrategy.uniform(values, horizon)
-            cache[values] = simulate_system(
-                model, policy, strat, cfg,
-                increments=increments).principal_estimate.mean
-        return cache[values]
-
-    # best constant start
-    best_vals = min(((value_of((n,) * intervals), (n,) * intervals)
-                     for n in cand), key=lambda p: p[0])[1]
-
-    for _ in range(_SEARCH_SWEEPS):
-        changed = False
-        for i in range(intervals):
-            current = value_of(best_vals)
-            for n in cand:
-                trial = best_vals[:i] + (n,) + best_vals[i + 1:]
-                if value_of(trial) < current:
-                    best_vals, current, changed = trial, value_of(trial), True
-        if not changed:
-            break
-    return NatureStrategy.uniform(best_vals, horizon), value_of(best_vals)
-
-
-# ---------------------------------------------------------------------------
 # incentive compatibility
 # ---------------------------------------------------------------------------
 
@@ -771,8 +723,11 @@ def disjoint_beliefs_demo(model: ModelSpec, M_salary: float, cfg: SimConfig, *,
     With separated belief intervals the principal may pay L(X_T) minus a
     flat salary on her own support; the integrand U_P(L(X_T) - xi) is then
     the constant U_P(M_salary) whatever the volatility does, which the
-    simulation reproduces with zero variance.  Returns the Monte Carlo
-    estimate and the exact target U_P(M_salary).
+    simulation reproduces with zero variance.  X_T comes from one engine
+    run of the constant z = 0 contract at the principal band's middle; a
+    path counts when L(X_T) is finite, and more than 1% of paths left out
+    raise.  Returns the Monte Carlo estimate and the exact target
+    U_P(M_salary).
     """
     if model.agent_nature_set is None:
         raise ValueError("model carries no second belief interval")
@@ -783,31 +738,15 @@ def disjoint_beliefs_demo(model: ModelSpec, M_salary: float, cfg: SimConfig, *,
     if not math.isfinite(M_salary) or M_salary < 0.0:
         raise ValueError("M_salary must be a nonnegative real")
 
-    steps = cfg.steps_for(horizon)
-    incr = _path_increments(cfg.seed, cfg.paths, steps)
-    sqdt = math.sqrt(cfg.dt)
-    n_mid = 0.5 * (p_lo + p_hi)
-
-    X = np.full(cfg.paths, float(cfg.x0))
+    X = simulate_system(model, constant_policy(model, horizon, z=0.0), None,
+                        cfg).terminal_x
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, row in enumerate(incr):
-            t = k * cfg.dt
-            b = numerics.effort_parts(model, t, X, 0.0, n_mid)[0]
-            sig = numerics.field(model.vol_sigma, t, X, n_mid)
-            X = X + b * cfg.dt + sig * sqdt * row
-        lx = numerics.apply1(model.liquidation_L, X)
-        # L(X_T) - xi cancels to the flat salary by the contract's own
-        # algebra, so the integrand is evaluated in that exact form rather
-        # than through a float subtraction that would reintroduce noise
-        samples = np.where(np.isfinite(lx),
-                           float(model.utility_principal(float(M_salary))),
-                           np.nan)
-
-    good = np.isfinite(samples)
-    used = int(np.count_nonzero(good))
-    if cfg.paths - used > 0.01 * cfg.paths:
+        kept = int(np.count_nonzero(np.isfinite(
+            numerics.apply1(model.liquidation_L, X))))
+    if cfg.paths - kept > 0.01 * cfg.paths:
         raise RuntimeError("quarantined fraction above 1%")
-    # every kept sample is the same U_P(M_salary), so the mean is that
-    # sample, with no averaging roundoff, and the spread is zero
+    # L(X_T) - xi cancels to the flat salary by the contract's own algebra,
+    # so every kept path's integrand is exactly U_P(M_salary): the mean is
+    # that value, with no averaging roundoff, and the spread is zero
     target = float(model.utility_principal(float(M_salary)))
-    return Estimate(float(samples[good][0]), 0.0), target
+    return Estimate(target, 0.0), target

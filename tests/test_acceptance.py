@@ -125,25 +125,6 @@ def test_02_game_reduction_identity(bench_model):
            f"argmax gap {worst_arg:.1e}")
 
 
-def test_03_second_order_weight_thresholds():
-    grid = np.linspace(1.0, 2.0, 201)
-    step = float(grid[1] - grid[0])
-    m_neg, m_pos = rc.gamma_thresholds(lambda n: n, lambda n: n, grid)
-    assert abs(m_pos - 0.5) <= step + 1e-12, f"M_pos {m_pos}"
-
-    def brute_argmin(gamma: float) -> float:
-        return float(grid[int(np.argmin(gamma * grid ** 2 - grid))])
-
-    for gamma in (0.51, 1.0, 10.0):
-        assert gamma > m_pos
-        assert brute_argmin(gamma) == 1.0, f"gamma={gamma}"
-    for gamma in (-10.0, -1.0):
-        assert gamma < m_neg
-        assert brute_argmin(gamma) == 2.0, f"gamma={gamma}"
-    report("03 weight thresholds",
-           f"M_pos {m_pos:.3f}, m_neg {m_neg:.3f}, argmin pins to extremes")
-
-
 def test_04_agent_band_value():
     model = make_model("heat_band", band=(0.2, 0.4))
     contract = ContractFunction(lambda x: x * x, label="square")

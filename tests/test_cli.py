@@ -200,6 +200,10 @@ REJECTED = [
     ("m_salary", {"options.x0": 0.0}, "unknown key 'options.x0'"),
     ("m_salary", {"options.horizon": "1"},
      "'options.horizon' must be a number"),
+    ("m_salary", {"options.horizon": math.inf},
+     "'options.horizon' must be finite, got inf"),
+    ("m_salary", {"options.horizon": math.nan},
+     "'options.horizon' must be finite, got nan"),
     ("band_width", {"model": DROP}, "missing required key 'model'"),
     ("band_width", {"contract": DROP}, "missing required key 'contract'"),
     ("band_width", {"grid": DROP}, "missing required key 'grid'"),
@@ -1163,6 +1167,32 @@ class TestSweep:
         assert capsys.readouterr().err == (
             "config error: 'options.x0' must be finite, got nan\n")
         assert not out.exists()
+
+    def test_a_negative_salary_horizon_exits_2_and_writes_nothing(
+            self, tmp_path, capsys):
+        # a non-finite one is refused by the schema (REJECTED)
+        text, command = read_example("sweep_salary.yaml")
+        doc = yaml.safe_load(text)
+        doc["options"]["horizon"] = -1.0
+        out = tmp_path / "run"
+        assert run_cli(command, write_config(tmp_path, "h.yaml", doc),
+                       out) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: options.horizon: the horizon must be finite and "
+            "nonnegative, got -1.0\n")
+        assert not out.exists()
+
+    def test_a_zero_salary_horizon_pays_the_salary(self, tmp_path):
+        doc = {"sweep": {"axis": "m_salary", "values": [1, 10]},
+               "model": {"preset": "disjoint_beliefs"},
+               "sim": {"paths": 10, "dt": 0.5, "seed": 0},
+               "options": {"horizon": 0}}
+        out = tmp_path / "run"
+        assert run_cli("sweep", write_config(tmp_path, "z.yaml", doc),
+                       out) == EXIT_OK
+        tab = export.read_table(str(out / "summary.txt"))
+        np.testing.assert_array_equal(tab["mean"], [1.0, 10.0])
+        np.testing.assert_array_equal(tab["ci"], [0.0, 0.0])
 
     def test_unknown_axis_exits_2(self, tmp_path, capsys):
         doc = {"sweep": {"axis": "gravity", "values": [1]},

@@ -401,58 +401,6 @@ class TestEvalGEdges:
 
 
 # ---------------------------------------------------------------------------
-# gamma_thresholds
-# ---------------------------------------------------------------------------
-
-class TestGammaThresholds:
-    def test_linear_profiles_threshold_half(self):
-        grid = np.linspace(1.0, 2.0, 201)
-        m_neg, m_pos = rc.gamma_thresholds(lambda n: n, lambda n: n, grid)
-        assert m_pos == pytest.approx(0.5, abs=1e-12)
-        assert m_neg == pytest.approx(-0.5, abs=1e-12)
-
-    def test_threshold_guarantees_argmin_pins(self):
-        grid = np.linspace(1.0, 2.0, 201)
-        m_neg, m_pos = rc.gamma_thresholds(lambda n: n, lambda n: n, grid)
-        for gam in (m_pos + 0.01, 1.0, 10.0):
-            f = gam * grid ** 2 - grid
-            assert grid[np.argmin(f)] == 1.0
-        for gam in (-10.0, -1.0, m_neg - 0.01):
-            f = gam * grid ** 2 - grid
-            assert grid[np.argmin(f)] == 2.0
-
-    def test_constant_q_gives_zero_threshold(self):
-        grid = np.linspace(1.0, 2.0, 51)
-        m_neg, m_pos = rc.gamma_thresholds(lambda n: n, lambda n: 4.2, grid)
-        assert m_pos == 0.0
-        assert m_neg == 0.0
-        for gam in (1e-6, 0.5, 2.0):
-            f = gam * grid ** 2 - 4.2
-            assert grid[np.argmin(f)] == 1.0
-
-    def test_flat_sigma_returns_sentinels(self):
-        grid = np.linspace(1.0, 2.0, 11)
-        m_neg, m_pos = rc.gamma_thresholds(lambda n: 1.3, lambda n: n, grid)
-        assert m_neg == -math.inf and m_pos == math.inf
-
-    def test_tied_minimizers_anchor_at_max_q(self):
-        # sigma has two minimizers; the anchor takes the larger q, which
-        # dominates for every large gamma
-        grid = np.linspace(-1.0, 1.0, 41)
-        sigma = lambda n: 1.0 + n * n
-        qf = lambda n: float(n)
-        m_neg, m_pos = rc.gamma_thresholds(sigma, qf, [-1.0, -0.5, 0.5, 1.0])
-        f = lambda gam, n: gam * sigma(n) ** 2 - qf(n)
-        gam = m_pos + 1.0
-        vals = [f(gam, n) for n in (-1.0, -0.5, 0.5, 1.0)]
-        assert np.argmin(vals) == 2  # the positive-q minimizer wins
-
-    def test_rejects_nonpositive_sigma(self):
-        with pytest.raises(ValueError):
-            rc.gamma_thresholds(lambda n: n, lambda n: n, [-1.0, 0.0, 1.0])
-
-
-# ---------------------------------------------------------------------------
 # optimal_effort
 # ---------------------------------------------------------------------------
 

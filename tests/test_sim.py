@@ -1,6 +1,6 @@
 """Monte Carlo engine tests: closed-form targets, determinism, reweighting,
-scenario search, incentive probes, martingale flatness, and the
-separated-beliefs degeneracy."""
+incentive probes, martingale flatness, and the separated-beliefs
+degeneracy."""
 
 import copy
 import dataclasses
@@ -22,7 +22,6 @@ from robustcontract.sim import (
     NatureStrategy,
     SimConfig,
     SimResult,
-    adversarial_nature_search,
     constant_policy,
     disjoint_beliefs_demo,
     girsanov_cross_check,
@@ -92,6 +91,14 @@ class TestSimConfig:
         assert SimConfig(paths=1, dt=0.25, seed=0).steps_for(1.0) == 4
         assert SimConfig(paths=1, dt=0.25, seed=0).steps_for(0.0) == 0
 
+    @pytest.mark.parametrize("horizon", [-1.0, math.inf, math.nan])
+    def test_bad_horizons_are_refused_by_name(self, horizon):
+        cfg = SimConfig(paths=1, dt=0.25, seed=0)
+        with pytest.raises(ValueError) as exc:
+            cfg.steps_for(horizon)
+        assert str(exc.value) == (
+            f"the horizon must be finite and nonnegative, got {horizon}")
+
 
 class TestNatureStrategy:
     def test_piecewise_lookup_uses_left_open_intervals(self):
@@ -156,6 +163,17 @@ class TestEngineClosedForms:
         assert res.principal_estimate.ci_halfwidth <= 1e-12
         agent_gap = abs(res.agent_estimate.mean - cfg.y0)
         assert agent_gap <= 3 * res.agent_estimate.ci_halfwidth + 0.02
+
+    def test_risk_neutral_value_is_volatility_flat(self, rn_model, rn_policy):
+        cfg = SimConfig(paths=2000, dt=1 / 32, seed=37, x0=0.5, y0=0.25)
+        rng = np.random.default_rng(8)
+        values = []
+        for _ in range(5):
+            vals = tuple(rng.uniform(0.5, 1.0, size=3))
+            res = simulate_system(rn_model, rn_policy,
+                                  NatureStrategy.uniform(vals, 1.0), cfg)
+            values.append(res.principal_estimate.mean)
+        assert max(values) - min(values) <= 1e-10
 
     def test_constant_discount_compounds_into_the_promise(self):
         model = presets.custom_tabulated([1.0, 2.0], [1.0, 2.0], discount=0.3)
@@ -342,10 +360,6 @@ class TestSharedIncrements:
         drawn.clear()
         martingale_sandwich_check(rn_model, rn_solution, rn_policy, cfg,
                                   probes=5)
-        assert drawn == [(4, 50, 8)]
-        drawn.clear()
-        adversarial_nature_search(rn_model, rn_policy, cfg, intervals=2,
-                                  candidates=(0.5, 1.0))
         assert drawn == [(4, 50, 8)]
 
     def test_common_random_number_checks_repeat_fresh_draws(
@@ -692,45 +706,6 @@ class TestGirsanov:
         assert report["agree"], report
 
 
-class TestAdversarialSearch:
-    def test_singleton_band_returns_the_unique_scenario(self):
-        model = presets.zero_vol()
-        policy = constant_policy(model, horizon=1.0, z=0.2)
-        cfg = SimConfig(paths=100, dt=1 / 8, seed=31, x0=1.0, y0=0.2)
-        strat, value = adversarial_nature_search(model, policy, cfg, intervals=2)
-        assert strat.values == (1.0, 1.0)
-        plain = simulate_system(model, policy, strat, cfg).principal_estimate.mean
-        assert value == plain
-
-    def test_risk_neutral_value_is_volatility_flat(self, rn_model, rn_policy):
-        cfg = SimConfig(paths=2000, dt=1 / 32, seed=37, x0=0.5, y0=0.25)
-        rng = np.random.default_rng(8)
-        values = []
-        for _ in range(5):
-            vals = tuple(rng.uniform(0.5, 1.0, size=3))
-            res = simulate_system(rn_model, rn_policy,
-                                  NatureStrategy.uniform(vals, 1.0), cfg)
-            values.append(res.principal_estimate.mean)
-        assert max(values) - min(values) <= 1e-10
-
-    def test_convex_liquidation_drives_volatility_to_the_low_edge(self):
-        # with b = 0 and z = 0 the principal holds E[|X_T|]; wider noise can
-        # only grow it, so the worst scenario sits at the low edge per block
-        model = presets.heat_band(band=(0.2, 0.4))
-        object.__setattr__(model, "liquidation_L", lambda x: abs(x))
-        policy = constant_policy(model, horizon=1.0, z=0.0)
-        cfg = SimConfig(paths=1500, dt=1 / 16, seed=41, x0=0.0, y0=0.0)
-        strat, value = adversarial_nature_search(
-            model, policy, cfg, intervals=2, candidates=(0.2, 0.4))
-        assert strat.values == (0.2, 0.2)
-        # brute force over the four extreme scenarios with the same seed
-        brute = min(
-            simulate_system(model, policy, NatureStrategy.uniform(v, 1.0),
-                            cfg).principal_estimate.mean
-            for v in [(0.2, 0.2), (0.2, 0.4), (0.4, 0.2), (0.4, 0.4)])
-        assert value == brute
-
-
 class TestIncentiveCompatibility:
     def test_identity_and_clamped_deformations_change_nothing(self, rn_model, rn_policy):
         cfg = SimConfig(paths=800, dt=1 / 32, seed=43, x0=0.5, y0=0.25)
@@ -940,6 +915,49 @@ class TestDisjointBeliefs:
             disjoint_beliefs_demo(overlapping, 5.0, cfg)
         with pytest.raises(ValueError, match="belief"):
             disjoint_beliefs_demo(presets.risk_neutral(), 5.0, cfg)
+
+    def test_estimate_is_the_target_on_the_engines_finite_paths(
+            self, monkeypatch):
+        # the demo reads X_T from one engine run of the constant z = 0
+        # contract at the principal band's middle
+        model = presets.disjoint_beliefs()
+        cfg = SimConfig(paths=400, dt=1 / 16, seed=61, x0=0.3)
+        runs = []
+        real = sim.simulate_system
+
+        def spy(model, policy, nature, cfg, **kwargs):
+            runs.append((policy, nature, kwargs))
+            res = real(model, policy, nature, cfg, **kwargs)
+            assert np.isfinite(res.terminal_x).all()
+            return res
+        monkeypatch.setattr(sim, "simulate_system", spy)
+        est, target = disjoint_beliefs_demo(model, 3.0, cfg, horizon=0.5)
+        assert est == Estimate(target, 0.0) and target == 3.0
+        [(policy, nature, kwargs)] = runs
+        assert nature is None and kwargs == {}
+        assert policy.t_grid.tolist() == [0.0, 0.5]
+        assert np.all(policy.z == 0.0) and np.all(policy.nature == 0.4)
+
+    def test_quarantine_gate_counts_non_finite_liquidation(self):
+        # L(X_T) = +inf leaves U_P(L - pay) = 1 - exp(-inf) = 1 finite, so
+        # the engine keeps those paths and only the demo's own 1% gate sees
+        # them: 2 of 200 paths pass it, 3 do not
+        u_p = lambda x: 1.0 - np.exp(-x)
+        model = presets.disjoint_beliefs(utility_principal=u_p)
+        cfg = SimConfig(paths=200, dt=1 / 8, seed=59)
+        x_t = simulate_system(model, constant_policy(model, 1.0, z=0.0),
+                              None, cfg).terminal_x
+        top = np.sort(x_t)[::-1]
+        for bad in (2, 3, 150):
+            cut = 0.5 * (top[bad - 1] + top[bad])
+            cut_model = dataclasses.replace(
+                model, liquidation_L=lambda x, c=cut: np.where(x > c, np.inf, x))
+            if bad <= 0.01 * cfg.paths:
+                est, target = disjoint_beliefs_demo(cut_model, 2.0, cfg)
+                assert est == Estimate(u_p(2.0), 0.0) == Estimate(target, 0.0)
+            else:
+                with pytest.raises(RuntimeError, match="above 1%"):
+                    disjoint_beliefs_demo(cut_model, 2.0, cfg)
 
     def test_negative_salary_rejected(self):
         model = presets.disjoint_beliefs()

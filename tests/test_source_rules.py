@@ -10,8 +10,9 @@ outside ``export``'s array reader and writer, no Gaussian draw outside
 no ``risk_neutral`` read in the engine and no ``risk_neutral``
 attribute or keyword argument anywhere, no
 process environment read outside ``cli.py``, no defaulted parameter that no call site sets, no
-function or dataclass field default that every call overrides, and no
-module reaching into another package module's underscore-prefixed names."""
+function or dataclass field default that every call overrides, no
+module reaching into another package module's underscore-prefixed names,
+and no public name that only the tests call."""
 
 import ast
 import pathlib
@@ -44,6 +45,8 @@ SEARCHERS = {("numerics.py", "surface_value"), ("numerics.py", "bilinear")}
 # constant, never an environment knob
 ENVIRON = {"environ", "getenv"}
 ENVIRON_READER = "cli.py"
+# the callers of the package's public names besides the package itself
+PIPELINES = (REPO / "perfbench",)
 
 
 def _names(node):
@@ -262,6 +265,21 @@ def private_reaches(root=SRC):
                       if owner in modules - {path.stem}
                       and name.startswith("_") and not name.endswith("__")]
     return [f"{name}:{line} {ref}" for name, line, ref in sorted(found)]
+
+
+def unused_exports(root=SRC, users=PIPELINES):
+    """Every name in the ``__all__`` of ``root/__init__.py`` that no other
+    module of ``root`` and no module under ``users`` references, so that
+    the public API holds only what a pipeline or the benchmark calls."""
+    init = root / "__init__.py"
+    tree = ast.parse(init.read_text(), filename=str(init))
+    names = {elt.value for node in tree.body if isinstance(node, ast.Assign)
+             and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+             for elt in node.value.elts}
+    used = {name for base in (root, *users)
+            for path, _, _, name in _references(base, names, set())
+            if not (base == root and path == init.name)}
+    return sorted(names - used)
 
 
 def _defaulted(fn, method):
@@ -649,6 +667,32 @@ def test_private_reach_rule_catches_each_form(tmp_path):
         "cli.py:2 sim._response", "cli.py:3 sim._shared_increments",
         "cli.py:5 sim._draw_increments", "cli.py:6 numerics._helper",
         "cli.py:7 sim._memo"]
+
+
+def test_every_public_name_has_a_pipeline_caller():
+    assert unused_exports() == []
+
+
+def test_public_name_rule_catches_each_form(tmp_path):
+    pkg, bench, tests = (tmp_path / name for name in ("pkg", "bench", "tests"))
+    for folder in (pkg, bench, tests):
+        folder.mkdir()
+    (pkg / "__init__.py").write_text(
+        "from .mod import called, attribute, imported, defined, tested\n"
+        "__version__ = '0'\n"
+        "__all__ = ['called', 'attribute', 'imported', 'defined', 'tested',\n"
+        "           'benched', 'named', '__version__']\n"
+        "def _own():\n    return tested(), named\n")
+    (pkg / "mod.py").write_text(
+        "def called():\n    pass\n"
+        "def defined():\n    pass\n"
+        "def run(x):\n    return called(), x.attribute\n"
+        "KEYS = ['named']\n")
+    (pkg / "other.py").write_text(
+        "from .mod import imported\nfrom . import __version__\n")
+    (bench / "run.py").write_text("from pkg import benched\n")
+    (tests / "test_mod.py").write_text("from pkg import tested, named\n")
+    assert unused_exports(pkg, (bench,)) == ["defined", "named", "tested"]
 
 
 def test_every_default_is_set_by_some_caller():
