@@ -12,7 +12,6 @@ Modules:
 __version__ = "0.1.0"
 
 from .hamiltonians import (
-    GrowthParams,
     ModelSpec,
     SaddleResult,
     GameResult,
@@ -22,7 +21,6 @@ from .hamiltonians import (
     eval_H,
     eval_g,
     eval_G,
-    optimal_effort,
 )
 from .presets import make_model
 from .agent import (
@@ -54,9 +52,9 @@ from .sim import (
 )
 
 __all__ = [
-    "GrowthParams", "ModelSpec", "SaddleResult", "GameResult",
+    "ModelSpec", "SaddleResult", "GameResult",
     "eval_F", "level_set_V", "eval_F_star", "eval_H",
-    "eval_g", "eval_G", "optimal_effort", "make_model",
+    "eval_g", "eval_G", "make_model",
     "AgentSolution", "ContractFunction", "inf_of_bsdes",
     "participation_check", "solve_agent",
     "ContractPolicy", "GridSpec", "PrincipalSolution", "extract_contract",

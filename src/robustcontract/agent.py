@@ -38,6 +38,7 @@ quadrature and is used to cross-check the PDE solver.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -63,7 +64,6 @@ class ContractFunction:
     ``hamiltonians.elementwise`` (the ``ModelSpec`` coefficient contract)."""
 
     payment: Callable[[float], float]
-    label: str = "custom"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "payment", vectorized(self.payment, PROBE_W))
@@ -78,10 +78,10 @@ class ContractFunction:
             if len(parts) == 1:
                 parts.append(0.0)
             slope, intercept = parts[0], parts[1]
-            return cls(lambda x: slope * x + intercept, label=text)
+            return cls(lambda x: slope * x + intercept)
         if kind == "call":
             strike = float(arg) if arg else 0.0
-            return cls(lambda x: np.maximum(x - strike, 0.0), label=text)
+            return cls(lambda x: np.maximum(x - strike, 0.0))
         if kind == "tabulated":
             table = np.loadtxt(arg)
             if table.ndim != 2 or table.shape[1] != 2:
@@ -89,11 +89,8 @@ class ContractFunction:
             xs, ps = table[:, 0], table[:, 1]
             if not np.all(np.diff(xs) > 0):
                 raise ValueError("tabulated contract abscissae must be increasing")
-            return cls(lambda x: np.interp(x, xs, ps), label=text)
+            return cls(lambda x: np.interp(x, xs, ps))
         raise ValueError(f"unknown contract preset {kind!r}")
-
-    def __call__(self, x):
-        return self.payment(x)
 
 
 @dataclass
@@ -106,8 +103,8 @@ class AgentSolution:
     effort: np.ndarray          # (t, x), terminal row repeats the last step
     nature: np.ndarray          # (t, x)
     cfl_number: float
-    max_abs_value: float = 0.0
-    max_abs_gradient: float = 0.0
+    max_abs_value: float
+    max_abs_gradient: float
 
     def value(self, t: float, x: float) -> float:
         """Bilinear interpolation of the value surface."""
@@ -116,12 +113,6 @@ class AgentSolution:
         wt = float(np.clip(wt, 0.0, 1.0))
         row = (1.0 - wt) * self.values[ti] + wt * self.values[ti + 1]
         return float(np.interp(x, self.x_grid, row))
-
-    def policy(self, t: float, x: float) -> tuple[float, float]:
-        """Nearest-node saddle controls (effort, nature)."""
-        ti = int(np.argmin(np.abs(self.t_grid - t)))
-        xi = int(np.argmin(np.abs(self.x_grid - x)))
-        return float(self.effort[ti, xi]), float(self.nature[ti, xi])
 
 
 def _control_grids(model: ModelSpec, x_nodes: int):
@@ -164,7 +155,11 @@ def _saddle_step(model: ModelSpec, t, x_arr, v, z, gam, grids):
 
 def agent_grids(x_lo: float, x_hi: float, x_nodes: int, t_steps: int,
                 horizon: float) -> tuple[np.ndarray, np.ndarray]:
-    """The agent solve's (t, x) grids; ``ValueError`` on a degenerate one."""
+    """The agent solve's (t, x) grids; ``ValueError`` on a degenerate one
+    or a bound or horizon that is not finite."""
+    for name, value in (("x_lo", x_lo), ("x_hi", x_hi), ("horizon", horizon)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if x_nodes < 3:
         raise ValueError("need at least 3 space nodes")
     if t_steps < 1:
@@ -193,7 +188,7 @@ def solve_agent(model: ModelSpec, contract: ContractFunction, *,
 
     sig2_max = numerics.max_sigma_sq(model, t_grid, x_grid)
     cfl = dt * sig2_max / (dx * dx)
-    if cfl > 1.0 + _CFL_SLACK:
+    if not cfl <= 1.0 + _CFL_SLACK:     # NaN fails too
         raise ValueError(
             f"stability bound violated: dt*max(sigma^2)/dx^2 = {cfl:.6g} > 1; "
             "refine the time grid")

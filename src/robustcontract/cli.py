@@ -72,11 +72,15 @@ simulate takes its contract and model from a solve-principal directory
 band's middle); ``sim.x0``/``y0`` default to that solve's ``options.x0``
 and chosen promise, else 0.  Every ``x0`` and ``y0`` must be finite, and
 an m_salary sweep's ``horizon`` finite, nonnegative and a multiple of ``dt``.
+The four ``policy`` keys must be finite, ``policy.horizon`` positive and
+``policy.nature`` inside the model's nature set; an agent ``grid`` needs
+finite ``x_lo``, ``x_hi`` and ``horizon``.
 ``nature.values`` is a volatility scenario on equal subintervals of the
 horizon.  ``verify.dt`` defaults to 1/64 of the solve's horizon;
 ``reservation`` makes solve-principal pick the promise.
 On a solve-principal directory verify exits 2 unless ``paths`` >= 1,
-``perturbations`` >= 1, ``probes`` >= 2 and ``martingale_tolerance`` > 0.
+``perturbations`` >= 1, ``probes`` >= 2 and ``martingale_tolerance`` is
+finite and > 0.
 """
 
 from __future__ import annotations
@@ -192,8 +196,8 @@ _SOURCES = {
         "sections": {"artifacts": "str", "nature": _NATURE}},
     "policy": {"required": ("policy", "model"), "sections": {
         "model": _MODEL, "nature": _NATURE,
-        "policy": {"horizon": ("num", _REQUIRED), "z": ("num", 0.0),
-                   "k_rate": ("num", 0.0), "nature": ("num", None)}}},
+        "policy": {"horizon": ("finite", _REQUIRED), "z": ("finite", 0.0),
+                   "k_rate": ("finite", 0.0), "nature": ("finite", None)}}},
 }
 _AXES = {
     "m_salary": {"required": ("model", "sim"), "forbidden": {
@@ -321,9 +325,6 @@ class RunConfig:
 
     def serialize(self) -> str:
         return export.canonical_yaml(self.mapping)
-
-    def sha256(self) -> str:
-        return export.sha256_text(self.serialize())
 
     def effective(self, seed_override: int | None) -> dict:
         """Deep copy with CLI overrides applied and 'out' stripped.
@@ -651,9 +652,12 @@ def cmd_simulate(conf: dict, stages: dict[str, float]) -> Produced:
         p = _with_defaults("simulate", conf, "policy")
         if p["horizon"] <= 0:
             raise ConfigError("policy.horizon must be positive")
-        policy = sim.constant_policy(
-            model, float(p["horizon"]), z=float(p["z"]),
-            k_rate=float(p["k_rate"]), nature=p["nature"])
+        try:
+            policy = sim.constant_policy(
+                model, float(p["horizon"]), z=float(p["z"]),
+                k_rate=float(p["k_rate"]), nature=p["nature"])
+        except ValueError as exc:
+            raise ConfigError(f"policy: {exc}")
         y0_default, x0_default = 0.0, 0.0
 
     cfg = _build_simconfig(conf["sim"], x0=x0_default, y0=y0_default)
@@ -805,15 +809,20 @@ def _sweep_m_salary(conf: dict) -> Produced:
         cfg.steps_for(horizon)
     except ValueError as exc:
         raise ConfigError(f"options.horizon: {exc}")
+    salaries = [float(m) for m in conf["sweep"]["values"]]
+    for i, m in enumerate(salaries):
+        if not (math.isfinite(m) and m >= 0.0):
+            raise ConfigError(
+                f"sweep.values[{i}]: M_salary must be a nonnegative real")
+    try:
+        points = sim.disjoint_beliefs_demo(model, salaries, cfg,
+                                           horizon=horizon)
+    except ValueError as exc:
+        raise ConfigError(f"model: {exc}")
     names = ("m_salary", "mean", "ci", "target")
     files, rows = {}, []
-    for i, m in enumerate(conf["sweep"]["values"]):
-        try:
-            est, target = sim.disjoint_beliefs_demo(model, float(m), cfg,
-                                                    horizon=horizon)
-        except ValueError as exc:
-            raise ConfigError(f"sweep.values[{i}]: {exc}")
-        rows.append((float(m), est.mean, est.ci_halfwidth, target))
+    for i, (m, (est, target)) in enumerate(zip(salaries, points)):
+        rows.append((m, est.mean, est.ci_halfwidth, target))
         files[f"pt_{i:03d}/estimate.txt"] = {
             name: [value] for name, value in zip(names, rows[-1])}
     files["summary.txt"] = dict(zip(names,
@@ -829,6 +838,7 @@ def _sweep_band_width(conf: dict) -> Produced:
             f"band_width sweep is not defined for preset '{preset}'")
     center = 0.5 * (base.nature_set_N[0] + base.nature_set_N[1])
     contract = _build_contract(conf["contract"])
+    _build_grid(agent_grids, conf["grid"])   # grid errors read "grid:"
     x0 = float(_with_defaults("sweep", conf, "options")["x0"])
 
     files, rows = {}, []

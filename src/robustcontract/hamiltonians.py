@@ -93,42 +93,6 @@ def vectorized(fn, *axes, want=None):
     return fn if _mesh_shape(fn, axes, want) is not None else elementwise(fn)
 
 
-@dataclass(frozen=True)
-class GrowthParams:
-    """Growth metadata (ell, m, m_lower, kappa) for the model primitives.
-
-    ell bounds the drift's effort growth, m the cost growth, m_lower the
-    strong-convexity order of the cost, kappa the discount-rate bound. The
-    derived exponent 1/(m_lower + 1 - ell) controls the optimal-effort
-    envelope and must be positive.
-    """
-
-    ell: float = 1.0
-    m: float = 2.0
-    m_lower: float = 1.0
-    kappa: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.ell < 1.0:
-            raise ValueError("ell must be >= 1")
-        if self.m < self.ell:
-            raise ValueError("m must be >= ell")
-        if not (0.0 < self.m_lower <= self.ell + self.m - 1.0):
-            raise ValueError("m_lower must lie in (0, ell + m - 1]")
-        if self.kappa <= 0.0:
-            raise ValueError("kappa must be positive")
-        if self.m_lower + 1.0 - self.ell <= 0.0:
-            raise ValueError("effort-envelope exponent requires m_lower + 1 > ell")
-
-    @property
-    def effort_exponent(self) -> float:
-        return 1.0 / (self.m_lower + 1.0 - self.ell)
-
-    @property
-    def value_exponent(self) -> float:
-        return (self.ell + self.m) / (self.m_lower + 1.0 - self.ell)
-
-
 def _check_grid_counts(*counts: int) -> None:
     if any(count < 1 for count in counts):
         raise ValueError("control grids need at least one point")
@@ -147,6 +111,8 @@ class ModelSpec:
     :param liquidation_L: terminal liquidation value of the output
     :param effort_set_A: closed interval [0, a_bar]
     :param nature_set_N: closed interval [n_lo, n_hi] of volatility controls
+    :param kappa: the discount-rate bound; construction raises
+        ``ValueError`` when |discount_k| exceeds it on the probe mesh
     :param truncation_M: level of the smooth spatial cutoff; the canonical
         state domain is [-M-2, M+2]
 
@@ -187,7 +153,7 @@ class ModelSpec:
     liquidation_L: Callable[[float], float]
     effort_set_A: tuple[float, float]
     nature_set_N: tuple[float, float]
-    growth_params: GrowthParams = field(default_factory=GrowthParams)
+    kappa: float = 1.0
     truncation_M: float = 2.0
 
     # resolution of the control grids used by every sup/inf below
@@ -204,19 +170,24 @@ class ModelSpec:
     agent_nature_set: tuple[float, float] | None = None
 
     allow_degenerate_vol: bool = False
-    growth_C: float = 10.0
 
     payoff_free_of_nature: bool = field(init=False, default=False)
 
     def __post_init__(self) -> None:
         a_lo, a_hi = self.effort_set_A
-        if a_lo != 0.0 or a_hi <= 0.0:
-            raise ValueError("effort set must be [0, a_bar] with a_bar > 0")
-        n_lo, n_hi = self.nature_set_N
-        if n_hi < n_lo:
-            raise ValueError("nature set bounds out of order")
-        if self.truncation_M <= 0.0:
-            raise ValueError("truncation_M must be positive")
+        if a_lo != 0.0 or not 0.0 < a_hi < math.inf:
+            raise ValueError("effort set must be [0, a_bar] with a finite "
+                             "a_bar > 0")
+        for name in ("nature_set_N", "agent_nature_set"):
+            lo, hi = getattr(self, name) or (0.0, 0.0)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"{name} bounds must be finite, got "
+                                 f"{(lo, hi)}")
+            if hi < lo:
+                raise ValueError("nature set bounds out of order")
+        for name in ("kappa", "truncation_M"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         _check_grid_counts(self.a_grid_points, self.n_grid_points,
                            self.z_grid_points, self.gamma_grid_points)
         if self.candidate_zgamma is not None and self.candidate_effort is None:
@@ -253,7 +224,7 @@ class ModelSpec:
         if len(a_probe) >= 3 and np.any(np.diff(costs, n=2) < -1e-12):
             raise ValueError("cost_c must be convex in effort")
         disc, disc_shape = self._adopt("discount_k", ts, xs, a_sub, n_sub)
-        if np.any(np.abs(disc) > self.growth_params.kappa + 1e-12):
+        if np.any(np.abs(disc) > self.kappa + 1e-12):
             raise ValueError("discount_k exceeds the kappa bound")
         if n_shape is not n_sub:
             disc_shape = self._adopt("discount_k", ts, xs, a_sub, n_shape)[1]
@@ -497,19 +468,6 @@ def eval_H(model: ModelSpec, t: float, x: float, y: float, z: float,
                         isaacs_gap=max(gap, 0.0))
 
 
-def optimal_effort(model: ModelSpec, t: float, x: float, y: float, z: float,
-                   Sigma: float) -> tuple[float, bool]:
-    """Maximizing effort of the sup-inf at volatility-square Sigma.
-
-    The boolean flag certifies the calibrated growth envelope
-    |a*| <= C (1 + |z|^(1/(m_lower+1-ell))).
-    """
-    res = eval_F_star(model, t, x, y, z, Sigma)
-    gp = model.growth_params
-    bound = model.growth_C * (1.0 + abs(z) ** gp.effort_exponent)
-    return res.arg_a, abs(res.arg_a) <= bound
-
-
 def _g_from_parts(p: float, p_tilde: float, q: float, q_tilde: float, r: float,
                   z: float, gamma: float, sig2: float, bval: float,
                   hval: float) -> float:
@@ -532,7 +490,7 @@ def eval_g(model: ModelSpec, t: float, x: float, y: float, p: float,
     """
     sig = model.vol_sigma(t, x, n)
     sig2 = sig * sig
-    a_star, _ = optimal_effort(model, t, x, y, z, sig2)
+    a_star = eval_F_star(model, t, x, y, z, sig2).arg_a
     bval = model.drift_b(t, x, a_star, n)
     hval = eval_H(model, t, x, y, z, gamma).value
     return _g_from_parts(p, p_tilde, q, q_tilde, r, z, gamma, sig2, bval, hval)

@@ -3,15 +3,14 @@
 Each preset is one instance of the primitive tuple (b, sigma, c, k, U_A,
 U_P, L) and states only what sets it apart.  ``_model`` supplies what the
 presets share: zero drift, cost and discount; identity utilities and
-liquidation; the effort set [0, 1]; ``GrowthParams()`` (ell 1, m 2,
-m_lower 1, kappa 1); and ``growth_C = 2.0``.
+liquidation; the effort set [0, 1]; and the discount bound ``kappa = 1.0``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .hamiltonians import GrowthParams, ModelSpec
+from .hamiltonians import ModelSpec
 
 
 def smooth_cutoff(x, M: float):
@@ -56,8 +55,7 @@ def _model(grid_counts: dict, **fields) -> ModelSpec:
     shared = dict(drift_b=_zero, cost_c=_zero, discount_k=_zero,
                   utility_agent=_identity, utility_agent_inv=_identity,
                   utility_principal=_identity, liquidation_L=_identity,
-                  effort_set_A=(0.0, 1.0), growth_params=GrowthParams(),
-                  growth_C=2.0)
+                  effort_set_A=(0.0, 1.0), kappa=1.0)
     return ModelSpec(**{**shared, **fields}, **grid_counts)
 
 
@@ -86,6 +84,8 @@ def saturated_utility(w0: float = 2.0):
     Inside [-w0, w0] it is sin(pi w / (2 w0)); outside it saturates, and the
     inverse maps the attained bounds back to +-w0.
     """
+    if not 0.0 < w0 < np.inf:
+        raise ValueError(f"w0 must be positive and finite, got {w0}")
     half_pi_over = np.pi / (2.0 * w0)
 
     def u(w):
@@ -164,6 +164,8 @@ def custom_tabulated(n_values, sigma_values, a_bar: float = 1.0,
     sigma_values = np.asarray(sigma_values, dtype=float)
     if n_values.ndim != 1 or n_values.shape != sigma_values.shape:
         raise ValueError("n_values and sigma_values must be 1-D and equal length")
+    if not (np.isfinite(n_values).all() and np.isfinite(sigma_values).all()):
+        raise ValueError("n_values and sigma_values must be finite")
     if len(n_values) < 2 or np.any(np.diff(n_values) <= 0):
         raise ValueError("n_values must be strictly increasing")
 
@@ -178,7 +180,7 @@ def custom_tabulated(n_values, sigma_values, a_bar: float = 1.0,
         cost_c=_quadratic_cost, discount_k=discount_k,
         effort_set_A=(0.0, a_bar),
         nature_set_N=(float(n_values[0]), float(n_values[-1])),
-        growth_params=GrowthParams(kappa=max(abs(discount), 1e-6)),
+        kappa=max(abs(discount), 1e-6),
         truncation_M=truncation_M, candidate_effort=_clamped_effort(a_bar))
 
 

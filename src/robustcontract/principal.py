@@ -65,7 +65,8 @@ class GridSpec:
     """Bounded tensor grid for the pair state plus the time axis.
 
     Construction raises ``ValueError`` unless each space axis has finite
-    bounds and every axis holds its nodes on distinct doubles."""
+    bounds, the horizon is positive and finite, and every axis holds its
+    nodes on distinct doubles."""
 
     x_lo: float
     x_hi: float
@@ -86,8 +87,9 @@ class GridSpec:
             raise ValueError("space bounds must be finite")
         if self.t_steps < 0:
             raise ValueError("negative time step count")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError(
+                f"horizon must be positive and finite, got {self.horizon}")
         # an interval too narrow for its magnitude puts nodes on equal
         # doubles
         for name, g in (("x", self.x_grid()), ("y", self.y_grid()),
@@ -136,7 +138,6 @@ class _Selection:
     bdrift: np.ndarray
     radius: float
     sat_mask: np.ndarray
-    saturated: int
     qt_nonneg_saturated: int
 
 
@@ -324,7 +325,7 @@ def _select_slice(model, t, X, Y, p, pt, q, qt, r, radius) -> _Selection:
     sig2 = np.broadcast_to(numerics.pick(tables[3], (n_sel, nodes)), X.size)
     return _Selection(
         value=top, nature=np.asarray(tables[0])[n_sel], sig2=sig2,
-        radius=radius, sat_mask=sat, saturated=int(np.count_nonzero(sat)),
+        radius=radius, sat_mask=sat,
         qt_nonneg_saturated=int(np.count_nonzero(sat & (qt >= 0.0))), **chosen)
 
 

@@ -96,8 +96,8 @@ class SimConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.paths < 1:
             raise ValueError("paths must be at least 1")
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         for name in ("x0", "y0"):
@@ -526,10 +526,15 @@ def constant_policy(model: ModelSpec, horizon: float, *, z: float,
     """Contract with constant sensitivity and compensator rate.
 
     Handy for direct engine runs; effort and F* are recomputed pathwise
-    by the simulator, so their table entries are placeholders.
+    by the simulator, so their table entries are placeholders.  The
+    tabulated ``nature`` defaults to the middle of the model's nature set,
+    and one outside that set raises ``ValueError``.
     """
     if nature is None:
         nature = 0.5 * (model.nature_set_N[0] + model.nature_set_N[1])
+    elif not model.contains_nature(nature):
+        raise ValueError(
+            f"nature {nature} outside the nature set {model.nature_set_N}")
     # a zero horizon has one time node, as a zero-step solve does
     t_grid = np.array([0.0, horizon]) if horizon != 0.0 else np.zeros(1)
     shape = (len(t_grid), 2, 2)
@@ -641,12 +646,14 @@ def martingale_sandwich_check(model: ModelSpec, solution, policy: ContractPolicy
     The name keeps "sandwich" because ``perfbench/spans.py`` traces this
     function by name.  The run uses ``increments``, drawn here unless the
     caller passes the ``_draw_increments`` matrix of ``cfg``.  Fewer than
-    two probes (no slope) or a tolerance that is not positive raise.
+    two probes (no slope) or a tolerance that is not positive and finite
+    (a gate that cannot fail) raise.
     """
     if probes < 2:
         raise ValueError(f"probes must be at least 2, got {probes}")
-    if not tolerance > 0.0:
-        raise ValueError(f"martingale_tolerance must be positive, got {tolerance}")
+    if not 0.0 < tolerance < math.inf:
+        raise ValueError(
+            f"martingale_tolerance must be positive and finite, got {tolerance}")
     steps = cfg.steps_for(float(policy.t_grid[-1]))
     if increments is None:
         increments = _draw_increments(cfg.seed, cfg.paths, steps)
@@ -716,27 +723,33 @@ def contract_checks(model: ModelSpec, surface, policy: ContractPolicy,
 # separated beliefs
 # ---------------------------------------------------------------------------
 
-def disjoint_beliefs_demo(model: ModelSpec, M_salary: float, cfg: SimConfig, *,
-                          horizon: float = 1.0) -> tuple[Estimate, float]:
+def disjoint_beliefs_demo(model: ModelSpec, salaries: Sequence[float],
+                          cfg: SimConfig, *, horizon: float = 1.0,
+                          ) -> list[tuple[Estimate, float]]:
     """Degenerate extraction when the parties share no volatility belief.
 
     With separated belief intervals the principal may pay L(X_T) minus a
     flat salary on her own support; the integrand U_P(L(X_T) - xi) is then
     the constant U_P(M_salary) whatever the volatility does, which the
-    simulation reproduces with zero variance.  X_T comes from one engine
-    run of the constant z = 0 contract at the principal band's middle; a
-    path counts when L(X_T) is finite, and more than 1% of paths left out
-    raise.  Returns the Monte Carlo estimate and the exact target
-    U_P(M_salary).
+    simulation reproduces with zero variance.  X_T does not depend on the
+    salary, so it comes from one engine run of the constant z = 0 contract
+    at the principal band's middle for all of ``salaries``; a path counts
+    when L(X_T) is finite, and more than 1% of paths left out raise.  The
+    horizon is checked first (``SimConfig.steps_for``), then the model and
+    each salary.  Returns, per salary, the Monte Carlo estimate and the
+    exact target U_P(M_salary).
     """
+    cfg.steps_for(horizon)
     if model.agent_nature_set is None:
         raise ValueError("model carries no second belief interval")
     a_lo, a_hi = model.agent_nature_set
     p_lo, p_hi = model.nature_set_N
     if max(a_lo, p_lo) <= min(a_hi, p_hi):
         raise ValueError("belief intervals overlap; the demo needs them disjoint")
-    if not math.isfinite(M_salary) or M_salary < 0.0:
-        raise ValueError("M_salary must be a nonnegative real")
+    for i, M_salary in enumerate(salaries):
+        if not math.isfinite(M_salary) or M_salary < 0.0:
+            raise ValueError(f"M_salary must be a nonnegative real, got "
+                             f"{M_salary} at salaries[{i}]")
 
     X = simulate_system(model, constant_policy(model, horizon, z=0.0), None,
                         cfg).terminal_x
@@ -748,5 +761,5 @@ def disjoint_beliefs_demo(model: ModelSpec, M_salary: float, cfg: SimConfig, *,
     # L(X_T) - xi cancels to the flat salary by the contract's own algebra,
     # so every kept path's integrand is exactly U_P(M_salary): the mean is
     # that value, with no averaging roundoff, and the spread is zero
-    target = float(model.utility_principal(float(M_salary)))
-    return Estimate(target, 0.0), target
+    targets = [float(model.utility_principal(float(m))) for m in salaries]
+    return [(Estimate(target, 0.0), target) for target in targets]

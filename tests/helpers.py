@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from robustcontract import ModelSpec, GrowthParams
+from robustcontract import ModelSpec
 from robustcontract import (eval_F, eval_G, eval_g, export, level_set_V,
                             numerics, principal)
 from robustcontract.agent import AgentSolution
@@ -65,7 +65,7 @@ def build_model(b=None, sigma=None, c=None, k=None, A=(0.0, 1.0), N=(1.0, 2.0),
         utility_principal=u_p if u_p is not None else ident,
         liquidation_L=L if L is not None else ident,
         effort_set_A=A, nature_set_N=N,
-        growth_params=GrowthParams(ell=1.0, m=2.0, m_lower=1.0, kappa=kappa),
+        kappa=kappa,
         truncation_M=truncation_M,
         a_grid_points=a_points, n_grid_points=n_points,
         z_grid_points=z_points, gamma_grid_points=gamma_points,
@@ -424,7 +424,7 @@ def reference_select_slice(model, t, X, Y, p, pt, q, qt, r, radius):
     sat = (np.abs(chosen["z"]) >= edge) | (np.abs(chosen["gamma"]) >= edge)
     return principal._Selection(
         value=top, nature=n_col[n_sel, 0], sig2=(sig * sig)[n_sel, nodes],
-        radius=radius, sat_mask=sat, saturated=int(np.count_nonzero(sat)),
+        radius=radius, sat_mask=sat,
         qt_nonneg_saturated=int(np.count_nonzero(sat & (qt >= 0.0))),
         **chosen)
 

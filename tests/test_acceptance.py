@@ -127,7 +127,7 @@ def test_02_game_reduction_identity(bench_model):
 
 def test_04_agent_band_value():
     model = make_model("heat_band", band=(0.2, 0.4))
-    contract = ContractFunction(lambda x: x * x, label="square")
+    contract = ContractFunction(lambda x: x * x)
     sol = solve_agent(model, contract, x_lo=-4.0, x_hi=4.0, x_nodes=201,
                       t_steps=200, horizon=HORIZON)
     xs = sol.x_grid
@@ -207,8 +207,9 @@ def test_08_disjoint_beliefs_degeneracy():
                        utility_principal=lambda v: 1.0 - np.exp(-v))
     cfg = SimConfig(paths=300, dt=1.0 / 8, seed=29)
     means = []
-    for salary in (1.0, 10.0, 100.0):
-        est, target = disjoint_beliefs_demo(model, salary, cfg)
+    salaries = (1.0, 10.0, 100.0)
+    for salary, (est, target) in zip(
+            salaries, disjoint_beliefs_demo(model, salaries, cfg)):
         assert est.mean == target, f"M={salary}: {est.mean} != {target}"
         assert est.ci_halfwidth == 0.0
         assert target == 1.0 - np.exp(-salary)

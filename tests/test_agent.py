@@ -10,7 +10,6 @@ import robustcontract as rc
 from robustcontract import agent
 from robustcontract.hamiltonians import eval_F, eval_H
 from robustcontract.agent import (
-    AgentSolution,
     ContractFunction,
     inf_of_bsdes,
     linear_bsde_value,
@@ -28,34 +27,33 @@ MIN_AGENT_ORDER = 1.8
 
 
 def square_contract():
-    return ContractFunction(lambda x: x * x, label="square")
+    return ContractFunction(lambda x: x * x)
 
 
 def nan_call():
     """The call payoff at strike 0, NaN on (0.4, 0.6)."""
     return ContractFunction(
-        lambda x: np.where(np.abs(x - 0.5) < 0.1, np.nan, np.maximum(x, 0.0)),
-        label="nan_call")
+        lambda x: np.where(np.abs(x - 0.5) < 0.1, np.nan, np.maximum(x, 0.0)))
 
 
 class TestContractFunction:
     def test_linear_preset(self):
         f = ContractFunction.from_preset("linear:2,1")
-        assert f(3.0) == 7.0
+        assert f.payment(3.0) == 7.0
 
     def test_linear_preset_single_arg(self):
         f = ContractFunction.from_preset("linear:0.5")
-        assert f(4.0) == 2.0
+        assert f.payment(4.0) == 2.0
 
     def test_call_preset(self):
         f = ContractFunction.from_preset("call:1.5")
-        assert f(1.0) == 0.0 and f(2.5) == 1.0
+        assert f.payment(1.0) == 0.0 and f.payment(2.5) == 1.0
 
     def test_tabulated_preset(self, tmp_path):
         path = tmp_path / "pay.txt"
         np.savetxt(path, np.column_stack([[-1.0, 0.0, 1.0], [0.0, 1.0, 4.0]]))
         f = ContractFunction.from_preset(f"tabulated:{path}")
-        assert f(0.5) == pytest.approx(2.5)
+        assert f.payment(0.5) == pytest.approx(2.5)
 
     def test_tabulated_rejects_unsorted(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -87,10 +85,26 @@ class TestSolveAgent:
             solve_agent(m, square_contract(), x_lo=-1, x_hi=1, x_nodes=11,
                         t_steps=10, horizon=-1.0)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["x_lo", "x_hi", "horizon"])
+    def test_a_non_finite_bound_or_horizon_is_refused(self, name, value):
+        grid = dict(x_lo=-1.0, x_hi=1.0, x_nodes=11, t_steps=10, horizon=1.0)
+        grid[name] = value
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be finite, got {value}$"):
+            agent.agent_grids(**grid)
+
+    def test_a_nan_stability_number_is_refused(self, monkeypatch):
+        monkeypatch.setattr(agent.numerics, "max_sigma_sq",
+                            lambda *args: math.nan)
+        with pytest.raises(ValueError, match="stability bound violated: "
+                                             r"dt\*max\(sigma\^2\)/dx\^2 = nan"):
+            solve_agent(rc.make_model("heat_band"), square_contract(),
+                        x_lo=-1, x_hi=1, x_nodes=11, t_steps=10, horizon=1.0)
+
     @pytest.mark.parametrize("contract, count, first", [
         (nan_call, 2, "x=0.40000000000000036: nan"),
-        (lambda: ContractFunction(lambda x: np.where(x > 1.5, np.inf, x),
-                                  label="inf_tail"),
+        (lambda: ContractFunction(lambda x: np.where(x > 1.5, np.inf, x)),
          5, "x=1.6: inf")], ids=["nan", "inf"])
     def test_non_finite_terminal_row_is_refused_before_the_march(
             self, monkeypatch, contract, count, first):
@@ -139,26 +153,6 @@ class TestSolveAgent:
         sol = solve_agent(m, ContractFunction.from_preset("linear:1,0"),
                           x_lo=-2, x_hi=2, x_nodes=41, t_steps=100, horizon=1.0)
         assert sol.value(0.25, 0.13) == pytest.approx(0.13 + 0.5 * 0.75, abs=1e-9)
-
-    def test_policy_lookup(self):
-        m = rc.make_model("heat_band")
-        sol = solve_agent(m, square_contract(), x_lo=-2, x_hi=2, x_nodes=41,
-                          t_steps=50, horizon=1.0)
-        a, n = sol.policy(0.0, 1.0)
-        assert n == 0.2
-
-    def test_policy_reads_the_nearest_time_node(self):
-        # each row names its own time node, so a lookup shows which it read
-        rows = np.array([[0.0, 1.0], [10.0, 11.0], [20.0, 21.0]])
-        sol = AgentSolution(t_grid=np.array([0.0, 0.5, 1.0]),
-                            x_grid=np.array([0.0, 1.0]),
-                            values=np.zeros((3, 2)), effort=rows,
-                            nature=rows + 100.0, cfl_number=0.5)
-        assert sol.policy(0.1, 0.0) == (0.0, 100.0)
-        assert sol.policy(0.3, 0.9) == (11.0, 111.0)
-        assert sol.policy(0.8, 0.2) == (20.0, 120.0)
-        assert sol.policy(-1.0, 5.0) == (1.0, 101.0)
-        assert sol.policy(2.0, -5.0) == (20.0, 120.0)
 
     def test_traced_peak_is_the_outputs_and_row_buffers(self):
         # the march keeps no (t, x) temporary: beyond the three output
@@ -285,22 +279,22 @@ MARCHES = {
     # the payoff reads nature, so each nature control has its own effort
     "random_polynomial": (
         lambda: random_polynomial_model(np.random.default_rng(8)),
-        lambda: ContractFunction(np.sin, label="sin"),
+        lambda: ContractFunction(np.sin),
         (-2.0, 2.0, 41, 200, 0.5)),
     "polynomial_with_candidate": (
         polynomial_with_candidate,
-        lambda: ContractFunction(np.sin, label="sin"),
+        lambda: ContractFunction(np.sin),
         (-2.0, 2.0, 41, 200, 0.25)),
     # sigma ignores nature, so the saddle's nature stack has no nature
     # axis; its smallest entry lies at the middle node, not the first
     "vol_free_of_nature": (
         lambda: build_model(sigma=lambda t, x, n: 0.5 - 0.05 * x * x),
-        lambda: ContractFunction(lambda x: -x * x, label="cap"),
+        lambda: ContractFunction(lambda x: -x * x),
         (-2.0, 2.0, 41, 100, 1.0)),
     # a surface of signed zeros, whose largest |v| is +0.0
     "signed_zero_payment": (
         lambda: rc.make_model("heat_band"),
-        lambda: ContractFunction(lambda x: -0.0 * np.abs(x), label="-0"),
+        lambda: ContractFunction(lambda x: -0.0 * np.abs(x)),
         (-2.0, 2.0, 41, 50, 1.0)),
 }
 
@@ -342,7 +336,7 @@ class TestQuadratureRoute:
 
     def test_infimum_picks_band_top_for_concave_data(self):
         m = rc.make_model("heat_band")
-        contract = ContractFunction(lambda x: -x * x, label="cap")
+        contract = ContractFunction(lambda x: -x * x)
         got = inf_of_bsdes(m, contract, 0.0, 0.0, 1.0)
         assert got == pytest.approx(-0.16, abs=1e-9)
 

@@ -389,7 +389,6 @@ class TestRunConfig:
                               "solve-principal")
         again = RunConfig.parse(run.serialize(), "solve-principal")
         assert again == run
-        assert again.sha256() == run.sha256()
 
     def test_unknown_key_names_its_path(self):
         doc = dict(AGENT_MARTINGALE)
@@ -716,9 +715,11 @@ class TestVerify:
         ("perturbations", 0, "perturbations must be at least 1, got 0"),
         ("perturbations", -1, "perturbations must be at least 1, got -1"),
         ("martingale_tolerance", 0.0,
-         "martingale_tolerance must be positive, got 0.0"),
+         "martingale_tolerance must be positive and finite, got 0.0"),
         ("martingale_tolerance", -1,
-         "martingale_tolerance must be positive, got -1.0"),
+         "martingale_tolerance must be positive and finite, got -1.0"),
+        ("martingale_tolerance", math.inf,
+         "martingale_tolerance must be positive and finite, got inf"),
     ])
     def test_vacuous_settings_exit_2_and_write_nothing(
             self, principal_run, tmp_path, capsys, key, value, message):
@@ -1288,3 +1289,139 @@ class TestDeterminism:
         assert not out1.exists()
         assert run_cli("simulate", cfg, out2, "--seed", "3") == EXIT_OK
         assert export.read_manifest(str(out2))["cli"] == {"seed_override": 3}
+
+
+# One small valid config per command (simulate with a ``policy``), each
+# with every float key it can hold; ``{art}`` is a principal solve.  A
+# dotted path's integer part indexes a list.
+SMALL_AGENT_GRID = {"x_lo": -1.0, "x_hi": 1.0, "x_nodes": 11, "t_steps": 10,
+                    "horizon": 0.25}
+SMALL_SIM = {"paths": 10, "dt": 0.25, "seed": 0, "x0": 0.0, "y0": 0.0}
+FLOAT_KEYS = {
+    "solve-agent": ("solve-agent", {
+        "model": {"preset": "heat_band",
+                  "params": {"band": [0.2, 0.4], "truncation_M": 2.0}},
+        "contract": {"payment": "call:0"}, "grid": SMALL_AGENT_GRID}, (
+        "model.params.band.0", "model.params.band.1",
+        "model.params.truncation_M", "grid.x_lo", "grid.x_hi",
+        "grid.horizon")),
+    "solve-principal": ("solve-principal", {
+        "model": {"preset": "risk_neutral"},
+        "grid": {"x_lo": -2.0, "x_hi": 2.0, "x_nodes": 5, "y_lo": -2.0,
+                 "y_hi": 2.0, "y_nodes": 5, "t_steps": 4, "horizon": 0.25},
+        "options": {"x0": 0.0, "reservation": 0.0}}, (
+        "grid.x_lo", "grid.x_hi", "grid.y_lo", "grid.y_hi", "grid.horizon",
+        "options.x0", "options.reservation")),
+    "simulate": ("simulate", {
+        "model": {"preset": "risk_neutral"}, "sim": SMALL_SIM,
+        "policy": {"horizon": 0.5, "z": 0.5, "k_rate": 0.1, "nature": 0.75},
+        "nature": {"values": [0.75]}}, (
+        "sim.dt", "sim.x0", "sim.y0", "policy.horizon", "policy.z",
+        "policy.k_rate", "policy.nature", "nature.values.0")),
+    "verify": ("verify", {"verify": {
+        "artifacts": "{art}", "paths": 10, "dt": 0.25, "perturbations": 1,
+        "probes": 2, "martingale_tolerance": 0.05}}, (
+        "verify.dt", "verify.martingale_tolerance")),
+    "m_salary": ("sweep", {
+        "sweep": {"axis": "m_salary", "values": [1.0]},
+        "model": {"preset": "disjoint_beliefs"}, "sim": SMALL_SIM,
+        "options": {"horizon": 0.5}}, (
+        "sweep.values.0", "sim.dt", "sim.x0", "sim.y0", "options.horizon")),
+    "band_width": ("sweep", {
+        "sweep": {"axis": "band_width", "values": [0.1]},
+        "model": {"preset": "heat_band"}, "contract": {"payment": "call:0"},
+        "grid": SMALL_AGENT_GRID, "options": {"x0": 0.0}}, (
+        "sweep.values.0", "grid.x_lo", "grid.x_hi", "grid.horizon",
+        "options.x0")),
+}
+
+
+def float_key_config(name: str, principal_run, path: str | None = None,
+                     value: float = 0.0) -> tuple[str, dict]:
+    """(command, config) of ``FLOAT_KEYS[name]`` with ``value`` at
+    ``path`` (none when None)."""
+    command, base, _ = FLOAT_KEYS[name]
+    doc = yaml.safe_load(yaml.safe_dump(base).replace("'{art}'",
+                                                      str(principal_run)))
+    if path is not None:
+        *parents, key = path.split(".")
+        node = doc
+        for part in parents:
+            node = node[int(part)] if isinstance(node, list) else node[part]
+        node[int(key) if isinstance(node, list) else key] = value
+    return command, doc
+
+
+class TestNonFiniteFloats:
+    @pytest.mark.parametrize("name", sorted(FLOAT_KEYS))
+    def test_the_small_configs_run(self, name, principal_run, tmp_path):
+        command, doc = float_key_config(name, principal_run)
+        # verify may fail its gates at 10 paths, but it ran them
+        assert run_cli(command, write_config(tmp_path, "c.yaml", doc),
+                       tmp_path / "run") in (EXIT_OK, EXIT_VERIFY)
+        assert (tmp_path / "run" / export.MANIFEST_NAME).exists()
+
+    @pytest.mark.parametrize("name, path", [
+        (name, path) for name, (_, _, paths) in sorted(FLOAT_KEYS.items())
+        for path in paths])
+    def test_inf_then_nan_exits_2_with_one_line_and_writes_nothing(
+            self, name, path, principal_run, tmp_path, capsys):
+        for value in (math.inf, math.nan):
+            command, doc = float_key_config(name, principal_run, path, value)
+            out = tmp_path / f"run_{value}"
+            code = run_cli(command, write_config(tmp_path, "c.yaml", doc),
+                           out)
+            err = capsys.readouterr().err
+            assert (code, err.count("\n")) == (EXIT_CONFIG, 1), (value, err)
+            assert err.startswith("config error: "), err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("name, path, value, message", [
+        ("solve-agent", "grid.horizon", math.inf,
+         "grid: horizon must be finite, got inf"),
+        ("solve-agent", "grid.x_hi", math.inf,
+         "grid: x_hi must be finite, got inf"),
+        ("band_width", "grid.horizon", math.nan,
+         "grid: horizon must be finite, got nan"),
+        ("simulate", "policy.horizon", math.inf,
+         "'policy.horizon' must be finite, got inf"),
+        ("simulate", "policy.k_rate", math.nan,
+         "'policy.k_rate' must be finite, got nan"),
+        ("simulate", "policy.nature", 5.0,
+         "policy: nature 5.0 outside the nature set (0.5, 1.0)"),
+        ("verify", "verify.martingale_tolerance", math.inf,
+         "verify: martingale_tolerance must be positive and finite, "
+         "got inf"),
+        ("m_salary", "sweep.values.0", -1.0,
+         "sweep.values[0]: M_salary must be a nonnegative real"),
+        ("m_salary", "sim.dt", math.inf,
+         "sim: dt must be positive and finite, got inf"),
+        ("solve-principal", "grid.horizon", math.nan,
+         "grid: horizon must be positive and finite, got nan"),
+    ])
+    def test_each_new_refusal_names_its_key(self, name, path, value, message,
+                                            principal_run, tmp_path, capsys):
+        command, doc = float_key_config(name, principal_run, path, value)
+        out = tmp_path / "run"
+        assert run_cli(command, write_config(tmp_path, "c.yaml", doc),
+                       out) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_one_engine_run_per_salary_sweep(self, tmp_path, monkeypatch):
+        runs = []
+        real = sim.simulate_system
+
+        def spy(*args, **kwargs):
+            runs.append(args)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(sim, "simulate_system", spy)
+        command, doc = float_key_config("m_salary", None)
+        doc["sweep"]["values"] = [1.0, 10.0, 100.0]
+        out = tmp_path / "run"
+        assert run_cli(command, write_config(tmp_path, "c.yaml", doc),
+                       out) == EXIT_OK
+        assert len(runs) == 1
+        np.testing.assert_array_equal(
+            export.read_table(str(out / "summary.txt"))["mean"],
+            [1.0, 10.0, 100.0])

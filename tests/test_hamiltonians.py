@@ -218,7 +218,7 @@ class TestEvalg:
         p, pt, q, qt, r = 0.7, -0.9, 0.3, -0.2, 0.15
         z, gam, n = 0.6, -0.8, 1.5
         sig = m.vol_sigma(t, x, n)
-        a_star, _ = rc.optimal_effort(m, t, x, y, z, sig * sig)
+        a_star = rc.eval_F_star(m, t, x, y, z, sig * sig).arg_a
         bval = m.drift_b(t, x, a_star, n)
         hval = rc.eval_H(m, t, x, y, z, gam).value
         want = (p * bval + 0.5 * sig * sig * q
@@ -311,7 +311,7 @@ class TestEvalGMemo:
         def scalar_reference(*args):
             raise AssertionError("eval_G reached a scalar reference")
 
-        for name in ("eval_F", "eval_H", "eval_F_star", "optimal_effort"):
+        for name in ("eval_F", "eval_H", "eval_F_star"):
             monkeypatch.setattr(hamiltonians, name, scalar_reference)
         calls = {}
 
@@ -401,31 +401,33 @@ class TestEvalGEdges:
 
 
 # ---------------------------------------------------------------------------
-# optimal_effort
+# the optimal effort: eval_F_star's maximizing argument
 # ---------------------------------------------------------------------------
+
+def argmax_effort(m, z, n):
+    """The sup-inf's maximizing effort at (t, x, y) = 0 and sigma(n)^2."""
+    sig2 = m.vol_sigma(0.0, 0.0, n) ** 2
+    return rc.eval_F_star(m, 0.0, 0.0, 0.0, z, sig2).arg_a
+
 
 class TestOptimalEffort:
     def test_closed_form_inside_A(self):
         m = rc.make_model("quadratic_bounded")
-        a, ok = rc.optimal_effort(m, 0.0, 0.0, 0.0, 0.3, m.vol_sigma(0.0, 0.0, 0.5) ** 2)
-        assert a == 0.3 and ok
+        assert argmax_effort(m, 0.3, 0.5) == 0.3
 
     def test_projection_from_above(self):
         m = rc.make_model("quadratic_bounded")
-        a, ok = rc.optimal_effort(m, 0.0, 0.0, 0.0, 5.0, m.vol_sigma(0.0, 0.0, 0.5) ** 2)
-        assert a == 1.0 and ok
+        assert argmax_effort(m, 5.0, 0.5) == 1.0
 
     def test_projection_from_below(self):
         m = rc.make_model("quadratic_bounded")
-        a, ok = rc.optimal_effort(m, 0.0, 0.0, 0.0, -2.0, m.vol_sigma(0.0, 0.0, 0.5) ** 2)
-        assert a == 0.0 and ok
+        assert argmax_effort(m, -2.0, 0.5) == 0.0
 
     def test_closed_form_dominates_grid(self):
         # a coarse effort grid misses the interior optimum; the candidate
         # must still win the enumeration
         m = rc.make_model("quadratic_bounded", a_grid_points=3)
-        a, _ = rc.optimal_effort(m, 0.0, 0.0, 0.0, 0.37, m.vol_sigma(0.0, 0.0, 1.0) ** 2)
-        assert a == pytest.approx(0.37, abs=1e-12)
+        assert argmax_effort(m, 0.37, 1.0) == pytest.approx(0.37, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +468,11 @@ def test_H_concavity_in_gamma(data):
 @given(model_and_point())
 def test_value_growth_certificate(data):
     model, t, x, y, z, sigma_sq, _ = data
-    gp = model.growth_params
     res = rc.eval_F_star(model, t, x, y, z, sigma_sq)
-    # envelope constant calibrated for this random family and frozen
+    # envelope constant calibrated for this random family and frozen; the
+    # exponent (ell + m) / (m_lower + 1 - ell) at ell 1, m 2, m_lower 1
     C = 30.0
-    bound = C * (1.0 + abs(x) + abs(y) + abs(z) ** gp.value_exponent)
+    bound = C * (1.0 + abs(x) + abs(y) + abs(z) ** 3.0)
     assert abs(res.value) <= bound
 
 
@@ -478,8 +480,7 @@ def test_value_growth_certificate(data):
 @given(model_and_point())
 def test_effort_growth_certificate(data):
     model, t, x, y, z, sigma_sq, _ = data
-    a_star, ok = rc.optimal_effort(model, t, x, y, z, sigma_sq)
-    assert ok
+    a_star = rc.eval_F_star(model, t, x, y, z, sigma_sq).arg_a
     assert model.effort_set_A[0] <= a_star <= model.effort_set_A[1]
 
 
@@ -552,8 +553,17 @@ class TestModelValidation:
             build_model(c=lambda t, x, a: (1.0 - a) ** 2)
 
     def test_rejects_unbounded_discount(self):
-        with pytest.raises(ValueError, match="kappa"):
+        with pytest.raises(ValueError, match="discount_k exceeds the kappa bound"):
             build_model(k=lambda t, x, a, n: 5.0, kappa=1.0)
+        assert build_model(k=lambda t, x, a, n: 5.0, kappa=5.0).kappa == 5.0
+
+    @pytest.mark.parametrize("name", ["kappa", "truncation_M"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_a_bound_that_is_not_positive_and_finite(self, name,
+                                                             value):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be positive and finite$"):
+            build_model(**{name: value})
 
     def test_rejects_inexact_inverse(self):
         with pytest.raises(ValueError, match="inverse"):

@@ -5,6 +5,7 @@ in ``hamiltonians.elementwise``; ``candidate_zgamma`` must broadcast.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import pytest
 import helpers
 from helpers import build_model, random_polynomial_model
 from robustcontract import agent, presets, principal, sim
-from robustcontract.hamiltonians import GrowthParams, ModelSpec
+from robustcontract.hamiltonians import ModelSpec
 
 PRIMITIVES = ("drift_b", "vol_sigma", "cost_c", "discount_k",
               "candidate_effort", "utility_agent", "utility_agent_inv",
@@ -91,8 +92,7 @@ def test_presets_keep_their_shared_defaults(name):
     model = presets.make_model(name, **PRESET_PARAMS.get(name, {}))
     # a zero discount still bounds the rate by a positive kappa
     kappa = 1e-6 if name == "custom_tabulated" else 1.0
-    assert model.growth_params == GrowthParams(kappa=kappa)
-    assert model.growth_C == 2.0
+    assert model.kappa == kappa
     assert (model.effort_set_A, model.nature_set_N, model.truncation_M,
             model.allow_degenerate_vol,
             model.agent_nature_set) == PRESET_FIELDS[name]
@@ -109,14 +109,45 @@ def test_custom_tabulated_rejects_a_bad_table(n_values, sigma_values,
         presets.custom_tabulated(n_values, sigma_values)
 
 
+# each preset's float parameters at valid values; a list's entries are
+# probed one at a time
+FLOAT_PARAMS = {
+    "risk_neutral": dict(n_band=[0.5, 1.0], a_bar=1.0, truncation_M=6.0),
+    "quadratic_bounded": dict(M=2.0, a_bar=1.0, n_band=[0.5, 1.0], w0=2.0),
+    "heat_band": dict(band=[0.2, 0.4], truncation_M=2.0),
+    "disjoint_beliefs": dict(agent_band=[0.1, 0.2],
+                             principal_band=[0.3, 0.5], truncation_M=2.0),
+    "zero_vol": dict(truncation_M=2.0),
+    "custom_tabulated": dict(n_values=[1.0, 2.0], sigma_values=[0.3, 0.5],
+                             a_bar=1.0, discount=0.0, truncation_M=2.0),
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name, key, slot", [
+    (name, key, slot) for name, params in FLOAT_PARAMS.items()
+    for key, v in params.items()
+    for slot in (range(len(v)) if isinstance(v, list) else [None])])
+def test_a_non_finite_preset_parameter_is_refused(name, key, slot, value):
+    params = {k: list(v) if isinstance(v, list) else v
+              for k, v in FLOAT_PARAMS[name].items()}
+    presets.make_model(name, **params)
+    if slot is None:
+        params[key] = value
+    else:
+        params[key][slot] = value
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        presets.make_model(name, **params)
+
+
 def test_make_model_rejects_an_unknown_name():
     with pytest.raises(KeyError, match="unknown model preset 'nope'"):
         presets.make_model("nope")
 
 
 def test_preset_params_may_not_restate_a_shared_field():
-    with pytest.raises(TypeError, match="multiple values.*growth_C"):
-        presets.make_model("heat_band", growth_C=5.0)
+    with pytest.raises(TypeError, match="multiple values.*kappa"):
+        presets.make_model("heat_band", kappa=5.0)
 
 
 def test_random_polynomial_models_keep_their_own_callables(monkeypatch):

@@ -268,15 +268,14 @@ class TestNodeLocality:
         for radius in (0.75, 1.5):
             full = principal._select_slice(model, 0.1, X, Y, *derivs, radius)
             if model.candidate_zgamma is None:
-                assert 0 < full.saturated < n
+                assert 0 < np.count_nonzero(full.sat_mask) < n
             for idx in groups:
                 sub = principal._select_slice(model, 0.1, X[idx], Y[idx],
                                               *(d[idx] for d in derivs),
                                               radius)
                 sat = full.sat_mask[idx]
                 want = dataclasses.replace(
-                    full, saturated=int(np.count_nonzero(sat)),
-                    qt_nonneg_saturated=int(np.count_nonzero(
+                    full, qt_nonneg_saturated=int(np.count_nonzero(
                         sat & (derivs[3][idx] >= 0.0))),
                     **{f.name: getattr(full, f.name)[idx]
                        for f in dataclasses.fields(full)

@@ -7,6 +7,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -127,6 +128,15 @@ class TestNatureStrategy:
         with pytest.raises(ValueError, match="cover"):
             NatureStrategy.constant(0.75, 0.5).validate_for(rn_model, 1.0)
 
+    @pytest.mark.parametrize("nature", [0.4, 5.0, math.inf, math.nan])
+    def test_a_constant_policy_outside_the_band_is_refused(self, rn_model,
+                                                            nature):
+        assert np.all(constant_policy(rn_model, 1.0, z=0.0,
+                                      nature=1.0).nature == 1.0)
+        with pytest.raises(ValueError, match=re.escape(
+                f"nature {nature} outside the nature set (0.5, 1.0)")):
+            constant_policy(rn_model, 1.0, z=0.0, nature=nature)
+
 
 class TestEngineClosedForms:
     def test_driftless_zero_sensitivity_promise_is_frozen(self):
@@ -187,7 +197,7 @@ class TestEngineClosedForms:
         assert abs(res.agent_estimate.mean - 0.8) < 1e-3
         assert res.agent_estimate.ci_halfwidth == 0.0
         lo, hi = res.discount_bounds
-        kappa = model.growth_params.kappa
+        kappa = model.kappa
         assert math.exp(-kappa) - 1e-12 <= lo <= hi <= math.exp(kappa) + 1e-12
 
     def test_agent_side_closing_against_the_value_equation(self, rn_model):
@@ -862,6 +872,8 @@ class TestContractChecks:
         ("perturbations", 0, "perturbations must be at least 1"),
         ("tolerance", 0.0, "martingale_tolerance must be positive"),
         ("tolerance", math.nan, "martingale_tolerance must be positive"),
+        ("tolerance", math.inf,
+         "martingale_tolerance must be positive and finite, got inf"),
     ])
     def test_vacuous_settings_raise_before_any_batch(
             self, rn_model, rn_solution, rn_policy, monkeypatch, setting,
@@ -891,18 +903,18 @@ class TestDisjointBeliefs:
     def test_flat_salary_is_reproduced_exactly(self):
         model = presets.disjoint_beliefs()
         cfg = SimConfig(paths=500, dt=1 / 16, seed=67)
-        est, target = disjoint_beliefs_demo(model, 7.0, cfg)
+        [(est, target), (est0, target0)] = disjoint_beliefs_demo(
+            model, [7.0, 0.0], cfg)
         assert est == Estimate(7.0, 0.0)
         assert target == 7.0
-        est0, target0 = disjoint_beliefs_demo(model, 0.0, cfg)
         assert est0 == Estimate(0.0, 0.0) and target0 == 0.0
 
     def test_sweep_trends_to_the_utility_ceiling(self):
         u_p = lambda x: 1.0 - math.exp(-x)
         model = presets.disjoint_beliefs(utility_principal=u_p)
         cfg = SimConfig(paths=300, dt=1 / 8, seed=71)
-        estimates = [disjoint_beliefs_demo(model, m, cfg)[0].mean
-                     for m in (1.0, 10.0, 100.0)]
+        estimates = [est.mean for est, _ in
+                     disjoint_beliefs_demo(model, (1.0, 10.0, 100.0), cfg)]
         np.testing.assert_array_equal(estimates, [u_p(1.0), u_p(10.0), u_p(100.0)])
         assert estimates[0] < estimates[1] < estimates[2] <= 1.0
         assert estimates[2] > 1.0 - 1e-12
@@ -912,14 +924,15 @@ class TestDisjointBeliefs:
                                                principal_band=(0.3, 0.5))
         cfg = SimConfig(paths=10, dt=1 / 4, seed=73)
         with pytest.raises(ValueError, match="overlap"):
-            disjoint_beliefs_demo(overlapping, 5.0, cfg)
+            disjoint_beliefs_demo(overlapping, [5.0], cfg)
         with pytest.raises(ValueError, match="belief"):
-            disjoint_beliefs_demo(presets.risk_neutral(), 5.0, cfg)
+            disjoint_beliefs_demo(presets.risk_neutral(), [5.0], cfg)
 
     def test_estimate_is_the_target_on_the_engines_finite_paths(
             self, monkeypatch):
         # the demo reads X_T from one engine run of the constant z = 0
-        # contract at the principal band's middle
+        # contract at the principal band's middle, whatever the number of
+        # salaries
         model = presets.disjoint_beliefs()
         cfg = SimConfig(paths=400, dt=1 / 16, seed=61, x0=0.3)
         runs = []
@@ -931,8 +944,9 @@ class TestDisjointBeliefs:
             assert np.isfinite(res.terminal_x).all()
             return res
         monkeypatch.setattr(sim, "simulate_system", spy)
-        est, target = disjoint_beliefs_demo(model, 3.0, cfg, horizon=0.5)
-        assert est == Estimate(target, 0.0) and target == 3.0
+        points = disjoint_beliefs_demo(model, [3.0, 0.5, 3.0], cfg,
+                                       horizon=0.5)
+        assert points == [(Estimate(m, 0.0), m) for m in (3.0, 0.5, 3.0)]
         [(policy, nature, kwargs)] = runs
         assert nature is None and kwargs == {}
         assert policy.t_grid.tolist() == [0.0, 0.5]
@@ -953,16 +967,27 @@ class TestDisjointBeliefs:
             cut_model = dataclasses.replace(
                 model, liquidation_L=lambda x, c=cut: np.where(x > c, np.inf, x))
             if bad <= 0.01 * cfg.paths:
-                est, target = disjoint_beliefs_demo(cut_model, 2.0, cfg)
+                [(est, target)] = disjoint_beliefs_demo(cut_model, [2.0], cfg)
                 assert est == Estimate(u_p(2.0), 0.0) == Estimate(target, 0.0)
             else:
                 with pytest.raises(RuntimeError, match="above 1%"):
-                    disjoint_beliefs_demo(cut_model, 2.0, cfg)
+                    disjoint_beliefs_demo(cut_model, [2.0], cfg)
 
     def test_negative_salary_rejected(self):
         model = presets.disjoint_beliefs()
-        with pytest.raises(ValueError, match="M_salary"):
-            disjoint_beliefs_demo(model, -1.0, SimConfig(paths=10, dt=0.25, seed=1))
+        with pytest.raises(ValueError, match=r"M_salary .* -1.0 at salaries\[1\]"):
+            disjoint_beliefs_demo(model, [1.0, -1.0],
+                                  SimConfig(paths=10, dt=0.25, seed=1))
+
+    @pytest.mark.parametrize("horizon", [-1.0, math.inf, math.nan])
+    def test_a_bad_horizon_is_named_before_any_run(self, horizon,
+                                                   monkeypatch):
+        monkeypatch.setattr(sim, "simulate_system", None)
+        with pytest.raises(ValueError, match="^the horizon must be finite "
+                           f"and nonnegative, got {horizon}$"):
+            disjoint_beliefs_demo(presets.disjoint_beliefs(), [1.0],
+                                  SimConfig(paths=10, dt=0.25, seed=1),
+                                  horizon=horizon)
 
 
 class TestRealizedQuadraticVariation:
