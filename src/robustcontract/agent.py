@@ -38,7 +38,6 @@ quadrature and is used to cross-check the PDE solver.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -155,21 +154,11 @@ def _saddle_step(model: ModelSpec, t, x_arr, v, z, gam, grids):
 
 def agent_grids(x_lo: float, x_hi: float, x_nodes: int, t_steps: int,
                 horizon: float) -> tuple[np.ndarray, np.ndarray]:
-    """The agent solve's (t, x) grids; ``ValueError`` on a degenerate one
-    or a bound or horizon that is not finite."""
-    for name, value in (("x_lo", x_lo), ("x_hi", x_hi), ("horizon", horizon)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if x_nodes < 3:
-        raise ValueError("need at least 3 space nodes")
-    if t_steps < 1:
-        raise ValueError("need at least 1 time step")
-    if not x_hi > x_lo:
-        raise ValueError("empty space interval")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    return (np.linspace(0.0, horizon, t_steps + 1),
-            np.linspace(x_lo, x_hi, x_nodes))
+    """The agent solve's (t, x) grids, built by ``numerics.time_axis`` and
+    ``numerics.axis`` under the grid rule ``GridSpec`` shares, so a bad
+    axis raises the same ``ValueError`` from both."""
+    x_grid = numerics.axis("x", x_lo, x_hi, x_nodes)
+    return numerics.time_axis(t_steps, horizon), x_grid
 
 
 def solve_agent(model: ModelSpec, contract: ContractFunction, *,

@@ -71,13 +71,18 @@ simulate takes its contract and model from a solve-principal directory
 (``artifacts``) or runs a constant ``policy`` (``nature`` defaults to the
 band's middle); ``sim.x0``/``y0`` default to that solve's ``options.x0``
 and chosen promise, else 0.  Every ``x0`` and ``y0`` must be finite, and
-an m_salary sweep's ``horizon`` finite, nonnegative and a multiple of ``dt``.
+an m_salary sweep's ``horizon`` positive, finite and a multiple of ``dt``.
 The four ``policy`` keys must be finite, ``policy.horizon`` positive and
-``policy.nature`` inside the model's nature set; an agent ``grid`` needs
-finite ``x_lo``, ``x_hi`` and ``horizon``.
+``policy.nature`` inside the model's nature set.  Both grid sections obey
+one rule (``numerics.axis``, ``numerics.time_axis``): each space axis has
+at least 3 nodes, finite ends, ``x_hi`` above ``x_lo`` (``y_hi`` above
+``y_lo``) and its nodes on distinct doubles; the time axis has at least 1
+step over a positive, finite ``horizon``.
 ``nature.values`` is a volatility scenario on equal subintervals of the
-horizon.  ``verify.dt`` defaults to 1/64 of the solve's horizon;
-``reservation`` makes solve-principal pick the promise.
+horizon.  ``verify.dt`` defaults to 1/64 of the solve's horizon.
+``reservation``, any number but NaN (``-.inf`` admits every promise),
+makes solve-principal pick the promise; ``options.x0`` must then lie in
+[``x_lo``, ``x_hi``], as a band_width sweep's ``options.x0`` always must.
 On a solve-principal directory verify exits 2 unless ``paths`` >= 1,
 ``perturbations`` >= 1, ``probes`` >= 2 and ``martingale_tolerance`` is
 finite and > 0.
@@ -143,6 +148,8 @@ _KINDS = {
     "num": (_is_num, "a number", None),
     "finite": (_is_num, "a number",
                (math.isfinite, "'{path}' must be finite, got {value}")),
+    "notnan": (_is_num, "a number",
+               (lambda v: not math.isnan(v), "'{path}' must not be nan")),
     "int": (lambda v: _is_num(v) and isinstance(v, int), "an integer", None),
     "str": (lambda v: isinstance(v, str), "a string", None),
     "map": (lambda v: isinstance(v, dict), "a mapping", None),
@@ -221,7 +228,8 @@ _SCHEMA = {
         "model": _MODEL,
         "grid": dict(_AGENT_GRID,
                      **_required(y_lo="num", y_hi="num", y_nodes="int")),
-        "options": {"x0": ("finite", 0.0), "reservation": ("num", None)}}},
+        "options": {"x0": ("finite", 0.0),
+                    "reservation": ("notnan", None)}}},
     "simulate": {"required": ("sim",), "sections": {"sim": _SIM},
                  "pick": (_present, _SOURCES)},
     "verify": {"required": ("verify",), "sections": {"verify": {
@@ -394,6 +402,14 @@ def _build_grid(build, section: dict):
         return build(**section)
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}")
+
+
+def _check_x0(x0: float, x_lo: float, x_hi: float) -> None:
+    """Refuse, before any solve, an ``options.x0`` off the solved x
+    interval, where a clamped lookup would read the edge's value."""
+    if not x_lo <= x0 <= x_hi:
+        raise ConfigError(f"options.x0: {x0!r} is outside the x interval "
+                          f"[{float(x_lo)!r}, {float(x_hi)!r}]")
 
 
 def _build_simconfig(section: dict, **defaults) -> SimConfig:
@@ -610,6 +626,8 @@ def cmd_solve_principal(conf: dict, stages: dict[str, float]) -> Produced:
     model = _build_model("solve-principal", conf)
     grid = _build_grid(GridSpec, conf["grid"])
     opts = _with_defaults("solve-principal", conf, "options")
+    if opts["reservation"] is not None:
+        _check_x0(float(opts["x0"]), grid.x_lo, grid.x_hi)
     y0res = None
     with _stage(stages, "solve"):
         try:
@@ -650,8 +668,6 @@ def cmd_simulate(conf: dict, stages: dict[str, float]) -> Produced:
     else:
         model = _build_model("simulate", conf)
         p = _with_defaults("simulate", conf, "policy")
-        if p["horizon"] <= 0:
-            raise ConfigError("policy.horizon must be positive")
         try:
             policy = sim.constant_policy(
                 model, float(p["horizon"]), z=float(p["z"]),
@@ -704,7 +720,7 @@ def _principal_checks(art: SimpleNamespace, v: dict) -> dict:
     """``sim.contract_checks`` on a loaded solve, with verify settings ``v``."""
     horizon = float(art.policy.t_grid[-1])
     if v["dt"] is None:
-        v = dict(v, dt=horizon / 64.0 if horizon > 0.0 else 1.0)
+        v = dict(v, dt=horizon / 64.0)
     y0 = art.y0_star if art.y0_star is not None else 0.0
     try:
         cfg = SimConfig(paths=int(v["paths"]), dt=float(v["dt"]),
@@ -840,6 +856,7 @@ def _sweep_band_width(conf: dict) -> Produced:
     contract = _build_contract(conf["contract"])
     _build_grid(agent_grids, conf["grid"])   # grid errors read "grid:"
     x0 = float(_with_defaults("sweep", conf, "options")["x0"])
+    _check_x0(x0, conf["grid"]["x_lo"], conf["grid"]["x_hi"])
 
     files, rows = {}, []
     for i, width in enumerate(conf["sweep"]["values"]):

@@ -24,10 +24,50 @@ vectorized kernels and scalar evaluators agree about which control wins.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 #: an arg-optimum is the earliest index within this of the optimum
 TIE_TOL = 1e-12
+
+
+def _distinct(name: str, g: np.ndarray) -> np.ndarray:
+    """``g``, refused where an interval too narrow for its magnitude puts
+    two of its nodes on one double."""
+    if not np.all(np.diff(g) > 0.0):
+        raise ValueError(f"the {name} interval [{float(g[0])!r}, "
+                         f"{float(g[-1])!r}] cannot hold {len(g)} distinct "
+                         "nodes")
+    return g
+
+
+def axis(name: str, lo: float, hi: float, nodes: int) -> np.ndarray:
+    """``np.linspace(lo, hi, nodes)`` for the grid keys ``{name}_lo``,
+    ``{name}_hi`` and ``{name}_nodes``: the one space-axis rule of both
+    solvers.  ``ValueError`` names the key unless, checked in this order,
+    there are at least 3 nodes, both ends are finite, the interval is not
+    empty and the nodes fall on distinct doubles."""
+    if nodes < 3:
+        raise ValueError(f"{name}_nodes must be at least 3, got {nodes}")
+    for key, value in ((f"{name}_lo", lo), (f"{name}_hi", hi)):
+        if not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value}")
+    if not hi > lo:
+        raise ValueError(f"{name}_hi must exceed {name}_lo, got "
+                         f"[{lo!r}, {hi!r}]")
+    return _distinct(name, np.linspace(lo, hi, nodes))
+
+
+def time_axis(t_steps: int, horizon: float) -> np.ndarray:
+    """``np.linspace(0, horizon, t_steps + 1)``: ``ValueError`` names the
+    key unless there is at least 1 step and the horizon is positive and
+    finite, and when the steps do not fall on distinct doubles."""
+    if t_steps < 1:
+        raise ValueError(f"t_steps must be at least 1, got {t_steps}")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    return _distinct("t", np.linspace(0.0, horizon, t_steps + 1))
 
 
 def field(fn, t, x, *args):
@@ -203,7 +243,7 @@ def surface_value(t_grid, x_grid, y_grid, values, t, x, y):
     ``t`` is a scalar; ``x`` and ``y`` are scalars or arrays that broadcast
     together.  Every coordinate is clamped to the grid box first, so points
     outside it (including +-inf) read the boundary value; NaN gives NaN.
-    A single-slice surface is read at every ``t``.
+    Every axis holds at least two nodes.
     """
     def bilinear(plane):
         xc = np.clip(x, x_grid[0], x_grid[-1])
@@ -217,8 +257,6 @@ def surface_value(t_grid, x_grid, y_grid, values, t, x, y):
                 + (1 - wx) * wy * plane[i, j + 1]
                 + wx * wy * plane[i + 1, j + 1])
 
-    if len(t_grid) == 1:
-        return bilinear(values[0])
     tc = min(max(t, t_grid[0]), t_grid[-1])
     k = int(np.clip(grid_searchsorted(t_grid, tc) - 1, 0, len(t_grid) - 2))
     wt = (tc - t_grid[k]) / (t_grid[k + 1] - t_grid[k])

@@ -64,9 +64,9 @@ _UNIFORM_ULPS = 8
 class GridSpec:
     """Bounded tensor grid for the pair state plus the time axis.
 
-    Construction raises ``ValueError`` unless each space axis has finite
-    bounds, the horizon is positive and finite, and every axis holds its
-    nodes on distinct doubles."""
+    Construction raises ``ValueError`` unless every axis passes
+    ``numerics.axis`` (x and y) or ``numerics.time_axis`` (t), the one
+    grid rule the agent solve shares."""
 
     x_lo: float
     x_hi: float
@@ -78,26 +78,8 @@ class GridSpec:
     horizon: float
 
     def __post_init__(self):
-        if self.x_nodes < 3 or self.y_nodes < 3:
-            raise ValueError("need at least 3 nodes per space axis")
-        if not (self.x_hi > self.x_lo and self.y_hi > self.y_lo):
-            raise ValueError("empty space interval")
-        if not all(map(math.isfinite, (self.x_lo, self.x_hi, self.y_lo,
-                                       self.y_hi))):
-            raise ValueError("space bounds must be finite")
-        if self.t_steps < 0:
-            raise ValueError("negative time step count")
-        if not 0.0 < self.horizon < math.inf:
-            raise ValueError(
-                f"horizon must be positive and finite, got {self.horizon}")
-        # an interval too narrow for its magnitude puts nodes on equal
-        # doubles
-        for name, g in (("x", self.x_grid()), ("y", self.y_grid()),
-                        ("t", self.t_grid())):
-            if not np.all(np.diff(g) > 0.0):
-                raise ValueError(
-                    f"the {name} interval [{float(g[0])!r}, "
-                    f"{float(g[-1])!r}] cannot hold {len(g)} distinct nodes")
+        for build in (self.x_grid, self.y_grid, self.t_grid):
+            build()
 
     @property
     def dx(self) -> float:
@@ -109,18 +91,16 @@ class GridSpec:
 
     @property
     def dt(self) -> float:
-        if self.t_steps == 0:
-            return 0.0
         return self.horizon / self.t_steps
 
     def x_grid(self) -> np.ndarray:
-        return np.linspace(self.x_lo, self.x_hi, self.x_nodes)
+        return numerics.axis("x", self.x_lo, self.x_hi, self.x_nodes)
 
     def y_grid(self) -> np.ndarray:
-        return np.linspace(self.y_lo, self.y_hi, self.y_nodes)
+        return numerics.axis("y", self.y_lo, self.y_hi, self.y_nodes)
 
     def t_grid(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.t_steps + 1)
+        return numerics.time_axis(self.t_steps, self.horizon)
 
 
 @dataclass
@@ -478,25 +458,16 @@ def solve_hjbi(model: ModelSpec, grid: GridSpec) -> PrincipalSolution:
     X2, Y2 = np.meshgrid(xg, yg, indexing="ij")
     Xf, Yf = X2.ravel(), Y2.ravel()
 
-    terminal = _terminal_reward(model, xg, yg)
     values = np.empty((nt + 1, nx, ny))
-    values[nt] = terminal
+    values[nt] = _terminal_reward(model, xg, yg)
     pol = {name: np.zeros((nt + 1, nx, ny)) for name in POLICY_FIELDS}
     diags = _new_diagnostics()
 
-    def select(t, u):
-        diags["selections"] += 1
-        return _select_with_radius(model, t, Xf, Yf,
-                                   *_flat_derivatives(u, grid), diags)
-
-    def fill_policy(step, sel):
-        kr = np.maximum(sel.fstar + 0.5 * sel.sig2 * sel.gamma - sel.hval, 0.0)
-        for name in POLICY_FIELDS:
-            got = kr if name == "k_rate" else getattr(sel, name)
-            pol[name][step] = got.reshape(nx, ny)
-
     for step in range(nt - 1, -1, -1):
-        sel = select(float(tg[step]), values[step + 1])
+        diags["selections"] += 1
+        sel = _select_with_radius(model, float(tg[step]), Xf, Yf,
+                                  *_flat_derivatives(values[step + 1], grid),
+                                  diags)
         st = _stencil(sel, grid.dx, grid.dy, (nx, ny))
         diags["monotonicity_defect"] = max(diags["monotonicity_defect"],
                                            st.defect)
@@ -511,14 +482,14 @@ def solve_hjbi(model: ModelSpec, grid: GridSpec) -> PrincipalSolution:
             dt_rem -= dt_n
             substeps += 1
         values[step] = cur
-        fill_policy(step, sel)
+        kr = np.maximum(sel.fstar + 0.5 * sel.sig2 * sel.gamma - sel.hval, 0.0)
+        for name in POLICY_FIELDS:
+            got = kr if name == "k_rate" else getattr(sel, name)
+            pol[name][step] = got.reshape(nx, ny)
         diags["substeps_max"] = max(diags["substeps_max"], substeps)
 
-    if nt:
-        for name in pol:
-            pol[name][nt] = pol[name][nt - 1]
-    else:
-        fill_policy(0, select(tg[0], terminal))
+    for name in pol:
+        pol[name][nt] = pol[name][nt - 1]
     return PrincipalSolution(tg, xg, yg, values, diagnostics=diags, **pol)
 
 
@@ -573,15 +544,9 @@ def _nearest_node(g, v):
     return np.maximum(u, 0.0, out=u).astype(np.intp)
 
 
-def _finite_increasing(g) -> bool:
-    return bool(np.all(np.isfinite(g)) and np.all(np.diff(g) > 0.0))
-
-
 def _uniform(g) -> bool:
     """Whether each spacing of ``g`` is within ``_UNIFORM_ULPS`` ulps of
     max(|g[0]|, |g[-1]|) of the first."""
-    if len(g) < 3:
-        return True
     gaps = np.diff(g)
     slack = _UNIFORM_ULPS * np.spacing(max(abs(g[0]), abs(g[-1])))
     return bool(np.all(np.abs(gaps - gaps[0]) <= slack))
@@ -591,13 +556,12 @@ def _uniform(g) -> bool:
 class ContractPolicy:
     """Gridded optimal-contract fields ready for pathwise lookup.
 
-    Each field has shape (len(t_grid), len(x_grid), len(y_grid)).  The x
-    and y axes are finite, strictly increasing, at least two nodes long
-    and uniform (see ``_UNIFORM_ULPS``), so :meth:`gather` finds a
-    value's nearest node by arithmetic; the time axis is one node or
-    finite, strictly increasing and uniform, as :meth:`slice_index`
-    assumes.  Construction, and so ``dataclasses.replace``, raises
-    ``ValueError`` otherwise.
+    Each field has shape (len(t_grid), len(x_grid), len(y_grid)).  Each
+    axis is finite, strictly increasing, at least two nodes long and
+    uniform (see ``_UNIFORM_ULPS``), so :meth:`gather` finds a value's
+    nearest node by arithmetic and :meth:`slice_index` its time slice.
+    Construction, and so ``dataclasses.replace``, raises ``ValueError``
+    otherwise.
     """
 
     t_grid: np.ndarray
@@ -611,23 +575,15 @@ class ContractPolicy:
     fstar: np.ndarray
 
     def __post_init__(self):
-        for name in ("x_grid", "y_grid"):
+        for name in ("t_grid", "x_grid", "y_grid"):
             g = getattr(self, name)
             if np.ndim(g) != 1 or len(g) < 2:
                 raise ValueError(f"policy {name} needs at least 2 nodes")
-            if not _finite_increasing(g):
+            if not (np.isfinite(g).all() and (np.diff(g) > 0.0).all()):
                 raise ValueError(f"policy {name} is not finite and "
                                  "strictly increasing")
             if not _uniform(g):
                 raise ValueError(f"policy {name} is not uniform")
-        if np.ndim(self.t_grid) != 1:
-            raise ValueError("policy t_grid is not 1-D")
-        # one time node (a zero-step solve) has no spacing to check
-        if len(self.t_grid) > 1 and not _finite_increasing(self.t_grid):
-            raise ValueError("policy t_grid is not finite and strictly "
-                             "increasing")
-        if not _uniform(self.t_grid):
-            raise ValueError("policy t_grid is not uniform")
         shape = (len(self.t_grid), len(self.x_grid), len(self.y_grid))
         for name in POLICY_FIELDS:
             got = np.shape(getattr(self, name))
@@ -636,11 +592,9 @@ class ContractPolicy:
                                  f"not {shape}")
 
     def slice_index(self, t: float) -> int:
-        nt = len(self.t_grid) - 1
-        if nt == 0:
-            return 0
         dt = self.t_grid[1] - self.t_grid[0]
-        return min(max(math.floor((t - self.t_grid[0]) / dt), 0), nt - 1)
+        return min(max(math.floor((t - self.t_grid[0]) / dt), 0),
+                   len(self.t_grid) - 2)
 
     def gather(self, t: float, x, y, *, fields=POLICY_FIELDS) -> dict:
         """Nearest-node control arrays for a batch of (x, y) states.
@@ -678,16 +632,26 @@ def optimize_y0(solution: PrincipalSolution, x0: float,
     """Honest argmax of the initial value over admissible promised values.
 
     The admissible set is the y grid above the agent's reservation
-    utility.  The maximizer is found by enumeration (earliest within the
-    tie tolerance), never by assuming monotonicity, and the result is
-    checked against the raw row maximum before returning.
+    utility (-inf admits every node).  The maximizer is found by
+    enumeration (earliest within the tie tolerance), never by assuming
+    monotonicity, and the result is checked against the raw row maximum
+    before returning.  Raises ``ValueError`` on an ``x0`` outside the x
+    grid, whose value the clamped lookup would read at the edge, on a NaN
+    reservation, and when no promised value is admissible.
     """
-    yg = solution.y_grid
+    xg, yg = solution.x_grid, solution.y_grid
+    if not xg[0] <= x0 <= xg[-1]:
+        raise ValueError(f"x0 {x0!r} is outside the x interval "
+                         f"[{float(xg[0])!r}, {float(xg[-1])!r}]")
+    if reservation is not None and math.isnan(reservation):
+        raise ValueError("reservation must not be nan")
     row = solution.value(solution.t_grid[0], x0, yg)
     admissible = np.ones(len(yg), dtype=bool) if reservation is None \
         else yg >= reservation - 1e-12
     if not np.any(admissible):
-        raise ValueError("no admissible promised value on the grid")
+        raise ValueError(
+            f"no admissible promised value on the grid: the reservation "
+            f"{reservation!r} exceeds the largest y node {float(yg[-1])!r}")
     idx_local, best = numerics.first_argmax(row[admissible])
     idx = np.flatnonzero(admissible)[idx_local]
     if not row[idx] >= best - TIE_TOL:

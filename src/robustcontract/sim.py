@@ -106,17 +106,15 @@ class SimConfig:
                 raise ValueError(f"{name} must be finite, got {value!r}")
 
     def steps_for(self, horizon: float) -> int:
-        """Number of Euler steps; errors unless the horizon is finite and
-        nonnegative and dt divides it.
-
-        A zero horizon is legal and runs no steps (terminal-only batch).
-        """
-        if not (math.isfinite(horizon) and horizon >= 0.0):
+        """Number of Euler steps, at least 1; errors unless the horizon is
+        positive and finite, as ``numerics.time_axis`` requires, and dt
+        divides it."""
+        if not 0.0 < horizon < math.inf:
             raise ValueError(
-                f"the horizon must be finite and nonnegative, got {horizon}")
+                f"horizon must be positive and finite, got {horizon}")
         steps = int(round(horizon / self.dt))
-        if (abs(steps * self.dt - horizon) > 1e-9 * max(horizon, 1.0)
-                or (steps < 1 and horizon > 0.0)):
+        slack = 1e-9 * max(horizon, 1.0)
+        if steps < 1 or abs(steps * self.dt - horizon) > slack:
             raise ValueError(
                 f"dt={self.dt} does not divide the horizon {horizon}")
         return steps
@@ -330,7 +328,7 @@ def _incentive_field_check(model: ModelSpec, policy: ContractPolicy) -> dict:
     injected policy whose effort no longer answers its own sensitivity
     fails here, without any sampling noise."""
     nt = len(policy.t_grid) - 1
-    slices = sorted({0, (nt - 1) // 2, nt - 1} if nt >= 1 else {0})
+    slices = sorted({0, (nt - 1) // 2, nt - 1})
     X2, Y2 = np.meshgrid(policy.x_grid, policy.y_grid, indexing="ij")
     Xf, Yf = X2.ravel(), Y2.ravel()
     worst = 0.0
@@ -526,18 +524,17 @@ def constant_policy(model: ModelSpec, horizon: float, *, z: float,
     """Contract with constant sensitivity and compensator rate.
 
     Handy for direct engine runs; effort and F* are recomputed pathwise
-    by the simulator, so their table entries are placeholders.  The
-    tabulated ``nature`` defaults to the middle of the model's nature set,
-    and one outside that set raises ``ValueError``.
+    by the simulator, so their table entries are placeholders.  A horizon
+    that ``numerics.time_axis`` refuses, or a tabulated ``nature`` outside
+    the model's nature set (its middle by default), raises ``ValueError``.
     """
+    t_grid = numerics.time_axis(1, horizon)
     if nature is None:
         nature = 0.5 * (model.nature_set_N[0] + model.nature_set_N[1])
     elif not model.contains_nature(nature):
         raise ValueError(
             f"nature {nature} outside the nature set {model.nature_set_N}")
-    # a zero horizon has one time node, as a zero-step solve does
-    t_grid = np.array([0.0, horizon]) if horizon != 0.0 else np.zeros(1)
-    shape = (len(t_grid), 2, 2)
+    shape = (2, 2, 2)
     return ContractPolicy(
         t_grid=t_grid, x_grid=np.linspace(*_CONSTANT_POLICY_BOX, 2),
         y_grid=np.linspace(*_CONSTANT_POLICY_BOX, 2),
@@ -671,8 +668,8 @@ def martingale_sandwich_check(model: ModelSpec, solution, policy: ContractPolicy
 
     feedback = simulate_system(model, policy, None, cfg, observer=observe,
                                increments=increments)
-    slopes = np.diff(means) / np.diff(times)
-    worst = float(np.max(np.abs(slopes))) if len(slopes) else 0.0
+    # at least two probes and one step give at least one slope
+    worst = float(np.max(np.abs(np.diff(means) / np.diff(times))))
     return {"worst_drift": worst, "passed": bool(worst <= tolerance),
             "feedback_run": feedback}
 

@@ -23,8 +23,9 @@ from robustcontract.cli import (
     RunConfig,
     main,
 )
+from robustcontract.agent import agent_grids
 from robustcontract.presets import make_model
-from robustcontract.principal import POLICY_FIELDS
+from robustcontract.principal import POLICY_FIELDS, GridSpec
 
 
 def write_config(tmp_path, name: str, mapping: dict) -> str:
@@ -217,6 +218,8 @@ REJECTED = [
      "missing required key 'grid.t_steps'"),
     ("band_width", {"options.horizon": 1.0}, "unknown key 'options.horizon'"),
     ("band_width", {"options.x0": "0"}, "'options.x0' must be a number"),
+    ("principal", {"options.reservation": math.nan},
+     "'options.reservation' must not be nan"),
 ]
 # the first rejected case of each command, run through ``main``
 BY_MAIN = list({MINIMAL[case[0]][0]: case for case in reversed(REJECTED)}
@@ -465,7 +468,7 @@ class TestSolveAgent:
         cfg = write_config(tmp_path, "d.yaml", doc)
         assert run_cli("solve-agent", cfg, tmp_path / "x") == EXIT_CONFIG
         assert capsys.readouterr().err == (
-            "config error: grid: need at least 3 space nodes\n")
+            "config error: grid: x_nodes must be at least 3, got 2\n")
         assert not (tmp_path / "x").exists()
 
     def test_non_finite_tabulated_payment_exits_2(self, tmp_path, capsys):
@@ -538,16 +541,6 @@ class TestSolvePrincipal:
             "config error: solve: slice needs more than 10000 stable "
             "substeps; refine the grid\n")
         assert not (tmp_path / "x").exists()
-
-    def test_zero_time_steps_writes_terminal_only(self, tmp_path):
-        doc = dict(PRINCIPAL_SMALL, options={},
-                   grid=dict(PRINCIPAL_SMALL["grid"], t_steps=0))
-        cfg = write_config(tmp_path, "z.yaml", doc)
-        out = tmp_path / "run"
-        assert run_cli("solve-principal", cfg, out) == EXIT_OK
-        tab = export.read_table(str(out / "value_surface.txt"))
-        assert len(tab["value"]) == 17 * 17
-        assert np.all(tab["t"] == 0.0)
 
 
 class TestSimulate:
@@ -986,8 +979,7 @@ def read_back(tmp_path, command: str, art) -> int:
 # manifest config edits that pass the schema but not a builder, per reader
 # and solve kind, with the message that each gives
 REBUILDS = [(command, kind, *edit) for command, kind in READERS for edit in (
-    ("grid", "x_nodes", -3, "grid: need at least 3 space nodes"
-     if kind == "agent" else "grid: need at least 3 nodes per space axis"),
+    ("grid", "x_nodes", -3, "grid: x_nodes must be at least 3, got -3"),
     ("model", "params", {"band" if kind == "agent" else "n_band": [0.5, 0.1]},
      "model.params: nature set bounds out of order"))]
 
@@ -1169,31 +1161,20 @@ class TestSweep:
             "config error: 'options.x0' must be finite, got nan\n")
         assert not out.exists()
 
-    def test_a_negative_salary_horizon_exits_2_and_writes_nothing(
-            self, tmp_path, capsys):
+    @pytest.mark.parametrize("horizon", [-1.0, 0.0])
+    def test_a_salary_horizon_that_is_not_positive_exits_2(
+            self, tmp_path, capsys, horizon):
         # a non-finite one is refused by the schema (REJECTED)
         text, command = read_example("sweep_salary.yaml")
         doc = yaml.safe_load(text)
-        doc["options"]["horizon"] = -1.0
+        doc["options"]["horizon"] = horizon
         out = tmp_path / "run"
         assert run_cli(command, write_config(tmp_path, "h.yaml", doc),
                        out) == EXIT_CONFIG
         assert capsys.readouterr().err == (
-            "config error: options.horizon: the horizon must be finite and "
-            "nonnegative, got -1.0\n")
+            "config error: options.horizon: horizon must be positive and "
+            f"finite, got {horizon}\n")
         assert not out.exists()
-
-    def test_a_zero_salary_horizon_pays_the_salary(self, tmp_path):
-        doc = {"sweep": {"axis": "m_salary", "values": [1, 10]},
-               "model": {"preset": "disjoint_beliefs"},
-               "sim": {"paths": 10, "dt": 0.5, "seed": 0},
-               "options": {"horizon": 0}}
-        out = tmp_path / "run"
-        assert run_cli("sweep", write_config(tmp_path, "z.yaml", doc),
-                       out) == EXIT_OK
-        tab = export.read_table(str(out / "summary.txt"))
-        np.testing.assert_array_equal(tab["mean"], [1.0, 10.0])
-        np.testing.assert_array_equal(tab["ci"], [0.0, 0.0])
 
     def test_unknown_axis_exits_2(self, tmp_path, capsys):
         doc = {"sweep": {"axis": "gravity", "values": [1]},
@@ -1291,6 +1272,65 @@ class TestDeterminism:
         assert export.read_manifest(str(out2))["cli"] == {"seed_override": 3}
 
 
+# Every artifact digest of the six example configs, run in this order in
+# one directory, as their manifests list them.  A change that moves an
+# output on purpose updates this table and names each file that moved.
+CONFIG_DIGESTS = {
+    'principal_risk_neutral': {
+        'policy.npy': 'c209d1d036db8a9594603b8477f76d51364029e3304788585026d4b9b8bec0b2',
+        'value_surface.txt': '84a51851efa0bdb6d7954c6bb3dd69b0fc438ec64bd5fde91f9b43b52470480d',
+        'y0.txt': '011783163e2c5f9d713b9a257604089426390dcf718462055d1e25187d2096ea',
+    },
+    'agent_heat_band': {
+        'agent_effort.txt': 'b540b651368772008dc6e0beaf1c138c5fc3787165aeacb65f44e3fcdd3180f5',
+        'agent_value.txt': '8ff7ac91e2d4e205cadc6de50bcbe6e88039c38a960c907dd49800a97de50ca8',
+        'agent_worst_vol.txt': '2997a93c2f119407f98aa25c98e02e147388e1a9d957ae23177ff21867979206',
+    },
+    'simulate_from_artifacts': {
+        'estimates.txt': 'b62761c87b464e7074ee57cc2fc784388ea37b843e5a603f0ce668812155c8fd',
+        'qv.txt': '0812e15d0a8d4045862a40b34073fd9c9c83be1cf58f6135d1d7eeb3d4c05876',
+    },
+    'sweep_band_width': {
+        'pt_000/agent_effort.txt': 'd9f7b48c1230864b855983cbb319f6f1e666934a65f956d099fe47c7aac5568a',
+        'pt_000/agent_value.txt': 'd29e798ab7836d74fda97a9753d24e6f5a4ac501aef6d6eaa32689ec5fbe2a73',
+        'pt_000/agent_worst_vol.txt': '6635c7588b958d2a1e4ff1c1fc2d9a297fb0a64e173b5898e5e566c7f56b8f80',
+        'pt_001/agent_effort.txt': 'd9f7b48c1230864b855983cbb319f6f1e666934a65f956d099fe47c7aac5568a',
+        'pt_001/agent_value.txt': '926fe961b985202b4fd020dac4dbd0cb4e9e25c549825fd777826e32e81c82aa',
+        'pt_001/agent_worst_vol.txt': '65f161537a137debe58f6d4f6c75bf3ad6ebf33323104422cfa1bea81a932408',
+        'pt_002/agent_effort.txt': 'd9f7b48c1230864b855983cbb319f6f1e666934a65f956d099fe47c7aac5568a',
+        'pt_002/agent_value.txt': '6c466412b0bc21a603090f94709bf90a59c489a25f7d33bb7c58f5a39f78dd4e',
+        'pt_002/agent_worst_vol.txt': 'f2591ca331e80a2a2e1bd3fd1d9b282d5570e8292465eb1765804cb5b89a3ad2',
+        'pt_003/agent_effort.txt': 'd9f7b48c1230864b855983cbb319f6f1e666934a65f956d099fe47c7aac5568a',
+        'pt_003/agent_value.txt': '78e48f86303ea32a3896cbbd47549bc2182d73453f3b23e66d45c7acff04cc10',
+        'pt_003/agent_worst_vol.txt': 'f7a4d10095d04f5d8be9099c6046f4a258394be3a9fe1bba3f02b655b3da0f7b',
+        'summary.txt': '8644f2a445e6c750ee03aaaa3f9b63adf8ed738e2c7cdc7c7acee82225214166',
+    },
+    'sweep_salary': {
+        'pt_000/estimate.txt': '6bafdd03adc51b5d750fdd08272b9e516094d1124bb819ee1e6cef9970d2cd06',
+        'pt_001/estimate.txt': 'a219ae732108cc9c293811fa7cb7e5d618474758e80461ad1726c87c5487e596',
+        'pt_002/estimate.txt': 'efdc92818628bc02f60294620a95d8039f9d066faa09cac3129bf67eb1b97be5',
+        'summary.txt': '0ffa7c5492ff45e4f9c39b7bfbde1ada60a1e269c3e14205053d204816508649',
+    },
+    'verify_principal': {
+        'report.yaml': '0358031513e17e8c5904cfba0d2e7b0c3c00cec02e0adadd7467275395adfa64',
+    },
+}
+
+
+class TestExampleDigests:
+    def test_the_six_configs_write_the_pinned_bytes(self, tmp_path,
+                                                    monkeypatch):
+        # the configs name their artifact directories relative to runs/
+        monkeypatch.chdir(tmp_path)
+        for name, want in CONFIG_DIGESTS.items():
+            text, command = read_example(f"{name}.yaml")
+            out = text.split("--out ", 1)[1].split()[0]
+            assert main([command, "--config",
+                         os.path.join(CONFIGS, f"{name}.yaml"),
+                         "--out", out]) == EXIT_OK, name
+            assert export.read_manifest(out)["artifacts"] == want, name
+
+
 # One small valid config per command (simulate with a ``policy``), each
 # with every float key it can hold; ``{art}`` is a principal solve.  A
 # dotted path's integer part indexes a list.
@@ -1378,13 +1418,17 @@ class TestNonFiniteFloats:
 
     @pytest.mark.parametrize("name, path, value, message", [
         ("solve-agent", "grid.horizon", math.inf,
-         "grid: horizon must be finite, got inf"),
+         "grid: horizon must be positive and finite, got inf"),
         ("solve-agent", "grid.x_hi", math.inf,
          "grid: x_hi must be finite, got inf"),
         ("band_width", "grid.horizon", math.nan,
-         "grid: horizon must be finite, got nan"),
+         "grid: horizon must be positive and finite, got nan"),
         ("simulate", "policy.horizon", math.inf,
          "'policy.horizon' must be finite, got inf"),
+        ("simulate", "policy.horizon", 0.0,
+         "policy: horizon must be positive and finite, got 0.0"),
+        ("simulate", "policy.horizon", -0.5,
+         "policy: horizon must be positive and finite, got -0.5"),
         ("simulate", "policy.k_rate", math.nan,
          "'policy.k_rate' must be finite, got nan"),
         ("simulate", "policy.nature", 5.0,
@@ -1425,3 +1469,133 @@ class TestNonFiniteFloats:
         np.testing.assert_array_equal(
             export.read_table(str(out / "summary.txt"))["mean"],
             [1.0, 10.0, 100.0])
+
+
+# One table of bad grids for every grid consumer: edits of one space axis,
+# ``{a}`` standing for its name, then edits of the time axis, each with
+# the refusal that both solvers give.
+BAD_AXES = [
+    ({"{a}_lo": math.inf}, "{a}_lo must be finite, got inf"),
+    ({"{a}_lo": math.nan}, "{a}_lo must be finite, got nan"),
+    ({"{a}_hi": math.inf}, "{a}_hi must be finite, got inf"),
+    ({"{a}_hi": math.nan}, "{a}_hi must be finite, got nan"),
+    ({"{a}_lo": 1.0, "{a}_hi": -1.0},
+     "{a}_hi must exceed {a}_lo, got [1.0, -1.0]"),
+    ({"{a}_lo": 1.0, "{a}_hi": 1.0},
+     "{a}_hi must exceed {a}_lo, got [1.0, 1.0]"),
+    # 4 ulps wide: np.linspace puts the 11 nodes on 5 doubles
+    ({"{a}_lo": 1e16, "{a}_hi": 1.0000000000000008e16, "{a}_nodes": 11},
+     "the {a} interval [1e+16, 1.0000000000000008e+16] cannot hold 11 "
+     "distinct nodes"),
+    ({"{a}_nodes": 2}, "{a}_nodes must be at least 3, got 2"),
+]
+BAD_TIMES = [({"t_steps": 0}, "t_steps must be at least 1, got 0")] + [
+    ({"horizon": h}, f"horizon must be positive and finite, got {h}")
+    for h in (0.0, -1.0, math.inf, math.nan)]
+# the consumers' grid sections (FLOAT_KEYS configs) and their space axes
+GRID_CONSUMERS = {"solve-agent": "x", "solve-principal": "xy",
+                  "band_width": "x"}
+
+
+def bad_grids(axes: str) -> list[tuple[str, dict, str]]:
+    """(axis, grid edits, refusal) of every bad grid over ``axes``."""
+    return [(a, {key.format(a=a): v for key, v in edits.items()},
+             message.format(a=a))
+            for a in axes for edits, message in BAD_AXES] + [
+        ("t", edits, message) for edits, message in BAD_TIMES]
+
+
+BAD_GRIDS = [(name, *case) for name, axes in GRID_CONSUMERS.items()
+             for case in bad_grids(axes)]
+
+
+class TestBadGrids:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "name, axis, edits, message", BAD_GRIDS,
+        ids=[f"{n}-{a}-{m}" for n, a, _, m in BAD_GRIDS])
+    def test_each_consumer_exits_2_with_one_grid_line(
+            self, tmp_path, capsys, name, axis, edits, message):
+        command, doc = float_key_config(name, None)
+        doc["grid"].update(edits)
+        out = tmp_path / "run"
+        assert run_cli(command, write_config(tmp_path, "g.yaml", doc),
+                       out) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: grid: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "axis, edits, message", bad_grids("xy"),
+        ids=[f"{a}-{m}" for a, _, m in bad_grids("xy")])
+    def test_gridspec_and_agent_grids_raise_the_same_text(self, axis, edits,
+                                                          message):
+        makers = [(GridSpec, FLOAT_KEYS["solve-principal"][1]["grid"])]
+        if axis != "y":
+            makers.append((agent_grids, SMALL_AGENT_GRID))
+        for build, grid in makers:
+            with pytest.raises(ValueError) as exc:
+                build(**dict(grid, **edits))
+            assert str(exc.value) == message, build
+
+
+class TestInitialStateInTheDomain:
+    """``options.x0`` must lie in the solved x interval wherever a run
+    reads the value there: solve-principal picking a promise, and the
+    band-width sweep.  Both grids span [-1, 1]."""
+
+    @staticmethod
+    def config(name: str, x0: float) -> tuple[str, dict]:
+        command, doc = float_key_config(name, None)
+        if name == "solve-principal":
+            doc["grid"].update(x_lo=-1.0, x_hi=1.0, t_steps=2, horizon=0.1)
+        doc["options"]["x0"] = x0
+        return command, doc
+
+    @pytest.mark.parametrize("name", ["solve-principal", "band_width"])
+    @pytest.mark.parametrize("x0", [100.0, -1.5])
+    def test_an_x0_off_the_grid_exits_2_before_any_solve(
+            self, tmp_path, capsys, monkeypatch, name, x0):
+        monkeypatch.setattr(cli, "solve_hjbi", None)
+        monkeypatch.setattr(cli, "solve_agent", None)
+        command, doc = self.config(name, x0)
+        out = tmp_path / "run"
+        assert run_cli(command, write_config(tmp_path, "x.yaml", doc),
+                       out) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: options.x0: {x0!r} is outside the x interval "
+            "[-1.0, 1.0]\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["solve-principal", "band_width"])
+    @pytest.mark.parametrize("x0", [-1.0, 1.0])
+    def test_an_x0_on_either_edge_runs(self, tmp_path, name, x0):
+        command, doc = self.config(name, x0)
+        assert run_cli(command, write_config(tmp_path, "x.yaml", doc),
+                       tmp_path / "run") == EXIT_OK
+
+    def test_without_a_reservation_solve_principal_reads_no_x0(self,
+                                                                tmp_path):
+        command, doc = self.config("solve-principal", 100.0)
+        del doc["options"]["reservation"]
+        assert run_cli(command, write_config(tmp_path, "x.yaml", doc),
+                       tmp_path / "run") == EXIT_OK
+
+
+class TestReservation:
+    @pytest.mark.parametrize("reservation, code, err", [
+        (-math.inf, EXIT_OK, ""),
+        (math.inf, EXIT_CONFIG,
+         "config error: infeasible participation: no admissible promised "
+         "value on the grid: the reservation inf exceeds the largest y node "
+         "2.0\n"),
+        (math.nan, EXIT_CONFIG,
+         "config error: 'options.reservation' must not be nan\n")])
+    def test_infinite_reservations_pass_the_schema_and_nan_does_not(
+            self, tmp_path, capsys, reservation, code, err):
+        command, doc = float_key_config("solve-principal", None,
+                                        "options.reservation", reservation)
+        out = tmp_path / "run"
+        assert run_cli(command, write_config(tmp_path, "r.yaml", doc),
+                       out) == code
+        assert capsys.readouterr().err == err
+        assert out.exists() == (code == EXIT_OK)

@@ -212,12 +212,6 @@ class TestSurfaceValue:
         assert lookup(0.9, 0.5, 0.1) == pytest.approx(affine(0.5, 0.5, 0.1),
                                                       abs=1e-12)
 
-    def test_single_slice_grid(self):
-        t_grid = np.array([0.0])
-        for t in (-1.0, 0.0, 3.0):
-            assert lookup(t, 0.5, 0.1, t_grid) == pytest.approx(
-                affine(0.0, 0.5, 0.1), abs=1e-12)
-
     def test_array_call_matches_scalar_calls(self):
         x = np.array([0.33, -5.0, np.nan, 1.7, 2.0, -np.inf])
         y = np.array([-0.47, 0.2, 0.0, np.inf, -3.0, 0.9])

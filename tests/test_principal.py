@@ -1,6 +1,7 @@
 """Tests for the principal-side HJBI solver, policy extraction and checks."""
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -73,10 +74,10 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             small_grid(horizon=0.0)
 
-    def test_zero_steps_allowed(self):
-        g = small_grid(t_steps=0)
-        assert g.dt == 0.0
-        assert len(g.t_grid()) == 1
+    def test_zero_steps_refused(self):
+        with pytest.raises(ValueError, match="^t_steps must be at least 1, "
+                                             "got 0$"):
+            small_grid(t_steps=0)
 
 
 class TestSolveHjbi:
@@ -100,14 +101,6 @@ class TestSolveHjbi:
         sol = solve_hjbi(m, g)
         assert affine_error(sol) <= 1e-12
         assert sol.diagnostics["substeps_max"] > 1
-
-    def test_zero_time_steps_returns_terminal(self):
-        m = rc.make_model("risk_neutral")
-        sol = solve_hjbi(m, small_grid(t_steps=0))
-        xx = sol.x_grid[:, None]
-        yy = sol.y_grid[None, :]
-        np.testing.assert_allclose(sol.values[0], xx - yy, atol=1e-14)
-        np.testing.assert_allclose(sol.z[0], 1.0, atol=1e-12)
 
     def test_trilinear_value_lookup(self):
         m = rc.make_model("risk_neutral")
@@ -628,8 +621,37 @@ class TestOptimizeY0:
         assert res.y0 == solution.y_grid[0]
 
     def test_no_admissible_promise(self, solution):
-        with pytest.raises(ValueError, match="admissible"):
+        with pytest.raises(ValueError) as exc:
             optimize_y0(solution, 0.0, reservation=100.0)
+        assert str(exc.value) == (
+            "no admissible promised value on the grid: the reservation "
+            "100.0 exceeds the largest y node 4.0")
+
+    def test_a_nan_reservation_is_refused(self, solution):
+        with pytest.raises(ValueError, match="^reservation must not be nan$"):
+            optimize_y0(solution, 0.0, reservation=math.nan)
+
+    @pytest.mark.parametrize("reservation", [-math.inf, math.inf])
+    def test_an_infinite_reservation_admits_all_or_none(self, solution,
+                                                        reservation):
+        if reservation < 0:
+            assert optimize_y0(solution, 1.0, reservation) == \
+                optimize_y0(solution, 1.0)
+        else:
+            with pytest.raises(ValueError, match="reservation inf exceeds"):
+                optimize_y0(solution, 1.0, reservation)
+
+    @pytest.mark.parametrize("x0", [-4.0 - 1e-12, 4.5, math.inf, math.nan])
+    def test_an_x0_off_the_x_grid_is_refused(self, solution, x0):
+        with pytest.raises(ValueError) as exc:
+            optimize_y0(solution, x0, reservation=0.0)
+        assert str(exc.value) == (
+            f"x0 {x0!r} is outside the x interval [-4.0, 4.0]")
+
+    @pytest.mark.parametrize("x0", [-4.0, 4.0])
+    def test_an_x0_on_either_edge_is_accepted(self, solution, x0):
+        res = optimize_y0(solution, x0, reservation=0.0)
+        assert res.value == pytest.approx(x0 - res.y0 + 0.25, abs=1e-9)
 
     def test_nan_value_row_raises(self, solution):
         values = solution.values.copy()
@@ -723,7 +745,7 @@ class TestGridSpecChecks:
             GridSpec(**dict(self.BOX, horizon=5e-324, t_steps=2))
 
     def test_an_infinite_bound_is_refused(self):
-        with pytest.raises(ValueError, match="space bounds must be finite"):
+        with pytest.raises(ValueError, match="^x_lo must be finite, got -inf$"):
             GridSpec(**dict(self.BOX, x_lo=-np.inf))
 
 
@@ -777,12 +799,10 @@ class TestContractPolicyChecks:
                                              "strictly increasing"):
             small_policy(t_grid=np.array([0.0, end]))
 
-    def test_a_one_node_time_axis_is_accepted(self):
-        # a zero-step solve's policy: every time reads its one slice
-        policy = small_policy(t_grid=np.zeros(1), **{
-            name: np.full((1, 3, 4), 2.5) for name in principal.POLICY_FIELDS})
-        assert policy.slice_index(0.0) == policy.slice_index(7.0) == 0
-        assert policy.gather(0.0, [0.2], [-0.3])["z"].tolist() == [2.5]
+    def test_a_one_node_time_axis_is_refused(self):
+        with pytest.raises(ValueError, match="t_grid needs at least 2 nodes"):
+            small_policy(t_grid=np.zeros(1), **{
+                name: np.zeros((1, 3, 4)) for name in principal.POLICY_FIELDS})
 
     def test_replace_runs_the_same_checks(self):
         with pytest.raises(ValueError, match="x_grid is not finite"):

@@ -90,15 +90,14 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="divide"):
             cfg.steps_for(1.0)
         assert SimConfig(paths=1, dt=0.25, seed=0).steps_for(1.0) == 4
-        assert SimConfig(paths=1, dt=0.25, seed=0).steps_for(0.0) == 0
 
-    @pytest.mark.parametrize("horizon", [-1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
     def test_bad_horizons_are_refused_by_name(self, horizon):
         cfg = SimConfig(paths=1, dt=0.25, seed=0)
         with pytest.raises(ValueError) as exc:
             cfg.steps_for(horizon)
         assert str(exc.value) == (
-            f"the horizon must be finite and nonnegative, got {horizon}")
+            f"horizon must be positive and finite, got {horizon}")
 
 
 class TestNatureStrategy:
@@ -211,19 +210,13 @@ class TestEngineClosedForms:
         gap = abs(res.agent_estimate.mean - y0)
         assert gap <= 3 * res.agent_estimate.ci_halfwidth + 0.02
 
-    def test_zero_horizon_policy_has_one_time_node(self, rn_model):
-        policy = constant_policy(rn_model, horizon=0.0, z=1.0)
-        assert policy.t_grid.tolist() == [0.0]
-        assert policy.gather(0.0, [0.0], [0.0])["z"].tolist() == [1.0]
-        with pytest.raises(ValueError, match="t_grid is not finite"):
-            constant_policy(rn_model, horizon=-1.0, z=1.0)
-
-    def test_zero_horizon_batch_reports_the_terminal_functional(self, rn_model):
-        policy = constant_policy(rn_model, horizon=0.0, z=1.0)
-        cfg = SimConfig(paths=50, dt=1 / 8, seed=1, x0=2.0, y0=0.5)
-        res = simulate_system(rn_model, policy, None, cfg)
-        assert res.principal_estimate == Estimate(1.5, 0.0)
-        assert res.realized_qv.size == 0
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
+    def test_a_policy_horizon_that_is_not_positive_is_refused(self, rn_model,
+                                                              horizon):
+        with pytest.raises(ValueError) as exc:
+            constant_policy(rn_model, horizon=horizon, z=1.0)
+        assert str(exc.value) == (
+            f"horizon must be positive and finite, got {horizon}")
 
 
 class TestQuarantineAndDeterminism:
@@ -757,13 +750,6 @@ class TestMartingaleSandwich:
         # one run: the feedback run, with nature read from the policy
         assert set(report) == {"worst_drift", "passed", "feedback_run"}
 
-    def test_zero_horizon_is_trivially_constant(self, rn_model, rn_solution):
-        policy = constant_policy(rn_model, horizon=0.0, z=1.0)
-        cfg = SimConfig(paths=50, dt=1 / 8, seed=61)
-        report = martingale_sandwich_check(rn_model, rn_solution, policy, cfg)
-        assert report["worst_drift"] == 0.0
-        assert report["passed"]
-
 
 class TestContractChecks:
     def test_suite_draws_once_and_writes_verify_report_entries(
@@ -979,12 +965,12 @@ class TestDisjointBeliefs:
             disjoint_beliefs_demo(model, [1.0, -1.0],
                                   SimConfig(paths=10, dt=0.25, seed=1))
 
-    @pytest.mark.parametrize("horizon", [-1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
     def test_a_bad_horizon_is_named_before_any_run(self, horizon,
                                                    monkeypatch):
         monkeypatch.setattr(sim, "simulate_system", None)
-        with pytest.raises(ValueError, match="^the horizon must be finite "
-                           f"and nonnegative, got {horizon}$"):
+        with pytest.raises(ValueError, match="^horizon must be positive "
+                           f"and finite, got {horizon}$"):
             disjoint_beliefs_demo(presets.disjoint_beliefs(), [1.0],
                                   SimConfig(paths=10, dt=0.25, seed=1),
                                   horizon=horizon)
